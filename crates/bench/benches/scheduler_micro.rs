@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hpcsched::prelude::*;
 use schedsim::program::ScriptedProgram;
 use schedsim::rbtree::RbTree;
-use simcore::EventQueue;
+use simcore::{EventId, EventQueue, SimDuration, SimTime};
 
 fn bench_rbtree(c: &mut Criterion) {
     let mut g = c.benchmark_group("rbtree");
@@ -61,6 +61,39 @@ fn bench_event_queue(c: &mut Criterion) {
             while let Some(ev) = q.pop() {
                 black_box(ev.payload);
             }
+        })
+    });
+    g.finish();
+}
+
+/// The kernel's hottest queue pattern: after every event each CPU's
+/// completion timer is cancelled and re-armed. Four CPUs, so four periodic
+/// ticks and four armed completion timers are pending at all times.
+fn bench_rearm_churn(c: &mut Criterion) {
+    let mut g = c.benchmark_group("rearm_churn");
+    g.sample_size(10);
+    g.bench_function("4_timers_1e5_pops", |b| {
+        b.iter(|| {
+            let tick = SimDuration::from_millis(1);
+            let mut q = EventQueue::new();
+            for cpu in 0..4u64 {
+                q.schedule(SimTime::ZERO + tick + SimDuration::from_nanos(cpu), cpu);
+            }
+            let mut armed: Vec<EventId> = (0..4u64)
+                .map(|cpu| q.schedule(SimTime::ZERO + SimDuration::from_millis(5), 4 + cpu))
+                .collect();
+            for _ in 0..100_000 {
+                let Some(ev) = q.pop() else { break };
+                if ev.payload < 4 {
+                    q.schedule(ev.time + tick, ev.payload);
+                }
+                for (cpu, id) in armed.iter_mut().enumerate() {
+                    q.cancel(*id);
+                    let left = SimDuration::from_micros(1_500 + 37 * cpu as u64);
+                    *id = q.schedule(ev.time + left, 4 + cpu as u64);
+                }
+            }
+            black_box(q.len())
         })
     });
     g.finish();
@@ -127,5 +160,5 @@ fn bench_kernel_paths(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rbtree, bench_event_queue, bench_kernel_paths);
+criterion_group!(benches, bench_rbtree, bench_event_queue, bench_rearm_churn, bench_kernel_paths);
 criterion_main!(benches);

@@ -171,38 +171,9 @@ impl Chip {
     /// according to [`IdleMode`]; an unloaded context's own speed is always
     /// reported as 0.
     pub fn core_speeds(&self, core: CoreId) -> Vec<(CpuId, f64)> {
-        let cpus = self.topology.cpus_of_core(core);
-        let present = |cpu: &CpuId| -> CtxLoad {
-            let st = self.contexts[cpu.0];
-            if st.load.is_some() {
-                st.as_ctx_load()
-            } else {
-                self.idle_ctx_load()
-            }
-        };
-        match cpus.as_slice() {
-            [only] => {
-                let s = self.model.speeds(self.contexts[only.0].as_ctx_load(), CtxLoad::Idle);
-                vec![(*only, s.a)]
-            }
-            [a, b] => {
-                let s = self.model.speeds(present(a), present(b));
-                let speed_a = if self.contexts[a.0].load.is_some() { s.a } else { 0.0 };
-                let speed_b = if self.contexts[b.0].load.is_some() { s.b } else { 0.0 };
-                vec![(*a, speed_a), (*b, speed_b)]
-            }
-            many => {
-                // Wide SMT core: ask the model for all contexts at once.
-                let loads: Vec<CtxLoad> = many.iter().map(present).collect();
-                let speeds = self.model.speeds_many(&loads);
-                many.iter()
-                    .zip(speeds)
-                    .map(|(cpu, s)| {
-                        (*cpu, if self.contexts[cpu.0].load.is_some() { s } else { 0.0 })
-                    })
-                    .collect()
-            }
-        }
+        let mut out = Vec::new();
+        self.each_core_speed(core, |cpu, s| out.push((cpu, s)));
+        out
     }
 
     /// Speed factor of one CPU right now.
@@ -217,13 +188,57 @@ impl Chip {
 
     /// Speed factors of every CPU, indexed by CPU id.
     pub fn all_speeds(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.topology.num_cpus()];
+        let mut out = Vec::new();
+        self.speeds_into(&mut out);
+        out
+    }
+
+    /// [`Chip::all_speeds`] into a caller-owned buffer, which is cleared
+    /// and refilled. A buffer reused across calls allocates nothing once
+    /// it holds `num_cpus` entries, for cores up to 2-way SMT (wider cores
+    /// hand the model a fresh context list).
+    pub fn speeds_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize(self.topology.num_cpus(), 0.0);
         for core in self.topology.cores() {
-            for (cpu, s) in self.core_speeds(core) {
-                out[cpu.0] = s;
+            self.each_core_speed(core, |cpu, s| out[cpu.0] = s);
+        }
+    }
+
+    /// Feed `f` the speed of each context of `core`, in context order.
+    fn each_core_speed(&self, core: CoreId, mut f: impl FnMut(CpuId, f64)) {
+        let present = |cpu: CpuId| -> CtxLoad {
+            let st = self.contexts[cpu.0];
+            if st.load.is_some() {
+                st.as_ctx_load()
+            } else {
+                self.idle_ctx_load()
+            }
+        };
+        let loaded_speed =
+            |cpu: CpuId, s: f64| if self.contexts[cpu.0].load.is_some() { s } else { 0.0 };
+        let cpus = self.topology.core_range(core);
+        match cpus.len() {
+            1 => {
+                let only = CpuId(cpus.start);
+                let s = self.model.speeds(self.contexts[only.0].as_ctx_load(), CtxLoad::Idle);
+                f(only, s.a);
+            }
+            2 => {
+                let (a, b) = (CpuId(cpus.start), CpuId(cpus.start + 1));
+                let s = self.model.speeds(present(a), present(b));
+                f(a, loaded_speed(a, s.a));
+                f(b, loaded_speed(b, s.b));
+            }
+            _ => {
+                // Wide SMT core: ask the model for all contexts at once.
+                let loads: Vec<CtxLoad> = cpus.clone().map(|c| present(CpuId(c))).collect();
+                let speeds = self.model.speeds_many(&loads);
+                for (c, s) in cpus.zip(speeds) {
+                    f(CpuId(c), loaded_speed(CpuId(c), s));
+                }
             }
         }
-        out
     }
 
     /// The context slot of `cpu` (exposed for diagnostics).

@@ -640,9 +640,14 @@ impl Topology {
 
     /// The CPUs of a core, in context order.
     pub fn cpus_of_core(&self, core: CoreId) -> Vec<CpuId> {
+        self.core_range(core).map(CpuId).collect()
+    }
+
+    /// The CPU ids of a core's hardware contexts, as a contiguous range.
+    pub fn core_range(&self, core: CoreId) -> Range<usize> {
         assert!(core.0 < self.num_cores(), "core out of range");
         let base = core.0 * self.core_span();
-        (base..base + self.core_span()).map(CpuId).collect()
+        base..base + self.core_span()
     }
 
     /// The first SMT sibling of a CPU, if its core has one.

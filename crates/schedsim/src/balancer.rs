@@ -219,7 +219,7 @@ mod tests {
             .collect();
         tasks[1].hw_prio = HwPriority::HIGH;
         let ctx =
-            ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: vec![] };
+            ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: &[] };
         assert!(degrade_to_floor(&ctx, TaskId(0)).is_empty(), "already at floor");
         assert_eq!(
             degrade_to_floor(&ctx, TaskId(1)),

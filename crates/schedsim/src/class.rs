@@ -36,7 +36,8 @@ pub struct ClassCtx<'a> {
     pub topology: &'a Topology,
     /// The task currently dispatched on each CPU (indexed by CPU id).
     /// Needed by balancers that equalize *total* task counts per domain.
-    pub running: Vec<Option<TaskId>>,
+    /// Borrowed from the kernel, so building a context allocates nothing.
+    pub running: &'a [Option<TaskId>],
 }
 
 impl<'a> ClassCtx<'a> {

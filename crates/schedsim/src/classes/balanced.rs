@@ -229,7 +229,7 @@ mod tests {
     }
 
     fn ctx<'a>(tasks: &'a mut Vec<Task>, topo: &'a Topology) -> ClassCtx<'a> {
-        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: vec![None; 4] }
+        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: &[None; 4] }
     }
 
     fn ms(v: u64) -> SimDuration {
@@ -395,8 +395,8 @@ mod tests {
         let mut tasks = mk_tasks(3);
         let mut c = mk_class(HpcPolicyKind::Rr);
         // CPU 2 runs an HPC task and has one queued; CPU 0 idle.
-        let mut cx = ctx(&mut tasks, &topo);
-        cx.running[2] = Some(TaskId(0));
+        let running = [None, None, Some(TaskId(0)), None];
+        let mut cx = ClassCtx { running: &running, ..ctx(&mut tasks, &topo) };
         c.enqueue(&mut cx, CpuId(2), TaskId(1), EnqueueKind::New);
         let migs = c.load_balance(&mut cx, CpuId(0), true);
         assert_eq!(migs.len(), 1, "2 tasks on core1 vs 0 on core0");

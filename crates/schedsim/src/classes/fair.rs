@@ -283,7 +283,7 @@ mod tests {
     }
 
     fn ctx<'a>(tasks: &'a mut Vec<Task>, topo: &'a Topology) -> ClassCtx<'a> {
-        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: vec![None; 4] }
+        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: &[None; 4] }
     }
 
     fn fair() -> FairClass {
@@ -381,13 +381,10 @@ mod tests {
         let mut tasks = mk_tasks(2);
         // Equal vruntimes: no preemption (gap 0 < granularity).
         let c = fair();
-        let cx = ctx(&mut tasks, &topo);
-        assert!(!c.wakeup_preempt(&cx, TaskId(0), TaskId(1)));
-        drop(cx);
+        assert!(!c.wakeup_preempt(&ctx(&mut tasks, &topo), TaskId(0), TaskId(1)));
         // Current far ahead: preempt.
         tasks[0].vruntime = 50_000_000; // 50ms
-        let cx = ctx(&mut tasks, &topo);
-        assert!(c.wakeup_preempt(&cx, TaskId(0), TaskId(1)));
+        assert!(c.wakeup_preempt(&ctx(&mut tasks, &topo), TaskId(0), TaskId(1)));
     }
 
     #[test]

@@ -105,7 +105,7 @@ mod tests {
             .collect();
         let mut c = IdleClass::new();
         c.init_cpus(4);
-        let mut cx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: vec![None; 4] };
+        let mut cx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: &[None; 4] };
         c.enqueue(&mut cx, CpuId(0), TaskId(0), EnqueueKind::New);
         c.enqueue(&mut cx, CpuId(0), TaskId(1), EnqueueKind::New);
         assert_eq!(c.nr_runnable(CpuId(0)), 2);

@@ -210,7 +210,7 @@ mod tests {
     }
 
     fn ctx<'a>(tasks: &'a mut Vec<Task>, topo: &'a Topology) -> ClassCtx<'a> {
-        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: vec![None; 4] }
+        ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: &[None; 4] }
     }
 
     fn rt() -> RtClass {

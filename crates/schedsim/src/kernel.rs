@@ -32,7 +32,6 @@ enum KEvent {
 }
 
 struct CpuState {
-    current: Option<TaskId>,
     /// Cached speed factor of the running task (from the chip model).
     speed: f64,
     /// Accounting synced up to this instant.
@@ -51,7 +50,6 @@ struct CpuState {
 impl CpuState {
     fn new() -> Self {
         CpuState {
-            current: None,
             speed: 0.0,
             last_sync: SimTime::ZERO,
             switch_until: SimTime::ZERO,
@@ -141,6 +139,11 @@ pub struct Kernel {
     classes: Vec<Box<dyn SchedClass>>,
     events: EventQueue<KEvent>,
     cpus: Vec<CpuState>,
+    /// The task dispatched on each CPU, indexed by CPU id; lent to the
+    /// classes as [`ClassCtx::running`].
+    running: Vec<Option<TaskId>>,
+    /// Per-CPU chip speeds, refilled by every [`Kernel::refresh_hw`].
+    speeds: Vec<f64>,
     tokens: TokenTable,
     observers: Vec<Box<dyn Observer>>,
     rng: SimRng,
@@ -180,6 +183,8 @@ impl Kernel {
             classes,
             events,
             cpus: (0..ncpus).map(|_| CpuState::new()).collect(),
+            running: vec![None; ncpus],
+            speeds: Vec::with_capacity(ncpus),
             tokens: TokenTable::default(),
             observers: Vec::new(),
             rng,
@@ -489,7 +494,7 @@ impl Kernel {
         let cs = &mut self.cpus[cpu.0];
         let start = cs.last_sync.max(cs.switch_until).max(cs.steal_until).min(t);
         cs.last_sync = t;
-        let Some(tid) = cs.current else { return };
+        let Some(tid) = self.running[cpu.0] else { return };
         let delta = t.saturating_since(start);
         if delta.is_zero() {
             return;
@@ -519,7 +524,7 @@ impl Kernel {
         let next = self.now + self.config.tick;
         self.events.schedule(next, KEvent::Tick(cpu));
 
-        if let Some(tid) = self.cpus[cpu.0].current {
+        if let Some(tid) = self.running[cpu.0] {
             let class = self.class_of_policy(self.tasks[tid.0].policy);
             let resched = self.with_ctx(class, |class, ctx| class.task_tick(ctx, cpu, tid));
             if resched {
@@ -535,7 +540,7 @@ impl Kernel {
     }
 
     fn handle_workdone(&mut self, cpu: CpuId) {
-        let Some(tid) = self.cpus[cpu.0].current else { return };
+        let Some(tid) = self.running[cpu.0] else { return };
         // Guard against float dust: the segment is done when the event
         // fires (sync_to already subtracted the work).
         if self.tasks[tid.0].remaining_work > 1e-12 {
@@ -624,14 +629,14 @@ impl Kernel {
     fn block_current(&mut self, tid: TaskId) {
         // INVARIANT: callers pass the running task; dispatch set its cpu.
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
-        debug_assert_eq!(self.cpus[cpu.0].current, Some(tid));
+        debug_assert_eq!(self.running[cpu.0], Some(tid));
         let class = self.class_of_policy(self.tasks[tid.0].policy);
         self.with_ctx(class, |class, ctx| class.task_slept(ctx, cpu, tid));
         let task = &mut self.tasks[tid.0];
         task.state = TaskState::Sleeping;
         task.last_state_change = self.now;
         task.last_sleep_start = Some(self.now);
-        self.cpus[cpu.0].current = None;
+        self.running[cpu.0] = None;
         self.emit(tid, TraceEvent::State { state: TaskState::Sleeping, cpu: Some(cpu) });
         self.cpus[cpu.0].need_resched = true;
     }
@@ -639,9 +644,9 @@ impl Kernel {
     fn yield_current(&mut self, tid: TaskId) {
         // INVARIANT: callers pass the running task; dispatch set its cpu.
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
-        debug_assert_eq!(self.cpus[cpu.0].current, Some(tid));
+        debug_assert_eq!(self.running[cpu.0], Some(tid));
         let class = self.class_of_policy(self.tasks[tid.0].policy);
-        self.cpus[cpu.0].current = None;
+        self.running[cpu.0] = None;
         let task = &mut self.tasks[tid.0];
         task.state = TaskState::Runnable;
         task.last_state_change = self.now;
@@ -653,12 +658,12 @@ impl Kernel {
     fn exit_current(&mut self, tid: TaskId) {
         // INVARIANT: callers pass the running task; dispatch set its cpu.
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
-        debug_assert_eq!(self.cpus[cpu.0].current, Some(tid));
+        debug_assert_eq!(self.running[cpu.0], Some(tid));
         let task = &mut self.tasks[tid.0];
         task.state = TaskState::Exited;
         task.exited_at = Some(self.now);
         task.last_state_change = self.now;
-        self.cpus[cpu.0].current = None;
+        self.running[cpu.0] = None;
         let class = self.class_of_policy(self.tasks[tid.0].policy);
         self.with_ctx(class, |class, ctx| class.task_exited(ctx, tid));
         self.emit(tid, TraceEvent::Exit);
@@ -727,8 +732,7 @@ impl Kernel {
         // noise daemon under an HPC task) is preempted immediately, so it
         // must not push the woken task off its cache-hot CPU.
         let idle = |c: CpuId| {
-            let cur_busy = self.cpus[c.0]
-                .current
+            let cur_busy = self.running[c.0]
                 .map(|t| self.class_of_policy(self.tasks[t.0].policy) <= my_class)
                 .unwrap_or(false);
             !cur_busy
@@ -768,7 +772,7 @@ impl Kernel {
 
     /// Decide whether the newly runnable `tid` (queued on `cpu`) preempts.
     fn check_preempt(&mut self, cpu: CpuId, tid: TaskId) {
-        match self.cpus[cpu.0].current {
+        match self.running[cpu.0] {
             None => self.cpus[cpu.0].need_resched = true,
             Some(curr) => {
                 let curr_class = self.class_of_policy(self.tasks[curr.0].policy);
@@ -777,12 +781,11 @@ impl Kernel {
                     self.cpus[cpu.0].need_resched = true;
                 } else if new_class == curr_class {
                     let preempt = {
-                        let running = self.cpus.iter().map(|c| c.current).collect();
                         let ctx = ClassCtx {
                             now: self.now,
                             tasks: &mut self.tasks,
                             topology: self.chip.topology(),
-                            running,
+                            running: &self.running,
                         };
                         self.classes[new_class].wakeup_preempt(&ctx, curr, tid)
                     };
@@ -821,12 +824,12 @@ impl Kernel {
 
     /// Pick and dispatch the next task on `cpu`.
     fn reschedule(&mut self, cpu: CpuId) {
-        let prev = self.cpus[cpu.0].current;
+        let prev = self.running[cpu.0];
         // Put a still-running previous task back on its queue.
         if let Some(p) = prev {
             if self.tasks[p.0].state == TaskState::Running {
                 let class = self.class_of_policy(self.tasks[p.0].policy);
-                self.cpus[cpu.0].current = None;
+                self.running[cpu.0] = None;
                 let task = &mut self.tasks[p.0];
                 task.state = TaskState::Runnable;
                 task.last_state_change = self.now;
@@ -854,16 +857,16 @@ impl Kernel {
                 if self.balance(cpu, true) {
                     continue;
                 }
-                self.cpus[cpu.0].current = None;
+                self.running[cpu.0] = None;
                 return;
             };
             self.dispatch(cpu, tid, prev);
             // The dispatched task may need its next action; it can sleep or
             // exit right here, in which case pick again.
-            if self.cpus[cpu.0].current == Some(tid) && self.tasks[tid.0].remaining_work == 0.0 {
+            if self.running[cpu.0] == Some(tid) && self.tasks[tid.0].remaining_work == 0.0 {
                 self.run_transitions(tid);
             }
-            if self.cpus[cpu.0].current.is_some() {
+            if self.running[cpu.0].is_some() {
                 return;
             }
         }
@@ -893,7 +896,7 @@ impl Kernel {
             self.counters.dispatch_latency_ns.record(latency_ns);
             self.emit_metric(MetricEvent::DispatchLatency { cpu, task: tid, latency_ns });
         }
-        self.cpus[cpu.0].current = Some(tid);
+        self.running[cpu.0] = Some(tid);
         if prev != Some(tid) {
             self.counters.context_switches.inc();
             self.emit_metric(MetricEvent::ContextSwitch { cpu, task: tid });
@@ -909,7 +912,7 @@ impl Kernel {
     /// speeds, and re-arm per-CPU work completion events.
     fn refresh_hw(&mut self) {
         for cpu in 0..self.cpus.len() {
-            match self.cpus[cpu].current {
+            match self.running[cpu] {
                 Some(tid) => {
                     let task = &self.tasks[tid.0];
                     let (perf, hw_prio) = (task.perf, task.hw_prio);
@@ -935,12 +938,13 @@ impl Kernel {
                 }
             }
         }
-        let speeds = self.chip.all_speeds();
-        for (cpu, &speed) in speeds.iter().enumerate().take(self.cpus.len()) {
+        self.chip.speeds_into(&mut self.speeds);
+        for cpu in 0..self.cpus.len() {
+            let speed = self.speeds[cpu];
             // Injected straggler drift composes with the chip model: the
             // cached speed is the chip speed scaled by the running task's
             // fault multiplier (1.0 unless a SlowTask fault changed it).
-            let scale = match self.cpus[cpu].current {
+            let scale = match self.running[cpu] {
                 Some(tid) => self.tasks[tid.0].fault_slow,
                 None => 1.0,
             };
@@ -956,7 +960,7 @@ impl Kernel {
         if old != EventId::NONE {
             self.events.cancel(old);
         }
-        let Some(tid) = self.cpus[cpu.0].current else { return };
+        let Some(tid) = self.running[cpu.0] else { return };
         let remaining = self.tasks[tid.0].remaining_work;
         let speed = self.cpus[cpu.0].speed;
         if remaining <= 0.0 {
@@ -1034,12 +1038,11 @@ impl Kernel {
         class: usize,
         f: impl FnOnce(&mut dyn SchedClass, &mut ClassCtx<'_>) -> R,
     ) -> R {
-        let running = self.cpus.iter().map(|c| c.current).collect();
         let mut ctx = ClassCtx {
             now: self.now,
             tasks: &mut self.tasks,
             topology: self.chip.topology(),
-            running,
+            running: &self.running,
         };
         f(self.classes[class].as_mut(), &mut ctx)
     }
@@ -1075,7 +1078,7 @@ impl Kernel {
 
     /// Diagnostic: the task currently on `cpu`.
     pub fn current_on(&self, cpu: CpuId) -> Option<TaskId> {
-        self.cpus[cpu.0].current
+        self.running[cpu.0]
     }
 }
 

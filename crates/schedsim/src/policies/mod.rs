@@ -293,7 +293,7 @@ mod tests {
             };
             let assignments = {
                 let ctx =
-                    ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: vec![] };
+                    ClassCtx { now: SimTime::ZERO, tasks, topology: topo, running: &[] };
                 match b.on_sample(&ctx, sample) {
                     SampleOutcome::Recorded => b.assign_priorities(&ctx, task),
                     SampleOutcome::Unusable => b.on_fault(&ctx, task),
@@ -391,7 +391,7 @@ mod tests {
                         now: SimTime::ZERO,
                         tasks: &mut tasks_a,
                         topology: &topo,
-                        running: vec![],
+                        running: &[],
                     };
                     assert_eq!(a.on_sample(&ctx, sample), SampleOutcome::Recorded);
                 }
@@ -410,7 +410,7 @@ mod tests {
                         now: SimTime::ZERO,
                         tasks,
                         topology: &topo,
-                        running: vec![],
+                        running: &[],
                     };
                     bal.assign_priorities(&ctx, TaskId(0))
                 };

@@ -61,7 +61,7 @@ fn feed(
     sample: IterSample,
     check: &mut dyn FnMut(SampleOutcome, &PrioAssignment, HwPriority),
 ) {
-    let ctx = ClassCtx { now, tasks, topology, running: vec![None; 4] };
+    let ctx = ClassCtx { now, tasks, topology, running: &[None; 4] };
     let outcome = balancer.on_sample(&ctx, sample);
     let assignments = match outcome {
         SampleOutcome::Recorded => balancer.assign_priorities(&ctx, sample.task),
@@ -95,7 +95,7 @@ fn zero_wall_sample_is_unusable_for_every_policy() {
         let mut b = (spec.make)(&fresh_ctx());
         b.init(4);
         let mut tasks = make_tasks();
-        let ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: vec![None; 4] };
+        let ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topo, running: &[None; 4] };
         let sample =
             IterSample { task: TaskId(0), run: SimDuration::ZERO, wall: SimDuration::ZERO };
         assert_eq!(

@@ -1,29 +1,47 @@
 //! Deterministic, cancellable event queue.
 //!
-//! A classic discrete-event-simulation future-event list. Two properties
-//! matter for this workspace:
+//! A discrete-event-simulation future-event list kept as an **indexed
+//! binary min-heap** over `(time, seq)`. Four properties matter for this
+//! workspace:
 //!
-//! 1. **Determinism** — events scheduled for the same timestamp pop in the
-//!    order they were scheduled (FIFO tie-break via a sequence counter), so a
-//!    simulation never depends on binary-heap internals.
-//! 2. **Cancellation** — timers (scheduler ticks, RR time slices, message
-//!    deliveries) are frequently re-armed; [`EventQueue::cancel`] is O(1)
-//!    amortized (lazy deletion: cancelled entries are skipped at pop time,
-//!    and the heap is compacted whenever cancelled entries outnumber live
-//!    ones, so a cancel/re-arm loop cannot grow the backlog without bound).
+//! 1. **Determinism** — every scheduled event gets the next value of a
+//!    `u64` sequence counter, and events pop in `(time, seq)` order: the
+//!    earliest time first, FIFO among equal times. `seq` is unique, so
+//!    that order is total and pop order is a function of it alone, never
+//!    of heap internals.
+//! 2. **O(log n) cancellation** — each pending event occupies a slot in a
+//!    slot table, and the slot records the event's current heap position.
+//!    [`EventQueue::cancel`] removes the entry from the heap on the spot.
+//!    There are no dead entries to skip at pop time and nothing to
+//!    compact, so the kernel's cancel/re-arm of per-CPU completion timers
+//!    after every event costs two heap fix-ups.
+//! 3. **Memory O(live events)** — the heap holds exactly the pending
+//!    events, and freed slots are reused, so the slot table never grows
+//!    past the peak number of simultaneously pending events. Nothing about
+//!    fired or cancelled events is retained.
+//! 4. **Stale ids are harmless** — an [`EventId`] names a slot *and* the
+//!    unique `seq` of the event scheduled into it. `cancel` acts only if
+//!    the slot is occupied by that very `seq`, so cancelling an id twice,
+//!    after it fired, after [`EventQueue::clear`], or after its slot was
+//!    reused by a later event returns `false` and touches nothing, however
+//!    long the history. `seq` is never reused (a `u64` counter does not
+//!    wrap in any feasible run), unlike a wrapping per-slot generation.
 
+use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
-/// Handle to a scheduled event, usable for cancellation.
+/// Handle to a scheduled event, usable for cancellation: the event's slot
+/// and its unique sequence number.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 impl EventId {
     /// A handle that never corresponds to a live event. Useful as an
     /// initializer for "no timer armed" fields.
-    pub const NONE: EventId = EventId(u64::MAX);
+    pub const NONE: EventId = EventId { seq: u64::MAX, slot: VACANT };
 }
 
 /// An event popped from the queue: when it fires and its payload.
@@ -34,30 +52,37 @@ pub struct ScheduledEvent<E> {
     pub payload: E,
 }
 
-struct Entry<E> {
+/// Heap position of a slot that holds no pending event; also the one slot
+/// index never handed out, so [`EventId::NONE`] can never match a slot.
+const VACANT: u32 = u32::MAX;
+
+/// One heap entry. The ordering key is stored inline so sifting compares
+/// without touching the slot table.
+#[derive(Clone, Copy)]
+struct Node {
     time: SimTime,
     seq: u64,
-    payload: E,
+    slot: u32,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl Node {
+    #[inline]
+    fn before(&self, other: &Node) -> bool {
+        (self.time, self.seq) < (other.time, other.seq)
     }
 }
 
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first. `seq` is unique, giving a total order.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+struct Slot<E> {
+    /// `seq` of the occupying event; meaningless while vacant.
+    seq: u64,
+    /// Index of the occupying event in `heap`, or [`VACANT`].
+    pos: u32,
+    payload: Option<E>,
+}
+
+impl<E> Slot<E> {
+    fn vacant() -> Self {
+        Slot { seq: 0, pos: VACANT, payload: None }
     }
 }
 
@@ -82,22 +107,15 @@ impl EventQueueCounters {
     }
 }
 
-/// Future-event list with lazy cancellation.
+/// Future-event list: an indexed binary min-heap with O(log n) cancel.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    /// Pending events, a binary min-heap on `(time, seq)`.
+    heap: Vec<Node>,
+    /// Slot table; `slots[n.slot].pos` is `n`'s index in `heap`.
+    slots: Vec<Slot<E>>,
+    /// Vacant slot indices, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
-    /// Every cancelled sequence number, ever. Entries stay here after the
-    /// heap drops them (skim or compaction) so a second `cancel` of the
-    /// same id always reports `false`.
-    cancelled: std::collections::BTreeSet<u64>,
-    /// Cancelled entries still physically in the heap — the quantity the
-    /// compaction trigger compares against the heap length.
-    dead_in_heap: usize,
-    /// Sequence numbers that already fired; cancelling one is a no-op and
-    /// must report `false`, which a heap alone cannot tell apart from a
-    /// pending id without scanning.
-    fired: std::collections::BTreeSet<u64>,
-    live: usize,
     last_popped: SimTime,
     counters: Option<EventQueueCounters>,
 }
@@ -111,12 +129,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
-            cancelled: std::collections::BTreeSet::new(),
-            dead_in_heap: 0,
-            fired: std::collections::BTreeSet::new(),
-            live: 0,
             last_popped: SimTime::ZERO,
             counters: None,
         }
@@ -128,20 +144,21 @@ impl<E> EventQueue<E> {
         self.counters = Some(counters);
     }
 
-    /// Number of live (non-cancelled) events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `time`.
     ///
     /// # Panics
     /// In debug builds, panics if `time` is before the last popped event —
-    /// scheduling into the past is always a simulation bug.
+    /// scheduling into the past is always a simulation bug. Panics if more
+    /// than `u32::MAX - 1` events are pending at once.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         debug_assert!(
             time >= self.last_popped,
@@ -150,159 +167,241 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, payload });
-        self.live += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&s| s != VACANT)
+                    .expect("more than u32::MAX - 1 pending events");
+                self.slots.push(Slot::vacant());
+                slot
+            }
+        };
+        let s = &mut self.slots[slot as usize];
+        s.seq = seq;
+        s.payload = Some(payload);
+        self.heap.push(Node { time, seq, slot });
+        self.sift_up(self.heap.len() - 1);
         if let Some(c) = &self.counters {
             c.scheduled.inc();
         }
-        EventId(seq)
+        EventId { seq, slot }
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. this call prevented it from firing).
+    /// still pending (i.e. this call prevented it from firing); `false` for
+    /// [`EventId::NONE`] and for an event already cancelled, fired or
+    /// cleared, including one whose slot a later event now occupies.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id == EventId::NONE || id.0 >= self.next_seq {
-            return false;
-        }
-        if self.cancelled.contains(&id.0) || self.fired.contains(&id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        self.dead_in_heap += 1;
-        self.live = self.live.saturating_sub(1);
+        let pos = match self.slots.get(id.slot as usize) {
+            Some(s) if s.pos != VACANT && s.seq == id.seq => s.pos as usize,
+            _ => return false,
+        };
+        self.remove_at(pos);
+        self.release(id.slot);
         if let Some(c) = &self.counters {
             c.cancelled.inc();
         }
-        self.maybe_compact();
         true
     }
 
-    /// Physical heap length including not-yet-skimmed cancelled entries —
-    /// the quantity compaction bounds. Diagnostic/test use.
-    pub fn backlog(&self) -> usize {
-        self.heap.len()
+    /// Timestamp of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|n| n.time)
     }
 
-    /// Rebuild the heap without its cancelled entries once they outnumber
-    /// the live ones. Rebuilding is O(n); the 50% trigger plus the size
-    /// floor amortizes it to O(1) per cancel and keeps the backlog under
-    /// `2 × live + COMPACT_MIN` however long a cancel/re-arm loop runs.
-    /// Pop order is unaffected: entries keep their `(time, seq)` keys, which
-    /// form a total order independent of heap internals.
-    fn maybe_compact(&mut self) {
-        const COMPACT_MIN: usize = 64;
-        if self.heap.len() < COMPACT_MIN || self.dead_in_heap * 2 <= self.heap.len() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        let kept: Vec<Entry<E>> =
-            entries.into_iter().filter(|e| !self.cancelled.contains(&e.seq)).collect();
-        self.heap = BinaryHeap::from(kept);
-        self.dead_in_heap = 0;
-    }
-
-    /// Timestamp of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skim();
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pop the next live event.
+    /// Pop the next pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        self.skim();
-        let entry = self.heap.pop()?;
-        self.live -= 1;
-        self.last_popped = entry.time;
-        self.fired.insert(entry.seq);
+        if self.heap.is_empty() {
+            return None;
+        }
+        let node = self.remove_at(0);
+        let payload = self.release(node.slot)?;
+        self.last_popped = node.time;
         if let Some(c) = &self.counters {
             c.processed.inc();
         }
-        Some(ScheduledEvent { time: entry.time, id: EventId(entry.seq), payload: entry.payload })
+        Some(ScheduledEvent {
+            time: node.time,
+            id: EventId { seq: node.seq, slot: node.slot },
+            payload,
+        })
     }
 
-    /// Discard cancelled entries sitting at the top of the heap. The seqs
-    /// stay in `cancelled` so a later `cancel` of the same id is still a
-    /// reported no-op.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.seq) {
-                self.heap.pop();
-                self.dead_in_heap = self.dead_in_heap.saturating_sub(1);
-            } else {
-                break;
-            }
-        }
-    }
-
-    /// Drop all pending events.
+    /// Drop all pending events. Sequence numbers keep counting, so an id
+    /// issued before the clear never matches an event scheduled after it.
     pub fn clear(&mut self) {
         self.heap.clear();
-        self.cancelled.clear();
-        self.dead_in_heap = 0;
-        self.live = 0;
+        self.slots.clear();
+        self.free.clear();
     }
-}
 
-impl<E> EventQueue<E> {
-    /// Test/diagnostic helper: true if `id` has already fired.
-    pub fn has_fired(&self, id: EventId) -> bool {
-        self.fired.contains(&id.0)
-    }
-}
-
-impl<E: crate::snapshot::Snapshot> EventQueue<E> {
-    /// Byte-stable encoding of the queue's logical state. Heap layout is
-    /// an implementation detail, so live entries are emitted sorted by
-    /// their `(time, seq)` total order — equal queues always produce
-    /// equal bytes, whatever schedule/cancel history built them. The
-    /// `cancelled` and `fired` sets ride along so post-restore `cancel`
-    /// calls keep their exact semantics (double-cancel and
-    /// cancel-after-fire still report `false`).
-    pub fn snapshot(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        let mut entries: Vec<&Entry<E>> =
-            self.heap.iter().filter(|e| !self.cancelled.contains(&e.seq)).collect();
-        entries.sort_by_key(|e| (e.time, e.seq));
-        w.put_len(entries.len());
-        for e in entries {
-            w.put(&e.time);
-            w.put_u64(e.seq);
-            w.put(&e.payload);
+    /// Remove and return the heap entry at `pos`, restoring heap order.
+    fn remove_at(&mut self, pos: usize) -> Node {
+        let last = self.heap.len() - 1;
+        self.heap.swap(pos, last);
+        let removed = self.heap.pop().unwrap_or_else(|| unreachable!("heap holds `pos`"));
+        if pos < last {
+            // The former last entry now sits at `pos`; it may belong above
+            // or below that point, never both.
+            if pos > 0 && self.heap[pos].before(&self.heap[(pos - 1) / 2]) {
+                self.sift_up(pos);
+            } else {
+                self.sift_down(pos);
+            }
         }
+        removed
+    }
+
+    /// Vacate `slot` and hand back its payload.
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let s = &mut self.slots[slot as usize];
+        s.pos = VACANT;
+        self.free.push(slot);
+        s.payload.take()
+    }
+
+    fn place(&mut self, pos: usize, node: Node) {
+        self.heap[pos] = node;
+        self.slots[node.slot as usize].pos = pos as u32;
+    }
+
+    fn sift_up(&mut self, mut pos: usize) {
+        let node = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            let p = self.heap[parent];
+            if !node.before(&p) {
+                break;
+            }
+            self.place(pos, p);
+            pos = parent;
+        }
+        self.place(pos, node);
+    }
+
+    fn sift_down(&mut self, mut pos: usize) {
+        let node = self.heap[pos];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child =
+                if right < len && self.heap[right].before(&self.heap[left]) { right } else { left };
+            let c = self.heap[child];
+            if !c.before(&node) {
+                break;
+            }
+            self.place(pos, c);
+            pos = child;
+        }
+        self.place(pos, node);
+    }
+}
+
+impl<E: Snapshot> EventQueue<E> {
+    /// Byte-stable encoding of the queue's state:
+    ///
+    /// ```text
+    /// slot_count len | next_seq u64 | last_popped | live len
+    /// live × (time | seq u64 | slot u32 | payload), in (time, seq) order
+    /// (slot_count − live) × free slot u32, in reuse order
+    /// ```
+    ///
+    /// Heap layout is an implementation detail, so pending events are
+    /// emitted sorted by their total order; the free list is state (it
+    /// decides which slot the next event gets), so it rides along in order.
+    pub fn snapshot(&self, w: &mut SnapshotWriter) {
+        let mut live = self.heap.clone();
+        live.sort_unstable_by_key(|n| (n.time, n.seq));
+        w.put_len(self.slots.len());
         w.put_u64(self.next_seq);
-        w.put(&self.cancelled);
-        w.put(&self.fired);
         w.put(&self.last_popped);
+        w.put_len(live.len());
+        for n in &live {
+            w.put(&n.time);
+            w.put_u64(n.seq);
+            w.put_u32(n.slot);
+            match &self.slots[n.slot as usize].payload {
+                Some(p) => w.put(p),
+                None => unreachable!("a heap entry's slot holds its payload"),
+            }
+        }
+        for &slot in &self.free {
+            w.put_u32(slot);
+        }
     }
 
     /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters are
-    /// not restored (attach fresh ones if wanted); pop order and
-    /// cancellation semantics are exactly those of the snapshotted queue.
-    pub fn restore(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<EventQueue<E>, crate::snapshot::SnapshotError> {
-        let n = r.get_len()?;
-        let mut heap = BinaryHeap::new();
-        for _ in 0..n {
+    /// not restored (attach fresh ones if wanted); pop order, slot
+    /// assignment and cancellation semantics are exactly those of the
+    /// snapshotted queue. A structurally invalid image — a slot index out
+    /// of range, two events on one slot, more events than slots, events
+    /// out of order or with a not-yet-issued `seq` — is a typed error.
+    pub fn restore(r: &mut SnapshotReader<'_>) -> Result<EventQueue<E>, SnapshotError> {
+        use SnapshotError::Malformed;
+        let slot_count = r.get_len()?;
+        let next_seq = r.get_u64()?;
+        let last_popped: SimTime = r.get()?;
+        let live = r.get_len()?;
+        if live > slot_count {
+            return Err(Malformed("event queue: more live events than slots"));
+        }
+        // Every slot costs at least four image bytes (a slot index), so a
+        // count the rest of the image cannot hold is corruption, and must
+        // not become an allocation request.
+        if slot_count >= VACANT as usize || slot_count > r.remaining() / 4 {
+            return Err(Malformed("event queue: slot count exceeds the image"));
+        }
+        let mut slots: Vec<Slot<E>> = (0..slot_count).map(|_| Slot::vacant()).collect();
+        let mut claimed = vec![false; slot_count];
+        let mut claim = |slot: u32| -> Result<usize, SnapshotError> {
+            let i = slot as usize;
+            match claimed.get_mut(i) {
+                None => Err(Malformed("event queue: slot index out of range")),
+                Some(true) => Err(Malformed("event queue: slot used twice")),
+                Some(c) => {
+                    *c = true;
+                    Ok(i)
+                }
+            }
+        };
+        let mut heap = Vec::with_capacity(live);
+        let mut seqs = Vec::with_capacity(live);
+        for pos in 0..live {
             let time: SimTime = r.get()?;
             let seq = r.get_u64()?;
+            let slot = r.get_u32()?;
             let payload: E = r.get()?;
-            heap.push(Entry { time, seq, payload });
+            if seq >= next_seq {
+                return Err(Malformed("event queue: seq not yet issued"));
+            }
+            if time < last_popped {
+                return Err(Malformed("event queue: event before the last popped time"));
+            }
+            if heap.last().is_some_and(|p: &Node| !p.before(&Node { time, seq, slot })) {
+                return Err(Malformed("event queue: events out of (time, seq) order"));
+            }
+            slots[claim(slot)?] = Slot { seq, pos: pos as u32, payload: Some(payload) };
+            // Sorted ascending is already a valid min-heap.
+            heap.push(Node { time, seq, slot });
+            seqs.push(seq);
         }
-        let next_seq = r.get_u64()?;
-        let cancelled: std::collections::BTreeSet<u64> = r.get()?;
-        let fired: std::collections::BTreeSet<u64> = r.get()?;
-        let last_popped: SimTime = r.get()?;
-        Ok(EventQueue {
-            live: heap.len(),
-            heap,
-            next_seq,
-            cancelled,
-            // Snapshots hold live entries only; nothing dead to compact.
-            dead_in_heap: 0,
-            fired,
-            last_popped,
-            counters: None,
-        })
+        seqs.sort_unstable();
+        if seqs.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Malformed("event queue: duplicate seq"));
+        }
+        let mut free = Vec::with_capacity(slot_count - live);
+        for _ in live..slot_count {
+            let slot = r.get_u32()?;
+            claim(slot)?;
+            free.push(slot);
+        }
+        Ok(EventQueue { heap, slots, free, next_seq, last_popped, counters: None })
     }
 }
 
@@ -313,6 +412,23 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
+    }
+
+    /// Heap order and the slot back-pointers agree everywhere.
+    fn assert_invariants<E>(q: &EventQueue<E>) {
+        for (pos, n) in q.heap.iter().enumerate() {
+            if pos > 0 {
+                assert!(!n.before(&q.heap[(pos - 1) / 2]), "heap order at {pos}");
+            }
+            let s = &q.slots[n.slot as usize];
+            assert_eq!(s.pos as usize, pos);
+            assert_eq!(s.seq, n.seq);
+            assert!(s.payload.is_some());
+        }
+        assert_eq!(q.heap.len() + q.free.len(), q.slots.len());
+        for &f in &q.free {
+            assert_eq!(q.slots[f as usize].pos, VACANT);
+        }
     }
 
     #[test]
@@ -354,15 +470,42 @@ mod tests {
         assert!(!q.cancel(a));
 
         let b = q.schedule(t(20), "b");
-        assert_eq!(q.pop().unwrap().payload, "b");
+        let fired = q.pop().unwrap();
+        assert_eq!((fired.payload, fired.id), ("b", b));
         assert!(!q.cancel(b));
-        assert!(q.has_fired(b));
+    }
+
+    #[test]
+    fn stale_id_never_cancels_the_slots_next_occupant() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(10), "a");
+        assert!(q.cancel(a));
+        // `b` reuses `a`'s slot.
+        let b = q.schedule(t(20), "b");
+        assert_eq!(b.slot, a.slot);
+        assert!(!q.cancel(a), "stale id must not alias the new occupant");
+        assert_eq!(q.len(), 1);
+        assert!(q.cancel(b));
+    }
+
+    #[test]
+    fn ids_issued_before_clear_stay_dead() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(10), 1);
+        q.clear();
+        assert!(!q.cancel(a));
+        let b = q.schedule(t(10), 2);
+        assert!(!q.cancel(a), "same slot, older seq");
+        assert!(q.cancel(b));
     }
 
     #[test]
     fn cancel_none_is_noop() {
         let mut q = EventQueue::<()>::new();
         assert!(!q.cancel(EventId::NONE));
+        q.schedule(t(1), ());
+        assert!(!q.cancel(EventId::NONE));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -399,43 +542,48 @@ mod tests {
 
     #[test]
     fn cancel_rearm_loop_keeps_backlog_bounded() {
-        // A timer wheel pattern: every iteration cancels the armed timer
-        // and re-arms it later. Lazy deletion alone would grow the heap by
-        // one dead entry per iteration; compaction must keep it bounded.
+        // The kernel's pattern: a tick and a completion timer per CPU; on
+        // every pop each completion timer is cancelled and re-armed. The
+        // slot table must stay at the peak live count.
         let mut q = EventQueue::new();
-        let mut armed = q.schedule(t(10), 0u32);
-        let mut peak = 0;
-        for i in 0..10_000u64 {
-            assert!(q.cancel(armed));
-            armed = q.schedule(t(10 + i), 1);
-            peak = peak.max(q.backlog());
+        let mut armed: Vec<EventId> = (0..4).map(|c| q.schedule(t(1000 + c), c)).collect();
+        for c in 0..4 {
+            q.schedule(t(1 + c), 100 + c);
         }
-        assert_eq!(q.len(), 1, "exactly one live timer");
-        assert!(peak <= 130, "backlog must stay bounded, peaked at {peak}");
-        assert_eq!(q.pop().unwrap().payload, 1, "the live timer still fires");
-        assert!(q.pop().is_none());
+        for i in 0..10_000u64 {
+            let ev = q.pop().unwrap();
+            if ev.payload >= 100 {
+                q.schedule(ev.time + SimDuration::from_millis(1), ev.payload);
+            }
+            for (c, id) in armed.iter_mut().enumerate() {
+                assert!(q.cancel(*id));
+                let left = SimDuration::from_millis(5 + (i + c as u64) % 7);
+                *id = q.schedule(ev.time + left, c as u64);
+            }
+            assert_eq!(q.len(), 8);
+            assert!(q.slots.len() <= 9, "slot table grew to {}", q.slots.len());
+        }
+        assert_invariants(&q);
     }
 
     #[test]
-    fn compaction_preserves_pop_order_and_cancel_semantics() {
+    fn random_cancels_keep_heap_and_slots_consistent() {
         let mut q = EventQueue::new();
-        let mut keep = Vec::new();
-        let mut dead = Vec::new();
-        for i in 0..200u64 {
-            let id = q.schedule(t(1000 - i), i);
-            if i % 4 == 0 {
-                keep.push((1000 - i, i));
-            } else {
-                dead.push(id);
+        let mut ids = Vec::new();
+        for i in 0..500u64 {
+            ids.push(q.schedule(t((i * 7919) % 613), i));
+        }
+        for (i, id) in ids.iter().enumerate() {
+            if i % 3 != 0 {
+                assert!(q.cancel(*id));
+                if i % 17 == 0 {
+                    assert_invariants(&q);
+                }
             }
         }
-        for id in &dead {
-            assert!(q.cancel(*id));
-        }
-        assert!(q.backlog() <= 100, "cancelled majority must have been compacted away");
-        for id in dead {
-            assert!(!q.cancel(id), "compacted entries still report already-cancelled");
-        }
+        assert_invariants(&q);
+        let mut keep: Vec<(u64, u64)> =
+            (0..500u64).filter(|i| i % 3 == 0).map(|i| ((i * 7919) % 613, i)).collect();
         keep.sort();
         let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| e.payload)).collect();
         assert_eq!(popped, keep.iter().map(|&(_, i)| i).collect::<Vec<_>>());
@@ -452,9 +600,16 @@ mod tests {
     }
 
     fn snap_bytes(q: &EventQueue<u64>) -> Vec<u8> {
-        let mut w = crate::snapshot::SnapshotWriter::new();
+        let mut w = SnapshotWriter::new();
         q.snapshot(&mut w);
         w.finish()
+    }
+
+    fn restore_bytes(bytes: &[u8]) -> Result<EventQueue<u64>, SnapshotError> {
+        let mut r = SnapshotReader::new(bytes)?;
+        let q = EventQueue::restore(&mut r)?;
+        r.finish()?;
+        Ok(q)
     }
 
     #[test]
@@ -465,35 +620,32 @@ mod tests {
             ids.push(q.schedule(t(1000 - i), i));
         }
         // A popped event, a cancelled one, and plenty pending.
-        q.schedule(t(1), 999);
+        let fired = q.schedule(t(1), 999);
         assert_eq!(q.pop().unwrap().payload, 999);
         let dead = ids[7];
         assert!(q.cancel(dead));
 
-        let bytes = snap_bytes(&q);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes).unwrap();
-        let mut back: EventQueue<u64> = EventQueue::restore(&mut r).unwrap();
-        r.finish().unwrap();
-
+        let mut back = restore_bytes(&snap_bytes(&q)).unwrap();
+        assert_invariants(&back);
         assert_eq!(back.len(), q.len());
         // Restored cancel semantics: re-cancelling the dead id and the
         // fired id still report false; a live id still cancels.
         assert!(!back.cancel(dead));
+        assert!(!back.cancel(fired));
         let live = ids[3];
         assert!(back.cancel(live));
         assert!(q.cancel(live));
+        // Slot assignment continues identically.
+        assert_eq!(back.schedule(t(2000), 7), q.schedule(t(2000), 7));
 
-        let a: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.payload))).collect();
-        let b: Vec<_> = std::iter::from_fn(|| back.pop().map(|e| (e.time, e.payload))).collect();
+        let a: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.time, e.id, e.payload))).collect();
+        let b: Vec<_> =
+            std::iter::from_fn(|| back.pop().map(|e| (e.time, e.id, e.payload))).collect();
         assert_eq!(a, b, "pop order survives the round trip");
     }
 
     #[test]
     fn equal_queues_produce_equal_snapshot_bytes() {
-        // Same logical state via different histories: one queue schedules
-        // in ascending order, the other descending with an extra
-        // cancel/re-arm — entries are emitted in (time, seq)-sorted order
-        // so only the *live set* and bookkeeping sets matter.
         let mut a = EventQueue::new();
         for i in 0..10u64 {
             a.schedule(t(10 + i), i);
@@ -509,8 +661,88 @@ mod tests {
 
         // And a restore of a restores bytes exactly.
         let bytes = snap_bytes(&a);
-        let mut r = crate::snapshot::SnapshotReader::new(&bytes).unwrap();
-        let back: EventQueue<u64> = EventQueue::restore(&mut r).unwrap();
+        let back = restore_bytes(&bytes).unwrap();
         assert_eq!(snap_bytes(&back), bytes, "snapshot∘restore is the identity on bytes");
+    }
+
+    /// A hand-built image in the wire layout of [`EventQueue::snapshot`].
+    fn image(slot_count: u64, next_seq: u64, live: &[(u64, u64, u32)], free: &[u32]) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(slot_count);
+        w.put_u64(next_seq);
+        w.put(&SimTime::ZERO);
+        w.put_u64(live.len() as u64);
+        for &(time, seq, slot) in live {
+            w.put(&SimTime(time));
+            w.put_u64(seq);
+            w.put_u32(slot);
+            w.put_u64(seq * 10);
+        }
+        for &slot in free {
+            w.put_u32(slot);
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn hand_built_image_restores() {
+        let q = restore_bytes(&image(3, 5, &[(1, 4, 2), (2, 0, 0)], &[1])).unwrap();
+        assert_invariants(&q);
+        assert_eq!(q.len(), 2);
+    }
+
+    #[test]
+    fn corrupt_images_are_typed_errors() {
+        let malformed = |bytes: Vec<u8>| match restore_bytes(&bytes) {
+            Err(SnapshotError::Malformed(what)) => what,
+            other => panic!("expected Malformed, got {:?}", other.map(|q| q.len())),
+        };
+        // Slot index out of range, for a live entry and for a free one.
+        assert!(malformed(image(2, 5, &[(1, 0, 2)], &[0])).contains("out of range"));
+        assert!(malformed(image(2, 5, &[(1, 0, 0)], &[7])).contains("out of range"));
+        // Two live entries on one slot; a live slot also listed free.
+        assert!(malformed(image(2, 5, &[(1, 0, 1), (2, 1, 1)], &[])).contains("twice"));
+        assert!(malformed(image(2, 5, &[(1, 0, 1)], &[1])).contains("twice"));
+        // More live entries than the slot table holds.
+        assert!(malformed(image(1, 5, &[(1, 0, 0), (2, 1, 1)], &[])).contains("more live"));
+        // A slot count the image cannot back.
+        assert!(malformed(image(1 << 40, 5, &[], &[])).contains("exceeds"));
+        // Out of order, duplicate seq, unissued seq.
+        assert!(malformed(image(2, 5, &[(2, 0, 0), (1, 1, 1)], &[])).contains("order"));
+        assert!(malformed(image(2, 5, &[(1, 3, 0), (2, 3, 1)], &[])).contains("duplicate"));
+        assert!(malformed(image(1, 5, &[(1, 5, 0)], &[])).contains("not yet issued"));
+    }
+
+    #[test]
+    fn truncated_and_bit_flipped_images_are_typed_errors() {
+        let mut q = EventQueue::new();
+        for i in 0..20u64 {
+            q.schedule(t(i % 7), i);
+        }
+        for _ in 0..5 {
+            q.pop();
+        }
+        let bytes = snap_bytes(&q);
+        for cut in 0..bytes.len() {
+            assert!(restore_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(restore_bytes(&flipped).is_err(), "flip of bit {bit}");
+        }
+        // Past the checksum: a truncated payload still fails typed.
+        let payload = {
+            let mut w = SnapshotWriter::new();
+            q.snapshot(&mut w);
+            w.payload().to_vec()
+        };
+        for cut in 0..payload.len() {
+            let mut w = SnapshotWriter::new();
+            for &b in &payload[..cut] {
+                w.put_u8(b);
+            }
+            assert!(restore_bytes(&w.finish()).is_err(), "payload cut at {cut}");
+        }
     }
 }
