@@ -51,7 +51,7 @@ pub use pending::PendingQueue;
 pub use sim::{
     resume_batch, resume_fleet, run_batch, run_batch_checkpointed, run_batch_until, run_fleet,
     run_fleet_until, text_fnv1a, BatchConfig, BatchEvent, BatchFault, BatchOutcome, FleetShape,
-    JobRecord, ReservationRecord,
+    FnvWriter, JobRecord, ReservationRecord,
 };
 pub use stats::FleetStats;
 

@@ -48,6 +48,7 @@
 //! fleet run's `trace_hash`.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use cluster::{
@@ -73,15 +74,51 @@ pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// A [`fmt::Write`] sink that folds every byte written to it into an
+/// FNV-1a 64-bit hash, so formatted output is fingerprinted without
+/// building the string.
+#[derive(Clone, Copy, Debug)]
+pub struct FnvWriter(u64);
+
+impl FnvWriter {
+    /// A fold starting at [`FNV_BASIS`].
+    pub fn new() -> Self {
+        FnvWriter(FNV_BASIS)
+    }
+
+    /// Continue a fold whose hash so far is `hash`.
+    pub fn resume(hash: u64) -> Self {
+        FnvWriter(hash)
+    }
+
+    /// The hash of everything written so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for FnvWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl fmt::Write for FnvWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+        Ok(())
+    }
+}
+
 /// FNV-1a fingerprint of a rendered text blob. Hashing a full rendered
 /// trace with this equals the incremental per-line fold a fleet run keeps.
 pub fn text_fnv1a(text: &str) -> u64 {
-    let mut h = FNV_BASIS;
-    for b in text.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    let mut h = FnvWriter::new();
+    let _ = h.write_str(text);
+    h.finish()
 }
 
 /// Batch scheduler configuration.
@@ -243,29 +280,27 @@ pub enum BatchEvent {
     Degraded { t: SimTime, job: u64, reason: &'static str },
 }
 
-/// Exact seconds.nanoseconds rendering of an event timestamp — integer
-/// arithmetic only, so the text is a faithful image of the `SimTime`.
-fn render_t(t: SimTime) -> String {
-    let ns = t.as_nanos();
-    format!("{}.{:09}", ns / 1_000_000_000, ns % 1_000_000_000)
-}
-
-impl BatchEvent {
-    fn render(&self) -> String {
+/// One trace line. The timestamp renders as exact seconds.nanoseconds —
+/// integer arithmetic only, so the text is a faithful image of the
+/// `SimTime`.
+impl fmt::Display for BatchEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ns = event_time(self).as_nanos();
+        write!(f, "{}.{:09} ", ns / 1_000_000_000, ns % 1_000_000_000)?;
         match self {
-            BatchEvent::Submit { t, job, ranks, nodes } => {
-                format!("{} submit job={job} ranks={ranks} nodes={nodes}", render_t(*t))
+            BatchEvent::Submit { job, ranks, nodes, .. } => {
+                write!(f, "submit job={job} ranks={ranks} nodes={nodes}")
             }
-            BatchEvent::Start { t, job, nodes, backfilled } => {
-                format!("{} start job={job} nodes={nodes:?} backfilled={backfilled}", render_t(*t))
+            BatchEvent::Start { job, nodes, backfilled, .. } => {
+                write!(f, "start job={job} nodes={nodes:?} backfilled={backfilled}")
             }
-            BatchEvent::Finish { t, job } => format!("{} finish job={job}", render_t(*t)),
-            BatchEvent::NodeFail { t, node } => format!("{} nodefail node={node}", render_t(*t)),
-            BatchEvent::Requeue { t, job, remaining_iters } => {
-                format!("{} requeue job={job} remaining={remaining_iters}", render_t(*t))
+            BatchEvent::Finish { job, .. } => write!(f, "finish job={job}"),
+            BatchEvent::NodeFail { node, .. } => write!(f, "nodefail node={node}"),
+            BatchEvent::Requeue { job, remaining_iters, .. } => {
+                write!(f, "requeue job={job} remaining={remaining_iters}")
             }
-            BatchEvent::Degraded { t, job, reason } => {
-                format!("{} degraded job={job} reason={reason}", render_t(*t))
+            BatchEvent::Degraded { job, reason, .. } => {
+                write!(f, "degraded job={job} reason={reason}")
             }
         }
     }
@@ -296,14 +331,9 @@ impl TraceLog {
         match self {
             TraceLog::Full(v) => v.push(e),
             TraceLog::Hashing { hash, count, max_t } => {
-                let line = e.render();
-                let mut h = *hash;
-                for b in line.bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(FNV_PRIME);
-                }
-                h ^= u64::from(b'\n');
-                *hash = h.wrapping_mul(FNV_PRIME);
+                let mut h = FnvWriter::resume(*hash);
+                let _ = writeln!(h, "{e}");
+                *hash = h.finish();
                 *count += 1;
                 let t = event_time(&e);
                 if t > *max_t {
@@ -431,8 +461,7 @@ impl BatchOutcome {
     pub fn render_trace(&self) -> String {
         let mut out = String::new();
         for e in &self.events {
-            out.push_str(&e.render());
-            out.push('\n');
+            let _ = writeln!(out, "{e}");
         }
         out
     }

@@ -99,6 +99,35 @@ fn bench_rearm_churn(c: &mut Criterion) {
     g.finish();
 }
 
+/// The kernel's steady state end to end: a CFS-only OpenPower 710 (four
+/// CPUs) running eight CPU-bound tasks, two per CPU, for ~10 s of
+/// simulated time. That is ~40k ticks, each followed by a completion-timer
+/// re-arm on every CPU, plus the CFS preemptions and context switches.
+fn bench_tick_path(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tick_path");
+    g.sample_size(10);
+    g.bench_function("4cpu_8tasks_10s", |b| {
+        b.iter(|| {
+            let mut k = KernelBuilder::new()
+                .topology(Topology::openpower_710())
+                .without_hpc_class()
+                .build();
+            let ids: Vec<TaskId> = (0..8)
+                .map(|i| {
+                    k.spawn(
+                        format!("cpu-bound-{i}"),
+                        SchedPolicy::Normal,
+                        Box::new(ScriptedProgram::compute_once(4.0)),
+                        SpawnOptions::default(),
+                    )
+                })
+                .collect();
+            black_box(k.run_until_exited(&ids, SimDuration::from_secs(1_000)))
+        })
+    });
+    g.finish();
+}
+
 fn bench_kernel_paths(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel");
     g.sample_size(20);
@@ -160,5 +189,12 @@ fn bench_kernel_paths(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_rbtree, bench_event_queue, bench_rearm_churn, bench_kernel_paths);
+criterion_group!(
+    benches,
+    bench_rbtree,
+    bench_event_queue,
+    bench_rearm_churn,
+    bench_tick_path,
+    bench_kernel_paths
+);
 criterion_main!(benches);

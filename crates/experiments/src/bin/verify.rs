@@ -16,9 +16,11 @@
 //! byte-identical to the serial run — the executor-pool determinism
 //! contract, checked end to end.
 
+use std::fmt::Write as _;
+
 use batchsim::{
-    heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
-    Discipline, FleetShape,
+    heavy_light_mix, resume_batch, run_batch, run_batch_until, text_fnv1a, BatchCheckpoint,
+    BatchConfig, Discipline, FleetShape, FnvWriter,
 };
 use cluster::{
     run_cluster_faulted, ClusterConfig, JobSpec, LocalSched, NodeFailure, PlacementStrategy,
@@ -62,24 +64,11 @@ const FAULT_MATRIX: [(&str, &str); 5] = [
 /// regression gate asserted against `TRACE_baseline.txt`, which pins the
 /// HPCSched traces captured before the Balancer-trait refactor.
 fn trace_fingerprint(records: &[schedsim::TraceRecord]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FnvWriter::new();
     for rec in records {
-        for b in format!("{rec:?}\n").bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let _ = writeln!(hash, "{rec:?}");
     }
-    hash
-}
-
-/// FNV-1a 64-bit over an already-rendered trace (batch event traces).
-fn text_fingerprint(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    hash.finish()
 }
 
 /// Repository root for the static-analysis pass: the working directory
@@ -193,7 +182,7 @@ fn main() {
             hash_lines.push(format!(
                 "trace-hash batch/{} {:016x}",
                 discipline.label(),
-                text_fingerprint(&out.render_trace())
+                text_fnv1a(&out.render_trace())
             ));
         }
     }

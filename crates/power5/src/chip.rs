@@ -64,6 +64,11 @@ pub struct Chip {
     model: Box<dyn PerfModel + Send + Sync>,
     prio_writes: u64,
     idle_mode: IdleMode,
+    /// Per-CPU speeds as last computed by [`Chip::speeds`].
+    speeds: Vec<f64>,
+    /// Whether a model input (a load, a priority, the idle mode) changed
+    /// since `speeds` was computed.
+    stale: bool,
 }
 
 impl Chip {
@@ -87,11 +92,14 @@ impl Chip {
             model,
             prio_writes: 0,
             idle_mode: IdleMode::Spin,
+            speeds: Vec::with_capacity(n),
+            stale: true,
         }
     }
 
     /// Change the idle-loop model (ablations).
     pub fn set_idle_mode(&mut self, mode: IdleMode) {
+        self.stale |= self.idle_mode != mode;
         self.idle_mode = mode;
     }
 
@@ -142,7 +150,7 @@ impl Chip {
         level: PrivilegeLevel,
     ) -> Result<(), PriorityError> {
         let effective = issue_or_nop(prio, level)?;
-        self.contexts[cpu.0].priority = effective;
+        self.write_priority(cpu, effective);
         self.prio_writes += 1;
         Ok(())
     }
@@ -150,18 +158,35 @@ impl Chip {
     /// Hypervisor-only direct register write (used to model thread on/off
     /// and test setup; bypasses the or-nop encoding restriction).
     pub fn set_priority_hypervisor(&mut self, cpu: CpuId, prio: HwPriority) {
-        self.contexts[cpu.0].priority = prio;
+        self.write_priority(cpu, prio);
         self.prio_writes += 1;
     }
 
     /// Dispatch a task (its perf traits) onto a context, or clear it.
     pub fn set_load(&mut self, cpu: CpuId, load: Option<TaskPerfTraits>) {
-        self.contexts[cpu.0].load = load;
+        let ctx = &mut self.contexts[cpu.0];
+        // Bitwise, so that a write the model could tell apart (a NaN, a
+        // signed zero) always counts as a change.
+        let bits = |l: Option<TaskPerfTraits>| {
+            l.map(|t| (t.gain_sensitivity.to_bits(), t.loss_sensitivity.to_bits()))
+        };
+        if bits(ctx.load) != bits(load) {
+            ctx.load = load;
+            self.stale = true;
+        }
     }
 
     /// Reset a context's priority to the boot default (Medium).
     pub fn reset_priority(&mut self, cpu: CpuId) {
-        self.contexts[cpu.0].priority = HwPriority::MEDIUM;
+        self.write_priority(cpu, HwPriority::MEDIUM);
+    }
+
+    fn write_priority(&mut self, cpu: CpuId, prio: HwPriority) {
+        let ctx = &mut self.contexts[cpu.0];
+        if ctx.priority != prio {
+            ctx.priority = prio;
+            self.stale = true;
+        }
     }
 
     /// Current speed factors of the contexts of `core`, in context order.
@@ -186,18 +211,33 @@ impl Chip {
             .expect("cpu belongs to its core")
     }
 
-    /// Speed factors of every CPU, indexed by CPU id.
+    /// Speed factors of every CPU, indexed by CPU id, computed afresh.
     pub fn all_speeds(&self) -> Vec<f64> {
         let mut out = Vec::new();
-        self.speeds_into(&mut out);
+        self.compute_speeds(&mut out);
         out
     }
 
-    /// [`Chip::all_speeds`] into a caller-owned buffer, which is cleared
-    /// and refilled. A buffer reused across calls allocates nothing once
-    /// it holds `num_cpus` entries, for cores up to 2-way SMT (wider cores
-    /// hand the model a fresh context list).
-    pub fn speeds_into(&self, out: &mut Vec<f64>) {
+    /// Speed factors of every CPU, indexed by CPU id: [`Chip::all_speeds`]
+    /// memoised. Speeds are a pure function of the contexts' loads and
+    /// priorities and the idle mode, so they are recomputed only after
+    /// one of those actually changed; a write of the value already held
+    /// keeps the cached speeds, which are bit-for-bit what a fresh
+    /// computation returns. Allocates nothing after the first call, for
+    /// cores up to 2-way SMT (wider cores hand the model a fresh context
+    /// list).
+    pub fn speeds(&mut self) -> &[f64] {
+        if self.stale {
+            let mut out = std::mem::take(&mut self.speeds);
+            self.compute_speeds(&mut out);
+            self.speeds = out;
+            self.stale = false;
+        }
+        &self.speeds
+    }
+
+    /// Clear `out` and fill it with every CPU's speed.
+    fn compute_speeds(&self, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.topology.num_cpus(), 0.0);
         for core in self.topology.cores() {
@@ -389,6 +429,133 @@ mod tests {
         let mut c = Chip::new(Topology::single_core_st());
         c.set_load(CpuId(0), Some(TaskPerfTraits::default()));
         assert!((c.speed_of(CpuId(0)) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn memoised_speeds_recompute_only_on_change() {
+        let mut c = chip();
+        let t = TaskPerfTraits::default();
+        c.set_load(CpuId(0), Some(t));
+        let first = c.speeds().to_vec();
+        assert!(!c.stale);
+        // Re-writing the values already held changes nothing.
+        c.set_load(CpuId(0), Some(t));
+        c.set_priority(CpuId(0), HwPriority::MEDIUM, PrivilegeLevel::Supervisor).unwrap();
+        c.reset_priority(CpuId(1));
+        c.set_idle_mode(IdleMode::Spin);
+        assert!(!c.stale, "same-value writes keep the memo");
+        assert_eq!(c.priority_writes(), 1, "every register write still counts");
+        c.set_priority(CpuId(0), p(6), PrivilegeLevel::Supervisor).unwrap();
+        assert!(c.stale);
+        assert_ne!(c.speeds(), &first[..]);
+    }
+
+    /// One write to a chip's inputs, drawn by the property test.
+    #[derive(Clone, Debug)]
+    enum Write {
+        Load(usize, Option<(f64, f64)>),
+        Priority(usize, u8),
+        Hypervisor(usize, u8),
+        Reset(usize),
+        Idle(bool),
+    }
+
+    fn write_strategy() -> impl proptest::strategy::Strategy<Value = Write> {
+        use proptest::prelude::*;
+        // Few distinct values, so writes often repeat what a context holds.
+        let traits = prop_oneof![
+            Just(None),
+            Just(Some((1.0, 1.0))),
+            Just(Some((1.0, 0.1))),
+            Just(Some((0.6, 0.1))),
+        ];
+        prop_oneof![
+            (0usize..8, traits).prop_map(|(c, l)| Write::Load(c, l)),
+            (0usize..8, 0u8..8).prop_map(|(c, v)| Write::Priority(c, v)),
+            (0usize..8, 0u8..8).prop_map(|(c, v)| Write::Hypervisor(c, v)),
+            (0usize..8).prop_map(Write::Reset),
+            any::<bool>().prop_map(Write::Idle),
+        ]
+    }
+
+    /// The inputs a chip should hold after a sequence of writes, tracked
+    /// independently of [`Chip`].
+    struct Inputs {
+        contexts: Vec<ContextState>,
+        idle_mode: IdleMode,
+    }
+
+    /// Apply `w` to the chip and to the independently tracked inputs.
+    fn apply(c: &mut Chip, want: &mut Inputs, w: &Write) {
+        let n = c.topology().num_cpus();
+        match *w {
+            Write::Load(cpu, l) => {
+                let load = l.map(|(g, s)| TaskPerfTraits::new(g, s));
+                c.set_load(CpuId(cpu % n), load);
+                want.contexts[cpu % n].load = load;
+            }
+            Write::Priority(cpu, v) => {
+                // Requests the or-nop cannot encode at supervisor level
+                // are rejected and change nothing.
+                let ok = c.set_priority(CpuId(cpu % n), p(v), PrivilegeLevel::Supervisor).is_ok();
+                assert_eq!(ok, issue_or_nop(p(v), PrivilegeLevel::Supervisor).is_ok());
+                if ok {
+                    want.contexts[cpu % n].priority = p(v);
+                }
+            }
+            Write::Hypervisor(cpu, v) => {
+                c.set_priority_hypervisor(CpuId(cpu % n), p(v));
+                want.contexts[cpu % n].priority = p(v);
+            }
+            Write::Reset(cpu) => {
+                c.reset_priority(CpuId(cpu % n));
+                want.contexts[cpu % n].priority = HwPriority::MEDIUM;
+            }
+            Write::Idle(snooze) => {
+                let mode = if snooze { IdleMode::Snooze } else { IdleMode::Spin };
+                c.set_idle_mode(mode);
+                want.idle_mode = mode;
+            }
+        }
+    }
+
+    /// A chip built fresh from `want`, never read before.
+    fn fresh_twin(topology: &Topology, want: &Inputs) -> Chip {
+        let mut twin = Chip::new(topology.clone());
+        twin.set_idle_mode(want.idle_mode);
+        for (cpu, ctx) in topology.cpus().zip(&want.contexts) {
+            twin.set_load(cpu, ctx.load);
+            twin.set_priority_hypervisor(cpu, ctx.priority);
+        }
+        twin
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|s| s.to_bits()).collect()
+    }
+
+    proptest::proptest! {
+        /// After every write, the memoised speeds equal bit for bit those
+        /// of a chip built fresh with the same inputs: on the OpenPower
+        /// 710 (pairwise table model) and on 4-way SMT cores (analytic
+        /// n-way model).
+        #[test]
+        fn memoised_speeds_match_a_fresh_chip(
+            writes in proptest::collection::vec(write_strategy(), 1..120),
+            wide in proptest::prelude::any::<bool>(),
+        ) {
+            let topo = if wide { Topology::new(1, 2, 4) } else { Topology::openpower_710() };
+            let mut memo = Chip::new(topo.clone());
+            let mut want = Inputs {
+                contexts: vec![ContextState::default(); topo.num_cpus()],
+                idle_mode: IdleMode::Spin,
+            };
+            for w in &writes {
+                apply(&mut memo, &mut want, w);
+                let fresh = bits(fresh_twin(&topo, &want).speeds());
+                proptest::prop_assert_eq!(bits(memo.speeds()), fresh, "after {:?}", w);
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,9 @@ pub struct KernelMetrics {
 }
 
 /// Hot-path metric handles, registered once at kernel construction so
-/// recording is a relaxed atomic op with no registry lookup.
+/// recording is a relaxed atomic op with no registry lookup. The two
+/// per-event counts, ticks and context switches, are tallied in a plain
+/// [`HotTally`] instead and added here when a public method returns.
 struct KernelCounters {
     context_switches: Counter,
     ticks: Counter,
@@ -130,6 +132,14 @@ impl KernelCounters {
     }
 }
 
+/// Counts of the kernel's most frequent events since the counters were
+/// last published (see [`Kernel::publish_counters`]).
+#[derive(Default)]
+struct HotTally {
+    ticks: u64,
+    context_switches: u64,
+}
+
 /// The simulated kernel.
 pub struct Kernel {
     chip: Chip,
@@ -137,18 +147,20 @@ pub struct Kernel {
     now: SimTime,
     tasks: Vec<Task>,
     classes: Vec<Box<dyn SchedClass>>,
+    /// Index into `classes` of the class handling each policy, indexed by
+    /// `SchedPolicy as usize`; rebuilt whenever `classes` changes.
+    policy_class: [Option<usize>; SchedPolicy::ALL.len()],
     events: EventQueue<KEvent>,
     cpus: Vec<CpuState>,
     /// The task dispatched on each CPU, indexed by CPU id; lent to the
     /// classes as [`ClassCtx::running`].
     running: Vec<Option<TaskId>>,
-    /// Per-CPU chip speeds, refilled by every [`Kernel::refresh_hw`].
-    speeds: Vec<f64>,
     tokens: TokenTable,
     observers: Vec<Box<dyn Observer>>,
     rng: SimRng,
     registry: MetricsRegistry,
     counters: KernelCounters,
+    tally: HotTally,
     latency_us: Histogram,
     transition_guard: u32,
 }
@@ -180,20 +192,22 @@ impl Kernel {
             config,
             now: SimTime::ZERO,
             tasks: Vec::new(),
+            policy_class: policy_table(&classes),
             classes,
             events,
             cpus: (0..ncpus).map(|_| CpuState::new()).collect(),
             running: vec![None; ncpus],
-            speeds: Vec::with_capacity(ncpus),
             tokens: TokenTable::default(),
             observers: Vec::new(),
             rng,
             registry,
             counters,
+            tally: HotTally::default(),
             latency_us: Histogram::new(0.0, 20_000.0, 200),
             transition_guard: 0,
         };
         kernel.spawn_noise_daemons();
+        kernel.publish_counters();
         kernel
     }
 
@@ -209,6 +223,7 @@ impl Kernel {
         );
         class.init_cpus(self.cpus.len());
         self.classes.insert(1, class);
+        self.policy_class = policy_table(&self.classes);
     }
 
     /// Attach an observer to the kernel's unified event stream: every
@@ -223,7 +238,9 @@ impl Kernel {
 
     /// The kernel's metric registry: counters, gauges and histograms for
     /// every instrumented hot path. Handles are cheap to clone; snapshots
-    /// are deterministic (name-sorted).
+    /// are deterministic (name-sorted). Every public method that moves a
+    /// counter publishes it before returning, so a snapshot taken between
+    /// calls is exact.
     pub fn metrics_registry(&self) -> &MetricsRegistry {
         &self.registry
     }
@@ -293,11 +310,23 @@ impl Kernel {
         program: Box<dyn Program>,
         opts: SpawnOptions,
     ) -> Result<TaskId, SchedError> {
+        let spawned = self.spawn_task(name.into(), policy, program, opts);
+        self.publish_counters();
+        spawned
+    }
+
+    fn spawn_task(
+        &mut self,
+        name: String,
+        policy: SchedPolicy,
+        program: Box<dyn Program>,
+        opts: SpawnOptions,
+    ) -> Result<TaskId, SchedError> {
         // Validate everything before mutating: a rejected spawn must leave
         // no trace records, queue entries, or task slots behind.
         let class = self.try_class_of_policy(policy)?;
         let id = TaskId(self.tasks.len());
-        let mut task = Task::new(id, name.into(), policy, program, self.now);
+        let mut task = Task::new(id, name, policy, program, self.now);
         task.nice = opts.nice;
         task.rt_priority = opts.rt_priority;
         task.affinity = opts.affinity;
@@ -378,6 +407,13 @@ impl Kernel {
 
     /// Process one event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
+        let more = self.advance();
+        self.publish_counters();
+        more
+    }
+
+    /// [`Kernel::step`] without publishing the counters.
+    fn advance(&mut self) -> bool {
         let Some(ev) = self.events.pop() else { return false };
         debug_assert!(ev.time >= self.now);
         self.sync_to(ev.time);
@@ -405,6 +441,7 @@ impl Kernel {
     /// plan must degrade the run, never crash the simulator.
     pub fn inject_fault(&mut self, at: SimTime, fault: FaultEvent) {
         self.events.schedule(at.max(self.now), KEvent::Fault(fault));
+        self.publish_counters();
     }
 
     fn handle_fault(&mut self, fault: FaultEvent) {
@@ -446,19 +483,22 @@ impl Kernel {
         deadline: SimDuration,
     ) -> Option<SimTime> {
         let deadline = self.now.saturating_add(deadline);
-        loop {
+        let end = loop {
             if until_exited.iter().all(|&t| self.tasks[t.0].state == TaskState::Exited) {
-                let end = until_exited
-                    .iter()
-                    .filter_map(|&t| self.tasks[t.0].exited_at)
-                    .max()
-                    .unwrap_or(self.now);
-                return Some(end);
+                break Some(
+                    until_exited
+                        .iter()
+                        .filter_map(|&t| self.tasks[t.0].exited_at)
+                        .max()
+                        .unwrap_or(self.now),
+                );
             }
-            if self.now >= deadline || !self.step() {
-                return None;
+            if self.now >= deadline || !self.advance() {
+                break None;
             }
-        }
+        };
+        self.publish_counters();
+        end
     }
 
     /// Run for a fixed span of simulated time.
@@ -467,7 +507,7 @@ impl Kernel {
         while self.now < end {
             match self.events.peek_time() {
                 Some(t) if t <= end => {
-                    self.step();
+                    self.advance();
                 }
                 _ => {
                     self.sync_to(end);
@@ -475,6 +515,18 @@ impl Kernel {
                 }
             }
         }
+        self.publish_counters();
+    }
+
+    /// Add the hot tallies (kernel and event queue) to their registry
+    /// counters. Every public method that can move them calls this before
+    /// returning, so registry readers, who only ever look between calls,
+    /// see exact values.
+    fn publish_counters(&mut self) {
+        self.events.publish();
+        let t = std::mem::take(&mut self.tally);
+        self.counters.ticks.add(t.ticks);
+        self.counters.context_switches.add(t.context_switches);
     }
 
     // ------------------------------------------------------------------
@@ -518,7 +570,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn handle_tick(&mut self, cpu: CpuId) {
-        self.counters.ticks.inc();
+        self.tally.ticks += 1;
         self.emit_metric(MetricEvent::Tick { cpu });
         self.cpus[cpu.0].ticks += 1;
         let next = self.now + self.config.tick;
@@ -898,7 +950,7 @@ impl Kernel {
         }
         self.running[cpu.0] = Some(tid);
         if prev != Some(tid) {
-            self.counters.context_switches.inc();
+            self.tally.context_switches += 1;
             self.emit_metric(MetricEvent::ContextSwitch { cpu, task: tid });
             self.tasks[tid.0].nr_switches += 1;
             if !self.config.ctx_switch_cost.is_zero() {
@@ -938,9 +990,9 @@ impl Kernel {
                 }
             }
         }
-        self.chip.speeds_into(&mut self.speeds);
-        for cpu in 0..self.cpus.len() {
-            let speed = self.speeds[cpu];
+        // The chip recomputes speeds only if a load or priority changed.
+        let speeds = self.chip.speeds();
+        for (cpu, cs) in self.cpus.iter_mut().enumerate() {
             // Injected straggler drift composes with the chip model: the
             // cached speed is the chip speed scaled by the running task's
             // fault multiplier (1.0 unless a SlowTask fault changed it).
@@ -948,40 +1000,51 @@ impl Kernel {
                 Some(tid) => self.tasks[tid.0].fault_slow,
                 None => 1.0,
             };
-            self.cpus[cpu].speed = speed * scale;
+            cs.speed = speeds[cpu] * scale;
+        }
+        for cpu in 0..self.cpus.len() {
             self.rearm_workdone(CpuId(cpu));
         }
     }
 
+    /// Point `cpu`'s completion timer at [`Kernel::workdone_time`]. A
+    /// pending timer moves in place, which the event queue guarantees is
+    /// the same as cancelling it and scheduling a fresh one.
     fn rearm_workdone(&mut self, cpu: CpuId) {
-        let cs = &mut self.cpus[cpu.0];
-        let old = cs.workdone_ev;
-        cs.workdone_ev = EventId::NONE;
-        if old != EventId::NONE {
-            self.events.cancel(old);
-        }
-        let Some(tid) = self.running[cpu.0] else { return };
+        let old = self.cpus[cpu.0].workdone_ev;
+        self.cpus[cpu.0].workdone_ev = match self.workdone_time(cpu) {
+            Some(at) => match self.events.reschedule(old, at) {
+                Some(moved) => moved,
+                None => self.events.schedule(at, KEvent::WorkDone(cpu)),
+            },
+            None => {
+                self.events.cancel(old);
+                EventId::NONE
+            }
+        };
+    }
+
+    /// When the task running on `cpu` finishes its compute segment at the
+    /// CPU's cached speed; `None` when the CPU is idle or stalled.
+    fn workdone_time(&self, cpu: CpuId) -> Option<SimTime> {
+        let tid = self.running[cpu.0]?;
         let remaining = self.tasks[tid.0].remaining_work;
-        let speed = self.cpus[cpu.0].speed;
+        let cs = &self.cpus[cpu.0];
         if remaining <= 0.0 {
             // The segment completed during a sync driven by some other
-            // CPU's event (the old completion event may just have been
-            // cancelled above): fire completion immediately.
-            self.cpus[cpu.0].workdone_ev =
-                self.events.schedule(self.now, KEvent::WorkDone(cpu));
-            return;
+            // CPU's event: fire completion immediately.
+            return Some(self.now);
         }
-        if speed <= 0.0 {
+        if cs.speed <= 0.0 {
             // Stalled (e.g. hardware priority 0 on the context): no event;
             // a later state change re-arms.
-            return;
+            return None;
         }
-        let start = self.now.max(self.cpus[cpu.0].switch_until).max(self.cpus[cpu.0].steal_until);
-        let dur = SimDuration::from_secs_f64(remaining / speed);
+        let start = self.now.max(cs.switch_until).max(cs.steal_until);
+        let dur = SimDuration::from_secs_f64(remaining / cs.speed);
         // Guarantee forward progress even when the duration rounds to zero.
         let dur = if dur.is_zero() { SimDuration::from_nanos(1) } else { dur };
-        let at = start + dur;
-        self.cpus[cpu.0].workdone_ev = self.events.schedule(at, KEvent::WorkDone(cpu));
+        Some(start + dur)
     }
 
     // ------------------------------------------------------------------
@@ -1020,10 +1083,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn try_class_of_policy(&self, policy: SchedPolicy) -> Result<usize, SchedError> {
-        self.classes
-            .iter()
-            .position(|c| c.handles(policy))
-            .ok_or(SchedError::NoClassForPolicy(policy))
+        self.policy_class[policy as usize].ok_or(SchedError::NoClassForPolicy(policy))
     }
 
     fn class_of_policy(&self, policy: SchedPolicy) -> usize {
@@ -1080,6 +1140,12 @@ impl Kernel {
     pub fn current_on(&self, cpu: CpuId) -> Option<TaskId> {
         self.running[cpu.0]
     }
+}
+
+/// The first class in chain order that handles each policy, indexed by
+/// `SchedPolicy as usize`.
+fn policy_table(classes: &[Box<dyn SchedClass>]) -> [Option<usize>; SchedPolicy::ALL.len()] {
+    SchedPolicy::ALL.map(|p| classes.iter().position(|c| c.handles(p)))
 }
 
 #[cfg(test)]

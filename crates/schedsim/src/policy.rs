@@ -22,6 +22,16 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
+    /// Every policy, in declaration order: `ALL[p as usize] == p`.
+    pub const ALL: [SchedPolicy; 6] = [
+        SchedPolicy::Fifo,
+        SchedPolicy::Rr,
+        SchedPolicy::Hpc,
+        SchedPolicy::Normal,
+        SchedPolicy::Batch,
+        SchedPolicy::Idle,
+    ];
+
     /// True for the real-time policies whose semantics the class order
     /// must preserve (paper §III).
     pub const fn is_realtime(self) -> bool {
@@ -59,6 +69,13 @@ mod tests {
         assert!(SchedPolicy::Batch.is_fair());
         assert!(!SchedPolicy::Hpc.is_fair());
         assert!(!SchedPolicy::Idle.is_fair());
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (i, p) in SchedPolicy::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i);
+        }
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Once a kernel is running, its steady state is ticks, CFS timeslice
 //! preemptions, context switches and completion-timer cancel/re-arms. None
 //! of these may allocate: the event queue reuses its slots, class callbacks
-//! borrow the per-CPU running table, and chip speeds land in a reused
-//! buffer. So the allocations made inside `run_until_exited` must not grow
+//! borrow the per-CPU running table, and the chip memoises its speeds in
+//! a buffer it reuses. So the allocations made inside `run_until_exited` must not grow
 //! with simulated time. A counting global allocator, per thread so that
 //! parallel tests do not disturb each other, checks exactly that.
 

@@ -9,12 +9,14 @@
 //!    earliest time first, FIFO among equal times. `seq` is unique, so
 //!    that order is total and pop order is a function of it alone, never
 //!    of heap internals.
-//! 2. **O(log n) cancellation** — each pending event occupies a slot in a
-//!    slot table, and the slot records the event's current heap position.
-//!    [`EventQueue::cancel`] removes the entry from the heap on the spot.
-//!    There are no dead entries to skip at pop time and nothing to
-//!    compact, so the kernel's cancel/re-arm of per-CPU completion timers
-//!    after every event costs two heap fix-ups.
+//! 2. **O(log n) cancellation and re-arm** — each pending event occupies a
+//!    slot in a slot table, and the slot records the event's current heap
+//!    position. [`EventQueue::cancel`] removes the entry from the heap on
+//!    the spot; there are no dead entries to skip at pop time and nothing
+//!    to compact. [`EventQueue::reschedule`] moves a pending event in
+//!    place, with exactly the effect of cancelling it and scheduling its
+//!    payload anew, so the kernel's re-arm of per-CPU completion timers
+//!    after every event costs one heap fix-up.
 //! 3. **Memory O(live events)** — the heap holds exactly the pending
 //!    events, and freed slots are reused, so the slot table never grows
 //!    past the peak number of simultaneously pending events. Nothing about
@@ -86,8 +88,8 @@ impl<E> Slot<E> {
     }
 }
 
-/// Telemetry handles for one event queue. All counters are optional-free:
-/// an unattached queue pays a single branch per operation.
+/// Telemetry handles for one event queue. Operations count into plain
+/// tallies; [`EventQueue::publish`] adds them to these counters.
 #[derive(Clone)]
 pub struct EventQueueCounters {
     pub scheduled: telemetry::Counter,
@@ -117,7 +119,17 @@ pub struct EventQueue<E> {
     free: Vec<u32>,
     next_seq: u64,
     last_popped: SimTime,
+    /// Operations since the last [`EventQueue::publish`].
+    tally: Tally,
     counters: Option<EventQueueCounters>,
+}
+
+/// Per-operation counts not yet added to the attached counters.
+#[derive(Default)]
+struct Tally {
+    scheduled: u64,
+    cancelled: u64,
+    processed: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -131,9 +143,13 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
-            free: Vec::new(),
+            // Sized as the first release would size it. A re-arm frees no
+            // slot, so a queue whose timers are only ever re-armed may
+            // otherwise make this allocation mid-run, at its first pop.
+            free: Vec::with_capacity(4),
             next_seq: 0,
             last_popped: SimTime::ZERO,
+            tally: Tally::default(),
             counters: None,
         }
     }
@@ -141,7 +157,21 @@ impl<E> EventQueue<E> {
     /// Attach telemetry counters; subsequent schedule/cancel/pop operations
     /// are counted. Counts start from this call (not retroactive).
     pub fn attach_counters(&mut self, counters: EventQueueCounters) {
+        self.publish();
         self.counters = Some(counters);
+    }
+
+    /// Add the operations counted since the last publish to the attached
+    /// counters. Operations bump plain tallies, not the shared atomic
+    /// counters, so a reader sees them only after this call; an owner that
+    /// exposes the counters publishes before handing control back.
+    pub fn publish(&mut self) {
+        let t = std::mem::take(&mut self.tally);
+        if let Some(c) = &self.counters {
+            c.scheduled.add(t.scheduled);
+            c.cancelled.add(t.cancelled);
+            c.processed.add(t.processed);
+        }
     }
 
     /// Number of pending events.
@@ -183,9 +213,7 @@ impl<E> EventQueue<E> {
         s.payload = Some(payload);
         self.heap.push(Node { time, seq, slot });
         self.sift_up(self.heap.len() - 1);
-        if let Some(c) = &self.counters {
-            c.scheduled.inc();
-        }
+        self.tally.scheduled += 1;
         EventId { seq, slot }
     }
 
@@ -194,16 +222,45 @@ impl<E> EventQueue<E> {
     /// [`EventId::NONE`] and for an event already cancelled, fired or
     /// cleared, including one whose slot a later event now occupies.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let pos = match self.slots.get(id.slot as usize) {
-            Some(s) if s.pos != VACANT && s.seq == id.seq => s.pos as usize,
-            _ => return false,
-        };
+        let Some(pos) = self.pos_of(id) else { return false };
         self.remove_at(pos);
         self.release(id.slot);
-        if let Some(c) = &self.counters {
-            c.cancelled.inc();
-        }
+        self.tally.cancelled += 1;
         true
+    }
+
+    /// Move the pending event `id` to fire at `time`, exactly as
+    /// [`EventQueue::cancel`] followed by [`EventQueue::schedule`] of the
+    /// same payload would: the event takes the next `seq`, keeps its slot
+    /// (the one cancel would free and schedule reuse), and counts as one
+    /// cancel plus one schedule. Pop order and snapshot bytes are those of
+    /// the cancel/schedule pair; only the heap does one fix-up, not two.
+    /// Returns the event's new id, or `None` (touching nothing) when `id`
+    /// is not pending, i.e. whenever `cancel` would return `false`.
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
+        let pos = self.pos_of(id)?;
+        debug_assert!(
+            time >= self.last_popped,
+            "scheduling into the past: {time:?} < {:?}",
+            self.last_popped
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.slots[id.slot as usize].seq = seq;
+        self.heap[pos] = Node { time, seq, slot: id.slot };
+        self.restore_order(pos);
+        self.tally.cancelled += 1;
+        self.tally.scheduled += 1;
+        Some(EventId { seq, slot: id.slot })
+    }
+
+    /// Heap position of the pending event `id`, or `None` when `id` is
+    /// not pending.
+    fn pos_of(&self, id: EventId) -> Option<usize> {
+        match self.slots.get(id.slot as usize) {
+            Some(s) if s.pos != VACANT && s.seq == id.seq => Some(s.pos as usize),
+            _ => None,
+        }
     }
 
     /// Timestamp of the next pending event, if any.
@@ -219,9 +276,7 @@ impl<E> EventQueue<E> {
         let node = self.remove_at(0);
         let payload = self.release(node.slot)?;
         self.last_popped = node.time;
-        if let Some(c) = &self.counters {
-            c.processed.inc();
-        }
+        self.tally.processed += 1;
         Some(ScheduledEvent {
             time: node.time,
             id: EventId { seq: node.seq, slot: node.slot },
@@ -243,15 +298,20 @@ impl<E> EventQueue<E> {
         self.heap.swap(pos, last);
         let removed = self.heap.pop().unwrap_or_else(|| unreachable!("heap holds `pos`"));
         if pos < last {
-            // The former last entry now sits at `pos`; it may belong above
-            // or below that point, never both.
-            if pos > 0 && self.heap[pos].before(&self.heap[(pos - 1) / 2]) {
-                self.sift_up(pos);
-            } else {
-                self.sift_down(pos);
-            }
+            // The former last entry now sits at `pos`.
+            self.restore_order(pos);
         }
         removed
+    }
+
+    /// Sift the entry at `pos`, whose key just changed, to its place: it
+    /// may belong above or below `pos`, never both.
+    fn restore_order(&mut self, pos: usize) {
+        if pos > 0 && self.heap[pos].before(&self.heap[(pos - 1) / 2]) {
+            self.sift_up(pos);
+        } else {
+            self.sift_down(pos);
+        }
     }
 
     /// Vacate `slot` and hand back its payload.
@@ -336,8 +396,9 @@ impl<E: Snapshot> EventQueue<E> {
         }
     }
 
-    /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters are
-    /// not restored (attach fresh ones if wanted); pop order, slot
+    /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters and
+    /// unpublished tallies are not restored (attach fresh counters if
+    /// wanted); pop order, slot
     /// assignment and cancellation semantics are exactly those of the
     /// snapshotted queue. A structurally invalid image — a slot index out
     /// of range, two events on one slot, more events than slots, events
@@ -401,7 +462,15 @@ impl<E: Snapshot> EventQueue<E> {
             claim(slot)?;
             free.push(slot);
         }
-        Ok(EventQueue { heap, slots, free, next_seq, last_popped, counters: None })
+        Ok(EventQueue {
+            heap,
+            slots,
+            free,
+            next_seq,
+            last_popped,
+            tally: Tally::default(),
+            counters: None,
+        })
     }
 }
 
@@ -564,6 +633,72 @@ mod tests {
             assert!(q.slots.len() <= 9, "slot table grew to {}", q.slots.len());
         }
         assert_invariants(&q);
+    }
+
+    #[test]
+    fn reschedule_equals_cancel_then_schedule() {
+        // Twin queues: one re-arms in place, one cancels and re-schedules.
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        let mut ids = Vec::new();
+        for i in 0..20u64 {
+            let id = a.schedule(t(100 + (i * 37) % 50), i);
+            assert_eq!(b.schedule(t(100 + (i * 37) % 50), i), id);
+            ids.push(id);
+        }
+        for round in 0..200u64 {
+            let k = (round * 7) as usize % ids.len();
+            let at = t(100 + (round * 13) % 90);
+            let moved = a.reschedule(ids[k], at).expect("pending event moves");
+            assert!(b.cancel(ids[k]));
+            assert_eq!(b.schedule(at, k as u64), moved, "same seq, same slot");
+            assert_eq!((a.cancel(ids[k]), b.cancel(ids[k])), (false, false), "old id is dead");
+            ids[k] = moved;
+            assert_invariants(&a);
+            assert_eq!(snap_bytes(&a), snap_bytes(&b));
+        }
+        let pa: Vec<_> =
+            std::iter::from_fn(|| a.pop().map(|e| (e.time, e.id, e.payload))).collect();
+        let pb: Vec<_> =
+            std::iter::from_fn(|| b.pop().map(|e| (e.time, e.id, e.payload))).collect();
+        assert_eq!(pa, pb);
+    }
+
+    #[test]
+    fn reschedule_of_a_dead_id_touches_nothing() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(10), 1u64);
+        assert!(q.cancel(a));
+        let b = q.schedule(t(20), 2);
+        let fired = q.schedule(t(5), 3);
+        assert_eq!(q.pop().unwrap().id, fired);
+        let before = snap_bytes(&q);
+        for dead in [a, fired, EventId::NONE] {
+            assert_eq!(q.reschedule(dead, t(30)), None);
+        }
+        assert_eq!(snap_bytes(&q), before, "no seq consumed, nothing moved");
+        assert!(q.reschedule(b, t(30)).is_some());
+    }
+
+    #[test]
+    fn counts_reach_counters_only_on_publish() {
+        let registry = telemetry::MetricsRegistry::new();
+        let mut q = EventQueue::new();
+        q.schedule(t(1), 0u64);
+        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        let a = q.schedule(t(2), 1);
+        let b = q.schedule(t(3), 2);
+        q.cancel(a);
+        q.reschedule(b, t(4));
+        q.pop();
+        let read = |name: &str| registry.snapshot().counter(name);
+        assert_eq!(read("q.scheduled"), 0, "not yet published");
+        q.publish();
+        assert_eq!(read("q.scheduled"), 3, "pre-attach schedule not counted");
+        assert_eq!(read("q.cancelled"), 2);
+        assert_eq!(read("q.processed"), 1);
+        q.publish();
+        assert_eq!(read("q.scheduled"), 3, "publishing twice adds nothing");
     }
 
     #[test]

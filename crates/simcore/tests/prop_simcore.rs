@@ -40,78 +40,145 @@ impl Model {
     }
 }
 
-fn snapshot_restore(q: &EventQueue<u64>) -> EventQueue<u64> {
+fn snapshot_bytes(q: &EventQueue<u64>) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     q.snapshot(&mut w);
-    let bytes = w.finish();
+    w.finish()
+}
+
+fn snapshot_restore(q: &EventQueue<u64>) -> EventQueue<u64> {
+    let bytes = snapshot_bytes(q);
     let mut r = SnapshotReader::new(&bytes).expect("own image verifies");
     let back = EventQueue::restore(&mut r).expect("own image restores");
     r.finish().expect("image consumed exactly");
-    let mut w = SnapshotWriter::new();
-    back.snapshot(&mut w);
-    assert_eq!(w.finish(), bytes, "snapshot∘restore is the identity on bytes");
+    assert_eq!(snapshot_bytes(&back), bytes, "snapshot∘restore is the identity on bytes");
     back
 }
 
-/// Apply one operation, coded as `(op, arg)`, to both the queue and the
-/// model and compare every observable result. `dead` collects ids that
-/// were cancelled, fired or cleared; with slots reused last-freed first,
-/// the newest of them usually name a slot a later event now occupies.
-fn step(
-    q: &mut EventQueue<u64>,
-    m: &mut Model,
-    dead: &mut Vec<EventId>,
-    now: &mut SimTime,
-    op: u8,
-    arg: u64,
-) {
-    match op {
-        // schedule, biased so the queue tends to fill.
-        0..=3 => {
-            let time = *now + SimDuration::from_nanos(arg % 40);
-            let id = q.schedule(time, m.next_seq);
-            m.schedule(time, m.next_seq, id);
-        }
-        // cancel a live id
-        4 | 5 => {
-            if !m.pending.is_empty() {
-                let id = m.pending[arg as usize % m.pending.len()].3;
-                assert!(m.cancel(id));
-                assert!(q.cancel(id), "live id must cancel");
-                dead.push(id);
+/// The queue under test, the reference model, and a twin queue that never
+/// calls [`EventQueue::reschedule`]: it performs every re-arm as a literal
+/// cancel followed by a schedule of the same payload.
+#[derive(Default)]
+struct Harness {
+    q: EventQueue<u64>,
+    twin: EventQueue<u64>,
+    m: Model,
+    /// Ids that were cancelled, re-armed, fired or cleared; with slots
+    /// reused last-freed first, the newest of them usually name a slot a
+    /// later event now occupies.
+    dead: Vec<EventId>,
+    now: SimTime,
+}
+
+impl Harness {
+    /// An id of the kind `arg` selects: live, dead (cancelled, fired,
+    /// cleared or stale), or [`EventId::NONE`].
+    fn pick_id(&self, arg: u64) -> EventId {
+        match arg % 4 {
+            0 | 1 if !self.m.pending.is_empty() => {
+                self.m.pending[(arg / 4) as usize % self.m.pending.len()].3
             }
-        }
-        // cancel a dead id: already cancelled, fired, cleared, or stale
-        // with its slot reused; the newest are the likeliest reuses.
-        6 => {
-            if !dead.is_empty() {
-                let back = (arg as usize % 4).min(dead.len() - 1);
-                let id = dead[dead.len() - 1 - back];
-                assert!(!m.cancel(id));
-                assert!(!q.cancel(id), "dead id {id:?} must not cancel");
+            2 if !self.dead.is_empty() => {
+                let back = ((arg / 4) as usize % 4).min(self.dead.len() - 1);
+                self.dead[self.dead.len() - 1 - back]
             }
+            _ => EventId::NONE,
         }
-        7 => assert!(!q.cancel(EventId::NONE)),
-        8 | 9 => {
-            let want = m.pop();
-            let got = q.pop().map(|e| (e.time, e.id, e.payload));
-            assert_eq!(got, want, "pop");
-            if let Some((t, id, _)) = got {
-                *now = t;
-                dead.push(id);
-            }
-        }
-        10 => assert_eq!(q.peek_time(), m.pending.first().map(|e| e.0)),
-        11 => {
-            if arg.is_multiple_of(8) {
-                q.clear();
-                dead.extend(m.pending.drain(..).map(|e| e.3));
-            }
-        }
-        _ => *q = snapshot_restore(q),
     }
-    assert_eq!(q.len(), m.pending.len(), "len after op {op}");
-    assert_eq!(q.is_empty(), m.pending.is_empty());
+
+    /// Apply one operation, coded as `(op, arg)`, to the queue, the twin
+    /// and the model, and compare every observable result.
+    fn step(&mut self, op: u8, arg: u64) {
+        let Harness { q, twin, m, dead, now } = self;
+        match op {
+            // schedule, biased so the queue tends to fill.
+            0..=3 => {
+                let time = *now + SimDuration::from_nanos(arg % 40);
+                let id = q.schedule(time, m.next_seq);
+                assert_eq!(twin.schedule(time, m.next_seq), id);
+                m.schedule(time, m.next_seq, id);
+            }
+            // cancel a live id
+            4 | 5 => {
+                if !m.pending.is_empty() {
+                    let id = m.pending[arg as usize % m.pending.len()].3;
+                    assert!(m.cancel(id));
+                    assert!(q.cancel(id), "live id must cancel");
+                    assert!(twin.cancel(id));
+                    dead.push(id);
+                }
+            }
+            // cancel a dead id: already cancelled, fired, cleared, or stale
+            // with its slot reused; the newest are the likeliest reuses.
+            6 => {
+                if !dead.is_empty() {
+                    let back = (arg as usize % 4).min(dead.len() - 1);
+                    let id = dead[dead.len() - 1 - back];
+                    assert!(!m.cancel(id));
+                    assert!(!q.cancel(id), "dead id {id:?} must not cancel");
+                    assert!(!twin.cancel(id));
+                }
+            }
+            7 => assert!(!q.cancel(EventId::NONE)),
+            8 | 9 => {
+                let want = m.pop();
+                let got = q.pop().map(|e| (e.time, e.id, e.payload));
+                assert_eq!(got, want, "pop");
+                assert_eq!(twin.pop().map(|e| (e.time, e.id, e.payload)), want, "twin pop");
+                if let Some((t, id, _)) = got {
+                    *now = t;
+                    dead.push(id);
+                }
+            }
+            10 => assert_eq!(q.peek_time(), m.pending.first().map(|e| e.0)),
+            11 => {
+                if arg.is_multiple_of(8) {
+                    q.clear();
+                    twin.clear();
+                    dead.extend(m.pending.drain(..).map(|e| e.3));
+                }
+            }
+            // re-arm a live, dead, stale or NONE id: the model and the
+            // twin do cancel + schedule of the same payload.
+            12 | 13 => {
+                let id = self.pick_id(arg);
+                let Harness { q, twin, m, dead, now } = self;
+                let time = *now + SimDuration::from_nanos((arg / 16) % 40);
+                let payload = m.pending.iter().find(|e| e.3 == id).map(|e| e.2);
+                let got = q.reschedule(id, time);
+                let want = twin.cancel(id).then(|| twin.schedule(time, payload.unwrap()));
+                assert_eq!(got, want, "reschedule of {id:?} vs cancel + schedule");
+                match payload {
+                    Some(p) => {
+                        assert!(m.cancel(id));
+                        m.schedule(time, p, got.expect("live id re-arms"));
+                        dead.push(id);
+                    }
+                    None => assert_eq!(got, None, "dead id {id:?} must not re-arm"),
+                }
+            }
+            _ => {
+                assert_eq!(snapshot_bytes(q), snapshot_bytes(twin), "twin image");
+                *q = snapshot_restore(q);
+            }
+        }
+        assert_eq!(self.q.len(), self.m.pending.len(), "len after op {op}");
+        assert_eq!(self.q.is_empty(), self.m.pending.is_empty());
+    }
+
+    /// Drain all three and check that every id ever issued is now dead.
+    fn finish(mut self) {
+        assert_eq!(snapshot_bytes(&self.q), snapshot_bytes(&self.twin), "twin image");
+        while let Some(want) = self.m.pop() {
+            assert_eq!(self.q.pop().map(|e| (e.time, e.id, e.payload)), Some(want));
+            assert_eq!(self.twin.pop().map(|e| (e.time, e.id, e.payload)), Some(want));
+        }
+        assert!(self.q.pop().is_none());
+        assert!(self.twin.pop().is_none());
+        for id in self.dead {
+            assert!(!self.q.cancel(id), "every id ever issued is now dead");
+        }
+    }
 }
 
 proptest! {
@@ -163,27 +230,20 @@ proptest! {
     }
 
     /// The queue and the sorted-`Vec` model agree on pop order, `cancel`
-    /// results, `peek_time` and `len` over any interleaving of schedule,
-    /// cancel (live, dead, stale, `NONE`), pop, peek, clear and a
-    /// snapshot/restore round trip.
+    /// and `reschedule` results, `peek_time` and `len` over any
+    /// interleaving of schedule, cancel and re-arm (live, dead, stale,
+    /// `NONE`), pop, peek, clear and a snapshot/restore round trip; a twin
+    /// queue doing every re-arm as cancel + schedule returns the same ids,
+    /// pops the same events and snapshots to the same bytes.
     #[test]
     fn queue_matches_reference_model(
-        ops in proptest::collection::vec((0u8..13, 0u64..1_000), 1..600),
+        ops in proptest::collection::vec((0u8..15, 0u64..1_000), 1..600),
     ) {
-        let mut q = EventQueue::new();
-        let mut m = Model::default();
-        let mut dead = Vec::new();
-        let mut now = SimTime::ZERO;
+        let mut h = Harness::default();
         for (op, arg) in ops {
-            step(&mut q, &mut m, &mut dead, &mut now, op, arg);
+            h.step(op, arg);
         }
-        while let Some(want) = m.pop() {
-            prop_assert_eq!(q.pop().map(|e| (e.time, e.id, e.payload)), Some(want));
-        }
-        prop_assert!(q.pop().is_none());
-        for id in dead {
-            prop_assert!(!q.cancel(id), "every id ever issued is now dead");
-        }
+        h.finish();
     }
 
     /// Welford statistics agree with the naive two-pass computation.
@@ -228,21 +288,19 @@ proptest! {
 }
 
 /// A long history: ids stay unique per occupant however many times the
-/// slots are recycled, so no dead id ever cancels a later event.
+/// slots are recycled or re-armed, so no dead id ever cancels a later event.
 #[test]
 fn long_history_never_aliases_stale_ids() {
-    let mut q = EventQueue::new();
-    let mut m = Model::default();
-    let mut dead = Vec::new();
-    let mut now = SimTime::ZERO;
+    let mut h = Harness::default();
     let mut rng = SimRng::seed_from_u64(2008);
     for i in 0..200_000u64 {
-        let op = rng.range_u64(0, 13) as u8;
+        let op = rng.range_u64(0, 15) as u8;
         // Snapshot only now and then: it copies the whole queue.
-        let op = if op == 12 && !i.is_multiple_of(64) { 8 } else { op };
-        step(&mut q, &mut m, &mut dead, &mut now, op, rng.range_u64(0, 1_000));
-        if dead.len() > 4096 {
-            dead.drain(..2048);
+        let op = if op == 14 && !i.is_multiple_of(64) { 8 } else { op };
+        h.step(op, rng.range_u64(0, 1_000));
+        if h.dead.len() > 4096 {
+            h.dead.drain(..2048);
         }
     }
+    h.finish();
 }

@@ -3,7 +3,7 @@
 //! are independent views of the same hot-path events.
 
 use hpcsched::prelude::*;
-use schedsim::{SharedSink, TraceEvent};
+use schedsim::{FaultEvent, SharedSink, TaskState, TraceEvent};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
 
@@ -100,4 +100,71 @@ fn telemetry_snapshot_is_deterministic_across_runs() {
     ] {
         assert_eq!(a.counter(name), b.counter(name), "{name} differs across identical runs");
     }
+}
+
+/// The hot counters the kernel and its event queue tally between publishes.
+const HOT: [&str; 5] = [
+    "sim.events.scheduled",
+    "sim.events.cancelled",
+    "sim.events.processed",
+    "kernel.ticks",
+    "kernel.context_switches",
+];
+
+fn hot(kernel: &Kernel) -> [u64; 5] {
+    let snapshot = kernel.metrics_registry().snapshot();
+    HOT.map(|name| snapshot.counter(name))
+}
+
+/// A small MetBench run with a steal burst and a straggler injected; the
+/// pins after each public call were read from the registry before the hot
+/// counters became publish-on-return tallies.
+fn golden_kernel() -> (Kernel, Vec<TaskId>) {
+    let mut kernel = KernelBuilder::new().seed(7).try_build().expect("valid");
+    assert_eq!(hot(&kernel), GOLDEN_BUILT, "after build");
+    let cfg =
+        MetBenchConfig { loads: vec![0.01, 0.03, 0.01, 0.03], iterations: 4, ..Default::default() };
+    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    assert_eq!(hot(&kernel), GOLDEN_SPAWNED, "after spawn");
+    kernel.inject_fault(
+        SimTime::ZERO + SimDuration::from_millis(15),
+        FaultEvent::StealBurst { cpu: CpuId(0), duration: SimDuration::from_millis(3) },
+    );
+    kernel.inject_fault(
+        SimTime::ZERO + SimDuration::from_millis(25),
+        FaultEvent::SlowTask { task: workers[1], factor: 0.5 },
+    );
+    assert_eq!(hot(&kernel), GOLDEN_FAULTED, "after inject_fault");
+    let mut all = workers;
+    all.push(master);
+    (kernel, all)
+}
+
+// [scheduled, cancelled, processed, ticks, context switches], in `HOT` order.
+const GOLDEN_BUILT: [u64; 5] = [4, 0, 0, 0, 0];
+const GOLDEN_SPAWNED: [u64; 5] = [6, 0, 0, 0, 5];
+const GOLDEN_FAULTED: [u64; 5] = [8, 0, 0, 0, 5];
+const GOLDEN_EXITED: [u64; 5] = [3373, 2312, 1057, 1008, 29];
+const GOLDEN_RUN_FOR: [u64; 5] = [588, 413, 170, 157, 9];
+
+#[test]
+fn hot_counters_are_published_by_every_public_method() {
+    // run_until_exited
+    let (mut kernel, all) = golden_kernel();
+    kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
+    assert_eq!(hot(&kernel), GOLDEN_EXITED, "after run_until_exited");
+    assert_eq!(kernel.metrics().ticks, GOLDEN_EXITED[3]);
+    assert_eq!(kernel.metrics().context_switches, GOLDEN_EXITED[4]);
+
+    // The same run driven one step() at a time.
+    let (mut kernel, all) = golden_kernel();
+    while !all.iter().all(|&t| kernel.task(t).state == TaskState::Exited) {
+        assert!(kernel.step(), "events remain until every task exits");
+    }
+    assert_eq!(hot(&kernel), GOLDEN_EXITED, "after a step() loop");
+
+    // A fixed span.
+    let (mut kernel, _) = golden_kernel();
+    kernel.run_for(SimDuration::from_millis(40));
+    assert_eq!(hot(&kernel), GOLDEN_RUN_FOR, "after run_for");
 }
