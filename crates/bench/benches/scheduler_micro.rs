@@ -100,31 +100,35 @@ fn bench_rearm_churn(c: &mut Criterion) {
 }
 
 /// The kernel's steady state end to end: a CFS-only OpenPower 710 (four
-/// CPUs) running eight CPU-bound tasks, two per CPU, for ~10 s of
-/// simulated time. That is ~40k ticks, each followed by a completion-timer
-/// re-arm on every CPU, plus the CFS preemptions and context switches.
+/// CPUs) running CPU-bound tasks for ~10 s of simulated time, ~40k ticks.
+/// With eight tasks, two per CPU, each tick is followed by a
+/// completion-timer re-arm on every CPU, plus the CFS preemptions and
+/// context switches. With four, one per CPU, the tick rounds are quiet and
+/// the kernel replays them without the event queue.
 fn bench_tick_path(c: &mut Criterion) {
     let mut g = c.benchmark_group("tick_path");
     g.sample_size(10);
-    g.bench_function("4cpu_8tasks_10s", |b| {
-        b.iter(|| {
-            let mut k = KernelBuilder::new()
-                .topology(Topology::openpower_710())
-                .without_hpc_class()
-                .build();
-            let ids: Vec<TaskId> = (0..8)
-                .map(|i| {
-                    k.spawn(
-                        format!("cpu-bound-{i}"),
-                        SchedPolicy::Normal,
-                        Box::new(ScriptedProgram::compute_once(4.0)),
-                        SpawnOptions::default(),
-                    )
-                })
-                .collect();
-            black_box(k.run_until_exited(&ids, SimDuration::from_secs(1_000)))
-        })
-    });
+    for (name, tasks, work) in [("4cpu_8tasks_10s", 8, 4.0), ("4cpu_4tasks_quiet_10s", 4, 8.0)] {
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut k = KernelBuilder::new()
+                    .topology(Topology::openpower_710())
+                    .without_hpc_class()
+                    .build();
+                let ids: Vec<TaskId> = (0..tasks)
+                    .map(|i| {
+                        k.spawn(
+                            format!("cpu-bound-{i}"),
+                            SchedPolicy::Normal,
+                            Box::new(ScriptedProgram::compute_once(work)),
+                            SpawnOptions::default(),
+                        )
+                    })
+                    .collect();
+                black_box(k.run_until_exited(&ids, SimDuration::from_secs(1_000)))
+            })
+        });
+    }
     g.finish();
 }
 

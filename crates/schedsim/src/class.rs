@@ -90,6 +90,16 @@ pub trait SchedClass: Send {
     /// a reschedule.
     fn task_tick(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) -> bool;
 
+    /// Whether ticks are *quiet* for the running `task` on `cpu`: a
+    /// promise that, until this class's queues or the task change, every
+    /// [`SchedClass::task_tick`] after any further [`SchedClass::charge`]s
+    /// returns `false` and changes nothing. The kernel then replays such
+    /// ticks without calling `task_tick` (DESIGN §5 note 7). The default,
+    /// `false`, promises nothing and is always correct.
+    fn tick_quiet(&self, _ctx: &ClassCtx<'_>, _cpu: CpuId, _task: TaskId) -> bool {
+        false
+    }
+
     /// Should `woken` preempt `curr`? Both belong to this class.
     fn wakeup_preempt(&self, ctx: &ClassCtx<'_>, curr: TaskId, woken: TaskId) -> bool;
 

@@ -41,11 +41,21 @@ pub struct BalancedClass {
     balancer: Box<dyn Balancer>,
     /// Priority changes applied so far (diagnostics / Figure annotations).
     prio_changes: u64,
+    /// HPC tasks per CPU, refilled for every balance (see
+    /// [`BalancedClass::count_hpc`]) so balancing allocates nothing.
+    counts: Vec<usize>,
 }
 
 impl BalancedClass {
     pub fn new(policy: HpcPolicyKind, slice: SimDuration, balancer: Box<dyn Balancer>) -> Self {
-        BalancedClass { policy, slice, rqs: Vec::new(), balancer, prio_changes: 0 }
+        BalancedClass {
+            policy,
+            slice,
+            rqs: Vec::new(),
+            balancer,
+            prio_changes: 0,
+            counts: Vec::new(),
+        }
     }
 
     /// Register the balancer's decision counters in `registry`.
@@ -62,17 +72,16 @@ impl BalancedClass {
         self.prio_changes
     }
 
-    /// HPC tasks per CPU: queued plus the running one, needed by the
-    /// domain balancer.
-    fn hpc_counts(&self, ctx: &ClassCtx<'_>) -> Vec<usize> {
-        (0..self.rqs.len())
-            .map(|cpu| {
-                let running_hpc = ctx.running[cpu]
-                    .map(|t| ctx.tasks[t.0].policy == SchedPolicy::Hpc)
-                    .unwrap_or(false);
-                self.rqs[cpu].len() + usize::from(running_hpc)
-            })
-            .collect()
+    /// Refill `counts` with the HPC tasks per CPU: queued plus the running
+    /// one, needed by the domain balancer.
+    fn count_hpc(&mut self, ctx: &ClassCtx<'_>) {
+        self.counts.clear();
+        self.counts.extend(self.rqs.iter().enumerate().map(|(cpu, rq)| {
+            let running_hpc = ctx.running[cpu]
+                .map(|t| ctx.tasks[t.0].policy == SchedPolicy::Hpc)
+                .unwrap_or(false);
+            rq.len() + usize::from(running_hpc)
+        }));
     }
 
     /// Apply the balancer's assignments, counting actual changes.
@@ -155,6 +164,11 @@ impl SchedClass for BalancedClass {
         ctx.task(task).slice_left.is_zero() && !self.rqs[cpu.0].is_empty()
     }
 
+    fn tick_quiet(&self, _ctx: &ClassCtx<'_>, cpu: CpuId, _task: TaskId) -> bool {
+        // An expired RR slice only rotates when another HPC task waits.
+        self.policy == HpcPolicyKind::Fifo || self.rqs[cpu.0].is_empty()
+    }
+
     fn wakeup_preempt(&self, _ctx: &ClassCtx<'_>, _curr: TaskId, _woken: TaskId) -> bool {
         // Within the class, woken tasks queue round-robin; no preemption.
         false
@@ -180,8 +194,8 @@ impl SchedClass for BalancedClass {
     }
 
     fn load_balance(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, idle: bool) -> Vec<Migration> {
-        let counts = self.hpc_counts(ctx);
-        let view = BalanceView { topology: ctx.topology, counts: &counts, queued: &self.rqs };
+        self.count_hpc(ctx);
+        let view = BalanceView { topology: ctx.topology, counts: &self.counts, queued: &self.rqs };
         let plan =
             self.balancer.plan_migrations(&view, cpu, idle, &|t, c| ctx.tasks[t.0].allowed_on(c));
         plan.into_iter().collect()

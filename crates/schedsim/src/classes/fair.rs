@@ -201,6 +201,11 @@ impl SchedClass for FairClass {
         false
     }
 
+    fn tick_quiet(&self, _ctx: &ClassCtx<'_>, cpu: CpuId, _task: TaskId) -> bool {
+        // Nobody to share the CPU with, whatever the running task's vruntime.
+        self.rqs[cpu.0].tree.is_empty()
+    }
+
     fn wakeup_preempt(&self, ctx: &ClassCtx<'_>, curr: TaskId, woken: TaskId) -> bool {
         // SCHED_BATCH tasks never preempt on wakeup.
         let w = ctx.task(woken);

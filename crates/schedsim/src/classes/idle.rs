@@ -72,6 +72,10 @@ impl SchedClass for IdleClass {
         !self.rqs[cpu.0].is_empty()
     }
 
+    fn tick_quiet(&self, _ctx: &ClassCtx<'_>, cpu: CpuId, _task: TaskId) -> bool {
+        self.rqs[cpu.0].is_empty()
+    }
+
     fn wakeup_preempt(&self, _ctx: &ClassCtx<'_>, _curr: TaskId, _woken: TaskId) -> bool {
         false
     }

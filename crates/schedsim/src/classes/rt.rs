@@ -150,6 +150,11 @@ impl SchedClass for RtClass {
         t.policy == SchedPolicy::Rr && t.slice_left.is_zero()
     }
 
+    fn tick_quiet(&self, ctx: &ClassCtx<'_>, _cpu: CpuId, task: TaskId) -> bool {
+        // FIFO tasks have no slice; an RR slice runs out under charges.
+        ctx.task(task).policy == SchedPolicy::Fifo
+    }
+
     fn wakeup_preempt(&self, ctx: &ClassCtx<'_>, curr: TaskId, woken: TaskId) -> bool {
         ctx.task(woken).rt_priority > ctx.task(curr).rt_priority
     }

@@ -42,6 +42,8 @@ struct CpuState {
     /// Kept separate from `switch_until` so dispatch (which overwrites the
     /// switch penalty) cannot shorten an in-flight burst.
     steal_until: SimTime,
+    /// The CPU's pending periodic tick.
+    tick_ev: EventId,
     workdone_ev: EventId,
     need_resched: bool,
     ticks: u64,
@@ -54,6 +56,7 @@ impl CpuState {
             last_sync: SimTime::ZERO,
             switch_until: SimTime::ZERO,
             steal_until: SimTime::ZERO,
+            tick_ev: EventId::NONE,
             workdone_ev: EventId::NONE,
             need_resched: false,
             ticks: 0,
@@ -161,6 +164,15 @@ pub struct Kernel {
     registry: MetricsRegistry,
     counters: KernelCounters,
     tally: HotTally,
+    /// Per-CPU tick and completion-timer ids handed to the event queue by
+    /// [`Kernel::fast_forward`]; kept here so replaying allocates nothing.
+    quiet_ticks: Vec<EventId>,
+    quiet_timers: Vec<(EventId, SimTime)>,
+    /// A running task's class declined [`SchedClass::tick_quiet`] and no
+    /// task has been dispatched or migrated since, so no round can be
+    /// quiet yet and `fast_forward` returns at once. Skipping a replay
+    /// never changes results, only how fast they come.
+    quiet_blocked: bool,
     latency_us: Histogram,
     transition_guard: u32,
 }
@@ -183,9 +195,12 @@ impl Kernel {
         let counters = KernelCounters::register(&registry, ncpus);
         let mut events = EventQueue::new();
         events.attach_counters(EventQueueCounters::register(&registry, "sim.events"));
-        for cpu in 0..ncpus {
-            events.schedule(SimTime::ZERO + config.tick, KEvent::Tick(CpuId(cpu)));
-        }
+        let cpus = (0..ncpus)
+            .map(|cpu| CpuState {
+                tick_ev: events.schedule(SimTime::ZERO + config.tick, KEvent::Tick(CpuId(cpu))),
+                ..CpuState::new()
+            })
+            .collect();
         let rng = SimRng::seed_from_u64(config.seed);
         let mut kernel = Kernel {
             chip,
@@ -195,7 +210,7 @@ impl Kernel {
             policy_class: policy_table(&classes),
             classes,
             events,
-            cpus: (0..ncpus).map(|_| CpuState::new()).collect(),
+            cpus,
             running: vec![None; ncpus],
             tokens: TokenTable::default(),
             observers: Vec::new(),
@@ -203,6 +218,9 @@ impl Kernel {
             registry,
             counters,
             tally: HotTally::default(),
+            quiet_ticks: vec![EventId::NONE; ncpus],
+            quiet_timers: vec![(EventId::NONE, SimTime::MAX); ncpus],
+            quiet_blocked: false,
             latency_us: Histogram::new(0.0, 20_000.0, 200),
             transition_guard: 0,
         };
@@ -407,14 +425,15 @@ impl Kernel {
 
     /// Process one event. Returns `false` when no events remain.
     pub fn step(&mut self) -> bool {
-        let more = self.advance();
+        let more = self.advance().is_some();
         self.publish_counters();
         more
     }
 
-    /// [`Kernel::step`] without publishing the counters.
-    fn advance(&mut self) -> bool {
-        let Some(ev) = self.events.pop() else { return false };
+    /// [`Kernel::step`] without publishing the counters; returns the event
+    /// it processed.
+    fn advance(&mut self) -> Option<KEvent> {
+        let ev = self.events.pop()?;
         debug_assert!(ev.time >= self.now);
         self.sync_to(ev.time);
         match ev.payload {
@@ -429,7 +448,13 @@ impl Kernel {
             KEvent::Fault(fault) => self.handle_fault(fault),
         }
         self.settle();
-        true
+        Some(ev.payload)
+    }
+
+    /// Whether a quiet tick round may start after `ev`. Not after a tick
+    /// of any CPU but the last: the rest of that round is still pending.
+    fn may_start_round(&self, ev: KEvent) -> bool {
+        !matches!(ev, KEvent::Tick(cpu) if cpu.0 + 1 < self.cpus.len())
     }
 
     /// Schedule an injected fault at `at` (clamped to the current time).
@@ -483,6 +508,7 @@ impl Kernel {
         deadline: SimDuration,
     ) -> Option<SimTime> {
         let deadline = self.now.saturating_add(deadline);
+        let mut replay = true;
         let end = loop {
             if until_exited.iter().all(|&t| self.tasks[t.0].state == TaskState::Exited) {
                 break Some(
@@ -493,9 +519,14 @@ impl Kernel {
                         .unwrap_or(self.now),
                 );
             }
-            if self.now >= deadline || !self.advance() {
+            if self.now >= deadline {
                 break None;
             }
+            if replay {
+                self.fast_forward(deadline);
+            }
+            let Some(ev) = self.advance() else { break None };
+            replay = self.may_start_round(ev);
         };
         self.publish_counters();
         end
@@ -504,10 +535,14 @@ impl Kernel {
     /// Run for a fixed span of simulated time.
     pub fn run_for(&mut self, span: SimDuration) {
         let end = self.now + span;
+        let mut replay = true;
         while self.now < end {
+            if replay {
+                self.fast_forward(end);
+            }
             match self.events.peek_time() {
                 Some(t) if t <= end => {
-                    self.advance();
+                    replay = self.advance().is_some_and(|ev| self.may_start_round(ev));
                 }
                 _ => {
                     self.sync_to(end);
@@ -516,6 +551,91 @@ impl Kernel {
             }
         }
         self.publish_counters();
+    }
+
+    /// Replay whole quiet tick rounds strictly before `limit` without the
+    /// event queue (DESIGN §5 note 7). A round at `at` is quiet when every
+    /// CPU's tick is pending at `at`, no completion timer, signal or fault
+    /// fires at or before `at`, no CPU balances on this tick, and every
+    /// running task's class reports [`SchedClass::tick_quiet`]. Such a
+    /// round only syncs accounting, counts the ticks and re-derives the
+    /// completion times, so that is all a replayed round does, with the
+    /// same float operations in the same order as the event-by-event path.
+    /// The queue is then left as those events would have left it.
+    // Out of line: the run loops call it about once per tick round, and
+    // inlined it would crowd their per-event path.
+    #[inline(never)]
+    fn fast_forward(&mut self, limit: SimTime) {
+        if self.quiet_blocked {
+            return;
+        }
+        // At the start of a round CPU 0's tick is the next event.
+        let Some(mut at) = self.events.time_of(self.cpus[0].tick_ev) else { return };
+        if at >= limit || self.events.peek_time() != Some(at) {
+            return;
+        }
+        for cpu in 0..self.cpus.len() {
+            if self.events.time_of(self.cpus[cpu].tick_ev) != Some(at) {
+                return;
+            }
+            if let Some(tid) = self.running[cpu] {
+                let class = self.class_of_policy(self.tasks[tid.0].policy);
+                if !self.with_ctx(class, |class, ctx| class.tick_quiet(ctx, CpuId(cpu), tid)) {
+                    self.quiet_blocked = true;
+                    return;
+                }
+            }
+        }
+        let interval = u64::from(self.config.balance_interval_ticks);
+        let max_rounds = match interval {
+            0 => u64::MAX,
+            // Stop short of the next tick that balances.
+            _ => self.cpus.iter().map(|cs| interval - 1 - cs.ticks % interval).min().unwrap_or(0),
+        };
+        if max_rounds == 0 {
+            return;
+        }
+        let stop = self
+            .events
+            .peek_time_where(|e| matches!(e, KEvent::Signal(_) | KEvent::Fault(_)))
+            .map_or(limit, |t| t.min(limit));
+        for (cpu, cs) in self.cpus.iter().enumerate() {
+            self.quiet_ticks[cpu] = cs.tick_ev;
+            // An idle or stalled CPU never stops the replay.
+            self.quiet_timers[cpu] = match self.events.time_of(cs.workdone_ev) {
+                Some(t) => (cs.workdone_ev, t),
+                None => (EventId::NONE, SimTime::MAX),
+            };
+        }
+        let mut rounds = 0;
+        while rounds < max_rounds && at < stop && self.quiet_timers.iter().all(|&(_, t)| t > at) {
+            self.sync_to(at);
+            for cpu in 0..self.cpus.len() {
+                self.tally.ticks += 1;
+                self.emit_metric(MetricEvent::Tick { cpu: CpuId(cpu) });
+                self.cpus[cpu].ticks += 1;
+                // An armed CPU stays armed: its task and speed are unchanged.
+                if self.quiet_timers[cpu].0 != EventId::NONE {
+                    if let Some(t) = self.workdone_time(CpuId(cpu)) {
+                        self.quiet_timers[cpu].1 = t;
+                    }
+                }
+            }
+            rounds += 1;
+            at += self.config.tick;
+        }
+        // No chip input changed since the last settle, so `refresh_hw`
+        // would only move the timers, which the replay does.
+        self.events.replay_rounds(
+            rounds,
+            self.config.tick,
+            &mut self.quiet_ticks,
+            &mut self.quiet_timers,
+        );
+        for (cpu, cs) in self.cpus.iter_mut().enumerate() {
+            cs.tick_ev = self.quiet_ticks[cpu];
+            cs.workdone_ev = self.quiet_timers[cpu].0;
+        }
     }
 
     /// Add the hot tallies (kernel and event queue) to their registry
@@ -574,7 +694,7 @@ impl Kernel {
         self.emit_metric(MetricEvent::Tick { cpu });
         self.cpus[cpu.0].ticks += 1;
         let next = self.now + self.config.tick;
-        self.events.schedule(next, KEvent::Tick(cpu));
+        self.cpus[cpu.0].tick_ev = self.events.schedule(next, KEvent::Tick(cpu));
 
         if let Some(tid) = self.running[cpu.0] {
             let class = self.class_of_policy(self.tasks[tid.0].policy);
@@ -876,6 +996,7 @@ impl Kernel {
 
     /// Pick and dispatch the next task on `cpu`.
     fn reschedule(&mut self, cpu: CpuId) {
+        self.quiet_blocked = false;
         let prev = self.running[cpu.0];
         // Put a still-running previous task back on its queue.
         if let Some(p) = prev {
@@ -1061,6 +1182,7 @@ impl Kernel {
                 if self.tasks[task.0].state != TaskState::Runnable {
                     continue;
                 }
+                self.quiet_blocked = false;
                 self.with_ctx(class, |c, ctx| c.dequeue(ctx, from, task));
                 self.tasks[task.0].cpu = Some(to);
                 self.with_ctx(class, |c, ctx| c.enqueue(ctx, to, task, EnqueueKind::Migration));

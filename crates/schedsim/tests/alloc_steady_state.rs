@@ -1,12 +1,15 @@
 //! Steady-state allocation gate for the kernel event loop.
 //!
 //! Once a kernel is running, its steady state is ticks, CFS timeslice
-//! preemptions, context switches and completion-timer cancel/re-arms. None
-//! of these may allocate: the event queue reuses its slots, class callbacks
-//! borrow the per-CPU running table, and the chip memoises its speeds in
-//! a buffer it reuses. So the allocations made inside `run_until_exited` must not grow
-//! with simulated time. A counting global allocator, per thread so that
-//! parallel tests do not disturb each other, checks exactly that.
+//! preemptions, context switches and completion-timer cancel/re-arms, or,
+//! with one task per CPU, quiet tick rounds the kernel replays without the
+//! event queue. None of these may allocate: the event queue reuses its
+//! slots, class callbacks borrow the per-CPU running table, the chip
+//! memoises its speeds in a buffer it reuses, and the replay works in
+//! kernel-owned buffers. So the allocations made inside `run_until_exited`
+//! must not grow with simulated time. A counting global allocator, per
+//! thread so that parallel tests do not disturb each other, checks exactly
+//! that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,13 +65,14 @@ struct Run {
     context_switches: u64,
 }
 
-/// A CFS-only OpenPower 710 kernel (4 CPUs) running eight CPU-bound tasks
-/// of `work` units each: two per CPU, so CFS keeps preempting and
-/// switching between them for the whole run.
-fn run(work: f64) -> Run {
+/// A CFS-only OpenPower 710 kernel (4 CPUs) running `tasks` CPU-bound
+/// tasks of `work` units each. With eight, two per CPU, CFS keeps
+/// preempting and switching between them for the whole run; with four,
+/// one per CPU, every tick round is quiet.
+fn run(tasks: usize, work: f64) -> Run {
     let mut k =
         KernelBuilder::new().topology(Topology::openpower_710()).without_hpc_class().build();
-    let ids: Vec<TaskId> = (0..8)
+    let ids: Vec<TaskId> = (0..tasks)
         .map(|i| {
             k.spawn(
                 format!("cpu-bound-{i}"),
@@ -89,8 +93,8 @@ fn run(work: f64) -> Run {
 fn run_until_exited_allocations_do_not_grow_with_simulated_time() {
     // Simulated windows of ~10 s and ~20 s: twice the ticks, switches and
     // timer re-arms, the same allocations.
-    let short = run(4.0);
-    let long = run(8.0);
+    let short = run(8, 4.0);
+    let long = run(8, 8.0);
     let (s, l) = (short.end.as_secs_f64(), long.end.as_secs_f64());
     assert!((9.0..11.0).contains(&s), "short window ends at {s} s");
     assert!((19.0..21.0).contains(&l), "long window ends at {l} s");
@@ -99,6 +103,23 @@ fn run_until_exited_allocations_do_not_grow_with_simulated_time() {
     assert_eq!(
         long.allocs, short.allocs,
         "steady-state kernel path allocates: {} allocations over ~10 s, {} over ~20 s",
+        short.allocs, long.allocs
+    );
+}
+
+#[test]
+fn quiet_run_allocations_do_not_grow_with_simulated_time() {
+    // One task per CPU at the shared-core speed of 0.8: ~10 s and ~20 s.
+    let short = run(4, 8.0);
+    let long = run(4, 16.0);
+    let (s, l) = (short.end.as_secs_f64(), long.end.as_secs_f64());
+    assert!((9.0..11.0).contains(&s), "short window ends at {s} s");
+    assert!((19.0..21.0).contains(&l), "long window ends at {l} s");
+    assert!(long.ticks > short.ticks + 30_000, "ticks {} vs {}", long.ticks, short.ticks);
+    assert_eq!(long.context_switches, short.context_switches, "no task ever waits");
+    assert_eq!(
+        long.allocs, short.allocs,
+        "quiet kernel path allocates: {} allocations over ~10 s, {} over ~20 s",
         short.allocs, long.allocs
     );
 }

@@ -1,0 +1,582 @@
+//! Differential test of the kernel's quiet-tick fast-forward.
+//!
+//! `run_until_exited` and `run_for` replay quiet tick rounds without the
+//! event queue (DESIGN §5 note 7); `step` never does, so a `step` loop is
+//! the reference. Random scenarios run both ways must agree on the whole
+//! observer stream (host wall-clock pick times masked), every task's
+//! accounting bit for bit, every registry metric but the wall-clock pick
+//! histogram, and the clock.
+//!
+//! A second property pins the [`SchedClass::tick_quiet`] contract for each
+//! class: once it holds, `task_tick` stays `false` and changes nothing
+//! under any further charges.
+
+use std::sync::{Arc, Mutex};
+
+use power5::{CpuId, Topology};
+use proptest::prelude::*;
+use schedsim::class::EnqueueKind;
+use schedsim::classes::{FairClass, IdleClass, RtClass};
+use schedsim::policies::{HpcTunables, Power5Mechanism, Table1Balancer, UniformHeuristic};
+use schedsim::program::{FnProgram, ScriptedProgram};
+use schedsim::{
+    Action, BalancedClass, ClassCtx, FaultEvent, HpcPolicyKind, HpcSchedConfig, Kernel, KernelApi,
+    KernelBuilder, KernelConfig, KernelEvent, MetricEvent, NoiseConfig, Observer, SchedClass,
+    SchedPolicy, SpawnOptions, Task, TaskId, TaskState,
+};
+use simcore::{SimDuration, SimTime};
+use telemetry::MetricValue;
+
+#[derive(Clone, Copy, Debug)]
+enum Pol {
+    Normal,
+    Batch,
+    Idle,
+    Fifo,
+    Rr,
+    Hpc,
+}
+
+/// One compute segment, then a sleep (or a yield when `sleep_us` is 0).
+#[derive(Clone, Debug)]
+struct Cycle {
+    work: f64,
+    sleep_us: u64,
+    /// Round the wakeup up to the next tick boundary.
+    on_tick: bool,
+}
+
+#[derive(Clone, Debug)]
+struct TaskSpec {
+    pol: Pol,
+    /// Allowed CPUs (modulo the CPU count); `None` allows all.
+    affinity: Option<Vec<usize>>,
+    nice: i32,
+    rt_priority: u8,
+    cycles: Vec<Cycle>,
+}
+
+#[derive(Clone, Debug)]
+enum FaultSpec {
+    Steal { cpu: usize, us: u64 },
+    Slow { task: usize, factor: f64 },
+}
+
+#[derive(Clone, Debug)]
+struct Scenario {
+    /// 0: OpenPower 710, 1: one single-threaded core, 2: one 4-way SMT core.
+    topology: u8,
+    tick_ms: u64,
+    balance: u32,
+    noise: bool,
+    free_switch: bool,
+    /// The HPC class's intra-class policy, or no HPC class at all.
+    hpc: Option<HpcPolicyKind>,
+    short_slices: bool,
+    observe: bool,
+    seed: u64,
+    tasks: Vec<TaskSpec>,
+    /// `(tick, offset in µs after it, fault)`; offset 0 lands on the tick.
+    faults: Vec<(u64, u64, FaultSpec)>,
+    deadline_ms: u64,
+}
+
+/// Records the observer stream with host wall-clock pick times masked.
+struct Recorder(Arc<Mutex<Vec<KernelEvent>>>);
+
+impl Observer for Recorder {
+    fn on_event(&mut self, event: &KernelEvent) {
+        let mut event = event.clone();
+        if let KernelEvent::Metric { event: MetricEvent::ClassPick { wall_ns, .. }, .. } =
+            &mut event
+        {
+            *wall_ns = 0;
+        }
+        // INVARIANT: the lock is only held for this push and for the final
+        // read, neither of which panics, so it is never poisoned.
+        self.0.lock().expect("recorder lock").push(event);
+    }
+}
+
+fn ms(v: u64) -> SimDuration {
+    SimDuration::from_millis(v)
+}
+
+fn program(
+    cycles: Vec<Cycle>,
+    tick: SimDuration,
+) -> FnProgram<impl FnMut(&mut KernelApi<'_>) -> Action + Send> {
+    let mut next = 0;
+    let mut computing = true;
+    FnProgram(move |api: &mut KernelApi<'_>| {
+        let Some(c) = cycles.get(next) else { return Action::Exit };
+        if computing {
+            computing = false;
+            return Action::Compute(c.work);
+        }
+        computing = true;
+        next += 1;
+        if c.sleep_us == 0 {
+            return Action::Yield;
+        }
+        let mut at = (api.now() + SimDuration::from_micros(c.sleep_us)).as_nanos();
+        if c.on_tick {
+            at = at.div_ceil(tick.as_nanos()) * tick.as_nanos();
+        }
+        let tok = api.new_token();
+        api.signal_at(SimTime(at), tok);
+        Action::Block(tok)
+    })
+}
+
+/// Build the scenario's kernel with its tasks spawned and faults injected.
+fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
+    let topology = match s.topology {
+        0 => Topology::openpower_710(),
+        1 => Topology::single_core_st(),
+        _ => Topology::new(1, 1, 4),
+    };
+    let ncpus = topology.num_cpus();
+    let tick = ms(s.tick_ms);
+    let defaults = KernelConfig::default();
+    let config = KernelConfig {
+        tick,
+        rt_rr_slice: if s.short_slices { ms(6) } else { defaults.rt_rr_slice },
+        ctx_switch_cost: if s.free_switch { SimDuration::ZERO } else { defaults.ctx_switch_cost },
+        noise: if s.noise { NoiseConfig::heavy() } else { NoiseConfig::off() },
+        seed: s.seed,
+        balance_interval_ticks: s.balance,
+        ..defaults
+    };
+    let builder = KernelBuilder::new().topology(topology).kernel_config(config);
+    let mut k = match s.hpc {
+        Some(policy) => builder
+            .hpc_config(HpcSchedConfig {
+                policy,
+                slice: if s.short_slices { ms(8) } else { ms(100) },
+                ..HpcSchedConfig::default()
+            })
+            .build(),
+        None => builder.without_hpc_class().build(),
+    };
+    let stream = Arc::new(Mutex::new(Vec::new()));
+    if s.observe {
+        k.observe(Box::new(Recorder(stream.clone())));
+    }
+    let ids: Vec<TaskId> = s
+        .tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let policy = match t.pol {
+                Pol::Normal => SchedPolicy::Normal,
+                Pol::Batch => SchedPolicy::Batch,
+                Pol::Idle => SchedPolicy::Idle,
+                Pol::Fifo => SchedPolicy::Fifo,
+                Pol::Rr => SchedPolicy::Rr,
+                Pol::Hpc if s.hpc.is_some() => SchedPolicy::Hpc,
+                Pol::Hpc => SchedPolicy::Normal,
+            };
+            let opts = SpawnOptions {
+                nice: t.nice,
+                rt_priority: t.rt_priority,
+                affinity: t.affinity.as_ref().map(|a| a.iter().map(|c| CpuId(c % ncpus)).collect()),
+                ..SpawnOptions::default()
+            };
+            k.spawn(format!("t{i}"), policy, Box::new(program(t.cycles.clone(), tick)), opts)
+        })
+        .collect();
+    for (at_tick, offset_us, fault) in &s.faults {
+        let at = SimTime::ZERO + tick * *at_tick + SimDuration::from_micros(*offset_us);
+        let fault = match *fault {
+            FaultSpec::Steal { cpu, us } => FaultEvent::StealBurst {
+                cpu: CpuId(cpu % (ncpus + 1)),
+                duration: SimDuration::from_micros(us),
+            },
+            FaultSpec::Slow { task, factor } => {
+                FaultEvent::SlowTask { task: ids[task % ids.len()], factor }
+            }
+        };
+        k.inject_fault(at, fault);
+    }
+    (k, ids, stream)
+}
+
+/// Everything the two paths must agree on.
+struct Outcome {
+    now: SimTime,
+    ended: Option<SimTime>,
+    tasks: Vec<TaskView>,
+    metrics: Vec<(String, MetricValue)>,
+    stream: Vec<KernelEvent>,
+}
+
+#[derive(Debug, PartialEq)]
+struct TaskView {
+    state: TaskState,
+    cpu: Option<CpuId>,
+    remaining_work: u64,
+    exec_total: SimDuration,
+    wait_rq_total: SimDuration,
+    sleep_total: SimDuration,
+    vruntime: u64,
+    slice_left: SimDuration,
+    nr_switches: u64,
+    iterations: u64,
+}
+
+fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &Mutex<Vec<KernelEvent>>) -> Outcome {
+    let tasks = k
+        .tasks()
+        .iter()
+        .map(|t: &Task| TaskView {
+            state: t.state,
+            cpu: t.cpu,
+            remaining_work: t.remaining_work().to_bits(),
+            exec_total: t.exec_total,
+            wait_rq_total: t.wait_rq_total,
+            sleep_total: t.sleep_total,
+            vruntime: t.vruntime,
+            slice_left: t.slice_left,
+            nr_switches: t.nr_switches,
+            iterations: t.iter.iterations,
+        })
+        .collect();
+    let metrics = k
+        .metrics_registry()
+        .snapshot()
+        .metrics
+        .into_iter()
+        .filter(|(name, _)| name != "kernel.pick_wall_ns")
+        .collect();
+    // INVARIANT: the recorder never panics while holding the lock, so the
+    // lock is never poisoned.
+    let stream = std::mem::take(&mut *stream.lock().expect("recorder lock"));
+    Outcome { now: k.now(), ended, tasks, metrics, stream }
+}
+
+fn all_exited(k: &Kernel, ids: &[TaskId]) -> Option<SimTime> {
+    ids.iter()
+        .all(|&t| k.task(t).state == TaskState::Exited)
+        .then(|| ids.iter().filter_map(|&t| k.task(t).exited_at).max().unwrap_or(k.now()))
+}
+
+/// `run_until_exited`, one event at a time.
+fn step_until_exited(k: &mut Kernel, ids: &[TaskId], deadline: SimDuration) -> Option<SimTime> {
+    let deadline = k.now().saturating_add(deadline);
+    loop {
+        if let Some(end) = all_exited(k, ids) {
+            return Some(end);
+        }
+        if k.now() >= deadline || !k.step() {
+            return None;
+        }
+    }
+}
+
+/// Run the scenario through `run_until_exited` and through a `step` loop.
+fn both_ways(s: &Scenario) -> (Outcome, Outcome) {
+    let deadline = ms(s.deadline_ms);
+    let (mut fast, ids, fast_stream) = setup(s);
+    let ended = fast.run_until_exited(&ids, deadline);
+    let fast = outcome(&fast, ended, &fast_stream);
+    let (mut slow, ids, slow_stream) = setup(s);
+    let ended = step_until_exited(&mut slow, &ids, deadline);
+    (fast, outcome(&slow, ended, &slow_stream))
+}
+
+/// Run `spans` of `run_for`, then `run_until_exited`, both ways. The step
+/// loop mirrors `run_for` exactly with a no-op fault at each span's end,
+/// injected into both kernels: a `step` never passes it.
+fn both_ways_run_for(s: &Scenario, spans: &[u64]) -> Vec<(Outcome, Outcome)> {
+    let deadline = ms(s.deadline_ms);
+    let (mut fast, ids, fast_stream) = setup(s);
+    let (mut slow, _, slow_stream) = setup(s);
+    let no_op = FaultEvent::SlowTask { task: TaskId(usize::MAX), factor: 1.0 };
+    let mut out = Vec::new();
+    for &span_us in spans {
+        let end = fast.now() + SimDuration::from_micros(span_us);
+        fast.inject_fault(end, no_op);
+        slow.inject_fault(end, no_op);
+        fast.run_for(SimDuration::from_micros(span_us));
+        while slow.now() < end {
+            slow.step();
+        }
+        out.push((outcome(&fast, None, &fast_stream), outcome(&slow, None, &slow_stream)));
+    }
+    let ended = fast.run_until_exited(&ids, deadline);
+    let fast = outcome(&fast, ended, &fast_stream);
+    let ended = step_until_exited(&mut slow, &ids, deadline);
+    out.push((fast, outcome(&slow, ended, &slow_stream)));
+    out
+}
+
+fn cycle() -> impl Strategy<Value = Cycle> {
+    (
+        // Whole ticks of work let completions land on tick boundaries.
+        prop_oneof![(1u64..40).prop_map(|m| m as f64 * 1e-3), 1e-5f64..0.04],
+        prop_oneof![Just(0u64), 1u64..40_000],
+        any::<bool>(),
+    )
+        .prop_map(|(work, sleep_us, on_tick)| Cycle { work, sleep_us, on_tick })
+}
+
+fn task() -> impl Strategy<Value = TaskSpec> {
+    (
+        (0u8..14).prop_map(|p| match p {
+            0..=3 => Pol::Normal,
+            4 => Pol::Batch,
+            5 => Pol::Idle,
+            6 | 7 => Pol::Fifo,
+            8 | 9 => Pol::Rr,
+            _ => Pol::Hpc,
+        }),
+        prop_oneof![Just(None), (0usize..4).prop_map(|c| Some(vec![c]))],
+        -5i32..5,
+        1u8..4,
+        proptest::collection::vec(cycle(), 1..5),
+    )
+        .prop_map(|(pol, affinity, nice, rt_priority, cycles)| TaskSpec {
+            pol,
+            affinity,
+            nice,
+            rt_priority,
+            cycles,
+        })
+}
+
+fn fault() -> impl Strategy<Value = (u64, u64, FaultSpec)> {
+    (
+        0u64..300,
+        prop_oneof![Just(0u64), 1u64..4_000],
+        prop_oneof![
+            (0usize..5, 1u64..20_000).prop_map(|(cpu, us)| FaultSpec::Steal { cpu, us }),
+            (0usize..8, 0.2f64..2.0).prop_map(|(task, factor)| FaultSpec::Slow { task, factor }),
+        ],
+    )
+}
+
+fn scenario() -> impl Strategy<Value = Scenario> {
+    (
+        (0u8..3, prop_oneof![Just(1u64), Just(4)], prop_oneof![Just(0u32), Just(1), Just(64)]),
+        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        prop_oneof![Just(None), Just(Some(HpcPolicyKind::Fifo)), Just(Some(HpcPolicyKind::Rr))],
+        (any::<u64>(), 20u64..1_200),
+        (proptest::collection::vec(task(), 1..7), proptest::collection::vec(fault(), 0..4)),
+    )
+        .prop_map(
+            |(
+                (topology, tick_ms, balance),
+                (noise, free_switch, short_slices, observe),
+                hpc,
+                (seed, deadline_ms),
+                (tasks, faults),
+            )| Scenario {
+                topology,
+                tick_ms,
+                balance,
+                // Noise keeps ticks busy; run it in a quarter of the cases.
+                noise: noise && seed % 2 == 0,
+                free_switch,
+                hpc,
+                short_slices,
+                observe,
+                seed,
+                tasks,
+                faults,
+                deadline_ms,
+            },
+        )
+}
+
+/// Compare part by part, so that a failure names what diverged first.
+fn assert_same(s: &Scenario, fast: &Outcome, slow: &Outcome) {
+    if let Some(i) =
+        (0..fast.stream.len().min(slow.stream.len())).find(|&i| fast.stream[i] != slow.stream[i])
+    {
+        panic!("streams diverge at {i}: {:?} vs {:?}\n{s:?}", fast.stream[i], slow.stream[i]);
+    }
+    assert_eq!(fast.stream.len(), slow.stream.len(), "stream lengths\n{s:?}");
+    assert_eq!(fast.tasks, slow.tasks, "tasks\n{s:?}");
+    assert_eq!(fast.metrics, slow.metrics, "metrics\n{s:?}");
+    assert_eq!((fast.now, fast.ended), (slow.now, slow.ended), "clock\n{s:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    #[test]
+    fn run_until_exited_matches_a_step_loop(s in scenario()) {
+        let (fast, slow) = both_ways(&s);
+        assert_same(&s, &fast, &slow);
+    }
+
+    #[test]
+    fn run_for_matches_a_step_loop(
+        s in scenario(),
+        spans in proptest::collection::vec(prop_oneof![(1u64..300).prop_map(|m| m * 1_000), 1u64..300_000], 1..4),
+    ) {
+        for (fast, slow) in both_ways_run_for(&s, &spans) {
+            assert_same(&s, &fast, &slow);
+        }
+    }
+}
+
+fn quiet_scenario(tasks: Vec<TaskSpec>) -> Scenario {
+    Scenario {
+        topology: 0,
+        tick_ms: 1,
+        balance: 64,
+        noise: false,
+        free_switch: false,
+        hpc: Some(HpcPolicyKind::Rr),
+        short_slices: false,
+        observe: true,
+        seed: 1,
+        tasks,
+        faults: Vec::new(),
+        deadline_ms: 2_000,
+    }
+}
+
+fn spec(pol: Pol, cpus: &[usize], cycles: Vec<Cycle>) -> TaskSpec {
+    TaskSpec { pol, affinity: Some(cpus.to_vec()), nice: 0, rt_priority: 1, cycles }
+}
+
+fn compute(work: f64) -> Cycle {
+    Cycle { work, sleep_us: 0, on_tick: false }
+}
+
+#[test]
+fn periodic_balance_inside_a_quiet_stretch_is_not_skipped() {
+    // CPU 0 runs an RT FIFO task (quiet) with two CFS tasks queued under
+    // it; CPU 2 runs one CFS task alone (quiet) and homes a long sleeper,
+    // which steers the two CFS tasks, allowed on CPUs 0 and 2, onto CPU 0
+    // at spawn. Only CPU 2's periodic balance can pull one of them over,
+    // and it falls on a tick inside a quiet stretch.
+    let nap = Cycle { work: 1e-4, sleep_us: 1_500_000, on_tick: false };
+    let s = quiet_scenario(vec![
+        spec(Pol::Fifo, &[0], vec![compute(0.5)]),
+        spec(Pol::Normal, &[2], vec![compute(0.3)]),
+        spec(Pol::Normal, &[2], vec![nap]),
+        spec(Pol::Normal, &[0, 2], vec![compute(0.05)]),
+        spec(Pol::Normal, &[0, 2], vec![compute(0.05)]),
+    ]);
+    let (fast, slow) = both_ways(&s);
+    assert_same(&s, &fast, &slow);
+    assert!(slow.tasks[3..5].iter().any(|t| t.cpu == Some(CpuId(2))), "a CFS task moved to CPU 2");
+}
+
+#[test]
+fn completions_and_wakeups_on_tick_boundaries() {
+    // One core at speed 1 with free switches: whole-tick work ends exactly
+    // on a tick, and every wakeup is rounded onto one.
+    let cycles = vec![
+        Cycle { work: 0.003, sleep_us: 2_000, on_tick: true },
+        Cycle { work: 0.010, sleep_us: 5_000, on_tick: true },
+        compute(0.004),
+    ];
+    let mut s = quiet_scenario(vec![spec(Pol::Normal, &[0], cycles)]);
+    s.topology = 1;
+    s.free_switch = true;
+    s.faults = vec![(7, 0, FaultSpec::Slow { task: 0, factor: 1.0 })];
+    let (fast, slow) = both_ways(&s);
+    assert_same(&s, &fast, &slow);
+    // INVARIANT: 27 ms of work and sleep against a 2 s deadline.
+    let ended = fast.ended.expect("finishes");
+    assert_eq!(ended.as_nanos() % 1_000_000, 0, "exit at {ended} lands on a tick");
+}
+
+/// The class under test for the `tick_quiet` contract.
+#[derive(Clone, Copy, Debug)]
+enum ClassKind {
+    Fair,
+    Idle,
+    RtFifo,
+    RtRr,
+    HpcFifo,
+    HpcRr,
+}
+
+fn class(kind: ClassKind) -> (Box<dyn SchedClass>, SchedPolicy) {
+    let hpc = |policy| {
+        let balancer = Table1Balancer::new(
+            Box::new(UniformHeuristic),
+            Box::new(Power5Mechanism),
+            Arc::new(Mutex::new(HpcTunables::default())),
+        );
+        Box::new(BalancedClass::new(policy, ms(8), Box::new(balancer))) as Box<dyn SchedClass>
+    };
+    match kind {
+        ClassKind::Fair => (Box::new(FairClass::new(Default::default())), SchedPolicy::Normal),
+        ClassKind::Idle => (Box::new(IdleClass::new()), SchedPolicy::Idle),
+        ClassKind::RtFifo => (Box::new(RtClass::new(ms(6))), SchedPolicy::Fifo),
+        ClassKind::RtRr => (Box::new(RtClass::new(ms(6))), SchedPolicy::Rr),
+        ClassKind::HpcFifo => (hpc(HpcPolicyKind::Fifo), SchedPolicy::Hpc),
+        ClassKind::HpcRr => (hpc(HpcPolicyKind::Rr), SchedPolicy::Hpc),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `tick_quiet ⇒ task_tick == false`, with no side effect, after any
+    /// charges, for every class.
+    #[test]
+    fn tick_quiet_means_task_tick_stays_false(
+        kind in prop_oneof![
+            Just(ClassKind::Fair), Just(ClassKind::Idle), Just(ClassKind::RtFifo),
+            Just(ClassKind::RtRr), Just(ClassKind::HpcFifo), Just(ClassKind::HpcRr),
+        ],
+        queued in 0usize..3,
+        nices in proptest::collection::vec(-10i32..10, 3),
+        slice_us in 0u64..10_000,
+        charges in proptest::collection::vec(0u64..30_000_000, 0..24),
+    ) {
+        let topology = Topology::openpower_710();
+        let (mut class, policy) = class(kind);
+        class.init_cpus(topology.num_cpus());
+        let mut tasks: Vec<Task> = (0..=queued)
+            .map(|i| {
+                let mut t = Task::new(
+                    TaskId(i),
+                    format!("t{i}"),
+                    policy,
+                    Box::new(ScriptedProgram::compute_once(1.0)),
+                    SimTime::ZERO,
+                );
+                t.nice = nices[i];
+                t
+            })
+            .collect();
+        let cpu = CpuId(1);
+        let mut running = vec![None; topology.num_cpus()];
+        let mut ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topology, running: &running };
+        class.enqueue(&mut ctx, cpu, TaskId(0), EnqueueKind::New);
+        // INVARIANT: the queue holds exactly the task enqueued above.
+        let curr = class.pick_next(&mut ctx, cpu).expect("the task just queued");
+        ctx.task_mut(curr).slice_left = SimDuration::from_micros(slice_us);
+        for i in 1..=queued {
+            class.enqueue(&mut ctx, cpu, TaskId(i), EnqueueKind::New);
+        }
+        running[cpu.0] = Some(curr);
+        let mut ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topology, running: &running };
+        if class.tick_quiet(&ctx, cpu, curr) {
+            for ns in charges {
+                class.charge(&mut ctx, cpu, curr, SimDuration::from_nanos(ns));
+                let view = |ctx: &ClassCtx<'_>, class: &dyn SchedClass| {
+                    let t = ctx.task(curr);
+                    (t.vruntime, t.slice_left, class.nr_runnable(cpu), class.tick_quiet(ctx, cpu, curr))
+                };
+                let before = view(&ctx, class.as_ref());
+                prop_assert!(!class.task_tick(&mut ctx, cpu, curr), "{kind:?} ticked after {ns} ns");
+                prop_assert_eq!(view(&ctx, class.as_ref()), before);
+                prop_assert!(before.3, "{:?} stopped being quiet under charges", kind);
+            }
+        } else {
+            // Only a class with someone to rotate to, or an RR slice, may
+            // decline.
+            prop_assert!(queued > 0 || matches!(kind, ClassKind::RtRr), "{kind:?} alone is not quiet");
+        }
+    }
+}

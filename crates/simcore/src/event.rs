@@ -16,7 +16,9 @@
 //!    to compact. [`EventQueue::reschedule`] moves a pending event in
 //!    place, with exactly the effect of cancelling it and scheduling its
 //!    payload anew, so the kernel's re-arm of per-CPU completion timers
-//!    after every event costs one heap fix-up.
+//!    after every event costs one heap fix-up. [`EventQueue::replay_rounds`]
+//!    writes the outcome of many rounds of periodic pops and re-arms at
+//!    once, as the literal operations would leave it.
 //! 3. **Memory O(live events)** — the heap holds exactly the pending
 //!    events, and freed slots are reused, so the slot table never grows
 //!    past the peak number of simultaneously pending events. Nothing about
@@ -30,7 +32,7 @@
 //!    wrap in any feasible run), unlike a wrapping per-slot generation.
 
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// Handle to a scheduled event, usable for cancellation: the event's slot
 /// and its unique sequence number.
@@ -246,12 +248,103 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.slots[id.slot as usize].seq = seq;
-        self.heap[pos] = Node { time, seq, slot: id.slot };
-        self.restore_order(pos);
         self.tally.cancelled += 1;
         self.tally.scheduled += 1;
-        Some(EventId { seq, slot: id.slot })
+        Some(self.move_to(pos, id.slot, time, seq))
+    }
+
+    /// Replays `rounds` rounds of a fixed firing pattern in one pass and
+    /// leaves the queue exactly as the literal operations would: the same
+    /// times, `seq`s, slots, `last_popped` and counts, with no heap work
+    /// per round.
+    ///
+    /// The events of `periodic` must all be pending at one instant `t`.
+    /// Round `r` (from 0) runs at `t + r × period`: each event of
+    /// `periodic`, in order, pops and is scheduled again one `period`
+    /// later, and after each such pop every pending event of `rearmed` is
+    /// rescheduled, in order. Only the last round's times survive, so each
+    /// `rearmed` entry carries the time it ends at; an entry whose id is
+    /// not pending is skipped, as `reschedule` would skip it. Both slices
+    /// are updated to the events' new ids. The caller guarantees that no
+    /// other event would pop before the last round ends.
+    pub fn replay_rounds(
+        &mut self,
+        rounds: u64,
+        period: SimDuration,
+        periodic: &mut [EventId],
+        rearmed: &mut [(EventId, SimTime)],
+    ) {
+        if rounds == 0 || periodic.is_empty() {
+            return;
+        }
+        let armed = rearmed.iter().filter(|(id, _)| self.pos_of(*id).is_some()).count() as u64;
+        let pops = rounds * periodic.len() as u64;
+        // Each pop schedules its successor, then re-arms every armed event.
+        let per_pop = 1 + armed;
+        let last_round = self.next_seq + (pops - periodic.len() as u64) * per_pop;
+        let mut seq = last_round;
+        for id in periodic.iter_mut() {
+            let Some(pos) = self.pos_of(*id) else {
+                debug_assert!(false, "replayed periodic event is not pending");
+                continue;
+            };
+            let fired_at = self.heap[pos].time + period * (rounds - 1);
+            self.last_popped = self.last_popped.max(fired_at);
+            *id = self.move_to(pos, id.slot, fired_at + period, seq);
+            seq += per_pop;
+        }
+        // The re-arms after the last pop take the newest `seq`s.
+        seq -= armed;
+        for (id, at) in rearmed.iter_mut() {
+            if let Some(pos) = self.pos_of(*id) {
+                *id = self.move_to(pos, id.slot, *at, seq);
+                seq += 1;
+            }
+        }
+        self.next_seq += pops * per_pop;
+        self.tally.processed += pops;
+        self.tally.scheduled += pops * per_pop;
+        self.tally.cancelled += pops * armed;
+    }
+
+    /// Give the pending event at heap position `pos` (in `slot`) a new
+    /// time and `seq`, and restore heap order.
+    #[inline]
+    fn move_to(&mut self, pos: usize, slot: u32, time: SimTime, seq: u64) -> EventId {
+        self.slots[slot as usize].seq = seq;
+        self.heap[pos] = Node { time, seq, slot };
+        self.restore_order(pos);
+        EventId { seq, slot }
+    }
+
+    /// Time at which the event `id` will fire, or `None` when `id` is not
+    /// pending.
+    pub fn time_of(&self, id: EventId) -> Option<SimTime> {
+        self.pos_of(id).map(|pos| self.heap[pos].time)
+    }
+
+    /// Time of the earliest pending event whose payload satisfies `keep`.
+    /// Only the subtrees under rejected events are searched, so the cost is
+    /// proportional to the number of rejected events that come first.
+    pub fn peek_time_where(&self, mut keep: impl FnMut(&E) -> bool) -> Option<SimTime> {
+        self.first_kept(0, &mut keep)
+    }
+
+    fn first_kept(&self, pos: usize, keep: &mut impl FnMut(&E) -> bool) -> Option<SimTime> {
+        let node = self.heap.get(pos)?;
+        match &self.slots[node.slot as usize].payload {
+            Some(payload) if !keep(payload) => {
+                // Heap order: nothing below `pos` precedes it, but a kept
+                // event may sit in either subtree.
+                let left = self.first_kept(2 * pos + 1, keep);
+                let right = self.first_kept(2 * pos + 2, keep);
+                match (left, right) {
+                    (Some(l), Some(r)) => Some(l.min(r)),
+                    (l, r) => l.or(r),
+                }
+            }
+            _ => Some(node.time),
+        }
     }
 
     /// Heap position of the pending event `id`, or `None` when `id` is
@@ -662,6 +755,94 @@ mod tests {
         let pb: Vec<_> =
             std::iter::from_fn(|| b.pop().map(|e| (e.time, e.id, e.payload))).collect();
         assert_eq!(pa, pb);
+    }
+
+    #[test]
+    fn replay_rounds_equals_literal_rounds() {
+        let period = SimDuration::from_millis(1);
+        for (n, rounds) in [(1u64, 1u64), (1, 7), (4, 1), (4, 63), (3, 5)] {
+            let registry = telemetry::MetricsRegistry::new();
+            let mut a = EventQueue::new();
+            let mut b = EventQueue::new();
+            a.attach_counters(EventQueueCounters::register(&registry, "a"));
+            b.attach_counters(EventQueueCounters::register(&registry, "b"));
+            // A far event, a dead slot, `n` periodic events at one instant
+            // and a re-armed timer for every periodic event but the last.
+            for q in [&mut a, &mut b] {
+                q.schedule(t(500), 99);
+                let dead = q.schedule(t(2), 98);
+                q.cancel(dead);
+            }
+            let mut periodic: Vec<EventId> = (0..n).map(|i| a.schedule(t(1), i)).collect();
+            let mut rearmed: Vec<(EventId, SimTime)> = (0..n)
+                .map(|i| match i + 1 < n {
+                    true => (a.schedule(t(400 + i), 10 + i), t(300 + 2 * i)),
+                    false => (EventId::NONE, SimTime::ZERO),
+                })
+                .collect();
+            for i in 0..n {
+                b.schedule(t(1), i);
+            }
+            let mut twin: Vec<EventId> =
+                (0..n.saturating_sub(1)).map(|i| b.schedule(t(400 + i), 10 + i)).collect();
+            for r in 0..rounds {
+                for _ in 0..n {
+                    // INVARIANT: the periodic events are the earliest
+                    // pending, and each pop schedules its successor.
+                    let ev = b.pop().expect("periodic event pops");
+                    assert_eq!(ev.time, t(1 + r));
+                    b.schedule(ev.time + period, ev.payload);
+                    for (i, id) in twin.iter_mut().enumerate() {
+                        // Intermediate re-arm times do not survive.
+                        let at = if r + 1 == rounds { t(300 + 2 * i as u64) } else { t(200 + r) };
+                        // INVARIANT: twin timers only ever move, never fire.
+                        *id = b.reschedule(*id, at).expect("armed");
+                    }
+                }
+            }
+            a.replay_rounds(rounds, period, &mut periodic, &mut rearmed);
+            assert_invariants(&a);
+            assert_eq!(snap_bytes(&a), snap_bytes(&b), "n {n}, rounds {rounds}");
+            let armed: Vec<EventId> = rearmed.iter().map(|r| r.0).take(twin.len()).collect();
+            assert_eq!(armed, twin);
+            assert_eq!(rearmed[n as usize - 1].0, EventId::NONE);
+            a.publish();
+            b.publish();
+            let snap = registry.snapshot();
+            for c in ["scheduled", "cancelled", "processed"] {
+                assert_eq!(snap.counter(&format!("a.{c}")), snap.counter(&format!("b.{c}")), "{c}");
+            }
+            assert_eq!(a.schedule(t(600), 7), b.schedule(t(600), 7), "same next seq and slot");
+            let pa: Vec<_> =
+                std::iter::from_fn(|| a.pop().map(|e| (e.time, e.id, e.payload))).collect();
+            let pb: Vec<_> =
+                std::iter::from_fn(|| b.pop().map(|e| (e.time, e.id, e.payload))).collect();
+            assert_eq!(pa, pb);
+            assert!(pa.iter().any(|&(_, id, _)| periodic.contains(&id)), "new ids pop");
+        }
+    }
+
+    #[test]
+    fn peek_time_where_finds_the_earliest_kept_event() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.peek_time_where(|_: &u64| true), None);
+        for i in 0..40u64 {
+            q.schedule(t(1 + (i * 17) % 40), i);
+        }
+        for m in [1u64, 2, 3, 7, 41] {
+            let want = q
+                .heap
+                .iter()
+                .filter(|n| q.slots[n.slot as usize].payload.is_some_and(|p| p % m == 0))
+                .map(|n| n.time)
+                .min();
+            assert_eq!(q.peek_time_where(|p| p % m == 0), want, "multiples of {m}");
+        }
+        let first = q.schedule(t(0), 3);
+        assert_eq!(q.time_of(first), Some(t(0)));
+        assert_eq!(q.peek_time_where(|&p| p == 3), Some(t(0)));
+        q.pop();
+        assert_eq!(q.time_of(first), None, "fired");
     }
 
     #[test]
