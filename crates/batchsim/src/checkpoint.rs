@@ -1,7 +1,7 @@
 //! Crash-consistent checkpoint/restore for batch runs.
 //!
 //! A [`BatchCheckpoint`] images the engine state at a loop boundary (see
-//! `sim::run_engine`) into plain data, encoded with `simcore::snapshot`'s
+//! `sim::Engine::run`) into plain data, encoded with `simcore::snapshot`'s
 //! versioned, checksummed wire format. [`crate::resume_batch`] rebuilds the
 //! engine from it and produces a trace byte-identical to the uninterrupted
 //! run — that identity is the subsystem's testable contract.
@@ -26,15 +26,17 @@ use crate::discipline::Discipline;
 use crate::fleet::FleetAccum;
 use crate::job::BatchJob;
 use crate::sim::{
-    BatchConfig, BatchEvent, BatchFault, FleetShape, JobRecord, ReservationRecord, Tracker,
+    BatchConfig, BatchEvent, BatchFault, ClusterOutcome, ClusterResult, FleetShape, JobRecord,
+    NodeFailureRecord, Recording, ReservationRecord, Summary, Tracker,
 };
 
 /// Version of the batch checkpoint payload layout. Bumped to 2 when the
 /// fleet extension, `BatchConfig::backfill_window`, and `BatchJob::class`
-/// entered the format, and to 3 when `BatchConfig::shape` (the
-/// heterogeneous-fleet axis) did; decode rejects other versions rather
-/// than misinterpreting old images.
-pub const BATCH_CHECKPOINT_VERSION: u32 = 3;
+/// entered the format, to 3 when `BatchConfig::shape` (the
+/// heterogeneous-fleet axis) did, and to 4 when every image came to carry
+/// the run summary and the metrics snapshot, with the recording optional;
+/// decode rejects other versions rather than misinterpreting old images.
+pub const BATCH_CHECKPOINT_VERSION: u32 = 4;
 
 /// When a checkpointing run captures images (checked at the engine loop
 /// boundary; both cadences may be set, either firing captures).
@@ -57,39 +59,30 @@ pub struct BatchCheckpoint {
     pub(crate) completions: u32,
     pub(crate) fleet_up: Vec<bool>,
     pub(crate) fleet_busy: Vec<bool>,
+    /// Jobs not yet submitted, when the run reads a caller's list.
     pub(crate) arrivals: VecDeque<BatchJob>,
+    /// The generator position, when the run reads a lazy stream.
+    pub(crate) fleet: Option<FleetExtra>,
     pub(crate) queue: VecDeque<u64>,
     pub(crate) trackers: BTreeMap<u64, Tracker>,
     /// In-flight segments as `(id, nodes, start, end)`; the kernel
     /// measurement re-derives from the pure oracle on resume.
     pub(crate) running: Vec<(u64, Vec<usize>, SimTime, SimTime)>,
-    pub(crate) events: Vec<BatchEvent>,
-    pub(crate) reservations: BTreeMap<u64, ReservationRecord>,
-    pub(crate) records: BTreeMap<u64, JobRecord>,
+    pub(crate) summary: Summary,
+    pub(crate) recording: Option<Recording>,
     pub(crate) conformance_src: Vec<(u64, JobSpec)>,
-    pub(crate) queue_peak: i64,
-    /// Present when the image belongs to a fleet-scale streaming run.
-    pub(crate) fleet: Option<FleetExtra>,
+    /// The run's metric values at the capture instant.
+    pub(crate) metrics: MetricsSnapshot,
 }
 
-/// The fleet-mode extension of a checkpoint: everything the streaming
-/// structures hold that the classic plain-data fields cannot express. The
-/// generator images as `(config, popped)` because generation is pure in
-/// `(config, index)`; the trace as its running FNV fold; statistics as the
-/// scalar accumulator; and the metric registry as a full value snapshot
-/// (fleet resumes cannot replay metrics from records — none are kept).
-#[derive(Clone, Debug)]
+/// The position of a lazy generator: generation is pure in
+/// `(config, index)`, so the image is the config plus the count of jobs
+/// already handed to the engine.
+#[derive(Clone, Copy, Debug)]
 pub struct FleetExtra {
     pub(crate) stream: FleetStreamConfig,
     /// Jobs the engine has consumed from the generator.
     pub(crate) popped: u64,
-    pub(crate) trace_hash: u64,
-    pub(crate) trace_len: u64,
-    pub(crate) trace_max_t: SimTime,
-    pub(crate) reservation_count: u64,
-    pub(crate) reservation_last: Option<u64>,
-    pub(crate) accum: FleetAccum,
-    pub(crate) metrics: MetricsSnapshot,
 }
 
 impl Snapshot for FleetStreamConfig {
@@ -146,26 +139,41 @@ impl Snapshot for FleetExtra {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         self.stream.snapshot(w);
         w.put_u64(self.popped);
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(FleetExtra { stream: r.get()?, popped: r.get_u64()? })
+    }
+}
+
+impl Snapshot for Summary {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.trace_hash);
         w.put_u64(self.trace_len);
         w.put(&self.trace_max_t);
-        w.put_u64(self.reservation_count);
-        w.put(&self.reservation_last);
+        w.put_u64(self.reservations);
+        w.put(&self.last_reserved);
         self.accum.snapshot(w);
-        w.put(&self.metrics);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FleetExtra {
-            stream: r.get()?,
-            popped: r.get_u64()?,
+        Ok(Summary {
             trace_hash: r.get_u64()?,
             trace_len: r.get_u64()?,
             trace_max_t: r.get()?,
-            reservation_count: r.get_u64()?,
-            reservation_last: r.get()?,
+            reservations: r.get_u64()?,
+            last_reserved: r.get()?,
             accum: r.get()?,
-            metrics: r.get()?,
         })
+    }
+}
+
+impl Snapshot for Recording {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        w.put(&self.events);
+        w.put(&self.reservations);
+        w.put(&self.records);
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Recording { events: r.get()?, reservations: r.get()?, records: r.get()? })
     }
 }
 
@@ -199,19 +207,9 @@ impl BatchCheckpoint {
         self.now
     }
 
-    /// Trace events accumulated before the capture. Classic images count
-    /// their stored events; fleet images count the hashed-trace fold.
+    /// Trace events accumulated before the capture.
     pub fn events_len(&self) -> usize {
-        match &self.fleet {
-            Some(extra) => extra.trace_len as usize,
-            None => self.events.len(),
-        }
-    }
-
-    /// Whether this image belongs to a fleet-scale streaming run (resume
-    /// it with [`crate::resume_fleet`] rather than [`crate::resume_batch`]).
-    pub fn is_fleet(&self) -> bool {
-        self.fleet.is_some()
+        self.summary.trace_len as usize
     }
 }
 
@@ -225,15 +223,14 @@ impl Snapshot for BatchCheckpoint {
         w.put(&self.fleet_up);
         w.put(&self.fleet_busy);
         w.put(&self.arrivals);
+        w.put(&self.fleet);
         w.put(&self.queue);
         w.put(&self.trackers);
         w.put(&self.running);
-        w.put(&self.events);
-        w.put(&self.reservations);
-        w.put(&self.records);
+        w.put(&self.summary);
+        w.put(&self.recording);
         w.put(&self.conformance_src);
-        w.put_i64(self.queue_peak);
-        w.put(&self.fleet);
+        w.put(&self.metrics);
     }
 
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
@@ -248,15 +245,14 @@ impl Snapshot for BatchCheckpoint {
             fleet_up: r.get()?,
             fleet_busy: r.get()?,
             arrivals: r.get()?,
+            fleet: r.get()?,
             queue: r.get()?,
             trackers: r.get()?,
             running: r.get()?,
-            events: r.get()?,
-            reservations: r.get()?,
-            records: r.get()?,
+            summary: r.get()?,
+            recording: r.get()?,
             conformance_src: r.get()?,
-            queue_peak: r.get_i64()?,
-            fleet: r.get()?,
+            metrics: r.get()?,
         })
     }
 }
@@ -521,6 +517,45 @@ impl Snapshot for JobRecord {
     }
 }
 
+impl Snapshot for ClusterResult {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        w.put(&self.placement);
+        w.put(&self.node_secs);
+        w.put_f64(self.makespan);
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ClusterResult { placement: r.get()?, node_secs: r.get()?, makespan: r.get_f64()? })
+    }
+}
+
+impl Snapshot for NodeFailureRecord {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        w.put_len(self.node);
+        w.put_u32(self.at_iteration);
+        w.put_u32(self.retries_used);
+        w.put_bool(self.absorbed);
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(NodeFailureRecord {
+            node: r.get_len()?,
+            at_iteration: r.get_u32()?,
+            retries_used: r.get_u32()?,
+            absorbed: r.get_bool()?,
+        })
+    }
+}
+
+impl Snapshot for ClusterOutcome {
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        w.put(&self.result);
+        w.put(&self.failure);
+        w.put_bool(self.degraded);
+    }
+    fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(ClusterOutcome { result: r.get()?, failure: r.get()?, degraded: r.get_bool()? })
+    }
+}
+
 impl Snapshot for Tracker {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         self.job.snapshot(w);
@@ -729,6 +764,34 @@ mod tests {
         ));
     }
 
+    /// Garbage never panics the decoder: every truncation and every
+    /// single-bit flip of a valid image is an `Err`, and a well-framed
+    /// image of another layout version gets the typed version error.
+    #[test]
+    fn decode_rejects_truncations_bit_flips_and_old_versions() {
+        let stream = heavy_light_mix(7, 8);
+        let bytes = run_batch_until(&stream, &cfg(), None, 6).expect("cut exists").encode();
+        for len in 0..bytes.len() {
+            assert!(BatchCheckpoint::decode(&bytes[..len]).is_err(), "truncated to {len}");
+        }
+        let mut flipped = bytes.clone();
+        for bit in 0..bytes.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert!(BatchCheckpoint::decode(&flipped).is_err(), "bit {bit} flipped");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut payload = bytes[PAYLOAD_OFFSET..].to_vec();
+        payload[..4].copy_from_slice(&3u32.to_le_bytes());
+        let mut w = SnapshotWriter::new();
+        for b in payload {
+            w.put_u8(b);
+        }
+        assert!(matches!(
+            BatchCheckpoint::decode(&w.finish()),
+            Err(SnapshotError::Malformed("unsupported batch checkpoint version"))
+        ));
+    }
+
     #[test]
     fn resume_is_byte_identical_including_metrics() {
         let stream = heavy_light_mix(11, 30);
@@ -743,7 +806,7 @@ mod tests {
             let ckpt = BatchCheckpoint::decode(&ckpt.encode()).expect("round trip");
             let resumed = resume_batch(&ckpt);
             assert_eq!(resumed.render_trace(), full.render_trace(), "cut at {cut} events");
-            assert_eq!(resumed.metrics, full.metrics, "metrics replay, cut at {cut}");
+            assert_eq!(resumed.metrics, full.metrics, "metrics restored, cut at {cut}");
             assert_eq!(resumed.makespan.to_bits(), full.makespan.to_bits());
             assert_eq!(resumed.jobs.len(), full.jobs.len());
         }

@@ -1,17 +1,21 @@
 //! Fleet-scale batch runs: streaming arrivals, O(1)-memory statistics.
 //!
-//! The classic [`crate::run_batch`] path materialises the whole stream,
-//! the whole event trace, and a per-job record map — O(jobs) memory three
-//! times over, which is fine at 200 jobs and fatal at 10^6. The fleet
-//! layer swaps each of those for a streaming equivalent while running the
-//! *same* engine:
+//! The fleet entry points ([`crate::run_fleet`], [`crate::run_fleet_until`],
+//! [`crate::resume_fleet`]) run the one batch engine with its recording
+//! off, so nothing in the run grows with the job count:
 //!
 //! * arrivals come from a lazy [`crate::arrivals::FleetJobs`] generator
 //!   (pure in `(config, index)`, so checkpoints image it as a count);
-//! * the event trace folds into an FNV-1a fingerprint as events are
-//!   emitted — the hash of the rendered trace, never the trace itself;
+//! * the event trace lives on only as its FNV-1a fingerprint — the hash
+//!   of the rendered trace, never the trace itself;
 //! * per-job records fold into a [`FleetAccum`] the moment they are
-//!   produced, then drop.
+//!   produced, then drop;
+//! * EASY shadow times come from the engine's
+//!   [`crate::index::ReleaseIndex`] in O(log n) per decision.
+//!
+//! A fleet run is a pure function of its [`FleetConfig`] at any
+//! `threads` count, and [`crate::run_batch`] over the materialised
+//! stream is the same simulation (`tests/prop_streaming.rs`).
 //!
 //! This module is covered by simverify rule SV014: statistics here must
 //! accumulate into scalars, never into per-job growable containers.
@@ -20,6 +24,7 @@ use serde::Serialize;
 use telemetry::MetricsSnapshot;
 
 use crate::arrivals::FleetStreamConfig;
+use crate::discipline::Discipline;
 use crate::sim::{BatchConfig, JobRecord};
 use crate::stats::FleetStats;
 
@@ -31,10 +36,42 @@ pub struct FleetConfig {
     pub batch: BatchConfig,
 }
 
+/// A [`FleetConfig`] sized for fleet-scale studies: `jobs` streamed over
+/// `nodes` nodes under EASY backfill, offered load tuned below capacity so
+/// the pending queue stays bounded as the job count grows.
+///
+/// The class catalog is kept at 24 shapes regardless of scale, so the
+/// service-time oracle measures at most 24 kernels no matter how many
+/// jobs stream through — the property that makes 10^6 jobs affordable.
+pub fn scaled_config(jobs: u64, nodes: usize, seed: u64) -> FleetConfig {
+    FleetConfig {
+        stream: FleetStreamConfig {
+            seed,
+            jobs,
+            classes: 24,
+            // ~1100 arrivals per simulated second: with a mean gang of ~8
+            // nodes holding ~0.19 s each, that offers ~80% of a 1000-node
+            // fleet — busy enough that heads block and backfill fires,
+            // slack enough that the pending queue stays bounded.
+            mean_interarrival: 0.0009,
+        },
+        batch: BatchConfig {
+            num_nodes: nodes,
+            discipline: Discipline::Easy,
+            // Bound each EASY pass: examine at most 64 queued candidates
+            // behind the head (the SLURM `bf_max_job_test` analogue), so a
+            // transient backlog cannot make scheduling O(queue).
+            backfill_window: Some(64),
+            seed,
+            ..BatchConfig::default()
+        },
+    }
+}
+
 /// O(1)-memory running statistics over job records: scalar sums, counts,
-/// and maxima only. Folding records in id order reproduces, bit for bit,
-/// the sums the materialised [`FleetStats::from_outcome`] used to take
-/// over per-job vectors — same additions in the same order.
+/// and maxima only. The engine folds records in completion order;
+/// [`FleetStats::from_outcome`] folds a recorded outcome in id order,
+/// whose float sums BENCH_batch.json pins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct FleetAccum {
     pub jobs: u64,
@@ -85,8 +122,8 @@ impl FleetAccum {
         }
     }
 
-    /// Fold every record of a materialised outcome, in id order — the
-    /// bridge the classic [`FleetStats::from_outcome`] path uses.
+    /// Fold every record of a recorded outcome, in id order — what
+    /// [`FleetStats::from_outcome`] closes.
     pub fn from_records(records: &[JobRecord]) -> FleetAccum {
         let mut acc = FleetAccum::default();
         for r in records {
@@ -125,7 +162,7 @@ pub struct FleetOutcome {
 mod tests {
     use super::*;
     use crate::arrivals::heavy_light_mix;
-    use crate::sim::run_batch;
+    use crate::sim::{run_batch, run_fleet};
 
     #[test]
     fn accum_fold_matches_materialised_stats() {
@@ -135,5 +172,24 @@ mod tests {
         let classic = FleetStats::from_outcome(&out);
         assert_eq!(format!("{classic:?}"), format!("{from_acc:?}"));
         assert_eq!(acc.jobs, out.jobs.len() as u64);
+    }
+
+    #[test]
+    fn scaled_config_is_easy_and_windowed() {
+        let cfg = scaled_config(10_000, 1000, 7);
+        assert_eq!(cfg.stream.jobs, 10_000);
+        assert_eq!(cfg.batch.num_nodes, 1000);
+        assert!(matches!(cfg.batch.discipline, Discipline::Easy));
+        assert_eq!(cfg.batch.backfill_window, Some(64));
+    }
+
+    #[test]
+    fn scaled_config_runs_a_small_fleet() {
+        let mut cfg = scaled_config(200, 64, 2008);
+        cfg.batch.threads = 1;
+        let out = run_fleet(&cfg);
+        assert_eq!(out.accum.jobs, 200);
+        assert!(out.trace_events > 0);
+        assert!(out.makespan > 0.0);
     }
 }

@@ -15,6 +15,8 @@
 //!   [`cluster::place`] and executed on per-job `schedsim` kernels (HPC,
 //!   Linux-like CFS, or static-priority mode); node failures hit the
 //!   *queued* system, so re-placement competes with pending jobs;
+//! * [`fleet`] — million-job runs: the same engine over a lazy stream with
+//!   its recording off, O(1) in memory, sized by [`scaled_config`];
 //! * [`stats`] — fleet-wide wait/turnaround/slowdown/utilization/backfill
 //!   figures;
 //! * [`checkpoint`] — crash-consistent checkpoint/restore: versioned,
@@ -44,14 +46,15 @@ pub use checkpoint::{
     BATCH_CHECKPOINT_VERSION,
 };
 pub use discipline::Discipline;
-pub use fleet::{FleetAccum, FleetConfig, FleetOutcome};
+pub use fleet::{scaled_config, FleetAccum, FleetConfig, FleetOutcome};
 pub use index::ReleaseIndex;
 pub use job::BatchJob;
 pub use pending::PendingQueue;
 pub use sim::{
     resume_batch, resume_fleet, run_batch, run_batch_checkpointed, run_batch_until, run_fleet,
-    run_fleet_until, text_fnv1a, BatchConfig, BatchEvent, BatchFault, BatchOutcome, FleetShape,
-    FnvWriter, JobRecord, ReservationRecord,
+    run_fleet_until, text_fnv1a, BatchConfig, BatchEvent, BatchFault, BatchOutcome,
+    ClusterOutcome, ClusterResult, FleetShape, FnvWriter, JobRecord, NodeFailureRecord,
+    ReservationRecord,
 };
 pub use stats::FleetStats;
 

@@ -37,23 +37,27 @@
 //! the queue head blocks is the time the head actually starts, unless an
 //! earlier completion improves it.
 //!
-//! # Fleet mode
+//! # One engine path
 //!
-//! [`run_fleet`] drives the same engine with streaming replacements for
-//! every O(jobs) structure: arrivals come from a lazy generator, the
-//! trace folds into an FNV-1a fingerprint as it is emitted, and records
-//! fold into a [`FleetAccum`] — see [`crate::fleet`]. Because the engine
-//! is shared, a fleet run over a materialised copy of the same stream
-//! through [`run_batch`] produces a trace whose fingerprint equals the
-//! fleet run's `trace_hash`.
+//! Every entry point drives the same loop over the same state. The state
+//! always keeps an O(1) summary: the trace as a running FNV-1a fold, the
+//! reservation tally and a [`FleetAccum`]. The `run_batch*` and
+//! [`resume_batch`] entry points also keep a recording — every event,
+//! the first reservation per head and every job record — and return it as
+//! a [`BatchOutcome`]; the fleet entry points ([`run_fleet`] and friends,
+//! see [`crate::fleet`]) leave it off and stay O(1) in the job count. The
+//! one input difference is the [`JobSource`]: a caller's list or a lazy
+//! generator. A fleet run and a [`run_batch`] over the materialised
+//! stream are therefore the same simulation, and the fleet `trace_hash`
+//! is the hash of the batch run's rendered trace.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use cluster::{
-    place_on, run_node_on, run_node_traced_on, ClusterOutcome, ClusterResult, JobSpec,
-    LocalSched, NodeFailureRecord, NodeShape, Placement, PlacementStrategy, TopoPreset,
+    place_on, run_node_on, run_node_traced_on, JobSpec, LocalSched, NodeShape, Placement,
+    PlacementStrategy, TopoPreset,
 };
 use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
@@ -317,40 +321,6 @@ fn event_time(e: &BatchEvent) -> SimTime {
     }
 }
 
-/// The event log: classic runs keep every event; fleet runs fold each
-/// rendered line (plus its newline) into an FNV-1a fingerprint the moment
-/// it is emitted, so the hash equals [`text_fnv1a`] of the full rendered
-/// trace while holding O(1) memory.
-pub(crate) enum TraceLog {
-    Full(Vec<BatchEvent>),
-    Hashing { hash: u64, count: u64, max_t: SimTime },
-}
-
-impl TraceLog {
-    fn push(&mut self, e: BatchEvent) {
-        match self {
-            TraceLog::Full(v) => v.push(e),
-            TraceLog::Hashing { hash, count, max_t } => {
-                let mut h = FnvWriter::resume(*hash);
-                let _ = writeln!(h, "{e}");
-                *hash = h.finish();
-                *count += 1;
-                let t = event_time(&e);
-                if t > *max_t {
-                    *max_t = t;
-                }
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            TraceLog::Full(v) => v.len(),
-            TraceLog::Hashing { count, .. } => *count as usize,
-        }
-    }
-}
-
 /// The head-of-queue reservation EASY computed when the head first
 /// blocked: the head is guaranteed to start no later than `shadow`.
 #[derive(Clone, Copy, Debug)]
@@ -362,28 +332,38 @@ pub struct ReservationRecord {
     pub shadow: SimTime,
 }
 
-/// Reservation bookkeeping: classic runs keep the first reservation per
-/// head job; fleet runs keep only a count, deduplicated per blocked-head
-/// stretch (a head re-reserves every pass while it stays blocked).
-pub(crate) enum ReservationLog {
-    Full(BTreeMap<u64, ReservationRecord>),
-    Count { count: u64, last: Option<u64> },
+/// What a node failure did to the job it hit.
+#[derive(Clone, Copy, Debug)]
+pub struct NodeFailureRecord {
+    pub node: usize,
+    /// Iterations the job had completed when the node died.
+    pub at_iteration: u32,
+    /// Requeues consumed.
+    pub retries_used: u32,
+    /// Whether the job still finished on the survivors.
+    pub absorbed: bool,
 }
 
-impl ReservationLog {
-    fn note(&mut self, job: u64, at: SimTime, shadow: SimTime) {
-        match self {
-            ReservationLog::Full(m) => {
-                m.entry(job).or_insert(ReservationRecord { job, at, shadow });
-            }
-            ReservationLog::Count { count, last } => {
-                if *last != Some(job) {
-                    *count += 1;
-                    *last = Some(job);
-                }
-            }
-        }
-    }
+/// The cluster side of one job: where its last segment ran and how long.
+#[derive(Clone, Debug)]
+pub struct ClusterResult {
+    pub placement: Placement,
+    /// Per-node execution seconds.
+    pub node_secs: Vec<f64>,
+    /// Seconds the job ran, over every segment (slowest node + network
+    /// barriers each).
+    pub makespan: f64,
+}
+
+/// A job's cluster outcome: completed, or degraded with partial
+/// accounting — never a panic.
+#[derive(Clone, Debug)]
+pub struct ClusterOutcome {
+    pub result: ClusterResult,
+    pub failure: Option<NodeFailureRecord>,
+    /// True when the job could not finish (no survivor could host the
+    /// gang, retries ran out, or its measurement failed).
+    pub degraded: bool,
 }
 
 /// Final per-job accounting. Times here are derived *reporting* floats;
@@ -407,27 +387,46 @@ pub struct JobRecord {
     pub requeues: u32,
     /// Node·seconds of fleet capacity this job held.
     pub node_secs_held: f64,
-    /// The per-job cluster outcome — degraded-but-clean under faults, in
-    /// the same shape single-job cluster runs produce.
+    /// The per-job cluster outcome — degraded-but-clean under faults.
     pub outcome: ClusterOutcome,
 }
 
-/// Where finished job records go: classic runs keep them all; fleet runs
-/// fold each into the O(1) accumulator and drop it.
-pub(crate) enum RecordSink {
-    Full(BTreeMap<u64, JobRecord>),
-    Streaming(FleetAccum),
+/// The O(1) summary every run keeps. The trace lives on as its running
+/// FNV-1a fold — each rendered line plus its newline, so the hash equals
+/// [`text_fnv1a`] of the rendered trace. EASY reservations are tallied
+/// once per blocked-head stretch (a blocked head re-reserves every pass),
+/// and finished jobs fold into the [`FleetAccum`] in completion order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Summary {
+    pub(crate) trace_hash: u64,
+    pub(crate) trace_len: u64,
+    pub(crate) trace_max_t: SimTime,
+    pub(crate) reservations: u64,
+    pub(crate) last_reserved: Option<u64>,
+    pub(crate) accum: FleetAccum,
 }
 
-impl RecordSink {
-    fn put(&mut self, r: JobRecord) {
-        match self {
-            RecordSink::Full(m) => {
-                m.insert(r.id, r);
-            }
-            RecordSink::Streaming(a) => a.fold(&r),
+impl Default for Summary {
+    fn default() -> Self {
+        Summary {
+            trace_hash: FNV_BASIS,
+            trace_len: 0,
+            trace_max_t: SimTime::ZERO,
+            reservations: 0,
+            last_reserved: None,
+            accum: FleetAccum::default(),
         }
     }
+}
+
+/// What a recording run keeps on top of the [`Summary`], O(jobs) in
+/// memory: every event, the first reservation per head job, and every
+/// job record by id.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Recording {
+    pub(crate) events: Vec<BatchEvent>,
+    pub(crate) reservations: BTreeMap<u64, ReservationRecord>,
+    pub(crate) records: BTreeMap<u64, JobRecord>,
 }
 
 /// Everything a batch run produces.
@@ -721,8 +720,8 @@ impl Fleet {
     }
 }
 
-/// Where jobs come from: a materialised sorted list (classic) or a lazy
-/// generator plus one job of lookahead (fleet). The generator yields in
+/// Where jobs come from: a caller's list in arrival order, or a lazy
+/// generator plus one job of lookahead. The generator yields in
 /// nondecreasing arrival order, so one job of lookahead is enough to
 /// answer "when is the next arrival".
 pub(crate) enum JobSource {
@@ -731,6 +730,19 @@ pub(crate) enum JobSource {
 }
 
 impl JobSource {
+    /// A caller's list, sorted by arrival (ties by id).
+    fn sorted(stream: &[BatchJob]) -> JobSource {
+        let mut v = stream.to_vec();
+        v.sort_by_key(|j| (arrival_time(j), j.id));
+        JobSource::Materialized(v.into())
+    }
+
+    /// A generator that has already handed `popped` jobs to the engine.
+    fn generate(mut gen: FleetJobs, popped: u64) -> JobSource {
+        let next = gen.next();
+        JobSource::Stream { gen, next, popped }
+    }
+
     fn peek_arrival(&self) -> Option<SimTime> {
         match self {
             JobSource::Materialized(q) => q.front().map(arrival_time),
@@ -805,9 +817,9 @@ pub(crate) struct EngineState {
     running: BTreeMap<u64, Running>,
     release: ReleaseIndex,
     next_seq: u64,
-    pub(crate) trace: TraceLog,
-    pub(crate) reservations: ReservationLog,
-    pub(crate) sink: RecordSink,
+    pub(crate) summary: Summary,
+    /// Present when the entry point returns a [`BatchOutcome`].
+    pub(crate) recording: Option<Recording>,
     /// Jobs (service key, in admit order) whose kernel conformance must be
     /// reported; reports re-derive from the memoized oracle at outcome
     /// build.
@@ -817,252 +829,333 @@ pub(crate) struct EngineState {
     pub(crate) now: SimTime,
 }
 
-fn make_oracle(cfg: &BatchConfig, pool_registry: &MetricsRegistry) -> Oracle {
-    // Pool telemetry includes host wall-clock busy time, so it lives on
-    // its own registry, snapshotted into the (non-deterministic)
-    // `pool_metrics` field rather than the byte-compared `metrics`.
-    let pool =
-        Pool::with_counters(cfg.threads, PoolCounters::register(pool_registry, "exec.pool"));
-    Oracle {
-        cache: BTreeMap::new(),
-        sched: cfg.sched,
-        placement: cfg.placement,
-        shape: cfg.shape,
-        internode_latency: cfg.internode_latency,
-        seed: cfg.seed,
-        verify_jobs: cfg.verify_jobs,
-        policy: SupervisePolicy {
-            max_attempts: cfg.retry_limit.saturating_add(1),
-            timeout: cfg.watchdog_secs.map(Duration::from_secs_f64),
-        },
-        abort: cfg.abort,
-        pool,
+impl EngineState {
+    /// Append one event to the trace.
+    fn emit(&mut self, e: BatchEvent) {
+        let s = &mut self.summary;
+        let mut h = FnvWriter::resume(s.trace_hash);
+        let _ = writeln!(h, "{e}");
+        s.trace_hash = h.finish();
+        s.trace_len += 1;
+        s.trace_max_t = s.trace_max_t.max(event_time(&e));
+        if let Some(rec) = &mut self.recording {
+            rec.events.push(e);
+        }
+    }
+
+    /// Note the reservation EASY computed for the blocked head `job`.
+    fn reserve(&mut self, job: u64, at: SimTime, shadow: SimTime) {
+        let s = &mut self.summary;
+        if s.last_reserved != Some(job) {
+            s.reservations += 1;
+            s.last_reserved = Some(job);
+        }
+        if let Some(rec) = &mut self.recording {
+            rec.reservations.entry(job).or_insert(ReservationRecord { job, at, shadow });
+        }
+    }
+
+    /// Retire a finished or degraded job. Each job retires exactly once.
+    fn retire(&mut self, r: JobRecord) {
+        self.summary.accum.fold(&r);
+        if let Some(rec) = &mut self.recording {
+            rec.records.insert(r.id, r);
+        }
+    }
+
+    fn trace_len(&self) -> usize {
+        self.summary.trace_len as usize
     }
 }
 
-fn init_state(
-    stream: &[BatchJob],
-    cfg: &BatchConfig,
-    fault: Option<&BatchFault>,
-    oracle: &mut Oracle,
-    ctr: &Counters,
-) -> EngineState {
-    let arrivals: VecDeque<BatchJob> = {
-        let mut v: Vec<BatchJob> = stream.to_vec();
-        v.sort_by_key(|j| (arrival_time(j), j.id));
-        v.into()
-    };
-    let mut st = EngineState {
-        source: JobSource::Materialized(arrivals),
-        fleet: Fleet::new(cfg.num_nodes),
-        trackers: BTreeMap::new(),
-        pending: PendingQueue::new(),
-        running: BTreeMap::new(),
-        release: ReleaseIndex::new(),
-        next_seq: 0,
-        trace: TraceLog::Full(Vec::new()),
-        reservations: ReservationLog::Full(BTreeMap::new()),
-        sink: RecordSink::Full(BTreeMap::new()),
-        conformance_src: Vec::new(),
-        completions: 0,
-        fault_armed: fault.filter(|f| f.node < cfg.num_nodes).copied(),
-        now: SimTime::ZERO,
-    };
-    // A fault at zero completions hits an idle fleet before any admission.
-    // This fires exactly once at init, so a checkpoint (always captured
-    // after init) never replays it.
-    maybe_fire_fault(cfg, oracle, ctr, &mut st);
-    st
+/// Everything one run owns besides its [`EngineState`]: the
+/// configuration, the metric registries with their counter handles, and
+/// the service-time oracle.
+struct Engine {
+    cfg: BatchConfig,
+    registry: MetricsRegistry,
+    /// Pool telemetry includes host wall-clock busy time, so it lives on
+    /// its own registry, snapshotted into the (non-deterministic)
+    /// `pool_metrics` field rather than the byte-compared `metrics`.
+    pool_registry: MetricsRegistry,
+    ctr: Counters,
+    oracle: Oracle,
 }
 
-fn init_fleet_state(cfg: &FleetConfig, _ctr: &Counters) -> EngineState {
-    let mut gen = FleetJobs::new(&cfg.stream);
-    let next = gen.next();
-    EngineState {
-        source: JobSource::Stream { gen, next, popped: 0 },
-        fleet: Fleet::new(cfg.batch.num_nodes),
-        trackers: BTreeMap::new(),
-        pending: PendingQueue::new(),
-        running: BTreeMap::new(),
-        release: ReleaseIndex::new(),
-        next_seq: 0,
-        trace: TraceLog::Hashing { hash: FNV_BASIS, count: 0, max_t: SimTime::ZERO },
-        reservations: ReservationLog::Count { count: 0, last: None },
-        sink: RecordSink::Streaming(FleetAccum::default()),
-        conformance_src: Vec::new(),
-        completions: 0,
-        fault_armed: None,
-        now: SimTime::ZERO,
+impl Engine {
+    fn new(cfg: &BatchConfig) -> Engine {
+        let registry = MetricsRegistry::new();
+        let ctr = Counters::new(&registry);
+        let pool_registry = MetricsRegistry::new();
+        let pool =
+            Pool::with_counters(cfg.threads, PoolCounters::register(&pool_registry, "exec.pool"));
+        let oracle = Oracle {
+            cache: BTreeMap::new(),
+            sched: cfg.sched,
+            placement: cfg.placement,
+            shape: cfg.shape,
+            internode_latency: cfg.internode_latency,
+            seed: cfg.seed,
+            verify_jobs: cfg.verify_jobs,
+            policy: SupervisePolicy {
+                max_attempts: cfg.retry_limit.saturating_add(1),
+                timeout: cfg.watchdog_secs.map(Duration::from_secs_f64),
+            },
+            abort: cfg.abort,
+            pool,
+        };
+        Engine { cfg: *cfg, registry, pool_registry, ctr, oracle }
     }
-}
 
-/// Drive the event loop until the stream drains (returns `false`) or
-/// `stop` says to halt at a loop boundary (returns `true`). The loop
-/// boundary — before `schedule` — is the one point where the state is
-/// closed over plain data, which is what makes it the capture point: both
-/// the interrupted and the resumed run re-enter `schedule` with identical
-/// state, so their continuations are byte-identical.
-fn run_engine(
-    cfg: &BatchConfig,
-    oracle: &mut Oracle,
-    ctr: &Counters,
-    st: &mut EngineState,
-    mut stop: impl FnMut(&EngineState) -> bool,
-) -> bool {
-    loop {
-        if stop(st) {
-            return true;
+    /// A fresh run over `source`; `record` keeps the O(jobs) [`Recording`].
+    fn start(
+        &mut self,
+        source: JobSource,
+        fault: Option<&BatchFault>,
+        record: bool,
+    ) -> EngineState {
+        let mut st = EngineState {
+            source,
+            fleet: Fleet::new(self.cfg.num_nodes),
+            trackers: BTreeMap::new(),
+            pending: PendingQueue::new(),
+            running: BTreeMap::new(),
+            release: ReleaseIndex::new(),
+            next_seq: 0,
+            summary: Summary::default(),
+            recording: record.then(Recording::default),
+            conformance_src: Vec::new(),
+            completions: 0,
+            fault_armed: fault.filter(|f| f.node < self.cfg.num_nodes).copied(),
+            now: SimTime::ZERO,
+        };
+        // A fault at zero completions hits an idle fleet before any
+        // admission. This fires exactly once at start, so a checkpoint
+        // (always captured after start) never replays it.
+        maybe_fire_fault(&self.cfg, &mut self.oracle, &self.ctr, &mut st);
+        st
+    }
+
+    /// Rebuild a run from a checkpoint's plain data. Metrics restore from
+    /// the imaged snapshot (pool counters are host wall-clock and start
+    /// fresh); the generator replays to its imaged position; in-flight
+    /// segments re-attach their kernel measurements (the oracle is pure,
+    /// so this recomputes exactly the `SegmentRun` the interrupted run
+    /// held); admission sequences re-derive in imaged order; and the
+    /// pending queue rebuilds in its imaged order — sequence-ranked for
+    /// FCFS/EASY, service-ranked for SJF.
+    fn restore(ckpt: &BatchCheckpoint) -> (Engine, EngineState) {
+        let mut eng = Engine::new(&ckpt.cfg);
+        eng.registry.restore(&ckpt.metrics);
+        let source = match &ckpt.fleet {
+            Some(extra) => {
+                JobSource::generate(FleetJobs::replay(&extra.stream, extra.popped), extra.popped)
+            }
+            None => JobSource::Materialized(ckpt.arrivals.clone()),
+        };
+        let trackers = ckpt.trackers.clone();
+        let mut running: BTreeMap<u64, Running> = BTreeMap::new();
+        let mut release = ReleaseIndex::new();
+        let mut next_seq = 0u64;
+        // Segments without a tracker cannot exist in a checksummed
+        // checkpoint; they are skipped rather than unwrapped.
+        for (id, nodes, start, end) in &ckpt.running {
+            if let Some(tr) = trackers.get(id) {
+                let run = eng.oracle.measure(tr.job.service_key(), &tr.remaining);
+                let seq = next_seq;
+                next_seq += 1;
+                release.insert(seq, *end, nodes.len());
+                running.insert(
+                    seq,
+                    Running { id: *id, nodes: nodes.clone(), start: *start, end: *end, run },
+                );
+            }
         }
-        schedule(cfg, oracle, ctr, st);
-
-        let next_finish = st.release.next_release().unwrap_or(SimTime::MAX);
-        let next_arrival = st.source.peek_arrival().unwrap_or(SimTime::MAX);
-        if next_finish == SimTime::MAX && next_arrival == SimTime::MAX {
-            return false;
-        }
-        st.now = next_finish.min(next_arrival);
-
-        // Completions first (freeing nodes for same-instant arrivals), in
-        // id order for determinism. Timestamps are exact nanoseconds, so
-        // "same instant" is integer equality.
-        let released = st.release.pop_released(st.now);
-        let mut finished: Vec<Running> =
-            released.iter().filter_map(|seq| st.running.remove(seq)).collect();
-        finished.sort_by_key(|r| r.id);
-        for seg in finished {
-            complete(seg, oracle, ctr, st);
-            st.completions += 1;
-            maybe_fire_fault(cfg, oracle, ctr, st);
-        }
-
-        while st.source.peek_arrival().is_some_and(|t| t <= st.now) {
-            // INVARIANT: guarded by the is_some_and above.
-            let job = st.source.pop().expect("peeked arrival present");
-            ctr.submitted.inc();
-            st.trace.push(BatchEvent::Submit {
-                t: st.now,
-                job: job.id,
-                ranks: job.spec.ranks(),
-                nodes: job.nodes_needed(),
-            });
-            let id = job.id;
-            let need = job.nodes_needed();
-            let remaining = job.spec.clone();
-            st.trackers.insert(
-                id,
-                Tracker {
-                    job,
-                    remaining,
-                    first_start: None,
-                    node_secs_held: 0.0,
-                    run_secs: 0.0,
-                    iters_done: 0,
-                    requeues: 0,
-                    backfilled: false,
-                    restart_due: 0.0,
-                    failure: None,
-                },
-            );
-            if cfg.discipline == Discipline::Sjf {
-                let rank = queued_service(oracle, &st.trackers, id).to_bits();
-                st.pending.push_ranked(id, rank, need);
+        let mut pending = PendingQueue::new();
+        for &id in &ckpt.queue {
+            let need = trackers.get(&id).map_or(0, |t| t.job.nodes_needed());
+            if ckpt.cfg.discipline == Discipline::Sjf {
+                let rank = queued_service(&mut eng.oracle, &trackers, id).to_bits();
+                pending.push_ranked(id, rank, need);
             } else {
-                st.pending.push_back(id, need);
+                pending.push_back(id, need);
             }
         }
-        let depth = st.pending.len() as i64;
-        if depth > ctr.queue_peak.get() {
-            ctr.queue_peak.set(depth);
-        }
+        let st = EngineState {
+            source,
+            fleet: Fleet::from_images(ckpt.fleet_up.clone(), ckpt.fleet_busy.clone()),
+            trackers,
+            pending,
+            running,
+            release,
+            next_seq,
+            summary: ckpt.summary,
+            recording: ckpt.recording.clone(),
+            conformance_src: ckpt.conformance_src.clone(),
+            completions: ckpt.completions,
+            fault_armed: ckpt.fault_armed,
+            now: ckpt.now,
+        };
+        (eng, st)
     }
-}
 
-fn finish_outcome(
-    cfg: &BatchConfig,
-    st: EngineState,
-    oracle: &mut Oracle,
-    registry: &MetricsRegistry,
-    pool_registry: &MetricsRegistry,
-) -> BatchOutcome {
-    // Conformance reports re-derive from the pure oracle: for jobs
-    // measured before a checkpoint this is a fresh (memoized) kernel run,
-    // for everything else a cache hit — identical reports either way.
-    let mut conformance: Vec<(u64, Report)> = Vec::new();
-    if cfg.verify_jobs {
-        for (key, spec) in &st.conformance_src {
-            let run = oracle.measure(*key, spec);
-            for rep in run.reports {
-                conformance.push((*key, rep));
+    /// Drive the event loop until the stream drains (returns `false`) or
+    /// `stop` says to halt at a loop boundary (returns `true`). The loop
+    /// boundary — before `schedule` — is the one point where the state is
+    /// closed over plain data, which is what makes it the capture point:
+    /// both the interrupted and the resumed run re-enter `schedule` with
+    /// identical state, so their continuations are byte-identical.
+    fn run(
+        &mut self,
+        st: &mut EngineState,
+        mut stop: impl FnMut(&Engine, &EngineState) -> bool,
+    ) -> bool {
+        loop {
+            if stop(self, st) {
+                return true;
             }
-        }
-    }
-    let events = match st.trace {
-        TraceLog::Full(v) => v,
-        // INVARIANT: classic runs always carry a Full trace; an empty
-        // trace is a safe degenerate for a mismatched caller.
-        TraceLog::Hashing { .. } => Vec::new(),
-    };
-    let makespan = events.iter().map(event_time).max().map_or(0.0, |t| t.as_secs_f64());
-    let jobs: Vec<JobRecord> = match st.sink {
-        RecordSink::Full(m) => m.into_values().collect(),
-        RecordSink::Streaming(_) => Vec::new(),
-    };
-    let reservations = match st.reservations {
-        ReservationLog::Full(m) => m.into_values().collect(),
-        ReservationLog::Count { .. } => Vec::new(),
-    };
-    BatchOutcome {
-        config_nodes: cfg.num_nodes,
-        jobs,
-        events,
-        reservations,
-        failed_nodes: (0..cfg.num_nodes).filter(|&n| !st.fleet.up[n]).collect(),
-        makespan,
-        metrics: registry.snapshot(),
-        pool_metrics: pool_registry.snapshot(),
-        conformance,
-    }
-}
+            let (cfg, oracle, ctr) = (&self.cfg, &mut self.oracle, &self.ctr);
+            schedule(cfg, oracle, ctr, st);
 
-fn finish_fleet(
-    cfg: &FleetConfig,
-    st: EngineState,
-    registry: &MetricsRegistry,
-    pool_registry: &MetricsRegistry,
-    ctr: &Counters,
-) -> FleetOutcome {
-    let (trace_hash, trace_events, max_t) = match st.trace {
-        TraceLog::Hashing { hash, count, max_t } => (hash, count, max_t),
-        // INVARIANT: fleet runs always hash their trace; fall back to the
-        // empty-trace fingerprint for a mismatched caller.
-        TraceLog::Full(_) => (FNV_BASIS, 0, SimTime::ZERO),
-    };
-    let reservations = match st.reservations {
-        ReservationLog::Count { count, .. } => count,
-        ReservationLog::Full(m) => m.len() as u64,
-    };
-    let accum = match st.sink {
-        RecordSink::Streaming(a) => a,
-        RecordSink::Full(m) => {
-            let mut a = FleetAccum::default();
-            for r in m.values() {
-                a.fold(r);
+            let next_finish = st.release.next_release().unwrap_or(SimTime::MAX);
+            let next_arrival = st.source.peek_arrival().unwrap_or(SimTime::MAX);
+            if next_finish == SimTime::MAX && next_arrival == SimTime::MAX {
+                return false;
             }
-            a
+            st.now = next_finish.min(next_arrival);
+
+            // Completions first (freeing nodes for same-instant arrivals),
+            // in id order for determinism. Timestamps are exact
+            // nanoseconds, so "same instant" is integer equality.
+            let released = st.release.pop_released(st.now);
+            let mut finished: Vec<Running> =
+                released.iter().filter_map(|seq| st.running.remove(seq)).collect();
+            finished.sort_by_key(|r| r.id);
+            for seg in finished {
+                complete(seg, oracle, ctr, st);
+                st.completions += 1;
+                maybe_fire_fault(cfg, oracle, ctr, st);
+            }
+
+            while st.source.peek_arrival().is_some_and(|t| t <= st.now) {
+                // INVARIANT: guarded by the is_some_and above.
+                let job = st.source.pop().expect("peeked arrival present");
+                ctr.submitted.inc();
+                st.emit(BatchEvent::Submit {
+                    t: st.now,
+                    job: job.id,
+                    ranks: job.spec.ranks(),
+                    nodes: job.nodes_needed(),
+                });
+                let id = job.id;
+                let need = job.nodes_needed();
+                let remaining = job.spec.clone();
+                st.trackers.insert(
+                    id,
+                    Tracker {
+                        job,
+                        remaining,
+                        first_start: None,
+                        node_secs_held: 0.0,
+                        run_secs: 0.0,
+                        iters_done: 0,
+                        requeues: 0,
+                        backfilled: false,
+                        restart_due: 0.0,
+                        failure: None,
+                    },
+                );
+                if cfg.discipline == Discipline::Sjf {
+                    let rank = queued_service(oracle, &st.trackers, id).to_bits();
+                    st.pending.push_ranked(id, rank, need);
+                } else {
+                    st.pending.push_back(id, need);
+                }
+            }
+            let depth = st.pending.len() as i64;
+            if depth > ctr.queue_peak.get() {
+                ctr.queue_peak.set(depth);
+            }
         }
-    };
-    let makespan = max_t.as_secs_f64();
-    FleetOutcome {
-        config_nodes: cfg.batch.num_nodes,
-        trace_hash,
-        trace_events,
-        makespan,
-        reservations,
-        queue_peak: ctr.queue_peak.get(),
-        accum,
-        stats: FleetStats::from_accum(&accum, cfg.batch.num_nodes, makespan),
-        metrics: registry.snapshot(),
-        pool_metrics: pool_registry.snapshot(),
+    }
+
+    /// Image the run into a checkpoint (plain data only).
+    fn capture(&self, st: &EngineState) -> BatchCheckpoint {
+        let (arrivals, fleet) = match &st.source {
+            JobSource::Materialized(q) => (q.clone(), None),
+            JobSource::Stream { gen, popped, .. } => {
+                (VecDeque::new(), Some(FleetExtra { stream: *gen.config(), popped: *popped }))
+            }
+        };
+        BatchCheckpoint {
+            cfg: self.cfg,
+            fault_armed: st.fault_armed,
+            now: st.now,
+            completions: st.completions,
+            fleet_up: st.fleet.up.clone(),
+            fleet_busy: st.fleet.busy.clone(),
+            arrivals,
+            fleet,
+            queue: st.pending.iter().collect(),
+            trackers: st.trackers.clone(),
+            running: st
+                .running
+                .values()
+                .map(|r| (r.id, r.nodes.clone(), r.start, r.end))
+                .collect(),
+            summary: st.summary,
+            recording: st.recording.clone(),
+            conformance_src: st.conformance_src.clone(),
+            metrics: self.registry.snapshot(),
+        }
+    }
+
+    /// Close a run into both of its views: the O(1) [`FleetOutcome`], and
+    /// the [`BatchOutcome`] — whose events, reservations and job records
+    /// are empty unless the run recorded.
+    fn finish(mut self, st: EngineState) -> (FleetOutcome, BatchOutcome) {
+        // Conformance reports re-derive from the pure oracle: for jobs
+        // measured before a checkpoint this is a fresh (memoized) kernel
+        // run, for everything else a cache hit — identical reports either
+        // way.
+        let mut conformance: Vec<(u64, Report)> = Vec::new();
+        if self.cfg.verify_jobs {
+            for (key, spec) in &st.conformance_src {
+                for rep in self.oracle.measure(*key, spec).reports {
+                    conformance.push((*key, rep));
+                }
+            }
+        }
+        let nodes = self.cfg.num_nodes;
+        let s = st.summary;
+        let makespan = s.trace_max_t.as_secs_f64();
+        let metrics = self.registry.snapshot();
+        let pool_metrics = self.pool_registry.snapshot();
+        let rec = st.recording.unwrap_or_default();
+        let full = BatchOutcome {
+            config_nodes: nodes,
+            jobs: rec.records.into_values().collect(),
+            events: rec.events,
+            reservations: rec.reservations.into_values().collect(),
+            failed_nodes: (0..st.fleet.up.len()).filter(|&n| !st.fleet.up[n]).collect(),
+            makespan,
+            metrics: metrics.clone(),
+            pool_metrics: pool_metrics.clone(),
+            conformance,
+        };
+        let summary = FleetOutcome {
+            config_nodes: nodes,
+            trace_hash: s.trace_hash,
+            trace_events: s.trace_len,
+            makespan,
+            reservations: s.reservations,
+            queue_peak: self.ctr.queue_peak.get(),
+            accum: s.accum,
+            stats: FleetStats::from_accum(&s.accum, nodes, makespan),
+            metrics,
+            pool_metrics,
+        };
+        (summary, full)
     }
 }
 
@@ -1075,13 +1168,10 @@ pub fn run_batch(
     cfg: &BatchConfig,
     fault: Option<&BatchFault>,
 ) -> BatchOutcome {
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(cfg, &pool_registry);
-    let mut st = init_state(stream, cfg, fault, &mut oracle, &ctr);
-    run_engine(cfg, &mut oracle, &ctr, &mut st, |_| false);
-    finish_outcome(cfg, st, &mut oracle, &registry, &pool_registry)
+    let mut eng = Engine::new(cfg);
+    let mut st = eng.start(JobSource::sorted(stream), fault, true);
+    eng.run(&mut st, |_, _| false);
+    eng.finish(st).1
 }
 
 /// [`run_batch`] with periodic crash-consistent checkpoints: whenever the
@@ -1096,25 +1186,21 @@ pub fn run_batch_checkpointed(
     policy: &CheckpointPolicy,
     mut sink: impl FnMut(&BatchCheckpoint),
 ) -> BatchOutcome {
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(cfg, &pool_registry);
-    let mut st = init_state(stream, cfg, fault, &mut oracle, &ctr);
+    let mut eng = Engine::new(cfg);
+    let mut st = eng.start(JobSource::sorted(stream), fault, true);
     let mut last_events = 0usize;
     let mut last_jobs = 0u32;
-    run_engine(cfg, &mut oracle, &ctr, &mut st, |s| {
-        let due_events =
-            policy.every_events.is_some_and(|k| s.trace.len() - last_events >= k);
+    eng.run(&mut st, |eng, s| {
+        let due_events = policy.every_events.is_some_and(|k| s.trace_len() - last_events >= k);
         let due_jobs = policy.every_jobs.is_some_and(|j| s.completions - last_jobs >= j);
         if due_events || due_jobs {
-            last_events = s.trace.len();
+            last_events = s.trace_len();
             last_jobs = s.completions;
-            sink(&capture(cfg, s, ctr.queue_peak.get()));
+            sink(&eng.capture(s));
         }
         false
     });
-    finish_outcome(cfg, st, &mut oracle, &registry, &pool_registry)
+    eng.finish(st).1
 }
 
 /// Run until the trace holds at least `stop_after_events` events (checked
@@ -1127,39 +1213,22 @@ pub fn run_batch_until(
     fault: Option<&BatchFault>,
     stop_after_events: usize,
 ) -> Option<BatchCheckpoint> {
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(cfg, &pool_registry);
-    let mut st = init_state(stream, cfg, fault, &mut oracle, &ctr);
-    let stopped =
-        run_engine(cfg, &mut oracle, &ctr, &mut st, |s| s.trace.len() >= stop_after_events);
-    stopped.then(|| capture(cfg, &st, ctr.queue_peak.get()))
+    let mut eng = Engine::new(cfg);
+    let mut st = eng.start(JobSource::sorted(stream), fault, true);
+    let stopped = eng.run(&mut st, |_, s| s.trace_len() >= stop_after_events);
+    stopped.then(|| eng.capture(&st))
 }
 
 /// Continue a checkpointed run to completion. The resumed trace (which
 /// includes the pre-checkpoint prefix) is byte-identical to the
-/// uninterrupted run's: state is restored exactly, kernel results
-/// re-derive from the pure oracle, and metrics replay from the restored
-/// records and events.
+/// uninterrupted run's: state and metrics are restored exactly and kernel
+/// results re-derive from the pure oracle. An image of a run that did not
+/// record resumes with an empty trace, reservations and job records.
 // PURITY-ROOT: resumed runs fan node kernels out exactly like run_batch.
 pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
-    let cfg = ckpt.cfg;
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(&cfg, &pool_registry);
-    replay_metrics(&ctr, ckpt);
-    let mut st = restore_engine(
-        ckpt,
-        &mut oracle,
-        JobSource::Materialized(ckpt.arrivals.clone()),
-        TraceLog::Full(ckpt.events.clone()),
-        ReservationLog::Full(ckpt.reservations.clone()),
-        RecordSink::Full(ckpt.records.clone()),
-    );
-    run_engine(&cfg, &mut oracle, &ctr, &mut st, |_| false);
-    finish_outcome(&cfg, st, &mut oracle, &registry, &pool_registry)
+    let (mut eng, mut st) = Engine::restore(ckpt);
+    eng.run(&mut st, |_, _| false);
+    eng.finish(st).1
 }
 
 /// Run a fleet-scale streaming batch to completion: lazy arrivals, hashed
@@ -1168,249 +1237,31 @@ pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
 // the outcome must be a pure function of (stream cfg, batch cfg) at any
 // thread count.
 pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(&cfg.batch, &pool_registry);
-    let mut st = init_fleet_state(cfg, &ctr);
-    run_engine(&cfg.batch, &mut oracle, &ctr, &mut st, |_| false);
-    finish_fleet(cfg, st, &registry, &pool_registry, &ctr)
+    let mut eng = Engine::new(&cfg.batch);
+    let mut st = eng.start(JobSource::generate(FleetJobs::new(&cfg.stream), 0), None, false);
+    eng.run(&mut st, |_, _| false);
+    eng.finish(st).0
 }
 
 /// Run a fleet stream until the trace holds at least `stop_after_events`
-/// events and capture a (fleet-extended) checkpoint there; `None` when
-/// the stream drained first.
+/// events and capture a checkpoint there; `None` when the stream drained
+/// first.
 pub fn run_fleet_until(cfg: &FleetConfig, stop_after_events: usize) -> Option<BatchCheckpoint> {
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(&cfg.batch, &pool_registry);
-    let mut st = init_fleet_state(cfg, &ctr);
-    let stopped =
-        run_engine(&cfg.batch, &mut oracle, &ctr, &mut st, |s| s.trace.len() >= stop_after_events);
-    stopped.then(|| capture_fleet(cfg, &st, &registry, ctr.queue_peak.get()))
+    let mut eng = Engine::new(&cfg.batch);
+    let mut st = eng.start(JobSource::generate(FleetJobs::new(&cfg.stream), 0), None, false);
+    let stopped = eng.run(&mut st, |_, s| s.trace_len() >= stop_after_events);
+    stopped.then(|| eng.capture(&st))
 }
 
-/// Continue a checkpointed fleet run to completion. The resumed trace
-/// fingerprint (which folds the pre-checkpoint prefix) equals the
-/// uninterrupted run's, as do the accumulator and metrics: the generator
-/// replays to its imaged position (generation is pure in `(cfg, index)`),
-/// the trace hash continues from the imaged fold, and metric state is
-/// restored from the imaged snapshot.
+/// Continue a checkpointed run to completion and summarise it. The
+/// resumed trace fingerprint (which folds the pre-checkpoint prefix)
+/// equals the uninterrupted run's, as do the accumulator and metrics.
 // PURITY-ROOT: resumed fleet runs fan node kernels out exactly like
 // run_fleet.
 pub fn resume_fleet(ckpt: &BatchCheckpoint) -> FleetOutcome {
-    let Some(extra) = ckpt.fleet.clone() else {
-        // INVARIANT: callers resume fleet checkpoints with fleet images; a
-        // classic image has no generator to continue, so return the empty
-        // outcome rather than panicking.
-        let accum = FleetAccum::default();
-        return FleetOutcome {
-            config_nodes: ckpt.cfg.num_nodes,
-            trace_hash: FNV_BASIS,
-            trace_events: 0,
-            makespan: 0.0,
-            reservations: 0,
-            queue_peak: 0,
-            accum,
-            stats: FleetStats::from_accum(&accum, ckpt.cfg.num_nodes, 0.0),
-            metrics: MetricsRegistry::new().snapshot(),
-            pool_metrics: MetricsRegistry::new().snapshot(),
-        };
-    };
-    let cfg = FleetConfig { stream: extra.stream, batch: ckpt.cfg };
-    let registry = MetricsRegistry::new();
-    let ctr = Counters::new(&registry);
-    registry.restore(&extra.metrics);
-    let pool_registry = MetricsRegistry::new();
-    let mut oracle = make_oracle(&cfg.batch, &pool_registry);
-    // Replay the generator to its imaged position: `popped` jobs were
-    // handed to the engine, and the lookahead slot refills from there.
-    let mut gen = FleetJobs::replay(&extra.stream, extra.popped);
-    let next = gen.next();
-    let mut st = restore_engine(
-        ckpt,
-        &mut oracle,
-        JobSource::Stream { gen, next, popped: extra.popped },
-        TraceLog::Hashing {
-            hash: extra.trace_hash,
-            count: extra.trace_len,
-            max_t: extra.trace_max_t,
-        },
-        ReservationLog::Count {
-            count: extra.reservation_count,
-            last: extra.reservation_last,
-        },
-        RecordSink::Streaming(extra.accum),
-    );
-    run_engine(&cfg.batch, &mut oracle, &ctr, &mut st, |_| false);
-    finish_fleet(&cfg, st, &registry, &pool_registry, &ctr)
-}
-
-/// Image the engine state into a checkpoint (plain data only).
-fn capture(cfg: &BatchConfig, st: &EngineState, queue_peak: i64) -> BatchCheckpoint {
-    BatchCheckpoint {
-        cfg: *cfg,
-        fault_armed: st.fault_armed,
-        now: st.now,
-        completions: st.completions,
-        fleet_up: st.fleet.up.clone(),
-        fleet_busy: st.fleet.busy.clone(),
-        arrivals: match &st.source {
-            JobSource::Materialized(q) => q.clone(),
-            JobSource::Stream { .. } => VecDeque::new(),
-        },
-        queue: st.pending.iter().collect(),
-        trackers: st.trackers.clone(),
-        running: st
-            .running
-            .values()
-            .map(|r| (r.id, r.nodes.clone(), r.start, r.end))
-            .collect(),
-        events: match &st.trace {
-            TraceLog::Full(v) => v.clone(),
-            TraceLog::Hashing { .. } => Vec::new(),
-        },
-        reservations: match &st.reservations {
-            ReservationLog::Full(m) => m.clone(),
-            ReservationLog::Count { .. } => BTreeMap::new(),
-        },
-        records: match &st.sink {
-            RecordSink::Full(m) => m.clone(),
-            RecordSink::Streaming(_) => BTreeMap::new(),
-        },
-        conformance_src: st.conformance_src.clone(),
-        queue_peak,
-        fleet: None,
-    }
-}
-
-/// [`capture`] plus the fleet extension: generator position, trace-hash
-/// fold, reservation tally, accumulator, and a full metrics image (fleet
-/// resumes cannot replay metrics from records — there are none).
-fn capture_fleet(
-    cfg: &FleetConfig,
-    st: &EngineState,
-    registry: &MetricsRegistry,
-    queue_peak: i64,
-) -> BatchCheckpoint {
-    let mut ckpt = capture(&cfg.batch, st, queue_peak);
-    let popped = match &st.source {
-        JobSource::Stream { popped, .. } => *popped,
-        JobSource::Materialized(_) => 0,
-    };
-    let (trace_hash, trace_len, trace_max_t) = match &st.trace {
-        TraceLog::Hashing { hash, count, max_t } => (*hash, *count, *max_t),
-        TraceLog::Full(_) => (FNV_BASIS, 0, SimTime::ZERO),
-    };
-    let (reservation_count, reservation_last) = match &st.reservations {
-        ReservationLog::Count { count, last } => (*count, *last),
-        ReservationLog::Full(_) => (0, None),
-    };
-    let accum = match &st.sink {
-        RecordSink::Streaming(a) => *a,
-        RecordSink::Full(_) => FleetAccum::default(),
-    };
-    ckpt.fleet = Some(FleetExtra {
-        stream: cfg.stream,
-        popped,
-        trace_hash,
-        trace_len,
-        trace_max_t,
-        reservation_count,
-        reservation_last,
-        accum,
-        metrics: registry.snapshot(),
-    });
-    ckpt
-}
-
-/// Rebuild engine state from a checkpoint's plain data: re-attach kernel
-/// measurements to in-flight segments (the oracle is pure, so this
-/// recomputes exactly the `SegmentRun` the interrupted run held),
-/// re-derive admission sequences in imaged order, and rebuild the pending
-/// queue in its imaged order — sequence-ranked for FCFS/EASY, service-
-/// ranked for SJF.
-fn restore_engine(
-    ckpt: &BatchCheckpoint,
-    oracle: &mut Oracle,
-    source: JobSource,
-    trace: TraceLog,
-    reservations: ReservationLog,
-    sink: RecordSink,
-) -> EngineState {
-    let trackers = ckpt.trackers.clone();
-    let mut running: BTreeMap<u64, Running> = BTreeMap::new();
-    let mut release = ReleaseIndex::new();
-    let mut next_seq = 0u64;
-    // Segments without a tracker cannot exist in a checksummed
-    // checkpoint; they are skipped rather than unwrapped.
-    for (id, nodes, start, end) in &ckpt.running {
-        if let Some(tr) = trackers.get(id) {
-            let run = oracle.measure(tr.job.service_key(), &tr.remaining);
-            let seq = next_seq;
-            next_seq += 1;
-            release.insert(seq, *end, nodes.len());
-            running.insert(
-                seq,
-                Running { id: *id, nodes: nodes.clone(), start: *start, end: *end, run },
-            );
-        }
-    }
-    let mut pending = PendingQueue::new();
-    for &id in &ckpt.queue {
-        let need = trackers.get(&id).map_or(0, |t| t.job.nodes_needed());
-        if ckpt.cfg.discipline == Discipline::Sjf {
-            let rank = queued_service(oracle, &trackers, id).to_bits();
-            pending.push_ranked(id, rank, need);
-        } else {
-            pending.push_back(id, need);
-        }
-    }
-    EngineState {
-        source,
-        fleet: Fleet::from_images(ckpt.fleet_up.clone(), ckpt.fleet_busy.clone()),
-        trackers,
-        pending,
-        running,
-        release,
-        next_seq,
-        trace,
-        reservations,
-        sink,
-        conformance_src: ckpt.conformance_src.clone(),
-        completions: ckpt.completions,
-        fault_armed: ckpt.fault_armed,
-        now: ckpt.now,
-    }
-}
-
-/// Rebuild the deterministic metric values an uninterrupted run would
-/// hold at the checkpoint instant, from the restored state alone. (Pool
-/// counters are host wall-clock and excluded from determinism, so they
-/// start fresh.)
-fn replay_metrics(ctr: &Counters, ckpt: &BatchCheckpoint) {
-    let count = |f: fn(&BatchEvent) -> bool| ckpt.events.iter().filter(|e| f(e)).count() as u64;
-    ctr.submitted.add(count(|e| matches!(e, BatchEvent::Submit { .. })));
-    ctr.completed.add(count(|e| matches!(e, BatchEvent::Finish { .. })));
-    ctr.degraded.add(count(|e| matches!(e, BatchEvent::Degraded { .. })));
-    ctr.nodes_failed.add(count(|e| matches!(e, BatchEvent::NodeFail { .. })));
-    // Requeue counts live on trackers/records, not events: the requeue
-    // that exhausts the retry budget increments the counter but emits a
-    // Degraded event instead of a Requeue event.
-    let requeues = ckpt.records.values().map(|r| u64::from(r.requeues)).sum::<u64>()
-        + ckpt.trackers.values().map(|t| u64::from(t.requeues)).sum::<u64>();
-    ctr.requeues.add(requeues);
-    for r in ckpt.records.values().filter(|r| !r.outcome.degraded) {
-        if r.backfilled {
-            ctr.backfilled.inc();
-        }
-        ctr.wait_us.record((r.wait * 1e6) as u64);
-        ctr.turnaround_us.record((r.turnaround * 1e6) as u64);
-        ctr.slowdown_milli.record((r.slowdown * 1e3) as u64);
-        ctr.node_secs_ms.record((r.node_secs_held * 1e3) as u64);
-    }
-    ctr.queue_peak.set(ckpt.queue_peak);
+    let (mut eng, mut st) = Engine::restore(ckpt);
+    eng.run(&mut st, |_, _| false);
+    eng.finish(st).0
 }
 
 fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState) {
@@ -1418,7 +1269,7 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     for &n in &seg.nodes {
         st.fleet.release(n);
     }
-    st.trace.push(BatchEvent::Finish { t: now, job: seg.id });
+    st.emit(BatchEvent::Finish { t: now, job: seg.id });
     ctr.completed.inc();
     let Some(mut tr) = st.trackers.remove(&seg.id) else {
         // INVARIANT: every running segment has a tracker; nothing to do
@@ -1441,7 +1292,7 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     if tr.backfilled {
         ctr.backfilled.inc();
     }
-    st.sink.put(JobRecord {
+    st.retire(JobRecord {
         id: seg.id,
         name: tr.job.spec.name.clone(),
         ranks: tr.job.spec.ranks(),
@@ -1485,7 +1336,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     }
     st.fleet.kill(f.node);
     ctr.nodes_failed.inc();
-    st.trace.push(BatchEvent::NodeFail { t: st.now, node: f.node });
+    st.emit(BatchEvent::NodeFail { t: st.now, node: f.node });
 
     // First victim in admission order — the same segment the old linear
     // scan over the admission-ordered running list found.
@@ -1542,7 +1393,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     } else {
         st.pending.push_front(seg.id, need);
     }
-    st.trace.push(BatchEvent::Requeue { t: now, job: seg.id, remaining_iters });
+    st.emit(BatchEvent::Requeue { t: now, job: seg.id, remaining_iters });
 }
 
 fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) {
@@ -1551,9 +1402,9 @@ fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) 
         return;
     };
     ctr.degraded.inc();
-    st.trace.push(BatchEvent::Degraded { t: st.now, job: id, reason });
+    st.emit(BatchEvent::Degraded { t: st.now, job: id, reason });
     let n = tr.job.nodes_needed().min(st.fleet.up.len().max(1));
-    st.sink.put(JobRecord {
+    st.retire(JobRecord {
         id,
         name: tr.job.spec.name.clone(),
         ranks: tr.job.spec.ranks(),
@@ -1625,7 +1476,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
         // have been dropped as unplaceable above; leave the queue alone.
         return;
     };
-    st.reservations.note(head, st.now, shadow);
+    st.reserve(head, st.now, shadow);
     // Nodes free at the shadow instant beyond what the head will take.
     let mut spare = avail - head_need;
 
@@ -1714,10 +1565,89 @@ fn admit(
     for &n in alloc {
         st.fleet.occupy(n);
     }
-    st.trace.push(BatchEvent::Start { t: now, job: id, nodes: alloc.to_vec(), backfilled });
+    st.emit(BatchEvent::Start { t: now, job: id, nodes: alloc.to_vec(), backfilled });
     let end = now + SimDuration::from_secs_f64(service);
     let seq = st.next_seq;
     st.next_seq += 1;
     st.release.insert(seq, end, alloc.len());
     st.running.insert(seq, Running { id, nodes: alloc.to_vec(), start: now, end, run });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::SimRng;
+    use PlacementStrategy::{GreedyLpt, RoundRobin, SmtAware};
+
+    /// 2 heavy + 6 light ranks: two nodes' worth.
+    fn heavy_light_job() -> JobSpec {
+        JobSpec::new("hl", vec![0.32, 0.32, 0.08, 0.08, 0.08, 0.08, 0.08, 0.08], 5)
+    }
+
+    fn fleet(num_nodes: usize, sched: LocalSched, placement: PlacementStrategy) -> BatchConfig {
+        BatchConfig { num_nodes, sched, placement, ..BatchConfig::default() }
+    }
+
+    /// Cluster side of `spec` submitted alone: a one-job batch stream.
+    fn run_alone(spec: &JobSpec, cfg: &BatchConfig, fault: Option<&BatchFault>) -> ClusterOutcome {
+        let out = run_batch(&[BatchJob::new(0, spec.clone(), 0.0)], cfg, fault);
+        out.jobs[0].outcome.clone()
+    }
+
+    fn makespan(spec: &JobSpec, cfg: &BatchConfig) -> f64 {
+        run_alone(spec, cfg, None).result.makespan
+    }
+
+    #[test]
+    fn smt_aware_beats_round_robin_on_skewed_jobs() {
+        let job = heavy_light_job();
+        let rr = makespan(&job, &fleet(2, LocalSched::Hpc, RoundRobin));
+        let smt = makespan(&job, &fleet(2, LocalSched::Hpc, SmtAware));
+        assert!(smt <= rr * 1.001, "smt {smt} vs rr {rr}");
+    }
+
+    #[test]
+    fn hpcsched_nodes_beat_cfs_nodes_for_any_placement() {
+        let job = heavy_light_job();
+        for s in [RoundRobin, GreedyLpt, SmtAware] {
+            let cfs = makespan(&job, &fleet(2, LocalSched::Cfs, s));
+            let hpc = makespan(&job, &fleet(2, LocalSched::Hpc, s));
+            assert!(hpc <= cfs * 1.001, "{s:?}: hpc {hpc} vs cfs {cfs}");
+        }
+    }
+
+    #[test]
+    fn makespan_includes_network_component() {
+        let job = JobSpec::new("tiny", vec![0.05; 4], 10);
+        let cfg = BatchConfig { num_nodes: 1, internode_latency: 0.01, ..BatchConfig::default() };
+        let r = run_alone(&job, &cfg, None).result;
+        assert!(r.makespan >= r.node_secs[0] + 0.1 - 1e-6, "10 barriers × 10 ms");
+    }
+
+    #[test]
+    fn random_jobs_run_end_to_end() {
+        let job = JobSpec::random("rand", 12, 3, &mut SimRng::seed_from_u64(9));
+        let r = run_alone(&job, &fleet(3, LocalSched::Hpc, SmtAware), None).result;
+        assert!(r.placement.is_valid(&job));
+        assert_eq!(r.node_secs.len(), 3);
+        assert!(r.makespan > 0.0);
+    }
+
+    #[test]
+    fn single_node_cluster_failure_never_panics() {
+        let job = JobSpec::new("j", vec![0.05; 4], 4);
+        let f = BatchFault { node: 0, after_completions: 0, max_retries: 2, restart_secs: 0.1 };
+        let out = run_alone(&job, &fleet(1, LocalSched::Hpc, RoundRobin), Some(&f));
+        assert!(out.degraded, "zero survivors can never absorb");
+    }
+
+    #[test]
+    fn out_of_range_failure_matches_plain_run() {
+        let stream = [BatchJob::new(0, heavy_light_job(), 0.0)];
+        let cfg = fleet(2, LocalSched::Hpc, SmtAware);
+        let f = BatchFault { node: 7, after_completions: 0, max_retries: 1, restart_secs: 0.1 };
+        let faulted = run_batch(&stream, &cfg, Some(&f));
+        assert!(faulted.failed_nodes.is_empty());
+        assert_eq!(faulted.render_trace(), run_batch(&stream, &cfg, None).render_trace());
+    }
 }

@@ -128,13 +128,19 @@ fn requeued_job_pays_restart_and_finishes_absorbed() {
     let fault = BatchFault { node: 1, after_completions: 1, max_retries: 2, restart_secs: 0.3 };
     let out = run_batch(&jobs, &two, Some(&fault));
     let b = &out.jobs[1];
-    if b.requeues > 0 {
-        assert!(!b.outcome.degraded, "survivor absorbs the requeue");
-        let rec = b.outcome.failure.expect("failure recorded");
-        assert!(rec.absorbed);
-        assert_eq!(rec.node, 1);
-        assert_eq!(out.metrics.counter("batch.jobs.requeues"), 1);
-    }
+    assert_eq!(b.requeues, 1, "job 1 is running on node 1 when it dies");
+    assert!(!b.outcome.degraded, "survivor absorbs the requeue");
+    let rec = b.outcome.failure.expect("failure recorded");
+    assert!(rec.absorbed);
+    assert_eq!(rec.node, 1);
+    assert_eq!(out.metrics.counter("batch.jobs.requeues"), 1);
+    let clean = &run_batch(&jobs, &two, None).jobs[1];
+    assert!(
+        b.end >= clean.end + fault.restart_secs - 1e-6,
+        "recovery pays at least the restart overhead: {} vs {}",
+        b.end,
+        clean.end
+    );
 }
 
 #[test]

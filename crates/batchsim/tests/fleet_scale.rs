@@ -5,7 +5,7 @@
 //! the windowed backfill pass, and the streaming stats all sit on the
 //! tested path.
 
-use fleetsim::{resume_fleet, run_fleet, run_fleet_until, scaled_config};
+use batchsim::{resume_fleet, run_fleet, run_fleet_until, scaled_config};
 
 /// Cut a 10k-job fleet run at several points (including inside the warm
 /// queue), resume each checkpoint, and require the finished fingerprint,

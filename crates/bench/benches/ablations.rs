@@ -6,10 +6,11 @@
 use bench::small_metbench;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use experiments::WorkloadKind;
-use hpcsched::prelude::*;
+use power5::Topology;
 use schedsim::builder::PerfModelChoice;
-use schedsim::policies::Table1Balancer;
-use schedsim::{BalancedClass, HpcSchedConfig};
+use schedsim::policies::{HpcTunables, Power5Mechanism, Table1Balancer, UniformHeuristic};
+use schedsim::{BalancedClass, HpcPolicyKind, HpcSchedConfig, Kernel, KernelBuilder, KernelConfig};
+use simcore::SimDuration;
 use workloads::metbench::MetBenchConfig;
 use workloads::SchedulerSetup;
 
@@ -75,11 +76,11 @@ fn ablation_idle_mode(c: &mut Criterion) {
             let mut kernel = Kernel::new(chip, KernelConfig::default());
             let setup = if hpc {
                 let tun = std::sync::Arc::new(std::sync::Mutex::new(
-                    hpcsched::HpcTunables::default(),
+                    HpcTunables::default(),
                 ));
                 let balancer = Table1Balancer::new(
-                    Box::new(hpcsched::UniformHeuristic),
-                    Box::new(hpcsched::Power5Mechanism),
+                    Box::new(UniformHeuristic),
+                    Box::new(Power5Mechanism),
                     tun,
                 );
                 kernel.install_class_after_rt(Box::new(BalancedClass::new(

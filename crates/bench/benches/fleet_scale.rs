@@ -83,9 +83,9 @@ fn bench_batch_event_loop(c: &mut Criterion) {
         b.iter(|| black_box(run_batch(&jobs, &BatchConfig::default(), None)))
     });
 
-    let cfg = fleetsim::scaled_config(5_000, 1000, 2008);
+    let cfg = batchsim::scaled_config(5_000, 1000, 2008);
     g.bench_function("streaming_5k_jobs_1k_nodes", |b| {
-        b.iter(|| black_box(fleetsim::run_fleet(&cfg).trace_hash))
+        b.iter(|| black_box(batchsim::run_fleet(&cfg).trace_hash))
     });
     g.finish();
 }

@@ -2,9 +2,10 @@
 //! simulated kernel.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use hpcsched::prelude::*;
+use power5::{CpuId, Topology};
 use schedsim::program::ScriptedProgram;
 use schedsim::rbtree::RbTree;
+use schedsim::{Action, KernelApi, KernelBuilder, SchedPolicy, SpawnOptions, TaskId};
 use simcore::{EventId, EventQueue, SimDuration, SimTime};
 
 fn bench_rbtree(c: &mut Criterion) {

@@ -19,17 +19,17 @@
 //!   trees ([`power5::Topology`]) and relative speed factors;
 //! * [`node`] — per-node execution: each node runs a *real* `schedsim`
 //!   kernel (with or without the HPC class) over its assigned ranks, on
-//!   its own topology when the catalog is heterogeneous;
-//! * [`sim`] — the cluster run: for barrier-synchronized SPMD jobs, nodes
-//!   execute independently and the job completes when the slowest node
-//!   does (plus an allreduce latency per iteration) — the standard
-//!   bulk-synchronous approximation.
+//!   its own topology when the catalog is heterogeneous.
+//!
+//! Jobs run through `batchsim`, even one at a time: for a
+//! barrier-synchronized SPMD job the nodes execute independently and the
+//! job completes when the slowest node does, plus an allreduce latency
+//! per iteration — the standard bulk-synchronous approximation.
 
 pub mod job;
 pub mod node;
 pub mod placement;
 pub mod shape;
-pub mod sim;
 
 pub use job::JobSpec;
 pub use node::{
@@ -38,7 +38,3 @@ pub use node::{
 };
 pub use placement::{place, place_on, Placement, PlacementError, PlacementStrategy};
 pub use shape::{NodeShape, TopoPreset};
-pub use sim::{
-    run_cluster, run_cluster_faulted, run_cluster_faulted_with, run_cluster_with, ClusterConfig,
-    ClusterOutcome, ClusterResult, NodeFailure, NodeFailureRecord,
-};

@@ -8,7 +8,7 @@
 //! function* of `(loads, iterations, sched, seed, shape)`: the kernel, MPI
 //! fabric, and barrier gang are constructed fresh
 //! inside the call, nothing escapes, and no global mutable state is read or
-//! written. That is what lets `cluster::sim` and `batchsim` submit node runs
+//! written. That is what lets `batchsim` submit node runs
 //! to [`simcore::Pool`] from any thread — the result depends only on the
 //! arguments, never on which thread ran it or when.
 

@@ -1,5 +1,5 @@
-//! Fleet-scale batch study: the million-job trajectory of the `fleetsim`
-//! subsystem (DESIGN.md §15).
+//! Fleet-scale batch study: the million-job trajectory of batchsim's
+//! fleet entry points (DESIGN.md §15).
 //!
 //! Where the `batch` binary materialises a 200-job stream, this one
 //! streams 10^4–10^6 jobs over a ≥1000-node fleet in O(1) memory per job:
@@ -26,9 +26,9 @@
 
 use std::time::Instant;
 
+use batchsim::{resume_fleet, run_fleet, run_fleet_until, scaled_config, FleetOutcome};
 use experiments::benchfile;
 use experiments::cli::{self, CliFlags};
-use fleetsim::{run_fleet, run_fleet_until, resume_fleet, scaled_config, FleetOutcome};
 
 /// The scale trajectory `--scale` measures and `--check-bench` requires.
 const SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];

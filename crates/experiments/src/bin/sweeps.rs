@@ -2,7 +2,7 @@
 //! exposes through sysfs? Sweeps HIGH_UTIL/LOW_UTIL bounds, the Adaptive
 //! G/L weights and the priority range on MetBench and MetBenchVar.
 
-use hpcsched::{HeuristicKind, HpcTunables};
+use schedsim::policies::{HeuristicKind, HpcTunables};
 use schedsim::builder::HpcSchedConfig;
 use schedsim::KernelBuilder;
 use schedsim::SchedError;

@@ -8,7 +8,7 @@
 //! conformance-clean; a fail-stop crash must surface as a typed error, not
 //! a panic; an *empty* fault plan must leave the trace byte-identical to a
 //! run without faultsim wired in; a heavily faulted run must still be
-//! deterministic; and a cluster node failure must be absorbed or degrade
+//! deterministic; and a batch node failure must be absorbed or degrade
 //! gracefully. The measured fault baseline lands in `BENCH_faults.json`.
 //!
 //! The parallel section re-runs a batch stream at `--threads N` (default
@@ -20,11 +20,9 @@ use std::fmt::Write as _;
 
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_until, text_fnv1a, BatchCheckpoint,
-    BatchConfig, Discipline, FleetShape, FnvWriter,
+    BatchConfig, BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
 };
-use cluster::{
-    run_cluster_faulted, ClusterConfig, JobSpec, LocalSched, NodeFailure, PlacementStrategy,
-};
+use cluster::{JobSpec, LocalSched};
 use experiments::cli::{self, CliFlags};
 use experiments::runner::{run, run_on, run_with_faults, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};
@@ -310,30 +308,31 @@ fn main() {
         }
     }
 
-    println!("\n== faults: cluster node failure absorbs or degrades, never panics ==");
-    let job = JobSpec::new("vfy", vec![0.05; 6], 6);
-    let nf = NodeFailure { node: 1, at_iteration: 3, max_retries: 2, restart_secs: 0.5 };
-    let cfg3 = ClusterConfig { num_nodes: 3, ..Default::default() };
-    match run_cluster_faulted(&job, PlacementStrategy::GreedyLpt, &cfg3, Some(&nf)) {
-        Ok(out) if out.failure.map(|f| f.absorbed) == Some(true) && !out.degraded => {
-            println!("3 nodes    absorbed (makespan {:.3}s)", out.result.makespan);
-        }
-        other => {
-            println!("3 nodes    expected absorbed outcome, got {other:?}");
-            failed = true;
-        }
+    println!("\n== faults: batch node failure absorbs or degrades, never panics ==");
+    let short = BatchJob::new(0, JobSpec::new("vfy-short", vec![0.05; 4], 1), 0.0);
+    // 3 nodes: the 2-node job loses node 1 mid-run and restarts on the
+    // survivors once the short job frees node 0.
+    let stream = [short.clone(), BatchJob::new(1, JobSpec::new("vfy", vec![0.05; 6], 6), 0.0)];
+    let fault = BatchFault { node: 1, after_completions: 1, max_retries: 2, restart_secs: 0.5 };
+    let out = run_batch(&stream, &BatchConfig { num_nodes: 3, ..Default::default() }, Some(&fault));
+    let job = &out.jobs[1].outcome;
+    if job.failure.is_some_and(|f| f.absorbed) && !job.degraded {
+        println!("3 nodes    absorbed (makespan {:.3}s)", job.result.makespan);
+    } else {
+        println!("3 nodes    expected absorbed outcome, got {job:?}");
+        failed = true;
     }
-    let tight = JobSpec::new("vfy", vec![0.05; 8], 6);
-    let nf0 = NodeFailure { node: 0, at_iteration: 2, max_retries: 2, restart_secs: 0.5 };
-    let cfg2 = ClusterConfig { num_nodes: 2, ..Default::default() };
-    match run_cluster_faulted(&tight, PlacementStrategy::GreedyLpt, &cfg2, Some(&nf0)) {
-        Ok(out) if out.degraded && out.failure.map(|f| !f.absorbed) == Some(true) => {
-            println!("2 nodes    degraded gracefully (partial makespan {:.3}s)", out.result.makespan);
-        }
-        other => {
-            println!("2 nodes    expected degraded outcome, got {other:?}");
-            failed = true;
-        }
+    // 2 nodes: the 2-node job queues behind the short one, whose node then
+    // dies; the survivor alone can never host it.
+    let stream = [short, BatchJob::new(1, JobSpec::new("vfy", vec![0.05; 8], 6), 0.0)];
+    let fault = BatchFault { node: 0, after_completions: 1, max_retries: 2, restart_secs: 0.5 };
+    let out = run_batch(&stream, &BatchConfig { num_nodes: 2, ..Default::default() }, Some(&fault));
+    let job = &out.jobs[1].outcome;
+    if job.degraded && out.failed_nodes == [0] {
+        println!("2 nodes    degraded gracefully (survivor cannot host the gang)");
+    } else {
+        println!("2 nodes    expected degraded outcome, got {job:?}");
+        failed = true;
     }
 
     println!("\n== policy zoo: every --policy x {{plain + every fault class}} ==");

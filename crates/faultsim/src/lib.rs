@@ -19,8 +19,9 @@
 //!   installed into the MPI world, with [`CrashPolicy::FailStop`] (job aborts
 //!   cleanly with a typed [`FaultError`]) or [`CrashPolicy::Restart`]
 //!   (checkpoint/restart: the rank re-enters at the last completed barrier);
-//! * **node failure** — a spec the cluster simulator uses to mark a node
-//!   down and re-place its gang on the survivors (`cluster::sim`).
+//! * **node failure** — a spec the batch simulator uses to mark a node
+//!   down and requeue the job running there onto the survivors
+//!   (`batchsim::BatchFault::from_spec`).
 //!
 //! # Determinism
 //!

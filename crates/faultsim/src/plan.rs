@@ -102,15 +102,16 @@ pub struct CrashSpec {
     pub policy: CrashPolicy,
 }
 
-/// Class 4 — node failure at cluster level. Consumed by `cluster::sim`,
-/// which marks the node down and re-places its gang on the survivors.
+/// Class 4 — node failure at cluster level. Consumed by batchsim
+/// (`BatchFault::from_spec`), which marks the node down and requeues the
+/// job running there onto the survivors.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodeFailSpec {
     /// Node that dies.
     pub node: usize,
-    /// Gang iteration after which it dies.
+    /// Completed jobs after which it dies.
     pub iteration: u32,
-    /// Re-placement attempts before giving up with a degraded result.
+    /// Requeues before the job gives up with a degraded result.
     pub retries: u32,
     /// Simulated checkpoint-restore overhead when the job resumes, seconds.
     pub restart_secs: f64,

@@ -1,15 +1,11 @@
 //! Convenience assembly: a simulated POWER5 machine running a kernel with
 //! the HPC scheduling class — driven by any registered balancing policy.
 //!
-//! This is the policy-aware successor of the old `hpcsched::HpcKernelBuilder`
-//! (which now delegates here). Differences:
-//!
 //! * the balancing policy is selected by registry name
 //!   ([`KernelBuilder::policy`], default `"hpc"`) or injected as a custom
 //!   [`Balancer`] instance ([`KernelBuilder::balancer`]);
 //! * there is a single tunables path: the shared handle exists from
-//!   [`KernelBuilder::new`] on and is read with [`KernelBuilder::tunables`],
-//!   instead of the old `try_build` / `try_build_with_tunables` split.
+//!   [`KernelBuilder::new`] on and is read with [`KernelBuilder::tunables`].
 
 use crate::balancer::Balancer;
 use crate::classes::{BalancedClass, HpcPolicyKind};

@@ -2,9 +2,10 @@
 //!
 //! The Scheduler Core treats classes as objects and walks them in priority
 //! order; each class owns its own per-CPU run queues and algorithms. This
-//! trait is the seam the paper exploits: the `hpcsched` crate implements it
-//! and installs itself between the real-time and CFS classes without
-//! touching the core (`Kernel`).
+//! trait is the seam the paper exploits: `SCHED_HPC`
+//! ([`crate::classes::BalancedClass`]) implements it and installs itself
+//! between the real-time and CFS classes without touching the core
+//! (`Kernel`).
 
 use crate::task::{Task, TaskId};
 use power5::{CpuId, Topology};

@@ -1,11 +1,11 @@
 //! Property tests for the HPC scheduler's decision components.
 
-use hpcsched::{
+use power5::HwPriority;
+use proptest::prelude::*;
+use schedsim::policies::{
     AdaptiveHeuristic, Heuristic, HpcTunables, LoadImbalanceDetector, TaskIterStats,
     UniformHeuristic,
 };
-use power5::HwPriority;
-use proptest::prelude::*;
 use schedsim::TaskId;
 use simcore::SimDuration;
 

@@ -87,7 +87,6 @@ pub const RULES: &[Rule] = &[
             "crates/schedsim/src/",
             "crates/power5/src/",
             "crates/mpisim/src/",
-            "crates/core/src/",
             "crates/faultsim/src/",
             "crates/batchsim/src/",
         ],
@@ -157,11 +156,10 @@ pub const RULES: &[Rule] = &[
             ],
         },
         scope: Scope::Zones,
+        // The analyzer's own rule table is string literals, invisible to
+        // token matching, so no file needs an exemption.
         zones: &["crates/"],
-        // Only the hpcsched facade may spell the deprecated builder (it
-        // defines the delegating shim). The analyzer's own rule table is
-        // string literals, invisible to token matching.
-        exempt: &["crates/core/src/runtime.rs", "crates/core/src/lib.rs"],
+        exempt: &[],
         invariant_escape: false,
     },
     Rule {
@@ -365,7 +363,6 @@ pub const RULES: &[Rule] = &[
         zones: &[
             "crates/batchsim/src/stats.rs",
             "crates/batchsim/src/fleet.rs",
-            "crates/fleetsim/src/",
         ],
         exempt: &[],
         invariant_escape: true,

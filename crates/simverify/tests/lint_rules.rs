@@ -92,10 +92,10 @@ fn sv004_flags_deprecated_shims_anywhere_in_crates() {
 fn sv004_flags_the_deprecated_builder_outside_the_facade() {
     let src = "fn f() { let k = HpcKernelBuilder::new().build(); }\n";
     assert_eq!(violations("crates/workloads/src/metbench.rs", src), vec!["SV004"]);
-    // The hpcsched facade defines the delegating shim; only it may spell
-    // the name.
-    assert!(violations("crates/core/src/runtime.rs", src).is_empty());
-    assert!(violations("crates/core/src/lib.rs", src).is_empty());
+    // The hpcsched facade that defined the shim is gone, and so is its
+    // carve-out: a resurrected builder at the old paths is flagged too.
+    assert_eq!(violations("crates/core/src/runtime.rs", src), vec!["SV004"]);
+    assert_eq!(violations("crates/core/src/lib.rs", src), vec!["SV004"]);
 }
 
 #[test]

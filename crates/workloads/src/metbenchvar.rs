@@ -152,7 +152,7 @@ pub fn spawn_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcsched::HeuristicKind;
+    use schedsim::policies::HeuristicKind;
     use schedsim::KernelBuilder;
     use power5::HwPriority;
     use simcore::SimDuration;

@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --release --example balance_mpi_app`
 
-use hpcsched::prelude::*;
-use schedsim::SharedSink;
+use schedsim::{KernelBuilder, SharedSink};
+use simcore::SimDuration;
 use tracefmt::{render_timeline, AppStats, AsciiOptions, Timeline};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;

@@ -2,8 +2,8 @@
 //!
 //! The paper's future work asks for "an heuristic capable of performing
 //! well for both constant and dynamic applications". This example shows the
-//! extension surface: implement [`hpcsched::Heuristic`] and hand it to a
-//! [`schedsim::policies::Table1Balancer`] driving the
+//! extension surface: implement [`schedsim::policies::Heuristic`] and
+//! hand it to a [`schedsim::policies::Table1Balancer`] driving the
 //! [`schedsim::BalancedClass`]. The demo heuristic jumps straight to the
 //! target priority instead of stepping one level per iteration. (For a
 //! whole new *policy* rather than a new Table-I heuristic, implement
@@ -11,12 +11,17 @@
 //!
 //! Run with: `cargo run --release --example custom_heuristic`
 
-use hpcsched::prelude::*;
-use hpcsched::{Heuristic, Power5Mechanism, TaskIterStats};
-use schedsim::policies::Table1Balancer;
-use mpisim::{Mpi, MpiConfig};
-use schedsim::program::FnProgram;
 use std::sync::{Arc, Mutex};
+
+use mpisim::{Mpi, MpiConfig};
+use power5::{Chip, CpuId, HwPriority, Topology};
+use schedsim::policies::{Heuristic, HpcTunables, Power5Mechanism, Table1Balancer, TaskIterStats};
+use schedsim::program::FnProgram;
+use schedsim::{
+    Action, BalancedClass, HpcPolicyKind, Kernel, KernelApi, KernelConfig, SchedPolicy,
+    SpawnOptions,
+};
+use simcore::SimDuration;
 
 /// One-shot heuristic: high-utilization tasks go straight to MAX_PRIO,
 /// low-utilization tasks straight to MIN_PRIO (no gradual stepping). More

@@ -8,7 +8,8 @@
 //!
 //! Run with: `cargo run --release --example os_noise_latency`
 
-use hpcsched::prelude::*;
+use schedsim::{KernelBuilder, NoiseConfig};
+use simcore::SimDuration;
 use workloads::siesta::{self, SiestaConfig};
 use workloads::SchedulerSetup;
 

@@ -9,9 +9,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use hpcsched::prelude::*;
 use mpisim::{Mpi, MpiConfig};
+use power5::CpuId;
 use schedsim::program::FnProgram;
+use schedsim::{Action, Kernel, KernelApi, KernelBuilder, SchedPolicy, SpawnOptions, TaskId};
+use simcore::SimDuration;
 
 /// Build a two-worker barrier-synchronized program pair (rank 0 small,
 /// rank 1 large) and return their task ids.

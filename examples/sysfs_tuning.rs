@@ -8,8 +8,9 @@
 //!
 //! Run with: `cargo run --release --example sysfs_tuning`
 
-use hpcsched::prelude::*;
-use hpcsched::HpcTunables;
+use schedsim::policies::HpcTunables;
+use schedsim::KernelBuilder;
+use simcore::SimDuration;
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
 

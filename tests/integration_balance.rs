@@ -2,7 +2,10 @@
 //! (workload → MPI → kernel → HPC class → heuristics → chip) on
 //! paper-shaped applications, at reduced scale.
 
-use hpcsched::prelude::*;
+use power5::HwPriority;
+use schedsim::policies::HeuristicKind;
+use schedsim::{HpcSchedConfig, KernelBuilder};
+use simcore::SimDuration;
 use workloads::btmz::{self, BtMzConfig};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
@@ -23,7 +26,7 @@ fn run_metbench(mode: &str) -> (f64, Vec<f64>, Vec<u8>) {
         ),
         "uniform" => (KernelBuilder::new().build(), SchedulerSetup::Hpc),
         "adaptive" => (
-            KernelBuilder::new().heuristic(hpcsched::HeuristicKind::Adaptive).build(),
+            KernelBuilder::new().heuristic(HeuristicKind::Adaptive).build(),
             SchedulerSetup::Hpc,
         ),
         _ => unreachable!(),
@@ -126,7 +129,7 @@ fn null_mechanism_keeps_priorities_flat() {
     // schedules, but priorities stay at Medium and no speedup appears.
     let cfg = metbench_cfg();
     let mut kernel = KernelBuilder::new()
-        .hpc_config(hpcsched::HpcSchedConfig { power5_mechanism: false, ..Default::default() })
+        .hpc_config(HpcSchedConfig { power5_mechanism: false, ..Default::default() })
         .build();
     let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
     let mut all = workers.clone();

@@ -1,8 +1,9 @@
 //! Dynamic-behaviour integration: MetBenchVar's load reversal and the
 //! scheduler's re-balancing (paper §V-B).
 
-use hpcsched::prelude::*;
-use hpcsched::HeuristicKind;
+use schedsim::policies::HeuristicKind;
+use schedsim::KernelBuilder;
+use simcore::SimDuration;
 use workloads::metbench::MetBenchConfig;
 use workloads::metbenchvar::{self, MetBenchVarConfig};
 use workloads::SchedulerSetup;

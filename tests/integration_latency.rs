@@ -1,7 +1,9 @@
 //! Scheduler-latency integration: the SCHED_HPC class's responsiveness on
 //! a noisy node (paper §V-D, the SIESTA analysis).
 
-use hpcsched::prelude::*;
+use power5::CpuId;
+use schedsim::{KernelBuilder, NoiseConfig, SchedPolicy, SpawnOptions};
+use simcore::SimDuration;
 use workloads::siesta::{self, SiestaConfig};
 use workloads::SchedulerSetup;
 

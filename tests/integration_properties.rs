@@ -1,8 +1,9 @@
 //! Property-based integration tests: whole-simulation invariants under
 //! randomized workload shapes.
 
-use hpcsched::prelude::*;
 use proptest::prelude::*;
+use schedsim::KernelBuilder;
+use simcore::SimDuration;
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
 

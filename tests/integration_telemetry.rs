@@ -2,8 +2,9 @@
 //! the trace a [`SharedSink`] observer collects from the same run — the two
 //! are independent views of the same hot-path events.
 
-use hpcsched::prelude::*;
-use schedsim::{FaultEvent, SharedSink, TaskState, TraceEvent};
+use power5::CpuId;
+use schedsim::{FaultEvent, Kernel, KernelBuilder, SharedSink, TaskId, TaskState, TraceEvent};
+use simcore::{SimDuration, SimTime};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
 

@@ -2,8 +2,8 @@
 //! `simverify` — the trace respects every runtime invariant, the telemetry
 //! counters reconcile, and the run replays identically under one seed.
 
-use hpcsched::prelude::*;
-use schedsim::SharedSink;
+use schedsim::{KernelBuilder, SharedSink};
+use simcore::SimDuration;
 use simverify::conformance::{self, CheckConfig};
 use simverify::determinism;
 use workloads::metbench::{self, MetBenchConfig};
