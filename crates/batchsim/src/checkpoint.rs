@@ -33,10 +33,13 @@ use crate::sim::{
 /// Version of the batch checkpoint payload layout. Bumped to 2 when the
 /// fleet extension, `BatchConfig::backfill_window`, and `BatchJob::class`
 /// entered the format, to 3 when `BatchConfig::shape` (the
-/// heterogeneous-fleet axis) did, and to 4 when every image came to carry
-/// the run summary and the metrics snapshot, with the recording optional;
-/// decode rejects other versions rather than misinterpreting old images.
-pub const BATCH_CHECKPOINT_VERSION: u32 = 4;
+/// heterogeneous-fleet axis) did, to 4 when every image came to carry
+/// the run summary and the metrics snapshot, with the recording optional,
+/// and to 5 when `LocalSched` gained a variant-tagged wire form (its label
+/// alone could not tell the builtin `static` regime from the zoo's
+/// `static` policy); decode rejects other versions rather than
+/// misinterpreting old images.
+pub const BATCH_CHECKPOINT_VERSION: u32 = 5;
 
 /// When a checkpointing run captures images (checked at the engine loop
 /// boundary; both cadences may be set, either firing captures).
@@ -781,7 +784,7 @@ mod tests {
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
         let mut payload = bytes[PAYLOAD_OFFSET..].to_vec();
-        payload[..4].copy_from_slice(&3u32.to_le_bytes());
+        payload[..4].copy_from_slice(&4u32.to_le_bytes());
         let mut w = SnapshotWriter::new();
         for b in payload {
             w.put_u8(b);
@@ -810,6 +813,22 @@ mod tests {
             assert_eq!(resumed.makespan.to_bits(), full.makespan.to_bits());
             assert_eq!(resumed.jobs.len(), full.jobs.len());
         }
+    }
+
+    /// `Policy("static")` shares its label with the builtin `Static`
+    /// regime; a resumed run must come back on the zoo policy it was cut
+    /// under, not on pinned-priority CFS.
+    #[test]
+    fn resume_under_the_static_policy_is_byte_identical() {
+        let stream = heavy_light_mix(2008, 30);
+        let cfg =
+            BatchConfig { sched: cluster::LocalSched::Policy("static"), ..BatchConfig::default() };
+        let full = run_batch(&stream, &cfg, None);
+        let ckpt = run_batch_until(&stream, &cfg, None, 5).expect("cut exists");
+        let ckpt = BatchCheckpoint::decode(&ckpt.encode()).expect("round trip");
+        let resumed = resume_batch(&ckpt);
+        assert_eq!(resumed.render_trace(), full.render_trace());
+        assert_eq!(resumed.metrics, full.metrics);
     }
 
     #[test]

@@ -56,8 +56,7 @@ use std::fmt::{self, Write as _};
 use std::time::Duration;
 
 use cluster::{
-    place_on, run_node_on, run_node_traced_on, JobSpec, LocalSched, NodeShape, Placement,
-    PlacementStrategy, TopoPreset,
+    place_on, run_node, JobSpec, LocalSched, NodeShape, Placement, PlacementStrategy, TopoPreset,
 };
 use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
@@ -569,21 +568,19 @@ impl Oracle {
                             panic!("faultsim: injected task abort (attempt {attempt})");
                         }
                     }
-                    match seed {
-                        None => (0.0, None),
-                        Some(seed) if verify => {
-                            let traced = run_node_traced_on(&loads, iterations, sched, seed, &shape);
-                            let report = check_with_metrics(
-                                &traced.records,
-                                &traced.metrics,
-                                &CheckConfig::default(),
-                            );
-                            (traced.run.exec_secs, Some(report))
-                        }
-                        Some(seed) => {
-                            (run_node_on(&loads, iterations, sched, seed, &shape).exec_secs, None)
-                        }
-                    }
+                    let Some(seed) = seed else {
+                        return (0.0, None);
+                    };
+                    // INVARIANT: placement never hands a node more ranks
+                    // than its shape has slots, and `sched` names a builtin
+                    // regime or a registry policy by construction, so a
+                    // node-run error is a simulator bug and panics here.
+                    let run = run_node(&loads, iterations, sched, seed, &shape, verify)
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    let report = run.trace.map(|t| {
+                        check_with_metrics(&t.records, &t.metrics, &CheckConfig::default())
+                    });
+                    (run.exec_secs, report)
                 }
             })
             .collect();

@@ -154,7 +154,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
                 );
             }
             k.run_for(SimDuration::from_millis(100));
-            black_box(k.metrics().context_switches)
+            black_box(k.metrics_registry().snapshot().counter("kernel.context_switches"))
         })
     });
 

@@ -32,9 +32,6 @@ pub mod placement;
 pub mod shape;
 
 pub use job::JobSpec;
-pub use node::{
-    run_node, run_node_on, run_node_sched, run_node_traced, run_node_traced_on, static_prios,
-    try_run_node_on, try_run_node_traced_on, LocalSched, NodeRun, TracedNodeRun,
-};
+pub use node::{run_node, static_prios, LocalSched, NodeRun, NodeTrace};
 pub use placement::{place, place_on, Placement, PlacementError, PlacementStrategy};
 pub use shape::{NodeShape, TopoPreset};

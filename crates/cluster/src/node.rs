@@ -3,12 +3,10 @@
 //!
 //! # Purity contract
 //!
-//! Every entry point here ([`run_node`], [`run_node_sched`],
-//! [`run_node_traced`], and their shape-aware `_on` twins) is a *pure
-//! function* of `(loads, iterations, sched, seed, shape)`: the kernel, MPI
-//! fabric, and barrier gang are constructed fresh
-//! inside the call, nothing escapes, and no global mutable state is read or
-//! written. That is what lets `batchsim` submit node runs
+//! [`run_node`], the one node-run entry point, is a *pure function* of
+//! `(loads, iterations, sched, seed, shape, traced)`: the kernel, MPI
+//! fabric, and barrier gang are constructed fresh inside the call, nothing
+//! escapes, and no global mutable state is read or written. That is what lets `batchsim` submit node runs
 //! to [`simcore::Pool`] from any thread — the result depends only on the
 //! arguments, never on which thread ran it or when.
 
@@ -68,17 +66,33 @@ impl LocalSched {
 
 impl simcore::snapshot::Snapshot for LocalSched {
     fn snapshot(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        // The canonical label is the wire form: `parse` re-interns policy
-        // names through the registry, so `Policy(&'static str)` survives
-        // serialization without a second name table.
-        w.put_str(self.label());
+        // A variant tag, not the label: `static` labels both the builtin
+        // pinned-priority regime and the zoo's placement-only policy. A
+        // policy name is re-interned through the registry on restore, so
+        // `Policy(&'static str)` survives without a second name table.
+        match self {
+            LocalSched::Cfs => w.put_u8(0),
+            LocalSched::Static => w.put_u8(1),
+            LocalSched::Hpc => w.put_u8(2),
+            LocalSched::Policy(name) => {
+                w.put_u8(3);
+                w.put_str(name);
+            }
+        }
     }
     fn restore(
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> Result<Self, simcore::snapshot::SnapshotError> {
-        let label = r.get_str()?;
-        LocalSched::parse(&label)
-            .ok_or(simcore::snapshot::SnapshotError::Malformed("unknown LocalSched label"))
+        use simcore::snapshot::SnapshotError::Malformed;
+        match r.get_u8()? {
+            0 => Ok(LocalSched::Cfs),
+            1 => Ok(LocalSched::Static),
+            2 => Ok(LocalSched::Hpc),
+            3 => schedsim::policies::canonical(&r.get_str()?)
+                .map(LocalSched::Policy)
+                .ok_or(Malformed("unknown LocalSched policy")),
+            _ => Err(Malformed("LocalSched tag out of range")),
+        }
     }
 }
 
@@ -99,131 +113,16 @@ pub struct NodeRun {
     pub exec_secs: f64,
     /// Final hardware priority per slot.
     pub final_prios: Vec<u8>,
+    /// The kernel trace and telemetry snapshot, present only for a traced
+    /// run (conformance checking of batch-scheduled jobs).
+    pub trace: Option<NodeTrace>,
 }
 
-/// A node run with its full kernel trace and telemetry snapshot attached,
-/// for conformance checking of batch-scheduled jobs.
+/// A traced node run's full kernel trace and end-of-run metrics.
 #[derive(Clone, Debug)]
-pub struct TracedNodeRun {
-    pub run: NodeRun,
+pub struct NodeTrace {
     pub records: Vec<TraceRecord>,
     pub metrics: MetricsSnapshot,
-}
-
-/// Run `loads` (one per CPU slot, in slot order) for `iterations`
-/// barrier-synchronized iterations on a fresh node.
-// PURITY-ROOT: pool task closures call this; result must be a pure
-// function of (loads, iterations, hpc, seed).
-pub fn run_node(loads: &[f64], iterations: u32, hpc: bool, seed: u64) -> NodeRun {
-    let sched = if hpc { LocalSched::Hpc } else { LocalSched::Cfs };
-    run_node_sched(loads, iterations, sched, seed)
-}
-
-/// [`run_node`] generalized over the node-local scheduler modes.
-// PURITY-ROOT: the parallel-fleet entry point (DESIGN.md §11).
-pub fn run_node_sched(loads: &[f64], iterations: u32, sched: LocalSched, seed: u64) -> NodeRun {
-    // INVARIANT: panicking wrapper by documented contract — the batch and
-    // cluster drivers construct slot vectors ≤ 4 and builtin scheds by
-    // construction; fallible callers (CLI-fed configs) use try_run_node_sched.
-    try_run_node_sched(loads, iterations, sched, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_node_sched`]: rejects a slot vector that does not fit the
-/// node and an unregistered [`LocalSched::Policy`] name as typed
-/// [`SchedError`]s instead of panicking.
-pub fn try_run_node_sched(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-) -> Result<NodeRun, SchedError> {
-    Ok(try_run_node_impl(loads, iterations, sched, seed, None, &NodeShape::default())?.0)
-}
-
-/// [`run_node_sched`] generalized over a [`NodeShape`]: the kernel runs the
-/// shape's scheduling-domain tree (slot capacity comes from the tree, so a
-/// 2-socket node takes 8 ranks and a wide-SMT core 4), and every load is
-/// divided by the node's relative speed. The default shape reproduces
-/// [`run_node_sched`] exactly — dividing by speed 1.0 is the identity.
-// PURITY-ROOT: shape-aware parallel-fleet entry point; result must be a
-// pure function of (loads, iterations, sched, seed, shape).
-pub fn run_node_on(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-    shape: &NodeShape,
-) -> NodeRun {
-    // INVARIANT: panicking wrapper by documented contract; see
-    // `run_node_sched`. Fallible callers use `try_run_node_on`.
-    try_run_node_on(loads, iterations, sched, seed, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_node_on`].
-pub fn try_run_node_on(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-    shape: &NodeShape,
-) -> Result<NodeRun, SchedError> {
-    Ok(try_run_node_impl(loads, iterations, sched, seed, None, shape)?.0)
-}
-
-/// Traced [`run_node_on`] — the shape-aware twin of [`run_node_traced`].
-// PURITY-ROOT: traced shape-aware parallel-fleet entry point.
-pub fn run_node_traced_on(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-    shape: &NodeShape,
-) -> TracedNodeRun {
-    // INVARIANT: panicking wrapper by documented contract; see
-    // `run_node_sched`. Fallible callers use `try_run_node_traced_on`.
-    try_run_node_traced_on(loads, iterations, sched, seed, shape).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_node_traced_on`].
-pub fn try_run_node_traced_on(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-    shape: &NodeShape,
-) -> Result<TracedNodeRun, SchedError> {
-    let sink = SharedSink::new();
-    let (run, metrics) =
-        try_run_node_impl(loads, iterations, sched, seed, Some(sink.clone()), shape)?;
-    Ok(TracedNodeRun { run, records: sink.snapshot(), metrics })
-}
-
-/// Like [`run_node_sched`], but with a trace sink attached and the
-/// kernel's telemetry snapshotted, so the caller can conformance-check the
-/// node-local schedule (C001–C005).
-// PURITY-ROOT: traced variant of the parallel-fleet entry point.
-pub fn run_node_traced(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-) -> TracedNodeRun {
-    // INVARIANT: panicking wrapper by documented contract; see
-    // `run_node_sched`. Fallible callers use `try_run_node_traced`.
-    try_run_node_traced(loads, iterations, sched, seed).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible [`run_node_traced`].
-pub fn try_run_node_traced(
-    loads: &[f64],
-    iterations: u32,
-    sched: LocalSched,
-    seed: u64,
-) -> Result<TracedNodeRun, SchedError> {
-    let sink = SharedSink::new();
-    let (run, metrics) =
-        try_run_node_impl(loads, iterations, sched, seed, Some(sink.clone()), &NodeShape::default())?;
-    Ok(TracedNodeRun { run, records: sink.snapshot(), metrics })
 }
 
 // Compile-time guard for the purity contract's `Send` half: node-run
@@ -231,17 +130,32 @@ pub fn try_run_node_traced(
 const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<NodeRun>();
-    assert_send::<TracedNodeRun>();
 };
 
-fn try_run_node_impl(
+/// Run `loads` (one per CPU slot, in slot order) for `iterations`
+/// barrier-synchronized iterations on a fresh node of `shape` under
+/// `sched`. The kernel runs the shape's scheduling-domain tree (slot
+/// capacity comes from the tree, so a 2-socket node takes 8 ranks and a
+/// wide-SMT core 4), and every load is divided by the node's relative
+/// speed — the identity on the default shape. With `traced`, a trace sink
+/// is attached and the kernel's telemetry snapshotted into
+/// [`NodeRun::trace`], so the caller can conformance-check the node-local
+/// schedule (C001–C005); observing never perturbs the run.
+///
+/// # Errors
+/// [`SchedError::InvalidTopology`] for a slot vector that is empty or does
+/// not fit the node, and [`SchedError::UnknownPolicy`] for an unregistered
+/// [`LocalSched::Policy`] name.
+// PURITY-ROOT: pool task closures call this; the result must be a pure
+// function of (loads, iterations, sched, seed, shape, traced).
+pub fn run_node(
     loads: &[f64],
     iterations: u32,
     sched: LocalSched,
     seed: u64,
-    sink: Option<SharedSink>,
     shape: &NodeShape,
-) -> Result<(NodeRun, MetricsSnapshot), SchedError> {
+    traced: bool,
+) -> Result<NodeRun, SchedError> {
     let slots = shape.topology.num_cpus();
     if loads.is_empty() || loads.len() > slots {
         return Err(SchedError::InvalidTopology(format!(
@@ -255,8 +169,9 @@ fn try_run_node_impl(
         LocalSched::Policy(p) => builder.policy(p).try_build()?,
         LocalSched::Cfs | LocalSched::Static => builder.without_hpc_class().try_build()?,
     };
-    if let Some(sink) = sink {
-        kernel.observe(Box::new(sink));
+    let sink = traced.then(SharedSink::new);
+    if let Some(sink) = &sink {
+        kernel.observe(Box::new(sink.clone()));
     }
     let policy = match sched {
         LocalSched::Hpc | LocalSched::Policy(_) => SchedPolicy::Hpc,
@@ -289,21 +204,27 @@ fn try_run_node_impl(
         // magnitude above any real node run; hitting it is a simulator bug,
         // not a caller error, so it stays a panic even on the try_ path.
         .expect("node run finishes");
-    let run = NodeRun {
+    Ok(NodeRun {
         exec_secs: end.as_secs_f64(),
         final_prios: ids.iter().map(|&t| kernel.task(t).hw_prio.value()).collect(),
-    };
-    let metrics = kernel.metrics_registry().snapshot();
-    Ok((run, metrics))
+        trace: sink.map(|sink| NodeTrace {
+            records: sink.snapshot(),
+            metrics: kernel.metrics_registry().snapshot(),
+        }),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn run(loads: &[f64], iterations: u32, sched: LocalSched, seed: u64) -> NodeRun {
+        run_node(loads, iterations, sched, seed, &NodeShape::default(), false).expect("valid node")
+    }
+
     #[test]
     fn balanced_node_runs_at_smt_speed() {
-        let r = run_node(&[0.08, 0.08, 0.08, 0.08], 5, true, 1);
+        let r = run(&[0.08, 0.08, 0.08, 0.08], 5, LocalSched::Hpc, 1);
         // 0.08 / 0.8 per iteration × 5.
         assert!((0.48..0.55).contains(&r.exec_secs), "exec {}", r.exec_secs);
         assert!(r.final_prios.iter().all(|&p| p == 4), "no boost needed");
@@ -312,15 +233,15 @@ mod tests {
     #[test]
     fn imbalanced_node_gets_boosted_under_hpc() {
         let imb = [0.32, 0.08, 0.32, 0.08];
-        let base = run_node(&imb, 5, false, 1);
-        let hpc = run_node(&imb, 5, true, 1);
+        let base = run(&imb, 5, LocalSched::Cfs, 1);
+        let hpc = run(&imb, 5, LocalSched::Hpc, 1);
         assert!(hpc.exec_secs < base.exec_secs * 0.95, "{} vs {}", hpc.exec_secs, base.exec_secs);
         assert_eq!(hpc.final_prios[0], 6, "heavy slot boosted: {:?}", hpc.final_prios);
     }
 
     #[test]
     fn partial_node_runs() {
-        let r = run_node(&[0.1, 0.1], 3, true, 1);
+        let r = run(&[0.1, 0.1], 3, LocalSched::Hpc, 1);
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 2);
     }
@@ -332,15 +253,16 @@ mod tests {
             prios,
             vec![HwPriority::HIGH, HwPriority::MEDIUM, HwPriority::HIGH, HwPriority::MEDIUM]
         );
-        let r = run_node_sched(&[0.32, 0.08, 0.32, 0.08], 3, LocalSched::Static, 1);
+        let r = run(&[0.32, 0.08, 0.32, 0.08], 3, LocalSched::Static, 1);
         assert_eq!(r.final_prios, vec![6, 4, 6, 4], "static prios never move");
     }
 
     #[test]
     fn oversized_slot_vector_is_a_typed_error() {
-        let err = try_run_node_sched(&[0.1; 5], 2, LocalSched::Hpc, 1);
+        let default = NodeShape::default();
+        let err = run_node(&[0.1; 5], 2, LocalSched::Hpc, 1, &default, false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(_))), "got {err:?}");
-        let err = try_run_node_sched(&[], 2, LocalSched::Cfs, 1);
+        let err = run_node(&[], 2, LocalSched::Cfs, 1, &default, false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(_))), "got {err:?}");
     }
 
@@ -349,24 +271,25 @@ mod tests {
         assert_eq!(LocalSched::parse("worksteal"), Some(LocalSched::Policy("worksteal")));
         assert_eq!(LocalSched::parse("static"), Some(LocalSched::Static), "builtin name wins");
         assert_eq!(LocalSched::parse("nope"), None);
-        let r = run_node_sched(&[0.32, 0.08], 3, LocalSched::Policy("ss"), 1);
+        let r = run(&[0.32, 0.08], 3, LocalSched::Policy("ss"), 1);
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 2);
     }
 
     #[test]
     fn unknown_policy_name_is_a_typed_error() {
-        let err = try_run_node_sched(&[0.1], 2, LocalSched::Policy("lottery"), 1);
+        let err = run_node(&[0.1], 2, LocalSched::Policy("lottery"), 1, &NodeShape::default(), false);
         assert!(matches!(err, Err(SchedError::UnknownPolicy(_))), "got {err:?}");
     }
 
     #[test]
     fn default_shape_delegation_is_exact() {
         let loads = [0.32, 0.08, 0.16, 0.08];
-        let legacy = run_node_sched(&loads, 4, LocalSched::Hpc, 7);
-        let on = run_node_on(&loads, 4, LocalSched::Hpc, 7, &NodeShape::default());
-        assert_eq!(legacy.exec_secs, on.exec_secs, "speed 1.0 must be the identity");
-        assert_eq!(legacy.final_prios, on.final_prios);
+        let default = run(&loads, 4, LocalSched::Hpc, 7);
+        let explicit = NodeShape::new(power5::Topology::openpower_710(), 1.0);
+        let on = run_node(&loads, 4, LocalSched::Hpc, 7, &explicit, false).unwrap();
+        assert_eq!(default.exec_secs, on.exec_secs, "speed 1.0 must be the identity");
+        assert_eq!(default.final_prios, on.final_prios);
     }
 
     #[test]
@@ -375,11 +298,9 @@ mod tests {
         // reference node.
         let shape = crate::shape::TopoPreset::TwoSocket.shape(1.0);
         let loads = [0.08; 8];
-        let r = run_node_on(&loads, 3, LocalSched::Hpc, 1, &shape);
+        let r = run_node(&loads, 3, LocalSched::Hpc, 1, &shape, false).unwrap();
         assert_eq!(r.final_prios.len(), 8);
-        let err = try_run_node_sched(&loads, 3, LocalSched::Hpc, 1);
-        assert!(matches!(err, Err(SchedError::InvalidTopology(_))), "got {err:?}");
-        let err = try_run_node_on(&loads, 3, LocalSched::Hpc, 1, &NodeShape::default());
+        let err = run_node(&loads, 3, LocalSched::Hpc, 1, &NodeShape::default(), false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(ref m)) if m.contains("4 CPU slots")),
             "got {err:?}");
     }
@@ -387,14 +308,9 @@ mod tests {
     #[test]
     fn faster_node_finishes_sooner() {
         let loads = [0.2, 0.2, 0.2, 0.2];
-        let base = run_node_on(&loads, 4, LocalSched::Hpc, 1, &NodeShape::default());
-        let fast = run_node_on(
-            &loads,
-            4,
-            LocalSched::Hpc,
-            1,
-            &NodeShape::new(power5::Topology::openpower_710(), 2.0),
-        );
+        let base = run(&loads, 4, LocalSched::Hpc, 1);
+        let fast_shape = NodeShape::new(power5::Topology::openpower_710(), 2.0);
+        let fast = run_node(&loads, 4, LocalSched::Hpc, 1, &fast_shape, false).unwrap();
         assert!(
             fast.exec_secs < base.exec_secs * 0.6,
             "2x node: {} vs {}",
@@ -406,17 +322,40 @@ mod tests {
     #[test]
     fn wide_smt_shape_runs_under_the_analytic_model() {
         let shape = crate::shape::TopoPreset::WideSmt.shape(1.0);
-        let r = run_node_on(&[0.1, 0.1, 0.1, 0.1], 3, LocalSched::Hpc, 1, &shape);
+        let r = run_node(&[0.1, 0.1, 0.1, 0.1], 3, LocalSched::Hpc, 1, &shape, false).unwrap();
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 4);
     }
 
     #[test]
     fn traced_run_matches_untraced_and_carries_records() {
-        let plain = run_node_sched(&[0.1, 0.05], 3, LocalSched::Hpc, 9);
-        let traced = run_node_traced(&[0.1, 0.05], 3, LocalSched::Hpc, 9);
-        assert_eq!(plain.exec_secs, traced.run.exec_secs, "observer must not perturb");
-        assert!(!traced.records.is_empty());
-        assert_eq!(traced.metrics.counter("kernel.task_exits"), 2);
+        let plain = run(&[0.1, 0.05], 3, LocalSched::Hpc, 9);
+        assert!(plain.trace.is_none(), "untraced runs carry no trace");
+        let traced =
+            run_node(&[0.1, 0.05], 3, LocalSched::Hpc, 9, &NodeShape::default(), true).unwrap();
+        assert_eq!(plain.exec_secs, traced.exec_secs, "observer must not perturb");
+        assert_eq!(plain.final_prios, traced.final_prios);
+        let trace = traced.trace.expect("traced run carries its trace");
+        assert!(!trace.records.is_empty());
+        assert_eq!(trace.metrics.counter("kernel.task_exits"), 2);
+    }
+
+    /// Every builtin regime and every registry policy decodes to the value
+    /// it was encoded from, including `Policy("static")`, whose label is
+    /// also the builtin `Static` regime's.
+    #[test]
+    fn every_builtin_and_registry_name_round_trips() {
+        use simcore::snapshot::{Snapshot, SnapshotReader, SnapshotWriter};
+        let all = LocalSched::ALL
+            .into_iter()
+            .chain(schedsim::policies::registry().iter().map(|spec| LocalSched::Policy(spec.name)));
+        for sched in all {
+            let mut w = SnapshotWriter::new();
+            sched.snapshot(&mut w);
+            let bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes).expect("frame");
+            assert_eq!(LocalSched::restore(&mut r), Ok(sched), "{sched:?}");
+            r.finish().expect("no trailing bytes");
+        }
     }
 }

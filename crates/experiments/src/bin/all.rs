@@ -4,7 +4,7 @@
 use experiments::cli::CliFlags;
 use experiments::paper::{BTMZ, METBENCH, METBENCHVAR, SIESTA};
 use experiments::report::{report, save_outputs};
-use experiments::runner::run_modes_on;
+use experiments::runner::run_modes;
 use experiments::{ExperimentMode, WorkloadKind};
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     ];
 
     for (slug, wl, modes, paper) in cells {
-        let results = run_modes_on(&wl, &flags.modes(modes), 2008, flags.topology.as_ref());
+        let results = run_modes(&wl, &flags.modes(modes), 2008, None, flags.topology.as_ref());
         let title = format!("{} (paper vs measured)", wl.name());
         print!("{}", report(&title, paper, &results, false));
         flags.epilogue(&results);

@@ -26,7 +26,8 @@
 //!   the completed run's trace hash;
 //! * `--ckpt-smoke` — crash/resume self-test: checkpoint every discipline
 //!   at several cuts, reload through the store (honoring `ckptcorrupt:`),
-//!   and require the resumed traces to be byte-identical;
+//!   and require the resumed traces to be byte-identical (`--policy`
+//!   runs it on that zoo policy instead of HPCSched);
 //! * `--fleet-shape <spec>` — run the fleet on non-reference hardware:
 //!   `uniform` (default; the reference OpenPower 710 node), a topology
 //!   preset (`2-socket`, `numa`, `wide-smt`), or `mixed` (a heterogeneous
@@ -391,8 +392,12 @@ fn ckpt_smoke(
     corrupt: Option<CkptCorruptSpec>,
     dir: &Path,
 ) -> bool {
+    // `--policy` runs every node-local kernel on the named balancer, as in
+    // the full study.
+    let sched = flags.policy.map_or(LocalSched::Hpc, LocalSched::Policy);
     println!(
-        "== ckpt-smoke: crash/resume byte-identity, 3 disciplines, {} thread(s), store {} ==",
+        "== ckpt-smoke: crash/resume byte-identity, 3 disciplines, {} nodes, {} thread(s), store {} ==",
+        sched.label(),
         flags.threads,
         dir.display()
     );
@@ -402,6 +407,7 @@ fn ckpt_smoke(
     for discipline in Discipline::ALL {
         let cfg = sup.apply(BatchConfig {
             discipline,
+            sched,
             threads: flags.threads,
             ..Default::default()
         });

@@ -3,7 +3,7 @@
 use experiments::cli::CliFlags;
 use experiments::paper::BTMZ;
 use experiments::report::{report, save_outputs};
-use experiments::runner::run_modes_faulted_on;
+use experiments::runner::run_modes;
 use experiments::{ExperimentMode, WorkloadKind};
 
 fn main() {
@@ -11,7 +11,7 @@ fn main() {
     let flags = CliFlags::from_env();
     let modes = flags.modes(&ExperimentMode::ALL);
     let results =
-        run_modes_faulted_on(&wl, &modes, 2008, flags.faults.as_ref(), flags.topology.as_ref());
+        run_modes(&wl, &modes, 2008, flags.faults.as_ref(), flags.topology.as_ref());
     print!("{}", report("Table V / Figure 5 — BT-MZ", BTMZ, &results, true));
     flags.epilogue(&results);
     let dir = std::path::Path::new("experiments_output");

@@ -8,7 +8,7 @@
 //! each.
 
 use experiments::cli::CliFlags;
-use experiments::runner::run_modes_on;
+use experiments::runner::run_modes;
 use experiments::{ExperimentMode, WorkloadKind};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
 
     let mut hybrid_ok = true;
     for wl in &cells {
-        let results = run_modes_on(wl, &modes, 2008, flags.topology.as_ref());
+        let results = run_modes(wl, &modes, 2008, None, flags.topology.as_ref());
         flags.epilogue(&results);
         let secs: Vec<f64> = results.iter().map(|r| r.exec_secs).collect();
         let (base, unif, adapt, hybrid) = (secs[0], secs[1], secs[2], secs[3]);

@@ -3,7 +3,7 @@
 use experiments::cli::CliFlags;
 use experiments::paper::SIESTA;
 use experiments::report::{report, save_outputs};
-use experiments::runner::run_modes_faulted_on;
+use experiments::runner::run_modes;
 use experiments::{ExperimentMode, WorkloadKind};
 
 fn main() {
@@ -12,7 +12,7 @@ fn main() {
     let modes =
         flags.modes(&[ExperimentMode::Baseline, ExperimentMode::Uniform, ExperimentMode::Adaptive]);
     let results =
-        run_modes_faulted_on(&wl, &modes, 2008, flags.faults.as_ref(), flags.topology.as_ref());
+        run_modes(&wl, &modes, 2008, flags.faults.as_ref(), flags.topology.as_ref());
     print!("{}", report("Table VI / Figure 6 — SIESTA", SIESTA, &results, true));
     flags.epilogue(&results);
     let dir = std::path::Path::new("experiments_output");

@@ -24,7 +24,7 @@ use batchsim::{
 };
 use cluster::{JobSpec, LocalSched};
 use experiments::cli::{self, CliFlags};
-use experiments::runner::{run, run_on, run_with_faults, ExperimentMode, WorkloadKind};
+use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};
 use workloads::metbench::MetBenchConfig;
 
@@ -163,7 +163,8 @@ fn main() {
     }
     {
         let plan = FaultPlan::parse(FAULT_MATRIX[0].1).expect("matrix specs are valid");
-        let r = run_with_faults(&wl, ExperimentMode::Uniform, SEED, &plan);
+        let r =
+            try_run(&wl, ExperimentMode::Uniform, SEED, Some(&plan), None).expect("valid cell");
         hash_lines.push(format!(
             "trace-hash metbench-steal/Uniform {:016x}",
             trace_fingerprint(&r.records)
@@ -220,7 +221,7 @@ fn main() {
     for (class, spec) in FAULT_MATRIX {
         let plan = FaultPlan::parse(spec).expect("matrix specs are valid");
         for mode in all_modes {
-            let r = run_with_faults(&wl, mode, SEED, &plan);
+            let r = try_run(&wl, mode, SEED, Some(&plan), None).expect("valid cell");
             let summary = r.fault.expect("faulted run carries a summary");
             let clean = r.conformance.is_clean();
             println!(
@@ -281,7 +282,9 @@ fn main() {
     println!("\n== faults: empty plan is byte-identical to a plain run ==");
     for mode in [ExperimentMode::Uniform, ExperimentMode::Adaptive] {
         let plain = run(&wl, mode, SEED).records;
-        let empty = run_with_faults(&wl, mode, SEED, &FaultPlan::default()).records;
+        let empty = try_run(&wl, mode, SEED, Some(&FaultPlan::default()), None)
+            .expect("valid cell")
+            .records;
         match simverify::determinism::first_divergence(&plain, &empty) {
             None => println!("{:<10} identical ({} records)", mode.label(), plain.len()),
             Some(d) => {
@@ -299,7 +302,9 @@ fn main() {
     )
     .expect("stress spec is valid");
     match simverify::determinism::check(|| {
-        run_with_faults(&wl, ExperimentMode::Adaptive, SEED, &stress).records
+        try_run(&wl, ExperimentMode::Adaptive, SEED, Some(&stress), None)
+            .expect("valid cell")
+            .records
     }) {
         Ok(n) => println!("Adaptive   deterministic ({n} records)"),
         Err(d) => {
@@ -367,7 +372,7 @@ fn main() {
         let mut fault_cells = Vec::new();
         for (class, fspec) in FAULT_MATRIX {
             let plan = FaultPlan::parse(fspec).expect("matrix specs are valid");
-            let fr = run_with_faults(&wl, mode, SEED, &plan);
+            let fr = try_run(&wl, mode, SEED, Some(&plan), None).expect("valid cell");
             let summary = fr.fault.expect("faulted run carries a summary");
             let mut ok = fr.conformance.is_clean();
             if !ok {
@@ -433,7 +438,7 @@ fn main() {
     let p710 = power5::Topology::openpower_710();
     for mode in all_modes {
         let plain = run(&wl, mode, SEED).records;
-        let explicit = run_on(&wl, mode, SEED, Some(&p710)).records;
+        let explicit = try_run(&wl, mode, SEED, None, Some(&p710)).expect("valid cell").records;
         match simverify::determinism::first_divergence(&plain, &explicit) {
             None => println!("{:<10} identical ({} records)", mode.label(), plain.len()),
             Some(d) => {
@@ -467,7 +472,7 @@ fn main() {
     ];
     for cell in &topo_cells {
         for mode in all_modes {
-            let r = run_on(cell, mode, SEED, Some(&numa));
+            let r = try_run(cell, mode, SEED, None, Some(&numa)).expect("valid cell");
             let clean = r.conformance.is_clean();
             println!(
                 "{:<12} {:<10} {}",
@@ -485,8 +490,10 @@ fn main() {
     println!("\n== topology: policy zoo on the NUMA tree stays clean and deterministic ==");
     for spec in schedsim::policies::registry() {
         let mode = ExperimentMode::Policy(spec.name);
-        let det = simverify::determinism::check(|| run_on(&wl, mode, SEED, Some(&numa)).records);
-        let r = run_on(&wl, mode, SEED, Some(&numa));
+        let det = simverify::determinism::check(|| {
+            try_run(&wl, mode, SEED, None, Some(&numa)).expect("valid cell").records
+        });
+        let r = try_run(&wl, mode, SEED, None, Some(&numa)).expect("valid cell");
         let clean = r.conformance.is_clean();
         println!(
             "{:<12} {} {}",

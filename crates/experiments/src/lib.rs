@@ -9,6 +9,4 @@ pub mod paper;
 pub mod report;
 pub mod runner;
 
-pub use runner::{
-    run, run_with_faults, try_run, try_run_with_faults, ExperimentMode, RunResult, WorkloadKind,
-};
+pub use runner::{run, run_modes, try_run, ExperimentMode, RunResult, WorkloadKind};

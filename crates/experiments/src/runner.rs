@@ -1,4 +1,9 @@
 //! The experiment runner: workload × scheduler-mode → paper-style results.
+//!
+//! One run body, [`try_run`], serves every cell: plain or under a fault
+//! plan, on the default or an explicit scheduling-domain tree. [`run`] is
+//! its panicking shorthand for stock cells, and [`run_modes`] runs several
+//! modes of one workload concurrently.
 
 use faultsim::{FaultError, FaultPlan, FaultSummary};
 use schedsim::{
@@ -137,7 +142,7 @@ pub struct RunResult {
     /// under `--verify`.
     pub conformance: conformance::Report,
     /// Fault accounting, present only for fault-injected runs
-    /// ([`try_run_with_faults`]). `summary.aborted` carries the typed
+    /// ([`try_run`] with a plan). `summary.aborted` carries the typed
     /// terminal fault when the run did not complete normally.
     pub fault: Option<FaultSummary>,
 }
@@ -169,64 +174,96 @@ fn setup_for(wl: &WorkloadKind, mode: ExperimentMode) -> SchedulerSetup {
     }
 }
 
-/// Run one experiment cell. `deadline` bounds the simulation (generous; a
-/// run hitting it is a bug and panics).
+/// Run one experiment cell: `wl` under `mode` at `seed`, optionally under
+/// a [`FaultPlan`] (`faults`) and on an explicit scheduling-domain tree
+/// (`topo`, the `--topology` axis; `None` is the default OpenPower 710).
+///
+/// Without a plan, `fault` is `None` and a run that misses the generous
+/// simulation deadline is a bug and panics. With one, faults never panic
+/// the runner: a `FailStop` crash or a blown deadline yields a *partial*
+/// [`RunResult`] — the trace and statistics collected up to the fault —
+/// with the typed [`FaultError`] recorded in `fault.summary.aborted`. An
+/// empty plan injects nothing, so its trace is byte-identical to the
+/// plan-less run.
 ///
 /// # Errors
 /// [`SchedError`] when the kernel configuration for this cell is invalid
 /// (see [`KernelBuilder::try_build`]), including an unregistered
 /// [`ExperimentMode::Policy`] name.
-pub fn try_run(wl: &WorkloadKind, mode: ExperimentMode, seed: u64) -> Result<RunResult, SchedError> {
-    try_run_on(wl, mode, seed, None)
-}
-
-/// [`try_run`] on an explicit scheduling-domain tree (the `--topology`
-/// axis). `None` is the default OpenPower 710 — byte-identical to
-/// [`try_run`].
-pub fn try_run_on(
+pub fn try_run(
     wl: &WorkloadKind,
     mode: ExperimentMode,
     seed: u64,
+    faults: Option<&FaultPlan>,
     topo: Option<&power5::Topology>,
 ) -> Result<RunResult, SchedError> {
     let mut kernel = build_kernel(wl, mode, seed, topo)?;
     let sink = SharedSink::new();
     kernel.observe(Box::new(sink.clone()));
     let setup = setup_for(wl, mode);
+    let mpi_faults = faults.and_then(FaultPlan::mpi_faults);
+    let mpi_faults = mpi_faults.as_ref();
 
-    let (ranks, all): (Vec<TaskId>, Vec<TaskId>) = match wl {
+    let (ranks, all, mpi) = match wl {
         WorkloadKind::MetBench(cfg) => {
-            let (workers, master) = workloads::metbench::spawn(&mut kernel, cfg, &setup);
+            let (workers, master, mpi) =
+                workloads::metbench::spawn_faulted(&mut kernel, cfg, &setup, mpi_faults);
             let mut all = workers.clone();
             all.push(master);
-            (workers, all)
+            (workers, all, mpi)
         }
         WorkloadKind::MetBenchVar(cfg) => {
-            let (workers, master) = workloads::metbenchvar::spawn(&mut kernel, cfg, &setup);
+            let (workers, master, mpi) =
+                workloads::metbenchvar::spawn_faulted(&mut kernel, cfg, &setup, mpi_faults);
             let mut all = workers.clone();
             all.push(master);
-            (workers, all)
+            (workers, all, mpi)
         }
         WorkloadKind::BtMz(cfg) => {
-            let ranks = workloads::btmz::spawn(&mut kernel, cfg, &setup);
-            (ranks.clone(), ranks)
+            let (ranks, mpi) = workloads::btmz::spawn_faulted(&mut kernel, cfg, &setup, mpi_faults);
+            (ranks.clone(), ranks, mpi)
         }
         WorkloadKind::Siesta(cfg) => {
-            let ranks = workloads::siesta::spawn(&mut kernel, cfg, &setup);
-            (ranks.clone(), ranks)
+            let (ranks, mpi) =
+                workloads::siesta::spawn_faulted(&mut kernel, cfg, &setup, mpi_faults);
+            (ranks.clone(), ranks, mpi)
         }
     };
 
-    let deadline = SimDuration::from_secs(3_600);
-    let end = kernel
-        .run_until_exited(&all, deadline)
-        .unwrap_or_else(|| panic!("{} {:?} did not finish", wl.name(), mode));
+    if let Some(plan) = faults {
+        for (at, event) in plan.kernel_events(&ranks) {
+            kernel.inject_fault(at, event);
+        }
+    }
 
-    Ok(finish_run(wl, mode, &kernel, &sink, ranks, end.as_secs_f64()))
+    let deadline = SimDuration::from_secs(3_600);
+    let end = kernel.run_until_exited(&all, deadline);
+    if faults.is_none() {
+        let end = end.unwrap_or_else(|| panic!("{} {:?} did not finish", wl.name(), mode));
+        return Ok(finish_run(wl, mode, &kernel, &sink, ranks, end.as_secs_f64()));
+    }
+
+    let exec_secs = end.unwrap_or(simcore::SimTime::ZERO + deadline).as_secs_f64();
+    let mut result = finish_run(wl, mode, &kernel, &sink, ranks, exec_secs);
+    let mpi_stats = mpi.fault_stats();
+    result.fault = Some(FaultSummary {
+        steal_bursts_injected: result.metrics.counter("kernel.faults.steal_bursts"),
+        slowdowns_injected: result.metrics.counter("kernel.faults.slowdowns"),
+        mpi_delays_injected: mpi_stats.delays_injected,
+        restarts_absorbed: mpi_stats.restarts,
+        degraded_samples: result.metrics.counter("hpc.detector.degraded"),
+        aborted: match (end, mpi_stats.aborted_by) {
+            // A fail-stop abort also ends the run early; report the abort,
+            // not the (consequent) missed deadline.
+            (_, Some((rank, iteration))) => Some(FaultError::RankFailStop { rank, iteration }),
+            (None, None) => Some(FaultError::Deadline { secs: deadline.as_secs_f64() as u64 }),
+            (Some(_), None) => None,
+        },
+    });
+    Ok(result)
 }
 
-/// Assemble a [`RunResult`] from a finished kernel; shared by the plain and
-/// fault-injected paths.
+/// Assemble a [`RunResult`] (with `fault: None`) from a finished kernel.
 fn finish_run(
     wl: &WorkloadKind,
     mode: ExperimentMode,
@@ -276,7 +313,7 @@ fn finish_run(
         timeline,
         ranks,
         mean_latency_us,
-        priority_writes: kernel.metrics().priority_writes,
+        priority_writes: kernel.chip().priority_writes(),
         metrics,
         utilization_series,
         records,
@@ -285,179 +322,28 @@ fn finish_run(
     }
 }
 
-/// Run one experiment cell under a [`FaultPlan`].
-///
-/// Faults never panic the runner: a `FailStop` crash or a blown deadline
-/// yields a *partial* [`RunResult`] — the trace and statistics collected up
-/// to the fault — with the typed [`FaultError`] recorded in
-/// `fault.summary.aborted`. An empty plan injects nothing and leaves the
-/// run byte-identical to [`try_run`].
-///
-/// # Errors
-/// [`SchedError`] when the kernel configuration for this cell is invalid.
-pub fn try_run_with_faults(
-    wl: &WorkloadKind,
-    mode: ExperimentMode,
-    seed: u64,
-    plan: &FaultPlan,
-) -> Result<RunResult, SchedError> {
-    try_run_with_faults_on(wl, mode, seed, plan, None)
-}
-
-/// [`try_run_with_faults`] on an explicit scheduling-domain tree. `None`
-/// is the default OpenPower 710 — byte-identical to
-/// [`try_run_with_faults`].
-pub fn try_run_with_faults_on(
-    wl: &WorkloadKind,
-    mode: ExperimentMode,
-    seed: u64,
-    plan: &FaultPlan,
-    topo: Option<&power5::Topology>,
-) -> Result<RunResult, SchedError> {
-    let mut kernel = build_kernel(wl, mode, seed, topo)?;
-    let sink = SharedSink::new();
-    kernel.observe(Box::new(sink.clone()));
-    let setup = setup_for(wl, mode);
-    let mpi_faults = plan.mpi_faults();
-    let faults = mpi_faults.as_ref();
-
-    let (ranks, all, mpi) = match wl {
-        WorkloadKind::MetBench(cfg) => {
-            let (workers, master, mpi) =
-                workloads::metbench::spawn_faulted(&mut kernel, cfg, &setup, faults);
-            let mut all = workers.clone();
-            all.push(master);
-            (workers, all, mpi)
-        }
-        WorkloadKind::MetBenchVar(cfg) => {
-            let (workers, master, mpi) =
-                workloads::metbenchvar::spawn_faulted(&mut kernel, cfg, &setup, faults);
-            let mut all = workers.clone();
-            all.push(master);
-            (workers, all, mpi)
-        }
-        WorkloadKind::BtMz(cfg) => {
-            let (ranks, mpi) = workloads::btmz::spawn_faulted(&mut kernel, cfg, &setup, faults);
-            (ranks.clone(), ranks, mpi)
-        }
-        WorkloadKind::Siesta(cfg) => {
-            let (ranks, mpi) = workloads::siesta::spawn_faulted(&mut kernel, cfg, &setup, faults);
-            (ranks.clone(), ranks, mpi)
-        }
-    };
-
-    for (at, event) in plan.kernel_events(&ranks) {
-        kernel.inject_fault(at, event);
-    }
-
-    let deadline = SimDuration::from_secs(3_600);
-    let end = kernel.run_until_exited(&all, deadline);
-
-    let mpi_stats = mpi.fault_stats();
-    let mut result =
-        finish_run(
-            wl,
-            mode,
-            &kernel,
-            &sink,
-            ranks,
-            end.unwrap_or(simcore::SimTime::ZERO + deadline).as_secs_f64(),
-        );
-    result.fault = Some(FaultSummary {
-        steal_bursts_injected: result.metrics.counter("kernel.faults.steal_bursts"),
-        slowdowns_injected: result.metrics.counter("kernel.faults.slowdowns"),
-        mpi_delays_injected: mpi_stats.delays_injected,
-        restarts_absorbed: mpi_stats.restarts,
-        degraded_samples: result.metrics.counter("hpc.detector.degraded"),
-        aborted: match (end, mpi_stats.aborted_by) {
-            // A fail-stop abort also ends the run early; report the abort,
-            // not the (consequent) missed deadline.
-            (_, Some((rank, iteration))) => Some(FaultError::RankFailStop { rank, iteration }),
-            (None, None) => Some(FaultError::Deadline { secs: deadline.as_secs_f64() as u64 }),
-            (Some(_), None) => None,
-        },
-    });
-    Ok(result)
-}
-
-/// Like [`try_run_with_faults`], but panics on an invalid kernel
-/// configuration (fault outcomes still surface as values, never panics).
-pub fn run_with_faults(
-    wl: &WorkloadKind,
-    mode: ExperimentMode,
-    seed: u64,
-    plan: &FaultPlan,
-) -> RunResult {
-    try_run_with_faults(wl, mode, seed, plan)
-        .unwrap_or_else(|e| panic!("{} {mode:?}: {e}", wl.name()))
-}
-
-/// Like [`try_run`], but panics on an invalid configuration. The stock
-/// experiment cells are all valid by construction, so the binaries use this.
+/// [`try_run`] of a stock cell — default topology, no faults — which is
+/// valid by construction; panics on an invalid configuration.
 pub fn run(wl: &WorkloadKind, mode: ExperimentMode, seed: u64) -> RunResult {
-    try_run(wl, mode, seed).unwrap_or_else(|e| panic!("{} {mode:?}: {e}", wl.name()))
-}
-
-/// [`run`] on an explicit scheduling-domain tree (`None` = default 710).
-pub fn run_on(
-    wl: &WorkloadKind,
-    mode: ExperimentMode,
-    seed: u64,
-    topo: Option<&power5::Topology>,
-) -> RunResult {
-    try_run_on(wl, mode, seed, topo).unwrap_or_else(|e| panic!("{} {mode:?}: {e}", wl.name()))
+    try_run(wl, mode, seed, None, None).unwrap_or_else(|e| panic!("{} {mode:?}: {e}", wl.name()))
 }
 
 /// Run several modes concurrently (each run is independent and
-/// deterministic); results return in input order.
-pub fn run_modes(wl: &WorkloadKind, modes: &[ExperimentMode], seed: u64) -> Vec<RunResult> {
-    run_modes_on(wl, modes, seed, None)
-}
-
-/// [`run_modes`] on an explicit scheduling-domain tree (`None` = default
-/// 710, byte-identical to [`run_modes`]).
-pub fn run_modes_on(
+/// deterministic), each as [`try_run`] with the same `faults` and `topo`;
+/// results return in input order. Panics on an invalid configuration.
+pub fn run_modes(
     wl: &WorkloadKind,
     modes: &[ExperimentMode],
     seed: u64,
+    faults: Option<&FaultPlan>,
     topo: Option<&power5::Topology>,
 ) -> Vec<RunResult> {
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            modes.iter().map(|&m| s.spawn(move || run_on(wl, m, seed, topo))).collect();
-        handles.into_iter().map(|h| h.join().expect("experiment thread")).collect()
-    })
-}
-
-/// Like [`run_modes`], with an optional fault plan applied to every mode.
-pub fn run_modes_faulted(
-    wl: &WorkloadKind,
-    modes: &[ExperimentMode],
-    seed: u64,
-    plan: Option<&FaultPlan>,
-) -> Vec<RunResult> {
-    run_modes_faulted_on(wl, modes, seed, plan, None)
-}
-
-/// [`run_modes_faulted`] on an explicit scheduling-domain tree — the full
-/// CLI cross product `--topology` × `--faults`. `None` topology is the
-/// default 710; `None` plan injects nothing.
-pub fn run_modes_faulted_on(
-    wl: &WorkloadKind,
-    modes: &[ExperimentMode],
-    seed: u64,
-    plan: Option<&FaultPlan>,
-    topo: Option<&power5::Topology>,
-) -> Vec<RunResult> {
-    let Some(plan) = plan else {
-        return run_modes_on(wl, modes, seed, topo);
-    };
     std::thread::scope(|s| {
         let handles: Vec<_> = modes
             .iter()
             .map(|&m| {
                 s.spawn(move || {
-                    try_run_with_faults_on(wl, m, seed, plan, topo)
+                    try_run(wl, m, seed, faults, topo)
                         .unwrap_or_else(|e| panic!("{} {m:?}: {e}", wl.name()))
                 })
             })
@@ -570,6 +456,8 @@ mod tests {
             &tiny_metbench(),
             &[ExperimentMode::Baseline, ExperimentMode::Uniform],
             3,
+            None,
+            None,
         );
         assert_eq!(rs[0].mode, ExperimentMode::Baseline);
         assert_eq!(rs[1].mode, ExperimentMode::Uniform);
@@ -585,7 +473,7 @@ mod tests {
 
     #[test]
     fn unknown_policy_mode_is_an_error() {
-        match try_run(&tiny_metbench(), ExperimentMode::Policy("lottery"), 1) {
+        match try_run(&tiny_metbench(), ExperimentMode::Policy("lottery"), 1, None, None) {
             Err(SchedError::UnknownPolicy(name)) => assert_eq!(name, "lottery"),
             Err(e) => panic!("wrong error: {e}"),
             Ok(_) => panic!("unknown policy accepted"),
@@ -597,7 +485,7 @@ mod tests {
         let wl = tiny_metbench();
         let a = run(&wl, ExperimentMode::Uniform, 7);
         let t = power5::Topology::openpower_710();
-        let b = run_on(&wl, ExperimentMode::Uniform, 7, Some(&t));
+        let b = try_run(&wl, ExperimentMode::Uniform, 7, None, Some(&t)).unwrap();
         assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
         assert_eq!(a.exec_secs, b.exec_secs);
     }
@@ -606,8 +494,8 @@ mod tests {
     fn numa_topology_runs_deterministically() {
         let wl = tiny_metbench();
         let t = power5::Topology::parse("2n2c2t").unwrap();
-        let a = run_on(&wl, ExperimentMode::Uniform, 7, Some(&t));
-        let b = run_on(&wl, ExperimentMode::Uniform, 7, Some(&t));
+        let a = try_run(&wl, ExperimentMode::Uniform, 7, None, Some(&t)).unwrap();
+        let b = try_run(&wl, ExperimentMode::Uniform, 7, None, Some(&t)).unwrap();
         assert_eq!(format!("{:?}", a.records), format!("{:?}", b.records));
         assert!(a.conformance.is_clean(), "{}", a.conformance.render());
     }
@@ -618,6 +506,8 @@ mod tests {
             &tiny_metbench(),
             &[ExperimentMode::Baseline, ExperimentMode::Uniform],
             3,
+            None,
+            None,
         );
         let t = comparison_table(&rs);
         assert!(t.contains("Baseline"));

@@ -17,7 +17,7 @@ fn tiny() -> WorkloadKind {
 #[test]
 fn report_contains_every_mode_and_paper_columns() {
     let results =
-        run_modes(&tiny(), &[ExperimentMode::Baseline, ExperimentMode::Uniform], 1);
+        run_modes(&tiny(), &[ExperimentMode::Baseline, ExperimentMode::Uniform], 1, None, None);
     let text = report("T", METBENCH, &results, false);
     assert!(text.contains("Baseline"));
     assert!(text.contains("Uniform"));
@@ -27,7 +27,7 @@ fn report_contains_every_mode_and_paper_columns() {
 
 #[test]
 fn report_with_figures_renders_traces() {
-    let results = run_modes(&tiny(), &[ExperimentMode::Uniform], 1);
+    let results = run_modes(&tiny(), &[ExperimentMode::Uniform], 1, None, None);
     let text = report("T", METBENCH, &results, true);
     assert!(text.contains("trace"), "figure section present");
     assert!(text.contains('#'), "compute cells rendered");
@@ -35,7 +35,7 @@ fn report_with_figures_renders_traces() {
 
 #[test]
 fn hybrid_mode_reports_without_paper_row() {
-    let results = run_modes(&tiny(), &[ExperimentMode::Hybrid], 1);
+    let results = run_modes(&tiny(), &[ExperimentMode::Hybrid], 1, None, None);
     let text = report("T", METBENCH, &results, false);
     assert!(text.contains("Hybrid"));
     // No paper row for Hybrid → dash in the paper column.
@@ -45,7 +45,7 @@ fn hybrid_mode_reports_without_paper_row() {
 #[test]
 fn save_outputs_writes_all_formats() {
     let dir = std::env::temp_dir().join(format!("hpcsched_test_{}", std::process::id()));
-    let results = run_modes(&tiny(), &[ExperimentMode::Uniform], 1);
+    let results = run_modes(&tiny(), &[ExperimentMode::Uniform], 1, None, None);
     save_outputs(&dir, "tiny", &results).expect("writes");
     for ext in ["stats.csv", "trace.csv", "prv", "pcf"] {
         let p = dir.join(format!("tiny_uniform.{ext}"));

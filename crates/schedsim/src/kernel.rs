@@ -14,7 +14,7 @@ use crate::program::{Action, KernelApi, Program, TokenTable, WaitToken};
 use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
-use simcore::{EventId, EventQueue, EventQueueCounters, Histogram, SimDuration, SimRng, SimTime};
+use simcore::{EventId, EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
 use std::time::Instant;
 use telemetry::{Counter, HistogramHandle, MetricsRegistry};
 
@@ -74,16 +74,6 @@ pub struct SpawnOptions {
     /// Fixed hardware priority (the *static* prioritization of the paper's
     /// earlier work); defaults to Medium (4).
     pub hw_prio: Option<HwPriority>,
-}
-
-/// Whole-run scheduler metrics.
-#[derive(Debug, Clone)]
-pub struct KernelMetrics {
-    pub ticks: u64,
-    pub context_switches: u64,
-    pub priority_writes: u64,
-    /// Wakeup→dispatch latency distribution, microseconds.
-    pub latency_us: Histogram,
 }
 
 /// Hot-path metric handles, registered once at kernel construction so
@@ -173,7 +163,6 @@ pub struct Kernel {
     /// quiet yet and `fast_forward` returns at once. Skipping a replay
     /// never changes results, only how fast they come.
     quiet_blocked: bool,
-    latency_us: Histogram,
     transition_guard: u32,
 }
 
@@ -221,7 +210,6 @@ impl Kernel {
             quiet_ticks: vec![EventId::NONE; ncpus],
             quiet_timers: vec![(EventId::NONE, SimTime::MAX); ncpus],
             quiet_blocked: false,
-            latency_us: Histogram::new(0.0, 20_000.0, 200),
             transition_guard: 0,
         };
         kernel.spawn_noise_daemons();
@@ -281,16 +269,6 @@ impl Kernel {
 
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
-    }
-
-    /// Run-wide metrics snapshot.
-    pub fn metrics(&self) -> KernelMetrics {
-        KernelMetrics {
-            ticks: self.counters.ticks.get(),
-            context_switches: self.counters.context_switches.get(),
-            priority_writes: self.chip.priority_writes(),
-            latency_us: self.latency_us.clone(),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1060,7 +1038,6 @@ impl Kernel {
                 let lat = self.now.saturating_since(woke);
                 task.latency_total += lat;
                 task.latency_samples += 1;
-                self.latency_us.record(lat.as_nanos() as f64 / 1_000.0);
                 wakeup_latency = Some(lat);
             }
         }
@@ -1322,7 +1299,7 @@ mod tests {
         // Serialized on one CPU: ~0.4s total.
         assert!((0.39..0.45).contains(&end.as_secs_f64()), "end {end}");
         // Both made progress interleaved: context switches happened.
-        assert!(k.metrics().context_switches >= 2);
+        assert!(k.metrics_registry().snapshot().counter("kernel.context_switches") >= 2);
     }
 
     #[test]
@@ -1645,8 +1622,6 @@ mod tests {
         k.run_until_exited(&[a, b], SimDuration::from_secs(5)).unwrap();
         let snap = k.metrics_registry().snapshot();
         assert!(snap.counter("kernel.context_switches") >= 2);
-        assert_eq!(snap.counter("kernel.context_switches"), k.metrics().context_switches);
-        assert_eq!(snap.counter("kernel.ticks"), k.metrics().ticks);
         assert_eq!(snap.counter("kernel.task_exits"), 2);
         assert!(snap.histogram("kernel.pick_wall_ns").is_some_and(|h| h.count > 0));
         assert!(snap.histogram("kernel.runq_depth").is_some_and(|h| h.count > 0));

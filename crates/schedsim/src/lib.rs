@@ -56,7 +56,7 @@ pub use classes::{BalancedClass, HpcPolicyKind};
 pub use config::{CfsTunables, KernelConfig, NoiseConfig};
 pub use error::SchedError;
 pub use fault::FaultEvent;
-pub use kernel::{Kernel, KernelMetrics, SpawnOptions};
+pub use kernel::{Kernel, SpawnOptions};
 pub use observer::{KernelEvent, MetricEvent, Observer};
 pub use policy::SchedPolicy;
 pub use program::{Action, KernelApi, Program, WaitToken, Work};

@@ -15,9 +15,9 @@
 //!   policy whose decision for one task depends on the whole fleet —
 //!   which is precisely what distinguishes AWF from FAC in LB4OMP.
 
-use super::zoo::{classify, usable_util, StepCore};
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::ClassCtx;
+use super::tunables::HpcTunables;
+use super::zoo::{classify, usable_util, StepRule};
+use crate::balancer::IterSample;
 use crate::task::TaskId;
 use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::SimDuration;
@@ -49,66 +49,38 @@ impl Snapshot for Batch {
     }
 }
 
-pub struct FacBalancer {
-    core: StepCore,
+#[derive(Default)]
+pub(crate) struct Fac {
     // BTreeMap, not HashMap: decisions must not depend on hash order.
     batches: BTreeMap<TaskId, Batch>,
 }
 
-impl FacBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        FacBalancer { core, batches: BTreeMap::new() }
-    }
-}
-
-impl Balancer for FacBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        let Some(util) = usable_util(sample.run, sample.wall) else {
-            return SampleOutcome::Unusable;
-        };
+impl StepRule for Fac {
+    fn step(&mut self, sample: &IterSample, util: f64, tun: &HpcTunables) -> i8 {
         let batch = self.batches.entry(sample.task).or_default();
         batch.sum += util;
         batch.count += 1;
-        let dir = if batch.count >= batch.size {
+        if batch.count >= batch.size {
             let mean = batch.sum / batch.count as f64;
             *batch = Batch { sum: 0.0, count: 0, size: (batch.size / 2).max(1) };
-            classify(mean, &self.core.tun())
+            classify(mean, tun)
         } else {
             // Mid-batch: hold the current priority.
             0
-        };
-        self.core.pending = Some((sample.task, dir));
-        SampleOutcome::Recorded
+        }
     }
 
-    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.settle(ctx, task)
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
-
-    fn task_exited(&mut self, task: TaskId) {
+    fn forget(&mut self, task: TaskId) {
         self.batches.remove(&task);
     }
 
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put(&self.batches);
-        self.core.snapshot_pending(w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.batches = r.get()?;
-        self.core.restore_pending(r)
+        Ok(())
     }
 }
 
@@ -134,32 +106,15 @@ impl Accum {
     }
 }
 
-pub struct AwfBalancer {
-    core: StepCore,
+#[derive(Default)]
+pub(crate) struct Awf {
     // BTreeMap, not HashMap: the fleet mean iterates the task set, and
     // decisions must not depend on hash order.
     accum: BTreeMap<TaskId, Accum>,
 }
 
-impl AwfBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        AwfBalancer { core, accum: BTreeMap::new() }
-    }
-}
-
-impl Balancer for AwfBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        if usable_util(sample.run, sample.wall).is_none() {
-            return SampleOutcome::Unusable;
-        }
+impl StepRule for Awf {
+    fn step(&mut self, sample: &IterSample, _util: f64, tun: &HpcTunables) -> i8 {
         let acc = self.accum.entry(sample.task).or_default();
         acc.run += sample.run;
         acc.wall += sample.wall;
@@ -170,10 +125,10 @@ impl Balancer for AwfBalancer {
             .values()
             .filter_map(Accum::util)
             .fold((0.0, 0u32), |(s, n), u| (s + u, n + 1));
-        let dir = match self.accum.get(&sample.task).and_then(Accum::util) {
+        match self.accum.get(&sample.task).and_then(Accum::util) {
             Some(mine) if n >= 2 => {
                 let mean = sum / n as f64;
-                let band = self.core.tun().balance_spread / 2.0;
+                let band = tun.balance_spread / 2.0;
                 if mine - mean >= band {
                     1
                 } else if mean - mine >= band {
@@ -184,30 +139,19 @@ impl Balancer for AwfBalancer {
             }
             // A lone task has no fleet to be weighed against.
             _ => 0,
-        };
-        self.core.pending = Some((sample.task, dir));
-        SampleOutcome::Recorded
+        }
     }
 
-    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.settle(ctx, task)
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
-
-    fn task_exited(&mut self, task: TaskId) {
+    fn forget(&mut self, task: TaskId) {
         self.accum.remove(&task);
     }
 
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put(&self.accum);
-        self.core.snapshot_pending(w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.accum = r.get()?;
-        self.core.restore_pending(r)
+        Ok(())
     }
 }

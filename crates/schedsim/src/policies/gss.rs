@@ -8,67 +8,39 @@
 //! entire history before it. Reacts in O(1) iterations like SS but keeps a
 //! damping tail, the classic GSS compromise.
 
-use super::zoo::{classify, usable_util, StepCore};
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::ClassCtx;
+use super::tunables::HpcTunables;
+use super::zoo::{classify, StepRule};
+use crate::balancer::IterSample;
 use crate::task::TaskId;
 use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::BTreeMap;
 
-pub struct GssBalancer {
-    core: StepCore,
+#[derive(Default)]
+pub(crate) struct Gss {
     // BTreeMap, not HashMap: decisions must not depend on hash order.
     estimate: BTreeMap<TaskId, f64>,
 }
 
-impl GssBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        GssBalancer { core, estimate: BTreeMap::new() }
-    }
-}
-
-impl Balancer for GssBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        let Some(util) = usable_util(sample.run, sample.wall) else {
-            return SampleOutcome::Unusable;
-        };
+impl StepRule for Gss {
+    fn step(&mut self, sample: &IterSample, util: f64, tun: &HpcTunables) -> i8 {
         let e = self
             .estimate
             .entry(sample.task)
             .and_modify(|e| *e = (*e + util) / 2.0)
             .or_insert(util);
-        let dir = classify(*e, &self.core.tun());
-        self.core.pending = Some((sample.task, dir));
-        SampleOutcome::Recorded
+        classify(*e, tun)
     }
 
-    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.settle(ctx, task)
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
-
-    fn task_exited(&mut self, task: TaskId) {
+    fn forget(&mut self, task: TaskId) {
         self.estimate.remove(&task);
     }
 
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put(&self.estimate);
-        self.core.snapshot_pending(w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.estimate = r.get()?;
-        self.core.restore_pending(r)
+        Ok(())
     }
 }

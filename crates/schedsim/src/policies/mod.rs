@@ -3,8 +3,9 @@
 //! Every policy the simulator can drive is listed in [`registry`] — the
 //! single name → constructor table shared by the CLI (`--policy`), the
 //! experiment runner, the cluster/batch layers and the verify harness.
-//! Adding a policy is one module implementing [`crate::Balancer`] plus one
-//! [`PolicySpec`] row here; nothing else in the tree enumerates policies.
+//! Adding a policy is one module implementing [`crate::Balancer`] — or,
+//! for a stepping policy, a `zoo::StepRule` — plus one [`PolicySpec`] row
+//! here; nothing else in the tree enumerates policies.
 //!
 //! The zoo (DESIGN.md §12):
 //!
@@ -47,7 +48,7 @@ pub use tunables::{HpcTunables, TunableError};
 
 use crate::balancer::Balancer;
 use std::sync::{Arc, Mutex};
-use zoo::StepCore;
+use zoo::{StepBalancer, StepRule};
 
 /// Shared, runtime-adjustable tunables handle (the simulated sysfs mount).
 pub type SharedTunables = Arc<Mutex<HpcTunables>>;
@@ -76,8 +77,13 @@ impl PolicyCtx {
         }
     }
 
-    fn step_core(&self, name: &'static str) -> StepCore {
-        StepCore::new(name, self.tunables.clone(), self.mechanism(), !self.policy_only)
+    fn stepping<R: StepRule>(&self, name: &'static str) -> Box<dyn Balancer> {
+        Box::new(StepBalancer::<R>::new(
+            name,
+            self.tunables.clone(),
+            self.mechanism(),
+            !self.policy_only,
+        ))
     }
 
     fn table1(&self, kind: HeuristicKind) -> Table1Balancer {
@@ -127,37 +133,37 @@ pub fn registry() -> &'static [PolicySpec] {
         PolicySpec {
             name: "static",
             summary: "uniform baseline: class placement only, no priority steering",
-            make: |ctx| Box::new(statics::StaticBalancer::new(ctx.step_core("static"))),
+            make: |ctx| ctx.stepping::<statics::Static>("static"),
         },
         PolicySpec {
             name: "ss",
             summary: "self-scheduling: judge on the last iteration only (LB4OMP SS)",
-            make: |ctx| Box::new(ss::SsBalancer::new(ctx.step_core("ss"))),
+            make: |ctx| ctx.stepping::<ss::Ss>("ss"),
         },
         PolicySpec {
             name: "gss",
             summary: "guided: exponentially weighted utilization estimate (LB4OMP GSS)",
-            make: |ctx| Box::new(gss::GssBalancer::new(ctx.step_core("gss"))),
+            make: |ctx| ctx.stepping::<gss::Gss>("gss"),
         },
         PolicySpec {
             name: "tss",
             summary: "trapezoid: linearly weighted sample window (LB4OMP TSS)",
-            make: |ctx| Box::new(tss::TssBalancer::new(ctx.step_core("tss"))),
+            make: |ctx| ctx.stepping::<tss::Tss>("tss"),
         },
         PolicySpec {
             name: "fac",
             summary: "factoring: decide on halving batch means (LB4OMP FAC)",
-            make: |ctx| Box::new(factoring::FacBalancer::new(ctx.step_core("fac"))),
+            make: |ctx| ctx.stepping::<factoring::Fac>("fac"),
         },
         PolicySpec {
             name: "awf",
             summary: "adaptive weighted factoring: weight vs fleet mean (LB4OMP AWF)",
-            make: |ctx| Box::new(factoring::AwfBalancer::new(ctx.step_core("awf"))),
+            make: |ctx| ctx.stepping::<factoring::Awf>("awf"),
         },
         PolicySpec {
             name: "worksteal",
             summary: "work stealing: idle CPUs steal queue tails, no priority moves",
-            make: |ctx| Box::new(worksteal::WorkStealBalancer::new(ctx.step_core("worksteal"))),
+            make: |ctx| ctx.stepping::<worksteal::WorkSteal>("worksteal"),
         },
     ]
 }

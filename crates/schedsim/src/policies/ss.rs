@@ -7,53 +7,15 @@
 //! most reactive policy in the zoo — and the most noise-sensitive, which
 //! is exactly the trade-off LB4OMP documents for SS.
 
-use super::zoo::{classify, usable_util, StepCore};
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::ClassCtx;
-use crate::task::TaskId;
-use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+use super::tunables::HpcTunables;
+use super::zoo::{classify, StepRule};
+use crate::balancer::IterSample;
 
-pub struct SsBalancer {
-    core: StepCore,
-}
+#[derive(Default)]
+pub(crate) struct Ss;
 
-impl SsBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        SsBalancer { core }
-    }
-}
-
-impl Balancer for SsBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        let Some(util) = usable_util(sample.run, sample.wall) else {
-            return SampleOutcome::Unusable;
-        };
-        let dir = classify(util, &self.core.tun());
-        self.core.pending = Some((sample.task, dir));
-        SampleOutcome::Recorded
-    }
-
-    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.settle(ctx, task)
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
-
-    fn snapshot(&self, w: &mut SnapshotWriter) {
-        self.core.snapshot_pending(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.core.restore_pending(r)
+impl StepRule for Ss {
+    fn step(&mut self, _sample: &IterSample, util: f64, tun: &HpcTunables) -> i8 {
+        classify(util, tun)
     }
 }

@@ -5,43 +5,12 @@
 //! policy gains over `static` is attributable to priority steering, not to
 //! class placement or domain balancing (which this policy keeps).
 
-use super::zoo::{usable_util, StepCore};
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::ClassCtx;
-use crate::task::TaskId;
+use super::zoo::StepRule;
 
-pub struct StaticBalancer {
-    core: StepCore,
-}
+/// Never moves a priority.
+#[derive(Default)]
+pub(crate) struct Static;
 
-impl StaticBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        StaticBalancer { core }
-    }
-}
-
-impl Balancer for StaticBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        if usable_util(sample.run, sample.wall).is_none() {
-            return SampleOutcome::Unusable;
-        }
-        SampleOutcome::Recorded
-    }
-
-    /// Never moves a priority.
-    fn assign_priorities(&mut self, _ctx: &ClassCtx<'_>, _task: TaskId) -> Vec<PrioAssignment> {
-        Vec::new()
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
+impl StepRule for Static {
+    const STEERS: bool = false;
 }

@@ -7,82 +7,54 @@
 //! = 1) — smoother than GSS's exponential discounting, faster than the
 //! paper's all-history global metric.
 
-use super::zoo::{classify, usable_util, StepCore};
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::ClassCtx;
+use super::tunables::HpcTunables;
+use super::zoo::{classify, StepRule};
+use crate::balancer::IterSample;
 use crate::task::TaskId;
 use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::collections::{BTreeMap, VecDeque};
 
 const WINDOW: usize = 8;
 
-pub struct TssBalancer {
-    core: StepCore,
+#[derive(Default)]
+pub(crate) struct Tss {
     // BTreeMap, not HashMap: decisions must not depend on hash order.
     window: BTreeMap<TaskId, VecDeque<f64>>,
 }
 
-impl TssBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        TssBalancer { core, window: BTreeMap::new() }
+/// Linearly weighted mean: the i-th newest sample has weight
+/// `WINDOW - i`.
+fn metric(samples: &VecDeque<f64>) -> f64 {
+    let mut num = 0.0;
+    let mut den = 0.0;
+    for (age, u) in samples.iter().rev().enumerate() {
+        let w = (WINDOW - age) as f64;
+        num += w * u;
+        den += w;
     }
-
-    /// Linearly weighted mean: the i-th newest sample has weight
-    /// `WINDOW - i`.
-    fn metric(samples: &VecDeque<f64>) -> f64 {
-        let mut num = 0.0;
-        let mut den = 0.0;
-        for (age, u) in samples.iter().rev().enumerate() {
-            let w = (WINDOW - age) as f64;
-            num += w * u;
-            den += w;
-        }
-        num / den
-    }
+    num / den
 }
 
-impl Balancer for TssBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        let Some(util) = usable_util(sample.run, sample.wall) else {
-            return SampleOutcome::Unusable;
-        };
+impl StepRule for Tss {
+    fn step(&mut self, sample: &IterSample, util: f64, tun: &HpcTunables) -> i8 {
         let w = self.window.entry(sample.task).or_default();
         w.push_back(util);
         if w.len() > WINDOW {
             w.pop_front();
         }
-        let dir = classify(Self::metric(w), &self.core.tun());
-        self.core.pending = Some((sample.task, dir));
-        SampleOutcome::Recorded
+        classify(metric(w), tun)
     }
 
-    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.settle(ctx, task)
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
-
-    fn task_exited(&mut self, task: TaskId) {
+    fn forget(&mut self, task: TaskId) {
         self.window.remove(&task);
     }
 
     fn snapshot(&self, w: &mut SnapshotWriter) {
         w.put(&self.window);
-        self.core.snapshot_pending(w);
     }
 
     fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.window = r.get()?;
-        self.core.restore_pending(r)
+        Ok(())
     }
 }

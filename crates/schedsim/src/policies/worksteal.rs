@@ -6,47 +6,18 @@
 //! choice, flattened across domain levels — contrast with the paper's
 //! nearest-domain-first pull in [`crate::balance::plan_pull`]).
 
-use super::zoo::{usable_util, StepCore};
+use super::zoo::StepRule;
 use crate::balance::BalanceView;
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
-use crate::class::{ClassCtx, Migration};
+use crate::class::Migration;
 use crate::task::TaskId;
 use power5::CpuId;
 
-pub struct WorkStealBalancer {
-    core: StepCore,
-}
+/// Priorities are never steered; stealing does all the balancing.
+#[derive(Default)]
+pub(crate) struct WorkSteal;
 
-impl WorkStealBalancer {
-    pub(crate) fn new(core: StepCore) -> Self {
-        WorkStealBalancer { core }
-    }
-}
-
-impl Balancer for WorkStealBalancer {
-    fn name(&self) -> &'static str {
-        self.core.name
-    }
-
-    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.core.attach_telemetry(registry);
-    }
-
-    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
-        if usable_util(sample.run, sample.wall).is_none() {
-            return SampleOutcome::Unusable;
-        }
-        SampleOutcome::Recorded
-    }
-
-    /// Priorities are never steered; stealing does all the balancing.
-    fn assign_priorities(&mut self, _ctx: &ClassCtx<'_>, _task: TaskId) -> Vec<PrioAssignment> {
-        Vec::new()
-    }
-
-    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
-        self.core.fault(ctx, task)
-    }
+impl StepRule for WorkSteal {
+    const STEERS: bool = false;
 
     fn plan_migrations(
         &mut self,
@@ -76,14 +47,6 @@ mod tests {
     use power5::Topology;
     use std::collections::VecDeque;
 
-    fn mk() -> WorkStealBalancer {
-        let tunables = std::sync::Arc::new(std::sync::Mutex::new(
-            super::super::tunables::HpcTunables::default(),
-        ));
-        let mech = Box::new(super::super::mechanism::Power5Mechanism);
-        WorkStealBalancer::new(StepCore::new("worksteal", tunables, mech, true))
-    }
-
     fn queued_on(per_cpu: &[&[usize]]) -> Vec<VecDeque<TaskId>> {
         per_cpu.iter().map(|ids| ids.iter().map(|&i| TaskId(i)).collect()).collect()
     }
@@ -94,7 +57,7 @@ mod tests {
         let counts = [0usize, 1, 3, 1];
         let queued = queued_on(&[&[], &[], &[5, 6, 7], &[9]]);
         let view = BalanceView { topology: &topo, counts: &counts, queued: &queued };
-        let mut b = mk();
+        let mut b = WorkSteal;
         let m = b.plan_migrations(&view, CpuId(0), true, &|_, _| true).expect("steal");
         assert_eq!(m.from, CpuId(2));
         assert_eq!(m.task, TaskId(7), "steals the tail, not the head");
@@ -106,7 +69,7 @@ mod tests {
         let counts = [1usize, 0, 3, 0];
         let queued = queued_on(&[&[1], &[], &[5, 6, 7], &[]]);
         let view = BalanceView { topology: &topo, counts: &counts, queued: &queued };
-        let mut b = mk();
+        let mut b = WorkSteal;
         assert!(b.plan_migrations(&view, CpuId(0), true, &|_, _| true).is_none());
         assert!(b.plan_migrations(&view, CpuId(1), false, &|_, _| true).is_none(), "not idle");
     }
@@ -117,7 +80,7 @@ mod tests {
         let counts = [0usize, 2, 2, 0];
         let queued = queued_on(&[&[], &[1, 2], &[5, 6], &[]]);
         let view = BalanceView { topology: &topo, counts: &counts, queued: &queued };
-        let mut b = mk();
+        let mut b = WorkSteal;
         let m = b.plan_migrations(&view, CpuId(0), true, &|_, _| true).expect("steal");
         assert_eq!(m.from, CpuId(1));
     }

@@ -1,18 +1,24 @@
-//! Shared plumbing for the LB4OMP-style dynamic policies.
+//! The one self-scheduling loop behind the LB4OMP-style policies.
 //!
-//! Each zoo policy owns only its *metric* — how iteration history is
-//! summarized into a utilization estimate. Everything downstream of the
-//! metric (threshold classification, one-step moves, range clamping,
-//! mechanism validation, do-no-harm degradation, decision telemetry) is
-//! identical across policies and lives in [`StepCore`] so a new policy is
-//! just a metric plus a registry line.
+//! LB4OMP treats SS, GSS, TSS, FAC and AWF as one self-scheduling loop
+//! that differs only in how the next chunk is computed. Here that loop is
+//! [`StepBalancer`], the single [`Balancer`] impl for every stepping
+//! policy (`static`, `ss`, `gss`, `tss`, `fac`, `awf`, `worksteal`). It
+//! owns everything downstream of the metric: threshold classification,
+//! one-step moves, range clamping, mechanism validation, do-no-harm
+//! degradation and decision telemetry. A policy is a [`StepRule`] — its
+//! per-task metric state and update rule — plus one registry line.
 
 use super::mechanism::PrioMechanism;
 use super::tunables::HpcTunables;
 use super::SharedTunables;
-use crate::balancer::{degrade_to_floor, BalancerTelemetry, PrioAssignment};
-use crate::class::ClassCtx;
+use crate::balance::{plan_pull, BalanceView};
+use crate::balancer::{
+    degrade_to_floor, Balancer, BalancerTelemetry, IterSample, PrioAssignment, SampleOutcome,
+};
+use crate::class::{ClassCtx, Migration};
 use crate::task::TaskId;
+use power5::CpuId;
 use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::SimDuration;
 
@@ -39,42 +45,106 @@ pub(crate) fn classify(metric: f64, tun: &HpcTunables) -> i8 {
     }
 }
 
-/// The policy-independent half of a stepping balancer.
-pub(crate) struct StepCore {
-    pub name: &'static str,
+/// The per-policy half of a stepping balancer: how iteration history
+/// turns into a one-step priority direction.
+pub(crate) trait StepRule: Default + Send + 'static {
+    /// `false` for rules that never move a priority (`static`,
+    /// `worksteal`): no decision is recorded and only the rule's own state
+    /// is snapshotted.
+    const STEERS: bool = true;
+
+    /// Fold one usable sample (`util` is its utilization, percent) into
+    /// the rule's state and return the step: `+1` raise, `-1` lower,
+    /// `0` keep. Called only when [`StepRule::STEERS`].
+    fn step(&mut self, _sample: &IterSample, _util: f64, _tun: &HpcTunables) -> i8 {
+        0
+    }
+
+    /// Drop `task`'s history.
+    fn forget(&mut self, _task: TaskId) {}
+
+    /// Serialize the rule's state (see [`Balancer::snapshot`]).
+    fn snapshot(&self, _w: &mut SnapshotWriter) {}
+
+    /// Inverse of [`StepRule::snapshot`].
+    fn restore(&mut self, _r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        Ok(())
+    }
+
+    /// Queue migrations; the default is the paper's domain-level pull.
+    fn plan_migrations(
+        &mut self,
+        view: &BalanceView<'_>,
+        cpu: CpuId,
+        idle: bool,
+        allowed: &dyn Fn(TaskId, CpuId) -> bool,
+    ) -> Option<Migration> {
+        plan_pull(view, cpu, idle, allowed)
+    }
+}
+
+/// A stepping balancer: the shared loop around one [`StepRule`].
+pub(crate) struct StepBalancer<R> {
+    name: &'static str,
     tunables: SharedTunables,
     mechanism: Box<dyn PrioMechanism>,
     dynamic_prio: bool,
     telemetry: Option<BalancerTelemetry>,
     /// Direction decided by the latest `on_sample`, consumed by the next
     /// `assign_priorities` call for the same task.
-    pub pending: Option<(TaskId, i8)>,
+    pending: Option<(TaskId, i8)>,
+    rule: R,
 }
 
-impl StepCore {
+impl<R: StepRule> StepBalancer<R> {
     pub fn new(
         name: &'static str,
         tunables: SharedTunables,
         mechanism: Box<dyn PrioMechanism>,
         dynamic_prio: bool,
     ) -> Self {
-        StepCore { name, tunables, mechanism, dynamic_prio, telemetry: None, pending: None }
-    }
-
-    pub fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.telemetry = Some(BalancerTelemetry::register(registry, self.name));
+        StepBalancer {
+            name,
+            tunables,
+            mechanism,
+            dynamic_prio,
+            telemetry: None,
+            pending: None,
+            rule: R::default(),
+        }
     }
 
     /// Current tunables snapshot.
-    pub fn tun(&self) -> HpcTunables {
+    fn tun(&self) -> HpcTunables {
         // INVARIANT: single-threaded simulation; the only way this lock is
         // poisoned is a panic already unwinding this thread.
         *self.tunables.lock().expect("tunables poisoned")
     }
+}
+
+impl<R: StepRule> Balancer for StepBalancer<R> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
+        self.telemetry = Some(BalancerTelemetry::register(registry, self.name));
+    }
+
+    fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {
+        let Some(util) = usable_util(sample.run, sample.wall) else {
+            return SampleOutcome::Unusable;
+        };
+        if R::STEERS {
+            let dir = self.rule.step(&sample, util, &self.tun());
+            self.pending = Some((sample.task, dir));
+        }
+        SampleOutcome::Recorded
+    }
 
     /// Apply the pending one-step decision for `task`: clamp into the
     /// tunable range, validate through the mechanism, count the verdict.
-    pub fn settle(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
+    fn assign_priorities(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
         let Some((decided, dir)) = self.pending.take() else {
             return Vec::new();
         };
@@ -111,22 +181,9 @@ impl StepCore {
         }
     }
 
-    /// Snapshot the core's only mutable state: the pending one-step
-    /// decision. Tunables/mechanism are construction-time configuration
-    /// and belong to the fresh instance restore happens into.
-    pub fn snapshot_pending(&self, w: &mut SnapshotWriter) {
-        w.put(&self.pending);
-    }
-
-    /// Inverse of [`StepCore::snapshot_pending`].
-    pub fn restore_pending(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.pending = r.get()?;
-        Ok(())
-    }
-
     /// The shared do-no-harm fault path: count the degraded sample, then
     /// drop the task to the uniform floor (unless priorities are pinned).
-    pub fn fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
+    fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
         if let Some(t) = &self.telemetry {
             t.degraded.inc();
         }
@@ -134,5 +191,37 @@ impl StepCore {
             return Vec::new();
         }
         degrade_to_floor(ctx, task)
+    }
+
+    fn task_exited(&mut self, task: TaskId) {
+        self.rule.forget(task);
+    }
+
+    fn plan_migrations(
+        &mut self,
+        view: &BalanceView<'_>,
+        cpu: CpuId,
+        idle: bool,
+        allowed: &dyn Fn(TaskId, CpuId) -> bool,
+    ) -> Option<Migration> {
+        self.rule.plan_migrations(view, cpu, idle, allowed)
+    }
+
+    /// The rule's state, then the pending decision. Tunables and mechanism
+    /// are construction-time configuration and belong to the fresh
+    /// instance restore happens into.
+    fn snapshot(&self, w: &mut SnapshotWriter) {
+        self.rule.snapshot(w);
+        if R::STEERS {
+            w.put(&self.pending);
+        }
+    }
+
+    fn restore(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.rule.restore(r)?;
+        if R::STEERS {
+            self.pending = r.get()?;
+        }
+        Ok(())
     }
 }

@@ -85,8 +85,13 @@ fn run(tasks: usize, work: f64) -> Run {
     let before = allocs();
     let end = k.run_until_exited(&ids, SimDuration::from_secs(1_000)).expect("tasks finish");
     let allocs = allocs() - before;
-    let m = k.metrics();
-    Run { allocs, end, ticks: m.ticks, context_switches: m.context_switches }
+    let m = k.metrics_registry().snapshot();
+    Run {
+        allocs,
+        end,
+        ticks: m.counter("kernel.ticks"),
+        context_switches: m.counter("kernel.context_switches"),
+    }
 }
 
 #[test]

@@ -109,7 +109,7 @@ fn rt_rr_slices_share_cpu_between_equal_priority_hogs() {
     let d1 = k.task(ids[1]).exited_at.unwrap().as_secs_f64();
     assert!((d1 - d0).abs() < 0.15, "interleaved exits: {d0} vs {d1}");
     // Slice-driven switches: at least 4 rotations.
-    assert!(k.metrics().context_switches >= 4);
+    assert!(k.metrics_registry().snapshot().counter("kernel.context_switches") >= 4);
 }
 
 #[test]

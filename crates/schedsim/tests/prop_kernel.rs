@@ -156,7 +156,7 @@ proptest! {
                 })
                 .collect();
             let end = k.run_until_exited(&ids, SimDuration::from_secs(60)).expect("finishes");
-            (end, k.metrics().context_switches)
+            (end, k.metrics_registry().snapshot().counter("kernel.context_switches"))
         };
         prop_assert_eq!(run(&works), run(&works));
     }

@@ -11,8 +11,7 @@
 //! * [`SimRng`] — a seeded RNG with the distribution helpers the workload and
 //!   OS-noise models need,
 //!
-//! plus small online-statistics utilities ([`stats`]) used by the scheduler
-//! metrics and by the experiment harness, [`exec`] — a deterministic
+//! plus [`exec`] — a deterministic
 //! scoped-thread work pool that runs independent simulation pieces (one
 //! node-level kernel per task) in parallel while keeping every reduction
 //! order-stable and byte-identical to serial execution — and [`snapshot`] —
@@ -30,12 +29,10 @@ pub mod event;
 pub mod exec;
 pub mod rng;
 pub mod snapshot;
-pub mod stats;
 pub mod time;
 
 pub use event::{EventId, EventQueue, EventQueueCounters, ScheduledEvent};
 pub use exec::{Pool, PoolCounters, SupervisePolicy, Supervised, TaskFailure};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use rng::SimRng;
-pub use stats::{Histogram, OnlineStats, UtilizationTracker};
 pub use time::{SimDuration, SimTime};

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simcore::{
-    EventId, EventQueue, OnlineStats, SimDuration, SimRng, SimTime, SnapshotReader, SnapshotWriter,
+    EventId, EventQueue, SimDuration, SimRng, SimTime, SnapshotReader, SnapshotWriter,
 };
 
 /// Reference model of [`EventQueue`]: a plain `Vec` of pending events kept
@@ -244,35 +244,6 @@ proptest! {
             h.step(op, arg);
         }
         h.finish();
-    }
-
-    /// Welford statistics agree with the naive two-pass computation.
-    #[test]
-    fn online_stats_match_naive(xs in proptest::collection::vec(-1e6f64..1e6, 1..400)) {
-        let mut s = OnlineStats::new();
-        xs.iter().for_each(|&x| s.push(x));
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        prop_assert!((s.mean() - mean).abs() <= 1e-6 * mean.abs().max(1.0));
-        prop_assert!((s.variance() - var).abs() <= 1e-5 * var.abs().max(1.0));
-    }
-
-    /// Merging split accumulators equals accumulating the whole sequence.
-    #[test]
-    fn stats_merge_associative(
-        xs in proptest::collection::vec(-1e3f64..1e3, 2..200),
-        split in 1usize..100,
-    ) {
-        let split = split.min(xs.len() - 1);
-        let mut whole = OnlineStats::new();
-        xs.iter().for_each(|&x| whole.push(x));
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        xs[..split].iter().for_each(|&x| a.push(x));
-        xs[split..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * whole.mean().abs().max(1.0));
     }
 
     /// Duration arithmetic: mul/div round-trips within rounding error.

@@ -29,8 +29,7 @@ fn workspace_is_clean_under_all_rules() {
 fn declared_purity_roots_are_present() {
     let r = lint_workspace_at(&repo_root(), pinned()).expect("workspace scan");
     let root_names: Vec<&str> = r.roots.iter().map(|ri| ri.name.as_str()).collect();
-    for expected in ["run_node", "run_node_sched", "run_node_traced", "run_batch", "run_until_exited"]
-    {
+    for expected in ["run_node", "run_batch", "run_until_exited"] {
         assert!(root_names.contains(&expected), "missing purity root {expected}: {root_names:?}");
     }
     // The policy zoo contributes Balancer-impl roots without markers.

@@ -154,8 +154,6 @@ fn hot_counters_are_published_by_every_public_method() {
     let (mut kernel, all) = golden_kernel();
     kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
     assert_eq!(hot(&kernel), GOLDEN_EXITED, "after run_until_exited");
-    assert_eq!(kernel.metrics().ticks, GOLDEN_EXITED[3]);
-    assert_eq!(kernel.metrics().context_switches, GOLDEN_EXITED[4]);
 
     // The same run driven one step() at a time.
     let (mut kernel, all) = golden_kernel();
