@@ -56,6 +56,12 @@ impl<'a> ClassCtx<'a> {
 /// Invariant maintained by the kernel: a task is *queued* in its class only
 /// while `Runnable`; the task currently running on a CPU is not in any
 /// queue (the kernel calls [`SchedClass::put_prev`] to give it back).
+///
+/// Ordering contract: [`SchedClass::charge`] on one CPU never reads state
+/// that a `charge` on another CPU writes. The kernel relies on it when it
+/// replays quiet tick rounds: it charges each CPU for all the rounds at
+/// once, in CPU order, instead of every CPU once per round (DESIGN §5
+/// note 7).
 pub trait SchedClass: Send {
     fn name(&self) -> &'static str;
 
@@ -83,9 +89,29 @@ pub trait SchedClass: Send {
     }
 
     /// Account `delta` of CPU time to the running `task`. Called on every
-    /// accounting sync (not just ticks), so vruntime/slice bookkeeping is
-    /// exact.
+    /// accounting sync that moves the task's clock (not just ticks), so
+    /// vruntime/slice bookkeeping is exact, except in replayed quiet tick
+    /// rounds, which use [`SchedClass::charge_rounds`] instead.
     fn charge(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId, delta: SimDuration);
+
+    /// Account `n` rounds of `delta` each to the running `task`, leaving
+    /// the task and the class exactly as `n` calls of
+    /// [`SchedClass::charge`] would. The kernel calls it for replayed
+    /// quiet tick rounds, where nothing else happens between the charges.
+    /// The default makes those `n` calls; a class overrides it when it can
+    /// do the same in O(1).
+    fn charge_rounds(
+        &mut self,
+        ctx: &mut ClassCtx<'_>,
+        cpu: CpuId,
+        task: TaskId,
+        delta: SimDuration,
+        n: u64,
+    ) {
+        for _ in 0..n {
+            self.charge(ctx, cpu, task, delta);
+        }
+    }
 
     /// Scheduler tick while `task` runs on `cpu`. Return `true` to request
     /// a reschedule.

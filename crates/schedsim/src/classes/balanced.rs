@@ -157,6 +157,20 @@ impl SchedClass for BalancedClass {
         }
     }
 
+    fn charge_rounds(
+        &mut self,
+        ctx: &mut ClassCtx<'_>,
+        _cpu: CpuId,
+        task: TaskId,
+        delta: SimDuration,
+        n: u64,
+    ) {
+        if self.policy == HpcPolicyKind::Rr {
+            let t = ctx.task_mut(task);
+            t.slice_left = t.slice_left.saturating_sub(delta.saturating_mul(n));
+        }
+    }
+
     fn task_tick(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) -> bool {
         if self.policy != HpcPolicyKind::Rr {
             return false;

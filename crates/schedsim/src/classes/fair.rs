@@ -180,6 +180,28 @@ impl SchedClass for FairClass {
         self.update_min_vruntime(cpu.0, Some(vr));
     }
 
+    fn charge_rounds(
+        &mut self,
+        ctx: &mut ClassCtx<'_>,
+        cpu: CpuId,
+        task: TaskId,
+        delta: SimDuration,
+        n: u64,
+    ) {
+        if n == 0 {
+            return;
+        }
+        // Integer sums, and vruntime only grows while the tree stands
+        // still, so one min_vruntime update with the last vruntime is the
+        // max of the n a charge loop would make.
+        let t = ctx.task_mut(task);
+        let w = weight_of_nice(t.nice);
+        t.vruntime += n * FairClass::delta_vruntime(delta, w);
+        let vr = t.vruntime;
+        self.rqs[cpu.0].curr_runtime += delta * n;
+        self.update_min_vruntime(cpu.0, Some(vr));
+    }
+
     fn task_tick(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) -> bool {
         let rq = &self.rqs[cpu.0];
         if rq.tree.is_empty() {

@@ -150,6 +150,10 @@ pub struct Kernel {
     running: Vec<Option<TaskId>>,
     tokens: TokenTable,
     observers: Vec<Box<dyn Observer>>,
+    /// Indices into `observers` of those that want
+    /// [`KernelEvent::Metric`] events, in attach order. Empty, and never
+    /// allocated, while only trace sinks are attached.
+    metric_observers: Vec<usize>,
     rng: SimRng,
     registry: MetricsRegistry,
     counters: KernelCounters,
@@ -203,6 +207,7 @@ impl Kernel {
             running: vec![None; ncpus],
             tokens: TokenTable::default(),
             observers: Vec::new(),
+            metric_observers: Vec::new(),
             rng,
             registry,
             counters,
@@ -233,12 +238,16 @@ impl Kernel {
     }
 
     /// Attach an observer to the kernel's unified event stream: every
-    /// [`TraceRecord`] and every [`MetricEvent`] of the run, in order.
+    /// [`TraceRecord`] and, if it [wants them](Observer::wants_metrics),
+    /// every [`MetricEvent`] of the run, in order.
     ///
     /// Any [`TraceSink`] is an [`Observer`], so shared-handle sinks like
     /// [`SharedSink`](crate::SharedSink) attach directly — the caller keeps
     /// its handle and never needs the sink back.
     pub fn observe(&mut self, observer: Box<dyn Observer>) {
+        if observer.wants_metrics() {
+            self.metric_observers.push(self.observers.len());
+        }
         self.observers.push(observer);
     }
 
@@ -539,7 +548,9 @@ impl Kernel {
     /// round only syncs accounting, counts the ticks and re-derives the
     /// completion times, so that is all a replayed round does, with the
     /// same float operations in the same order as the event-by-event path.
-    /// The queue is then left as those events would have left it.
+    /// Runs of uniform rounds are synced in one batch
+    /// ([`Kernel::sync_uniform`]). The queue is then left as those events
+    /// would have left it.
     // Out of line: the run loops call it about once per tick round, and
     // inlined it would crowd their per-event path.
     #[inline(never)]
@@ -585,34 +596,104 @@ impl Kernel {
                 None => (EventId::NONE, SimTime::MAX),
             };
         }
+        let tick = self.config.tick;
         let mut rounds = 0;
         while rounds < max_rounds && at < stop && self.quiet_timers.iter().all(|&(_, t)| t > at) {
-            self.sync_to(at);
-            for cpu in 0..self.cpus.len() {
-                self.tally.ticks += 1;
-                self.emit_metric(MetricEvent::Tick { cpu: CpuId(cpu) });
-                self.cpus[cpu].ticks += 1;
-                // An armed CPU stays armed: its task and speed are unchanged.
-                if self.quiet_timers[cpu].0 != EventId::NONE {
-                    if let Some(t) = self.workdone_time(CpuId(cpu)) {
-                        self.quiet_timers[cpu].1 = t;
-                    }
-                }
-            }
-            rounds += 1;
-            at += self.config.tick;
+            let n = if self.is_uniform(at) {
+                let n = self.uniform_rounds(at, max_rounds - rounds, stop);
+                self.sync_uniform(at, n);
+                n
+            } else {
+                self.sync_to(at);
+                1
+            };
+            self.tick_rounds(at, n);
+            rounds += n;
+            at += tick * n;
         }
         // No chip input changed since the last settle, so `refresh_hw`
         // would only move the timers, which the replay does.
-        self.events.replay_rounds(
-            rounds,
-            self.config.tick,
-            &mut self.quiet_ticks,
-            &mut self.quiet_timers,
-        );
+        self.events.replay_rounds(rounds, tick, &mut self.quiet_ticks, &mut self.quiet_timers);
         for (cpu, cs) in self.cpus.iter_mut().enumerate() {
             cs.tick_ev = self.quiet_ticks[cpu];
             cs.workdone_ev = self.quiet_timers[cpu].0;
+        }
+    }
+
+    /// Whether the round at `at` is uniform: every running CPU accrues
+    /// exactly one tick, because its last sync was the previous round and
+    /// no context switch or steal burst holds it past that. Every later
+    /// round of the stretch is then uniform too.
+    fn is_uniform(&self, at: SimTime) -> bool {
+        let tick = self.config.tick;
+        self.cpus.iter().zip(&self.running).all(|(cs, running)| {
+            running.is_none() || {
+                let start = cs.last_sync.max(cs.switch_until).max(cs.steal_until).min(at);
+                at.saturating_since(start) == tick
+            }
+        })
+    }
+
+    /// How many quiet rounds from the uniform round at `at` on may run, at
+    /// most `max` and all before `stop`: the first always may (the caller
+    /// checked it), and each later one while every armed completion time
+    /// re-derived after the round before it is past it.
+    fn uniform_rounds(&self, at: SimTime, max: u64, stop: SimTime) -> u64 {
+        let tick = self.config.tick;
+        let mut n = max.min(stop.saturating_since(at).as_nanos().div_ceil(tick.as_nanos()));
+        for (cpu, &(timer, _)) in self.quiet_timers.iter().enumerate() {
+            if timer == EventId::NONE {
+                continue;
+            }
+            // INVARIANT: only a running task's completion timer is armed.
+            let tid = self.running[cpu].expect("an armed CPU runs a task");
+            let (remaining, speed) = (self.tasks[tid.0].remaining_work, self.cpus[cpu].speed);
+            n = rounds_before_completion(remaining, speed, tick, n);
+        }
+        n
+    }
+
+    /// The accounting of `n` uniform rounds from `at` at once: bit for bit
+    /// what one `sync_to` per round would do, since every running CPU
+    /// accrues one tick per round ([`Kernel::accrue`]).
+    /// [`Kernel::tick_rounds`] sets the clock.
+    fn sync_uniform(&mut self, at: SimTime, n: u64) {
+        debug_assert!(n > 0 && self.is_uniform(at));
+        let tick = self.config.tick;
+        let last = at + tick * (n - 1);
+        for cpu in 0..self.cpus.len() {
+            self.cpus[cpu].last_sync = last;
+            if let Some(tid) = self.running[cpu] {
+                self.accrue(CpuId(cpu), tid, tick, n);
+            }
+        }
+    }
+
+    /// The tick half of `n` synced quiet rounds from `at`: count the ticks,
+    /// send each round's `Tick`s in CPU order at the round's time, and
+    /// re-derive the armed completion times at the last round. An armed
+    /// CPU stays armed: its task and speed are unchanged.
+    fn tick_rounds(&mut self, at: SimTime, n: u64) {
+        let tick = self.config.tick;
+        self.tally.ticks += n * self.cpus.len() as u64;
+        for cs in &mut self.cpus {
+            cs.ticks += n;
+        }
+        if !self.metric_observers.is_empty() {
+            for round in 0..n {
+                self.now = at + tick * round;
+                for cpu in 0..self.cpus.len() {
+                    self.emit_metric(MetricEvent::Tick { cpu: CpuId(cpu) });
+                }
+            }
+        }
+        self.now = at + tick * (n - 1);
+        for cpu in 0..self.cpus.len() {
+            if self.quiet_timers[cpu].0 != EventId::NONE {
+                if let Some(t) = self.workdone_time(CpuId(cpu)) {
+                    self.quiet_timers[cpu].1 = t;
+                }
+            }
         }
     }
 
@@ -646,21 +727,34 @@ impl Kernel {
         cs.last_sync = t;
         let Some(tid) = self.running[cpu.0] else { return };
         let delta = t.saturating_since(start);
-        if delta.is_zero() {
-            return;
+        if !delta.is_zero() {
+            self.accrue(cpu, tid, delta, 1);
         }
-        let speed = cs.speed;
-        let policy = {
-            let task = &mut self.tasks[tid.0];
-            debug_assert_eq!(task.state, TaskState::Running);
-            task.exec_total += delta;
-            task.iter.run_in_iter += delta;
-            let work = delta.as_secs_f64() * speed;
-            task.remaining_work = (task.remaining_work - work).max(0.0);
-            task.policy
-        };
+    }
+
+    /// Account `n` back-to-back rounds of `delta` each to `tid`, running on
+    /// `cpu`: the integer counters move by `n · delta`, `remaining_work`
+    /// takes `n` float steps (a product would round differently), and the
+    /// class is charged with `charge`, or `charge_rounds` for `n > 1`.
+    #[inline]
+    fn accrue(&mut self, cpu: CpuId, tid: TaskId, delta: SimDuration, n: u64) {
+        let work = delta.as_secs_f64() * self.cpus[cpu.0].speed;
+        let task = &mut self.tasks[tid.0];
+        debug_assert_eq!(task.state, TaskState::Running);
+        task.exec_total += delta * n;
+        task.iter.run_in_iter += delta * n;
+        let mut remaining = task.remaining_work;
+        for _ in 0..n {
+            remaining = (remaining - work).max(0.0);
+        }
+        task.remaining_work = remaining;
+        let policy = task.policy;
         let class = self.class_of_policy(policy);
-        self.with_ctx(class, |class, ctx| class.charge(ctx, cpu, tid, delta));
+        if n == 1 {
+            self.with_ctx(class, |class, ctx| class.charge(ctx, cpu, tid, delta));
+        } else {
+            self.with_ctx(class, |class, ctx| class.charge_rounds(ctx, cpu, tid, delta, n));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1139,10 +1233,7 @@ impl Kernel {
             return None;
         }
         let start = self.now.max(cs.switch_until).max(cs.steal_until);
-        let dur = SimDuration::from_secs_f64(remaining / cs.speed);
-        // Guarantee forward progress even when the duration rounds to zero.
-        let dur = if dur.is_zero() { SimDuration::from_nanos(1) } else { dur };
-        Some(start + dur)
+        Some(start + completion_delay(remaining, cs.speed))
     }
 
     // ------------------------------------------------------------------
@@ -1226,12 +1317,12 @@ impl Kernel {
     }
 
     fn emit_metric(&mut self, event: MetricEvent) {
-        if self.observers.is_empty() {
+        if self.metric_observers.is_empty() {
             return;
         }
         let kernel_event = KernelEvent::Metric { time: self.now, event };
-        for obs in &mut self.observers {
-            obs.on_event(&kernel_event);
+        for &i in &self.metric_observers {
+            self.observers[i].on_event(&kernel_event);
         }
     }
 
@@ -1239,6 +1330,42 @@ impl Kernel {
     pub fn current_on(&self, cpu: CpuId) -> Option<TaskId> {
         self.running[cpu.0]
     }
+}
+
+/// How long `remaining` work takes at `speed`, both positive, as
+/// [`Kernel::workdone_time`] counts it from the start of accrual.
+fn completion_delay(remaining: f64, speed: f64) -> SimDuration {
+    let dur = SimDuration::from_secs_f64(remaining / speed);
+    // Guarantee forward progress even when the duration rounds to zero.
+    if dur.is_zero() {
+        SimDuration::from_nanos(1)
+    } else {
+        dur
+    }
+}
+
+/// The number of batched rounds, at most `max`, that a CPU with
+/// `remaining` work at `speed`, charged `tick` per round, lets run. The
+/// first round always runs; round `k` runs while the completion delay
+/// re-derived after round `k - 1` exceeds a tick. The delay only shrinks
+/// with the work left, and while more than two ticks' work is left it is
+/// certainly above a tick, so only the last rounds need the exact
+/// [`completion_delay`].
+fn rounds_before_completion(remaining: f64, speed: f64, tick: SimDuration, max: u64) -> u64 {
+    if speed <= 0.0 {
+        // Never armed in practice; one round keeps the per-round rule.
+        return max.min(1);
+    }
+    let work = tick.as_secs_f64() * speed;
+    let sure = 2.0 * tick.as_secs_f64() * speed;
+    let mut remaining = remaining;
+    for round in 1..max {
+        remaining = (remaining - work).max(0.0);
+        if remaining <= sure && (remaining <= 0.0 || completion_delay(remaining, speed) <= tick) {
+            return round;
+        }
+    }
+    max
 }
 
 /// The first class in chain order that handles each policy, indexed by

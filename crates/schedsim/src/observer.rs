@@ -9,7 +9,10 @@
 //! (e.g. [`SharedSink`](crate::SharedSink)) stay with the caller.
 //!
 //! Any [`TraceSink`] is automatically an [`Observer`] that receives the
-//! trace half of the stream, so existing sinks plug in unchanged.
+//! trace half of the stream, so existing sinks plug in unchanged. It
+//! declares that it wants no metric events
+//! ([`Observer::wants_metrics`]), so a kernel observed only by trace
+//! sinks never builds one.
 
 use crate::task::TaskId;
 use crate::trace::{TraceRecord, TraceSink};
@@ -49,6 +52,15 @@ pub enum KernelEvent {
 /// Receives the kernel's unified event stream.
 pub trait Observer: Send {
     fn on_event(&mut self, event: &KernelEvent);
+
+    /// Whether this observer wants [`KernelEvent::Metric`] events. Asked
+    /// once, when the observer is attached; an observer that says no is
+    /// sent none. When no attached observer wants them, the kernel does
+    /// not build them at all (the registry still counts everything). The
+    /// default, `true`, receives the whole stream.
+    fn wants_metrics(&self) -> bool {
+        true
+    }
 }
 
 // Every trace sink observes the trace half of the stream unchanged, so
@@ -58,6 +70,10 @@ impl<T: TraceSink> Observer for T {
         if let KernelEvent::Trace(rec) = event {
             self.record(rec.clone());
         }
+    }
+
+    fn wants_metrics(&self) -> bool {
+        false
     }
 }
 
@@ -81,6 +97,7 @@ mod tests {
         });
         let records = sink.snapshot();
         assert_eq!(records.len(), 1, "metric events are not trace records");
+        assert!(!obs.wants_metrics(), "a trace sink asks for no metric events");
         assert_eq!(records[0].task, TaskId(3));
     }
 }

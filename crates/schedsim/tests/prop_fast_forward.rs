@@ -1,15 +1,18 @@
 //! Differential test of the kernel's quiet-tick fast-forward.
 //!
 //! `run_until_exited` and `run_for` replay quiet tick rounds without the
-//! event queue (DESIGN §5 note 7); `step` never does, so a `step` loop is
-//! the reference. Random scenarios run both ways must agree on the whole
-//! observer stream (host wall-clock pick times masked), every task's
-//! accounting bit for bit, every registry metric but the wall-clock pick
-//! histogram, and the clock.
+//! event queue, runs of uniform rounds in one batch (DESIGN §5 note 7);
+//! `step` never does, so a `step` loop is the reference. Random scenarios
+//! run both ways must agree on the whole observer stream (host wall-clock
+//! pick times masked), every task's accounting bit for bit, every registry
+//! metric but the wall-clock pick histogram, and the clock. A scenario is
+//! observed by nobody, by a trace-only sink (which asks for no metric
+//! events) or by a recorder of the full stream.
 //!
-//! A second property pins the [`SchedClass::tick_quiet`] contract for each
-//! class: once it holds, `task_tick` stays `false` and changes nothing
-//! under any further charges.
+//! Two more properties pin the class contracts the replay relies on: once
+//! [`SchedClass::tick_quiet`] holds, `task_tick` stays `false` and changes
+//! nothing under any further charges; and
+//! [`SchedClass::charge_rounds`]`(n, d)` equals `n` calls of `charge(d)`.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,7 +25,7 @@ use schedsim::program::{FnProgram, ScriptedProgram};
 use schedsim::{
     Action, BalancedClass, ClassCtx, FaultEvent, HpcPolicyKind, HpcSchedConfig, Kernel, KernelApi,
     KernelBuilder, KernelConfig, KernelEvent, MetricEvent, NoiseConfig, Observer, SchedClass,
-    SchedPolicy, SpawnOptions, Task, TaskId, TaskState,
+    SchedPolicy, SpawnOptions, Task, TaskId, TaskState, TraceEvent, TraceRecord, TraceSink,
 };
 use simcore::{SimDuration, SimTime};
 use telemetry::MetricValue;
@@ -56,6 +59,18 @@ struct TaskSpec {
     cycles: Vec<Cycle>,
 }
 
+/// Who observes the kernel.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Observe {
+    Nobody,
+    /// A [`TraceSink`]: trace records only, no metric events.
+    TraceOnly,
+    /// [`Recorder`]: the whole stream.
+    Full,
+}
+
+const OBSERVERS: [Observe; 3] = [Observe::Nobody, Observe::TraceOnly, Observe::Full];
+
 #[derive(Clone, Debug)]
 enum FaultSpec {
     Steal { cpu: usize, us: u64 },
@@ -73,7 +88,7 @@ struct Scenario {
     /// The HPC class's intra-class policy, or no HPC class at all.
     hpc: Option<HpcPolicyKind>,
     short_slices: bool,
-    observe: bool,
+    observe: Observe,
     seed: u64,
     tasks: Vec<TaskSpec>,
     /// `(tick, offset in µs after it, fault)`; offset 0 lands on the tick.
@@ -95,6 +110,17 @@ impl Observer for Recorder {
         // INVARIANT: the lock is only held for this push and for the final
         // read, neither of which panics, so it is never poisoned.
         self.0.lock().expect("recorder lock").push(event);
+    }
+}
+
+/// Records the trace half of the stream. As a [`TraceSink`] it declares
+/// that it wants no metric events, so the kernel delivers none.
+struct TraceRecorder(Arc<Mutex<Vec<KernelEvent>>>);
+
+impl TraceSink for TraceRecorder {
+    fn record(&mut self, rec: TraceRecord) {
+        // INVARIANT: as for `Recorder`.
+        self.0.lock().expect("recorder lock").push(KernelEvent::Trace(rec));
     }
 }
 
@@ -160,8 +186,10 @@ fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
         None => builder.without_hpc_class().build(),
     };
     let stream = Arc::new(Mutex::new(Vec::new()));
-    if s.observe {
-        k.observe(Box::new(Recorder(stream.clone())));
+    match s.observe {
+        Observe::Nobody => {}
+        Observe::TraceOnly => k.observe(Box::new(TraceRecorder(stream.clone()))),
+        Observe::Full => k.observe(Box::new(Recorder(stream.clone()))),
     }
     let ids: Vec<TaskId> = s
         .tasks
@@ -359,7 +387,7 @@ fn fault() -> impl Strategy<Value = (u64, u64, FaultSpec)> {
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (0u8..3, prop_oneof![Just(1u64), Just(4)], prop_oneof![Just(0u32), Just(1), Just(64)]),
-        (any::<bool>(), any::<bool>(), any::<bool>(), any::<bool>()),
+        (any::<bool>(), any::<bool>(), any::<bool>(), (0usize..3).prop_map(|i| OBSERVERS[i])),
         prop_oneof![Just(None), Just(Some(HpcPolicyKind::Fifo)), Just(Some(HpcPolicyKind::Rr))],
         (any::<u64>(), 20u64..1_200),
         (proptest::collection::vec(task(), 1..7), proptest::collection::vec(fault(), 0..4)),
@@ -431,7 +459,7 @@ fn quiet_scenario(tasks: Vec<TaskSpec>) -> Scenario {
         free_switch: false,
         hpc: Some(HpcPolicyKind::Rr),
         short_slices: false,
-        observe: true,
+        observe: Observe::Full,
         seed: 1,
         tasks,
         faults: Vec::new(),
@@ -487,6 +515,109 @@ fn completions_and_wakeups_on_tick_boundaries() {
     assert_eq!(ended.as_nanos() % 1_000_000, 0, "exit at {ended} lands on a tick");
 }
 
+/// Run `s` both ways with each kind of observer and compare. The trace-only
+/// stream must be the trace half of the full one. Returns the fully
+/// observed fast run.
+fn assert_same_for_every_observer(s: &Scenario) -> Outcome {
+    let [nobody, trace_only, full] = OBSERVERS.map(|observe| {
+        let s = Scenario { observe, ..s.clone() };
+        let (fast, slow) = both_ways(&s);
+        assert_same(&s, &fast, &slow);
+        fast
+    });
+    assert!(nobody.stream.is_empty());
+    let traces: Vec<&KernelEvent> =
+        full.stream.iter().filter(|e| matches!(e, KernelEvent::Trace(_))).collect();
+    assert_eq!(trace_only.stream.iter().collect::<Vec<_>>(), traces, "trace-only stream\n{s:?}");
+    full
+}
+
+fn tick_count(o: &Outcome) -> u64 {
+    o.metrics
+        .iter()
+        .find_map(|(name, v)| match v {
+            MetricValue::Counter(c) if name == "kernel.ticks" => Some(*c),
+            _ => None,
+        })
+        .unwrap_or(0)
+}
+
+#[test]
+fn unbounded_stretch_stops_at_a_completion_between_ticks() {
+    // No periodic balancing, so only completions and the wakeup bound a
+    // stretch. CPU 2's task ends 43.7 ms in, inside a stretch that CPUs 0
+    // and 1 would otherwise replay to their own ends; CPU 3 wakes from a
+    // sleep off the tick grid.
+    let mut s = quiet_scenario(vec![
+        spec(Pol::Normal, &[0], vec![compute(0.3)]),
+        spec(Pol::Fifo, &[1], vec![compute(0.25)]),
+        spec(Pol::Hpc, &[2], vec![compute(0.0437)]),
+        spec(
+            Pol::Normal,
+            &[3],
+            vec![Cycle { work: 0.02, sleep_us: 40_300, on_tick: false }, compute(0.1)],
+        ),
+    ]);
+    s.balance = 0;
+    let full = assert_same_for_every_observer(&s);
+    let exits: Vec<SimTime> = full
+        .stream
+        .iter()
+        .filter_map(|e| match e {
+            KernelEvent::Trace(TraceRecord { time, event: TraceEvent::Exit, .. }) => Some(*time),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(exits.len(), 4);
+    let between_ticks = exits.iter().any(|t| t.as_nanos() % 1_000_000 != 0);
+    assert!(between_ticks, "an exit between ticks: {exits:?}");
+    assert!(tick_count(&full) > 4 * 250, "the run spans the long computations");
+}
+
+#[test]
+fn steal_bursts_of_several_ticks_inside_a_stretch() {
+    // Every CPU busy and quiet; bursts of 3.5, 5 and 12.25 ms, on and off
+    // the tick grid, make the rounds they cover non-uniform mid-stretch.
+    let mut s = quiet_scenario(vec![
+        spec(Pol::Normal, &[0], vec![compute(0.2)]),
+        spec(Pol::Hpc, &[1], vec![compute(0.2)]),
+        spec(Pol::Fifo, &[2], vec![compute(0.2)]),
+        spec(Pol::Normal, &[3], vec![compute(0.2)]),
+    ]);
+    s.balance = 0;
+    s.faults = vec![
+        (40, 300, FaultSpec::Steal { cpu: 1, us: 3_500 }),
+        (90, 0, FaultSpec::Steal { cpu: 2, us: 5_000 }),
+        (120, 700, FaultSpec::Steal { cpu: 3, us: 12_250 }),
+        (122, 0, FaultSpec::Steal { cpu: 0, us: 4_000 }),
+    ];
+    assert_same_for_every_observer(&s);
+}
+
+#[test]
+fn completion_a_hair_either_side_of_a_tick_from_the_last_round() {
+    // One core at speed 1 with free switches: after the round at 9 ms the
+    // work left is 1 ms plus `delta`, so the re-derived completion time
+    // lands a hair before, on or after the round at 10 ms. Only the exact
+    // completion arithmetic, not the two-tick prefilter, can tell.
+    for delta in [-1e-9, -6e-10, -4e-10, 0.0, 4e-10, 6e-10, 1e-9, 1e-6] {
+        let work = 0.010 + delta;
+        let mut s = quiet_scenario(vec![spec(
+            Pol::Normal,
+            &[0],
+            vec![
+                Cycle { work, sleep_us: 0, on_tick: false },
+                compute(0.002 + delta),
+                compute(0.005),
+            ],
+        )]);
+        s.topology = 1;
+        s.free_switch = true;
+        s.balance = 0;
+        assert_same_for_every_observer(&s);
+    }
+}
+
 /// The class under test for the `tick_quiet` contract.
 #[derive(Clone, Copy, Debug)]
 enum ClassKind {
@@ -517,26 +648,24 @@ fn class(kind: ClassKind) -> (Box<dyn SchedClass>, SchedPolicy) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+/// `kind`'s class on the OpenPower 710: task 0 runs on CPU 1 with `slice`
+/// left and tasks `1..=queued` are queued behind it. One task more than
+/// `nices` lists entries for is never queued: a late arrival.
+struct ClassRig {
+    class: Box<dyn SchedClass>,
+    tasks: Vec<Task>,
+    running: Vec<Option<TaskId>>,
+    topology: Topology,
+    cpu: CpuId,
+    curr: TaskId,
+}
 
-    /// `tick_quiet ⇒ task_tick == false`, with no side effect, after any
-    /// charges, for every class.
-    #[test]
-    fn tick_quiet_means_task_tick_stays_false(
-        kind in prop_oneof![
-            Just(ClassKind::Fair), Just(ClassKind::Idle), Just(ClassKind::RtFifo),
-            Just(ClassKind::RtRr), Just(ClassKind::HpcFifo), Just(ClassKind::HpcRr),
-        ],
-        queued in 0usize..3,
-        nices in proptest::collection::vec(-10i32..10, 3),
-        slice_us in 0u64..10_000,
-        charges in proptest::collection::vec(0u64..30_000_000, 0..24),
-    ) {
+impl ClassRig {
+    fn new(kind: ClassKind, nices: &[i32], queued: usize, slice: SimDuration) -> ClassRig {
         let topology = Topology::openpower_710();
         let (mut class, policy) = class(kind);
         class.init_cpus(topology.num_cpus());
-        let mut tasks: Vec<Task> = (0..=queued)
+        let tasks = (0..=nices.len())
             .map(|i| {
                 let mut t = Task::new(
                     TaskId(i),
@@ -545,32 +674,82 @@ proptest! {
                     Box::new(ScriptedProgram::compute_once(1.0)),
                     SimTime::ZERO,
                 );
-                t.nice = nices[i];
+                t.nice = nices.get(i).copied().unwrap_or(0);
                 t
             })
             .collect();
-        let cpu = CpuId(1);
-        let mut running = vec![None; topology.num_cpus()];
-        let mut ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topology, running: &running };
-        class.enqueue(&mut ctx, cpu, TaskId(0), EnqueueKind::New);
-        // INVARIANT: the queue holds exactly the task enqueued above.
-        let curr = class.pick_next(&mut ctx, cpu).expect("the task just queued");
-        ctx.task_mut(curr).slice_left = SimDuration::from_micros(slice_us);
-        for i in 1..=queued {
-            class.enqueue(&mut ctx, cpu, TaskId(i), EnqueueKind::New);
-        }
-        running[cpu.0] = Some(curr);
-        let mut ctx = ClassCtx { now: SimTime::ZERO, tasks: &mut tasks, topology: &topology, running: &running };
-        if class.tick_quiet(&ctx, cpu, curr) {
+        let running = vec![None; topology.num_cpus()];
+        let mut rig = ClassRig { class, tasks, running, topology, cpu: CpuId(1), curr: TaskId(0) };
+        let cpu = rig.cpu;
+        let curr = rig.with(|class, ctx| {
+            class.enqueue(ctx, cpu, TaskId(0), EnqueueKind::New);
+            // INVARIANT: the queue holds exactly the task enqueued above.
+            let curr = class.pick_next(ctx, cpu).expect("the task just queued");
+            ctx.task_mut(curr).slice_left = slice;
+            for i in 1..=queued {
+                class.enqueue(ctx, cpu, TaskId(i), EnqueueKind::New);
+            }
+            curr
+        });
+        rig.running[cpu.0] = Some(curr);
+        rig.curr = curr;
+        rig
+    }
+
+    fn with<R>(&mut self, f: impl FnOnce(&mut dyn SchedClass, &mut ClassCtx<'_>) -> R) -> R {
+        let mut ctx = ClassCtx {
+            now: SimTime::ZERO,
+            tasks: &mut self.tasks,
+            topology: &self.topology,
+            running: &self.running,
+        };
+        f(self.class.as_mut(), &mut ctx)
+    }
+
+    /// The running task's `vruntime` and `slice_left`, and the class's
+    /// queue length and `tick_quiet` on its CPU.
+    fn view(&mut self) -> (u64, SimDuration, usize, bool) {
+        let (cpu, curr) = (self.cpu, self.curr);
+        self.with(|class, ctx| {
+            let t = ctx.task(curr);
+            (t.vruntime, t.slice_left, class.nr_runnable(cpu), class.tick_quiet(ctx, cpu, curr))
+        })
+    }
+}
+
+fn any_class() -> impl Strategy<Value = ClassKind> {
+    prop_oneof![
+        Just(ClassKind::Fair),
+        Just(ClassKind::Idle),
+        Just(ClassKind::RtFifo),
+        Just(ClassKind::RtRr),
+        Just(ClassKind::HpcFifo),
+        Just(ClassKind::HpcRr),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `tick_quiet ⇒ task_tick == false`, with no side effect, after any
+    /// charges, for every class.
+    #[test]
+    fn tick_quiet_means_task_tick_stays_false(
+        kind in any_class(),
+        queued in 0usize..3,
+        nices in proptest::collection::vec(-10i32..10, 3),
+        slice_us in 0u64..10_000,
+        charges in proptest::collection::vec(0u64..30_000_000, 0..24),
+    ) {
+        let mut rig = ClassRig::new(kind, &nices, queued, SimDuration::from_micros(slice_us));
+        let (cpu, curr) = (rig.cpu, rig.curr);
+        if rig.view().3 {
             for ns in charges {
-                class.charge(&mut ctx, cpu, curr, SimDuration::from_nanos(ns));
-                let view = |ctx: &ClassCtx<'_>, class: &dyn SchedClass| {
-                    let t = ctx.task(curr);
-                    (t.vruntime, t.slice_left, class.nr_runnable(cpu), class.tick_quiet(ctx, cpu, curr))
-                };
-                let before = view(&ctx, class.as_ref());
-                prop_assert!(!class.task_tick(&mut ctx, cpu, curr), "{kind:?} ticked after {ns} ns");
-                prop_assert_eq!(view(&ctx, class.as_ref()), before);
+                rig.with(|class, ctx| class.charge(ctx, cpu, curr, SimDuration::from_nanos(ns)));
+                let before = rig.view();
+                let ticked = rig.with(|class, ctx| class.task_tick(ctx, cpu, curr));
+                prop_assert!(!ticked, "{kind:?} ticked after {ns} ns");
+                prop_assert_eq!(rig.view(), before);
                 prop_assert!(before.3, "{:?} stopped being quiet under charges", kind);
             }
         } else {
@@ -578,5 +757,38 @@ proptest! {
             // decline.
             prop_assert!(queued > 0 || matches!(kind, ClassKind::RtRr), "{kind:?} alone is not quiet");
         }
+    }
+
+    /// `charge_rounds(n, d)` leaves the running task and the class as `n`
+    /// calls of `charge(d)` do, slices that run out included: the same
+    /// `vruntime`, `slice_left`, queue length, `tick_quiet` and next
+    /// `task_tick`, and the same placement of a late arrival, which reads
+    /// the class's per-CPU state (CFS's `min_vruntime`).
+    #[test]
+    fn charge_rounds_equals_repeated_charges(
+        kind in any_class(),
+        queued in 0usize..3,
+        nices in proptest::collection::vec(-10i32..10, 3),
+        slice_us in 0u64..10_000,
+        ns in prop_oneof![Just(0u64), 1u64..3_000_000],
+        n in prop_oneof![Just(0u64), Just(1), 0u64..=10_000],
+    ) {
+        let run = |batched: bool| {
+            let mut rig = ClassRig::new(kind, &nices, queued, SimDuration::from_micros(slice_us));
+            let (cpu, curr, d) = (rig.cpu, rig.curr, SimDuration::from_nanos(ns));
+            rig.with(|class, ctx| match batched {
+                true => class.charge_rounds(ctx, cpu, curr, d, n),
+                false => (0..n).for_each(|_| class.charge(ctx, cpu, curr, d)),
+            });
+            let view = rig.view();
+            let ticked = rig.with(|class, ctx| class.task_tick(ctx, cpu, curr));
+            let late = TaskId(nices.len());
+            let placed = rig.with(|class, ctx| {
+                class.enqueue(ctx, cpu, late, EnqueueKind::Wakeup);
+                ctx.task(late).vruntime
+            });
+            (view, ticked, placed)
+        };
+        prop_assert_eq!(run(true), run(false), "{:?}: {} rounds of {} ns", kind, n, ns);
     }
 }

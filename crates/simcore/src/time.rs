@@ -115,6 +115,12 @@ impl SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
 
+    /// Saturating multiplication by a count.
+    #[inline]
+    pub fn saturating_mul(self, n: u64) -> SimDuration {
+        SimDuration(self.0.saturating_mul(n))
+    }
+
     /// Scale by a non-negative float, rounding to the nearest nanosecond.
     /// Used by the CPU model to convert work at a given speed into time.
     #[inline]

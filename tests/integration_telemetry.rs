@@ -3,7 +3,12 @@
 //! are independent views of the same hot-path events.
 
 use power5::CpuId;
-use schedsim::{FaultEvent, Kernel, KernelBuilder, SharedSink, TaskId, TaskState, TraceEvent};
+use schedsim::{
+    FaultEvent, Kernel, KernelBuilder, KernelEvent, MetricEvent, Observer, SharedSink, TaskId,
+    TaskState, TraceEvent, TraceRecord,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use simcore::{SimDuration, SimTime};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
@@ -166,4 +171,68 @@ fn hot_counters_are_published_by_every_public_method() {
     let (mut kernel, _) = golden_kernel();
     kernel.run_for(SimDuration::from_millis(40));
     assert_eq!(hot(&kernel), GOLDEN_RUN_FOR, "after run_for");
+}
+
+/// Keeps the trace half of the stream, asks for no metric events and
+/// panics if one arrives anyway.
+struct TraceOnly(Arc<Mutex<Vec<TraceRecord>>>);
+
+impl Observer for TraceOnly {
+    fn on_event(&mut self, event: &KernelEvent) {
+        match event {
+            // INVARIANT: the lock is only held for this push and the final
+            // read, neither of which panics, so it is never poisoned.
+            KernelEvent::Trace(rec) => self.0.lock().expect("trace lock").push(rec.clone()),
+            KernelEvent::Metric { event, .. } => panic!("trace-only observer got {event:?}"),
+        }
+    }
+
+    fn wants_metrics(&self) -> bool {
+        false
+    }
+}
+
+/// Counts the `Tick` metric events it sees.
+struct TickCounter(Arc<AtomicU64>);
+
+impl Observer for TickCounter {
+    fn on_event(&mut self, event: &KernelEvent) {
+        if let KernelEvent::Metric { event: MetricEvent::Tick { .. }, .. } = event {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// A MetBench run observed by a [`TraceOnly`] observer, and also by a
+/// [`TickCounter`] when `ticks` is given; returns the trace and the
+/// kernel's tick counter.
+fn trace_only_run(ticks: Option<Arc<AtomicU64>>) -> (Vec<TraceRecord>, u64) {
+    let mut kernel = KernelBuilder::new().seed(11).try_build().expect("valid");
+    let trace = Arc::new(Mutex::new(Vec::new()));
+    kernel.observe(Box::new(TraceOnly(trace.clone())));
+    if let Some(ticks) = ticks {
+        kernel.observe(Box::new(TickCounter(ticks)));
+    }
+    let (workers, master) = metbench::spawn(&mut kernel, &metbench_cfg(), &SchedulerSetup::Hpc);
+    let mut all = workers;
+    all.push(master);
+    kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
+    let ticks = kernel.metrics_registry().snapshot().counter("kernel.ticks");
+    // INVARIANT: see `TraceOnly::on_event`.
+    let records = std::mem::take(&mut *trace.lock().expect("trace lock"));
+    (records, ticks)
+}
+
+#[test]
+fn trace_only_observers_get_no_metric_events() {
+    let (alone, alone_ticks) = trace_only_run(None);
+    let seen = Arc::new(AtomicU64::new(0));
+    let (beside, beside_ticks) = trace_only_run(Some(seen.clone()));
+    assert!(!alone.is_empty());
+    assert_eq!(format!("{alone:?}"), format!("{beside:?}"), "the trace ignores other observers");
+    assert_eq!(alone_ticks, beside_ticks);
+    // Replayed quiet rounds deliver every tick to an observer that wants
+    // metric events.
+    assert_eq!(seen.load(Ordering::Relaxed), beside_ticks);
+    assert!(beside_ticks > 1_000, "a MetBench run spans many tick rounds: {beside_ticks}");
 }
