@@ -28,7 +28,7 @@ fn run_custom(cfg: &MetBenchConfig, builder: KernelBuilder, hpc: bool) -> f64 {
     } else {
         (builder.without_hpc_class().build(), SchedulerSetup::Baseline)
     };
-    let (workers, master) = workloads::metbench::spawn(&mut kernel, cfg, &setup);
+    let (workers, master, _) = workloads::metbench::spawn_faulted(&mut kernel, cfg, &setup, None);
     let mut all = workers;
     all.push(master);
     kernel
@@ -92,7 +92,8 @@ fn ablation_idle_mode(c: &mut Criterion) {
             } else {
                 SchedulerSetup::Baseline
             };
-            let (workers, master) = workloads::metbench::spawn(&mut kernel, cfg, &setup);
+            let (workers, master, _) =
+                workloads::metbench::spawn_faulted(&mut kernel, cfg, &setup, None);
             let mut all = workers;
             all.push(master);
             kernel

@@ -47,7 +47,7 @@ fn run(noise: NoiseConfig, hpc: bool) -> LatencyReport {
         rounds: 30,
         ..Default::default()
     };
-    let ranks = siesta::spawn(&mut kernel, &cfg, &setup);
+    let (ranks, _) = siesta::spawn_faulted(&mut kernel, &cfg, &setup, None);
     let end = kernel.run_until_exited(&ranks, SimDuration::from_secs(600)).expect("finishes");
 
     let app_mean_us = mean_of(&kernel, ranks.iter().copied());

@@ -20,7 +20,8 @@ fn run_metbench(tunables: HpcTunables, heuristic: HeuristicKind) -> Result<f64, 
     let mut kernel = KernelBuilder::new()
         .hpc_config(HpcSchedConfig { heuristic, tunables, ..Default::default() })
         .try_build()?;
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers;
     all.push(master);
     Ok(kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes").as_secs_f64())
@@ -38,7 +39,8 @@ fn run_metbenchvar(tunables: HpcTunables, heuristic: HeuristicKind) -> Result<f6
     let mut kernel = KernelBuilder::new()
         .hpc_config(HpcSchedConfig { heuristic, tunables, ..Default::default() })
         .try_build()?;
-    let (workers, master) = metbenchvar::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbenchvar::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers;
     all.push(master);
     Ok(kernel.run_until_exited(&all, SimDuration::from_secs(2000)).expect("finishes").as_secs_f64())

@@ -26,6 +26,7 @@
 
 use crate::balance::{plan_pull, BalanceView};
 use crate::class::{ClassCtx, Migration};
+use crate::policies::PrioMechanism;
 use crate::task::TaskId;
 use power5::{CpuId, HwPriority};
 use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
@@ -173,7 +174,8 @@ impl<B: Balancer + ?Sized> Balancer for Box<B> {
     }
 }
 
-/// Decision counters shared by the zoo policies:
+/// Decision counters shared by the zoo policies and Table I (which
+/// registers them under its heuristic's name):
 /// `hpc.decisions.<policy>.accepted` / `.rejected` count priority proposals
 /// the mechanism applied vs refused, and `hpc.detector.degraded` counts
 /// unusable samples that hit the do-no-harm floor (the counter the fault
@@ -190,6 +192,37 @@ impl BalancerTelemetry {
             accepted: registry.counter(&format!("hpc.decisions.{policy}.accepted")),
             rejected: registry.counter(&format!("hpc.decisions.{policy}.rejected")),
             degraded: registry.counter("hpc.detector.degraded"),
+        }
+    }
+}
+
+/// Propose moving `task` from `current` to `next`: validate `next` through
+/// the mechanism and count the verdict. The task gets the validated
+/// priority if it differs from `current` (accepted); a refusal, or a clamp
+/// back onto `current`, leaves it unchanged (rejected). `next == current`
+/// is no proposal and counts nothing.
+pub(crate) fn propose(
+    mechanism: &dyn PrioMechanism,
+    telemetry: Option<&BalancerTelemetry>,
+    task: TaskId,
+    current: HwPriority,
+    next: HwPriority,
+) -> Vec<PrioAssignment> {
+    if next == current {
+        return Vec::new();
+    }
+    match mechanism.validate(next) {
+        Ok(effective) if effective != current => {
+            if let Some(t) = telemetry {
+                t.accepted.inc();
+            }
+            vec![PrioAssignment { task, prio: effective }]
+        }
+        _ => {
+            if let Some(t) = telemetry {
+                t.rejected.inc();
+            }
+            Vec::new()
         }
     }
 }

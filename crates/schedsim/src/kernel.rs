@@ -8,14 +8,12 @@ use crate::classes::{FairClass, IdleClass, RtClass};
 use crate::config::KernelConfig;
 use crate::error::SchedError;
 use crate::fault::FaultEvent;
-use crate::observer::{KernelEvent, MetricEvent, Observer};
 use crate::policy::SchedPolicy;
 use crate::program::{Action, KernelApi, Program, TokenTable, WaitToken};
 use crate::task::{Task, TaskId, TaskState};
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::{KernelEvent, Observer, TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
 use simcore::{EventId, EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
-use std::time::Instant;
 use telemetry::{Counter, HistogramHandle, MetricsRegistry};
 
 /// Kernel events.
@@ -95,8 +93,6 @@ struct KernelCounters {
     fault_steal_bursts: Counter,
     /// Injected per-task speed-multiplier changes delivered (fault class 2).
     fault_slowdowns: Counter,
-    /// Host wall-clock nanoseconds per class-chain pick.
-    pick_wall_ns: HistogramHandle,
     /// Simulated wakeup→dispatch latency, nanoseconds.
     dispatch_latency_ns: HistogramHandle,
     /// Runnable tasks across classes on the picking CPU, sampled per pick.
@@ -115,7 +111,6 @@ impl KernelCounters {
             task_exits: registry.counter("kernel.task_exits"),
             fault_steal_bursts: registry.counter("kernel.faults.steal_bursts"),
             fault_slowdowns: registry.counter("kernel.faults.slowdowns"),
-            pick_wall_ns: registry.histogram("kernel.pick_wall_ns"),
             dispatch_latency_ns: registry.histogram("kernel.dispatch_latency_ns"),
             runq_depth: registry.histogram("kernel.runq_depth"),
             cpu_hw_prio_transitions: (0..ncpus)
@@ -150,10 +145,6 @@ pub struct Kernel {
     running: Vec<Option<TaskId>>,
     tokens: TokenTable,
     observers: Vec<Box<dyn Observer>>,
-    /// Indices into `observers` of those that want
-    /// [`KernelEvent::Metric`] events, in attach order. Empty, and never
-    /// allocated, while only trace sinks are attached.
-    metric_observers: Vec<usize>,
     rng: SimRng,
     registry: MetricsRegistry,
     counters: KernelCounters,
@@ -207,7 +198,6 @@ impl Kernel {
             running: vec![None; ncpus],
             tokens: TokenTable::default(),
             observers: Vec::new(),
-            metric_observers: Vec::new(),
             rng,
             registry,
             counters,
@@ -237,17 +227,11 @@ impl Kernel {
         self.policy_class = policy_table(&self.classes);
     }
 
-    /// Attach an observer to the kernel's unified event stream: every
-    /// [`TraceRecord`] and, if it [wants them](Observer::wants_metrics),
-    /// every [`MetricEvent`] of the run, in order.
-    ///
-    /// Any [`TraceSink`] is an [`Observer`], so shared-handle sinks like
+    /// Attach an observer to the kernel's trace: every [`TraceRecord`] of
+    /// the run, in order. Shared-handle sinks like
     /// [`SharedSink`](crate::SharedSink) attach directly — the caller keeps
     /// its handle and never needs the sink back.
     pub fn observe(&mut self, observer: Box<dyn Observer>) {
-        if observer.wants_metrics() {
-            self.metric_observers.push(self.observers.len());
-        }
         self.observers.push(observer);
     }
 
@@ -669,25 +653,15 @@ impl Kernel {
         }
     }
 
-    /// The tick half of `n` synced quiet rounds from `at`: count the ticks,
-    /// send each round's `Tick`s in CPU order at the round's time, and
-    /// re-derive the armed completion times at the last round. An armed
-    /// CPU stays armed: its task and speed are unchanged.
+    /// The tick half of `n` synced quiet rounds from `at`: count the ticks
+    /// and re-derive the armed completion times at the last round. An
+    /// armed CPU stays armed: its task and speed are unchanged.
     fn tick_rounds(&mut self, at: SimTime, n: u64) {
-        let tick = self.config.tick;
         self.tally.ticks += n * self.cpus.len() as u64;
         for cs in &mut self.cpus {
             cs.ticks += n;
         }
-        if !self.metric_observers.is_empty() {
-            for round in 0..n {
-                self.now = at + tick * round;
-                for cpu in 0..self.cpus.len() {
-                    self.emit_metric(MetricEvent::Tick { cpu: CpuId(cpu) });
-                }
-            }
-        }
-        self.now = at + tick * (n - 1);
+        self.now = at + self.config.tick * (n - 1);
         for cpu in 0..self.cpus.len() {
             if self.quiet_timers[cpu].0 != EventId::NONE {
                 if let Some(t) = self.workdone_time(CpuId(cpu)) {
@@ -763,7 +737,6 @@ impl Kernel {
 
     fn handle_tick(&mut self, cpu: CpuId) {
         self.tally.ticks += 1;
-        self.emit_metric(MetricEvent::Tick { cpu });
         self.cpus[cpu.0].ticks += 1;
         let next = self.now + self.config.tick;
         self.cpus[cpu.0].tick_ev = self.events.schedule(next, KEvent::Tick(cpu));
@@ -1085,7 +1058,7 @@ impl Kernel {
 
         loop {
             let runnable: usize = self.classes.iter().map(|c| c.nr_runnable(cpu)).sum();
-            let pick_started = Instant::now();
+            self.counters.runq_depth.record(runnable as u64);
             let mut next = None;
             for class in 0..self.classes.len() {
                 next = self.with_ctx(class, |class, ctx| class.pick_next(ctx, cpu));
@@ -1093,10 +1066,6 @@ impl Kernel {
                     break;
                 }
             }
-            let wall_ns = pick_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.counters.pick_wall_ns.record(wall_ns);
-            self.counters.runq_depth.record(runnable as u64);
-            self.emit_metric(MetricEvent::ClassPick { cpu, wall_ns, runnable });
             let Some(tid) = next else {
                 // Nothing runnable: try an idle pull, then give up.
                 if self.balance(cpu, true) {
@@ -1136,14 +1105,11 @@ impl Kernel {
             }
         }
         if let Some(lat) = wakeup_latency {
-            let latency_ns = lat.as_nanos();
-            self.counters.dispatch_latency_ns.record(latency_ns);
-            self.emit_metric(MetricEvent::DispatchLatency { cpu, task: tid, latency_ns });
+            self.counters.dispatch_latency_ns.record(lat.as_nanos());
         }
         self.running[cpu.0] = Some(tid);
         if prev != Some(tid) {
             self.tally.context_switches += 1;
-            self.emit_metric(MetricEvent::ContextSwitch { cpu, task: tid });
             self.tasks[tid.0].nr_switches += 1;
             if !self.config.ctx_switch_cost.is_zero() {
                 self.cpus[cpu.0].switch_until = self.now + self.config.ctx_switch_cost;
@@ -1161,8 +1127,7 @@ impl Kernel {
                     let task = &self.tasks[tid.0];
                     let (perf, hw_prio) = (task.perf, task.hw_prio);
                     self.chip.set_load(CpuId(cpu), Some(perf));
-                    let from = self.chip.priority_of(CpuId(cpu));
-                    if from != hw_prio {
+                    if self.chip.priority_of(CpuId(cpu)) != hw_prio {
                         // INVARIANT: the kernel runs at supervisor
                         // privilege and the heuristics clamp priorities
                         // into the supervisor range; cannot fail.
@@ -1170,11 +1135,6 @@ impl Kernel {
                             .set_priority(CpuId(cpu), hw_prio, PrivilegeLevel::Supervisor)
                             .expect("scheduler priorities stay in supervisor range");
                         self.counters.cpu_hw_prio_transitions[cpu].inc();
-                        self.emit_metric(MetricEvent::HwPrioTransition {
-                            cpu: CpuId(cpu),
-                            from,
-                            to: hw_prio,
-                        });
                     }
                 }
                 None => {
@@ -1313,16 +1273,6 @@ impl Kernel {
         let kernel_event = KernelEvent::Trace(TraceRecord { time: self.now, task, event });
         for obs in &mut self.observers {
             obs.on_event(&kernel_event);
-        }
-    }
-
-    fn emit_metric(&mut self, event: MetricEvent) {
-        if self.metric_observers.is_empty() {
-            return;
-        }
-        let kernel_event = KernelEvent::Metric { time: self.now, event };
-        for &i in &self.metric_observers {
-            self.observers[i].on_event(&kernel_event);
         }
     }
 
@@ -1750,34 +1700,42 @@ mod tests {
         let snap = k.metrics_registry().snapshot();
         assert!(snap.counter("kernel.context_switches") >= 2);
         assert_eq!(snap.counter("kernel.task_exits"), 2);
-        assert!(snap.histogram("kernel.pick_wall_ns").is_some_and(|h| h.count > 0));
         assert!(snap.histogram("kernel.runq_depth").is_some_and(|h| h.count > 0));
         assert!(snap.counter("sim.events.processed") > 0);
     }
 
     #[test]
-    fn metric_events_reach_observers() {
-        struct CountingObserver {
-            metrics: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        }
-        impl crate::Observer for CountingObserver {
-            fn on_event(&mut self, event: &crate::KernelEvent) {
-                if matches!(event, crate::KernelEvent::Metric { .. }) {
-                    self.metrics.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
+    fn shared_sink_records_the_kernel_trace() {
+        // A bare observer collects the stream as the kernel sends it; a
+        // `SharedSink` attached beside it must hold exactly the same records.
+        struct Collect(std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>);
+        impl Observer for Collect {
+            fn on_event(&mut self, event: &KernelEvent) {
+                let KernelEvent::Trace(rec) = event;
+                self.0.lock().unwrap().push(rec.clone());
             }
         }
-        let seen = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let sent = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = crate::SharedSink::new();
         let mut k = kernel_1cpu();
-        k.observe(Box::new(CountingObserver { metrics: seen.clone() }));
-        let t = k.spawn(
-            "t",
-            SchedPolicy::Normal,
-            Box::new(ScriptedProgram::compute_once(0.05)),
-            SpawnOptions::default(),
-        );
-        k.run_until_exited(&[t], SimDuration::from_secs(5)).unwrap();
-        assert!(seen.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        k.observe(Box::new(Collect(sent.clone())));
+        k.observe(Box::new(sink.clone()));
+        let ids: Vec<TaskId> = (0..2)
+            .map(|i| {
+                k.spawn(
+                    format!("t{i}"),
+                    SchedPolicy::Normal,
+                    Box::new(ScriptedProgram::compute_once(0.05)),
+                    SpawnOptions::default(),
+                )
+            })
+            .collect();
+        k.run_until_exited(&ids, SimDuration::from_secs(5)).unwrap();
+        let records = sink.snapshot();
+        assert_eq!(records, *sent.lock().unwrap());
+        let exits = records.iter().filter(|r| r.event == TraceEvent::Exit).count() as u64;
+        assert_eq!(exits, 2);
+        assert_eq!(exits, k.metrics_registry().snapshot().counter("kernel.task_exits"));
     }
 
     #[test]

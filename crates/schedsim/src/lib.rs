@@ -40,7 +40,6 @@ pub mod error;
 pub mod fault;
 pub mod kernel;
 pub mod noise;
-pub mod observer;
 pub mod policies;
 pub mod policy;
 pub mod program;
@@ -57,8 +56,7 @@ pub use config::{CfsTunables, KernelConfig, NoiseConfig};
 pub use error::SchedError;
 pub use fault::FaultEvent;
 pub use kernel::{Kernel, SpawnOptions};
-pub use observer::{KernelEvent, MetricEvent, Observer};
 pub use policy::SchedPolicy;
 pub use program::{Action, KernelApi, Program, WaitToken, Work};
 pub use task::{Task, TaskId, TaskState};
-pub use trace::{SharedSink, TraceEvent, TraceRecord, TraceSink};
+pub use trace::{KernelEvent, Observer, SharedSink, TraceEvent, TraceRecord};

@@ -13,7 +13,9 @@ use super::detector::{LoadImbalanceDetector, TaskIterStats};
 use super::heuristics::Heuristic;
 use super::mechanism::PrioMechanism;
 use super::SharedTunables;
-use crate::balancer::{Balancer, IterSample, PrioAssignment, SampleOutcome};
+use crate::balancer::{
+    propose, Balancer, BalancerTelemetry, IterSample, PrioAssignment, SampleOutcome,
+};
 use crate::class::ClassCtx;
 use crate::task::TaskId;
 use power5::HwPriority;
@@ -23,16 +25,11 @@ use simcore::SimDuration;
 /// Telemetry handles for the policy's balancing decisions, registered via
 /// [`Balancer::attach_telemetry`]; recording is a relaxed atomic add.
 struct Table1Telemetry {
-    /// Priority proposals the mechanism applied (the task's register moved).
-    accepted: telemetry::Counter,
-    /// Proposals the mechanism refused or clamped into a no-op.
-    rejected: telemetry::Counter,
+    /// The zoo's decision counters, under the heuristic's name.
+    decisions: BalancerTelemetry,
     /// Detector verdicts per completed iteration.
     balanced: telemetry::Counter,
     imbalanced: telemetry::Counter,
-    /// Unusable iteration samples (zero wall / non-finite utilization) that
-    /// triggered the uniform-priority fallback.
-    degraded: telemetry::Counter,
 }
 
 /// The paper's detector + heuristic + mechanism pipeline.
@@ -98,13 +95,10 @@ impl Balancer for Table1Balancer {
     /// `hpc.detector.balanced` / `.imbalanced` / `.degraded` (verdicts per
     /// completed iteration).
     fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        let h = self.heuristic.name();
         self.telemetry = Some(Table1Telemetry {
-            accepted: registry.counter(&format!("hpc.decisions.{h}.accepted")),
-            rejected: registry.counter(&format!("hpc.decisions.{h}.rejected")),
+            decisions: BalancerTelemetry::register(registry, self.heuristic.name()),
             balanced: registry.counter("hpc.detector.balanced"),
             imbalanced: registry.counter("hpc.detector.imbalanced"),
-            degraded: registry.counter("hpc.detector.degraded"),
         });
     }
 
@@ -162,34 +156,8 @@ impl Balancer for Table1Balancer {
         }
         let current = ctx.task(task).hw_prio;
         let next = self.heuristic.next_priority(&stats, current, &tun);
-        if next == current {
-            return Vec::new();
-        }
-        match self.mechanism.validate(next) {
-            Ok(effective) => {
-                if effective != current {
-                    if let Some(t) = &self.telemetry {
-                        t.accepted.inc();
-                    }
-                    vec![PrioAssignment { task, prio: effective }]
-                } else {
-                    // Clamped into a no-op: the heuristic's proposal was
-                    // effectively refused.
-                    if let Some(t) = &self.telemetry {
-                        t.rejected.inc();
-                    }
-                    Vec::new()
-                }
-            }
-            Err(_) => {
-                // Architecture refused (e.g. range restriction): keep the
-                // old priority, exactly like a failed or-nop.
-                if let Some(t) = &self.telemetry {
-                    t.rejected.inc();
-                }
-                Vec::new()
-            }
-        }
+        let decisions = self.telemetry.as_ref().map(|t| &t.decisions);
+        propose(&*self.mechanism, decisions, task, current, next)
     }
 
     /// Graceful degradation ("do no harm" floor, DESIGN.md §9): the
@@ -198,7 +166,7 @@ impl Balancer for Table1Balancer {
     /// of letting a decision made on stale data stand.
     fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
         if let Some(t) = &self.telemetry {
-            t.degraded.inc();
+            t.decisions.degraded.inc();
         }
         if !self.dynamic_prio {
             return Vec::new();

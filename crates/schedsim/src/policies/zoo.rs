@@ -14,7 +14,8 @@ use super::tunables::HpcTunables;
 use super::SharedTunables;
 use crate::balance::{plan_pull, BalanceView};
 use crate::balancer::{
-    degrade_to_floor, Balancer, BalancerTelemetry, IterSample, PrioAssignment, SampleOutcome,
+    degrade_to_floor, propose, Balancer, BalancerTelemetry, IterSample, PrioAssignment,
+    SampleOutcome,
 };
 use crate::class::{ClassCtx, Migration};
 use crate::task::TaskId;
@@ -160,25 +161,7 @@ impl<R: StepRule> Balancer for StepBalancer<R> {
             _ => current,
         }
         .clamp(tun.min_prio, tun.max_prio);
-        if next == current {
-            return Vec::new();
-        }
-        match self.mechanism.validate(next) {
-            Ok(effective) if effective != current => {
-                if let Some(t) = &self.telemetry {
-                    t.accepted.inc();
-                }
-                vec![PrioAssignment { task, prio: effective }]
-            }
-            _ => {
-                // Refused outright or clamped into a no-op: either way the
-                // proposal did not take.
-                if let Some(t) = &self.telemetry {
-                    t.rejected.inc();
-                }
-                Vec::new()
-            }
-        }
+        propose(&*self.mechanism, self.telemetry.as_ref(), task, current, next)
     }
 
     /// The shared do-no-harm fault path: count the degraded sample, then

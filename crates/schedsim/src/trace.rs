@@ -1,9 +1,14 @@
-//! Kernel trace hooks.
+//! The kernel's trace and its observers.
 //!
-//! The kernel emits a [`TraceRecord`] on every scheduler-visible transition.
-//! Collectors (the `tracefmt` crate) implement [`TraceSink`]; the kernel
-//! stays agnostic of storage and rendering — the same role PARAVER's
-//! instrumentation plays in the paper's evaluation.
+//! The kernel emits a [`TraceRecord`] on every scheduler-visible transition
+//! and delivers it, as a [`KernelEvent`], to every [`Observer`] attached
+//! with [`Kernel::observe`](crate::Kernel::observe). That stream is the
+//! trace and nothing else: counts live in the kernel's
+//! [`MetricsRegistry`](telemetry::MetricsRegistry). The kernel stays
+//! agnostic of storage and rendering — the same role PARAVER's
+//! instrumentation plays in the paper's evaluation. Shared handles such as
+//! [`SharedSink`] stay with the caller, so the kernel never has to give a
+//! sink back.
 
 use crate::task::{TaskId, TaskState};
 use power5::{CpuId, HwPriority};
@@ -33,21 +38,16 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// Receives trace records as the simulation runs.
-pub trait TraceSink: Send {
-    fn record(&mut self, rec: TraceRecord);
+/// One item of the kernel's observation stream.
+#[derive(Clone, Debug, PartialEq)]
+pub enum KernelEvent {
+    /// A scheduler-visible task transition.
+    Trace(TraceRecord),
 }
 
-/// A sink that stores everything in memory.
-#[derive(Default)]
-pub struct VecSink {
-    pub records: Vec<TraceRecord>,
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
-    }
+/// Receives the kernel's observation stream.
+pub trait Observer: Send {
+    fn on_event(&mut self, event: &KernelEvent);
 }
 
 /// A sink writing into a shared buffer, so callers keep access to the
@@ -72,34 +72,9 @@ impl SharedSink {
     }
 }
 
-impl TraceSink for SharedSink {
-    fn record(&mut self, rec: TraceRecord) {
-        self.records.lock().unwrap_or_else(|p| p.into_inner()).push(rec);
-    }
-}
-
-/// A sink that discards everything (the default).
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: TraceRecord) {}
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn vec_sink_accumulates() {
-        let mut s = VecSink::default();
-        s.record(TraceRecord { time: SimTime::ZERO, task: TaskId(1), event: TraceEvent::Exit });
-        assert_eq!(s.records.len(), 1);
-        assert_eq!(s.records[0].task, TaskId(1));
-    }
-
-    #[test]
-    fn null_sink_ignores() {
-        let mut s = NullSink;
-        s.record(TraceRecord { time: SimTime::ZERO, task: TaskId(0), event: TraceEvent::Exit });
+impl Observer for SharedSink {
+    fn on_event(&mut self, event: &KernelEvent) {
+        let KernelEvent::Trace(rec) = event;
+        self.records.lock().unwrap_or_else(|p| p.into_inner()).push(rec.clone());
     }
 }

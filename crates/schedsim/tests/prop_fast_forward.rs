@@ -3,11 +3,9 @@
 //! `run_until_exited` and `run_for` replay quiet tick rounds without the
 //! event queue, runs of uniform rounds in one batch (DESIGN §5 note 7);
 //! `step` never does, so a `step` loop is the reference. Random scenarios
-//! run both ways must agree on the whole observer stream (host wall-clock
-//! pick times masked), every task's accounting bit for bit, every registry
-//! metric but the wall-clock pick histogram, and the clock. A scenario is
-//! observed by nobody, by a trace-only sink (which asks for no metric
-//! events) or by a recorder of the full stream.
+//! run both ways must agree on the whole observer stream (the trace),
+//! every task's accounting bit for bit, the whole metrics snapshot, and the
+//! clock. A scenario is observed by nobody or by a recorder of the trace.
 //!
 //! Two more properties pin the class contracts the replay relies on: once
 //! [`SchedClass::tick_quiet`] holds, `task_tick` stays `false` and changes
@@ -24,8 +22,8 @@ use schedsim::policies::{HpcTunables, Power5Mechanism, Table1Balancer, UniformHe
 use schedsim::program::{FnProgram, ScriptedProgram};
 use schedsim::{
     Action, BalancedClass, ClassCtx, FaultEvent, HpcPolicyKind, HpcSchedConfig, Kernel, KernelApi,
-    KernelBuilder, KernelConfig, KernelEvent, MetricEvent, NoiseConfig, Observer, SchedClass,
-    SchedPolicy, SpawnOptions, Task, TaskId, TaskState, TraceEvent, TraceRecord, TraceSink,
+    KernelBuilder, KernelConfig, KernelEvent, NoiseConfig, Observer, SchedClass, SchedPolicy,
+    SpawnOptions, Task, TaskId, TaskState, TraceEvent, TraceRecord,
 };
 use simcore::{SimDuration, SimTime};
 use telemetry::MetricValue;
@@ -63,13 +61,11 @@ struct TaskSpec {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Observe {
     Nobody,
-    /// A [`TraceSink`]: trace records only, no metric events.
-    TraceOnly,
     /// [`Recorder`]: the whole stream.
-    Full,
+    Trace,
 }
 
-const OBSERVERS: [Observe; 3] = [Observe::Nobody, Observe::TraceOnly, Observe::Full];
+const OBSERVERS: [Observe; 2] = [Observe::Nobody, Observe::Trace];
 
 #[derive(Clone, Debug)]
 enum FaultSpec {
@@ -96,31 +92,14 @@ struct Scenario {
     deadline_ms: u64,
 }
 
-/// Records the observer stream with host wall-clock pick times masked.
+/// Records the observer stream.
 struct Recorder(Arc<Mutex<Vec<KernelEvent>>>);
 
 impl Observer for Recorder {
     fn on_event(&mut self, event: &KernelEvent) {
-        let mut event = event.clone();
-        if let KernelEvent::Metric { event: MetricEvent::ClassPick { wall_ns, .. }, .. } =
-            &mut event
-        {
-            *wall_ns = 0;
-        }
         // INVARIANT: the lock is only held for this push and for the final
         // read, neither of which panics, so it is never poisoned.
-        self.0.lock().expect("recorder lock").push(event);
-    }
-}
-
-/// Records the trace half of the stream. As a [`TraceSink`] it declares
-/// that it wants no metric events, so the kernel delivers none.
-struct TraceRecorder(Arc<Mutex<Vec<KernelEvent>>>);
-
-impl TraceSink for TraceRecorder {
-    fn record(&mut self, rec: TraceRecord) {
-        // INVARIANT: as for `Recorder`.
-        self.0.lock().expect("recorder lock").push(KernelEvent::Trace(rec));
+        self.0.lock().expect("recorder lock").push(event.clone());
     }
 }
 
@@ -188,8 +167,7 @@ fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
     let stream = Arc::new(Mutex::new(Vec::new()));
     match s.observe {
         Observe::Nobody => {}
-        Observe::TraceOnly => k.observe(Box::new(TraceRecorder(stream.clone()))),
-        Observe::Full => k.observe(Box::new(Recorder(stream.clone()))),
+        Observe::Trace => k.observe(Box::new(Recorder(stream.clone()))),
     }
     let ids: Vec<TaskId> = s
         .tasks
@@ -270,13 +248,7 @@ fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &Mutex<Vec<KernelEvent>>)
             iterations: t.iter.iterations,
         })
         .collect();
-    let metrics = k
-        .metrics_registry()
-        .snapshot()
-        .metrics
-        .into_iter()
-        .filter(|(name, _)| name != "kernel.pick_wall_ns")
-        .collect();
+    let metrics = k.metrics_registry().snapshot().metrics;
     // INVARIANT: the recorder never panics while holding the lock, so the
     // lock is never poisoned.
     let stream = std::mem::take(&mut *stream.lock().expect("recorder lock"));
@@ -387,7 +359,7 @@ fn fault() -> impl Strategy<Value = (u64, u64, FaultSpec)> {
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
         (0u8..3, prop_oneof![Just(1u64), Just(4)], prop_oneof![Just(0u32), Just(1), Just(64)]),
-        (any::<bool>(), any::<bool>(), any::<bool>(), (0usize..3).prop_map(|i| OBSERVERS[i])),
+        (any::<bool>(), any::<bool>(), any::<bool>(), (0usize..2).prop_map(|i| OBSERVERS[i])),
         prop_oneof![Just(None), Just(Some(HpcPolicyKind::Fifo)), Just(Some(HpcPolicyKind::Rr))],
         (any::<u64>(), 20u64..1_200),
         (proptest::collection::vec(task(), 1..7), proptest::collection::vec(fault(), 0..4)),
@@ -459,7 +431,7 @@ fn quiet_scenario(tasks: Vec<TaskSpec>) -> Scenario {
         free_switch: false,
         hpc: Some(HpcPolicyKind::Rr),
         short_slices: false,
-        observe: Observe::Full,
+        observe: Observe::Trace,
         seed: 1,
         tasks,
         faults: Vec::new(),
@@ -515,21 +487,21 @@ fn completions_and_wakeups_on_tick_boundaries() {
     assert_eq!(ended.as_nanos() % 1_000_000, 0, "exit at {ended} lands on a tick");
 }
 
-/// Run `s` both ways with each kind of observer and compare. The trace-only
-/// stream must be the trace half of the full one. Returns the fully
-/// observed fast run.
+/// Run `s` both ways with and without an observer and compare. Observing
+/// must not change the accounting or the metrics. Returns the observed
+/// fast run.
 fn assert_same_for_every_observer(s: &Scenario) -> Outcome {
-    let [nobody, trace_only, full] = OBSERVERS.map(|observe| {
+    let [nobody, traced] = OBSERVERS.map(|observe| {
         let s = Scenario { observe, ..s.clone() };
         let (fast, slow) = both_ways(&s);
         assert_same(&s, &fast, &slow);
         fast
     });
     assert!(nobody.stream.is_empty());
-    let traces: Vec<&KernelEvent> =
-        full.stream.iter().filter(|e| matches!(e, KernelEvent::Trace(_))).collect();
-    assert_eq!(trace_only.stream.iter().collect::<Vec<_>>(), traces, "trace-only stream\n{s:?}");
-    full
+    assert!(!traced.stream.is_empty());
+    assert_eq!(nobody.tasks, traced.tasks, "observed tasks\n{s:?}");
+    assert_eq!(nobody.metrics, traced.metrics, "observed metrics\n{s:?}");
+    traced
 }
 
 fn tick_count(o: &Outcome) -> u64 {
@@ -559,8 +531,8 @@ fn unbounded_stretch_stops_at_a_completion_between_ticks() {
         ),
     ]);
     s.balance = 0;
-    let full = assert_same_for_every_observer(&s);
-    let exits: Vec<SimTime> = full
+    let traced = assert_same_for_every_observer(&s);
+    let exits: Vec<SimTime> = traced
         .stream
         .iter()
         .filter_map(|e| match e {
@@ -571,7 +543,7 @@ fn unbounded_stretch_stops_at_a_completion_between_ticks() {
     assert_eq!(exits.len(), 4);
     let between_ticks = exits.iter().any(|t| t.as_nanos() % 1_000_000 != 0);
     assert!(between_ticks, "an exit between ticks: {exits:?}");
-    assert!(tick_count(&full) > 4 * 250, "the run spans the long computations");
+    assert!(tick_count(&traced) > 4 * 250, "the run spans the long computations");
 }
 
 #[test]

@@ -131,12 +131,8 @@ impl Program for ZoneRank {
     }
 }
 
-/// Spawn BT-MZ; rank r lands on CPU r.
-pub fn spawn(kernel: &mut Kernel, cfg: &BtMzConfig, setup: &SchedulerSetup) -> Vec<TaskId> {
-    spawn_faulted(kernel, cfg, setup, None).0
-}
-
-/// [`spawn`] plus fault injection; returns the MPI world handle as well.
+/// Spawn BT-MZ with optional MPI fault injection; rank r lands on CPU r.
+/// Returns the rank ids and the MPI world handle.
 pub fn spawn_faulted(
     kernel: &mut Kernel,
     cfg: &BtMzConfig,
@@ -186,7 +182,7 @@ mod tests {
     #[test]
     fn baseline_utilization_is_graded() {
         let mut k = KernelBuilder::new().without_hpc_class().build();
-        let ranks = spawn(&mut k, &short_cfg(), &SchedulerSetup::Baseline);
+        let (ranks, _) = spawn_faulted(&mut k, &short_cfg(), &SchedulerSetup::Baseline, None);
         let end = k.run_until_exited(&ranks, SimDuration::from_secs(60)).expect("finishes");
         let u: Vec<f64> = ranks.iter().map(|&r| k.task(r).cpu_utilization(end)).collect();
         assert!(u[0] < u[1] && u[1] < u[2] && u[2] < u[3], "graded utils {u:?}");
@@ -198,7 +194,7 @@ mod tests {
         // With ring-only coupling the simulation must finish even though
         // ranks progress at different speeds.
         let mut k = KernelBuilder::new().without_hpc_class().build();
-        let ranks = spawn(&mut k, &short_cfg(), &SchedulerSetup::Baseline);
+        let (ranks, _) = spawn_faulted(&mut k, &short_cfg(), &SchedulerSetup::Baseline, None);
         assert!(k.run_until_exited(&ranks, SimDuration::from_secs(60)).is_some());
     }
 
@@ -206,12 +202,12 @@ mod tests {
     fn hpc_raises_critical_rank_and_improves_time() {
         let cfg = short_cfg();
         let mut kb = KernelBuilder::new().without_hpc_class().build();
-        let base_ranks = spawn(&mut kb, &cfg, &SchedulerSetup::Baseline);
+        let (base_ranks, _) = spawn_faulted(&mut kb, &cfg, &SchedulerSetup::Baseline, None);
         let base =
             kb.run_until_exited(&base_ranks, SimDuration::from_secs(60)).unwrap().as_secs_f64();
 
         let mut kh = KernelBuilder::new().build();
-        let hpc_ranks = spawn(&mut kh, &cfg, &SchedulerSetup::Hpc);
+        let (hpc_ranks, _) = spawn_faulted(&mut kh, &cfg, &SchedulerSetup::Hpc, None);
         let hpc =
             kh.run_until_exited(&hpc_ranks, SimDuration::from_secs(60)).unwrap().as_secs_f64();
         assert_eq!(kh.task(hpc_ranks[3]).hw_prio, HwPriority::HIGH);

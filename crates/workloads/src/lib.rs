@@ -19,7 +19,7 @@
 //!
 //! Each module exposes a config struct calibrated (see `EXPERIMENTS.md`)
 //! so the *baseline* run reproduces the per-task utilization profile of the
-//! paper's tables, and a `spawn` function that plants the ranks into a
+//! paper's tables, and a `spawn_faulted` function that plants the ranks into a
 //! [`schedsim::Kernel`] under a chosen scheduling setup.
 
 pub mod btmz;

@@ -193,19 +193,9 @@ impl Program for Master {
 }
 
 /// Build the program set (workers first — rank r on CPU r — master last)
-/// and spawn it. Returns `(worker task ids, master task id)`.
-pub fn spawn(
-    kernel: &mut Kernel,
-    cfg: &MetBenchConfig,
-    setup: &SchedulerSetup,
-) -> (Vec<TaskId>, TaskId) {
-    let (workers, master, _mpi) = spawn_faulted(kernel, cfg, setup, None);
-    (workers, master)
-}
-
-/// [`spawn`] plus fault injection: installs `faults` into the MPI world
-/// before any rank runs and returns the world handle so the runner can read
-/// fault accounting afterwards.
+/// and spawn it. Returns `(worker task ids, master task id, MPI world)`.
+/// `faults`, if given, is installed into the MPI world before any rank
+/// runs; the world handle lets the runner read fault accounting afterwards.
 pub fn spawn_faulted(
     kernel: &mut Kernel,
     cfg: &MetBenchConfig,
@@ -260,7 +250,8 @@ mod tests {
     #[test]
     fn baseline_shows_the_imbalance() {
         let mut k = KernelBuilder::new().without_hpc_class().build();
-        let (workers, master) = spawn(&mut k, &short_cfg(), &SchedulerSetup::Baseline);
+        let (workers, master, _) =
+            spawn_faulted(&mut k, &short_cfg(), &SchedulerSetup::Baseline, None);
         let mut all = workers.clone();
         all.push(master);
         let end = k.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes");
@@ -275,7 +266,7 @@ mod tests {
     fn hpc_scheduler_balances_it() {
         let mut k = KernelBuilder::new().build();
         let cfg = short_cfg();
-        let (workers, master) = spawn(&mut k, &cfg, &SchedulerSetup::Hpc);
+        let (workers, master, _) = spawn_faulted(&mut k, &cfg, &SchedulerSetup::Hpc, None);
         let mut all = workers.clone();
         all.push(master);
         k.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes");
@@ -294,7 +285,7 @@ mod tests {
             } else {
                 (KernelBuilder::new().without_hpc_class().build(), SchedulerSetup::Baseline)
             };
-            let (workers, master) = spawn(&mut k, &cfg, &setup);
+            let (workers, master, _) = spawn_faulted(&mut k, &cfg, &setup, None);
             let mut all = workers;
             all.push(master);
             k.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes").as_secs_f64()
@@ -323,7 +314,7 @@ mod tests {
     fn iteration_counts_recorded() {
         let mut k = KernelBuilder::new().build();
         let cfg = short_cfg();
-        let (workers, master) = spawn(&mut k, &cfg, &SchedulerSetup::Hpc);
+        let (workers, master, _) = spawn_faulted(&mut k, &cfg, &SchedulerSetup::Hpc, None);
         let mut all = workers.clone();
         all.push(master);
         k.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes");

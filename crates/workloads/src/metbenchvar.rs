@@ -106,17 +106,8 @@ impl Program for VarWorker {
     }
 }
 
-/// Spawn MetBenchVar. Returns `(worker ids, master id)`.
-pub fn spawn(
-    kernel: &mut Kernel,
-    cfg: &MetBenchVarConfig,
-    setup: &SchedulerSetup,
-) -> (Vec<TaskId>, TaskId) {
-    let (workers, master, _mpi) = spawn_faulted(kernel, cfg, setup, None);
-    (workers, master)
-}
-
-/// [`spawn`] plus fault injection; returns the MPI world handle as well.
+/// Spawn MetBenchVar with optional MPI fault injection. Returns
+/// `(worker ids, master id, MPI world)`.
 pub fn spawn_faulted(
     kernel: &mut Kernel,
     cfg: &MetBenchVarConfig,
@@ -195,7 +186,7 @@ mod tests {
     fn adaptive_rebalances_after_swap() {
         let mut k = KernelBuilder::new().heuristic(HeuristicKind::Adaptive).build();
         let cfg = short_cfg();
-        let (workers, master) = spawn(&mut k, &cfg, &SchedulerSetup::Hpc);
+        let (workers, master, _) = spawn_faulted(&mut k, &cfg, &SchedulerSetup::Hpc, None);
         let mut all = workers.clone();
         all.push(master);
         k.run_until_exited(&all, SimDuration::from_secs(120)).expect("finishes");
@@ -217,7 +208,7 @@ mod tests {
             } else {
                 KernelBuilder::new().without_hpc_class().build()
             };
-            let (workers, master) = spawn(&mut k, &cfg, &setup);
+            let (workers, master, _) = spawn_faulted(&mut k, &cfg, &setup, None);
             let mut all = workers;
             all.push(master);
             k.run_until_exited(&all, SimDuration::from_secs(300)).expect("finishes").as_secs_f64()

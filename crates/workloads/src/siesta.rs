@@ -188,12 +188,8 @@ impl Program for Spoke {
     }
 }
 
-/// Spawn SIESTA; rank r lands on CPU r.
-pub fn spawn(kernel: &mut Kernel, cfg: &SiestaConfig, setup: &SchedulerSetup) -> Vec<TaskId> {
-    spawn_faulted(kernel, cfg, setup, None).0
-}
-
-/// [`spawn`] plus fault injection; returns the MPI world handle as well.
+/// Spawn SIESTA with optional MPI fault injection; rank r lands on CPU r.
+/// Returns the rank ids and the MPI world handle.
 pub fn spawn_faulted(
     kernel: &mut Kernel,
     cfg: &SiestaConfig,
@@ -255,7 +251,7 @@ mod tests {
     #[test]
     fn baseline_profile_is_lopsided() {
         let mut k = KernelBuilder::new().without_hpc_class().build();
-        let ranks = spawn(&mut k, &short_cfg(), &SchedulerSetup::Baseline);
+        let (ranks, _) = spawn_faulted(&mut k, &short_cfg(), &SchedulerSetup::Baseline, None);
         let end = k.run_until_exited(&ranks, SimDuration::from_secs(60)).expect("finishes");
         let u: Vec<f64> = ranks.iter().map(|&r| k.task(r).cpu_utilization(end)).collect();
         assert!(u[0] > 0.85, "hub nearly always busy: {u:?}");
@@ -268,7 +264,7 @@ mod tests {
         // property that defeats iteration-based prediction.
         let mut k = KernelBuilder::new().without_hpc_class().build();
         let cfg = short_cfg();
-        let ranks = spawn(&mut k, &cfg, &SchedulerSetup::Baseline);
+        let (ranks, _) = spawn_faulted(&mut k, &cfg, &SchedulerSetup::Baseline, None);
         k.run_until_exited(&ranks, SimDuration::from_secs(60)).expect("finishes");
         // Spokes block once per round: plenty of iterations recorded.
         let iters = k.task(ranks[1]).iter.iterations;
@@ -285,7 +281,7 @@ mod tests {
             } else {
                 (builder.without_hpc_class().build(), SchedulerSetup::Baseline)
             };
-            let ranks = spawn(&mut k, &cfg, &setup);
+            let (ranks, _) = spawn_faulted(&mut k, &cfg, &setup, None);
             k.run_until_exited(&ranks, SimDuration::from_secs(120)).expect("finishes").as_secs_f64()
         };
         let base = run(false);
@@ -298,6 +294,6 @@ mod tests {
     fn rejects_single_rank() {
         let mut k = KernelBuilder::new().build();
         let cfg = SiestaConfig { rank_work: vec![1.0], ..Default::default() };
-        let _ = spawn(&mut k, &cfg, &SchedulerSetup::Baseline);
+        let _ = spawn_faulted(&mut k, &cfg, &SchedulerSetup::Baseline, None);
     }
 }

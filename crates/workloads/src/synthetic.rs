@@ -5,9 +5,9 @@
 //! quickest way to put a custom imbalance shape in front of the scheduler
 //! (used by the cluster layer and the examples).
 
-use crate::spawn::{poll_crash, spawn_ranks, CrashAction, SchedulerSetup};
-use mpisim::{Mpi, MpiConfig, MpiFaultConfig};
-use schedsim::{Action, Kernel, KernelApi, Program, TaskId};
+use crate::spawn::{poll_crash, CrashAction};
+use mpisim::Mpi;
+use schedsim::{Action, KernelApi, Program};
 
 /// One rank of a barrier-synchronized gang: `iterations` × (compute
 /// `load`; barrier over all ranks).
@@ -54,51 +54,31 @@ impl Program for BarrierGang {
     }
 }
 
-/// Spawn a barrier gang with one rank per load, under the given setup.
-pub fn spawn_gang(
-    kernel: &mut Kernel,
-    name: &str,
-    loads: &[f64],
-    iterations: u32,
-    setup: &SchedulerSetup,
-) -> Vec<TaskId> {
-    spawn_gang_faulted(kernel, name, loads, iterations, setup, None).0
-}
-
-/// [`spawn_gang`] plus fault injection; returns the MPI world handle too.
-pub fn spawn_gang_faulted(
-    kernel: &mut Kernel,
-    name: &str,
-    loads: &[f64],
-    iterations: u32,
-    setup: &SchedulerSetup,
-    faults: Option<&MpiFaultConfig>,
-) -> (Vec<TaskId>, Mpi) {
-    assert!(!loads.is_empty(), "empty gang");
-    let mpi = Mpi::new(loads.len(), MpiConfig::default());
-    if let Some(f) = faults {
-        mpi.install_faults(*f);
-    }
-    let programs: Vec<Box<dyn Program>> = loads
-        .iter()
-        .enumerate()
-        .map(|(rank, &load)| {
-            Box::new(BarrierGang::new(mpi.clone(), rank, load, iterations)) as Box<dyn Program>
-        })
-        .collect();
-    (spawn_ranks(kernel, name, programs, setup, power5::TaskPerfTraits::default()), mpi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use schedsim::KernelBuilder;
+    use crate::{spawn_ranks, SchedulerSetup};
+    use mpisim::MpiConfig;
+    use schedsim::{Kernel, KernelBuilder, TaskId};
     use simcore::SimDuration;
+
+    /// One [`BarrierGang`] rank per load, spawned in rank order.
+    fn gang(k: &mut Kernel, loads: &[f64], iterations: u32, setup: &SchedulerSetup) -> Vec<TaskId> {
+        let mpi = Mpi::new(loads.len(), MpiConfig::default());
+        let programs = loads
+            .iter()
+            .enumerate()
+            .map(|(rank, &load)| {
+                Box::new(BarrierGang::new(mpi.clone(), rank, load, iterations)) as Box<dyn Program>
+            })
+            .collect();
+        spawn_ranks(k, "g", programs, setup, power5::TaskPerfTraits::default())
+    }
 
     #[test]
     fn gang_computes_exactly_iterations_times() {
         let mut k = KernelBuilder::new().without_hpc_class().build();
-        let ids = spawn_gang(&mut k, "g", &[0.05, 0.05, 0.05, 0.05], 4, &SchedulerSetup::Baseline);
+        let ids = gang(&mut k, &[0.05, 0.05, 0.05, 0.05], 4, &SchedulerSetup::Baseline);
         let end = k.run_until_exited(&ids, SimDuration::from_secs(10)).expect("finishes");
         // 4 iterations × 0.05/0.8 = 0.25 s, plus barrier costs.
         assert!((0.24..0.27).contains(&end.as_secs_f64()), "end {end}");
@@ -112,19 +92,19 @@ mod tests {
     fn imbalanced_gang_balances_under_hpc() {
         let loads = [0.02, 0.08, 0.02, 0.08];
         let mut kb = KernelBuilder::new().without_hpc_class().build();
-        let base_ids = spawn_gang(&mut kb, "g", &loads, 6, &SchedulerSetup::Baseline);
+        let base_ids = gang(&mut kb, &loads, 6, &SchedulerSetup::Baseline);
         let base = kb.run_until_exited(&base_ids, SimDuration::from_secs(10)).unwrap();
 
         let mut kh = KernelBuilder::new().build();
-        let hpc_ids = spawn_gang(&mut kh, "g", &loads, 6, &SchedulerSetup::Hpc);
+        let hpc_ids = gang(&mut kh, &loads, 6, &SchedulerSetup::Hpc);
         let hpc = kh.run_until_exited(&hpc_ids, SimDuration::from_secs(10)).unwrap();
         assert!(hpc < base, "{hpc} vs {base}");
     }
 
     #[test]
-    #[should_panic(expected = "empty gang")]
+    #[should_panic(expected = "empty MPI world")]
     fn empty_gang_rejected() {
         let mut k = KernelBuilder::new().build();
-        let _ = spawn_gang(&mut k, "g", &[], 1, &SchedulerSetup::Baseline);
+        let _ = gang(&mut k, &[], 1, &SchedulerSetup::Baseline);
     }
 }

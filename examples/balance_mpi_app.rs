@@ -20,7 +20,7 @@ fn run(cfg: &MetBenchConfig, hpc: bool) -> (f64, String, String) {
     let sink = SharedSink::new();
     kernel.observe(Box::new(sink.clone()));
 
-    let (workers, master) = metbench::spawn(&mut kernel, cfg, &setup);
+    let (workers, master, _) = metbench::spawn_faulted(&mut kernel, cfg, &setup, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel

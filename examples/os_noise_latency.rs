@@ -26,7 +26,7 @@ fn run(noise: NoiseConfig, hpc: bool, seed: u64) -> (f64, f64) {
         rounds: 40,
         ..Default::default()
     };
-    let ranks = siesta::spawn(&mut kernel, &cfg, &setup);
+    let (ranks, _) = siesta::spawn_faulted(&mut kernel, &cfg, &setup, None);
     let end = kernel
         .run_until_exited(&ranks, SimDuration::from_secs(600))
         .expect("application finishes");

@@ -25,7 +25,8 @@ fn run_with(tune: impl FnOnce(&mut HpcTunables)) -> (f64, Vec<u8>) {
         iterations: 8,
         ..Default::default()
     };
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel

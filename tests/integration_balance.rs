@@ -31,7 +31,7 @@ fn run_metbench(mode: &str) -> (f64, Vec<f64>, Vec<u8>) {
         ),
         _ => unreachable!(),
     };
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &setup);
+    let (workers, master, _) = metbench::spawn_faulted(&mut kernel, &cfg, &setup, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel.run_until_exited(&all, SimDuration::from_secs(120)).expect("finishes");
@@ -92,11 +92,11 @@ fn btmz_critical_rank_is_boosted_and_wins() {
         ..Default::default()
     };
     let mut kb = KernelBuilder::new().without_hpc_class().build();
-    let br = btmz::spawn(&mut kb, &cfg, &SchedulerSetup::Baseline);
+    let (br, _) = btmz::spawn_faulted(&mut kb, &cfg, &SchedulerSetup::Baseline, None);
     let base = kb.run_until_exited(&br, SimDuration::from_secs(120)).unwrap().as_secs_f64();
 
     let mut kh = KernelBuilder::new().build();
-    let hr = btmz::spawn(&mut kh, &cfg, &SchedulerSetup::Hpc);
+    let (hr, _) = btmz::spawn_faulted(&mut kh, &cfg, &SchedulerSetup::Hpc, None);
     let end = kh.run_until_exited(&hr, SimDuration::from_secs(120)).unwrap();
     let hpc = end.as_secs_f64();
 
@@ -114,7 +114,8 @@ fn balanced_application_is_left_alone() {
     // Four equal loads: never imbalanced, no priority should ever change.
     let cfg = MetBenchConfig { loads: vec![0.1; 4], iterations: 6, ..Default::default() };
     let mut kernel = KernelBuilder::new().build();
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers.clone();
     all.push(master);
     kernel.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes");
@@ -131,7 +132,8 @@ fn null_mechanism_keeps_priorities_flat() {
     let mut kernel = KernelBuilder::new()
         .hpc_config(HpcSchedConfig { power5_mechanism: false, ..Default::default() })
         .build();
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel.run_until_exited(&all, SimDuration::from_secs(120)).expect("finishes");

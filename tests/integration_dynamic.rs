@@ -39,7 +39,7 @@ fn run(mode: &str) -> (f64, Vec<u8>) {
         ),
         _ => unreachable!(),
     };
-    let (workers, master) = metbenchvar::spawn(&mut kernel, &c, &setup);
+    let (workers, master, _) = metbenchvar::spawn_faulted(&mut kernel, &c, &setup, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
@@ -88,7 +88,8 @@ fn priority_changes_track_each_reversal() {
         KernelBuilder::new().heuristic(HeuristicKind::Adaptive).build();
     let sink = schedsim::SharedSink::new();
     kernel.observe(Box::new(sink.clone()));
-    let (workers, master) = metbenchvar::spawn(&mut kernel, &c, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbenchvar::spawn_faulted(&mut kernel, &c, &SchedulerSetup::Hpc, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");

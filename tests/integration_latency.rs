@@ -23,7 +23,7 @@ fn run(noise: NoiseConfig, hpc: bool) -> (f64, f64) {
     } else {
         (builder.without_hpc_class().build(), SchedulerSetup::Baseline)
     };
-    let ranks = siesta::spawn(&mut kernel, &cfg(), &setup);
+    let (ranks, _) = siesta::spawn_faulted(&mut kernel, &cfg(), &setup, None);
     let end = kernel.run_until_exited(&ranks, SimDuration::from_secs(600)).expect("finishes");
     let (sum, n) = ranks.iter().fold((0.0f64, 0u64), |(s, n), &r| {
         let t = kernel.task(r);

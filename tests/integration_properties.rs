@@ -17,7 +17,7 @@ fn run(loads: Vec<f64>, iterations: u32, hpc: bool, seed: u64) -> (f64, Vec<f64>
     } else {
         (builder.without_hpc_class().build(), SchedulerSetup::Baseline)
     };
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &setup);
+    let (workers, master, _) = metbench::spawn_faulted(&mut kernel, &cfg, &setup, None);
     let mut all = workers.clone();
     all.push(master);
     let end = kernel

@@ -22,7 +22,8 @@ fn run(seed: u64) -> (Vec<schedsim::TraceRecord>, telemetry::MetricsSnapshot) {
     let sink = SharedSink::new();
     kernel.observe(Box::new(sink.clone()));
     let cfg = metbench_cfg();
-    let (workers, master) = metbench::spawn(&mut kernel, &cfg, &SchedulerSetup::Hpc);
+    let (workers, master, _) =
+        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
     let mut all = workers.clone();
     all.push(master);
     kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
