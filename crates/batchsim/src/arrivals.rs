@@ -1,13 +1,15 @@
 //! Deterministic job arrival streams.
 //!
-//! Two sources, both pure functions of a seed:
+//! Two generators, both pure functions of a seed, with exponential
+//! interarrivals driven by faultsim's [`SplitMix64`] and job shapes drawn
+//! from the calibrated workload templates ([`workloads::templates`]):
 //!
-//! * synthetic Poisson-like streams — exponential interarrivals driven by
-//!   faultsim's [`SplitMix64`], with job shapes drawn from the calibrated
-//!   workload templates ([`workloads::templates`]);
-//! * the bundled heavy/light mix — the reference stream for the EASY-vs-FCFS
-//!   comparison: wide long jobs that block the queue head interleaved with
-//!   narrow short jobs that can backfill around the reservation.
+//! * the bundled heavy/light mix ([`heavy_light_mix`]) — the reference
+//!   stream for the EASY-vs-FCFS comparison: wide long jobs that block the
+//!   queue head interleaved with narrow short jobs that can backfill
+//!   around the reservation;
+//! * the fleet-scale class-catalog stream ([`FleetJobs`]) — lazy, so
+//!   million-job runs never hold a job list.
 //!
 //! Trace-driven streams are just `Vec<BatchJob>` built by the caller.
 
@@ -67,139 +69,38 @@ fn stretch(shape: &[f64], ranks: usize) -> Vec<f64> {
     (0..ranks).map(|r| shape[r % shape.len()]).collect()
 }
 
-/// Synthetic Poisson-like stream parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamConfig {
-    pub seed: u64,
-    pub jobs: usize,
-    /// Mean exponential interarrival gap, seconds.
-    pub mean_interarrival: f64,
-    /// Probability a job is a *wide* one (12 ranks, more iterations);
-    /// the rest are narrow 2–4 rank jobs.
-    pub heavy_fraction: f64,
-    /// Peak per-iteration work units for heavy jobs (light jobs use a
-    /// third of it).
-    pub peak_load: f64,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            seed: 2008,
-            jobs: 200,
-            mean_interarrival: 0.15,
-            heavy_fraction: 0.25,
-            peak_load: 0.12,
-        }
-    }
-}
-
 /// Exponential variate via inversion; `unit()` is in `[0, 1)` so the
 /// argument of `ln` stays strictly positive.
 fn exp_gap(mean: f64, rng: &mut SplitMix64) -> f64 {
     -mean * (1.0 - rng.unit()).ln()
 }
 
-/// Lazy Poisson-like stream: each `next()` draws exactly the variates
-/// the materialised path drew for that index, so any prefix of the
-/// stream is identical to [`poisson_stream`] of the same seed —
-/// million-job streams cost O(1) memory instead of a job list.
-pub struct PoissonJobs {
-    cfg: StreamConfig,
-    arrivals: SplitMix64,
-    shapes: SplitMix64,
-    t: f64,
-    next_id: u64,
-}
-
-impl Iterator for PoissonJobs {
-    type Item = BatchJob;
-
-    fn next(&mut self) -> Option<BatchJob> {
-        if self.next_id >= self.cfg.jobs as u64 {
-            return None;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.t += exp_gap(self.cfg.mean_interarrival, &mut self.arrivals);
-        let template = JobTemplate::ALL[(self.shapes.next_u64() % 5) as usize];
-        let heavy = self.shapes.unit() < self.cfg.heavy_fraction;
-        let (ranks, iterations, peak) = if heavy {
-            (12, 3 + (self.shapes.next_u64() % 3) as u32, self.cfg.peak_load)
-        } else {
-            (2 + (self.shapes.next_u64() % 3) as usize, 2, self.cfg.peak_load / 3.0)
-        };
-        let loads = template.rank_loads(peak, ranks, &mut self.shapes);
-        let name = format!("{}-{id}", template.label());
-        Some(BatchJob::new(id, JobSpec::new(name, loads, iterations), self.t))
-    }
-}
-
-/// Streaming generator behind [`poisson_stream`]: yields the same jobs
-/// lazily from `(seed, index)`.
-pub fn poisson_jobs(cfg: &StreamConfig) -> PoissonJobs {
-    let mut rng = SplitMix64::new(cfg.seed);
-    let arrivals = rng.fork(0x0a11);
-    let shapes = rng.fork(0x5a9e);
-    PoissonJobs { cfg: *cfg, arrivals, shapes, t: 0.0, next_id: 0 }
-}
-
-/// Generate a synthetic Poisson-like stream: shapes cycle through the five
-/// workload templates, widths and lengths drawn from the seeded generator.
-/// Materialises [`poisson_jobs`]; the streaming form is the source of
-/// truth, which is what makes prefix equivalence hold by construction.
-pub fn poisson_stream(cfg: &StreamConfig) -> Vec<BatchJob> {
-    poisson_jobs(cfg).collect()
-}
-
-/// Lazy form of the bundled heavy/light mix — same per-index draws as
-/// [`heavy_light_mix`], yielded on demand.
-pub struct HeavyLightJobs {
-    rng: SplitMix64,
-    t: f64,
-    next_id: u64,
-    total: u64,
-}
-
-impl Iterator for HeavyLightJobs {
-    type Item = BatchJob;
-
-    fn next(&mut self) -> Option<BatchJob> {
-        if self.next_id >= self.total {
-            return None;
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.t += exp_gap(0.15, &mut self.rng);
-        let heavy = self.rng.unit() < 0.25;
-        let (template, spec) = if heavy {
-            let template = JobTemplate::ALL[(self.rng.next_u64() % 4) as usize];
-            let loads = template.rank_loads(0.12, 12, &mut self.rng);
-            (template, (loads, 4))
-        } else {
-            let template = JobTemplate::Irregular;
-            let loads =
-                template.rank_loads(0.04, 2 + (self.rng.next_u64() % 3) as usize, &mut self.rng);
-            (template, (loads, 2))
-        };
-        let kind = if heavy { "heavy" } else { "light" };
-        let name = format!("{kind}-{}-{id}", template.label());
-        Some(BatchJob::new(id, JobSpec::new(name, spec.0, spec.1), self.t))
-    }
-}
-
-/// Streaming generator behind [`heavy_light_mix`].
-pub fn heavy_light_jobs(seed: u64, jobs: usize) -> HeavyLightJobs {
-    HeavyLightJobs { rng: SplitMix64::new(seed), t: 0.0, next_id: 0, total: jobs as u64 }
-}
-
 /// The bundled heavy/light mix (the acceptance stream): one wide long job
 /// in four, narrow short fillers otherwise, bursty enough that a queue
 /// forms behind every wide job. Sized for a 4-node fleet: wide jobs take 3
 /// nodes, so exactly one node is left for backfill when a wide job runs.
-/// Materialises [`heavy_light_jobs`].
+/// Each job draws only from one generator in id order, so `mix(seed, k)`
+/// is a prefix of `mix(seed, n)` for any `k <= n`.
 pub fn heavy_light_mix(seed: u64, jobs: usize) -> Vec<BatchJob> {
-    heavy_light_jobs(seed, jobs).collect()
+    let mut rng = SplitMix64::new(seed);
+    let mut t = 0.0;
+    (0..jobs as u64)
+        .map(|id| {
+            t += exp_gap(0.15, &mut rng);
+            let heavy = rng.unit() < 0.25;
+            let (template, loads, iterations) = if heavy {
+                let template = JobTemplate::ALL[(rng.next_u64() % 4) as usize];
+                (template, template.rank_loads(0.12, 12, &mut rng), 4)
+            } else {
+                let template = JobTemplate::Irregular;
+                let ranks = 2 + (rng.next_u64() % 3) as usize;
+                (template, template.rank_loads(0.04, ranks, &mut rng), 2)
+            };
+            let kind = if heavy { "heavy" } else { "light" };
+            let name = format!("{kind}-{}-{id}", template.label());
+            BatchJob::new(id, JobSpec::new(name, loads, iterations), t)
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -330,13 +231,13 @@ mod tests {
 
     #[test]
     fn streams_are_deterministic() {
-        let a = poisson_stream(&StreamConfig::default());
-        let b = poisson_stream(&StreamConfig::default());
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.arrival, y.arrival);
-            assert_eq!(x.spec.rank_loads, y.spec.rank_loads);
-        }
+        let a = heavy_light_mix(2008, 200);
+        let b = heavy_light_mix(2008, 200);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        let cfg = FleetStreamConfig { jobs: 200, ..Default::default() };
+        let a: Vec<_> = FleetJobs::new(&cfg).collect();
+        let b: Vec<_> = FleetJobs::new(&cfg).collect();
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

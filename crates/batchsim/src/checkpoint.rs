@@ -37,9 +37,11 @@ use crate::sim::{
 /// the run summary and the metrics snapshot, with the recording optional,
 /// and to 5 when `LocalSched` gained a variant-tagged wire form (its label
 /// alone could not tell the builtin `static` regime from the zoo's
-/// `static` policy); decode rejects other versions rather than
-/// misinterpreting old images.
-pub const BATCH_CHECKPOINT_VERSION: u32 = 5;
+/// `static` policy), and to 6 when the caller's list and the generator
+/// position became one job-source image and the reservation tally moved
+/// from the run summary into the metrics snapshot; decode rejects other
+/// versions rather than misinterpreting old images.
+pub const BATCH_CHECKPOINT_VERSION: u32 = 6;
 
 /// When a checkpointing run captures images (checked at the engine loop
 /// boundary; both cadences may be set, either firing captures).
@@ -62,10 +64,7 @@ pub struct BatchCheckpoint {
     pub(crate) completions: u32,
     pub(crate) fleet_up: Vec<bool>,
     pub(crate) fleet_busy: Vec<bool>,
-    /// Jobs not yet submitted, when the run reads a caller's list.
-    pub(crate) arrivals: VecDeque<BatchJob>,
-    /// The generator position, when the run reads a lazy stream.
-    pub(crate) fleet: Option<FleetExtra>,
+    pub(crate) source: SourceImage,
     pub(crate) queue: VecDeque<u64>,
     pub(crate) trackers: BTreeMap<u64, Tracker>,
     /// In-flight segments as `(id, nodes, start, end)`; the kernel
@@ -78,14 +77,16 @@ pub struct BatchCheckpoint {
     pub(crate) metrics: MetricsSnapshot,
 }
 
-/// The position of a lazy generator: generation is pure in
-/// `(config, index)`, so the image is the config plus the count of jobs
-/// already handed to the engine.
-#[derive(Clone, Copy, Debug)]
-pub struct FleetExtra {
-    pub(crate) stream: FleetStreamConfig,
-    /// Jobs the engine has consumed from the generator.
-    pub(crate) popped: u64,
+/// Where the rest of the run's jobs come from — the image of the
+/// engine's job source.
+#[derive(Clone, Debug)]
+pub(crate) enum SourceImage {
+    /// The caller's jobs not yet submitted, in arrival order.
+    Pending(VecDeque<BatchJob>),
+    /// A lazy generator: generation is pure in `(config, index)`, so the
+    /// image is the config plus the count of jobs already handed to the
+    /// engine.
+    Generator { stream: FleetStreamConfig, popped: u64 },
 }
 
 impl Snapshot for FleetStreamConfig {
@@ -138,13 +139,26 @@ impl Snapshot for FleetAccum {
     }
 }
 
-impl Snapshot for FleetExtra {
+impl Snapshot for SourceImage {
     fn snapshot(&self, w: &mut SnapshotWriter) {
-        self.stream.snapshot(w);
-        w.put_u64(self.popped);
+        match self {
+            SourceImage::Pending(jobs) => {
+                w.put_u8(0);
+                w.put(jobs);
+            }
+            SourceImage::Generator { stream, popped } => {
+                w.put_u8(1);
+                w.put(stream);
+                w.put_u64(*popped);
+            }
+        }
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(FleetExtra { stream: r.get()?, popped: r.get_u64()? })
+        match r.get_u8()? {
+            0 => Ok(SourceImage::Pending(r.get()?)),
+            1 => Ok(SourceImage::Generator { stream: r.get()?, popped: r.get_u64()? }),
+            _ => Err(SnapshotError::Malformed("bad SourceImage tag")),
+        }
     }
 }
 
@@ -153,7 +167,6 @@ impl Snapshot for Summary {
         w.put_u64(self.trace_hash);
         w.put_u64(self.trace_len);
         w.put(&self.trace_max_t);
-        w.put_u64(self.reservations);
         w.put(&self.last_reserved);
         self.accum.snapshot(w);
     }
@@ -162,7 +175,6 @@ impl Snapshot for Summary {
             trace_hash: r.get_u64()?,
             trace_len: r.get_u64()?,
             trace_max_t: r.get()?,
-            reservations: r.get_u64()?,
             last_reserved: r.get()?,
             accum: r.get()?,
         })
@@ -225,8 +237,7 @@ impl Snapshot for BatchCheckpoint {
         w.put_u32(self.completions);
         w.put(&self.fleet_up);
         w.put(&self.fleet_busy);
-        w.put(&self.arrivals);
-        w.put(&self.fleet);
+        w.put(&self.source);
         w.put(&self.queue);
         w.put(&self.trackers);
         w.put(&self.running);
@@ -247,8 +258,7 @@ impl Snapshot for BatchCheckpoint {
             completions: r.get_u32()?,
             fleet_up: r.get()?,
             fleet_busy: r.get()?,
-            arrivals: r.get()?,
-            fleet: r.get()?,
+            source: r.get()?,
             queue: r.get()?,
             trackers: r.get()?,
             running: r.get()?,

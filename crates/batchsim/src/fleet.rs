@@ -1,15 +1,19 @@
 //! Fleet-scale batch runs: streaming arrivals, O(1)-memory statistics.
 //!
-//! The fleet entry points ([`crate::run_fleet`], [`crate::run_fleet_until`],
-//! [`crate::resume_fleet`]) run the one batch engine with its recording
-//! off, so nothing in the run grows with the job count:
+//! The fleet entry points ([`crate::run_fleet`], [`crate::run_fleet_until`])
+//! run the one batch engine with its recording off, so nothing in the run
+//! grows with the job count; [`crate::resume_batch`] continues their
+//! checkpoints like any other. They return the same
+//! [`crate::BatchOutcome`] as a batch run, with empty `jobs`, `events` and
+//! `reservations`:
 //!
 //! * arrivals come from a lazy [`crate::arrivals::FleetJobs`] generator
 //!   (pure in `(config, index)`, so checkpoints image it as a count);
-//! * the event trace lives on only as its FNV-1a fingerprint — the hash
-//!   of the rendered trace, never the trace itself;
-//! * per-job records fold into a [`FleetAccum`] the moment they are
-//!   produced, then drop;
+//! * the event trace lives on only as its FNV-1a fingerprint
+//!   (`trace_hash`) — the hash of the rendered trace, never the trace
+//!   itself;
+//! * per-job records fold into the outcome's [`FleetAccum`] the moment
+//!   they are produced, then drop;
 //! * EASY shadow times come from the engine's
 //!   [`crate::index::ReleaseIndex`] in O(log n) per decision.
 //!
@@ -21,12 +25,10 @@
 //! accumulate into scalars, never into per-job growable containers.
 
 use serde::Serialize;
-use telemetry::MetricsSnapshot;
 
 use crate::arrivals::FleetStreamConfig;
 use crate::discipline::Discipline;
 use crate::sim::{BatchConfig, JobRecord};
-use crate::stats::FleetStats;
 
 /// Configuration of one fleet-scale run: the streaming workload plus the
 /// batch engine parameters it drives.
@@ -69,9 +71,9 @@ pub fn scaled_config(jobs: u64, nodes: usize, seed: u64) -> FleetConfig {
 }
 
 /// O(1)-memory running statistics over job records: scalar sums, counts,
-/// and maxima only. The engine folds records in completion order;
-/// [`FleetStats::from_outcome`] folds a recorded outcome in id order,
-/// whose float sums BENCH_batch.json pins.
+/// and maxima only. The engine folds records in completion order; a
+/// recording run's outcome refolds its records in id order, whose float
+/// sums BENCH_batch.json pins.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
 pub struct FleetAccum {
     pub jobs: u64,
@@ -122,8 +124,7 @@ impl FleetAccum {
         }
     }
 
-    /// Fold every record of a recorded outcome, in id order — what
-    /// [`FleetStats::from_outcome`] closes.
+    /// Fold every record of a recorded outcome, in id order.
     pub fn from_records(records: &[JobRecord]) -> FleetAccum {
         let mut acc = FleetAccum::default();
         for r in records {
@@ -131,31 +132,6 @@ impl FleetAccum {
         }
         acc
     }
-}
-
-/// Everything a fleet-scale run produces. Deliberately O(1) in the job
-/// count: the trace exists only as its fingerprint, jobs only as the
-/// accumulator.
-#[derive(Clone, Debug)]
-pub struct FleetOutcome {
-    pub config_nodes: usize,
-    /// FNV-1a fingerprint of the rendered event trace — equal to hashing
-    /// [`crate::BatchOutcome::render_trace`] of the same run, and the
-    /// byte-identity artifact for serial-vs-parallel checks.
-    pub trace_hash: u64,
-    pub trace_events: u64,
-    /// Last event timestamp, seconds.
-    pub makespan: f64,
-    /// Head-of-queue reservations taken (EASY), deduplicated per blocked
-    /// head stretch.
-    pub reservations: u64,
-    pub queue_peak: i64,
-    pub accum: FleetAccum,
-    pub stats: FleetStats,
-    pub metrics: MetricsSnapshot,
-    /// Host wall-clock pool telemetry — excluded from determinism, see
-    /// [`crate::BatchOutcome::pool_metrics`].
-    pub pool_metrics: MetricsSnapshot,
 }
 
 #[cfg(test)]
@@ -168,9 +144,7 @@ mod tests {
     fn accum_fold_matches_materialised_stats() {
         let out = run_batch(&heavy_light_mix(7, 40), &BatchConfig::default(), None);
         let acc = FleetAccum::from_records(&out.jobs);
-        let from_acc = FleetStats::from_accum(&acc, out.config_nodes, out.makespan);
-        let classic = FleetStats::from_outcome(&out);
-        assert_eq!(format!("{classic:?}"), format!("{from_acc:?}"));
+        assert_eq!(out.accum, acc, "a recording run folds its records in id order");
         assert_eq!(acc.jobs, out.jobs.len() as u64);
     }
 
@@ -191,5 +165,6 @@ mod tests {
         assert_eq!(out.accum.jobs, 200);
         assert!(out.trace_events > 0);
         assert!(out.makespan > 0.0);
+        assert!(out.jobs.is_empty() && out.events.is_empty(), "a fleet run does not record");
     }
 }

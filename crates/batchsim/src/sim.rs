@@ -39,17 +39,17 @@
 //!
 //! # One engine path
 //!
-//! Every entry point drives the same loop over the same state. The state
-//! always keeps an O(1) summary: the trace as a running FNV-1a fold, the
-//! reservation tally and a [`FleetAccum`]. The `run_batch*` and
-//! [`resume_batch`] entry points also keep a recording — every event,
-//! the first reservation per head and every job record — and return it as
-//! a [`BatchOutcome`]; the fleet entry points ([`run_fleet`] and friends,
-//! see [`crate::fleet`]) leave it off and stay O(1) in the job count. The
+//! Every entry point drives the same loop over the same state and returns
+//! the same [`BatchOutcome`]. The state always keeps an O(1) summary: the
+//! trace as a running FNV-1a fold and a [`FleetAccum`]; counts such as
+//! reservations live in the metrics registry. The `run_batch*` entry
+//! points also keep a recording — every event, the first reservation per
+//! head and every job record; the fleet entry points ([`run_fleet`] and
+//! [`run_fleet_until`], see [`crate::fleet`]) leave it off and stay O(1)
+//! in the job count. [`resume_batch`] continues either kind of image. The
 //! one input difference is the [`JobSource`]: a caller's list or a lazy
 //! generator. A fleet run and a [`run_batch`] over the materialised
-//! stream are therefore the same simulation, and the fleet `trace_hash`
-//! is the hash of the batch run's rendered trace.
+//! stream are therefore the same simulation with the same `trace_hash`.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
@@ -59,23 +59,22 @@ use cluster::{
     place_on, run_node, JobSpec, LocalSched, NodeShape, Placement, PlacementStrategy, TopoPreset,
 };
 use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
+use simcore::snapshot::fnv1a_fold;
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
 use simverify::conformance::{check_with_metrics, CheckConfig, Report};
 use telemetry::{MetricsRegistry, MetricsSnapshot};
 
 use crate::arrivals::FleetJobs;
-use crate::checkpoint::{BatchCheckpoint, CheckpointPolicy, FleetExtra};
+use crate::checkpoint::{BatchCheckpoint, CheckpointPolicy, SourceImage};
 use crate::discipline::Discipline;
-use crate::fleet::{FleetAccum, FleetConfig, FleetOutcome};
+use crate::fleet::{FleetAccum, FleetConfig};
 use crate::index::ReleaseIndex;
 use crate::job::BatchJob;
 use crate::pending::PendingQueue;
-use crate::stats::FleetStats;
 
-/// FNV-1a 64-bit offset basis — the trace fingerprint seed.
-pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The trace fingerprint is `simcore`'s FNV-1a; its constants are
+/// re-exported here for callers that fold trace lines themselves.
+pub use simcore::snapshot::{FNV_BASIS, FNV_PRIME};
 
 /// A [`fmt::Write`] sink that folds every byte written to it into an
 /// FNV-1a 64-bit hash, so formatted output is fingerprinted without
@@ -108,20 +107,16 @@ impl Default for FnvWriter {
 
 impl fmt::Write for FnvWriter {
     fn write_str(&mut self, s: &str) -> fmt::Result {
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a_fold(self.0, s.as_bytes());
         Ok(())
     }
 }
 
 /// FNV-1a fingerprint of a rendered text blob. Hashing a full rendered
-/// trace with this equals the incremental per-line fold a fleet run keeps.
+/// trace with this equals the incremental per-line fold every run keeps
+/// ([`BatchOutcome::trace_hash`]).
 pub fn text_fnv1a(text: &str) -> u64 {
-    let mut h = FnvWriter::new();
-    let _ = h.write_str(text);
-    h.finish()
+    simcore::snapshot::fnv1a(text.as_bytes())
 }
 
 /// Batch scheduler configuration.
@@ -392,15 +387,15 @@ pub struct JobRecord {
 
 /// The O(1) summary every run keeps. The trace lives on as its running
 /// FNV-1a fold — each rendered line plus its newline, so the hash equals
-/// [`text_fnv1a`] of the rendered trace. EASY reservations are tallied
-/// once per blocked-head stretch (a blocked head re-reserves every pass),
-/// and finished jobs fold into the [`FleetAccum`] in completion order.
+/// [`text_fnv1a`] of the rendered trace. `last_reserved` is the head whose
+/// blocked stretch the `batch.reservations` counter last counted (a
+/// blocked head re-reserves every pass), and finished jobs fold into the
+/// [`FleetAccum`] in completion order.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Summary {
     pub(crate) trace_hash: u64,
     pub(crate) trace_len: u64,
     pub(crate) trace_max_t: SimTime,
-    pub(crate) reservations: u64,
     pub(crate) last_reserved: Option<u64>,
     pub(crate) accum: FleetAccum,
 }
@@ -411,7 +406,6 @@ impl Default for Summary {
             trace_hash: FNV_BASIS,
             trace_len: 0,
             trace_max_t: SimTime::ZERO,
-            reservations: 0,
             last_reserved: None,
             accum: FleetAccum::default(),
         }
@@ -428,7 +422,9 @@ pub(crate) struct Recording {
     pub(crate) records: BTreeMap<u64, JobRecord>,
 }
 
-/// Everything a batch run produces.
+/// Everything a batch or fleet run produces. `jobs`, `events` and
+/// `reservations` are the recording: empty after a fleet run, which stays
+/// O(1) in the job count. Every other field is filled by every run.
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     pub config_nodes: usize,
@@ -438,6 +434,16 @@ pub struct BatchOutcome {
     pub events: Vec<BatchEvent>,
     /// First EASY reservation per head-of-queue job.
     pub reservations: Vec<ReservationRecord>,
+    /// FNV-1a fingerprint of the event trace, folded as the run emits it:
+    /// equal to [`text_fnv1a`] of [`BatchOutcome::render_trace`] whenever
+    /// the run recorded, and the byte-identity artifact when it did not.
+    pub trace_hash: u64,
+    /// Events the trace holds.
+    pub trace_events: usize,
+    /// Per-job statistics sums behind [`crate::FleetStats::from_outcome`]:
+    /// folded over `jobs` in id order for a recording run, in completion
+    /// order by the engine otherwise.
+    pub accum: FleetAccum,
     /// Nodes lost to injected failures.
     pub failed_nodes: Vec<usize>,
     /// Last event timestamp.
@@ -740,6 +746,28 @@ impl JobSource {
         JobSource::Stream { gen, next, popped }
     }
 
+    /// The checkpoint image: the jobs not yet submitted, or the generator
+    /// config plus its position.
+    fn image(&self) -> SourceImage {
+        match self {
+            JobSource::Materialized(q) => SourceImage::Pending(q.clone()),
+            JobSource::Stream { gen, popped, .. } => {
+                SourceImage::Generator { stream: *gen.config(), popped: *popped }
+            }
+        }
+    }
+
+    /// Rebuild from a checkpoint image; a generator replays to its imaged
+    /// position.
+    fn from_image(image: &SourceImage) -> JobSource {
+        match image {
+            SourceImage::Pending(q) => JobSource::Materialized(q.clone()),
+            SourceImage::Generator { stream, popped } => {
+                JobSource::generate(FleetJobs::replay(stream, *popped), *popped)
+            }
+        }
+    }
+
     fn peek_arrival(&self) -> Option<SimTime> {
         match self {
             JobSource::Materialized(q) => q.front().map(arrival_time),
@@ -776,6 +804,8 @@ struct Counters {
     /// Node·seconds held per completed job ×1000, log2-bucketed.
     node_secs_ms: telemetry::HistogramHandle,
     queue_peak: telemetry::Gauge,
+    /// EASY head reservations, counted once per blocked-head stretch.
+    reservations: telemetry::Counter,
 }
 
 impl Counters {
@@ -792,6 +822,7 @@ impl Counters {
             slowdown_milli: reg.histogram("batch.slowdown_milli"),
             node_secs_ms: reg.histogram("batch.node_secs_ms"),
             queue_peak: reg.gauge("batch.queue_depth_peak"),
+            reservations: reg.counter("batch.reservations"),
         }
     }
 }
@@ -841,10 +872,10 @@ impl EngineState {
     }
 
     /// Note the reservation EASY computed for the blocked head `job`.
-    fn reserve(&mut self, job: u64, at: SimTime, shadow: SimTime) {
+    fn reserve(&mut self, ctr: &Counters, job: u64, at: SimTime, shadow: SimTime) {
         let s = &mut self.summary;
         if s.last_reserved != Some(job) {
-            s.reservations += 1;
+            ctr.reservations.inc();
             s.last_reserved = Some(job);
         }
         if let Some(rec) = &mut self.recording {
@@ -944,12 +975,6 @@ impl Engine {
     fn restore(ckpt: &BatchCheckpoint) -> (Engine, EngineState) {
         let mut eng = Engine::new(&ckpt.cfg);
         eng.registry.restore(&ckpt.metrics);
-        let source = match &ckpt.fleet {
-            Some(extra) => {
-                JobSource::generate(FleetJobs::replay(&extra.stream, extra.popped), extra.popped)
-            }
-            None => JobSource::Materialized(ckpt.arrivals.clone()),
-        };
         let trackers = ckpt.trackers.clone();
         let mut running: BTreeMap<u64, Running> = BTreeMap::new();
         let mut release = ReleaseIndex::new();
@@ -979,7 +1004,7 @@ impl Engine {
             }
         }
         let st = EngineState {
-            source,
+            source: JobSource::from_image(&ckpt.source),
             fleet: Fleet::from_images(ckpt.fleet_up.clone(), ckpt.fleet_busy.clone()),
             trackers,
             pending,
@@ -1078,12 +1103,6 @@ impl Engine {
 
     /// Image the run into a checkpoint (plain data only).
     fn capture(&self, st: &EngineState) -> BatchCheckpoint {
-        let (arrivals, fleet) = match &st.source {
-            JobSource::Materialized(q) => (q.clone(), None),
-            JobSource::Stream { gen, popped, .. } => {
-                (VecDeque::new(), Some(FleetExtra { stream: *gen.config(), popped: *popped }))
-            }
-        };
         BatchCheckpoint {
             cfg: self.cfg,
             fault_armed: st.fault_armed,
@@ -1091,8 +1110,7 @@ impl Engine {
             completions: st.completions,
             fleet_up: st.fleet.up.clone(),
             fleet_busy: st.fleet.busy.clone(),
-            arrivals,
-            fleet,
+            source: st.source.image(),
             queue: st.pending.iter().collect(),
             trackers: st.trackers.clone(),
             running: st
@@ -1107,10 +1125,9 @@ impl Engine {
         }
     }
 
-    /// Close a run into both of its views: the O(1) [`FleetOutcome`], and
-    /// the [`BatchOutcome`] — whose events, reservations and job records
-    /// are empty unless the run recorded.
-    fn finish(mut self, st: EngineState) -> (FleetOutcome, BatchOutcome) {
+    /// Close a run into its [`BatchOutcome`], whose events, reservations
+    /// and job records are empty unless the run recorded.
+    fn finish(mut self, st: EngineState) -> BatchOutcome {
         // Conformance reports re-derive from the pure oracle: for jobs
         // measured before a checkpoint this is a fresh (memoized) kernel
         // run, for everything else a cache hit — identical reports either
@@ -1123,36 +1140,27 @@ impl Engine {
                 }
             }
         }
-        let nodes = self.cfg.num_nodes;
         let s = st.summary;
-        let makespan = s.trace_max_t.as_secs_f64();
-        let metrics = self.registry.snapshot();
-        let pool_metrics = self.pool_registry.snapshot();
+        let recorded = st.recording.is_some();
         let rec = st.recording.unwrap_or_default();
-        let full = BatchOutcome {
-            config_nodes: nodes,
-            jobs: rec.records.into_values().collect(),
+        let jobs: Vec<JobRecord> = rec.records.into_values().collect();
+        // A recording run folds its records in id order: the float sums
+        // BENCH_batch.json pins were computed that way.
+        let accum = if recorded { FleetAccum::from_records(&jobs) } else { s.accum };
+        BatchOutcome {
+            config_nodes: self.cfg.num_nodes,
+            jobs,
             events: rec.events,
             reservations: rec.reservations.into_values().collect(),
-            failed_nodes: (0..st.fleet.up.len()).filter(|&n| !st.fleet.up[n]).collect(),
-            makespan,
-            metrics: metrics.clone(),
-            pool_metrics: pool_metrics.clone(),
-            conformance,
-        };
-        let summary = FleetOutcome {
-            config_nodes: nodes,
             trace_hash: s.trace_hash,
-            trace_events: s.trace_len,
-            makespan,
-            reservations: s.reservations,
-            queue_peak: self.ctr.queue_peak.get(),
-            accum: s.accum,
-            stats: FleetStats::from_accum(&s.accum, nodes, makespan),
-            metrics,
-            pool_metrics,
-        };
-        (summary, full)
+            trace_events: s.trace_len as usize,
+            accum,
+            failed_nodes: (0..st.fleet.up.len()).filter(|&n| !st.fleet.up[n]).collect(),
+            makespan: s.trace_max_t.as_secs_f64(),
+            metrics: self.registry.snapshot(),
+            pool_metrics: self.pool_registry.snapshot(),
+            conformance,
+        }
     }
 }
 
@@ -1168,7 +1176,7 @@ pub fn run_batch(
     let mut eng = Engine::new(cfg);
     let mut st = eng.start(JobSource::sorted(stream), fault, true);
     eng.run(&mut st, |_, _| false);
-    eng.finish(st).1
+    eng.finish(st)
 }
 
 /// [`run_batch`] with periodic crash-consistent checkpoints: whenever the
@@ -1197,7 +1205,7 @@ pub fn run_batch_checkpointed(
         }
         false
     });
-    eng.finish(st).1
+    eng.finish(st)
 }
 
 /// Run until the trace holds at least `stop_after_events` events (checked
@@ -1216,28 +1224,30 @@ pub fn run_batch_until(
     stopped.then(|| eng.capture(&st))
 }
 
-/// Continue a checkpointed run to completion. The resumed trace (which
-/// includes the pre-checkpoint prefix) is byte-identical to the
-/// uninterrupted run's: state and metrics are restored exactly and kernel
-/// results re-derive from the pure oracle. An image of a run that did not
-/// record resumes with an empty trace, reservations and job records.
+/// Continue a checkpointed batch or fleet run to completion. The resumed
+/// trace (which includes the pre-checkpoint prefix) is byte-identical to
+/// the uninterrupted run's, and so are its `trace_hash`, accumulator and
+/// metrics: state and metrics are restored exactly and kernel results
+/// re-derive from the pure oracle. An image of a run that did not record
+/// resumes with an empty trace, reservations and job records.
 // PURITY-ROOT: resumed runs fan node kernels out exactly like run_batch.
 pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
     let (mut eng, mut st) = Engine::restore(ckpt);
     eng.run(&mut st, |_, _| false);
-    eng.finish(st).1
+    eng.finish(st)
 }
 
 /// Run a fleet-scale streaming batch to completion: lazy arrivals, hashed
-/// trace, O(1)-memory statistics. See [`crate::fleet`].
+/// trace, O(1)-memory statistics. The outcome's recording (`jobs`,
+/// `events`, `reservations`) stays empty. See [`crate::fleet`].
 // PURITY-ROOT: fleet runs fan per-node kernels out exactly like run_batch;
 // the outcome must be a pure function of (stream cfg, batch cfg) at any
 // thread count.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetOutcome {
+pub fn run_fleet(cfg: &FleetConfig) -> BatchOutcome {
     let mut eng = Engine::new(&cfg.batch);
     let mut st = eng.start(JobSource::generate(FleetJobs::new(&cfg.stream), 0), None, false);
     eng.run(&mut st, |_, _| false);
-    eng.finish(st).0
+    eng.finish(st)
 }
 
 /// Run a fleet stream until the trace holds at least `stop_after_events`
@@ -1248,17 +1258,6 @@ pub fn run_fleet_until(cfg: &FleetConfig, stop_after_events: usize) -> Option<Ba
     let mut st = eng.start(JobSource::generate(FleetJobs::new(&cfg.stream), 0), None, false);
     let stopped = eng.run(&mut st, |_, s| s.trace_len() >= stop_after_events);
     stopped.then(|| eng.capture(&st))
-}
-
-/// Continue a checkpointed run to completion and summarise it. The
-/// resumed trace fingerprint (which folds the pre-checkpoint prefix)
-/// equals the uninterrupted run's, as do the accumulator and metrics.
-// PURITY-ROOT: resumed fleet runs fan node kernels out exactly like
-// run_fleet.
-pub fn resume_fleet(ckpt: &BatchCheckpoint) -> FleetOutcome {
-    let (mut eng, mut st) = Engine::restore(ckpt);
-    eng.run(&mut st, |_, _| false);
-    eng.finish(st).0
 }
 
 fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState) {
@@ -1473,7 +1472,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
         // have been dropped as unplaceable above; leave the queue alone.
         return;
     };
-    st.reserve(head, st.now, shadow);
+    st.reserve(ctr, head, st.now, shadow);
     // Nodes free at the shadow instant beyond what the head will take.
     let mut spare = avail - head_need;
 

@@ -1,14 +1,13 @@
 //! Fleet-wide outcome statistics.
 //!
-//! Derivation is O(1) in memory: records fold into a [`FleetAccum`]
-//! (scalar sums, counts, maxima — enforced by simverify rule SV014), and
-//! the stats are closed-form functions of the accumulator. Folding in id
-//! order reproduces bit-for-bit the sums the old per-job-vector
-//! implementation computed.
+//! Derivation is O(1) in memory: records fold into the outcome's
+//! [`crate::FleetAccum`] (scalar sums, counts, maxima — enforced by
+//! simverify rule SV014), and the stats are closed-form functions of the
+//! accumulator. A recording run folds in id order, which reproduces
+//! bit-for-bit the sums the old per-job-vector implementation computed.
 
 use serde::Serialize;
 
-use crate::fleet::FleetAccum;
 use crate::sim::BatchOutcome;
 
 /// Aggregated queue metrics over one batch run. Wait/turnaround/slowdown
@@ -37,19 +36,13 @@ pub struct FleetStats {
 }
 
 impl FleetStats {
+    /// Close a batch or fleet outcome's accumulator into reported figures.
     pub fn from_outcome(out: &BatchOutcome) -> FleetStats {
-        FleetStats::from_accum(
-            &FleetAccum::from_records(&out.jobs),
-            out.config_nodes,
-            out.makespan,
-        )
-    }
-
-    /// Close the streaming accumulator into reported figures.
-    pub fn from_accum(a: &FleetAccum, config_nodes: usize, makespan: f64) -> FleetStats {
+        let a = &out.accum;
+        let makespan = out.makespan;
         let n = a.completed;
         let mean = |sum: f64| if n == 0 { 0.0 } else { sum / n as f64 };
-        let capacity = config_nodes as f64 * makespan;
+        let capacity = out.config_nodes as f64 * makespan;
         FleetStats {
             jobs: a.jobs as usize,
             completed: n as usize,

@@ -5,7 +5,7 @@
 //! the windowed backfill pass, and the streaming stats all sit on the
 //! tested path.
 
-use batchsim::{resume_fleet, run_fleet, run_fleet_until, scaled_config};
+use batchsim::{resume_batch, run_fleet, run_fleet_until, scaled_config};
 
 /// Cut a 10k-job fleet run at several points (including inside the warm
 /// queue), resume each checkpoint, and require the finished fingerprint,
@@ -15,16 +15,21 @@ fn checkpoint_resume_is_byte_identical_at_10k_jobs() {
     let cfg = scaled_config(10_000, 1000, 2008);
     let whole = run_fleet(&cfg);
     assert_eq!(whole.accum.jobs, 10_000);
+    assert!(whole.metrics.counter("batch.reservations") > 0, "EASY heads block at this load");
 
     for cut in [1usize, 997, 15_000] {
         let ckpt = run_fleet_until(&cfg, cut)
             .unwrap_or_else(|| panic!("run finished before event {cut}"));
-        let resumed = resume_fleet(&ckpt);
+        let resumed = resume_batch(&ckpt);
         assert_eq!(resumed.trace_hash, whole.trace_hash, "hash diverged at cut {cut}");
         assert_eq!(resumed.trace_events, whole.trace_events, "event count at cut {cut}");
         assert_eq!(resumed.accum, whole.accum, "accumulator at cut {cut}");
         assert_eq!(resumed.metrics, whole.metrics, "metrics at cut {cut}");
-        assert_eq!(resumed.reservations, whole.reservations, "reservations at cut {cut}");
+        assert_eq!(
+            resumed.metrics.counter("batch.reservations"),
+            whole.metrics.counter("batch.reservations"),
+            "reservations at cut {cut}"
+        );
     }
 }
 
@@ -38,7 +43,7 @@ fn resume_at_different_thread_count_is_identical() {
 
     let mut ckpt = run_fleet_until(&cfg, 2_500).expect("checkpoint mid-run");
     ckpt.set_threads(8);
-    let resumed = resume_fleet(&ckpt);
+    let resumed = resume_batch(&ckpt);
     assert_eq!(resumed.trace_hash, whole.trace_hash);
     assert_eq!(resumed.accum, whole.accum);
 }

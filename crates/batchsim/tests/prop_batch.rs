@@ -11,7 +11,9 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use batchsim::{heavy_light_mix, run_batch, BatchConfig, BatchEvent, BatchFault, Discipline};
+use batchsim::{
+    heavy_light_mix, run_batch, text_fnv1a, BatchConfig, BatchEvent, BatchFault, Discipline,
+};
 use cluster::LocalSched;
 use proptest::prelude::*;
 
@@ -76,6 +78,9 @@ proptest! {
         let degraded = out.jobs.iter().filter(|j| j.outcome.degraded).count();
         prop_assert_eq!(done + degraded, jobs.len());
         prop_assert_eq!(out.failed_nodes, vec![fail_node]);
+        // The running fold is public: it must match the rendering.
+        prop_assert_eq!(out.trace_hash, text_fnv1a(&out.render_trace()));
+        prop_assert_eq!(out.trace_events, out.events.len());
     }
 
     /// The EASY no-delay invariant: the head of queue starts no later
@@ -84,6 +89,8 @@ proptest! {
     fn easy_never_delays_the_reserved_head(seed in any::<u64>()) {
         let jobs = heavy_light_mix(seed, 12);
         let out = run_batch(&jobs, &small_cfg(Discipline::Easy), None);
+        prop_assert_eq!(out.trace_hash, text_fnv1a(&out.render_trace()));
+        prop_assert_eq!(out.trace_events, out.events.len());
         for r in &out.reservations {
             let start = out.events.iter().find_map(|e| match e {
                 BatchEvent::Start { t, job, .. } if *job == r.job => Some(*t),

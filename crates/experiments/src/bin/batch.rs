@@ -155,7 +155,7 @@ fn topology_rows(seed: u64, failed: &mut bool) -> Vec<TopologyRow> {
             mean_wait_secs: stats.mean_wait,
             makespan_secs: stats.makespan,
             throughput_per_sim_sec: stats.throughput,
-            trace_hash: format!("{:016x}", fnv1a(&out.render_trace())),
+            trace_hash: format!("{:016x}", out.trace_hash),
         });
     }
     rows
@@ -191,26 +191,6 @@ fn policy_rows(seed: u64, failed: &mut bool) -> Vec<PolicyRow> {
     rows
 }
 
-fn parsed(name: &str, default: u64) -> u64 {
-    cli::value_of(name).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("{name} wants an integer, got `{v}`");
-            std::process::exit(2);
-        })
-    })
-}
-
-/// 64-bit FNV-1a over a rendered trace — a stable fingerprint CI can diff
-/// across serial and parallel jobs without shipping the whole trace.
-fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Supervision knobs shared by every mode: the injected `taskabort:`
 /// fault (if any), the `--watchdog-ms` wall-clock limit, and the
 /// `--fleet-shape` hardware selection.
@@ -223,13 +203,7 @@ struct Supervision {
 
 impl Supervision {
     fn from_flags(flags: &CliFlags) -> Supervision {
-        let watchdog_secs = cli::value_of("--watchdog-ms").map(|v| {
-            let ms: u64 = v.parse().unwrap_or_else(|_| {
-                eprintln!("--watchdog-ms wants an integer, got `{v}`");
-                std::process::exit(2);
-            });
-            ms as f64 / 1000.0
-        });
+        let watchdog_secs = cli::int_value_of::<u64>("--watchdog-ms").map(|ms| ms as f64 / 1000.0);
         let shape = cli::value_of("--fleet-shape").map_or(FleetShape::Uniform, |v| {
             FleetShape::parse(&v).unwrap_or_else(|| {
                 eprintln!(
@@ -365,7 +339,7 @@ fn smoke(flags: &CliFlags, seed: u64, sup: Supervision) -> bool {
                 "trace-hash {}/{} {:016x}",
                 discipline.label(),
                 sched.label(),
-                fnv1a(&out.render_trace())
+                out.trace_hash
             );
             if !clean {
                 for (id, rep) in &out.conformance {
@@ -449,7 +423,7 @@ fn ckpt_smoke(
             discipline.label(),
             ckpt.events_len(),
             if fell_back { " (fell back to .prev)" } else { "" },
-            fnv1a(&resumed.render_trace()),
+            resumed.trace_hash,
             if identical { "byte-identical" } else { "DIVERGED" }
         );
         failed |= !identical;
@@ -470,8 +444,8 @@ fn ckpt_smoke(
 /// `--checkpoint <dir>`: one EASY stream with periodic checkpoints rotated
 /// into the store, leaving `<dir>/batch.ckpt` for a later `--resume`.
 fn checkpointed_run(flags: &CliFlags, seed: u64, njobs: usize, sup: Supervision, dir: &Path) {
-    let every_events = cli::value_of("--ckpt-events").map(|v| parsed_str("--ckpt-events", &v) as usize);
-    let every_jobs = cli::value_of("--ckpt-jobs").map(|v| parsed_str("--ckpt-jobs", &v) as u32);
+    let every_events = cli::int_value_of("--ckpt-events");
+    let every_jobs = cli::int_value_of("--ckpt-jobs");
     let policy = CheckpointPolicy {
         // Default cadence: a checkpoint every 10 completed jobs.
         every_jobs: every_jobs.or(if every_events.is_none() { Some(10) } else { None }),
@@ -506,7 +480,7 @@ fn checkpointed_run(flags: &CliFlags, seed: u64, njobs: usize, sup: Supervision,
     });
     let stats = FleetStats::from_outcome(&out);
     println!("{}", stats.render_row("easy/checkpointed"));
-    println!("trace-hash easy {:016x}", fnv1a(&out.render_trace()));
+    println!("trace-hash easy {:016x}", out.trace_hash);
     println!("\nbatch checkpoint run: OK ({saves} checkpoint(s) in {})", dir.display());
 }
 
@@ -535,21 +509,14 @@ fn resume_run(path: &Path) -> bool {
     let out = resume_batch(&ckpt);
     let stats = FleetStats::from_outcome(&out);
     println!("{}", stats.render_row("resumed"));
-    println!("trace-hash resumed {:016x}", fnv1a(&out.render_trace()));
+    println!("trace-hash resumed {:016x}", out.trace_hash);
     println!("\nbatch resume: OK");
     false
 }
 
-fn parsed_str(name: &str, v: &str) -> u64 {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("{name} wants an integer, got `{v}`");
-        std::process::exit(2);
-    })
-}
-
 fn main() {
     let flags = CliFlags::from_env();
-    let seed = parsed("--seed", 2008);
+    let seed = cli::int_value_of("--seed").unwrap_or(2008);
     let sup = Supervision::from_flags(&flags);
 
     if let Some(path) = cli::value_of("--resume") {
@@ -582,7 +549,7 @@ fn main() {
         return;
     }
 
-    let njobs = parsed("--jobs", 200) as usize;
+    let njobs = cli::int_value_of("--jobs").unwrap_or(200);
 
     if let Some(dir) = cli::value_of("--checkpoint") {
         checkpointed_run(&flags, seed, njobs, sup, Path::new(&dir));

@@ -26,7 +26,7 @@
 
 use std::time::Instant;
 
-use batchsim::{resume_fleet, run_fleet, run_fleet_until, scaled_config, FleetOutcome};
+use batchsim::{resume_batch, run_fleet, run_fleet_until, scaled_config, BatchOutcome, FleetStats};
 use experiments::benchfile;
 use experiments::cli::{self, CliFlags};
 
@@ -80,7 +80,7 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn run_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> (FleetBenchRow, FleetOutcome) {
+fn run_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> (FleetBenchRow, BatchOutcome) {
     let mut cfg = scaled_config(jobs, nodes, seed);
     cfg.batch.threads = threads;
     let t0 = Instant::now();
@@ -203,9 +203,9 @@ fn check_bench() -> Result<(), String> {
 fn resume_self_check(jobs: u64, nodes: usize, seed: u64) -> Result<(), String> {
     let cfg = scaled_config(jobs, nodes, seed);
     let whole = run_fleet(&cfg);
-    let cut = (whole.trace_events / 2).max(1) as usize;
+    let cut = (whole.trace_events / 2).max(1);
     let ckpt = run_fleet_until(&cfg, cut).ok_or("run finished before the checkpoint cut")?;
-    let resumed = resume_fleet(&ckpt);
+    let resumed = resume_batch(&ckpt);
     if resumed.trace_hash != whole.trace_hash {
         return Err(format!(
             "resume diverged: {:016x} vs {:016x}",
@@ -225,11 +225,12 @@ fn resume_self_check(jobs: u64, nodes: usize, seed: u64) -> Result<(), String> {
 fn main() {
     let flags = CliFlags::from_env();
     flags.note_no_kernel();
-    let seed = cli::value_of("--seed").and_then(|s| s.parse().ok()).unwrap_or(2008);
-    let nodes = cli::value_of("--nodes").and_then(|s| s.parse().ok()).unwrap_or(1000);
+    let seed = cli::int_value_of("--seed").unwrap_or(2008);
+    let nodes = cli::int_value_of("--nodes").unwrap_or(1000);
+    let jobs = cli::int_value_of::<u64>("--jobs");
 
     if cli::flag("--scale-row") {
-        let jobs = cli::value_of("--jobs").and_then(|s| s.parse().ok()).unwrap_or(10_000);
+        let jobs = jobs.unwrap_or(10_000);
         let (row, _) = run_row(jobs, nodes, seed, flags.threads);
         println!("{}", serde_json::to_string(&row).expect("row serializes"));
         return;
@@ -245,7 +246,7 @@ fn main() {
     }
 
     if cli::flag("--smoke") {
-        let jobs = cli::value_of("--jobs").and_then(|s| s.parse().ok()).unwrap_or(100_000);
+        let jobs = jobs.unwrap_or(100_000);
         println!("== fleet smoke: {jobs} jobs x {nodes} nodes, serial vs 8 threads ==");
         let mut hashes = Vec::new();
         for threads in THREAD_PAIR {
@@ -302,13 +303,14 @@ fn main() {
     }
 
     // Default: one quick fleet plus the checkpoint/resume self-check.
-    let jobs = cli::value_of("--jobs").and_then(|s| s.parse().ok()).unwrap_or(10_000);
-    let (row, out) = run_row(jobs, nodes, seed, flags.threads);
+    let (row, out) = run_row(jobs.unwrap_or(10_000), nodes, seed, flags.threads);
     render_row(&row);
-    println!("{}", out.stats.render_row("fleet/easy"));
+    println!("{}", FleetStats::from_outcome(&out).render_row("fleet/easy"));
     println!(
         "trace events {} | reservations {} | queue peak {}",
-        out.trace_events, out.reservations, out.queue_peak
+        out.trace_events,
+        out.metrics.counter("batch.reservations"),
+        out.metrics.gauge("batch.queue_depth_peak")
     );
     if flags.telemetry {
         println!("--- telemetry: fleet ---");

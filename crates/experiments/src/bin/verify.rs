@@ -19,8 +19,8 @@
 use std::fmt::Write as _;
 
 use batchsim::{
-    heavy_light_mix, resume_batch, run_batch, run_batch_until, text_fnv1a, BatchCheckpoint,
-    BatchConfig, BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
+    heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
+    BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
 };
 use cluster::{JobSpec, LocalSched};
 use experiments::cli::{self, CliFlags};
@@ -69,13 +69,29 @@ fn trace_fingerprint(records: &[schedsim::TraceRecord]) -> u64 {
     hash.finish()
 }
 
-/// Repository root for the static-analysis pass: the working directory
-/// when run from a checkout, the workspace root when run via `cargo run`.
+/// Repository root for the static-analysis pass and the trace baseline:
+/// the working directory when run from a checkout, the workspace root
+/// otherwise.
 fn repo_root() -> std::path::PathBuf {
     if std::path::Path::new("crates").is_dir() {
         std::path::PathBuf::from(".")
     } else {
         std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+}
+
+/// The trace-hash gate: the non-comment lines of the baseline file at
+/// `path` must equal `got`, in order. A file that cannot be read is a
+/// failure, never a skipped gate.
+fn check_trace_baseline(path: &std::path::Path, got: &[String]) -> Result<(), String> {
+    let baseline = std::fs::read_to_string(path)
+        .map_err(|e| format!("TRACE_baseline.txt not read from {}: {e}", path.display()))?;
+    let want: Vec<&str> =
+        baseline.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
+    if want == got {
+        Ok(())
+    } else {
+        Err(format!("TRACE HASH MISMATCH vs TRACE_baseline.txt\n  want: {want:?}\n  got:  {got:?}"))
     }
 }
 
@@ -181,28 +197,19 @@ fn main() {
             hash_lines.push(format!(
                 "trace-hash batch/{} {:016x}",
                 discipline.label(),
-                text_fnv1a(&out.render_trace())
+                out.trace_hash
             ));
         }
     }
     for line in &hash_lines {
         println!("{line}");
     }
-    match std::fs::read_to_string("TRACE_baseline.txt") {
-        Ok(baseline) => {
-            let want: Vec<&str> =
-                baseline.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
-            let got: Vec<&str> = hash_lines.iter().map(|s| s.as_str()).collect();
-            if want == got {
-                println!("trace hashes match TRACE_baseline.txt");
-            } else {
-                println!("TRACE HASH MISMATCH vs TRACE_baseline.txt");
-                println!("  want: {want:?}");
-                println!("  got:  {got:?}");
-                failed = true;
-            }
+    match check_trace_baseline(&repo_root().join("TRACE_baseline.txt"), &hash_lines) {
+        Ok(()) => println!("trace hashes match TRACE_baseline.txt"),
+        Err(e) => {
+            println!("{e}");
+            failed = true;
         }
-        Err(e) => println!("warning: TRACE_baseline.txt not read ({e}); trace gate skipped"),
     }
 
     println!("\n== determinism: identical (config, seed) => identical trace ==");
@@ -583,4 +590,39 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nverify: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn a_missing_baseline_fails_the_gate() {
+        let path = std::env::temp_dir().join("verify-no-such-dir/TRACE_baseline.txt");
+        let err = check_trace_baseline(&path, &lines(&["trace-hash a 01"])).unwrap_err();
+        assert!(err.contains("not read"), "{err}");
+        assert!(check_trace_baseline(&path, &[]).is_err(), "nothing to compare is no pass");
+    }
+
+    #[test]
+    fn the_baseline_compares_non_comment_lines_in_order() {
+        let dir = std::env::temp_dir().join(format!("verify-baseline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("TRACE_baseline.txt");
+        std::fs::write(&path, "# pinned\ntrace-hash a 01\n\ntrace-hash b 02\n").unwrap();
+        let check = |got: &[&str]| check_trace_baseline(&path, &lines(got));
+        assert!(check(&["trace-hash a 01", "trace-hash b 02"]).is_ok());
+        assert!(check(&["trace-hash b 02", "trace-hash a 01"]).is_err());
+        assert!(check(&["trace-hash a 01"]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_committed_baseline_is_found_from_any_directory() {
+        assert!(repo_root().join("TRACE_baseline.txt").is_file());
+    }
 }

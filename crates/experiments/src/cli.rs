@@ -187,6 +187,26 @@ pub fn value_of(name: &str) -> Option<String> {
     None
 }
 
+/// Integer `--name <n>` lookup for bin-specific options: `None` when the
+/// flag is absent. A missing or non-integer value is a usage error (exit
+/// 2), as a malformed `--threads` is, rather than a silent default.
+pub fn int_value_of<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_int(&args, name).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// The testable core of [`int_value_of`].
+fn parse_int<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    let Some(at) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let raw = args.get(at + 1).ok_or_else(|| format!("{name} requires an integer argument"))?;
+    raw.parse().map(Some).map_err(|_| format!("{name} wants an integer, got `{raw}`"))
+}
+
 /// Generic boolean flag lookup for bin-specific options.
 pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -280,6 +300,23 @@ mod tests {
     fn parses_threads_and_defaults_to_serial() {
         assert_eq!(CliFlags::parse(&strs(&[])).unwrap().threads, 1);
         assert_eq!(CliFlags::parse(&strs(&["--threads", "4"])).unwrap().threads, 4);
+    }
+
+    #[test]
+    fn integer_flags_parse_or_stay_absent() {
+        assert_eq!(parse_int::<u64>(&strs(&["--seed", "7"]), "--seed"), Ok(Some(7)));
+        assert_eq!(parse_int::<u64>(&strs(&["--jobs", "200"]), "--seed"), Ok(None));
+        let nodes = parse_int::<usize>(&strs(&["--smoke", "--nodes", "64"]), "--nodes");
+        assert_eq!(nodes, Ok(Some(64)));
+    }
+
+    #[test]
+    fn integer_flag_garbage_is_a_usage_error() {
+        assert!(parse_int::<u64>(&strs(&["--seed", "abc"]), "--seed").is_err());
+        assert!(parse_int::<u64>(&strs(&["--seed", "-1"]), "--seed").is_err());
+        assert!(parse_int::<u64>(&strs(&["--seed", "1.5"]), "--seed").is_err());
+        let err = parse_int::<u64>(&strs(&["--jobs"]), "--jobs").unwrap_err();
+        assert!(err.contains("--jobs"), "{err}");
     }
 
     #[test]

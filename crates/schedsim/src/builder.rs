@@ -25,8 +25,8 @@ pub struct HpcSchedConfig {
     pub slice: SimDuration,
     /// Balancing policy, by [`policies::registry`] name.
     pub balancer: &'static str,
-    /// Heuristic selection, honored by the heuristic-parametric policies
-    /// (`hpc`, `hpc-static`).
+    /// Heuristic selection, honored by the heuristic-parametric `hpc`
+    /// policy.
     pub heuristic: HeuristicKind,
     pub tunables: HpcTunables,
     /// Use the POWER5 mechanism (true) or the no-op mechanism for

@@ -14,7 +14,6 @@
 //! | `hpc`         | paper Table-I, Uniform heuristic (global util)    |
 //! | `hpc-adaptive`| paper Table-I, Adaptive heuristic (recency blend) |
 //! | `hpc-hybrid`  | paper Table-I, annealed Hybrid heuristic (§VI)    |
-//! | `hpc-static`  | Table-I detector running, priorities pinned       |
 //! | `static`      | uniform baseline: placement only, no steering     |
 //! | `ss`          | last iteration only (LB4OMP SS)                   |
 //! | `gss`         | exponentially weighted estimate (LB4OMP GSS)      |
@@ -58,8 +57,8 @@ pub type SharedTunables = Arc<Mutex<HpcTunables>>;
 pub struct PolicyCtx {
     /// The live tunables handle; policies read it at decision time.
     pub tunables: SharedTunables,
-    /// Heuristic selection, honored by the heuristic-parametric policies
-    /// (`hpc`, `hpc-static`); the pinned variants ignore it.
+    /// Heuristic selection, honored by the heuristic-parametric `hpc`
+    /// policy; the other policies ignore it.
     pub heuristic: HeuristicKind,
     /// Use the POWER5 mechanism (true) or the no-op mechanism for
     /// architectures without hardware prioritization (false).
@@ -124,11 +123,6 @@ pub fn registry() -> &'static [PolicySpec] {
             name: "hpc-hybrid",
             summary: "paper Table-I policy, annealed Hybrid heuristic (paper §VI)",
             make: |ctx| Box::new(ctx.table1(HeuristicKind::Hybrid)),
-        },
-        PolicySpec {
-            name: "hpc-static",
-            summary: "Table-I detector observing, priorities pinned (ablation)",
-            make: |ctx| Box::new(ctx.table1(ctx.heuristic).with_static_priorities()),
         },
         PolicySpec {
             name: "static",

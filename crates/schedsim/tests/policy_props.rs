@@ -166,7 +166,7 @@ fn assigned_priorities_stay_inside_tunable_bounds() {
         // The paper-family and LB4OMP policies must actually steer under a
         // 6.7x imbalance; the placement-only entries must never touch
         // priorities at all.
-        let dynamic = !matches!(spec.name, "static" | "hpc-static" | "worksteal");
+        let dynamic = !matches!(spec.name, "static" | "worksteal");
         if dynamic {
             assert!(assigned > 0, "policy `{}` never assigned a priority", spec.name);
             assert_eq!(

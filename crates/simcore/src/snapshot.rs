@@ -38,15 +38,27 @@ pub const SNAPSHOT_VERSION: u32 = 1;
 /// Byte length of the fixed header (magic + version + length + checksum).
 pub const SNAPSHOT_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
+/// FNV-1a 64-bit offset basis.
+pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continue an FNV-1a 64-bit fold whose hash so far is `h` over `bytes`.
+/// Folding in pieces equals folding the concatenation, which is what lets
+/// trace fingerprints accumulate line by line.
+#[inline]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// 64-bit FNV-1a — the same fingerprint the trace-hash harness uses, so
 /// one hash function covers both artifacts.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a_fold(FNV_BASIS, bytes)
 }
 
 /// Why a snapshot could not be decoded. Every variant is a *typed*
