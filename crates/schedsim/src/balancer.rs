@@ -100,6 +100,10 @@ pub trait Balancer: Send {
 
     /// Decide at most one queue migration for `cpu` (`idle` = it ran out
     /// of work). The default is the paper's domain-level pull balancer.
+    ///
+    /// Contract: with every queue in `view.queued` empty and `idle`
+    /// false, return `None` and change no state: the kernel skips such
+    /// periodic balances (see [`crate::SchedClass::load_balance`]).
     fn plan_migrations(
         &mut self,
         view: &BalanceView<'_>,

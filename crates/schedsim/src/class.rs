@@ -152,6 +152,12 @@ pub trait SchedClass: Send {
 
     /// Load balancing opportunity on `cpu` (`idle` = the CPU ran out of
     /// work). Return migrations of *queued* tasks; the kernel applies them.
+    ///
+    /// Contract: when no class has a task queued on any CPU, a periodic
+    /// call (`idle == false`) returns nothing and changes nothing, neither
+    /// the class nor the tasks. The kernel relies on it to replay quiet
+    /// tick rounds across balance ticks without calling it (DESIGN §5
+    /// note 7); debug builds assert that such a call returns nothing.
     fn load_balance(
         &mut self,
         _ctx: &mut ClassCtx<'_>,

@@ -248,6 +248,14 @@ impl Kernel {
         self.now
     }
 
+    /// Events taken off the event queue's heap so far
+    /// ([`EventQueue::pops`]): what a run costs, where the
+    /// `sim.events.processed` counter is what it means. Events replayed
+    /// by the quiet-tick fast-forward are processed but never popped.
+    pub fn queue_pops(&self) -> u64 {
+        self.events.pops()
+    }
+
     pub fn topology(&self) -> &Topology {
         self.chip.topology()
     }
@@ -527,8 +535,9 @@ impl Kernel {
     /// Replay whole quiet tick rounds strictly before `limit` without the
     /// event queue (DESIGN §5 note 7). A round at `at` is quiet when every
     /// CPU's tick is pending at `at`, no completion timer, signal or fault
-    /// fires at or before `at`, no CPU balances on this tick, and every
-    /// running task's class reports [`SchedClass::tick_quiet`]. Such a
+    /// fires at or before `at`, no CPU balances on this tick while a task
+    /// is queued, and every running task's class reports
+    /// [`SchedClass::tick_quiet`]. Such a
     /// round only syncs accounting, counts the ticks and re-derives the
     /// completion times, so that is all a replayed round does, with the
     /// same float operations in the same order as the event-by-event path.
@@ -560,10 +569,14 @@ impl Kernel {
             }
         }
         let interval = u64::from(self.config.balance_interval_ticks);
-        let max_rounds = match interval {
-            0 => u64::MAX,
-            // Stop short of the next tick that balances.
-            _ => self.cpus.iter().map(|cs| interval - 1 - cs.ticks % interval).min().unwrap_or(0),
+        // With nothing queued anywhere a periodic balance moves nothing and
+        // changes nothing (the `SchedClass::load_balance` contract), and a
+        // quiet round queues nothing, so only queued work stops a stretch
+        // short of the next tick that balances.
+        let max_rounds = if interval == 0 || self.nothing_queued() {
+            u64::MAX
+        } else {
+            self.cpus.iter().map(|cs| interval - 1 - cs.ticks % interval).min().unwrap_or(0)
         };
         if max_rounds == 0 {
             return;
@@ -602,6 +615,12 @@ impl Kernel {
             cs.tick_ev = self.quiet_ticks[cpu];
             cs.workdone_ev = self.quiet_timers[cpu].0;
         }
+    }
+
+    /// Whether no class has a task queued on any CPU.
+    fn nothing_queued(&self) -> bool {
+        let ncpus = self.cpus.len();
+        self.classes.iter().all(|c| (0..ncpus).all(|cpu| c.nr_runnable(CpuId(cpu)) == 0))
     }
 
     /// Whether the round at `at` is uniform: every running CPU accrues
@@ -708,7 +727,8 @@ impl Kernel {
 
     /// Account `n` back-to-back rounds of `delta` each to `tid`, running on
     /// `cpu`: the integer counters move by `n · delta`, `remaining_work`
-    /// takes `n` float steps (a product would round differently), and the
+    /// ends where `n` float steps leave it (a product would round
+    /// differently; [`descend`] takes the steps in closed form), and the
     /// class is charged with `charge`, or `charge_rounds` for `n > 1`.
     #[inline]
     fn accrue(&mut self, cpu: CpuId, tid: TaskId, delta: SimDuration, n: u64) {
@@ -717,11 +737,11 @@ impl Kernel {
         debug_assert_eq!(task.state, TaskState::Running);
         task.exec_total += delta * n;
         task.iter.run_in_iter += delta * n;
-        let mut remaining = task.remaining_work;
-        for _ in 0..n {
-            remaining = (remaining - work).max(0.0);
-        }
-        task.remaining_work = remaining;
+        task.remaining_work = if n == 1 {
+            (task.remaining_work - work).max(0.0)
+        } else {
+            descend(task.remaining_work, work, n, f64::NEG_INFINITY).0
+        };
         let policy = task.policy;
         let class = self.class_of_policy(policy);
         if n == 1 {
@@ -1204,8 +1224,15 @@ impl Kernel {
     /// migrated *to* this CPU.
     fn balance(&mut self, cpu: CpuId, idle: bool) -> bool {
         let mut pulled = false;
+        // The fast-forward skips periodic balances with nothing queued on
+        // the strength of the `load_balance` contract; hold every class to it.
+        let no_op = cfg!(debug_assertions) && !idle && self.nothing_queued();
         for class in 0..self.classes.len() {
             let migs = self.with_ctx(class, |c, ctx| c.load_balance(ctx, cpu, idle));
+            debug_assert!(
+                !no_op || migs.is_empty(),
+                "class {class} planned {migs:?} on {cpu:?} with nothing queued"
+            );
             for Migration { task, from, to } in migs {
                 if self.tasks[task.0].state != TaskState::Runnable {
                     continue;
@@ -1308,14 +1335,111 @@ fn rounds_before_completion(remaining: f64, speed: f64, tick: SimDuration, max: 
     }
     let work = tick.as_secs_f64() * speed;
     let sure = 2.0 * tick.as_secs_f64() * speed;
-    let mut remaining = remaining;
-    for round in 1..max {
-        remaining = (remaining - work).max(0.0);
-        if remaining <= sure && (remaining <= 0.0 || completion_delay(remaining, speed) <= tick) {
+    let (mut remaining, mut round) = (remaining, 0);
+    while round + 1 < max {
+        // Past `sure` every step stops the descent, so the exact test
+        // below runs once per round from there on.
+        let (left, steps) = descend(remaining, work, max - 1 - round, sure);
+        (remaining, round) = (left, round + steps);
+        if remaining > sure {
+            break;
+        }
+        if remaining <= 0.0 || completion_delay(remaining, speed) <= tick {
             return round;
         }
     }
     max
+}
+
+/// `n` steps of `r = (r - w).max(0.0)`, stopping after the first that
+/// leaves `r <= floor`: the result and the steps taken, bit for bit what
+/// the loop gives, at a cost of O(binades crossed), not O(n).
+///
+/// Inside the binade of a normal `r`, every value is a multiple of
+/// `u = ulp(r)`. While `r - w` stays in that binade, its exact value lies
+/// within `u/2` of `r - k·u` with `k = round(w/u)`, so the float
+/// subtraction yields exactly `r - k·u`: each step removes `k` from the
+/// significand, and many steps are one integer multiply. An exact tie
+/// (`w/u = k + ½`) rounds to the even neighbour; after one literal step
+/// the significand is even, and from there on each step removes the even
+/// one of `k` and `k + 1`. A step that would leave the binade, and any `r`
+/// or `w` the closed form does not cover (subnormal, zero, negative or
+/// not finite), is taken literally, and a literal step that leaves `r`
+/// unchanged ends the descent: the rest would too.
+fn descend(mut r: f64, w: f64, n: u64, floor: f64) -> (f64, u64) {
+    let mut left = n;
+    while left > 0 {
+        if let Some((steps, units)) = descend_in_binade(r, w, left, floor) {
+            // The significand is the low bits of the pattern, and it stays
+            // above the binade's bottom, so the exponent bits stand still.
+            r = f64::from_bits(r.to_bits() - units);
+            left -= steps;
+            continue;
+        }
+        let before = r.to_bits();
+        r = (r - w).max(0.0);
+        left -= 1;
+        if r <= floor {
+            return (r, n - left);
+        }
+        if r.to_bits() == before {
+            // A fixed point (0, or a `w` that rounds away): every later
+            // step leaves `r` where it is.
+            return (r, n);
+        }
+    }
+    (r, n)
+}
+
+/// How many of the next `n` steps of [`descend`] from `r` can be taken at
+/// once, and by how many units of `ulp(r)` they shrink the significand:
+/// every step whose result stays above `floor` and at least one unit
+/// above the bottom of `r`'s binade, where the step's exact result is
+/// certainly inside the binade. `None` when not even one can, or when
+/// `r` or `w` is outside the closed form's reach.
+fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
+    const HIDDEN: u64 = 1 << 52;
+    const LIMIT: f64 = (1u64 << 53) as f64;
+    if !(r >= f64::MIN_POSITIVE && r.is_finite() && w >= 0.0) {
+        return None;
+    }
+    let bits = r.to_bits();
+    let exp = bits >> 52;
+    let m = (bits & (HIDDEN - 1)) | HIDDEN;
+    // ulp(r) = 2^(exp - 1075), subnormal for the lowest 52 binades.
+    let u = f64::from_bits(if exp > 52 { (exp - 52) << 52 } else { 1 << (exp - 1) });
+    // Division by a power of two is exact unless it leaves the normal
+    // range: a result that overflows fails the bound, one that underflows
+    // is far below ½ and rounds to a step of 0 either way.
+    let q = w / u;
+    if q >= LIMIT {
+        return None;
+    }
+    let (k, frac) = (q.floor() as u64, q - q.floor());
+    let step = if frac == 0.5 {
+        if m & 1 == 1 {
+            return None;
+        }
+        // Ties go to the even result; from an even significand that is a
+        // step of the even one of `k` and `k + 1`.
+        k + (k & 1)
+    } else if frac > 0.5 {
+        k + 1
+    } else {
+        k
+    };
+    // `r` is not above `floor`, so the first step stops the descent.
+    let f = floor / u;
+    if f >= m as f64 {
+        return None;
+    }
+    // The lowest significand a step may leave: above `floor` (which a NaN
+    // never stops at), and one unit above the binade's bottom so that the
+    // exact result, within half a unit, is inside the binade.
+    let lowest = if f >= HIDDEN as f64 { f.floor() as u64 + 1 } else { HIDDEN + 1 };
+    // A step of 0 is a fixed point, which one literal step detects.
+    let steps = n.min(m.checked_sub(lowest)?.checked_div(step)?);
+    (steps > 0).then_some((steps, steps * step))
 }
 
 /// The first class in chain order that handles each policy, indexed by
@@ -1795,5 +1919,123 @@ mod tests {
         let snap = k.metrics_registry().snapshot();
         assert_eq!(snap.counter("kernel.faults.steal_bursts"), 0);
         assert_eq!(snap.counter("kernel.faults.slowdowns"), 0);
+    }
+
+    /// The reference [`descend`] must match: the literal loop.
+    fn literal(mut r: f64, w: f64, n: u64, floor: f64) -> (f64, u64) {
+        for step in 1..=n {
+            r = (r - w).max(0.0);
+            if r <= floor {
+                return (r, step);
+            }
+        }
+        (r, n)
+    }
+
+    fn ulp(r: f64) -> f64 {
+        f64::from_bits(r.to_bits() + 1) - r
+    }
+
+    fn assert_descends_like_the_loop(r: f64, w: f64, n: u64, floor: f64) {
+        let (got, want) = (descend(r, w, n, floor), literal(r, w, n, floor));
+        assert!(
+            got.0.to_bits() == want.0.to_bits() && got.1 == want.1,
+            "descend({r:e}, {w:e}, {n}, {floor:e}) = {got:?}, the loop gives {want:?}"
+        );
+    }
+
+    /// `r`: a normal value of any magnitude, one near the paper's work
+    /// sizes, a subnormal, or zero.
+    fn remaining() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        (0u8..4, any::<u64>(), 1u64..2000, 1e-4f64..10.0).prop_map(|(kind, bits, exp, near)| {
+            match kind {
+                0 => f64::from_bits(exp << 52 | bits >> 12),
+                1 => near,
+                2 => f64::from_bits(bits >> 12),
+                _ => 0.0,
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 2048, ..Default::default() })]
+
+        /// `descend` equals the literal loop bit for bit: binade crossings,
+        /// exact ½-ulp ties, subnormals, `w == 0`, `n == 0`, every kind of
+        /// floor, and results that hit 0 early.
+        #[test]
+        fn descend_equals_the_literal_loop(
+            r in remaining(),
+            (w_kind, k, frac) in (0u8..7, 0u64..64, 0.0f64..1.0),
+            n in proptest::prop_oneof![
+                proptest::prelude::Just(0u64),
+                proptest::prelude::Just(1u64),
+                0u64..100,
+                0u64..20_000,
+            ],
+            floor_kind in 0u8..8,
+            floor_frac in 0.0f64..1.0,
+        ) {
+            let w = match w_kind {
+                0 => 0.0,
+                // An exact tie: w/ulp(r) has a fractional part of ½.
+                1 => (k as f64 + 0.5) * ulp(r),
+                2 => k as f64 * ulp(r),
+                3 => r * frac * 1e-3,
+                4 => r * frac,
+                5 => f64::from_bits(k << 40 | 1),
+                _ => r * frac * 1e-9,
+            };
+            let floor = match floor_kind {
+                0 => -1.0,
+                1 => f64::NEG_INFINITY,
+                2 => 0.0,
+                3 => 2.0 * w,
+                4 => r,
+                5 => 2.0 * r + 1.0,
+                6 => f64::NAN,
+                _ => r * floor_frac,
+            };
+            assert_descends_like_the_loop(r, w, n, floor);
+        }
+    }
+
+    #[test]
+    fn descend_ties_and_binade_edges() {
+        // Ties on both parities of the significand and of k, starting on
+        // and next to a binade's bottom and top, and steps that land on
+        // the bottom while their exact result lies below it.
+        let edges = [1.0, 2.0 - f64::EPSILON, 2.0 - 2.0 * f64::EPSILON, 1.75];
+        let above_bottom = (1..=4).map(|j| 1.0 + j as f64 * f64::EPSILON);
+        for r in edges.into_iter().chain(above_bottom) {
+            for k in [0.5, 1.5, 2.5, 3.5, 1.0, 0.25, 0.75, 1.3, 2.4] {
+                let w = k * ulp(r);
+                for floor in [-1.0, 0.0, 1.5, r - 3.0 * w] {
+                    assert_descends_like_the_loop(r, w, 5_000, floor);
+                }
+            }
+        }
+        // The smallest normal and the subnormals below it.
+        let min = f64::MIN_POSITIVE;
+        for w in [0.0, 0.5 * ulp(min), 3.0 * ulp(min), min / 3.0] {
+            assert_descends_like_the_loop(min * 1.5, w, 10_000, -1.0);
+            assert_descends_like_the_loop(min / 2.0, w, 100, -1.0);
+        }
+    }
+
+    #[test]
+    fn descend_costs_binades_not_steps() {
+        // 2^60 steps of a millisecond's work hit 0 after about 2,200 and
+        // stay there; a step that rounds away stays put forever. A loop
+        // would not finish either.
+        let w = 1e-3 * 0.8;
+        assert_eq!(descend(1.8, w, 1 << 60, f64::NEG_INFINITY), (0.0, 1 << 60));
+        let (left, steps) = descend(1.8, w, 1 << 60, 2.0 * w);
+        assert_eq!((left.to_bits(), steps), {
+            let (l, s) = literal(1.8, w, 10_000, 2.0 * w);
+            (l.to_bits(), s)
+        });
+        assert_eq!(descend(1.0, 1e-20, u64::MAX, 0.5), (1.0, u64::MAX));
     }
 }

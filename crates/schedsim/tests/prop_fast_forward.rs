@@ -7,10 +7,13 @@
 //! every task's accounting bit for bit, the whole metrics snapshot, and the
 //! clock. A scenario is observed by nobody or by a recorder of the trace.
 //!
-//! Two more properties pin the class contracts the replay relies on: once
-//! [`SchedClass::tick_quiet`] holds, `task_tick` stays `false` and changes
-//! nothing under any further charges; and
-//! [`SchedClass::charge_rounds`]`(n, d)` equals `n` calls of `charge(d)`.
+//! Three more properties pin the class contracts the replay relies on:
+//! once [`SchedClass::tick_quiet`] holds, `task_tick` stays `false` and
+//! changes nothing under any further charges;
+//! [`SchedClass::charge_rounds`]`(n, d)` equals `n` calls of `charge(d)`;
+//! and with nothing queued, a periodic [`SchedClass::load_balance`]
+//! returns nothing and changes nothing, so a stretch may run across
+//! balance ticks.
 
 use std::sync::{Arc, Mutex};
 
@@ -18,13 +21,17 @@ use power5::{CpuId, Topology};
 use proptest::prelude::*;
 use schedsim::class::EnqueueKind;
 use schedsim::classes::{FairClass, IdleClass, RtClass};
-use schedsim::policies::{HpcTunables, Power5Mechanism, Table1Balancer, UniformHeuristic};
+use schedsim::policies::{
+    registry, HeuristicKind, HpcTunables, PolicyCtx, Power5Mechanism, Table1Balancer,
+    UniformHeuristic,
+};
 use schedsim::program::{FnProgram, ScriptedProgram};
 use schedsim::{
     Action, BalancedClass, ClassCtx, FaultEvent, HpcPolicyKind, HpcSchedConfig, Kernel, KernelApi,
     KernelBuilder, KernelConfig, KernelEvent, NoiseConfig, Observer, SchedClass, SchedPolicy,
     SpawnOptions, Task, TaskId, TaskState, TraceEvent, TraceRecord,
 };
+use simcore::snapshot::SnapshotWriter;
 use simcore::{SimDuration, SimTime};
 use telemetry::MetricValue;
 
@@ -83,6 +90,8 @@ struct Scenario {
     free_switch: bool,
     /// The HPC class's intra-class policy, or no HPC class at all.
     hpc: Option<HpcPolicyKind>,
+    /// The HPC class's balancing policy, by registry name.
+    balancer: &'static str,
     short_slices: bool,
     observe: Observe,
     seed: u64,
@@ -158,6 +167,7 @@ fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
         Some(policy) => builder
             .hpc_config(HpcSchedConfig {
                 policy,
+                balancer: s.balancer,
                 slice: if s.short_slices { ms(8) } else { ms(100) },
                 ..HpcSchedConfig::default()
             })
@@ -215,6 +225,9 @@ struct Outcome {
     tasks: Vec<TaskView>,
     metrics: Vec<(String, MetricValue)>,
     stream: Vec<KernelEvent>,
+    /// Events popped off the queue's heap: what the run cost, the one
+    /// thing the two paths need not agree on.
+    pops: u64,
 }
 
 #[derive(Debug, PartialEq)]
@@ -252,7 +265,7 @@ fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &Mutex<Vec<KernelEvent>>)
     // INVARIANT: the recorder never panics while holding the lock, so the
     // lock is never poisoned.
     let stream = std::mem::take(&mut *stream.lock().expect("recorder lock"));
-    Outcome { now: k.now(), ended, tasks, metrics, stream }
+    Outcome { now: k.now(), ended, tasks, metrics, stream, pops: k.queue_pops() }
 }
 
 fn all_exited(k: &Kernel, ids: &[TaskId]) -> Option<SimTime> {
@@ -358,9 +371,17 @@ fn fault() -> impl Strategy<Value = (u64, u64, FaultSpec)> {
 
 fn scenario() -> impl Strategy<Value = Scenario> {
     (
-        (0u8..3, prop_oneof![Just(1u64), Just(4)], prop_oneof![Just(0u32), Just(1), Just(64)]),
+        (
+            0u8..3,
+            prop_oneof![Just(1u64), Just(4)],
+            // Short intervals put many balance ticks inside one stretch.
+            prop_oneof![Just(0u32), Just(1), 2u32..=8, Just(64)],
+        ),
         (any::<bool>(), any::<bool>(), any::<bool>(), (0usize..2).prop_map(|i| OBSERVERS[i])),
-        prop_oneof![Just(None), Just(Some(HpcPolicyKind::Fifo)), Just(Some(HpcPolicyKind::Rr))],
+        (
+            prop_oneof![Just(None), Just(Some(HpcPolicyKind::Fifo)), Just(Some(HpcPolicyKind::Rr))],
+            (0..registry().len()).prop_map(|i| registry()[i].name),
+        ),
         (any::<u64>(), 20u64..1_200),
         (proptest::collection::vec(task(), 1..7), proptest::collection::vec(fault(), 0..4)),
     )
@@ -368,7 +389,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
             |(
                 (topology, tick_ms, balance),
                 (noise, free_switch, short_slices, observe),
-                hpc,
+                (hpc, balancer),
                 (seed, deadline_ms),
                 (tasks, faults),
             )| Scenario {
@@ -379,6 +400,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
                 noise: noise && seed % 2 == 0,
                 free_switch,
                 hpc,
+                balancer,
                 short_slices,
                 observe,
                 seed,
@@ -430,6 +452,7 @@ fn quiet_scenario(tasks: Vec<TaskSpec>) -> Scenario {
         noise: false,
         free_switch: false,
         hpc: Some(HpcPolicyKind::Rr),
+        balancer: "hpc",
         short_slices: false,
         observe: Observe::Trace,
         seed: 1,
@@ -588,6 +611,115 @@ fn completion_a_hair_either_side_of_a_tick_from_the_last_round() {
         s.balance = 0;
         assert_same_for_every_observer(&s);
     }
+}
+
+/// How many tasks the trace shows on more than one CPU.
+fn migrated(stream: &[KernelEvent]) -> usize {
+    let mut seen: Vec<(usize, usize)> = stream
+        .iter()
+        .filter_map(|e| match e {
+            KernelEvent::Trace(TraceRecord {
+                task,
+                event: TraceEvent::State { cpu: Some(cpu), .. },
+                ..
+            }) => Some((task.0, cpu.0)),
+            _ => None,
+        })
+        .collect();
+    seen.sort_unstable();
+    seen.dedup();
+    let mut tasks: Vec<usize> = seen.iter().map(|&(task, _)| task).collect();
+    let placed = tasks.len();
+    tasks.dedup();
+    placed - tasks.len()
+}
+
+fn unpinned(pol: Pol, cycles: Vec<Cycle>) -> TaskSpec {
+    TaskSpec { pol, affinity: None, nice: 0, rt_priority: 1, cycles }
+}
+
+fn naps(work: f64, sleep_us: u64, times: usize) -> Vec<Cycle> {
+    vec![Cycle { work, sleep_us, on_tick: false }; times]
+}
+
+#[test]
+fn stretches_run_across_balance_ticks_with_nothing_queued() {
+    // One task per CPU, nothing ever queued, a balance every third tick:
+    // every stretch runs from one completion or wakeup to the next, across
+    // dozens of balance ticks, and the heap sees only those events.
+    let mut s = quiet_scenario(vec![
+        spec(Pol::Normal, &[0], vec![compute(0.3)]),
+        spec(Pol::Hpc, &[1], naps(0.07, 9_500, 4)),
+        spec(Pol::Fifo, &[2], vec![compute(0.25)]),
+        spec(Pol::Hpc, &[3], vec![compute(0.2)]),
+    ]);
+    s.balance = 3;
+    let traced = assert_same_for_every_observer(&s);
+    let ticks = tick_count(&traced);
+    assert!(ticks > 4 * 250, "the run spans the long computations");
+    assert!(traced.pops < 60, "{} heap pops for {ticks} ticks", traced.pops);
+}
+
+#[test]
+fn oversubscribed_cfs_migrates_across_short_balance_intervals() {
+    // Seven CFS tasks of uneven length on four CPUs, no HPC class: while
+    // two share a CPU nothing there is quiet, and once the queues drain
+    // (idle pulls, periodic balances) stretches cross balance ticks.
+    let lengths = [0.05, 0.3, 0.1, 0.25, 0.02, 0.4, 0.15];
+    let tasks: Vec<TaskSpec> =
+        lengths.iter().map(|&w| unpinned(Pol::Normal, naps(w, 3_000, 2))).collect();
+    for balance in [2, 5] {
+        let mut s = quiet_scenario(tasks.clone());
+        s.hpc = None;
+        s.balance = balance;
+        let traced = assert_same_for_every_observer(&s);
+        assert!(migrated(&traced.stream) > 0, "balance every {balance} ticks moved a task");
+    }
+}
+
+#[test]
+fn periodic_pulls_of_queued_fifo_ranks_inside_quiet_stretches() {
+    // Six unpinned HPC FIFO ranks on four CPUs: FIFO ticks are quiet
+    // with ranks queued behind them, so the stretch must stop at the
+    // periodic balance that pulls one of them to the other core.
+    let lengths = [0.2, 0.25, 0.3, 0.15, 0.1, 0.05];
+    let tasks: Vec<TaskSpec> =
+        lengths.iter().map(|&w| unpinned(Pol::Hpc, vec![compute(w)])).collect();
+    for balance in [2, 3, 8] {
+        let mut s = quiet_scenario(tasks.clone());
+        s.hpc = Some(HpcPolicyKind::Fifo);
+        s.balance = balance;
+        let traced = assert_same_for_every_observer(&s);
+        assert!(migrated(&traced.stream) > 0, "balance every {balance} ticks pulled a rank");
+    }
+}
+
+#[test]
+fn noise_daemons_under_short_balance_intervals() {
+    // Heavy noise wakes a CFS daemon on every CPU now and then, queued
+    // behind the HPC rank there until the rank sleeps.
+    let tasks: Vec<TaskSpec> = (0..4).map(|i| spec(Pol::Hpc, &[i], naps(0.03, 4_000, 5))).collect();
+    for balance in [4, 8] {
+        let mut s = quiet_scenario(tasks.clone());
+        s.noise = true;
+        s.hpc = Some(HpcPolicyKind::Fifo);
+        s.balance = balance;
+        assert_same_for_every_observer(&s);
+    }
+}
+
+#[test]
+fn worksteal_idle_pulls_between_quiet_stretches() {
+    // Seven unpinned HPC tasks on four CPUs under `worksteal`: a CPU that
+    // runs dry steals a queued task, and stretches in between cross many
+    // balance ticks.
+    let lengths = [0.06, 0.2, 0.02, 0.15, 0.09, 0.3, 0.04];
+    let tasks = lengths.iter().map(|&w| unpinned(Pol::Hpc, vec![compute(w)])).collect();
+    let mut s = quiet_scenario(tasks);
+    s.balancer = "worksteal";
+    s.balance = 5;
+    let traced = assert_same_for_every_observer(&s);
+    assert!(migrated(&traced.stream) > 0, "an idle CPU stole a task");
 }
 
 /// The class under test for the `tick_quiet` contract.
@@ -762,5 +894,135 @@ proptest! {
             (view, ticked, placed)
         };
         prop_assert_eq!(run(true), run(false), "{:?}: {} rounds of {} ns", kind, n, ns);
+    }
+}
+
+/// A builtin class under the periodic-balance contract: CFS, idle, RT, or
+/// the HPC class driven by one registry policy.
+enum Balancing {
+    Fair(FairClass),
+    Idle(IdleClass),
+    Rt(RtClass),
+    Hpc(BalancedClass),
+}
+
+impl Balancing {
+    /// Class `which` of the `3 + registry().len()`, and its tasks' policy.
+    fn new(which: usize, round_robin: bool) -> (Balancing, SchedPolicy) {
+        match which {
+            0 => (Balancing::Fair(FairClass::new(Default::default())), SchedPolicy::Normal),
+            1 => (Balancing::Idle(IdleClass::new()), SchedPolicy::Idle),
+            2 => (
+                Balancing::Rt(RtClass::new(ms(6))),
+                if round_robin { SchedPolicy::Rr } else { SchedPolicy::Fifo },
+            ),
+            _ => {
+                let ctx = PolicyCtx {
+                    tunables: Arc::new(Mutex::new(HpcTunables::default())),
+                    heuristic: HeuristicKind::Uniform,
+                    power5_mechanism: true,
+                    policy_only: false,
+                };
+                let balancer = (registry()[which - 3].make)(&ctx);
+                let kind = if round_robin { HpcPolicyKind::Rr } else { HpcPolicyKind::Fifo };
+                (Balancing::Hpc(BalancedClass::new(kind, ms(8), balancer)), SchedPolicy::Hpc)
+            }
+        }
+    }
+
+    fn class(&mut self) -> &mut dyn SchedClass {
+        match self {
+            Balancing::Fair(c) => c,
+            Balancing::Idle(c) => c,
+            Balancing::Rt(c) => c,
+            Balancing::Hpc(c) => c,
+        }
+    }
+
+    /// Everything of the class a balance could change: queue lengths,
+    /// CFS's `min_vruntime`s, the HPC class's priority-change count and
+    /// its balancer's snapshot.
+    fn state(&mut self, ncpus: usize) -> Vec<u64> {
+        let cpus = (0..ncpus).map(CpuId);
+        let mut state: Vec<u64> =
+            cpus.clone().map(|c| self.class().nr_runnable(c) as u64).collect();
+        match self {
+            Balancing::Fair(c) => state.extend(cpus.map(|cpu| c.min_vruntime(cpu))),
+            Balancing::Hpc(c) => {
+                let mut w = SnapshotWriter::new();
+                c.balancer().snapshot(&mut w);
+                state.push(c.priority_changes());
+                state.extend(w.payload().iter().map(|&b| u64::from(b)));
+            }
+            Balancing::Idle(_) | Balancing::Rt(_) => {}
+        }
+        state
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// With no task queued on any CPU, a periodic `load_balance` returns
+    /// nothing and changes neither the class nor any task, for the four
+    /// builtin classes and the HPC class under every registry policy,
+    /// whatever runs where and whatever history the balancer has.
+    #[test]
+    fn periodic_balance_with_nothing_queued_is_a_no_op(
+        running in proptest::collection::vec(any::<bool>(), 4),
+        round_robin in any::<bool>(),
+        samples in proptest::collection::vec((0usize..6, 0u64..50_000, 1u64..50_000), 0..12),
+        charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
+    ) {
+        let topology = Topology::openpower_710();
+        let ncpus = topology.num_cpus();
+        for which in 0..3 + registry().len() {
+            let (mut balancing, policy) = Balancing::new(which, round_robin);
+            balancing.class().init_cpus(ncpus);
+            // Tasks 0..4 may run, one on each CPU; 4 and 5 only sleep.
+            let mut tasks: Vec<Task> = (0..6)
+                .map(|i| {
+                    let program = Box::new(ScriptedProgram::compute_once(1.0));
+                    Task::new(TaskId(i), format!("t{i}"), policy, program, SimTime::ZERO)
+                })
+                .collect();
+            let on_cpu: Vec<Option<TaskId>> =
+                (0..ncpus).map(|c| running[c].then_some(TaskId(c))).collect();
+            let mut ctx = ClassCtx {
+                now: SimTime::ZERO,
+                tasks: &mut tasks,
+                topology: &topology,
+                running: &on_cpu,
+            };
+            let class = balancing.class();
+            for &(task, run_us, wall_us) in &samples {
+                let run = SimDuration::from_micros(run_us);
+                let wall = SimDuration::from_micros(wall_us).max(run);
+                class.task_woken(&mut ctx, TaskId(task), run, wall);
+            }
+            for cpu in (0..ncpus).filter(|&c| running[c]) {
+                let (cpu, task) = (CpuId(cpu), TaskId(cpu));
+                class.enqueue(&mut ctx, cpu, task, EnqueueKind::New);
+                prop_assert_eq!(class.pick_next(&mut ctx, cpu), Some(task));
+                ctx.task_mut(task).state = TaskState::Running;
+                ctx.task_mut(task).cpu = Some(cpu);
+            }
+            ctx.now = SimTime::ZERO + ms(1);
+            for &(cpu, ns) in charges.iter().filter(|&&(cpu, _)| running[cpu]) {
+                let delta = SimDuration::from_nanos(ns);
+                balancing.class().charge(&mut ctx, CpuId(cpu), TaskId(cpu), delta);
+            }
+            let view = |tasks: &[Task]| -> Vec<_> {
+                let fields = |t: &Task| (t.vruntime, t.slice_left, t.hw_prio, t.cpu, t.state);
+                tasks.iter().map(fields).collect()
+            };
+            let before = (balancing.state(ncpus), view(ctx.tasks));
+            prop_assert!(before.0[..ncpus].iter().all(|&q| q == 0), "nothing queued");
+            for cpu in (0..ncpus).map(CpuId) {
+                let migrations = balancing.class().load_balance(&mut ctx, cpu, false);
+                prop_assert!(migrations.is_empty(), "class {} moved {:?}", which, migrations);
+                prop_assert_eq!(&(balancing.state(ncpus), view(ctx.tasks)), &before);
+            }
+        }
     }
 }

@@ -124,6 +124,9 @@ pub struct EventQueue<E> {
     /// Operations since the last [`EventQueue::publish`].
     tally: Tally,
     counters: Option<EventQueueCounters>,
+    /// Events taken off the heap by [`EventQueue::pop`] (see
+    /// [`EventQueue::pops`]).
+    pops: u64,
 }
 
 /// Per-operation counts not yet added to the attached counters.
@@ -153,6 +156,7 @@ impl<E> EventQueue<E> {
             last_popped: SimTime::ZERO,
             tally: Tally::default(),
             counters: None,
+            pops: 0,
         }
     }
 
@@ -356,6 +360,15 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Events this queue has taken off its heap with [`EventQueue::pop`]:
+    /// the cost proxy of a run, where the `processed` counter is its
+    /// logical event count, which also counts the pops
+    /// [`EventQueue::replay_rounds`] replays. A plain count, neither
+    /// published nor snapshotted; a restored queue starts from zero.
+    pub fn pops(&self) -> u64 {
+        self.pops
+    }
+
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|n| n.time)
@@ -370,6 +383,7 @@ impl<E> EventQueue<E> {
         let payload = self.release(node.slot)?;
         self.last_popped = node.time;
         self.tally.processed += 1;
+        self.pops += 1;
         Some(ScheduledEvent {
             time: node.time,
             id: EventId { seq: node.seq, slot: node.slot },
@@ -563,6 +577,7 @@ impl<E: Snapshot> EventQueue<E> {
             last_popped,
             tally: Tally::default(),
             counters: None,
+            pops: 0,
         })
     }
 }
@@ -812,6 +827,8 @@ mod tests {
             for c in ["scheduled", "cancelled", "processed"] {
                 assert_eq!(snap.counter(&format!("a.{c}")), snap.counter(&format!("b.{c}")), "{c}");
             }
+            // Replayed pops are processed events but never touch the heap.
+            assert_eq!((a.pops(), b.pops()), (0, rounds * n), "heap pops");
             assert_eq!(a.schedule(t(600), 7), b.schedule(t(600), 7), "same next seq and slot");
             let pa: Vec<_> =
                 std::iter::from_fn(|| a.pop().map(|e| (e.time, e.id, e.payload))).collect();
