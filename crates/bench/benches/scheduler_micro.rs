@@ -6,7 +6,7 @@ use power5::{CpuId, Topology};
 use schedsim::program::ScriptedProgram;
 use schedsim::rbtree::RbTree;
 use schedsim::{Action, KernelApi, KernelBuilder, SchedPolicy, SpawnOptions, TaskId};
-use simcore::{EventId, EventQueue, SimDuration, SimTime};
+use simcore::{EventQueue, SimDuration, SimTime};
 
 fn bench_rbtree(c: &mut Criterion) {
     let mut g = c.benchmark_group("rbtree");
@@ -68,30 +68,30 @@ fn bench_event_queue(c: &mut Criterion) {
 }
 
 /// The kernel's hottest queue pattern: after every event each CPU's
-/// completion timer is cancelled and re-armed. Four CPUs, so four periodic
-/// ticks and four armed completion timers are pending at all times.
+/// completion timer is re-armed. Four CPUs, so four periodic ticks and four
+/// armed completion timers are pending at all times, each in its own timer
+/// lane: lanes 0–3 tick, lanes 4–7 are the completion timers.
 fn bench_rearm_churn(c: &mut Criterion) {
     let mut g = c.benchmark_group("rearm_churn");
     g.sample_size(10);
     g.bench_function("4_timers_1e5_pops", |b| {
         b.iter(|| {
             let tick = SimDuration::from_millis(1);
-            let mut q = EventQueue::new();
-            for cpu in 0..4u64 {
-                q.schedule(SimTime::ZERO + tick + SimDuration::from_nanos(cpu), cpu);
+            let mut q = EventQueue::with_lanes((0..8u64).collect());
+            for cpu in 0..4 {
+                q.arm(cpu, SimTime::ZERO + tick + SimDuration::from_nanos(cpu as u64));
             }
-            let mut armed: Vec<EventId> = (0..4u64)
-                .map(|cpu| q.schedule(SimTime::ZERO + SimDuration::from_millis(5), 4 + cpu))
-                .collect();
+            for cpu in 0..4 {
+                q.arm(4 + cpu, SimTime::ZERO + SimDuration::from_millis(5));
+            }
             for _ in 0..100_000 {
                 let Some(ev) = q.pop() else { break };
                 if ev.payload < 4 {
-                    q.schedule(ev.time + tick, ev.payload);
+                    q.arm(ev.payload as usize, ev.time + tick);
                 }
-                for (cpu, id) in armed.iter_mut().enumerate() {
-                    q.cancel(*id);
+                for cpu in 0..4 {
                     let left = SimDuration::from_micros(1_500 + 37 * cpu as u64);
-                    *id = q.schedule(ev.time + left, 4 + cpu as u64);
+                    q.arm(4 + cpu, ev.time + left);
                 }
             }
             black_box(q.len())

@@ -45,7 +45,7 @@ use batchsim::{
 };
 use cluster::LocalSched;
 use experiments::benchfile;
-use experiments::cli::{self, CliFlags};
+use experiments::cli::{self, BinFlag, CliFlags};
 use faultsim::{CkptCorruptSpec, TaskAbortSpec};
 
 /// Thread count the study benchmarks against serial when the user did not
@@ -514,8 +514,22 @@ fn resume_run(path: &Path) -> bool {
     false
 }
 
+/// The flags `batch` reads besides the standard ones.
+const FLAGS: [BinFlag; 10] = [
+    BinFlag::Value("--seed"),
+    BinFlag::Value("--jobs"),
+    BinFlag::Value("--resume"),
+    BinFlag::Value("--checkpoint"),
+    BinFlag::Value("--ckpt-events"),
+    BinFlag::Value("--ckpt-jobs"),
+    BinFlag::Value("--watchdog-ms"),
+    BinFlag::Value("--fleet-shape"),
+    BinFlag::Switch("--smoke"),
+    BinFlag::Switch("--ckpt-smoke"),
+];
+
 fn main() {
-    let flags = CliFlags::from_env();
+    let flags = CliFlags::from_env_with(&FLAGS);
     let seed = cli::int_value_of("--seed").unwrap_or(2008);
     let sup = Supervision::from_flags(&flags);
 

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use batchsim::{resume_batch, run_fleet, run_fleet_until, scaled_config, BatchOutcome, FleetStats};
 use experiments::benchfile;
-use experiments::cli::{self, CliFlags};
+use experiments::cli::{self, BinFlag, CliFlags};
 
 /// The scale trajectory `--scale` measures and `--check-bench` requires.
 const SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
@@ -222,8 +222,19 @@ fn resume_self_check(jobs: u64, nodes: usize, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// The flags `fleet` reads besides the standard ones.
+const FLAGS: [BinFlag; 7] = [
+    BinFlag::Value("--seed"),
+    BinFlag::Value("--nodes"),
+    BinFlag::Value("--jobs"),
+    BinFlag::Switch("--scale-row"),
+    BinFlag::Switch("--check-bench"),
+    BinFlag::Switch("--smoke"),
+    BinFlag::Switch("--scale"),
+];
+
 fn main() {
-    let flags = CliFlags::from_env();
+    let flags = CliFlags::from_env_with(&FLAGS);
     flags.note_no_kernel();
     let seed = cli::int_value_of("--seed").unwrap_or(2008);
     let nodes = cli::int_value_of("--nodes").unwrap_or(1000);

@@ -23,7 +23,7 @@ use batchsim::{
     BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
 };
 use cluster::{JobSpec, LocalSched};
-use experiments::cli::{self, CliFlags};
+use experiments::cli::{self, BinFlag, CliFlags};
 use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};
 use workloads::metbench::MetBenchConfig;
@@ -134,7 +134,7 @@ fn run_lint(json: bool) -> bool {
 
 fn main() {
     const SEED: u64 = 2008;
-    let flags = CliFlags::from_env();
+    let flags = CliFlags::from_env_with(&[BinFlag::Switch("--lint"), BinFlag::Value("--report")]);
 
     // `--lint` runs the static-analysis pass alone (optionally as JSON via
     // `--report json`) and exits without touching BENCH_* artifacts — the

@@ -19,9 +19,37 @@
 //!   (`openpower-710`, `2-socket`, `numa`, `wide-smt`, ...) or the spec
 //!   grammar (`2x2x2c2t`, `2n4c2t`, ...; see `power5::Topology::parse`).
 //!   A malformed spec is a usage error.
+//!
+//! A binary with flags of its own declares them as [`BinFlag`]s and parses
+//! with [`CliFlags::from_env_with`]; it then reads them with [`value_of`],
+//! [`int_value_of`] and [`flag`]. Any argument that is neither a standard
+//! flag nor a declared one is a usage error (exit 2), so a misspelt flag
+//! never runs the defaults.
 
 use crate::report::{fault_report, telemetry_report, verify_report};
 use crate::runner::{ExperimentMode, RunResult};
+
+/// A flag one binary adds to the standard set: its name, and whether a
+/// value follows it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BinFlag {
+    /// `--name` on its own, read with [`flag`].
+    Switch(&'static str),
+    /// `--name <value>`, read with [`value_of`] or [`int_value_of`].
+    Value(&'static str),
+}
+
+impl BinFlag {
+    fn name(self) -> &'static str {
+        match self {
+            BinFlag::Switch(name) | BinFlag::Value(name) => name,
+        }
+    }
+}
+
+/// The standard flags, as the usage message lists them.
+const STANDARD_USAGE: &str = "--telemetry, --verify, --faults <spec>, --threads <n>, \
+                              --policy <name>, --topology <spec>";
 
 /// The standard experiment flags, parsed once at startup.
 #[derive(Debug)]
@@ -54,12 +82,19 @@ impl Default for CliFlags {
 }
 
 impl CliFlags {
-    /// Parse the process arguments. A malformed or missing `--faults` spec
-    /// is a usage error: exit 2 rather than running un-faulted experiments
-    /// the caller did not ask for.
+    /// Parse the process arguments of a binary with only the standard
+    /// flags. A malformed or missing `--faults` spec is a usage error: exit
+    /// 2 rather than running un-faulted experiments the caller did not ask
+    /// for, and so is any other argument.
     pub fn from_env() -> CliFlags {
+        CliFlags::from_env_with(&[])
+    }
+
+    /// [`CliFlags::from_env`] for a binary that also takes the flags in
+    /// `own`.
+    pub fn from_env_with(own: &[BinFlag]) -> CliFlags {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match CliFlags::parse(&args) {
+        match CliFlags::parse_with(&args, own) {
             Ok(flags) => flags,
             Err(e) => {
                 eprintln!("{e}");
@@ -70,6 +105,13 @@ impl CliFlags {
 
     /// The testable core of [`CliFlags::from_env`].
     pub fn parse(args: &[String]) -> Result<CliFlags, String> {
+        CliFlags::parse_with(args, &[])
+    }
+
+    /// The testable core of [`CliFlags::from_env_with`]: the standard
+    /// flags, plus the binary's own in `own`, whose values are skipped
+    /// here and read where they are used.
+    pub fn parse_with(args: &[String], own: &[BinFlag]) -> Result<CliFlags, String> {
         let mut flags = CliFlags::default();
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -116,7 +158,13 @@ impl CliFlags {
                         )
                     })?);
                 }
-                _ => {}
+                other => match own.iter().find(|f| f.name() == other) {
+                    Some(BinFlag::Switch(_)) => {}
+                    Some(BinFlag::Value(name)) => {
+                        it.next().ok_or_else(|| format!("{name} requires a value"))?;
+                    }
+                    None => return Err(usage(other, own)),
+                },
             }
         }
         Ok(flags)
@@ -174,6 +222,18 @@ impl CliFlags {
             println!("\n(--telemetry: this binary runs no scheduler kernel; nothing to report)");
         }
     }
+}
+
+/// The usage error for the unknown argument `arg`.
+fn usage(arg: &str, own: &[BinFlag]) -> String {
+    let mut msg = format!("unknown argument {arg:?}\nusage: flags {STANDARD_USAGE}");
+    for f in own {
+        match f {
+            BinFlag::Switch(name) => msg.push_str(&format!(", {name}")),
+            BinFlag::Value(name) => msg.push_str(&format!(", {name} <value>")),
+        }
+    }
+    msg
 }
 
 /// Generic `--name value` lookup for bin-specific options.
@@ -242,9 +302,27 @@ mod tests {
     }
 
     #[test]
-    fn unknown_arguments_are_ignored() {
-        let f = CliFlags::parse(&strs(&["--jobs", "200", "--verify"])).unwrap();
+    fn unknown_arguments_are_usage_errors() {
+        let err = CliFlags::parse(&strs(&["--jobs", "200", "--verify"])).unwrap_err();
+        assert!(err.contains("unknown argument \"--jobs\""), "{err}");
+        assert!(err.contains("--topology <spec>"), "error lists the flags: {err}");
+        assert!(CliFlags::parse(&strs(&["stray"])).is_err(), "positional arguments too");
+        // A misspelt flag of the binary's own is as unknown as any other.
+        let own = [BinFlag::Value("--seed"), BinFlag::Value("--jobs")];
+        let err = CliFlags::parse_with(&strs(&["--sed", "7", "--jobs", "500"]), &own).unwrap_err();
+        assert!(err.contains("\"--sed\"") && err.contains("--seed <value>"), "{err}");
+    }
+
+    #[test]
+    fn declared_flags_parse_beside_the_standard_ones() {
+        let own = [BinFlag::Value("--seed"), BinFlag::Switch("--smoke")];
+        let f = CliFlags::parse_with(&strs(&["--seed", "7", "--smoke", "--verify"]), &own).unwrap();
         assert!(f.verify);
+        // A declared value is skipped whatever it looks like, and a switch
+        // takes none.
+        assert!(CliFlags::parse_with(&strs(&["--seed", "--verify"]), &own).is_ok());
+        assert!(CliFlags::parse_with(&strs(&["--smoke", "7"]), &own).is_err());
+        assert!(CliFlags::parse_with(&strs(&["--seed"]), &own).is_err(), "missing value");
     }
 
     #[test]

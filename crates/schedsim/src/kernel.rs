@@ -13,7 +13,7 @@ use crate::program::{Action, KernelApi, Program, TokenTable, WaitToken};
 use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{KernelEvent, Observer, TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
-use simcore::{EventId, EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
+use simcore::{EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
 use telemetry::{Counter, HistogramHandle, MetricsRegistry};
 
 /// Kernel events.
@@ -40,9 +40,6 @@ struct CpuState {
     /// Kept separate from `switch_until` so dispatch (which overwrites the
     /// switch penalty) cannot shorten an in-flight burst.
     steal_until: SimTime,
-    /// The CPU's pending periodic tick.
-    tick_ev: EventId,
-    workdone_ev: EventId,
     need_resched: bool,
     ticks: u64,
 }
@@ -54,8 +51,6 @@ impl CpuState {
             last_sync: SimTime::ZERO,
             switch_until: SimTime::ZERO,
             steal_until: SimTime::ZERO,
-            tick_ev: EventId::NONE,
-            workdone_ev: EventId::NONE,
             need_resched: false,
             ticks: 0,
         }
@@ -138,6 +133,9 @@ pub struct Kernel {
     /// Index into `classes` of the class handling each policy, indexed by
     /// `SchedPolicy as usize`; rebuilt whenever `classes` changes.
     policy_class: [Option<usize>; SchedPolicy::ALL.len()],
+    /// Signals and faults in the heap; each CPU's tick in timer lane `cpu`
+    /// and its completion timer in lane `ncpus + cpu`
+    /// ([`Kernel::workdone_lane`]).
     events: EventQueue<KEvent>,
     cpus: Vec<CpuState>,
     /// The task dispatched on each CPU, indexed by CPU id; lent to the
@@ -149,10 +147,6 @@ pub struct Kernel {
     registry: MetricsRegistry,
     counters: KernelCounters,
     tally: HotTally,
-    /// Per-CPU tick and completion-timer ids handed to the event queue by
-    /// [`Kernel::fast_forward`]; kept here so replaying allocates nothing.
-    quiet_ticks: Vec<EventId>,
-    quiet_timers: Vec<(EventId, SimTime)>,
     /// A running task's class declined [`SchedClass::tick_quiet`] and no
     /// task has been dispatched or migrated since, so no round can be
     /// quiet yet and `fast_forward` returns at once. Skipping a replay
@@ -177,14 +171,14 @@ impl Kernel {
         }
         let registry = MetricsRegistry::new();
         let counters = KernelCounters::register(&registry, ncpus);
-        let mut events = EventQueue::new();
+        let lanes = (0..ncpus).map(|cpu| KEvent::Tick(CpuId(cpu)));
+        let lanes = lanes.chain((0..ncpus).map(|cpu| KEvent::WorkDone(CpuId(cpu))));
+        let mut events = EventQueue::with_lanes(lanes.collect());
         events.attach_counters(EventQueueCounters::register(&registry, "sim.events"));
-        let cpus = (0..ncpus)
-            .map(|cpu| CpuState {
-                tick_ev: events.schedule(SimTime::ZERO + config.tick, KEvent::Tick(CpuId(cpu))),
-                ..CpuState::new()
-            })
-            .collect();
+        for cpu in 0..ncpus {
+            events.arm(cpu, SimTime::ZERO + config.tick);
+        }
+        let cpus = (0..ncpus).map(|_| CpuState::new()).collect();
         let rng = SimRng::seed_from_u64(config.seed);
         let mut kernel = Kernel {
             chip,
@@ -202,8 +196,6 @@ impl Kernel {
             registry,
             counters,
             tally: HotTally::default(),
-            quiet_ticks: vec![EventId::NONE; ncpus],
-            quiet_timers: vec![(EventId::NONE, SimTime::MAX); ncpus],
             quiet_blocked: false,
             transition_guard: 0,
         };
@@ -248,8 +240,8 @@ impl Kernel {
         self.now
     }
 
-    /// Events taken off the event queue's heap so far
-    /// ([`EventQueue::pops`]): what a run costs, where the
+    /// Events popped off the event queue so far, from its heap or its
+    /// timer lanes ([`EventQueue::pops`]): what a run costs, where the
     /// `sim.events.processed` counter is what it means. Events replayed
     /// by the quiet-tick fast-forward are processed but never popped.
     pub fn queue_pops(&self) -> u64 {
@@ -417,12 +409,9 @@ impl Kernel {
         self.sync_to(ev.time);
         match ev.payload {
             KEvent::Tick(cpu) => self.handle_tick(cpu),
-            KEvent::WorkDone(cpu) => {
-                // Stale WorkDone events are cancelled on re-arm, so an event
-                // that fires is authoritative.
-                self.cpus[cpu.0].workdone_ev = EventId::NONE;
-                self.handle_workdone(cpu);
-            }
+            // A completion timer's lane holds only its latest arming, so
+            // an event that fires is authoritative.
+            KEvent::WorkDone(cpu) => self.handle_workdone(cpu),
             KEvent::Signal(tok) => self.tokens.signal(tok),
             KEvent::Fault(fault) => self.handle_fault(fault),
         }
@@ -552,12 +541,13 @@ impl Kernel {
             return;
         }
         // At the start of a round CPU 0's tick is the next event.
-        let Some(mut at) = self.events.time_of(self.cpus[0].tick_ev) else { return };
+        let Some(mut at) = self.events.lane_time(0) else { return };
         if at >= limit || self.events.peek_time() != Some(at) {
             return;
         }
-        for cpu in 0..self.cpus.len() {
-            if self.events.time_of(self.cpus[cpu].tick_ev) != Some(at) {
+        let ncpus = self.cpus.len();
+        for cpu in 0..ncpus {
+            if self.events.lane_time(cpu) != Some(at) {
                 return;
             }
             if let Some(tid) = self.running[cpu] {
@@ -581,21 +571,16 @@ impl Kernel {
         if max_rounds == 0 {
             return;
         }
-        let stop = self
-            .events
-            .peek_time_where(|e| matches!(e, KEvent::Signal(_) | KEvent::Fault(_)))
-            .map_or(limit, |t| t.min(limit));
-        for (cpu, cs) in self.cpus.iter().enumerate() {
-            self.quiet_ticks[cpu] = cs.tick_ev;
-            // An idle or stalled CPU never stops the replay.
-            self.quiet_timers[cpu] = match self.events.time_of(cs.workdone_ev) {
-                Some(t) => (cs.workdone_ev, t),
-                None => (EventId::NONE, SimTime::MAX),
-            };
-        }
+        // Signals and faults are the only events outside the lanes.
+        let stop = self.events.peek_heap_time().map_or(limit, |t| t.min(limit));
         let tick = self.config.tick;
         let mut rounds = 0;
-        while rounds < max_rounds && at < stop && self.quiet_timers.iter().all(|&(_, t)| t > at) {
+        // An idle or stalled CPU's timer is disarmed and never stops the
+        // replay; `tick_rounds` moves the armed ones after every batch.
+        while rounds < max_rounds
+            && at < stop
+            && (ncpus..2 * ncpus).all(|lane| self.events.lane_time(lane).is_none_or(|t| t > at))
+        {
             let n = if self.is_uniform(at) {
                 let n = self.uniform_rounds(at, max_rounds - rounds, stop);
                 self.sync_uniform(at, n);
@@ -607,13 +592,6 @@ impl Kernel {
             self.tick_rounds(at, n);
             rounds += n;
             at += tick * n;
-        }
-        // No chip input changed since the last settle, so `refresh_hw`
-        // would only move the timers, which the replay does.
-        self.events.replay_rounds(rounds, tick, &mut self.quiet_ticks, &mut self.quiet_timers);
-        for (cpu, cs) in self.cpus.iter_mut().enumerate() {
-            cs.tick_ev = self.quiet_ticks[cpu];
-            cs.workdone_ev = self.quiet_timers[cpu].0;
         }
     }
 
@@ -644,8 +622,8 @@ impl Kernel {
     fn uniform_rounds(&self, at: SimTime, max: u64, stop: SimTime) -> u64 {
         let tick = self.config.tick;
         let mut n = max.min(stop.saturating_since(at).as_nanos().div_ceil(tick.as_nanos()));
-        for (cpu, &(timer, _)) in self.quiet_timers.iter().enumerate() {
-            if timer == EventId::NONE {
+        for cpu in 0..self.cpus.len() {
+            if self.events.lane_time(self.workdone_lane(cpu)).is_none() {
                 continue;
             }
             // INVARIANT: only a running task's completion timer is armed.
@@ -673,21 +651,28 @@ impl Kernel {
     }
 
     /// The tick half of `n` synced quiet rounds from `at`: count the ticks
-    /// and re-derive the armed completion times at the last round. An
-    /// armed CPU stays armed: its task and speed are unchanged.
+    /// and leave the event queue as their pops and re-arms would. No chip
+    /// input changed since the last settle, so `refresh_hw` would only
+    /// have re-armed the timers: each armed one moves to its completion
+    /// time re-derived at the last round. An armed CPU stays armed: its
+    /// task and speed are unchanged.
     fn tick_rounds(&mut self, at: SimTime, n: u64) {
-        self.tally.ticks += n * self.cpus.len() as u64;
+        let ncpus = self.cpus.len();
+        self.tally.ticks += n * ncpus as u64;
         for cs in &mut self.cpus {
             cs.ticks += n;
         }
-        self.now = at + self.config.tick * (n - 1);
-        for cpu in 0..self.cpus.len() {
-            if self.quiet_timers[cpu].0 != EventId::NONE {
-                if let Some(t) = self.workdone_time(CpuId(cpu)) {
-                    self.quiet_timers[cpu].1 = t;
-                }
-            }
-        }
+        let tick = self.config.tick;
+        self.now = at + tick * (n - 1);
+        let (now, cpus, running, tasks) = (self.now, &self.cpus, &self.running, &self.tasks);
+        self.events.replay_rounds(n, tick, 0..ncpus, ncpus..2 * ncpus, |lane| {
+            let cpu = lane - ncpus;
+            // INVARIANT: only a running task's completion timer is armed,
+            // and a CPU whose task could run was armed at a positive speed.
+            let tid = running[cpu].expect("an armed CPU runs a task");
+            completion_time(now, &cpus[cpu], tasks[tid.0].remaining_work)
+                .expect("an armed CPU's task makes progress")
+        });
     }
 
     /// Add the hot tallies (kernel and event queue) to their registry
@@ -758,8 +743,7 @@ impl Kernel {
     fn handle_tick(&mut self, cpu: CpuId) {
         self.tally.ticks += 1;
         self.cpus[cpu.0].ticks += 1;
-        let next = self.now + self.config.tick;
-        self.cpus[cpu.0].tick_ev = self.events.schedule(next, KEvent::Tick(cpu));
+        self.events.arm(cpu.0, self.now + self.config.tick);
 
         if let Some(tid) = self.running[cpu.0] {
             let class = self.class_of_policy(self.tasks[tid.0].policy);
@@ -1179,41 +1163,32 @@ impl Kernel {
         }
     }
 
-    /// Point `cpu`'s completion timer at [`Kernel::workdone_time`]. A
-    /// pending timer moves in place, which the event queue guarantees is
-    /// the same as cancelling it and scheduling a fresh one.
+    /// Point `cpu`'s completion timer at [`Kernel::workdone_time`]. Arming
+    /// its lane is, to the event queue, the same as cancelling the pending
+    /// timer and scheduling a fresh one.
     fn rearm_workdone(&mut self, cpu: CpuId) {
-        let old = self.cpus[cpu.0].workdone_ev;
-        self.cpus[cpu.0].workdone_ev = match self.workdone_time(cpu) {
-            Some(at) => match self.events.reschedule(old, at) {
-                Some(moved) => moved,
-                None => self.events.schedule(at, KEvent::WorkDone(cpu)),
-            },
-            None => {
-                self.events.cancel(old);
-                EventId::NONE
+        let lane = self.workdone_lane(cpu.0);
+        match self.workdone_time(cpu) {
+            Some(at) => {
+                self.events.arm(lane, at);
             }
-        };
+            None => {
+                self.events.disarm(lane);
+            }
+        }
+    }
+
+    /// The event-queue lane of `cpu`'s completion timer; its tick's lane is
+    /// `cpu` itself.
+    fn workdone_lane(&self, cpu: usize) -> usize {
+        self.cpus.len() + cpu
     }
 
     /// When the task running on `cpu` finishes its compute segment at the
     /// CPU's cached speed; `None` when the CPU is idle or stalled.
     fn workdone_time(&self, cpu: CpuId) -> Option<SimTime> {
         let tid = self.running[cpu.0]?;
-        let remaining = self.tasks[tid.0].remaining_work;
-        let cs = &self.cpus[cpu.0];
-        if remaining <= 0.0 {
-            // The segment completed during a sync driven by some other
-            // CPU's event: fire completion immediately.
-            return Some(self.now);
-        }
-        if cs.speed <= 0.0 {
-            // Stalled (e.g. hardware priority 0 on the context): no event;
-            // a later state change re-arms.
-            return None;
-        }
-        let start = self.now.max(cs.switch_until).max(cs.steal_until);
-        Some(start + completion_delay(remaining, cs.speed))
+        completion_time(self.now, &self.cpus[cpu.0], self.tasks[tid.0].remaining_work)
     }
 
     // ------------------------------------------------------------------
@@ -1307,6 +1282,24 @@ impl Kernel {
     pub fn current_on(&self, cpu: CpuId) -> Option<TaskId> {
         self.running[cpu.0]
     }
+}
+
+/// When a task with `remaining` work, running on a CPU in state `cs`,
+/// finishes its compute segment, as of `now`; `None` when the CPU is
+/// stalled.
+fn completion_time(now: SimTime, cs: &CpuState, remaining: f64) -> Option<SimTime> {
+    if remaining <= 0.0 {
+        // The segment completed during a sync driven by some other CPU's
+        // event: fire completion immediately.
+        return Some(now);
+    }
+    if cs.speed <= 0.0 {
+        // Stalled (e.g. hardware priority 0 on the context): no event; a
+        // later state change re-arms.
+        return None;
+    }
+    let start = now.max(cs.switch_until).max(cs.steal_until);
+    Some(start + completion_delay(remaining, cs.speed))
 }
 
 /// How long `remaining` work takes at `speed`, both positive, as
@@ -1415,7 +1408,10 @@ fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
     if q >= LIMIT {
         return None;
     }
-    let (k, frac) = (q.floor() as u64, q - q.floor());
+    // `q` lies in [0, 2⁵³), where the truncating cast is `floor` (a libm
+    // call on baseline x86-64) and the fraction it drops is exact.
+    let k = q as u64;
+    let frac = q - k as f64;
     let step = if frac == 0.5 {
         if m & 1 == 1 {
             return None;
@@ -1436,7 +1432,8 @@ fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
     // The lowest significand a step may leave: above `floor` (which a NaN
     // never stops at), and one unit above the binade's bottom so that the
     // exact result, within half a unit, is inside the binade.
-    let lowest = if f >= HIDDEN as f64 { f.floor() as u64 + 1 } else { HIDDEN + 1 };
+    // In that branch `f` lies in [2⁵², m), so the cast is `floor` too.
+    let lowest = if f >= HIDDEN as f64 { f as u64 + 1 } else { HIDDEN + 1 };
     // A step of 0 is a fixed point, which one literal step detects.
     let steps = n.min(m.checked_sub(lowest)?.checked_div(step)?);
     (steps > 0).then_some((steps, steps * step))

@@ -3,10 +3,11 @@
 //! Once a kernel is running, its steady state is ticks, CFS timeslice
 //! preemptions, context switches and completion-timer cancel/re-arms, or,
 //! with one task per CPU, quiet tick rounds the kernel replays without the
-//! event queue. None of these may allocate: the event queue reuses its
-//! slots, class callbacks borrow the per-CPU running table, the chip
-//! memoises its speeds in a buffer it reuses, and the replay works in
-//! kernel-owned buffers. So the allocations made inside `run_until_exited`
+//! event queue. None of these may allocate: the event queue keeps the
+//! timers in fixed lanes and reuses its heap slots, class callbacks borrow
+//! the per-CPU running table, the chip memoises its speeds in a buffer it
+//! reuses, and the replay writes straight into the lanes. So the
+//! allocations made inside `run_until_exited`
 //! must not grow with simulated time. A counting global allocator, per
 //! thread so that parallel tests do not disturb each other, checks exactly
 //! that.

@@ -657,7 +657,7 @@ fn stretches_run_across_balance_ticks_with_nothing_queued() {
     let traced = assert_same_for_every_observer(&s);
     let ticks = tick_count(&traced);
     assert!(ticks > 4 * 250, "the run spans the long computations");
-    assert!(traced.pops < 60, "{} heap pops for {ticks} ticks", traced.pops);
+    assert!(traced.pops < 60, "{} queue pops for {ticks} ticks", traced.pops);
 }
 
 #[test]

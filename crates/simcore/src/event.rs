@@ -1,28 +1,33 @@
 //! Deterministic, cancellable event queue.
 //!
-//! A discrete-event-simulation future-event list kept as an **indexed
-//! binary min-heap** over `(time, seq)`. Four properties matter for this
+//! A discrete-event-simulation future-event list ordered by `(time, seq)`.
+//! It keeps its events in two places: an **indexed binary min-heap** for
+//! events scheduled one by one, and a fixed set of **timer lanes**, each an
+//! optional `(time, seq)` slot outside the heap for a periodic or re-armed
+//! timer whose payload never changes. Four properties matter for this
 //! workspace:
 //!
-//! 1. **Determinism** — every scheduled event gets the next value of a
-//!    `u64` sequence counter, and events pop in `(time, seq)` order: the
-//!    earliest time first, FIFO among equal times. `seq` is unique, so
+//! 1. **Determinism** — every scheduled or armed event gets the next value
+//!    of one `u64` sequence counter, and events pop in `(time, seq)` order:
+//!    the earliest time first, FIFO among equal times. `seq` is unique, so
 //!    that order is total and pop order is a function of it alone, never
-//!    of heap internals.
-//! 2. **O(log n) cancellation and re-arm** — each pending event occupies a
-//!    slot in a slot table, and the slot records the event's current heap
-//!    position. [`EventQueue::cancel`] removes the entry from the heap on
-//!    the spot; there are no dead entries to skip at pop time and nothing
-//!    to compact. [`EventQueue::reschedule`] moves a pending event in
-//!    place, with exactly the effect of cancelling it and scheduling its
-//!    payload anew, so the kernel's re-arm of per-CPU completion timers
-//!    after every event costs one heap fix-up. [`EventQueue::replay_rounds`]
-//!    writes the outcome of many rounds of periodic pops and re-arms at
-//!    once, as the literal operations would leave it.
+//!    of heap internals or of where an event is kept. [`EventQueue::pop`]
+//!    takes the lesser of the heap top and the earliest armed lane.
+//! 2. **O(log n) cancellation, O(1) re-arm** — each pending heap event
+//!    occupies a slot in a slot table, and the slot records the event's
+//!    current heap position. [`EventQueue::cancel`] removes the entry from
+//!    the heap on the spot; there are no dead entries to skip at pop time
+//!    and nothing to compact. [`EventQueue::arm`] stores a lane's new
+//!    `(time, seq)` with exactly the effect of cancelling its pending event
+//!    and scheduling the payload anew, so the kernel's re-arm of per-CPU
+//!    completion timers after every event is a store, not a heap fix-up.
+//!    [`EventQueue::replay_rounds`] writes the outcome of many rounds of
+//!    periodic lane pops and re-arms at once, as the literal operations
+//!    would leave it, without touching the heap.
 //! 3. **Memory O(live events)** — the heap holds exactly the pending
-//!    events, and freed slots are reused, so the slot table never grows
-//!    past the peak number of simultaneously pending events. Nothing about
-//!    fired or cancelled events is retained.
+//!    events scheduled into it, and freed slots are reused, so the slot
+//!    table never grows past the peak number of simultaneously pending
+//!    heap events. Nothing about fired or cancelled events is retained.
 //! 4. **Stale ids are harmless** — an [`EventId`] names a slot *and* the
 //!    unique `seq` of the event scheduled into it. `cancel` acts only if
 //!    the slot is occupied by that very `seq`, so cancelling an id twice,
@@ -30,9 +35,11 @@
 //!    reused by a later event returns `false` and touches nothing, however
 //!    long the history. `seq` is never reused (a `u64` counter does not
 //!    wrap in any feasible run), unlike a wrapping per-slot generation.
+//!    A lane event's id names no slot; a lane is disarmed by its index.
 
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
+use std::ops::Range;
 
 /// Handle to a scheduled event, usable for cancellation: the event's slot
 /// and its unique sequence number.
@@ -57,8 +64,20 @@ pub struct ScheduledEvent<E> {
 }
 
 /// Heap position of a slot that holds no pending event; also the one slot
-/// index never handed out, so [`EventId::NONE`] can never match a slot.
+/// index never handed out, so [`EventId::NONE`] and the ids of lane events
+/// can never match a slot.
 const VACANT: u32 = u32::MAX;
+
+/// The `(time, seq)` ordering key of a pending event.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key {
+    time: SimTime,
+    seq: u64,
+}
+
+/// The key of a disarmed lane: after every armed key, since no event is
+/// ever given the last `seq`.
+const IDLE: Key = Key { time: SimTime::MAX, seq: u64::MAX };
 
 /// One heap entry. The ordering key is stored inline so sifting compares
 /// without touching the slot table.
@@ -111,7 +130,8 @@ impl EventQueueCounters {
     }
 }
 
-/// Future-event list: an indexed binary min-heap with O(log n) cancel.
+/// Future-event list: an indexed binary min-heap with O(log n) cancel,
+/// beside a fixed set of timer lanes.
 pub struct EventQueue<E> {
     /// Pending events, a binary min-heap on `(time, seq)`.
     heap: Vec<Node>,
@@ -119,13 +139,18 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     /// Vacant slot indices, reused last-freed first.
     free: Vec<u32>,
+    /// The pending event of each timer lane, [`IDLE`] while disarmed.
+    lanes: Vec<Key>,
+    /// The payload each lane fires with, fixed at construction.
+    lane_payloads: Vec<E>,
+    /// Number of armed lanes.
+    armed: usize,
     next_seq: u64,
     last_popped: SimTime,
     /// Operations since the last [`EventQueue::publish`].
     tally: Tally,
     counters: Option<EventQueueCounters>,
-    /// Events taken off the heap by [`EventQueue::pop`] (see
-    /// [`EventQueue::pops`]).
+    /// Events taken by [`EventQueue::pop`] (see [`EventQueue::pops`]).
     pops: u64,
 }
 
@@ -144,14 +169,24 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// A queue without timer lanes.
     pub fn new() -> Self {
+        Self::with_lanes(Vec::new())
+    }
+
+    /// A queue with one timer lane per entry of `payloads`, numbered in
+    /// order from 0, all disarmed. Lane `i` fires with `payloads[i]`.
+    pub fn with_lanes(payloads: Vec<E>) -> Self {
         EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
-            // Sized as the first release would size it. A re-arm frees no
-            // slot, so a queue whose timers are only ever re-armed may
-            // otherwise make this allocation mid-run, at its first pop.
+            // Sized as the first release would size it, so that a queue
+            // whose heap sees only a few events makes this allocation up
+            // front rather than mid-run, at its first pop or cancel.
             free: Vec::with_capacity(4),
+            lanes: vec![IDLE; payloads.len()],
+            lane_payloads: payloads,
+            armed: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
             tally: Tally::default(),
@@ -180,13 +215,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of pending events.
+    /// Number of pending events, armed lanes included.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.armed
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Schedule `payload` to fire at absolute time `time`.
@@ -235,16 +270,16 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Move the pending event `id` to fire at `time`, exactly as
-    /// [`EventQueue::cancel`] followed by [`EventQueue::schedule`] of the
-    /// same payload would: the event takes the next `seq`, keeps its slot
-    /// (the one cancel would free and schedule reuse), and counts as one
-    /// cancel plus one schedule. Pop order and snapshot bytes are those of
-    /// the cancel/schedule pair; only the heap does one fix-up, not two.
-    /// Returns the event's new id, or `None` (touching nothing) when `id`
-    /// is not pending, i.e. whenever `cancel` would return `false`.
-    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> Option<EventId> {
-        let pos = self.pos_of(id)?;
+    /// Arm timer lane `lane` to fire at `time`, exactly as
+    /// [`EventQueue::cancel`] of its pending event (if any) followed by
+    /// [`EventQueue::schedule`] of its payload would: the event takes the
+    /// next `seq` and counts as one schedule, plus one cancel when the lane
+    /// was armed. Returns the id [`EventQueue::pop`] reports for the event.
+    ///
+    /// # Panics
+    /// If `lane` is not a lane of this queue; in debug builds, as
+    /// `schedule` does for a time before the last popped event.
+    pub fn arm(&mut self, lane: usize, time: SimTime) -> EventId {
         debug_assert!(
             time >= self.last_popped,
             "scheduling into the past: {time:?} < {:?}",
@@ -252,56 +287,87 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.tally.cancelled += 1;
+        let key = &mut self.lanes[lane];
+        if *key == IDLE {
+            self.armed += 1;
+        } else {
+            self.tally.cancelled += 1;
+        }
+        *key = Key { time, seq };
         self.tally.scheduled += 1;
-        Some(self.move_to(pos, id.slot, time, seq))
+        EventId { seq, slot: VACANT }
     }
 
-    /// Replays `rounds` rounds of a fixed firing pattern in one pass and
-    /// leaves the queue exactly as the literal operations would: the same
-    /// times, `seq`s, slots, `last_popped` and counts, with no heap work
-    /// per round.
+    /// Disarm timer lane `lane`. Returns `true`, and counts a cancel, if
+    /// the lane was armed; a disarmed lane is left as it is.
+    pub fn disarm(&mut self, lane: usize) -> bool {
+        let key = &mut self.lanes[lane];
+        if *key == IDLE {
+            return false;
+        }
+        *key = IDLE;
+        self.armed -= 1;
+        self.tally.cancelled += 1;
+        true
+    }
+
+    /// Time at which timer lane `lane` fires, or `None` while disarmed.
+    #[inline]
+    pub fn lane_time(&self, lane: usize) -> Option<SimTime> {
+        let key = self.lanes[lane];
+        (key != IDLE).then_some(key.time)
+    }
+
+    /// Replays `rounds` rounds of a fixed firing pattern over the lanes in
+    /// one pass and leaves the queue exactly as the literal operations
+    /// would: the same times, `seq`s, `last_popped` and counts, with no
+    /// work per round and no heap entry touched.
     ///
-    /// The events of `periodic` must all be pending at one instant `t`.
-    /// Round `r` (from 0) runs at `t + r × period`: each event of
-    /// `periodic`, in order, pops and is scheduled again one `period`
-    /// later, and after each such pop every pending event of `rearmed` is
-    /// rescheduled, in order. Only the last round's times survive, so each
-    /// `rearmed` entry carries the time it ends at; an entry whose id is
-    /// not pending is skipped, as `reschedule` would skip it. Both slices
-    /// are updated to the events' new ids. The caller guarantees that no
-    /// other event would pop before the last round ends.
+    /// The lanes of `periodic` must all be armed at one instant `t`, in
+    /// `seq` order. Round `r` (from 0) runs at `t + r × period`: each lane
+    /// of `periodic`, in order, pops and is armed again one `period`
+    /// later, and after each such pop every armed lane of `rearmed` is
+    /// armed again, in order; a disarmed one is left alone, as the re-arm
+    /// of a timer that is not pending would leave it. Only the last
+    /// round's times survive: `end(lane)` gives the time each armed lane
+    /// of `rearmed` ends at. The caller guarantees that no other event
+    /// would pop before the last round ends.
     pub fn replay_rounds(
         &mut self,
         rounds: u64,
         period: SimDuration,
-        periodic: &mut [EventId],
-        rearmed: &mut [(EventId, SimTime)],
+        periodic: Range<usize>,
+        rearmed: Range<usize>,
+        mut end: impl FnMut(usize) -> SimTime,
     ) {
         if rounds == 0 || periodic.is_empty() {
             return;
         }
-        let armed = rearmed.iter().filter(|(id, _)| self.pos_of(*id).is_some()).count() as u64;
-        let pops = rounds * periodic.len() as u64;
-        // Each pop schedules its successor, then re-arms every armed event.
+        let width = periodic.len() as u64;
+        let armed = self.lanes[rearmed.clone()].iter().filter(|&&k| k != IDLE).count() as u64;
+        let pops = rounds * width;
+        // Each pop arms its successor, then re-arms every armed lane.
         let per_pop = 1 + armed;
-        let last_round = self.next_seq + (pops - periodic.len() as u64) * per_pop;
-        let mut seq = last_round;
-        for id in periodic.iter_mut() {
-            let Some(pos) = self.pos_of(*id) else {
-                debug_assert!(false, "replayed periodic event is not pending");
-                continue;
-            };
-            let fired_at = self.heap[pos].time + period * (rounds - 1);
+        let mut seq = self.next_seq + (pops - width) * per_pop;
+        let first = self.lanes[periodic.start];
+        for lane in periodic {
+            let key = &mut self.lanes[lane];
+            debug_assert!(
+                key.time == first.time && key.seq >= first.seq && *key != IDLE,
+                "periodic lane {lane} is not armed at one instant in order"
+            );
+            let fired_at = key.time + period * (rounds - 1);
             self.last_popped = self.last_popped.max(fired_at);
-            *id = self.move_to(pos, id.slot, fired_at + period, seq);
+            *key = Key { time: fired_at + period, seq };
             seq += per_pop;
         }
         // The re-arms after the last pop take the newest `seq`s.
         seq -= armed;
-        for (id, at) in rearmed.iter_mut() {
-            if let Some(pos) = self.pos_of(*id) {
-                *id = self.move_to(pos, id.slot, *at, seq);
+        for lane in rearmed {
+            if self.lanes[lane] != IDLE {
+                let time = end(lane);
+                debug_assert!(time >= self.last_popped, "lane {lane} re-armed into the past");
+                self.lanes[lane] = Key { time, seq };
                 seq += 1;
             }
         }
@@ -311,44 +377,18 @@ impl<E> EventQueue<E> {
         self.tally.cancelled += pops * armed;
     }
 
-    /// Give the pending event at heap position `pos` (in `slot`) a new
-    /// time and `seq`, and restore heap order.
+    /// The armed lane that fires first, with its key.
     #[inline]
-    fn move_to(&mut self, pos: usize, slot: u32, time: SimTime, seq: u64) -> EventId {
-        self.slots[slot as usize].seq = seq;
-        self.heap[pos] = Node { time, seq, slot };
-        self.restore_order(pos);
-        EventId { seq, slot }
-    }
-
-    /// Time at which the event `id` will fire, or `None` when `id` is not
-    /// pending.
-    pub fn time_of(&self, id: EventId) -> Option<SimTime> {
-        self.pos_of(id).map(|pos| self.heap[pos].time)
-    }
-
-    /// Time of the earliest pending event whose payload satisfies `keep`.
-    /// Only the subtrees under rejected events are searched, so the cost is
-    /// proportional to the number of rejected events that come first.
-    pub fn peek_time_where(&self, mut keep: impl FnMut(&E) -> bool) -> Option<SimTime> {
-        self.first_kept(0, &mut keep)
-    }
-
-    fn first_kept(&self, pos: usize, keep: &mut impl FnMut(&E) -> bool) -> Option<SimTime> {
-        let node = self.heap.get(pos)?;
-        match &self.slots[node.slot as usize].payload {
-            Some(payload) if !keep(payload) => {
-                // Heap order: nothing below `pos` precedes it, but a kept
-                // event may sit in either subtree.
-                let left = self.first_kept(2 * pos + 1, keep);
-                let right = self.first_kept(2 * pos + 2, keep);
-                match (left, right) {
-                    (Some(l), Some(r)) => Some(l.min(r)),
-                    (l, r) => l.or(r),
-                }
+    fn first_lane(&self) -> Option<(usize, Key)> {
+        let mut first = None;
+        let mut best = IDLE;
+        for (lane, &key) in self.lanes.iter().enumerate() {
+            if key < best {
+                best = key;
+                first = Some(lane);
             }
-            _ => Some(node.time),
         }
+        first.map(|lane| (lane, best))
     }
 
     /// Heap position of the pending event `id`, or `None` when `id` is
@@ -360,9 +400,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Events this queue has taken off its heap with [`EventQueue::pop`]:
-    /// the cost proxy of a run, where the `processed` counter is its
-    /// logical event count, which also counts the pops
+    /// Events this queue has taken with [`EventQueue::pop`], off the heap
+    /// or a lane: the cost proxy of a run, where the `processed` counter is
+    /// its logical event count, which also counts the pops
     /// [`EventQueue::replay_rounds`] replays. A plain count, neither
     /// published nor snapshotted; a restored queue starts from zero.
     pub fn pops(&self) -> u64 {
@@ -371,11 +411,36 @@ impl<E> EventQueue<E> {
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|n| n.time)
+        let heap = self.heap.first().map(|n| n.time);
+        match self.first_lane() {
+            Some((_, key)) => Some(heap.map_or(key.time, |t| t.min(key.time))),
+            None => heap,
+        }
     }
 
+    /// Timestamp of the next pending event outside the lanes, if any.
+    pub fn peek_heap_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|n| n.time)
+    }
+}
+
+impl<E: Clone> EventQueue<E> {
     /// Pop the next pending event.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+        if let Some((lane, key)) = self.first_lane() {
+            if self.heap.first().is_none_or(|n| key < Key { time: n.time, seq: n.seq }) {
+                self.lanes[lane] = IDLE;
+                self.armed -= 1;
+                self.last_popped = key.time;
+                self.tally.processed += 1;
+                self.pops += 1;
+                return Some(ScheduledEvent {
+                    time: key.time,
+                    id: EventId { seq: key.seq, slot: VACANT },
+                    payload: self.lane_payloads[lane].clone(),
+                });
+            }
+        }
         if self.heap.is_empty() {
             return None;
         }
@@ -390,13 +455,18 @@ impl<E> EventQueue<E> {
             payload,
         })
     }
+}
 
-    /// Drop all pending events. Sequence numbers keep counting, so an id
-    /// issued before the clear never matches an event scheduled after it.
+impl<E> EventQueue<E> {
+    /// Drop all pending events and disarm every lane. Sequence numbers keep
+    /// counting, so an id issued before the clear never matches an event
+    /// scheduled after it.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.slots.clear();
         self.free.clear();
+        self.lanes.fill(IDLE);
+        self.armed = 0;
     }
 
     /// Remove and return the heap entry at `pos`, restoring heap order.
@@ -477,11 +547,15 @@ impl<E: Snapshot> EventQueue<E> {
     /// slot_count len | next_seq u64 | last_popped | live len
     /// live × (time | seq u64 | slot u32 | payload), in (time, seq) order
     /// (slot_count − live) × free slot u32, in reuse order
+    /// lanes × (time | seq u64), a disarmed lane as (SimTime::MAX | u64::MAX)
     /// ```
     ///
     /// Heap layout is an implementation detail, so pending events are
     /// emitted sorted by their total order; the free list is state (it
     /// decides which slot the next event gets), so it rides along in order.
+    /// The lanes' payloads are the queue's shape, fixed at construction
+    /// like its payload type, so only their arm state is imaged, and a
+    /// queue without lanes images exactly as the heap alone.
     pub fn snapshot(&self, w: &mut SnapshotWriter) {
         let mut live = self.heap.clone();
         live.sort_unstable_by_key(|n| (n.time, n.seq));
@@ -501,16 +575,31 @@ impl<E: Snapshot> EventQueue<E> {
         for &slot in &self.free {
             w.put_u32(slot);
         }
+        for key in &self.lanes {
+            w.put(&key.time);
+            w.put_u64(key.seq);
+        }
     }
 
-    /// Rebuild a queue from [`EventQueue::snapshot`] bytes. Counters and
-    /// unpublished tallies are not restored (attach fresh counters if
-    /// wanted); pop order, slot
-    /// assignment and cancellation semantics are exactly those of the
-    /// snapshotted queue. A structurally invalid image — a slot index out
-    /// of range, two events on one slot, more events than slots, events
-    /// out of order or with a not-yet-issued `seq` — is a typed error.
+    /// Rebuild a queue without lanes from [`EventQueue::snapshot`] bytes.
+    /// Counters and unpublished tallies are not restored (attach fresh
+    /// counters if wanted); pop order, slot assignment and cancellation
+    /// semantics are exactly those of the snapshotted queue. A structurally
+    /// invalid image — a slot index out of range, two events on one slot,
+    /// more events than slots, events out of order or with a not-yet-issued
+    /// `seq` — is a typed error.
     pub fn restore(r: &mut SnapshotReader<'_>) -> Result<EventQueue<E>, SnapshotError> {
+        Self::restore_with_lanes(r, Vec::new())
+    }
+
+    /// [`EventQueue::restore`] for a queue built by
+    /// [`EventQueue::with_lanes`]`(payloads)`: the image's lanes must be as
+    /// many, and each disarmed or armed with a `seq` no other pending event
+    /// holds, at or after the last popped time.
+    pub fn restore_with_lanes(
+        r: &mut SnapshotReader<'_>,
+        payloads: Vec<E>,
+    ) -> Result<EventQueue<E>, SnapshotError> {
         use SnapshotError::Malformed;
         let slot_count = r.get_len()?;
         let next_seq = r.get_u64()?;
@@ -559,20 +648,37 @@ impl<E: Snapshot> EventQueue<E> {
             heap.push(Node { time, seq, slot });
             seqs.push(seq);
         }
-        seqs.sort_unstable();
-        if seqs.windows(2).any(|w| w[0] == w[1]) {
-            return Err(Malformed("event queue: duplicate seq"));
-        }
         let mut free = Vec::with_capacity(slot_count - live);
         for _ in live..slot_count {
             let slot = r.get_u32()?;
             claim(slot)?;
             free.push(slot);
         }
+        let mut lanes = Vec::with_capacity(payloads.len());
+        for _ in 0..payloads.len() {
+            let key = Key { time: r.get()?, seq: r.get_u64()? };
+            if key != IDLE {
+                if key.seq >= next_seq {
+                    return Err(Malformed("event queue: seq not yet issued"));
+                }
+                if key.time < last_popped {
+                    return Err(Malformed("event queue: event before the last popped time"));
+                }
+                seqs.push(key.seq);
+            }
+            lanes.push(key);
+        }
+        seqs.sort_unstable();
+        if seqs.windows(2).any(|w| w[0] == w[1]) {
+            return Err(Malformed("event queue: duplicate seq"));
+        }
         Ok(EventQueue {
             heap,
             slots,
             free,
+            armed: lanes.iter().filter(|&&k| k != IDLE).count(),
+            lanes,
+            lane_payloads: payloads,
             next_seq,
             last_popped,
             tally: Tally::default(),
@@ -606,6 +712,8 @@ mod tests {
         for &f in &q.free {
             assert_eq!(q.slots[f as usize].pos, VACANT);
         }
+        assert_eq!(q.lanes.len(), q.lane_payloads.len());
+        assert_eq!(q.armed, q.lanes.iter().filter(|&&k| k != IDLE).count());
     }
 
     #[test]
@@ -743,33 +851,79 @@ mod tests {
         assert_invariants(&q);
     }
 
+    /// A queue with `n` lanes; lane `i` fires with payload `1000 + i`.
+    fn laned(n: u64) -> EventQueue<u64> {
+        EventQueue::with_lanes((0..n).map(|i| 1000 + i).collect())
+    }
+
+    fn drain(q: &mut EventQueue<u64>) -> Vec<(SimTime, u64, u64)> {
+        std::iter::from_fn(|| q.pop().map(|e| (e.time, e.id.seq, e.payload))).collect()
+    }
+
     #[test]
-    fn reschedule_equals_cancel_then_schedule() {
-        // Twin queues: one re-arms in place, one cancels and re-schedules.
-        let mut a = EventQueue::new();
+    fn rearming_a_lane_equals_cancel_then_schedule() {
+        // Twin queues: one keeps 20 timers in lanes and re-arms them in
+        // place, one keeps them in its heap and cancels and re-schedules.
+        let registry = telemetry::MetricsRegistry::new();
+        let mut a = laned(20);
         let mut b = EventQueue::new();
+        a.attach_counters(EventQueueCounters::register(&registry, "a"));
+        b.attach_counters(EventQueueCounters::register(&registry, "b"));
         let mut ids = Vec::new();
         for i in 0..20u64 {
-            let id = a.schedule(t(100 + (i * 37) % 50), i);
-            assert_eq!(b.schedule(t(100 + (i * 37) % 50), i), id);
-            ids.push(id);
+            let at = t(100 + (i * 37) % 50);
+            let id = a.arm(i as usize, at);
+            let twin = b.schedule(at, 1000 + i);
+            assert_eq!(id.seq, twin.seq);
+            ids.push(twin);
         }
         for round in 0..200u64 {
             let k = (round * 7) as usize % ids.len();
             let at = t(100 + (round * 13) % 90);
-            let moved = a.reschedule(ids[k], at).expect("pending event moves");
-            assert!(b.cancel(ids[k]));
-            assert_eq!(b.schedule(at, k as u64), moved, "same seq, same slot");
-            assert_eq!((a.cancel(ids[k]), b.cancel(ids[k])), (false, false), "old id is dead");
-            ids[k] = moved;
+            if round % 9 == 4 {
+                // Disarm ≡ cancel, and an idle lane re-arms as a schedule.
+                assert_eq!(a.disarm(k), b.cancel(ids[k]));
+                assert_eq!((a.disarm(k), b.cancel(ids[k])), (false, false), "already idle");
+                assert_eq!(a.lane_time(k), None);
+            }
+            let moved = a.arm(k, at);
+            b.cancel(ids[k]);
+            ids[k] = b.schedule(at, 1000 + k as u64);
+            assert_eq!(moved.seq, ids[k].seq, "same seq");
+            assert!(!a.cancel(moved), "a lane event is not cancelled by id");
+            assert_eq!(a.lane_time(k), Some(at));
+            assert_eq!((a.len(), a.peek_time()), (b.len(), b.peek_time()));
             assert_invariants(&a);
-            assert_eq!(snap_bytes(&a), snap_bytes(&b));
         }
-        let pa: Vec<_> =
-            std::iter::from_fn(|| a.pop().map(|e| (e.time, e.id, e.payload))).collect();
-        let pb: Vec<_> =
-            std::iter::from_fn(|| b.pop().map(|e| (e.time, e.id, e.payload))).collect();
-        assert_eq!(pa, pb);
+        assert_eq!(a.peek_heap_time(), None, "nothing is in the heap");
+        assert_eq!(drain(&mut a), drain(&mut b));
+        a.publish();
+        b.publish();
+        let snap = registry.snapshot();
+        for c in ["scheduled", "cancelled", "processed"] {
+            assert_eq!(snap.counter(&format!("a.{c}")), snap.counter(&format!("b.{c}")), "{c}");
+        }
+        assert_eq!(a.pops(), b.pops());
+        assert_eq!(a.schedule(t(600), 7).seq, b.schedule(t(600), 7).seq, "same next seq");
+    }
+
+    #[test]
+    fn lanes_and_heap_pop_in_one_seq_order() {
+        let mut q = laned(2);
+        let s0 = q.schedule(t(5), 1);
+        let l0 = q.arm(0, t(5));
+        let s1 = q.schedule(t(5), 2);
+        let l1 = q.arm(1, t(3));
+        assert_eq!(q.len(), 4);
+        assert_eq!((q.peek_time(), q.peek_heap_time()), (Some(t(3)), Some(t(5))));
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|e| (e.id, e.payload))).collect();
+        assert_eq!(popped, [(l1, 1001), (s0, 1), (l0, 1000), (s1, 2)]);
+        assert_eq!((q.lane_time(0), q.lane_time(1)), (None, None), "a popped lane is idle");
+        q.arm(1, t(9));
+        q.schedule(t(9), 3);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!((q.lane_time(1), q.pop()), (None, None), "clear disarms the lanes");
     }
 
     #[test]
@@ -777,117 +931,118 @@ mod tests {
         let period = SimDuration::from_millis(1);
         for (n, rounds) in [(1u64, 1u64), (1, 7), (4, 1), (4, 63), (3, 5)] {
             let registry = telemetry::MetricsRegistry::new();
-            let mut a = EventQueue::new();
-            let mut b = EventQueue::new();
+            // Lanes 0..n are periodic, lanes n..2n re-armed timers, armed
+            // for every periodic lane but the last.
+            let mut a = laned(2 * n);
+            let mut b = laned(2 * n);
             a.attach_counters(EventQueueCounters::register(&registry, "a"));
             b.attach_counters(EventQueueCounters::register(&registry, "b"));
-            // A far event, a dead slot, `n` periodic events at one instant
-            // and a re-armed timer for every periodic event but the last.
+            // A far heap event and a dead slot, then the lanes.
             for q in [&mut a, &mut b] {
                 q.schedule(t(500), 99);
                 let dead = q.schedule(t(2), 98);
                 q.cancel(dead);
+                for i in 0..n {
+                    q.arm(i as usize, t(1));
+                }
+                for i in 0..n - 1 {
+                    q.arm((n + i) as usize, t(400 + i));
+                }
             }
-            let mut periodic: Vec<EventId> = (0..n).map(|i| a.schedule(t(1), i)).collect();
-            let mut rearmed: Vec<(EventId, SimTime)> = (0..n)
-                .map(|i| match i + 1 < n {
-                    true => (a.schedule(t(400 + i), 10 + i), t(300 + 2 * i)),
-                    false => (EventId::NONE, SimTime::ZERO),
-                })
-                .collect();
-            for i in 0..n {
-                b.schedule(t(1), i);
-            }
-            let mut twin: Vec<EventId> =
-                (0..n.saturating_sub(1)).map(|i| b.schedule(t(400 + i), 10 + i)).collect();
+            let end = |lane: usize| t(300 + 2 * (lane as u64 - n));
+            let heap_before = a.heap.clone();
             for r in 0..rounds {
                 for _ in 0..n {
-                    // INVARIANT: the periodic events are the earliest
-                    // pending, and each pop schedules its successor.
-                    let ev = b.pop().expect("periodic event pops");
+                    // INVARIANT: the periodic lanes are the earliest
+                    // pending, and each pop arms its successor.
+                    let ev = b.pop().expect("periodic lane pops");
                     assert_eq!(ev.time, t(1 + r));
-                    b.schedule(ev.time + period, ev.payload);
-                    for (i, id) in twin.iter_mut().enumerate() {
+                    b.arm((ev.payload - 1000) as usize, ev.time + period);
+                    for lane in n..2 * n - 1 {
                         // Intermediate re-arm times do not survive.
-                        let at = if r + 1 == rounds { t(300 + 2 * i as u64) } else { t(200 + r) };
-                        // INVARIANT: twin timers only ever move, never fire.
-                        *id = b.reschedule(*id, at).expect("armed");
+                        let lane = lane as usize;
+                        let at = if r + 1 == rounds { end(lane) } else { t(200 + r) };
+                        b.arm(lane, at);
                     }
                 }
             }
-            a.replay_rounds(rounds, period, &mut periodic, &mut rearmed);
+            let (n_, all) = (n as usize, 2 * n as usize);
+            a.replay_rounds(rounds, period, 0..n_, n_..all, end);
             assert_invariants(&a);
+            let untouched = a
+                .heap
+                .iter()
+                .zip(&heap_before)
+                .all(|(x, y)| (x.time, x.seq, x.slot) == (y.time, y.seq, y.slot));
+            assert!(untouched && a.heap.len() == heap_before.len(), "no heap entry moves");
             assert_eq!(snap_bytes(&a), snap_bytes(&b), "n {n}, rounds {rounds}");
-            let armed: Vec<EventId> = rearmed.iter().map(|r| r.0).take(twin.len()).collect();
-            assert_eq!(armed, twin);
-            assert_eq!(rearmed[n as usize - 1].0, EventId::NONE);
+            assert_eq!(a.lane_time(all - 1), None, "an idle lane stays idle");
             a.publish();
             b.publish();
             let snap = registry.snapshot();
             for c in ["scheduled", "cancelled", "processed"] {
                 assert_eq!(snap.counter(&format!("a.{c}")), snap.counter(&format!("b.{c}")), "{c}");
             }
-            // Replayed pops are processed events but never touch the heap.
-            assert_eq!((a.pops(), b.pops()), (0, rounds * n), "heap pops");
+            // Replayed pops are processed events but are never popped.
+            assert_eq!((a.pops(), b.pops()), (0, rounds * n), "pops");
             assert_eq!(a.schedule(t(600), 7), b.schedule(t(600), 7), "same next seq and slot");
-            let pa: Vec<_> =
-                std::iter::from_fn(|| a.pop().map(|e| (e.time, e.id, e.payload))).collect();
-            let pb: Vec<_> =
-                std::iter::from_fn(|| b.pop().map(|e| (e.time, e.id, e.payload))).collect();
-            assert_eq!(pa, pb);
-            assert!(pa.iter().any(|&(_, id, _)| periodic.contains(&id)), "new ids pop");
+            assert_eq!(drain(&mut a), drain(&mut b));
         }
     }
 
     #[test]
-    fn peek_time_where_finds_the_earliest_kept_event() {
-        let mut q = EventQueue::new();
-        assert_eq!(q.peek_time_where(|_: &u64| true), None);
+    fn peek_heap_time_skips_the_lanes() {
+        let mut q = laned(3);
+        assert_eq!((q.peek_time(), q.peek_heap_time()), (None, None));
         for i in 0..40u64 {
-            q.schedule(t(1 + (i * 17) % 40), i);
+            q.schedule(t(10 + (i * 17) % 40), i);
         }
-        for m in [1u64, 2, 3, 7, 41] {
-            let want = q
-                .heap
-                .iter()
-                .filter(|n| q.slots[n.slot as usize].payload.is_some_and(|p| p % m == 0))
-                .map(|n| n.time)
-                .min();
-            assert_eq!(q.peek_time_where(|p| p % m == 0), want, "multiples of {m}");
-        }
-        let first = q.schedule(t(0), 3);
-        assert_eq!(q.time_of(first), Some(t(0)));
-        assert_eq!(q.peek_time_where(|&p| p == 3), Some(t(0)));
-        q.pop();
-        assert_eq!(q.time_of(first), None, "fired");
+        assert_eq!((q.peek_time(), q.peek_heap_time()), (Some(t(10)), Some(t(10))));
+        q.arm(2, t(4));
+        q.arm(0, t(7));
+        assert_eq!(q.peek_time(), Some(t(4)), "the earliest lane");
+        assert_eq!(q.peek_heap_time(), Some(t(10)), "lanes are not in the heap");
+        assert_eq!(
+            (q.lane_time(0), q.lane_time(1), q.lane_time(2)),
+            (Some(t(7)), None, Some(t(4)))
+        );
+        assert_eq!(q.pop().map(|e| e.payload), Some(1002));
+        assert_eq!(q.lane_time(2), None, "fired");
+        assert!(q.disarm(0));
+        assert_eq!(q.peek_time(), q.peek_heap_time());
     }
 
     #[test]
-    fn reschedule_of_a_dead_id_touches_nothing() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(10), 1u64);
-        assert!(q.cancel(a));
-        let b = q.schedule(t(20), 2);
-        let fired = q.schedule(t(5), 3);
-        assert_eq!(q.pop().unwrap().id, fired);
+    fn disarming_an_idle_lane_touches_nothing() {
+        let registry = telemetry::MetricsRegistry::new();
+        let mut q = laned(2);
+        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        q.arm(0, t(5));
+        q.arm(1, t(10));
+        assert!(q.disarm(1));
+        let fired = q.pop().unwrap();
+        assert_eq!(fired.payload, 1000);
         let before = snap_bytes(&q);
-        for dead in [a, fired, EventId::NONE] {
-            assert_eq!(q.reschedule(dead, t(30)), None);
+        for lane in [0, 1] {
+            assert!(!q.disarm(lane), "lane {lane} is idle");
         }
+        assert!(!q.cancel(fired.id), "a fired lane event is dead");
         assert_eq!(snap_bytes(&q), before, "no seq consumed, nothing moved");
-        assert!(q.reschedule(b, t(30)).is_some());
+        q.publish();
+        assert_eq!(registry.snapshot().counter("q.cancelled"), 1);
+        assert!(q.is_empty());
     }
 
     #[test]
     fn counts_reach_counters_only_on_publish() {
         let registry = telemetry::MetricsRegistry::new();
-        let mut q = EventQueue::new();
+        let mut q = laned(1);
         q.schedule(t(1), 0u64);
         q.attach_counters(EventQueueCounters::register(&registry, "q"));
         let a = q.schedule(t(2), 1);
-        let b = q.schedule(t(3), 2);
+        q.arm(0, t(3));
         q.cancel(a);
-        q.reschedule(b, t(4));
+        q.arm(0, t(4));
         q.pop();
         let read = |name: &str| registry.snapshot().counter(name);
         assert_eq!(read("q.scheduled"), 0, "not yet published");
@@ -1044,6 +1199,63 @@ mod tests {
         assert!(malformed(image(2, 5, &[(2, 0, 0), (1, 1, 1)], &[])).contains("order"));
         assert!(malformed(image(2, 5, &[(1, 3, 0), (2, 3, 1)], &[])).contains("duplicate"));
         assert!(malformed(image(1, 5, &[(1, 5, 0)], &[])).contains("not yet issued"));
+    }
+
+    #[test]
+    fn laned_snapshot_round_trips() {
+        let mut q = laned(3);
+        for i in 0..6u64 {
+            q.schedule(t(20 - i), i);
+        }
+        q.arm(0, t(4));
+        q.arm(2, t(15));
+        q.pop();
+        let bytes = snap_bytes(&q);
+        let restore = |bytes: &[u8], lanes: u64| -> Result<EventQueue<u64>, SnapshotError> {
+            let mut r = SnapshotReader::new(bytes)?;
+            let q = EventQueue::restore_with_lanes(&mut r, (0..lanes).map(|i| 1000 + i).collect())?;
+            r.finish()?;
+            Ok(q)
+        };
+        let mut back = restore(&bytes, 3).unwrap();
+        assert_invariants(&back);
+        assert_eq!(snap_bytes(&back), bytes, "snapshot∘restore is the identity on bytes");
+        assert_eq!((back.lane_time(0), back.lane_time(2)), (None, Some(t(15))));
+        assert_eq!(back.arm(1, t(16)), q.arm(1, t(16)));
+        assert_eq!(drain(&mut back), drain(&mut q));
+        // The image holds as many lanes as the queue had, no more or fewer.
+        assert!(restore(&bytes, 2).is_err());
+        assert!(restore(&bytes, 4).is_err());
+        assert!(restore_bytes(&bytes).is_err(), "a laned image is not a plain one");
+    }
+
+    #[test]
+    fn corrupt_lanes_are_typed_errors() {
+        // One heap event (seq 1), one lane, next seq 5, written by hand.
+        let lane_image = |time: u64, seq: u64| {
+            let mut bytes = image(1, 5, &[(3, 1, 0)], &[]);
+            let mut w = SnapshotWriter::new();
+            let payload = &bytes[crate::snapshot::SNAPSHOT_HEADER_LEN..];
+            for &b in payload {
+                w.put_u8(b);
+            }
+            w.put(&SimTime(time));
+            w.put_u64(seq);
+            bytes = w.finish();
+            let mut r = SnapshotReader::new(&bytes)?;
+            let q = EventQueue::<u64>::restore_with_lanes(&mut r, vec![7])?;
+            r.finish()?;
+            Ok::<_, SnapshotError>(q)
+        };
+        let malformed = |got: Result<EventQueue<u64>, SnapshotError>| match got {
+            Err(SnapshotError::Malformed(what)) => what,
+            other => panic!("expected Malformed, got {:?}", other.map(|q| q.len())),
+        };
+        assert_eq!(lane_image(4, 2).unwrap().lane_time(0), Some(SimTime(4)));
+        assert_eq!(lane_image(u64::MAX, u64::MAX).unwrap().len(), 1, "a disarmed lane");
+        assert!(malformed(lane_image(4, 5)).contains("not yet issued"));
+        assert!(malformed(lane_image(4, 1)).contains("duplicate"));
+        assert!(malformed(lane_image(9, u64::MAX)).contains("not yet issued"));
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl SimDuration {
         if s <= 0.0 {
             SimDuration::ZERO
         } else {
-            SimDuration((s * 1e9).round() as u64)
+            SimDuration(round_u64(s * 1e9))
         }
     }
 
@@ -126,15 +126,27 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "negative time scaling");
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 * factor))
     }
 
     /// Divide by a positive float, rounding to the nearest nanosecond.
     #[inline]
     pub fn div_f64(self, divisor: f64) -> SimDuration {
         debug_assert!(divisor > 0.0, "division by non-positive factor");
-        SimDuration((self.0 as f64 / divisor).round() as u64)
+        SimDuration(round_u64(self.0 as f64 / divisor))
     }
+}
+
+/// `x.round() as u64`, without the libm call `f64::round` compiles to on
+/// baseline x86-64 (no SSE4.1): the truncation, plus one when the fraction
+/// it dropped is at least a half. Below 2⁵³ the fraction `x - t` is exact;
+/// at or above it `x` is an integer and the fraction is 0; a negative `x`
+/// or NaN truncates to 0 and never has a fraction of a half; `x ≥ 2⁶⁴` and
+/// +∞ saturate. Each case is what the cast of the rounded value gives.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -257,6 +269,66 @@ mod tests {
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(5).as_nanos(), 5_000);
         assert_eq!(SimDuration::from_nanos(7).as_nanos(), 7);
+    }
+
+    fn round_like_libm(x: f64) {
+        assert_eq!(round_u64(x), x.round() as u64, "{x:?} ({:#x})", x.to_bits());
+    }
+
+    #[test]
+    fn round_u64_edges_match_f64_round() {
+        let two64 = 18_446_744_073_709_551_616.0_f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+            4503599627370495.5,
+            4503599627370496.0,
+            9007199254740991.0,
+            9007199254740993.0,
+            two64,
+            two64 * 2.0,
+            f64::from_bits(two64.to_bits() - 1),
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            -1e300,
+        ];
+        for x in edges {
+            round_like_libm(x);
+        }
+        for n in 0..2000u64 {
+            let x = n as f64 / 4.0;
+            round_like_libm(x);
+            round_like_libm(f64::from_bits(x.to_bits() + 1));
+            round_like_libm(f64::from_bits(x.to_bits().saturating_sub(1)));
+        }
+    }
+
+    proptest::proptest! {
+        /// Every bit pattern: NaNs, infinities, subnormals, negatives and
+        /// values past 2⁶⁴ included.
+        #[test]
+        fn round_u64_matches_f64_round_on_any_bits(bits in proptest::prelude::any::<u64>()) {
+            round_like_libm(f64::from_bits(bits));
+        }
+
+        /// Ties and their neighbours at every magnitude below 2⁵³.
+        #[test]
+        fn round_u64_matches_f64_round_near_ties(n in 0u64..(1 << 52), shift in 0u32..52) {
+            let tie = (n >> shift) as f64 + 0.5;
+            for x in [tie, f64::from_bits(tie.to_bits() - 1), f64::from_bits(tie.to_bits() + 1)] {
+                round_like_libm(x);
+            }
+        }
     }
 
     #[test]

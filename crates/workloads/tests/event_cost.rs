@@ -2,11 +2,14 @@
 //!
 //! `sim.events.processed` and `kernel.ticks` count what a run means: every
 //! event, replayed or popped. [`Kernel::queue_pops`] counts what it costs:
-//! the events that went through the heap. The quiet-tick fast-forward
-//! (DESIGN §5 note 7) moves only the second. One fixed run pins all three
-//! by exact equality, so a change that makes the replay stop earlier (or
-//! a replay that stops changing nothing) shows up here as a number, not
-//! as a timing.
+//! the events that went through the event queue's heap or timer lanes.
+//! The quiet-tick fast-forward (DESIGN §5 note 7) moves only the second.
+//! `sim.events.scheduled` and `sim.events.cancelled` count every arming and
+//! disarming of a timer, literal or replayed, as the schedule and cancel it
+//! stands for. One fixed run pins all of them by exact equality, so a
+//! change that makes the replay stop earlier (or a replay that stops
+//! changing nothing), or a miscounted timer re-arm, shows up here as a
+//! number, not as a timing.
 
 use schedsim::{Kernel, KernelBuilder, NoiseConfig};
 use simcore::SimDuration;
@@ -31,6 +34,10 @@ fn heap_pops_of_a_smoke_metbench_cell_are_pinned() {
     // The logical counts: what the run simulated, however it got there.
     assert_eq!(metrics.counter("sim.events.processed"), 31_935);
     assert_eq!(metrics.counter("kernel.ticks"), 31_896);
+    // Every tick re-arms its CPU's tick, and every event re-arms each armed
+    // completion timer: a re-arm is one schedule and one cancel.
+    assert_eq!(metrics.counter("sim.events.scheduled"), 121_219);
+    assert_eq!(metrics.counter("sim.events.cancelled"), 89_280);
     // The cost. While every quiet stretch still stopped short of the next
     // balance tick, queued work or not, this run popped 535 events off
     // the heap.
