@@ -651,6 +651,11 @@ pub struct CheckpointStore {
     corrupt_nth: Option<u32>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "checkpoint durability quarantine: atomic save/rotate/load is filesystem \
+              code by design; the engine hands the store plain bytes (DESIGN.md §14)"
+)]
 impl CheckpointStore {
     const LATEST: &'static str = "batch.ckpt";
     const PREV: &'static str = "batch.ckpt.prev";

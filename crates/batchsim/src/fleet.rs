@@ -21,8 +21,9 @@
 //! `threads` count, and [`crate::run_batch`] over the materialised
 //! stream is the same simulation (`tests/prop_streaming.rs`).
 //!
-//! This module is covered by simverify rule SV014: statistics here must
-//! accumulate into scalars, never into per-job growable containers.
+//! Statistics here accumulate into scalars, never into per-job growable
+//! containers; `tests/alloc_growth.rs` fails when a run's peak heap grows
+//! with its job count.
 
 use serde::Serialize;
 

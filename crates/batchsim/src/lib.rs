@@ -29,6 +29,9 @@
 //! Everything is a pure function of `(stream, config, fault)` — see the
 //! determinism argument in [`sim`].
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod arrivals;
 pub mod checkpoint;
 pub mod discipline;

@@ -518,16 +518,29 @@ struct Oracle {
     pool: Pool,
 }
 
+/// A `taskabort` fault firing on its attempt.
+#[expect(
+    clippy::panic,
+    reason = "faultsim taskabort injection: the deliberate panic the supervisor must absorb; \
+              keyed on (job, node, attempt) so outcomes stay deterministic"
+)]
+fn injected_abort(attempt: u32) -> ! {
+    panic!("faultsim: injected task abort (attempt {attempt})")
+}
+
 impl Oracle {
     fn measure(&mut self, key: u64, spec: &JobSpec) -> SegmentRun {
         if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
             return hit.clone();
         }
         let nodes_needed = spec.ranks().div_ceil(cluster::placement::NODE_SLOTS);
-        // INVARIANT: nodes_needed = ceil(ranks / NODE_SLOTS) always yields
-        // enough slots for every rank — every fleet shape offers at least
-        // NODE_SLOTS slots per node — so placement cannot fail here.
         let catalog = self.shape.catalog(nodes_needed);
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: nodes_needed = ceil(ranks / NODE_SLOTS) always yields enough \
+                      slots for every rank — every fleet shape offers at least NODE_SLOTS \
+                      slots per node — so placement cannot fail here."
+        )]
         let placement =
             place_on(spec, &catalog, self.placement).expect("sized allocation always fits");
         // Fork per-node seeds serially, in node order, exactly as the
@@ -571,16 +584,19 @@ impl Oracle {
                                 // an unguarded run can never deadlock.
                                 std::thread::sleep(Duration::from_secs(3600));
                             }
-                            panic!("faultsim: injected task abort (attempt {attempt})");
+                            injected_abort(attempt);
                         }
                     }
                     let Some(seed) = seed else {
                         return (0.0, None);
                     };
-                    // INVARIANT: placement never hands a node more ranks
-                    // than its shape has slots, and `sched` names a builtin
-                    // regime or a registry policy by construction, so a
-                    // node-run error is a simulator bug and panics here.
+                    #[expect(
+                        clippy::panic,
+                        reason = "INVARIANT: placement never hands a node more ranks than its \
+                                  shape has slots, and `sched` names a builtin regime or a \
+                                  registry policy by construction, so a node-run error is a \
+                                  simulator bug and panics here."
+                    )]
                     let run = run_node(&loads, iterations, sched, seed, &shape, verify)
                         .unwrap_or_else(|e| panic!("{e}"));
                     let report = run.trace.map(|t| {
@@ -1060,7 +1076,10 @@ impl Engine {
             }
 
             while st.source.peek_arrival().is_some_and(|t| t <= st.now) {
-                // INVARIANT: guarded by the is_some_and above.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: guarded by the is_some_and above."
+                )]
                 let job = st.source.pop().expect("peeked arrival present");
                 ctr.submitted.inc();
                 st.emit(BatchEvent::Submit {
@@ -1166,8 +1185,8 @@ impl Engine {
 
 /// Run a batch stream to completion. Never panics on the fault path: jobs
 /// that cannot be (re)placed degrade with partial accounting instead.
-// PURITY-ROOT: per-job node kernels fan out from here; the outcome must be
-// a pure function of (stream, cfg, fault) regardless of cfg.threads.
+// Per-job node kernels fan out from here; the outcome must be a pure
+// function of (stream, cfg, fault) regardless of cfg.threads.
 pub fn run_batch(
     stream: &[BatchJob],
     cfg: &BatchConfig,
@@ -1230,7 +1249,6 @@ pub fn run_batch_until(
 /// metrics: state and metrics are restored exactly and kernel results
 /// re-derive from the pure oracle. An image of a run that did not record
 /// resumes with an empty trace, reservations and job records.
-// PURITY-ROOT: resumed runs fan node kernels out exactly like run_batch.
 pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
     let (mut eng, mut st) = Engine::restore(ckpt);
     eng.run(&mut st, |_, _| false);
@@ -1240,8 +1258,7 @@ pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
 /// Run a fleet-scale streaming batch to completion: lazy arrivals, hashed
 /// trace, O(1)-memory statistics. The outcome's recording (`jobs`,
 /// `events`, `reservations`) stays empty. See [`crate::fleet`].
-// PURITY-ROOT: fleet runs fan per-node kernels out exactly like run_batch;
-// the outcome must be a pure function of (stream cfg, batch cfg) at any
+// The outcome must be a pure function of (stream cfg, batch cfg) at any
 // thread count.
 pub fn run_fleet(cfg: &FleetConfig) -> BatchOutcome {
     let mut eng = Engine::new(&cfg.batch);

@@ -1,8 +1,8 @@
 //! Fleet-wide outcome statistics.
 //!
 //! Derivation is O(1) in memory: records fold into the outcome's
-//! [`crate::FleetAccum`] (scalar sums, counts, maxima — enforced by
-//! simverify rule SV014), and the stats are closed-form functions of the
+//! [`crate::FleetAccum`] (scalar sums, counts, maxima — gated by
+//! `tests/alloc_growth.rs`), and the stats are closed-form functions of the
 //! accumulator. A recording run folds in id order, which reproduces
 //! bit-for-bit the sums the old per-job-vector implementation computed.
 

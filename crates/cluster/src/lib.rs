@@ -26,6 +26,8 @@
 //! job completes when the slowest node does, plus an allreduce latency
 //! per iteration — the standard bulk-synchronous approximation.
 
+#![forbid(unsafe_code)]
+
 pub mod job;
 pub mod node;
 pub mod placement;

@@ -146,8 +146,8 @@ const _: () = {
 /// [`SchedError::InvalidTopology`] for a slot vector that is empty or does
 /// not fit the node, and [`SchedError::UnknownPolicy`] for an unregistered
 /// [`LocalSched::Policy`] name.
-// PURITY-ROOT: pool task closures call this; the result must be a pure
-// function of (loads, iterations, sched, seed, shape, traced).
+// Pool task closures call this; the result must be a pure function of
+// (loads, iterations, sched, seed, shape, traced).
 pub fn run_node(
     loads: &[f64],
     iterations: u32,

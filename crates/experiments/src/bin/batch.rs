@@ -45,7 +45,7 @@ use batchsim::{
 };
 use cluster::LocalSched;
 use experiments::benchfile;
-use experiments::cli::{self, BinFlag, CliFlags};
+use experiments::cli::{BinFlag, CliFlags};
 use faultsim::{CkptCorruptSpec, TaskAbortSpec};
 
 /// Thread count the study benchmarks against serial when the user did not
@@ -203,9 +203,9 @@ struct Supervision {
 
 impl Supervision {
     fn from_flags(flags: &CliFlags) -> Supervision {
-        let watchdog_secs = cli::int_value_of::<u64>("--watchdog-ms").map(|ms| ms as f64 / 1000.0);
-        let shape = cli::value_of("--fleet-shape").map_or(FleetShape::Uniform, |v| {
-            FleetShape::parse(&v).unwrap_or_else(|| {
+        let watchdog_secs = flags.int::<u64>("--watchdog-ms").map(|ms| ms as f64 / 1000.0);
+        let shape = flags.value("--fleet-shape").map_or(FleetShape::Uniform, |v| {
+            FleetShape::parse(v).unwrap_or_else(|| {
                 eprintln!(
                     "--fleet-shape: unknown shape `{v}`; expected uniform, mixed, or a \
                      topology preset (openpower-710, 2-socket, numa, wide-smt)"
@@ -444,8 +444,8 @@ fn ckpt_smoke(
 /// `--checkpoint <dir>`: one EASY stream with periodic checkpoints rotated
 /// into the store, leaving `<dir>/batch.ckpt` for a later `--resume`.
 fn checkpointed_run(flags: &CliFlags, seed: u64, njobs: usize, sup: Supervision, dir: &Path) {
-    let every_events = cli::int_value_of("--ckpt-events");
-    let every_jobs = cli::int_value_of("--ckpt-jobs");
+    let every_events = flags.int("--ckpt-events");
+    let every_jobs = flags.int("--ckpt-jobs");
     let policy = CheckpointPolicy {
         // Default cadence: a checkpoint every 10 completed jobs.
         every_jobs: every_jobs.or(if every_events.is_none() { Some(10) } else { None }),
@@ -530,19 +530,19 @@ const FLAGS: [BinFlag; 10] = [
 
 fn main() {
     let flags = CliFlags::from_env_with(&FLAGS);
-    let seed = cli::int_value_of("--seed").unwrap_or(2008);
+    let seed = flags.int("--seed").unwrap_or(2008);
     let sup = Supervision::from_flags(&flags);
 
-    if let Some(path) = cli::value_of("--resume") {
-        if resume_run(Path::new(&path)) {
+    if let Some(path) = flags.value("--resume") {
+        if resume_run(Path::new(path)) {
             std::process::exit(1);
         }
         return;
     }
 
-    if cli::flag("--ckpt-smoke") {
+    if flags.switch("--ckpt-smoke") {
         let corrupt = flags.faults.as_ref().and_then(|p| p.ckpt_corrupt);
-        let dir = cli::value_of("--checkpoint").map_or_else(
+        let dir = flags.value("--checkpoint").map_or_else(
             || std::env::temp_dir().join(format!("batch-ckpt-{}", std::process::id())),
             PathBuf::from,
         );
@@ -554,7 +554,7 @@ fn main() {
         return;
     }
 
-    if cli::flag("--smoke") {
+    if flags.switch("--smoke") {
         if smoke(&flags, seed, sup) {
             eprintln!("batch smoke: FAILED");
             std::process::exit(1);
@@ -563,10 +563,10 @@ fn main() {
         return;
     }
 
-    let njobs = cli::int_value_of("--jobs").unwrap_or(200);
+    let njobs = flags.int("--jobs").unwrap_or(200);
 
-    if let Some(dir) = cli::value_of("--checkpoint") {
-        checkpointed_run(&flags, seed, njobs, sup, Path::new(&dir));
+    if let Some(dir) = flags.value("--checkpoint") {
+        checkpointed_run(&flags, seed, njobs, sup, Path::new(dir));
         return;
     }
 

@@ -28,7 +28,7 @@ use std::time::Instant;
 
 use batchsim::{resume_batch, run_fleet, run_fleet_until, scaled_config, BatchOutcome, FleetStats};
 use experiments::benchfile;
-use experiments::cli::{self, BinFlag, CliFlags};
+use experiments::cli::{BinFlag, CliFlags};
 
 /// The scale trajectory `--scale` measures and `--check-bench` requires.
 const SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
@@ -236,18 +236,18 @@ const FLAGS: [BinFlag; 7] = [
 fn main() {
     let flags = CliFlags::from_env_with(&FLAGS);
     flags.note_no_kernel();
-    let seed = cli::int_value_of("--seed").unwrap_or(2008);
-    let nodes = cli::int_value_of("--nodes").unwrap_or(1000);
-    let jobs = cli::int_value_of::<u64>("--jobs");
+    let seed = flags.int("--seed").unwrap_or(2008);
+    let nodes = flags.int("--nodes").unwrap_or(1000);
+    let jobs = flags.int::<u64>("--jobs");
 
-    if cli::flag("--scale-row") {
+    if flags.switch("--scale-row") {
         let jobs = jobs.unwrap_or(10_000);
         let (row, _) = run_row(jobs, nodes, seed, flags.threads);
         println!("{}", serde_json::to_string(&row).expect("row serializes"));
         return;
     }
 
-    if cli::flag("--check-bench") {
+    if flags.switch("--check-bench") {
         if let Err(e) = check_bench() {
             eprintln!("fleet: check-bench FAILED: {e}");
             std::process::exit(1);
@@ -256,7 +256,7 @@ fn main() {
         return;
     }
 
-    if cli::flag("--smoke") {
+    if flags.switch("--smoke") {
         let jobs = jobs.unwrap_or(100_000);
         println!("== fleet smoke: {jobs} jobs x {nodes} nodes, serial vs 8 threads ==");
         let mut hashes = Vec::new();
@@ -274,7 +274,7 @@ fn main() {
         return;
     }
 
-    if cli::flag("--scale") {
+    if flags.switch("--scale") {
         println!("== fleet scale trajectory: {SCALES:?} jobs x {nodes} nodes ==");
         let mut rows = Vec::new();
         let mut failed = false;

@@ -23,7 +23,7 @@ use batchsim::{
     BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
 };
 use cluster::{JobSpec, LocalSched};
-use experiments::cli::{self, BinFlag, CliFlags};
+use experiments::cli::CliFlags;
 use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};
 use workloads::metbench::MetBenchConfig;
@@ -69,9 +69,8 @@ fn trace_fingerprint(records: &[schedsim::TraceRecord]) -> u64 {
     hash.finish()
 }
 
-/// Repository root for the static-analysis pass and the trace baseline:
-/// the working directory when run from a checkout, the workspace root
-/// otherwise.
+/// Repository root for the trace baseline: the working directory when run
+/// from a checkout, the workspace root otherwise.
 fn repo_root() -> std::path::PathBuf {
     if std::path::Path::new("crates").is_dir() {
         std::path::PathBuf::from(".")
@@ -95,65 +94,14 @@ fn check_trace_baseline(path: &std::path::Path, got: &[String]) -> Result<(), St
     }
 }
 
-/// Run the SV001–SV014 static-analysis pass. Returns `false` on rule
-/// violations or allowlist hygiene failures (stale/expired entries).
-/// With `json`, the stable report goes to stdout (for the CI baseline
-/// diff); human-readable findings go to stdout otherwise.
-fn run_lint(json: bool) -> bool {
-    let report = match simverify::lint::lint_workspace(&repo_root()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("lint: workspace scan failed: {e}");
-            return false;
-        }
-    };
-    if json {
-        print!("{}", report.to_json());
-    } else {
-        for v in &report.violations {
-            println!("{v}");
-        }
-        for stale in &report.unused_allow {
-            println!("stale allowlist entry (suppresses nothing): {stale}");
-        }
-        for expired in &report.expired_allow {
-            println!("expired allowlist entry (re-justify or fix the code): {expired}");
-        }
-        println!(
-            "lint: {} files, {} rules, {} roots, {}/{} fns reachable — {}",
-            report.files_scanned,
-            simverify::lint::RULES.len(),
-            report.roots.len(),
-            report.reachable_fns,
-            report.total_fns,
-            if report.is_passing() { "clean" } else { "FAILING" }
-        );
-    }
-    report.is_passing()
-}
-
 fn main() {
     const SEED: u64 = 2008;
-    let flags = CliFlags::from_env_with(&[BinFlag::Switch("--lint"), BinFlag::Value("--report")]);
-
-    // `--lint` runs the static-analysis pass alone (optionally as JSON via
-    // `--report json`) and exits without touching BENCH_* artifacts — the
-    // mode CI's lint job and the baseline diff use.
-    if cli::flag("--lint") {
-        let json = cli::value_of("--report").as_deref() == Some("json");
-        if run_lint(json) {
-            return;
-        }
-        std::process::exit(1);
-    }
+    let flags = CliFlags::from_env();
 
     let wl = small_metbench();
     let mut failed = false;
 
-    println!("== static analysis: simverify SV001-SV014 over the workspace ==");
-    failed |= !run_lint(false);
-
-    println!("\n== conformance: MetBench (4 ranks, 6 iterations, seed {SEED}) ==");
+    println!("== conformance: MetBench (4 ranks, 6 iterations, seed {SEED}) ==");
     let all_modes = [
         ExperimentMode::Baseline,
         ExperimentMode::Static,

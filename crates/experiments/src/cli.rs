@@ -21,10 +21,12 @@
 //!   A malformed spec is a usage error.
 //!
 //! A binary with flags of its own declares them as [`BinFlag`]s and parses
-//! with [`CliFlags::from_env_with`]; it then reads them with [`value_of`],
-//! [`int_value_of`] and [`flag`]. Any argument that is neither a standard
-//! flag nor a declared one is a usage error (exit 2), so a misspelt flag
-//! never runs the defaults.
+//! with [`CliFlags::from_env_with`]; it then reads them from the parsed
+//! flags with [`CliFlags::switch`], [`CliFlags::value`] and
+//! [`CliFlags::int`]. The arguments are scanned once, so a declared flag's
+//! value is never mistaken for a flag. Any argument that is neither a
+//! standard flag nor a declared one is a usage error (exit 2), so a
+//! misspelt flag never runs the defaults.
 
 use crate::report::{fault_report, telemetry_report, verify_report};
 use crate::runner::{ExperimentMode, RunResult};
@@ -33,9 +35,9 @@ use crate::runner::{ExperimentMode, RunResult};
 /// value follows it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BinFlag {
-    /// `--name` on its own, read with [`flag`].
+    /// `--name` on its own, read with [`CliFlags::switch`].
     Switch(&'static str),
-    /// `--name <value>`, read with [`value_of`] or [`int_value_of`].
+    /// `--name <value>`, read with [`CliFlags::value`] or [`CliFlags::int`].
     Value(&'static str),
 }
 
@@ -66,6 +68,9 @@ pub struct CliFlags {
     /// the default OpenPower 710 tree (byte-identical to omitting the
     /// flag).
     pub topology: Option<power5::Topology>,
+    /// The binary's own flags that were given, in order, each with its
+    /// value (`None` for a switch).
+    own: Vec<(&'static str, Option<String>)>,
 }
 
 impl Default for CliFlags {
@@ -77,6 +82,7 @@ impl Default for CliFlags {
             threads: 1,
             policy: None,
             topology: None,
+            own: Vec::new(),
         }
     }
 }
@@ -109,8 +115,8 @@ impl CliFlags {
     }
 
     /// The testable core of [`CliFlags::from_env_with`]: the standard
-    /// flags, plus the binary's own in `own`, whose values are skipped
-    /// here and read where they are used.
+    /// flags, plus the binary's own in `own`, whose values are kept for
+    /// [`CliFlags::value`] and [`CliFlags::int`].
     pub fn parse_with(args: &[String], own: &[BinFlag]) -> Result<CliFlags, String> {
         let mut flags = CliFlags::default();
         let mut it = args.iter();
@@ -159,15 +165,45 @@ impl CliFlags {
                     })?);
                 }
                 other => match own.iter().find(|f| f.name() == other) {
-                    Some(BinFlag::Switch(_)) => {}
+                    Some(BinFlag::Switch(name)) => flags.own.push((name, None)),
                     Some(BinFlag::Value(name)) => {
-                        it.next().ok_or_else(|| format!("{name} requires a value"))?;
+                        let value = it.next().ok_or_else(|| format!("{name} requires a value"))?;
+                        flags.own.push((name, Some(value.clone())));
                     }
                     None => return Err(usage(other, own)),
                 },
             }
         }
         Ok(flags)
+    }
+
+    /// Whether the binary's own switch `name` was given.
+    pub fn switch(&self, name: &str) -> bool {
+        self.own.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The value of the binary's own flag `name`; `None` when absent. The
+    /// first occurrence wins.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.own.iter().find(|(n, _)| *n == name).and_then(|(_, v)| v.as_deref())
+    }
+
+    /// The integer value of the binary's own flag `name`; `None` when
+    /// absent. A non-integer value is a usage error (exit 2), as a
+    /// malformed `--threads` is, rather than a silent default.
+    pub fn int<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.try_int(name).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        })
+    }
+
+    /// The testable core of [`CliFlags::int`].
+    fn try_int<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        let Some(raw) = self.value(name) else {
+            return Ok(None);
+        };
+        raw.parse().map(Some).map_err(|_| format!("{name} wants an integer, got `{raw}`"))
     }
 
     /// The experiment modes this invocation asks for: `modes` (the bin's
@@ -234,42 +270,6 @@ fn usage(arg: &str, own: &[BinFlag]) -> String {
         }
     }
     msg
-}
-
-/// Generic `--name value` lookup for bin-specific options.
-pub fn value_of(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
-
-/// Integer `--name <n>` lookup for bin-specific options: `None` when the
-/// flag is absent. A missing or non-integer value is a usage error (exit
-/// 2), as a malformed `--threads` is, rather than a silent default.
-pub fn int_value_of<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    parse_int(&args, name).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
-}
-
-/// The testable core of [`int_value_of`].
-fn parse_int<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
-    let Some(at) = args.iter().position(|a| a == name) else {
-        return Ok(None);
-    };
-    let raw = args.get(at + 1).ok_or_else(|| format!("{name} requires an integer argument"))?;
-    raw.parse().map(Some).map_err(|_| format!("{name} wants an integer, got `{raw}`"))
-}
-
-/// Generic boolean flag lookup for bin-specific options.
-pub fn flag(name: &str) -> bool {
-    std::env::args().any(|a| a == name)
 }
 
 #[cfg(test)]
@@ -380,21 +380,45 @@ mod tests {
         assert_eq!(CliFlags::parse(&strs(&["--threads", "4"])).unwrap().threads, 4);
     }
 
+    /// Flags declared the way `fleet` declares its own.
+    const FLEET: [BinFlag; 4] = [
+        BinFlag::Value("--seed"),
+        BinFlag::Value("--jobs"),
+        BinFlag::Value("--nodes"),
+        BinFlag::Switch("--smoke"),
+    ];
+
+    fn int_of<T: std::str::FromStr>(args: &[&str], name: &str) -> Result<Option<T>, String> {
+        CliFlags::parse_with(&strs(args), &FLEET)?.try_int(name)
+    }
+
     #[test]
     fn integer_flags_parse_or_stay_absent() {
-        assert_eq!(parse_int::<u64>(&strs(&["--seed", "7"]), "--seed"), Ok(Some(7)));
-        assert_eq!(parse_int::<u64>(&strs(&["--jobs", "200"]), "--seed"), Ok(None));
-        let nodes = parse_int::<usize>(&strs(&["--smoke", "--nodes", "64"]), "--nodes");
-        assert_eq!(nodes, Ok(Some(64)));
+        assert_eq!(int_of::<u64>(&["--seed", "7"], "--seed"), Ok(Some(7)));
+        assert_eq!(int_of::<u64>(&["--jobs", "200"], "--seed"), Ok(None));
+        assert_eq!(int_of::<usize>(&["--smoke", "--nodes", "64"], "--nodes"), Ok(Some(64)));
     }
 
     #[test]
     fn integer_flag_garbage_is_a_usage_error() {
-        assert!(parse_int::<u64>(&strs(&["--seed", "abc"]), "--seed").is_err());
-        assert!(parse_int::<u64>(&strs(&["--seed", "-1"]), "--seed").is_err());
-        assert!(parse_int::<u64>(&strs(&["--seed", "1.5"]), "--seed").is_err());
-        let err = parse_int::<u64>(&strs(&["--jobs"]), "--jobs").unwrap_err();
+        assert!(int_of::<u64>(&["--seed", "abc"], "--seed").is_err());
+        assert!(int_of::<u64>(&["--seed", "-1"], "--seed").is_err());
+        assert!(int_of::<u64>(&["--seed", "1.5"], "--seed").is_err());
+        let err = int_of::<u64>(&["--jobs"], "--jobs").unwrap_err();
         assert!(err.contains("--jobs"), "{err}");
+    }
+
+    #[test]
+    fn a_value_that_spells_a_declared_switch_stays_a_value() {
+        // `batch --checkpoint --smoke` checkpoints into a directory named
+        // `--smoke`; it does not run the smoke matrix.
+        let own = [BinFlag::Value("--checkpoint"), BinFlag::Switch("--smoke")];
+        let f = CliFlags::parse_with(&strs(&["--checkpoint", "--smoke"]), &own).unwrap();
+        assert_eq!(f.value("--checkpoint"), Some("--smoke"));
+        assert!(!f.switch("--smoke"));
+        let f = CliFlags::parse_with(&strs(&["--smoke", "--checkpoint", "ckpts"]), &own).unwrap();
+        assert!(f.switch("--smoke"));
+        assert_eq!(f.value("--checkpoint"), Some("ckpts"));
     }
 
     #[test]

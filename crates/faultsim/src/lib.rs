@@ -33,6 +33,9 @@
 //! run with [`FaultPlan::default`] is byte-identical to a run without
 //! faultsim wired in at all.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod error;
 pub mod plan;
 pub mod rng;

@@ -5,7 +5,7 @@
 //! perturbing) any simulator RNG stream. SplitMix64 is tiny, needs no state
 //! beyond one `u64`, and uses the same finalizer constants as
 //! `SimRng::fork`, so streams mix equally well. No wall clock anywhere:
-//! seeding is always explicit (SV001).
+//! seeding is always explicit (the root `clippy.toml` bans host clocks).
 
 /// A SplitMix64 pseudo-random stream.
 #[derive(Clone, Debug, PartialEq, Eq)]

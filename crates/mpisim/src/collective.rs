@@ -118,9 +118,13 @@ impl Collectives {
 
         // Resolve deferred completions this arrival unlocks.
         if state.arrived_count == size {
-            // INVARIANT: arrived_count == size means every slot was filled
-            // by the assignment above, so each arrival is Some and the
-            // non-empty vec has a max.
+            #[expect(
+                clippy::expect_used,
+                clippy::unwrap_used,
+                reason = "INVARIANT: arrived_count == size means every slot was filled by the \
+                          assignment above, so each arrival is Some and the non-empty vec has \
+                          a max."
+            )]
             let last = state.arrivals.iter().map(|a| a.expect("all arrived")).max().unwrap();
             let release = last + tree;
             for (r, tok) in state.pending.drain(..) {

@@ -17,6 +17,9 @@
 //! task to sleep until the operation completes — which is precisely the
 //! "waiting phase" the paper's Load Imbalance Detector measures.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod collective;
 pub mod config;
 pub mod fault;

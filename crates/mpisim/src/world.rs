@@ -17,7 +17,7 @@ use crate::fault::{MpiFaultConfig, MpiFaultState, MpiFaultStats, RankFailurePoli
 use schedsim::{KernelApi, WaitToken};
 use simcore::SimTime;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 
 /// An MPI process index within the world.
 pub type Rank = usize;
@@ -145,8 +145,11 @@ impl MpiWorld {
         });
         match pos {
             Some(i) => {
-                // INVARIANT: `i` came from position() on this same deque
-                // with no mutation in between, so the removal cannot miss.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: `i` came from position() on this same deque with no \
+                              mutation in between, so the removal cannot miss."
+                )]
                 let posted = mb.posted.remove(i).expect("index valid");
                 self.complete_request(api, posted.req, arrival);
             }
@@ -169,8 +172,11 @@ impl MpiWorld {
         });
         match pos {
             Some(i) => {
-                // INVARIANT: `i` came from position() on this same deque
-                // with no mutation in between, so the removal cannot miss.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "INVARIANT: `i` came from position() on this same deque with no \
+                              mutation in between, so the removal cannot miss."
+                )]
                 let msg = mb.unexpected.remove(i).expect("index valid");
                 let req = self.new_request(Some(msg.arrival));
                 (req, Some(msg.arrival))
@@ -203,22 +209,30 @@ impl MpiWorld {
 /// holds. All methods take the caller's [`KernelApi`] so blocking waits and
 /// timed completions integrate with the kernel.
 #[derive(Clone)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "all mutex-guarded MPI state funnels through the world() helper; one \
+              kernel thread drives every rank (DESIGN.md §9)"
+)]
 pub struct Mpi {
-    inner: Arc<Mutex<MpiWorld>>,
+    inner: Arc<std::sync::Mutex<MpiWorld>>,
 }
 
 impl Mpi {
     /// Create a world of `size` ranks.
+    #[expect(clippy::disallowed_types, reason = "creates the world() mutex; see `Mpi`")]
     pub fn new(size: usize, cfg: MpiConfig) -> Self {
-        Mpi { inner: Arc::new(Mutex::new(MpiWorld::new(size, cfg))) }
+        Mpi { inner: Arc::new(std::sync::Mutex::new(MpiWorld::new(size, cfg))) }
     }
 
     /// Lock the shared world. Every access funnels through here.
-    ///
-    /// INVARIANT: simulation runs are single-threaded per kernel, and no
-    /// code path below panics while holding this lock on a fault-injection
-    /// path — so a poisoned mutex can only mean a bug inside this crate,
-    /// and propagating the panic (not masking it) is the correct response.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: simulation runs are single-threaded per kernel, and no code path \
+                  below panics while holding this lock on a fault-injection path — so a \
+                  poisoned mutex can only mean a bug inside this crate, and propagating the \
+                  panic (not masking it) is the correct response."
+    )]
     fn world(&self) -> MutexGuard<'_, MpiWorld> {
         self.inner.lock().expect("mpi world poisoned")
     }

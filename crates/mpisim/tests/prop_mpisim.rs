@@ -30,9 +30,9 @@ proptest! {
         let mut m = MockApi::new();
         // Reference model: per (dst, src, tag) counters of unmatched sends
         // and pending recvs.
-        use std::collections::HashMap;
-        let mut unmatched_sends: HashMap<(usize, usize, i32), u32> = HashMap::new();
-        let mut pending_recvs: HashMap<(usize, usize, i32), u32> = HashMap::new();
+        use std::collections::BTreeMap;
+        let mut unmatched_sends: BTreeMap<(usize, usize, i32), u32> = BTreeMap::new();
+        let mut pending_recvs: BTreeMap<(usize, usize, i32), u32> = BTreeMap::new();
         let mut expected_completions = 0usize;
 
         for (step, op) in ops.iter().enumerate() {

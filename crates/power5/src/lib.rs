@@ -23,6 +23,8 @@
 //! * [`chip`] — the stateful chip: per-context priority registers mutated via
 //!   simulated `or`-nops with privilege checking.
 
+#![forbid(unsafe_code)]
+
 pub mod chip;
 pub mod decode;
 pub mod perf;

@@ -15,7 +15,6 @@ use crate::kernel::Kernel;
 use crate::policies::{self, HeuristicKind, HpcTunables, PolicyCtx, SharedTunables};
 use power5::{AnalyticModel, Chip, TableModel, Topology};
 use simcore::SimDuration;
-use std::sync::{Arc, Mutex};
 
 /// Configuration of the HPC scheduling class.
 #[derive(Clone, Debug)]
@@ -90,7 +89,7 @@ impl KernelBuilder {
             kernel: KernelConfig::default(),
             hpc: Some(HpcSchedConfig::default()),
             model: PerfModelChoice::Table,
-            tunables: Arc::new(Mutex::new(HpcTunables::default())),
+            tunables: SharedTunables::default(),
             custom: None,
             bad_policy: None,
         }
@@ -122,11 +121,14 @@ impl KernelBuilder {
         self
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the builder is single-threaded; the only way this lock is \
+                  poisoned is a panic already unwinding this thread."
+    )]
     pub fn hpc_config(mut self, cfg: HpcSchedConfig) -> Self {
         // The shared handle is the single source of tunable truth; fold the
         // config's values into it so pre-build holders observe them.
-        // INVARIANT: the builder is single-threaded; the only way this lock
-        // is poisoned is a panic already unwinding this thread.
         *self.tunables.lock().expect("tunables poisoned") = cfg.tunables;
         self.hpc = Some(cfg);
         self
@@ -198,8 +200,11 @@ impl KernelBuilder {
             return Err(SchedError::UnknownPolicy(name));
         }
         if self.hpc.is_some() {
-            // INVARIANT: single-threaded build; the only way this lock is
-            // poisoned is a panic already unwinding this thread.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: single-threaded build; the only way this lock is poisoned \
+                          is a panic already unwinding this thread."
+            )]
             self.tunables
                 .lock()
                 .expect("tunables poisoned")
@@ -249,9 +254,12 @@ impl KernelBuilder {
 
     /// Build, panicking on an invalid configuration. Prefer
     /// [`Self::try_build`] in code that can surface errors.
+    #[expect(
+        clippy::panic,
+        reason = "INVARIANT: panicking wrapper by documented contract; fallible callers use \
+                  `try_build`."
+    )]
     pub fn build(self) -> Kernel {
-        // INVARIANT: panicking wrapper by documented contract; fallible
-        // callers use `try_build`.
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 }

@@ -223,18 +223,17 @@ impl SchedClass for BalancedClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policies::{HpcTunables, Power5Mechanism, Table1Balancer, UniformHeuristic};
+    use crate::policies::{Power5Mechanism, SharedTunables, Table1Balancer, UniformHeuristic};
     use crate::program::ScriptedProgram;
     use crate::task::Task;
     use power5::{HwPriority, Topology};
     use simcore::SimTime;
-    use std::sync::{Arc, Mutex};
 
     fn mk_class(policy: HpcPolicyKind) -> BalancedClass {
         let balancer = Table1Balancer::new(
             Box::new(UniformHeuristic),
             Box::new(Power5Mechanism),
-            Arc::new(Mutex::new(HpcTunables::default())),
+            SharedTunables::default(),
         );
         let mut c =
             BalancedClass::new(policy, SimDuration::from_millis(100), Box::new(balancer));

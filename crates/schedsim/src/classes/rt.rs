@@ -64,8 +64,11 @@ impl RtRq {
 
     fn pop_highest(&mut self) -> Option<TaskId> {
         let p = self.highest()?;
-        // INVARIANT: bit p set ⇔ queues[p] non-empty — enqueue sets the
-        // bit on push, dequeue and this pop clear it on the last remove.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: bit p set ⇔ queues[p] non-empty — enqueue sets the bit on \
+                      push, dequeue and this pop clear it on the last remove."
+        )]
         let t = self.queues[p as usize].pop_front().expect("bitmap said non-empty");
         if self.queues[p as usize].is_empty() {
             self.bitmap &= !(1 << p);

@@ -276,6 +276,11 @@ impl Kernel {
     /// On invalid input — no class handles `policy`, or the affinity mask
     /// excludes every CPU. Use [`Kernel::try_spawn`] to handle these as
     /// errors instead.
+    #[expect(
+        clippy::panic,
+        reason = "INVARIANT: panicking wrapper by documented contract; fallible callers use \
+                  try_spawn directly."
+    )]
     pub fn spawn(
         &mut self,
         name: impl Into<String>,
@@ -283,8 +288,6 @@ impl Kernel {
         program: Box<dyn Program>,
         opts: SpawnOptions,
     ) -> TaskId {
-        // INVARIANT: panicking wrapper by documented contract; fallible
-        // callers use try_spawn directly.
         self.try_spawn(name, policy, program, opts)
             .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -469,7 +472,6 @@ impl Kernel {
     /// Run until every task in `until_exited` has exited, or `deadline`
     /// simulated time passes. Returns the exit time of the last task, or
     /// `None` on deadline.
-    // PURITY-ROOT: the kernel event loop every node run spins inside.
     pub fn run_until_exited(
         &mut self,
         until_exited: &[TaskId],
@@ -626,7 +628,10 @@ impl Kernel {
             if self.events.lane_time(self.workdone_lane(cpu)).is_none() {
                 continue;
             }
-            // INVARIANT: only a running task's completion timer is armed.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: only a running task's completion timer is armed."
+            )]
             let tid = self.running[cpu].expect("an armed CPU runs a task");
             let (remaining, speed) = (self.tasks[tid.0].remaining_work, self.cpus[cpu].speed);
             n = rounds_before_completion(remaining, speed, tick, n);
@@ -665,10 +670,13 @@ impl Kernel {
         let tick = self.config.tick;
         self.now = at + tick * (n - 1);
         let (now, cpus, running, tasks) = (self.now, &self.cpus, &self.running, &self.tasks);
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: only a running task's completion timer is armed, and a CPU \
+                      whose task could run was armed at a positive speed."
+        )]
         self.events.replay_rounds(n, tick, 0..ncpus, ncpus..2 * ncpus, |lane| {
             let cpu = lane - ncpus;
-            // INVARIANT: only a running task's completion timer is armed,
-            // and a CPU whose task could run was armed at a positive speed.
             let tid = running[cpu].expect("an armed CPU runs a task");
             completion_time(now, &cpus[cpu], tasks[tid.0].remaining_work)
                 .expect("an armed CPU's task makes progress")
@@ -789,8 +797,11 @@ impl Kernel {
                 "program transition livelock on {:?}",
                 tid
             );
-            // INVARIANT: the program is only ever taken for the duration
-            // of this call and restored two lines below.
+            #[expect(
+                clippy::expect_used,
+                reason = "INVARIANT: the program is only ever taken for the duration of this \
+                          call and restored two lines below."
+            )]
             let mut program = self.tasks[tid.0].program.take().expect("task has a program");
             let mut deferred: Vec<(SimTime, WaitToken)> = Vec::new();
             let mut policy_change = None;
@@ -848,7 +859,10 @@ impl Kernel {
     }
 
     fn block_current(&mut self, tid: TaskId) {
-        // INVARIANT: callers pass the running task; dispatch set its cpu.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: callers pass the running task; dispatch set its cpu."
+        )]
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
         debug_assert_eq!(self.running[cpu.0], Some(tid));
         let class = self.class_of_policy(self.tasks[tid.0].policy);
@@ -863,7 +877,10 @@ impl Kernel {
     }
 
     fn yield_current(&mut self, tid: TaskId) {
-        // INVARIANT: callers pass the running task; dispatch set its cpu.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: callers pass the running task; dispatch set its cpu."
+        )]
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
         debug_assert_eq!(self.running[cpu.0], Some(tid));
         let class = self.class_of_policy(self.tasks[tid.0].policy);
@@ -877,7 +894,10 @@ impl Kernel {
     }
 
     fn exit_current(&mut self, tid: TaskId) {
-        // INVARIANT: callers pass the running task; dispatch set its cpu.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: callers pass the running task; dispatch set its cpu."
+        )]
         let cpu = self.tasks[tid.0].cpu.expect("running task has a cpu");
         debug_assert_eq!(self.running[cpu.0], Some(tid));
         let task = &mut self.tasks[tid.0];
@@ -901,8 +921,11 @@ impl Kernel {
             // Signal raced with something else (e.g. task exited); ignore.
             return;
         }
-        // INVARIANT: block_current records the sleep start on every
-        // Running→Sleeping transition, checked just above.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: block_current records the sleep start on every \
+                      Running→Sleeping transition, checked just above."
+        )]
         let slept_at = task.last_sleep_start.expect("sleeping task has sleep start");
         let iter_wall = self.now.saturating_since(task.iter.iter_started);
         let iter_run = task.iter.run_in_iter;
@@ -945,6 +968,10 @@ impl Kernel {
     /// to the previous CPU if it is free, otherwise look for an idle
     /// allowed CPU (SMT sibling first, for cache affinity), otherwise fall
     /// back to the previous CPU.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: try_spawn rejects all-excluding affinity masks."
+    )]
     fn select_cpu(&self, tid: TaskId) -> CpuId {
         let task = &self.tasks[tid.0];
         let my_class = self.class_of_policy(task.policy);
@@ -983,7 +1010,6 @@ impl Kernel {
                 return prev;
             }
         }
-        // INVARIANT: try_spawn rejects all-excluding affinity masks.
         self.chip
             .topology()
             .cpus()
@@ -1132,9 +1158,12 @@ impl Kernel {
                     let (perf, hw_prio) = (task.perf, task.hw_prio);
                     self.chip.set_load(CpuId(cpu), Some(perf));
                     if self.chip.priority_of(CpuId(cpu)) != hw_prio {
-                        // INVARIANT: the kernel runs at supervisor
-                        // privilege and the heuristics clamp priorities
-                        // into the supervisor range; cannot fail.
+                        #[expect(
+                            clippy::expect_used,
+                            reason = "INVARIANT: the kernel runs at supervisor privilege and \
+                                      the heuristics clamp priorities into the supervisor \
+                                      range; cannot fail."
+                        )]
                         self.chip
                             .set_priority(CpuId(cpu), hw_prio, PrivilegeLevel::Supervisor)
                             .expect("scheduler priorities stay in supervisor range");
@@ -1238,9 +1267,12 @@ impl Kernel {
         self.policy_class[policy as usize].ok_or(SchedError::NoClassForPolicy(policy))
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "INVARIANT: only reached for policies of already-spawned tasks, which \
+                  try_spawn validated against the installed classes."
+    )]
     fn class_of_policy(&self, policy: SchedPolicy) -> usize {
-        // INVARIANT: only reached for policies of already-spawned tasks,
-        // which try_spawn validated against the installed classes.
         self.try_class_of_policy(policy).unwrap_or_else(|e| panic!("{e}"))
     }
 
@@ -1826,6 +1858,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test observer shares its buffer with the assertion"
+    )]
     fn shared_sink_records_the_kernel_trace() {
         // A bare observer collects the stream as the kernel sends it; a
         // `SharedSink` attached beside it must hold exactly the same records.

@@ -30,16 +30,24 @@
 //! the kernel observes the *iterations* (compute phase + wait phase) that
 //! drive the paper's Load Imbalance Detector.
 
+#![forbid(unsafe_code)]
+
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod balance;
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod balancer;
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod builder;
 pub mod class;
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod classes;
 pub mod config;
 pub mod error;
 pub mod fault;
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod kernel;
 pub mod noise;
+#[deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 pub mod policies;
 pub mod policy;
 pub mod program;

@@ -26,6 +26,7 @@ pub mod detector;
 pub mod heuristics;
 pub mod mechanism;
 pub mod table1;
+#[deny(missing_docs)]
 pub mod tunables;
 
 pub mod factoring;
@@ -46,11 +47,15 @@ pub use table1::Table1Balancer;
 pub use tunables::{HpcTunables, TunableError};
 
 use crate::balancer::Balancer;
-use std::sync::{Arc, Mutex};
 use zoo::{StepBalancer, StepRule};
 
 /// Shared, runtime-adjustable tunables handle (the simulated sysfs mount).
-pub type SharedTunables = Arc<Mutex<HpcTunables>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the simulated sysfs mount: one handle per kernel, locked only on the \
+              kernel's own thread, never crossing node runs"
+)]
+pub type SharedTunables = std::sync::Arc<std::sync::Mutex<HpcTunables>>;
 
 /// Everything a policy constructor may draw on. One context serves every
 /// policy so the registry signature stays uniform.
@@ -190,7 +195,7 @@ mod tests {
 
     fn ctx() -> PolicyCtx {
         PolicyCtx {
-            tunables: Arc::new(Mutex::new(HpcTunables::default())),
+            tunables: SharedTunables::default(),
             heuristic: HeuristicKind::Uniform,
             power5_mechanism: true,
             policy_only: false,

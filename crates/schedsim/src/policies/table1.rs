@@ -120,8 +120,11 @@ impl Balancer for Table1Balancer {
         if !self.dynamic_prio {
             return Vec::new();
         }
-        // INVARIANT: single-threaded simulation; the only way this lock is
-        // poisoned is a panic already unwinding this thread.
+        #[expect(
+            clippy::expect_used,
+            reason = "INVARIANT: single-threaded simulation; the only way this lock is \
+                      poisoned is a panic already unwinding this thread."
+        )]
         let tun = *self.tunables.lock().expect("tunables poisoned");
         // The Load Imbalance Detector gates the heuristic: once the
         // application is balanced, stop touching priorities (paper §IV-B:

@@ -56,8 +56,17 @@ impl Default for HpcTunables {
 /// Error from the sysfs-style string interface.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TunableError {
+    /// No tunable has this name.
     UnknownKey(String),
-    InvalidValue { key: &'static str, value: String, reason: &'static str },
+    /// The named tunable rejects this value.
+    InvalidValue {
+        /// The tunable's name.
+        key: &'static str,
+        /// The rejected value, as written.
+        value: String,
+        /// Why it was rejected.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for TunableError {

@@ -116,9 +116,12 @@ impl<R: StepRule> StepBalancer<R> {
     }
 
     /// Current tunables snapshot.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: single-threaded simulation; the only way this lock is poisoned is \
+                  a panic already unwinding this thread."
+    )]
     fn tun(&self) -> HpcTunables {
-        // INVARIANT: single-threaded simulation; the only way this lock is
-        // poisoned is a panic already unwinding this thread.
         *self.tunables.lock().expect("tunables poisoned")
     }
 }

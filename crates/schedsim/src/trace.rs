@@ -53,6 +53,11 @@ pub trait Observer: Send {
 /// A sink writing into a shared buffer, so callers keep access to the
 /// records while the kernel owns the sink.
 #[derive(Clone, Default)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "an append-only record buffer with exactly one writer per kernel; record \
+              order is the kernel's own event order"
+)]
 pub struct SharedSink {
     records: std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>,
 }

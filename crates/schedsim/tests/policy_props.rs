@@ -17,10 +17,8 @@
 //! * decisions are a pure function of the sample history: two balancers
 //!   fed the same stream produce the same assignments.
 
-use std::sync::{Arc, Mutex};
-
 use power5::{HwPriority, Topology};
-use schedsim::policies::{registry, HeuristicKind, HpcTunables, PolicyCtx};
+use schedsim::policies::{registry, HeuristicKind, HpcTunables, PolicyCtx, SharedTunables};
 use schedsim::program::ScriptedProgram;
 use schedsim::{Balancer, ClassCtx, IterSample, PrioAssignment, SampleOutcome, SchedPolicy, Task, TaskId};
 use simcore::{SimDuration, SimTime};
@@ -29,7 +27,7 @@ const NUM_TASKS: usize = 4;
 
 fn fresh_ctx() -> PolicyCtx {
     PolicyCtx {
-        tunables: Arc::new(Mutex::new(HpcTunables::default())),
+        tunables: SharedTunables::default(),
         heuristic: HeuristicKind::Uniform,
         power5_mechanism: true,
         policy_only: false,

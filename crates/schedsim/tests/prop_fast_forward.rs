@@ -15,6 +15,8 @@
 //! returns nothing and changes nothing, so a stretch may run across
 //! balance ticks.
 
+#![allow(clippy::disallowed_types, reason = "test recorders share a Mutex-guarded buffer")]
+
 use std::sync::{Arc, Mutex};
 
 use power5::{CpuId, Topology};

@@ -26,8 +26,8 @@
 //! byte-identity checks).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use telemetry::{Counter, MetricsRegistry};
@@ -163,11 +163,18 @@ impl Pool {
     /// as each task is a pure function of its captures. A panicking task
     /// propagates the panic to the caller, as it would serially.
     ///
-    /// Purity is enforced statically: task closures must only call
-    /// functions rooted at a `PURITY-ROOT` entry point (or a `Balancer`
-    /// impl), which puts their whole call tree under the SV006–SV012
-    /// reachability rules (`simverify::graph`, DESIGN.md §13). When adding
-    /// a new kind of pool workload, annotate its entry function.
+    /// Purity is enforced statically: task closures call into the
+    /// simulation crates, which the root `clippy.toml` lists keep free of
+    /// clocks, hash-ordered collections, shared mutable state, I/O and
+    /// channels (DESIGN.md §8). A new kind of pool workload that lives in
+    /// a simulation crate is covered without further annotation.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the atomic work cursor and slot mutexes are the ordered-merge machinery; \
+                  the busy-time clock lands in the pool registry, excluded from \
+                  determinism comparisons (DESIGN.md §11)"
+    )]
     pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         T: Send,
@@ -186,9 +193,9 @@ impl Pool {
         // cursor; each slot is taken exactly once, and every worker tags
         // results with the submission index so the merge below restores
         // submission order regardless of which worker ran what.
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<F>>> =
-            tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
+        let cursor = std::sync::atomic::AtomicUsize::new(0);
+        let slots: Vec<std::sync::Mutex<Option<F>>> =
+            tasks.into_iter().map(|f| std::sync::Mutex::new(Some(f))).collect();
         let workers = self.threads.min(n);
         let mut merged: Vec<Option<T>> = (0..n).map(|_| None).collect();
         let mut busy_total: u64 = 0;
@@ -271,6 +278,11 @@ impl Pool {
             .collect()
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "pool busy-time counter; lands in the pool registry, excluded from \
+                  determinism comparisons (DESIGN.md §11)"
+    )]
     fn run_inline<T, F>(&self, tasks: Vec<F>) -> Vec<T>
     where
         F: FnOnce() -> T,
@@ -350,6 +362,11 @@ where
     (Err(TaskFailure::Quarantined { attempts: max_attempts }), max_attempts)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the watchdog abandons a hung attempt through a one-shot channel; only \
+              the attempt's own result crosses it, so no merge order depends on it"
+)]
 fn run_attempt<T, F>(task: &Arc<F>, attempt: u32, timeout: Option<Duration>) -> Attempt<T>
 where
     T: Send + 'static,

@@ -25,6 +25,8 @@
 //! a monotonically increasing sequence number so iteration order never depends
 //! on heap internals, and [`SimRng`] is an explicitly-seeded `SmallRng`.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod exec;
 pub mod rng;

@@ -20,8 +20,8 @@
 //! yielding a single byte of payload ([`SnapshotReader::new`]). The
 //! unchecked constructor ([`SnapshotReader::new_unchecked`]) exists only
 //! for forensic tooling that wants to poke at a corrupt file; shipping
-//! code must never restore state through it — simverify rule SV013
-//! enforces exactly that.
+//! code must never restore state through it — the root `clippy.toml` lists
+//! it under `disallowed-methods`, so a call is a Clippy error.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -179,7 +179,7 @@ pub struct SnapshotReader<'a> {
 impl<'a> SnapshotReader<'a> {
     /// Open a snapshot, verifying magic, version, length, and checksum
     /// before any payload is exposed. This is the only constructor
-    /// shipping code may use (simverify SV013).
+    /// shipping code may use.
     pub fn new(bytes: &'a [u8]) -> Result<SnapshotReader<'a>, SnapshotError> {
         let (payload, expected) = Self::parse_header(bytes)?;
         let found = fnv1a(payload);
@@ -191,7 +191,7 @@ impl<'a> SnapshotReader<'a> {
 
     /// Open a snapshot *without* checksum verification. Forensics only:
     /// lets tooling inspect a corrupt file's readable prefix. Restoring
-    /// live state through this constructor is forbidden (SV013) — a
+    /// live state through this constructor is forbidden (a Clippy error) — a
     /// silently-wrong resume is strictly worse than a failed one.
     pub fn new_unchecked(bytes: &'a [u8]) -> Result<SnapshotReader<'a>, SnapshotError> {
         let (payload, _) = Self::parse_header(bytes)?;
@@ -667,6 +667,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test shows the forensic constructor opens what the checked one rejects"
+    )]
     fn corruption_is_detected() {
         let mut w = SnapshotWriter::new();
         w.put_u64(42);

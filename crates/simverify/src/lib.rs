@@ -1,17 +1,5 @@
-//! Correctness tooling for the simulator workspace (DESIGN.md §8, §13):
+//! Runtime correctness tooling for the simulator workspace (DESIGN.md §8):
 //!
-//! * [`lex`] — a minimal hand-rolled Rust lexer producing line-numbered
-//!   tokens that skip comments, strings and `#[cfg(test)]` items, so rules
-//!   match *code* rather than text.
-//! * [`graph`] — conservative module-graph/call-edge extraction with
-//!   reachability from declared purity roots (`PURITY-ROOT` markers and
-//!   `Balancer` impls): the parallel-executor contract's pure zone.
-//! * [`rules`] — the rule catalog SV001–SV014, the justified allowlist
-//!   (`simverify.allow` with per-entry reason + expiry), and the stable
-//!   JSON report.
-//! * [`lint`] — the workspace driver tying the above together. Run it with
-//!   `cargo run -p simverify --bin lint`; CI gates on the JSON report
-//!   diffed against `simverify_baseline.json`.
 //! * [`conformance`] — a linear-time validator over the trace records a
 //!   [`schedsim::SharedSink`] collects, asserting the paper's runtime
 //!   invariants: HPC hardware priorities stay inside the tunable bounds,
@@ -21,10 +9,13 @@
 //! * [`determinism`] — runs a workload twice with one seed and reports the
 //!   first diverging trace record (EXPERIMENTS.md reproducibility rests on
 //!   runs being pure functions of `(config, seed)`).
+//!
+//! The static half of that contract — no clocks, hash-ordered collections,
+//! shared mutable state, I/O or unchecked panics in simulation code — is
+//! checked by the compiler: the root `clippy.toml` lists and the lint
+//! attributes on the crate roots (DESIGN.md §8).
+
+#![forbid(unsafe_code)]
 
 pub mod conformance;
 pub mod determinism;
-pub mod graph;
-pub mod lex;
-pub mod lint;
-pub mod rules;

@@ -13,11 +13,27 @@
 //! consumption, CSV for time series, and a human-readable summary for the
 //! `--telemetry` flag of the experiment binaries.
 
+#![forbid(unsafe_code)]
+
 pub mod export;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, MutexGuard};
+
+// The registry is one of the purity gate's quarantines (DESIGN.md §13):
+// shared state by design, but it only counts. Its atomics and mutex are
+// named once, here.
+#[expect(clippy::disallowed_types, reason = "monotone metric cells; never read by a decision")]
+type AtomicU64 = std::sync::atomic::AtomicU64;
+#[expect(clippy::disallowed_types, reason = "last-write-wins gauge cell; never read by a decision")]
+type AtomicI64 = std::sync::atomic::AtomicI64;
+#[expect(
+    clippy::disallowed_types,
+    reason = "taken only at registration and snapshot time; snapshots render through a \
+              BTreeMap, so their order is the names', not the threads'"
+)]
+type Mutex<T> = std::sync::Mutex<T>;
 
 /// Number of log2 buckets: bucket `i < 64` counts values `v` with
 /// `floor(log2(v)) == i - 1` (bucket 0 is `v == 0`), bucket 64 is `u64::MAX`

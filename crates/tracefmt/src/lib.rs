@@ -13,6 +13,8 @@
 //! * [`prv`] — export in the actual Paraver trace format (`.prv`/`.pcf`),
 //!   so runs can be inspected in the paper's own visualization tool.
 
+#![forbid(unsafe_code)]
+
 pub mod ascii;
 pub mod export;
 pub mod prv;

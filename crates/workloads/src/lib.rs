@@ -22,6 +22,8 @@
 //! paper's tables, and a `spawn_faulted` function that plants the ranks into a
 //! [`schedsim::Kernel`] under a chosen scheduling setup.
 
+#![forbid(unsafe_code)]
+
 pub mod btmz;
 pub mod metbench;
 pub mod metbenchvar;
