@@ -389,8 +389,10 @@ pub struct JobRecord {
 /// FNV-1a fold — each rendered line plus its newline, so the hash equals
 /// [`text_fnv1a`] of the rendered trace. `last_reserved` is the head whose
 /// blocked stretch the `batch.reservations` counter last counted (a
-/// blocked head re-reserves every pass), and finished jobs fold into the
-/// [`FleetAccum`] in completion order.
+/// blocked head re-reserves every pass). In a run that does not record,
+/// finished jobs fold into the [`FleetAccum`] in completion order; a
+/// recording run leaves it at its default and folds its records in id
+/// order when it finishes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Summary {
     pub(crate) trace_hash: u64,
@@ -901,9 +903,11 @@ impl EngineState {
 
     /// Retire a finished or degraded job. Each job retires exactly once.
     fn retire(&mut self, r: JobRecord) {
-        self.summary.accum.fold(&r);
-        if let Some(rec) = &mut self.recording {
-            rec.records.insert(r.id, r);
+        match &mut self.recording {
+            Some(rec) => {
+                rec.records.insert(r.id, r);
+            }
+            None => self.summary.accum.fold(&r),
         }
     }
 

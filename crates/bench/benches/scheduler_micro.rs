@@ -4,26 +4,13 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use power5::{CpuId, Topology};
 use schedsim::program::ScriptedProgram;
-use schedsim::rbtree::RbTree;
 use schedsim::{Action, KernelApi, KernelBuilder, SchedPolicy, SpawnOptions, TaskId};
 use simcore::{EventQueue, SimDuration, SimTime};
 
-fn bench_rbtree(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rbtree");
-    for n in [16usize, 256, 4096] {
-        g.bench_function(format!("insert_pop_churn_{n}"), |b| {
-            b.iter(|| {
-                let mut t = RbTree::new();
-                for i in 0..n as u64 {
-                    t.insert(((i * 2654435761) % 1_000_003, i));
-                }
-                while let Some(k) = t.pop_min() {
-                    black_box(k);
-                }
-            })
-        });
-    }
-    // Comparison point: std BTreeSet under the same churn.
+/// The CFS run queue's data structure: a `BTreeSet` of `(vruntime, task
+/// id)` under insert-then-drain churn.
+fn bench_cfs_runqueue(c: &mut Criterion) {
+    let mut g = c.benchmark_group("cfs_runqueue");
     g.bench_function("std_btreeset_churn_256", |b| {
         b.iter(|| {
             let mut t = std::collections::BTreeSet::new();
@@ -45,19 +32,6 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut q = EventQueue::new();
             for i in 0..4096u64 {
                 q.schedule(simcore::SimTime((i * 37) % 10_000), i);
-            }
-            while let Some(ev) = q.pop() {
-                black_box(ev.payload);
-            }
-        })
-    });
-    g.bench_function("schedule_cancel_half_4k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            let ids: Vec<_> =
-                (0..4096u64).map(|i| q.schedule(simcore::SimTime(i), i)).collect();
-            for id in ids.iter().step_by(2) {
-                q.cancel(*id);
             }
             while let Some(ev) = q.pop() {
                 black_box(ev.payload);
@@ -196,7 +170,7 @@ fn bench_kernel_paths(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_rbtree,
+    bench_cfs_runqueue,
     bench_event_queue,
     bench_rearm_churn,
     bench_tick_path,

@@ -128,6 +128,9 @@ pub enum TopologyError {
     ZeroWidth,
     /// The tree describes more CPUs than the simulator will model.
     TooManyCpus { cpus: usize, max: usize },
+    /// The tree describes more NUMA nodes than the simulator will model
+    /// (its distance matrix is `nodes × nodes`).
+    TooManyNumaNodes { nodes: usize, max: usize },
     /// Migration costs must not decrease toward the root.
     NonMonotoneCost { level: usize },
     /// The spec string does not parse.
@@ -143,6 +146,9 @@ impl fmt::Display for TopologyError {
             TopologyError::TooManyCpus { cpus, max } => {
                 write!(f, "topology has {cpus} CPUs; the simulator caps at {max}")
             }
+            TopologyError::TooManyNumaNodes { nodes, max } => {
+                write!(f, "topology has {nodes} NUMA nodes; the simulator caps at {max}")
+            }
             TopologyError::NonMonotoneCost { level } => {
                 write!(f, "migration cost decreases at level {level}; costs must be monotone toward the root")
             }
@@ -157,6 +163,10 @@ impl std::error::Error for TopologyError {}
 /// Hard cap on modelled CPUs, so a typo'd spec fails typed instead of
 /// allocating the world.
 pub const MAX_CPUS: usize = 1 << 16;
+/// Hard cap on NUMA nodes: the default distance matrix has one entry per
+/// pair of nodes, so the CPU cap alone would let a spec such as `65536n`
+/// ask for 2^32 of them.
+pub const MAX_NUMA_NODES: usize = 256;
 /// Hard cap on tree depth.
 pub const MAX_LEVELS: usize = 12;
 
@@ -188,8 +198,9 @@ fn default_cost(kind: LevelKind) -> u32 {
 
 impl Topology {
     /// Build a tree from explicit levels (innermost-first; the last must
-    /// be the `Machine` root). Validates widths, depth, the CPU cap, and
-    /// cost monotonicity, then derives spans and default NUMA distances.
+    /// be the `Machine` root). Validates widths, depth, the CPU and NUMA
+    /// node caps, and cost monotonicity, then derives spans and default
+    /// NUMA distances.
     pub fn try_from_levels(levels: Vec<Level>) -> Result<Topology, TopologyError> {
         if levels.is_empty() || levels.len() > MAX_LEVELS {
             return Err(TopologyError::Spec(format!(
@@ -215,6 +226,10 @@ impl Topology {
             }
         }
         let mut t = Topology { levels, spans, numa_distances: Vec::new() };
+        let nodes = t.numa_count();
+        if nodes > MAX_NUMA_NODES {
+            return Err(TopologyError::TooManyNumaNodes { nodes, max: MAX_NUMA_NODES });
+        }
         t.numa_distances = t.default_numa_distances();
         Ok(t)
     }
@@ -380,6 +395,10 @@ impl Topology {
         }
         if tokens.is_empty() {
             return Err(TopologyError::Spec(format!("no levels in `{spec}`")));
+        }
+        // Checked before ranks are assigned: one rank per token, in a `u8`.
+        if tokens.len() > MAX_LEVELS {
+            return Err(TopologyError::Spec(format!("more than {MAX_LEVELS} levels in `{spec}`")));
         }
         // Assign hierarchy ranks innermost-first: tagged tokens pin their
         // position (skips allowed), untagged take the next one; ranks must
@@ -823,8 +842,13 @@ impl Snapshot for Topology {
         }
         let t = Topology::try_from_levels(levels)
             .map_err(|_| SnapshotError::Malformed("invalid topology tree"))?;
+        // The tree fixes the matrix size; a length read from the image is
+        // checked against it before it sizes anything.
         let n = r.get_len()?;
-        let mut m = Vec::with_capacity(n.min(MAX_CPUS));
+        if n != t.numa_count() {
+            return Err(SnapshotError::Malformed("NUMA distance matrix size disagrees with the tree"));
+        }
+        let mut m = Vec::with_capacity(n);
         for _ in 0..n {
             let mut row = Vec::with_capacity(n);
             for _ in 0..n {
@@ -964,6 +988,18 @@ mod tests {
         assert!(matches!(Topology::parse("0c2t"), Err(TopologyError::ZeroWidth)));
         // A NUMA node inside a core is out of hierarchy order.
         assert!(matches!(Topology::parse("2c2n2t"), Err(TopologyError::Spec(_))));
+        // More tokens than a tree has levels (and than a `u8` rank counts).
+        assert!(matches!(Topology::parse(&"1x".repeat(300)), Err(TopologyError::Spec(_))));
+    }
+
+    #[test]
+    fn numa_node_count_is_capped_before_any_matrix_is_built() {
+        let at_cap = Topology::parse(&format!("{MAX_NUMA_NODES}n")).unwrap();
+        assert_eq!(at_cap.numa_count(), MAX_NUMA_NODES);
+        for spec in ["257n", "2048n", "65536n", "5x64n1t"] {
+            let got = Topology::parse(spec);
+            assert!(matches!(got, Err(TopologyError::TooManyNumaNodes { .. })), "{spec}: {got:?}");
+        }
     }
 
     #[test]
@@ -1021,6 +1057,23 @@ mod tests {
         let back: Topology = r.get().unwrap();
         assert_eq!(back, t);
         assert_eq!(back.numa_distance(0, 1), 42);
+    }
+
+    #[test]
+    fn forged_numa_matrix_length_is_malformed() {
+        // A valid `2n2c2t` image up to its matrix length (the last 8 + 4·4
+        // payload bytes), then a length no image can back; the checksum
+        // is valid, so only the decoder can object.
+        let mut w = SnapshotWriter::new();
+        w.put(&Topology::parse("2n2c2t").unwrap());
+        let tree = w.payload()[..w.payload().len() - 24].to_vec();
+        let mut w = SnapshotWriter::new();
+        tree.iter().for_each(|&b| w.put_u8(b));
+        w.put_len(1 << 40);
+        let bytes = w.finish();
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        let got = r.get::<Topology>();
+        assert!(matches!(got, Err(SnapshotError::Malformed(m)) if m.contains("NUMA")), "{got:?}");
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! structural invariants every consumer leans on — contiguous partitions
 //! that refine outward, span-consistent domain materialisation, migration
 //! costs monotone toward the root, and a spec grammar whose canonical
-//! rendering round-trips.
+//! rendering round-trips. The grammar is also fuzzed: arbitrary byte
+//! strings and mutated valid specs must parse to a typed error or to a
+//! tree that survives its own rendering.
 
 use power5::{CpuId, DomainLevel, Topology};
 use proptest::prelude::*;
@@ -37,6 +39,18 @@ fn arb_spec() -> impl Strategy<Value = String> {
         },
     );
     prop_oneof![untagged, tagged]
+}
+
+/// Characters the spec grammar gives meaning to, plus a few it rejects.
+const ALPHABET: &[u8] = b"0123456789xXtTcCsSnN -z";
+
+/// Parses `input` and, when it is accepted, checks the round trip:
+/// `parse(render_spec(t)) == t`. A panic in the parser fails the test.
+fn check(input: &str) {
+    if let Ok(topo) = Topology::parse(input) {
+        let spec = topo.render_spec();
+        assert_eq!(Topology::parse(&spec).as_ref(), Ok(&topo), "`{input}` renders as `{spec}`");
+    }
 }
 
 fn arb_topology() -> impl Strategy<Value = Topology> {
@@ -168,5 +182,42 @@ proptest! {
                 prop_assert!(topo.numa_distance(i, i) <= topo.numa_distance(i, j));
             }
         }
+    }
+
+    /// Arbitrary bytes (read as UTF-8 with replacement characters), and
+    /// strings over the grammar's own characters, which get past the
+    /// lexer far more often, parse to a typed error or a tree that
+    /// round-trips.
+    #[test]
+    fn arbitrary_bytes_parse_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..24),
+        picks in proptest::collection::vec(0..ALPHABET.len(), 0..16),
+    ) {
+        check(&String::from_utf8_lossy(&bytes));
+        check(&picks.iter().map(|&i| char::from(ALPHABET[i])).collect::<String>());
+    }
+
+    /// Valid specs with tokens (`2n`, `4x`) or characters swapped, dropped
+    /// or duplicated parse to a typed error or a tree that round-trips.
+    #[test]
+    fn mutated_specs_parse_or_fail_typed(
+        spec in arb_spec(),
+        by_token in any::<bool>(),
+        muts in proptest::collection::vec((0u8..3, any::<usize>(), any::<usize>()), 1..4),
+    ) {
+        let mut toks: Vec<String> = match by_token {
+            true => spec.split_inclusive(|c: char| c.is_ascii_alphabetic()).map(String::from).collect(),
+            false => spec.chars().map(String::from).collect(),
+        };
+        for (op, i, j) in muts {
+            let (i, j) = (i % toks.len().max(1), j % toks.len().max(1));
+            match op {
+                _ if toks.is_empty() => {}
+                0 => toks.swap(i, j),
+                1 => drop(toks.remove(i)),
+                _ => toks.insert(i, toks[i].clone()),
+            }
+        }
+        check(&toks.concat());
     }
 }

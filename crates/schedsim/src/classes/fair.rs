@@ -1,18 +1,19 @@
 //! The Completely Fair Scheduler class (paper §III).
 //!
-//! Runnable tasks live in a red-black tree ordered by *virtual runtime*;
-//! the leftmost task — the one that has received the least weighted CPU
-//! time — runs next. There is no fixed quantum: each task's slice is its
+//! Runnable tasks live in an ordered set (a `BTreeSet`, where Linux uses a
+//! red-black tree) keyed by *virtual runtime*, with the task id as
+//! tie-breaker; the leftmost task — the one that has received the least
+//! weighted CPU time — runs next. There is no fixed quantum: each task's slice is its
 //! weight's share of the target latency period. A task's vruntime advances
 //! while it runs, moving it rightward until somebody else becomes leftmost.
 
 use crate::class::{ClassCtx, EnqueueKind, Migration, SchedClass};
 use crate::config::CfsTunables;
 use crate::policy::SchedPolicy;
-use crate::rbtree::RbTree;
 use crate::task::TaskId;
 use power5::CpuId;
 use simcore::SimDuration;
+use std::collections::BTreeSet;
 
 /// The load weight of a nice-0 task.
 pub const NICE_0_WEIGHT: u64 = 1024;
@@ -30,11 +31,10 @@ pub fn weight_of_nice(nice: i32) -> u64 {
     NICE_TO_WEIGHT[(nice.clamp(-20, 19) + 20) as usize]
 }
 
-/// Tree key: vruntime first, task id as the unique tie-breaker.
-type Key = (u64, usize);
-
 struct CfsRq {
-    tree: RbTree<Key>,
+    /// Queued tasks as `(vruntime, task id)`: the id is the unique
+    /// tie-breaker.
+    tree: BTreeSet<(u64, usize)>,
     /// Monotonic floor of vruntime on this queue.
     min_vruntime: u64,
     /// Sum of queued tasks' weights (excludes the running task).
@@ -45,7 +45,7 @@ struct CfsRq {
 
 impl CfsRq {
     fn new() -> Self {
-        CfsRq { tree: RbTree::new(), min_vruntime: 0, load: 0, curr_runtime: SimDuration::ZERO }
+        CfsRq { tree: BTreeSet::new(), min_vruntime: 0, load: 0, curr_runtime: SimDuration::ZERO }
     }
 }
 
@@ -88,7 +88,7 @@ impl FairClass {
     fn update_min_vruntime(&mut self, cpu: usize, curr_vr: Option<u64>) {
         let rq = &mut self.rqs[cpu];
         let mut min = curr_vr;
-        if let Some((left, _)) = rq.tree.min() {
+        if let Some(&(left, _)) = rq.tree.first() {
             min = Some(match min {
                 Some(c) => c.min(left),
                 None => left,
@@ -152,7 +152,7 @@ impl SchedClass for FairClass {
     }
 
     fn pick_next(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId) -> Option<TaskId> {
-        let (_, id) = self.rqs[cpu.0].tree.pop_min()?;
+        let (_, id) = self.rqs[cpu.0].tree.pop_first()?;
         let weight = weight_of_nice(ctx.task(TaskId(id)).nice);
         let rq = &mut self.rqs[cpu.0];
         rq.load -= weight;
@@ -214,7 +214,7 @@ impl SchedClass for FairClass {
             return true;
         }
         // Also preempt when someone is owed substantially more CPU.
-        if let Some((left_vr, _)) = rq.tree.min() {
+        if let Some(&(left_vr, _)) = rq.tree.first() {
             let gran = FairClass::delta_vruntime(self.tun.wakeup_granularity, weight);
             if t.vruntime > left_vr.saturating_add(gran) {
                 return true;
@@ -261,9 +261,9 @@ impl SchedClass for FairClass {
         let cand = self.rqs[src]
             .tree
             .iter()
-            .map(|(_, id)| TaskId(id))
-            .filter(|&t| ctx.task(t).allowed_on(cpu))
-            .last();
+            .rev()
+            .map(|&(_, id)| TaskId(id))
+            .find(|&t| ctx.task(t).allowed_on(cpu));
         match cand {
             Some(t) => vec![Migration { task: t, from: CpuId(src), to: cpu }],
             None => Vec::new(),
@@ -279,11 +279,6 @@ impl FairClass {
     /// Diagnostic: the min_vruntime of a CPU's queue.
     pub fn min_vruntime(&self, cpu: CpuId) -> u64 {
         self.rqs[cpu.0].min_vruntime
-    }
-
-    /// Diagnostic: validate the tree's red-black invariants.
-    pub fn assert_tree_invariants(&self, cpu: CpuId) {
-        self.rqs[cpu.0].tree.assert_invariants();
     }
 }
 
@@ -479,13 +474,11 @@ mod tests {
         for i in 0..16 {
             cx.task_mut(TaskId(i)).vruntime = (i as u64 * 37) % 11;
             c.enqueue(&mut cx, CpuId(0), TaskId(i), EnqueueKind::Migration);
-            c.assert_tree_invariants(CpuId(0));
         }
         for _ in 0..8 {
             let t = c.pick_next(&mut cx, CpuId(0)).unwrap();
             c.charge(&mut cx, CpuId(0), t, SimDuration::from_millis(3));
             c.put_prev(&mut cx, CpuId(0), t);
-            c.assert_tree_invariants(CpuId(0));
         }
         assert_eq!(c.nr_runnable(CpuId(0)), 16);
     }

@@ -1198,9 +1198,7 @@ impl Kernel {
     fn rearm_workdone(&mut self, cpu: CpuId) {
         let lane = self.workdone_lane(cpu.0);
         match self.workdone_time(cpu) {
-            Some(at) => {
-                self.events.arm(lane, at);
-            }
+            Some(at) => self.events.arm(lane, at),
             None => {
                 self.events.disarm(lane);
             }

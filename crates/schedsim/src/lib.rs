@@ -8,8 +8,8 @@
 //!   from a lower class runs while a higher class has runnable work;
 //! * a **real-time class** ([`classes::RtClass`]) with per-priority
 //!   round-robin queues (the old O(1)-style design);
-//! * the **CFS class** ([`classes::FairClass`]) with a hand-written
-//!   red-black tree ([`rbtree`]) ordered by virtual runtime;
+//! * the **CFS class** ([`classes::FairClass`]) with a run queue ordered by
+//!   virtual runtime (a `BTreeSet` of `(vruntime, task id)`);
 //! * an **idle class** ([`classes::IdleClass`]) that always has something to
 //!   run;
 //! * scheduling-domain aware **load balancing** hooks, wakeup preemption,
@@ -51,7 +51,6 @@ pub mod noise;
 pub mod policies;
 pub mod policy;
 pub mod program;
-pub mod rbtree;
 pub mod task;
 pub mod trace;
 

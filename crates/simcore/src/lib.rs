@@ -7,7 +7,8 @@
 //! primitives everything else is built on:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution simulated time,
-//! * [`EventQueue`] — a cancellable, deterministically-ordered event queue,
+//! * [`EventQueue`] — a deterministically-ordered event queue with re-armable
+//!   timer lanes,
 //! * [`SimRng`] — a seeded RNG with the distribution helpers the workload and
 //!   OS-noise models need,
 //!
@@ -33,7 +34,7 @@ pub mod rng;
 pub mod snapshot;
 pub mod time;
 
-pub use event::{EventId, EventQueue, EventQueueCounters, ScheduledEvent};
+pub use event::{EventQueue, EventQueueCounters, ScheduledEvent};
 pub use exec::{Pool, PoolCounters, SupervisePolicy, Supervised, TaskFailure};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use rng::SimRng;

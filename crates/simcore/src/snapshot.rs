@@ -287,11 +287,6 @@ impl<'a> SnapshotReader<'a> {
         T::restore(self)
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.payload.len() - self.pos
-    }
-
     /// Assert the payload was consumed exactly — leftover bytes mean the
     /// reader and writer disagree about the schema.
     pub fn finish(self) -> Result<(), SnapshotError> {
