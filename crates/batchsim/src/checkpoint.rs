@@ -672,10 +672,6 @@ impl CheckpointStore {
         self
     }
 
-    pub fn latest_path(&self) -> PathBuf {
-        self.dir.join(Self::LATEST)
-    }
-
     /// Persist a checkpoint, rotating the previous latest into `.prev`.
     pub fn save(&mut self, ckpt: &BatchCheckpoint) -> Result<PathBuf, StoreError> {
         std::fs::create_dir_all(&self.dir)?;

@@ -151,7 +151,7 @@ pub trait SchedClass: Send {
     fn task_exited(&mut self, _ctx: &mut ClassCtx<'_>, _task: TaskId) {}
 
     /// Load balancing opportunity on `cpu` (`idle` = the CPU ran out of
-    /// work). Return migrations of *queued* tasks; the kernel applies them.
+    /// work). Return a migration of a *queued* task; the kernel applies it.
     ///
     /// Contract: when no class has a task queued on any CPU, a periodic
     /// call (`idle == false`) returns nothing and changes nothing, neither
@@ -163,8 +163,8 @@ pub trait SchedClass: Send {
         _ctx: &mut ClassCtx<'_>,
         _cpu: CpuId,
         _idle: bool,
-    ) -> Vec<Migration> {
-        Vec::new()
+    ) -> Option<Migration> {
+        None
     }
 
     /// Number of queued (runnable, not running) tasks on `cpu`.

@@ -207,12 +207,15 @@ impl SchedClass for BalancedClass {
         self.balancer.task_exited(task);
     }
 
-    fn load_balance(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, idle: bool) -> Vec<Migration> {
+    fn load_balance(
+        &mut self,
+        ctx: &mut ClassCtx<'_>,
+        cpu: CpuId,
+        idle: bool,
+    ) -> Option<Migration> {
         self.count_hpc(ctx);
         let view = BalanceView { topology: ctx.topology, counts: &self.counts, queued: &self.rqs };
-        let plan =
-            self.balancer.plan_migrations(&view, cpu, idle, &|t, c| ctx.tasks[t.0].allowed_on(c));
-        plan.into_iter().collect()
+        self.balancer.plan_migrations(&view, cpu, idle, &|t, c| ctx.tasks[t.0].allowed_on(c))
     }
 
     fn nr_runnable(&self, cpu: CpuId) -> usize {
@@ -410,10 +413,9 @@ mod tests {
         for i in 0..3 {
             c.enqueue(&mut cx, CpuId(2), TaskId(i), EnqueueKind::New);
         }
-        let migs = c.load_balance(&mut cx, CpuId(0), true);
-        assert_eq!(migs.len(), 1);
-        assert_eq!(migs[0].from, CpuId(2));
-        assert_eq!(migs[0].to, CpuId(0));
+        let mig = c.load_balance(&mut cx, CpuId(0), true).expect("a pull");
+        assert_eq!(mig.from, CpuId(2));
+        assert_eq!(mig.to, CpuId(0));
     }
 
     #[test]
@@ -425,9 +427,8 @@ mod tests {
         let running = [None, None, Some(TaskId(0)), None];
         let mut cx = ClassCtx { running: &running, ..ctx(&mut tasks, &topo) };
         c.enqueue(&mut cx, CpuId(2), TaskId(1), EnqueueKind::New);
-        let migs = c.load_balance(&mut cx, CpuId(0), true);
-        assert_eq!(migs.len(), 1, "2 tasks on core1 vs 0 on core0");
-        assert_eq!(migs[0].task, TaskId(1), "only the queued task can move");
+        let mig = c.load_balance(&mut cx, CpuId(0), true).expect("2 tasks on core1 vs 0 on core0");
+        assert_eq!(mig.task, TaskId(1), "only the queued task can move");
     }
 
     #[test]

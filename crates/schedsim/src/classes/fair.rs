@@ -65,12 +65,6 @@ impl FairClass {
         FairClass { rqs: Vec::new(), tun, sleeper_credit }
     }
 
-    /// Override the sleeper credit (ablation knob).
-    pub fn with_sleeper_credit(mut self, credit: SimDuration) -> Self {
-        self.sleeper_credit = credit;
-        self
-    }
-
     fn delta_vruntime(delta: SimDuration, weight: u64) -> u64 {
         (delta.as_nanos() as u128 * NICE_0_WEIGHT as u128 / weight as u128) as u64
     }
@@ -244,30 +238,27 @@ impl SchedClass for FairClass {
         ctx: &mut ClassCtx<'_>,
         cpu: CpuId,
         idle: bool,
-    ) -> Vec<Migration> {
+    ) -> Option<Migration> {
         let here = self.rqs[cpu.0].tree.len();
         // Pull when idle, or when periodic balancing sees a 2+ imbalance.
         let threshold = if idle { 1 } else { 2 };
         let busiest = (0..self.rqs.len())
             .filter(|&c| c != cpu.0)
             .max_by_key(|&c| self.rqs[c].tree.len());
-        let Some(src) = busiest else { return Vec::new() };
+        let src = busiest?;
         if self.rqs[src].tree.len() < here + threshold {
-            return Vec::new();
+            return None;
         }
         // Steal the task that has run the most (rightmost): it is the least
         // cache-hot choice in kernel terms and keeps the leftmost (neediest)
         // local.
-        let cand = self.rqs[src]
+        let task = self.rqs[src]
             .tree
             .iter()
             .rev()
             .map(|&(_, id)| TaskId(id))
-            .find(|&t| ctx.task(t).allowed_on(cpu));
-        match cand {
-            Some(t) => vec![Migration { task: t, from: CpuId(src), to: cpu }],
-            None => Vec::new(),
-        }
+            .find(|&t| ctx.task(t).allowed_on(cpu))?;
+        Some(Migration { task, from: CpuId(src), to: cpu })
     }
 
     fn nr_runnable(&self, cpu: CpuId) -> usize {
@@ -429,12 +420,11 @@ mod tests {
         for i in 0..3 {
             c.enqueue(&mut cx, CpuId(1), TaskId(i), EnqueueKind::New);
         }
-        let migs = c.load_balance(&mut cx, CpuId(0), true);
-        assert_eq!(migs.len(), 1);
-        assert_eq!(migs[0].from, CpuId(1));
+        let mig = c.load_balance(&mut cx, CpuId(0), true).expect("a pull");
+        assert_eq!(mig.from, CpuId(1));
         // Migration applies: kernel would dequeue+enqueue; here verify the
         // class accepted the affinity filter.
-        assert!(cx.task(migs[0].task).allowed_on(CpuId(0)));
+        assert!(cx.task(mig.task).allowed_on(CpuId(0)));
     }
 
     #[test]
@@ -447,7 +437,7 @@ mod tests {
         let mut cx = ctx(&mut tasks, &topo);
         c.enqueue(&mut cx, CpuId(1), TaskId(0), EnqueueKind::New);
         c.enqueue(&mut cx, CpuId(1), TaskId(1), EnqueueKind::New);
-        assert!(c.load_balance(&mut cx, CpuId(0), true).is_empty());
+        assert!(c.load_balance(&mut cx, CpuId(0), true).is_none());
     }
 
     #[test]

@@ -167,25 +167,21 @@ impl SchedClass for RtClass {
         ctx: &mut ClassCtx<'_>,
         cpu: CpuId,
         idle: bool,
-    ) -> Vec<Migration> {
+    ) -> Option<Migration> {
         if !idle || self.rqs[cpu.0].nr > 0 {
-            return Vec::new();
+            return None;
         }
         // Idle pull: take one task from the busiest RT runqueue.
         let busiest = (0..self.rqs.len())
             .filter(|&c| c != cpu.0 && self.rqs[c].nr > 1)
             .max_by_key(|&c| self.rqs[c].nr);
-        let Some(src) = busiest else { return Vec::new() };
+        let src = busiest?;
         // Pull the lowest-priority queued task that may run here (steal the
         // least important work, like the kernel's pull_rt_task).
-        for p in 0..RT_PRIO_LEVELS {
-            if let Some(&cand) =
-                self.rqs[src].queues[p].iter().find(|&&t| ctx.task(t).allowed_on(cpu))
-            {
-                return vec![Migration { task: cand, from: CpuId(src), to: cpu }];
-            }
-        }
-        Vec::new()
+        let task = (0..RT_PRIO_LEVELS).find_map(|p| {
+            self.rqs[src].queues[p].iter().copied().find(|&t| ctx.task(t).allowed_on(cpu))
+        })?;
+        Some(Migration { task, from: CpuId(src), to: cpu })
     }
 
     fn nr_runnable(&self, cpu: CpuId) -> usize {
@@ -318,10 +314,9 @@ mod tests {
         for i in 0..3 {
             c.enqueue(&mut cx, CpuId(1), TaskId(i), EnqueueKind::New);
         }
-        let migs = c.load_balance(&mut cx, CpuId(0), true);
-        assert_eq!(migs.len(), 1);
-        assert_eq!(migs[0].from, CpuId(1));
-        assert_eq!(migs[0].to, CpuId(0));
+        let mig = c.load_balance(&mut cx, CpuId(0), true).expect("a pull");
+        assert_eq!(mig.from, CpuId(1));
+        assert_eq!(mig.to, CpuId(0));
     }
 
     #[test]
@@ -332,7 +327,7 @@ mod tests {
         let mut cx = ctx(&mut tasks, &topo);
         c.enqueue(&mut cx, CpuId(1), TaskId(0), EnqueueKind::New);
         c.enqueue(&mut cx, CpuId(1), TaskId(1), EnqueueKind::New);
-        assert!(c.load_balance(&mut cx, CpuId(0), false).is_empty());
+        assert!(c.load_balance(&mut cx, CpuId(0), false).is_none());
     }
 
     #[test]

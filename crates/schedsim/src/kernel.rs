@@ -14,7 +14,7 @@ use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{KernelEvent, Observer, TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
 use simcore::{EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
-use telemetry::{Counter, HistogramHandle, MetricsRegistry};
+use telemetry::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
 
 /// Kernel events.
 #[derive(Clone, Copy, Debug)]
@@ -42,6 +42,10 @@ struct CpuState {
     steal_until: SimTime,
     need_resched: bool,
     ticks: u64,
+    /// The steps of the running task's next batched descent that
+    /// [`Kernel::uniform_rounds`] already took, and the work they left;
+    /// [`Kernel::sync_uniform`] takes it and goes on from there.
+    descended: Option<(u64, f64)>,
 }
 
 impl CpuState {
@@ -53,6 +57,7 @@ impl CpuState {
             steal_until: SimTime::ZERO,
             need_resched: false,
             ticks: 0,
+            descended: None,
         }
     }
 }
@@ -70,9 +75,10 @@ pub struct SpawnOptions {
 }
 
 /// Hot-path metric handles, registered once at kernel construction so
-/// recording is a relaxed atomic op with no registry lookup. The two
-/// per-event counts, ticks and context switches, are tallied in a plain
-/// [`HotTally`] instead and added here when a public method returns.
+/// recording is a relaxed atomic op with no registry lookup. The per-event
+/// counts, ticks and context switches, and the two per-pick histograms are
+/// tallied in a plain [`HotTally`] instead and added here when a public
+/// method returns.
 struct KernelCounters {
     context_switches: Counter,
     ticks: Counter,
@@ -115,12 +121,23 @@ impl KernelCounters {
     }
 }
 
-/// Counts of the kernel's most frequent events since the counters were
-/// last published (see [`Kernel::publish_counters`]).
+/// Counts and samples of the kernel's most frequent events since the
+/// counters were last published (see [`Kernel::publish_counters`]).
 #[derive(Default)]
 struct HotTally {
     ticks: u64,
     context_switches: u64,
+    /// The per-pick histograms, inline: in set-up-only timings a box
+    /// allocated per kernel cost more than moving the larger kernel.
+    picks: PickTally,
+}
+
+/// [`KernelCounters::runq_depth`] and
+/// [`KernelCounters::dispatch_latency_ns`], tallied in plain memory.
+#[derive(Default)]
+struct PickTally {
+    runq_depth: LocalHistogram,
+    dispatch_latency_ns: LocalHistogram,
 }
 
 /// The simulated kernel.
@@ -142,6 +159,12 @@ pub struct Kernel {
     /// classes as [`ClassCtx::running`].
     running: Vec<Option<TaskId>>,
     tokens: TokenTable,
+    /// Empty between uses: [`Kernel::settle`]'s wakeups, swapped out of
+    /// `tokens`, and the signals a program defers in
+    /// [`Kernel::run_transitions`]. The kernel owns them so that neither
+    /// allocates per wakeup or per transition.
+    wakes: Vec<TaskId>,
+    deferred: Vec<(SimTime, WaitToken)>,
     observers: Vec<Box<dyn Observer>>,
     rng: SimRng,
     registry: MetricsRegistry,
@@ -191,6 +214,8 @@ impl Kernel {
             cpus,
             running: vec![None; ncpus],
             tokens: TokenTable::default(),
+            wakes: Vec::new(),
+            deferred: Vec::new(),
             observers: Vec::new(),
             rng,
             registry,
@@ -620,8 +645,9 @@ impl Kernel {
     /// How many quiet rounds from the uniform round at `at` on may run, at
     /// most `max` and all before `stop`: the first always may (the caller
     /// checked it), and each later one while every armed completion time
-    /// re-derived after the round before it is past it.
-    fn uniform_rounds(&self, at: SimTime, max: u64, stop: SimTime) -> u64 {
+    /// re-derived after the round before it is past it. Each armed CPU
+    /// keeps what its descent found for [`Kernel::sync_uniform`].
+    fn uniform_rounds(&mut self, at: SimTime, max: u64, stop: SimTime) -> u64 {
         let tick = self.config.tick;
         let mut n = max.min(stop.saturating_since(at).as_nanos().div_ceil(tick.as_nanos()));
         for cpu in 0..self.cpus.len() {
@@ -634,14 +660,17 @@ impl Kernel {
             )]
             let tid = self.running[cpu].expect("an armed CPU runs a task");
             let (remaining, speed) = (self.tasks[tid.0].remaining_work, self.cpus[cpu].speed);
-            n = rounds_before_completion(remaining, speed, tick, n);
+            let rounds = rounds_before_completion(remaining, speed, tick, n);
+            self.cpus[cpu].descended = Some((rounds.steps, rounds.left));
+            n = rounds.n;
         }
         n
     }
 
     /// The accounting of `n` uniform rounds from `at` at once: bit for bit
     /// what one `sync_to` per round would do, since every running CPU
-    /// accrues one tick per round ([`Kernel::accrue`]).
+    /// accrues one tick per round ([`Kernel::accrue`]). A descent
+    /// [`Kernel::uniform_rounds`] took goes on from where it stopped.
     /// [`Kernel::tick_rounds`] sets the clock.
     fn sync_uniform(&mut self, at: SimTime, n: u64) {
         debug_assert!(n > 0 && self.is_uniform(at));
@@ -649,8 +678,9 @@ impl Kernel {
         let last = at + tick * (n - 1);
         for cpu in 0..self.cpus.len() {
             self.cpus[cpu].last_sync = last;
+            let descended = self.cpus[cpu].descended.take();
             if let Some(tid) = self.running[cpu] {
-                self.accrue(CpuId(cpu), tid, tick, n);
+                self.accrue(CpuId(cpu), tid, tick, n, descended);
             }
         }
     }
@@ -689,9 +719,11 @@ impl Kernel {
     /// see exact values.
     fn publish_counters(&mut self) {
         self.events.publish();
-        let t = std::mem::take(&mut self.tally);
-        self.counters.ticks.add(t.ticks);
-        self.counters.context_switches.add(t.context_switches);
+        let t = &mut self.tally;
+        self.counters.ticks.add(std::mem::take(&mut t.ticks));
+        self.counters.context_switches.add(std::mem::take(&mut t.context_switches));
+        self.counters.runq_depth.absorb(&mut t.picks.runq_depth);
+        self.counters.dispatch_latency_ns.absorb(&mut t.picks.dispatch_latency_ns);
     }
 
     // ------------------------------------------------------------------
@@ -714,7 +746,7 @@ impl Kernel {
         let Some(tid) = self.running[cpu.0] else { return };
         let delta = t.saturating_since(start);
         if !delta.is_zero() {
-            self.accrue(cpu, tid, delta, 1);
+            self.accrue(cpu, tid, delta, 1, None);
         }
     }
 
@@ -723,17 +755,28 @@ impl Kernel {
     /// ends where `n` float steps leave it (a product would round
     /// differently; [`descend`] takes the steps in closed form), and the
     /// class is charged with `charge`, or `charge_rounds` for `n > 1`.
+    /// `descended` is the steps of this very descent already taken, and
+    /// the work they left; it is used when it covers no more than `n`.
     #[inline]
-    fn accrue(&mut self, cpu: CpuId, tid: TaskId, delta: SimDuration, n: u64) {
+    fn accrue(
+        &mut self,
+        cpu: CpuId,
+        tid: TaskId,
+        delta: SimDuration,
+        n: u64,
+        descended: Option<(u64, f64)>,
+    ) {
         let work = delta.as_secs_f64() * self.cpus[cpu.0].speed;
         let task = &mut self.tasks[tid.0];
         debug_assert_eq!(task.state, TaskState::Running);
         task.exec_total += delta * n;
         task.iter.run_in_iter += delta * n;
-        task.remaining_work = if n == 1 {
-            (task.remaining_work - work).max(0.0)
-        } else {
-            descend(task.remaining_work, work, n, f64::NEG_INFINITY).0
+        task.remaining_work = match descended {
+            Some((steps, left)) if steps <= n => {
+                descend(left, work, n - steps, f64::NEG_INFINITY).0
+            }
+            _ if n == 1 => (task.remaining_work - work).max(0.0),
+            _ => descend(task.remaining_work, work, n, f64::NEG_INFINITY).0,
         };
         let policy = task.policy;
         let class = self.class_of_policy(policy);
@@ -803,22 +846,22 @@ impl Kernel {
                           call and restored two lines below."
             )]
             let mut program = self.tasks[tid.0].program.take().expect("task has a program");
-            let mut deferred: Vec<(SimTime, WaitToken)> = Vec::new();
             let mut policy_change = None;
             let action = {
                 let mut api = KernelApi {
                     now: self.now,
                     caller: tid,
                     tokens: &mut self.tokens,
-                    deferred_signals: &mut deferred,
+                    deferred_signals: &mut self.deferred,
                     policy_change: &mut policy_change,
                 };
                 program.next_action(&mut api)
             };
             self.tasks[tid.0].program = Some(program);
-            for (at, tok) in deferred {
+            for &(at, tok) in &self.deferred {
                 self.events.schedule(at.max(self.now), KEvent::Signal(tok));
             }
+            self.deferred.clear();
             if let Some(policy) = policy_change {
                 self.apply_policy_change(tid, policy);
             }
@@ -998,7 +1041,7 @@ impl Kernel {
                 // SMT siblings share the core's cache; try them (in
                 // context order) before anything farther up the tree.
                 let topo = self.chip.topology();
-                for sib in topo.cpus_of_core(topo.core_of(prev)) {
+                for sib in topo.core_range(topo.core_of(prev)).map(CpuId) {
                     if sib != prev && task.allowed_on(sib) && idle(sib) {
                         return sib;
                     }
@@ -1052,13 +1095,15 @@ impl Kernel {
     /// refresh hardware state and re-arm completion events.
     fn settle(&mut self) {
         loop {
-            let wakes = self.tokens.take_wakes();
-            if wakes.is_empty() && !self.cpus.iter().any(|c| c.need_resched) {
+            self.tokens.swap_wakes(&mut self.wakes);
+            if self.wakes.is_empty() && !self.cpus.iter().any(|c| c.need_resched) {
                 break;
             }
-            for t in wakes {
-                self.wake_task(t);
+            // By index: `wake_task` takes `&mut self` and leaves the list alone.
+            for i in 0..self.wakes.len() {
+                self.wake_task(self.wakes[i]);
             }
+            self.wakes.clear();
             for cpu in 0..self.cpus.len() {
                 if self.cpus[cpu].need_resched {
                     self.cpus[cpu].need_resched = false;
@@ -1088,7 +1133,10 @@ impl Kernel {
 
         loop {
             let runnable: usize = self.classes.iter().map(|c| c.nr_runnable(cpu)).sum();
-            self.counters.runq_depth.record(runnable as u64);
+            let picks = &mut self.tally.picks;
+            if picks.runq_depth.record(runnable as u64) {
+                absorb_full(&self.counters.runq_depth, &mut picks.runq_depth);
+            }
             let mut next = None;
             for class in 0..self.classes.len() {
                 next = self.with_ctx(class, |class, ctx| class.pick_next(ctx, cpu));
@@ -1135,7 +1183,10 @@ impl Kernel {
             }
         }
         if let Some(lat) = wakeup_latency {
-            self.counters.dispatch_latency_ns.record(lat.as_nanos());
+            let picks = &mut self.tally.picks;
+            if picks.dispatch_latency_ns.record(lat.as_nanos()) {
+                absorb_full(&self.counters.dispatch_latency_ns, &mut picks.dispatch_latency_ns);
+            }
         }
         self.running[cpu.0] = Some(tid);
         if prev != Some(tid) {
@@ -1230,12 +1281,12 @@ impl Kernel {
         // the strength of the `load_balance` contract; hold every class to it.
         let no_op = cfg!(debug_assertions) && !idle && self.nothing_queued();
         for class in 0..self.classes.len() {
-            let migs = self.with_ctx(class, |c, ctx| c.load_balance(ctx, cpu, idle));
+            let mig = self.with_ctx(class, |c, ctx| c.load_balance(ctx, cpu, idle));
             debug_assert!(
-                !no_op || migs.is_empty(),
-                "class {class} planned {migs:?} on {cpu:?} with nothing queued"
+                !no_op || mig.is_none(),
+                "class {class} planned {mig:?} on {cpu:?} with nothing queued"
             );
-            for Migration { task, from, to } in migs {
+            if let Some(Migration { task, from, to }) = mig {
                 if self.tasks[task.0].state != TaskState::Runnable {
                     continue;
                 }
@@ -1314,6 +1365,14 @@ impl Kernel {
     }
 }
 
+/// Publish a pick histogram whose bucket filled up. Out of line and cold:
+/// that takes 2³² samples in one bucket between two public calls.
+#[cold]
+#[inline(never)]
+fn absorb_full(handle: &HistogramHandle, local: &mut LocalHistogram) {
+    handle.absorb(local);
+}
+
 /// When a task with `remaining` work, running on a CPU in state `cs`,
 /// finishes its compute segment, as of `now`; `None` when the CPU is
 /// stalled.
@@ -1344,6 +1403,17 @@ fn completion_delay(remaining: f64, speed: f64) -> SimDuration {
     }
 }
 
+/// What [`rounds_before_completion`] found for one CPU.
+#[derive(Debug)]
+struct Rounds {
+    /// The rounds that may run.
+    n: u64,
+    /// How many steps of `r = (r - w).max(0.0)` from the task's remaining
+    /// work it took on the way, and the work they left.
+    steps: u64,
+    left: f64,
+}
+
 /// The number of batched rounds, at most `max`, that a CPU with
 /// `remaining` work at `speed`, charged `tick` per round, lets run. The
 /// first round always runs; round `k` runs while the completion delay
@@ -1351,13 +1421,25 @@ fn completion_delay(remaining: f64, speed: f64) -> SimDuration {
 /// with the work left, and while more than two ticks' work is left it is
 /// certainly above a tick, so only the last rounds need the exact
 /// [`completion_delay`].
-fn rounds_before_completion(remaining: f64, speed: f64, tick: SimDuration, max: u64) -> u64 {
+///
+/// Most calls need no descent at all. One float step removes at most
+/// `w + 2⁻⁵³·remaining` (the work, plus the rounding of a result no
+/// larger than `remaining`), so when `max − 1` such steps cannot bring the
+/// work down to two ticks' worth, all `max` rounds run. The test below
+/// over-estimates the removal with `2⁻⁵²`, and its `1e-6` margin absorbs
+/// the rounding of its own four operations.
+fn rounds_before_completion(remaining: f64, speed: f64, tick: SimDuration, max: u64) -> Rounds {
+    let untouched = Rounds { n: max, steps: 0, left: remaining };
     if speed <= 0.0 {
         // Never armed in practice; one round keeps the per-round rule.
-        return max.min(1);
+        return Rounds { n: max.min(1), ..untouched };
     }
     let work = tick.as_secs_f64() * speed;
     let sure = 2.0 * tick.as_secs_f64() * speed;
+    let steps = max.saturating_sub(1) as f64;
+    if steps * (work + remaining * f64::EPSILON) < (remaining - sure) * (1.0 - 1e-6) {
+        return untouched;
+    }
     let (mut remaining, mut round) = (remaining, 0);
     while round + 1 < max {
         // Past `sure` every step stops the descent, so the exact test
@@ -1368,10 +1450,10 @@ fn rounds_before_completion(remaining: f64, speed: f64, tick: SimDuration, max: 
             break;
         }
         if remaining <= 0.0 || completion_delay(remaining, speed) <= tick {
-            return round;
+            return Rounds { n: round, steps: round, left: remaining };
         }
     }
-    max
+    Rounds { n: max, steps: round, left: remaining }
 }
 
 /// `n` steps of `r = (r - w).max(0.0)`, stopping after the first that
@@ -1429,12 +1511,10 @@ fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
     let bits = r.to_bits();
     let exp = bits >> 52;
     let m = (bits & (HIDDEN - 1)) | HIDDEN;
-    // ulp(r) = 2^(exp - 1075), subnormal for the lowest 52 binades.
-    let u = f64::from_bits(if exp > 52 { (exp - 52) << 52 } else { 1 << (exp - 1) });
-    // Division by a power of two is exact unless it leaves the normal
+    // Scaling by a power of two is exact unless it leaves the normal
     // range: a result that overflows fails the bound, one that underflows
     // is far below ½ and rounds to a step of 0 either way.
-    let q = w / u;
+    let q = in_ulps(w, exp);
     if q >= LIMIT {
         return None;
     }
@@ -1455,7 +1535,7 @@ fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
         k
     };
     // `r` is not above `floor`, so the first step stops the descent.
-    let f = floor / u;
+    let f = in_ulps(floor, exp);
     if f >= m as f64 {
         return None;
     }
@@ -1467,6 +1547,20 @@ fn descend_in_binade(r: f64, w: f64, n: u64, floor: f64) -> Option<(u64, u64)> {
     // A step of 0 is a fixed point, which one literal step detects.
     let steps = n.min(m.checked_sub(lowest)?.checked_div(step)?);
     (steps > 0).then_some((steps, steps * step))
+}
+
+/// `x / ulp` for the ulp of the binade with biased exponent `exp`,
+/// `2^(max(exp, 1) − 1075)`, subnormal for the lowest 52 binades. From
+/// `exp = 52` on, `1/ulp = 2^(1075 − exp)` is a normal double, and `x`
+/// times it is the same exact real as the quotient, so the product rounds
+/// to the same double, at the cost of a multiply instead of a divide.
+/// Below that `1/ulp` overflows, and only the division is exact.
+fn in_ulps(x: f64, exp: u64) -> f64 {
+    if exp >= 52 {
+        x * f64::from_bits((2098 - exp) << 52)
+    } else {
+        x / f64::from_bits(1 << (exp.max(1) - 1))
+    }
 }
 
 /// The first class in chain order that handles each policy, indexed by
@@ -2052,6 +2146,125 @@ mod tests {
         for w in [0.0, 0.5 * ulp(min), 3.0 * ulp(min), min / 3.0] {
             assert_descends_like_the_loop(min * 1.5, w, 10_000, -1.0);
             assert_descends_like_the_loop(min / 2.0, w, 100, -1.0);
+        }
+    }
+
+    /// The reference [`rounds_before_completion`] must match: the same
+    /// rule with a descent every time, no closed-form bound.
+    fn rounds_by_descent(remaining: f64, speed: f64, tick: SimDuration, max: u64) -> u64 {
+        if speed <= 0.0 {
+            return max.min(1);
+        }
+        let work = tick.as_secs_f64() * speed;
+        let sure = 2.0 * tick.as_secs_f64() * speed;
+        let (mut remaining, mut round) = (remaining, 0);
+        while round + 1 < max {
+            let (left, steps) = descend(remaining, work, max - 1 - round, sure);
+            (remaining, round) = (left, round + steps);
+            if remaining > sure {
+                break;
+            }
+            if remaining <= 0.0 || completion_delay(remaining, speed) <= tick {
+                return round;
+            }
+        }
+        max
+    }
+
+    /// `rounds_before_completion` agrees with [`rounds_by_descent`], and
+    /// the descent it hands on is the one it claims: `steps` literal steps
+    /// from `remaining`, no more than the rounds that may run.
+    fn assert_rounds_like_the_descent(remaining: f64, speed: f64, tick: SimDuration, max: u64) {
+        let got = rounds_before_completion(remaining, speed, tick, max);
+        let want = rounds_by_descent(remaining, speed, tick, max);
+        let context = format!("rounds_before_completion({remaining:e}, {speed}, {tick:?}, {max})");
+        assert_eq!(got.n, want, "{context} = {got:?}");
+        assert!(got.steps <= got.n, "{context} = {got:?} descended past its rounds");
+        let work = tick.as_secs_f64() * speed;
+        let left = descend(remaining, work, got.steps, f64::NEG_INFINITY).0;
+        assert_eq!(got.left.to_bits(), left.to_bits(), "{context} = {got:?}, descent gives {left:e}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 2048, ..Default::default() })]
+
+        /// Over work sizes from a sliver of a tick to thousands of ticks,
+        /// and work placed within a few ulps of where the bound flips: the
+        /// closed-form bound only ever skips descents that reach `max`.
+        #[test]
+        fn bounded_rounds_equal_the_descent(
+            tick_ns in 100_000u64..10_000_000,
+            speed in proptest::prop_oneof![0.05f64..2.0, proptest::prelude::Just(0.0)],
+            max in proptest::prop_oneof![1u64..4, 1u64..5_000, proptest::prelude::Just(u64::MAX)],
+            (kind, ticks, nudge) in (0u8..5, 0.0f64..3_000.0, -4i64..5),
+        ) {
+            let tick = SimDuration::from_nanos(tick_ns);
+            let work = tick.as_secs_f64() * speed;
+            let sure = 2.0 * work;
+            let steps = max.saturating_sub(1) as f64;
+            let remaining = match kind {
+                0 => ticks * work,
+                // Where the bound's two sides meet.
+                1 => (sure + steps * work / (1.0 - 1e-6)).min(1e30),
+                // Where the descent of `max - 1` steps lands on `sure`.
+                2 => (sure + steps * work).min(1e30),
+                // Where the last round's delay crosses a tick, and anywhere
+                // in the last two ticks' work.
+                3 => (work + steps * work).min(1e30),
+                _ => (ticks.fract() * sure + steps * work).min(1e30),
+            };
+            let remaining = f64::from_bits(remaining.to_bits().saturating_add_signed(nudge));
+            assert_rounds_like_the_descent(remaining, speed, tick, max);
+        }
+    }
+
+    #[test]
+    fn bounded_rounds_edges() {
+        let tick = SimDuration::from_millis(1);
+        for remaining in [0.0, 1e-12, 8e-4, 1.6e-3, 2.4e-3, 1.0, f64::INFINITY, f64::NAN] {
+            for max in [0, 1, 2, 3, 1_000, u64::MAX] {
+                assert_rounds_like_the_descent(remaining, 0.8, tick, max);
+            }
+        }
+    }
+
+    /// The ulp of the binade with biased exponent `exp`, as the distance
+    /// from its bottom to the next double up.
+    fn ulp_of(exp: u64) -> f64 {
+        let bottom = f64::from_bits(exp << 52);
+        f64::from_bits((exp << 52) + 1) - bottom
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 64, ..Default::default() })]
+
+        /// `in_ulps` is the quotient by the ulp, bit for bit, in every
+        /// binade, for work and floor values of every kind.
+        #[test]
+        fn in_ulps_equals_the_quotient(bits in proptest::prelude::any::<u64>(), frac in 0.0f64..4.0) {
+            let values = [
+                f64::from_bits(bits),
+                f64::from_bits(bits >> 1),
+                f64::from_bits(bits >> 12),
+                frac,
+                frac * 1e-300,
+                frac * 1e300,
+                0.0,
+                -1.0,
+                f64::NEG_INFINITY,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            for exp in 0..=2046u64 {
+                let u = ulp_of(exp);
+                for x in values {
+                    let (got, want) = (in_ulps(x, exp), x / u);
+                    assert!(
+                        got.to_bits() == want.to_bits() || got.is_nan() && want.is_nan(),
+                        "in_ulps({x:e}, {exp}) = {got:e}, the quotient is {want:e}"
+                    );
+                }
+            }
         }
     }
 

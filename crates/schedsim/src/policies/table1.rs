@@ -79,10 +79,6 @@ impl Table1Balancer {
     pub fn detector(&self) -> &LoadImbalanceDetector {
         &self.detector
     }
-
-    pub fn heuristic_name(&self) -> &'static str {
-        self.heuristic.name()
-    }
 }
 
 impl Balancer for Table1Balancer {

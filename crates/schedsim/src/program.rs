@@ -145,9 +145,13 @@ impl TokenTable {
         }
     }
 
-    /// Drain wakeups produced by recent signals.
-    pub fn take_wakes(&mut self) -> Vec<TaskId> {
-        std::mem::take(&mut self.ready_wakes)
+    /// Hand over the wakeups produced by recent signals by swapping them
+    /// into `buf`, which must be empty. The table keeps `buf`'s
+    /// allocation for the next wakeups, so a caller that clears and
+    /// passes back the same buffer allocates only while the lists grow.
+    pub fn swap_wakes(&mut self, buf: &mut Vec<TaskId>) {
+        debug_assert!(buf.is_empty(), "wakeups handed over twice");
+        std::mem::swap(&mut self.ready_wakes, buf);
     }
 
     /// Test helper: is the token signalled-and-unconsumed?
@@ -227,14 +231,20 @@ where
 mod tests {
     use super::*;
 
+    fn take_wakes(tt: &mut TokenTable) -> Vec<TaskId> {
+        let mut wakes = Vec::new();
+        tt.swap_wakes(&mut wakes);
+        wakes
+    }
+
     #[test]
     fn token_block_then_signal() {
         let mut tt = TokenTable::default();
         let tok = tt.create();
         assert!(!tt.block(tok, TaskId(3)), "not yet signalled: task sleeps");
         tt.signal(tok);
-        assert_eq!(tt.take_wakes(), vec![TaskId(3)]);
-        assert!(tt.take_wakes().is_empty(), "wakes drain once");
+        assert_eq!(take_wakes(&mut tt), vec![TaskId(3)]);
+        assert!(take_wakes(&mut tt).is_empty(), "wakes drain once");
     }
 
     #[test]
@@ -245,7 +255,7 @@ mod tests {
         assert!(tt.is_pending(tok));
         assert!(tt.block(tok, TaskId(1)), "pre-signalled: no sleep");
         assert!(!tt.is_pending(tok), "consumed");
-        assert!(tt.take_wakes().is_empty());
+        assert!(take_wakes(&mut tt).is_empty());
     }
 
     #[test]

@@ -3,20 +3,24 @@
 //! Once a kernel is running, its steady state is ticks, CFS timeslice
 //! preemptions, context switches and completion-timer cancel/re-arms, or,
 //! with one task per CPU, quiet tick rounds the kernel replays without the
-//! event queue. None of these may allocate: the event queue keeps the
-//! timers in fixed lanes and reuses its heap slots, class callbacks borrow
+//! event queue, or, for tasks that sleep on timed signals, transitions
+//! that arm a signal, the signal's delivery and the wakeup. None of these
+//! may allocate: the event queue keeps the timers in fixed lanes and its
+//! signals in a heap that only grows to its peak, class callbacks borrow
 //! the per-CPU running table, the chip memoises its speeds in a buffer it
-//! reuses, and the replay writes straight into the lanes. So the
-//! allocations made inside `run_until_exited`
-//! must not grow with simulated time. A counting global allocator, per
-//! thread so that parallel tests do not disturb each other, checks exactly
-//! that.
+//! reuses, the replay writes straight into the lanes, the per-pick
+//! histograms tally in a buffer the kernel owns, and the kernel swaps
+//! wakeups and deferred signals through lists it keeps. So the
+//! allocations made inside `run_until_exited` must not grow with
+//! simulated time or with the number of wakeups. A counting global
+//! allocator, per thread so that parallel tests do not disturb each
+//! other, checks exactly that.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use power5::Topology;
-use schedsim::program::ScriptedProgram;
+use schedsim::program::{Action, FnProgram, KernelApi, ScriptedProgram};
 use schedsim::{KernelBuilder, SchedPolicy, SpawnOptions, TaskId};
 use simcore::{SimDuration, SimTime};
 
@@ -126,6 +130,63 @@ fn quiet_run_allocations_do_not_grow_with_simulated_time() {
     assert_eq!(
         long.allocs, short.allocs,
         "quiet kernel path allocates: {} allocations over ~10 s, {} over ~20 s",
+        short.allocs, long.allocs
+    );
+}
+
+/// Allocations and wakeups of [`ping_pong`]'s run.
+struct Wakes {
+    allocs: u64,
+    iterations: u64,
+}
+
+/// Eight CFS tasks on the four CPUs of an OpenPower 710, each going
+/// `rounds` times through compute → arm a timed signal → block on it →
+/// wake.
+fn ping_pong(rounds: u32) -> Wakes {
+    let mut k =
+        KernelBuilder::new().topology(Topology::openpower_710()).without_hpc_class().build();
+    let ids: Vec<TaskId> = (0..8u64)
+        .map(|i| {
+            let (mut left, mut computed) = (rounds, false);
+            let sleep = SimDuration::from_micros(300 + 50 * i);
+            let program = FnProgram(move |api: &mut KernelApi<'_>| {
+                if left == 0 {
+                    return Action::Exit;
+                }
+                computed = !computed;
+                if computed {
+                    return Action::Compute(2e-4);
+                }
+                left -= 1;
+                let tok = api.new_token();
+                api.signal_after(sleep, tok);
+                Action::Block(tok)
+            });
+            k.spawn(
+                format!("ping-pong-{i}"),
+                SchedPolicy::Normal,
+                Box::new(program),
+                SpawnOptions::default(),
+            )
+        })
+        .collect();
+    let before = allocs();
+    k.run_until_exited(&ids, SimDuration::from_secs(1_000)).expect("tasks finish");
+    let allocs = allocs() - before;
+    Wakes { allocs, iterations: k.metrics_registry().snapshot().counter("kernel.iterations") }
+}
+
+#[test]
+fn blocking_path_allocations_do_not_grow_with_wakeups() {
+    let short = ping_pong(500);
+    let long = ping_pong(1_000);
+    // Every round ends in one wakeup, an iteration boundary.
+    assert_eq!(short.iterations, 8 * 500);
+    assert_eq!(long.iterations, 8 * 1_000);
+    assert_eq!(
+        long.allocs, short.allocs,
+        "blocking kernel path allocates: {} allocations over 4,000 wakeups, {} over 8,000",
         short.allocs, long.allocs
     );
 }

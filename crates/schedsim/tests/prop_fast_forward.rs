@@ -1021,8 +1021,8 @@ proptest! {
             let before = (balancing.state(ncpus), view(ctx.tasks));
             prop_assert!(before.0[..ncpus].iter().all(|&q| q == 0), "nothing queued");
             for cpu in (0..ncpus).map(CpuId) {
-                let migrations = balancing.class().load_balance(&mut ctx, cpu, false);
-                prop_assert!(migrations.is_empty(), "class {} moved {:?}", which, migrations);
+                let migration = balancing.class().load_balance(&mut ctx, cpu, false);
+                prop_assert!(migration.is_none(), "class {} moved {:?}", which, migration);
                 prop_assert_eq!(&(balancing.state(ncpus), view(ctx.tasks)), &before);
             }
         }

@@ -46,12 +46,6 @@ impl SimRng {
         self.inner.random_range(lo..hi)
     }
 
-    /// Uniform float in `[lo, hi)`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(hi > lo, "empty range");
-        self.inner.random_range(lo..hi)
-    }
-
     /// Exponentially distributed value with the given mean (inter-arrival
     /// times of Poisson processes; OS-noise model).
     pub fn exponential(&mut self, mean: f64) -> f64 {

@@ -103,8 +103,8 @@ pub fn check_trace(records: &[TraceRecord], cfg: &CheckConfig) -> Report {
 
     let mut last_time: Option<SimTime> = None;
     // CPU → occupying task, and the inverse, maintained from State records.
-    let mut occupant: BTreeMap<CpuId, TaskId> = BTreeMap::new();
-    let mut running_on: BTreeMap<TaskId, CpuId> = BTreeMap::new();
+    let mut occupant: ScanMap<CpuId, TaskId> = ScanMap::default();
+    let mut running_on: ScanMap<TaskId, CpuId> = ScanMap::default();
     // Regular priorities the run exercised, for the Table I cross-check.
     let mut seen_prios: BTreeMap<u8, HwPriority> = BTreeMap::new();
     seen_prios.insert(HwPriority::MEDIUM.value(), HwPriority::MEDIUM);
@@ -149,7 +149,7 @@ pub fn check_trace(records: &[TraceRecord], cfg: &CheckConfig) -> Report {
                     );
                     continue;
                 };
-                if let Some(&other) = occupant.get(c) {
+                if let Some(other) = occupant.get(*c) {
                     if other != rec.task {
                         report.push(
                             "C003-cpu-occupancy",
@@ -158,14 +158,14 @@ pub fn check_trace(records: &[TraceRecord], cfg: &CheckConfig) -> Report {
                         );
                     }
                 }
-                if let Some(&prev_cpu) = running_on.get(&rec.task) {
+                if let Some(prev_cpu) = running_on.get(rec.task) {
                     if prev_cpu != *c {
                         report.push(
                             "C003-cpu-occupancy",
                             Some(rec),
                             format!("task still running on cpu{}", prev_cpu.0),
                         );
-                        occupant.remove(&prev_cpu);
+                        occupant.remove(prev_cpu);
                     }
                 }
                 occupant.insert(*c, rec.task);
@@ -173,9 +173,9 @@ pub fn check_trace(records: &[TraceRecord], cfg: &CheckConfig) -> Report {
             }
             TraceEvent::State { .. } | TraceEvent::Exit => {
                 // Any non-Running transition releases the task's CPU.
-                if let Some(c) = running_on.remove(&rec.task) {
-                    if occupant.get(&c) == Some(&rec.task) {
-                        occupant.remove(&c);
+                if let Some(c) = running_on.remove(rec.task) {
+                    if occupant.get(c) == Some(rec.task) {
+                        occupant.remove(c);
                     }
                 }
             }
@@ -268,7 +268,7 @@ pub fn check_with_metrics(
     // Minimum switches the trace proves: per CPU, each Running record whose
     // occupant differs from the previous one. Redispatches of the same task
     // (tick preemption, yield) legitimately emit Running without a switch.
-    let mut last_running: BTreeMap<CpuId, TaskId> = BTreeMap::new();
+    let mut last_running: ScanMap<CpuId, TaskId> = ScanMap::default();
     let mut min_switches = 0u64;
     for rec in records {
         if let TraceEvent::State { state: TaskState::Running, cpu: Some(c) } = &rec.event {
@@ -288,4 +288,41 @@ pub fn check_with_metrics(
         );
     }
     report
+}
+
+/// A map kept as a list and searched from the front: the CPU and task
+/// maps above hold at most one entry per CPU in a valid trace, which a
+/// scan over a few entries serves faster than a tree. Keys are never
+/// used as indices, so a malformed trace with an id like `usize::MAX`
+/// costs one more entry, not a panic or a huge allocation.
+struct ScanMap<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K, V> Default for ScanMap<K, V> {
+    fn default() -> Self {
+        ScanMap { entries: Vec::new() }
+    }
+}
+
+impl<K: PartialEq + Copy, V: Copy> ScanMap<K, V> {
+    fn get(&self, key: K) -> Option<V> {
+        self.entries.iter().find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    /// Set `key`'s value; returns the value it replaced.
+    fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.entries.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => Some(std::mem::replace(v, value)),
+            None => {
+                self.entries.push((key, value));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, key: K) -> Option<V> {
+        let at = self.entries.iter().position(|(k, _)| *k == key)?;
+        Some(self.entries.swap_remove(at).1)
+    }
 }

@@ -97,6 +97,37 @@ fn task_on_two_cpus_reports_c003() {
 }
 
 #[test]
+fn extreme_ids_are_reported_not_indexed() {
+    // Ids at the top of their range, as a corrupted trace could carry:
+    // the checker must report them like any other, never index by them.
+    let far = usize::MAX;
+    let running = |ns, task, cpu| {
+        rec(ns, task, TraceEvent::State { state: TaskState::Running, cpu: Some(CpuId(cpu)) })
+    };
+    // Task usize::MAX holds cpu0 when task 0 arrives there.
+    let records = vec![running(10, far, 0), running(20, 0, 0)];
+    assert_eq!(rules(&records), vec!["C003-cpu-occupancy"]);
+    // Task 1 on cpu usize::MAX, then on cpu1 without leaving it.
+    let records = vec![running(10, 1, far), running(20, 1, 1)];
+    assert_eq!(rules(&records), vec!["C003-cpu-occupancy"]);
+    // Both at once, then a clean release and re-dispatch.
+    let records = vec![
+        running(10, far, far),
+        running(20, 0, far),
+        rec(30, far, TraceEvent::Exit),
+        rec(40, 0, TraceEvent::State { state: TaskState::Sleeping, cpu: Some(CpuId(far)) }),
+        running(50, 0, far),
+    ];
+    let report = check_trace(&records, &CheckConfig::default());
+    assert_eq!(report.violations.len(), 1, "{}", report.render());
+    assert!(report.render().contains(&format!("cpu{far} already occupied")), "{}", report.render());
+    // The switch count behind C005 keys on the same ids.
+    let registry = MetricsRegistry::new();
+    let report = check_with_metrics(&records, &registry.snapshot(), &CheckConfig::default());
+    assert!(report.violations.iter().any(|v| v.rule == "C005-switch-accounting"));
+}
+
+#[test]
 fn counter_mismatch_reports_c005() {
     let records = vec![
         rec(10, 0, TraceEvent::State { state: TaskState::Running, cpu: Some(CpuId(0)) }),

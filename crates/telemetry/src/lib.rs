@@ -2,10 +2,18 @@
 //!
 //! A [`MetricsRegistry`] hands out typed handles — [`Counter`], [`Gauge`],
 //! [`HistogramHandle`] — that are plain `Arc`s over atomics: recording a
-//! sample is one or two relaxed atomic ops, cheap enough for kernel hot
-//! paths (context switches, run-queue updates, hardware-priority writes).
-//! Registration is idempotent by name, so instrumented components can
-//! request the same metric without coordinating.
+//! sample is one or two relaxed atomic ops (five for a histogram), cheap
+//! enough for most instrumented paths (hardware-priority writes, MPI
+//! messages, batch queue events). Registration is idempotent by name, so
+//! instrumented components can request the same metric without
+//! coordinating.
+//!
+//! The kernel's hottest paths record into plain memory instead: it tallies
+//! ticks and context switches as `u64`s and the per-pick histograms
+//! (`kernel.runq_depth`, `kernel.dispatch_latency_ns`) in
+//! [`LocalHistogram`]s, and adds them to the registry
+//! ([`Counter::add`], [`HistogramHandle::absorb`]) before each public
+//! kernel call returns, so a snapshot taken between calls is exact.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot`]) are deterministic: metrics are
 //! reported sorted by name, so two runs with the same seed produce
@@ -153,6 +161,27 @@ impl HistogramHandle {
         self.core.count.load(Ordering::Relaxed)
     }
 
+    /// Add every sample `local` tallied, as if each had been
+    /// [`record`](HistogramHandle::record)ed here, and empty it. An empty
+    /// `local` leaves the histogram as it was.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        let c = &self.core;
+        let mut occupied = local.occupied;
+        while occupied != 0 {
+            let i = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            c.buckets[i].fetch_add(u64::from(std::mem::take(&mut local.buckets[i])), Ordering::Relaxed);
+        }
+        c.count.fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
+        c.sum.fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
+        c.min.fetch_min(std::mem::replace(&mut local.min, u64::MAX), Ordering::Relaxed);
+        c.max.fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
+        local.occupied = 0;
+    }
+
     /// Overwrite this histogram from a previously captured [`HistogramStats`]
     /// — the checkpoint-restore path. Buckets absent from `stats` are
     /// cleared; an empty `stats` resets the histogram to its default state.
@@ -192,6 +221,54 @@ impl HistogramHandle {
             max: c.max.load(Ordering::Relaxed),
             buckets,
         }
+    }
+}
+
+/// A histogram's samples tallied in plain memory by one owner, for a hot
+/// path that records far more often than anyone reads: recording is a
+/// few plain adds, and [`HistogramHandle::absorb`] later publishes the
+/// tally with the same buckets, count, wrapping sum, min and max that
+/// recording each sample through the handle would have left.
+#[derive(Clone, Debug)]
+pub struct LocalHistogram {
+    /// `u32` halves the tally, which its owner may carry by value;
+    /// [`LocalHistogram::record`] says when a bucket is full.
+    buckets: [u32; HISTOGRAM_BUCKETS],
+    /// Bit `i` is set when bucket `i` is not zero, so that absorbing a
+    /// few samples touches a few buckets, not all of them.
+    occupied: u128,
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> LocalHistogram {
+        LocalHistogram {
+            buckets: [0; HISTOGRAM_BUCKETS],
+            occupied: 0,
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Tally `v`. Returns `true` when a bucket is full: absorb the tally
+    /// before recording into it again.
+    #[must_use = "a full tally must be absorbed before the next sample"]
+    pub fn record(&mut self, v: u64) -> bool {
+        let b = bucket_of(v);
+        self.buckets[b] += 1;
+        self.occupied |= 1 << b;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+        self.buckets[b] == u32::MAX
     }
 }
 
@@ -525,6 +602,54 @@ mod tests {
         });
         reset.record(5);
         assert_eq!(reset.stats().min, 5);
+    }
+
+    #[test]
+    fn absorbing_a_local_tally_equals_recording_each_sample() {
+        let samples = [0u64, u64::MAX, 1, 7, u64::MAX - 3, 1024, 0, 5];
+        let direct = HistogramHandle::default();
+        let absorbed = HistogramHandle::default();
+        let mut local = LocalHistogram::default();
+        // Both start from samples recorded the ordinary way, so min and max
+        // must merge, not overwrite.
+        for h in [&direct, &absorbed] {
+            h.record(3);
+            h.record(90);
+        }
+        for v in samples {
+            direct.record(v);
+            assert!(!local.record(v));
+        }
+        absorbed.absorb(&mut local);
+        let stats = direct.stats();
+        // Two samples of u64::MAX wrap the sum.
+        assert!(stats.sum < u64::MAX / 2, "sum {} did not wrap", stats.sum);
+        assert_eq!(absorbed.stats(), stats);
+        // The tally is emptied, and an empty absorb is a no-op.
+        absorbed.absorb(&mut local);
+        assert_eq!(absorbed.stats(), stats);
+        // A refilled tally starts from nothing.
+        for v in [2u64, 2, 1 << 40] {
+            direct.record(v);
+            assert!(!local.record(v));
+        }
+        absorbed.absorb(&mut local);
+        assert_eq!(absorbed.stats(), direct.stats());
+        // A bucket one sample short of full reports it, and absorbing then
+        // carries its whole count.
+        local.buckets[bucket_of(6)] = u32::MAX - 1;
+        local.occupied |= 1 << bucket_of(6);
+        local.count = u64::from(u32::MAX - 1);
+        assert!(local.record(6));
+        absorbed.absorb(&mut local);
+        let bucket = |h: &HistogramHandle| h.stats().buckets.iter().find(|b| b.0 == 7).map(|b| b.1);
+        assert_eq!(bucket(&absorbed), Some(u64::from(u32::MAX) + bucket(&direct).unwrap_or(0)));
+        assert_eq!(absorbed.stats().count, direct.stats().count + u64::from(u32::MAX));
+        let fresh = HistogramHandle::default();
+        fresh.absorb(&mut LocalHistogram::default());
+        assert_eq!(fresh.stats(), HistogramHandle::default().stats());
+        fresh.record(9);
+        assert_eq!(fresh.stats().min, 9);
     }
 
     #[test]
