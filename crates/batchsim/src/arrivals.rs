@@ -13,8 +13,7 @@
 //!
 //! Trace-driven streams are just `Vec<BatchJob>` built by the caller.
 
-use crate::job::BatchJob;
-use cluster::JobSpec;
+use crate::job::{BatchJob, JobSpec};
 use faultsim::SplitMix64;
 use workloads::templates;
 

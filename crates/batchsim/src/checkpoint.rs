@@ -15,7 +15,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 
-use cluster::JobSpec;
 use faultsim::TaskAbortSpec;
 use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::SimTime;
@@ -24,7 +23,7 @@ use telemetry::MetricsSnapshot;
 use crate::arrivals::FleetStreamConfig;
 use crate::discipline::Discipline;
 use crate::fleet::FleetAccum;
-use crate::job::BatchJob;
+use crate::job::{BatchJob, JobSpec};
 use crate::sim::{
     BatchConfig, BatchEvent, BatchFault, ClusterOutcome, ClusterResult, FleetShape, JobRecord,
     NodeFailureRecord, Recording, ReservationRecord, Summary, Tracker,
@@ -833,7 +832,7 @@ mod tests {
     fn resume_under_the_static_policy_is_byte_identical() {
         let stream = heavy_light_mix(2008, 30);
         let cfg =
-            BatchConfig { sched: cluster::LocalSched::Policy("static"), ..BatchConfig::default() };
+            BatchConfig { sched: crate::LocalSched::Policy("static"), ..BatchConfig::default() };
         let full = run_batch(&stream, &cfg, None);
         let ckpt = run_batch_until(&stream, &cfg, None, 5).expect("cut exists");
         let ckpt = BatchCheckpoint::decode(&ckpt.encode()).expect("round trip");

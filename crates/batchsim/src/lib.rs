@@ -5,14 +5,24 @@
 //! occupy the nodes at all (cf. Eleliemy et al. and Mohammed et al. on
 //! two-level scheduling). This crate is that missing layer:
 //!
-//! * [`job`] — a [`cluster::JobSpec`] gang plus queue metadata;
+//! * [`job`] — a gang-scheduled [`JobSpec`] (per-rank load estimates)
+//!   plus queue metadata;
 //! * [`arrivals`] — two deterministic generators over the calibrated
 //!   workload shapes: the bundled heavy/light mix used by the EASY-vs-FCFS
 //!   acceptance comparison, and the lazy fleet-scale class-catalog stream;
 //! * [`discipline`] — FCFS, SJF, and EASY backfill with reservation
 //!   correctness;
+//! * [`placement`] — gang placement over a node catalog ([`place_on`]):
+//!   round-robin, greedy LPT, **SMT-aware** placement that pairs heavy
+//!   and light ranks because the local HPCSched can absorb intra-core
+//!   imbalance through the ±2 hardware-priority range, and **NUMA-aware**
+//!   placement that also keeps a gang inside one NUMA node;
+//! * [`shape`] — node catalogs: each node's scheduling-domain tree
+//!   ([`power5::Topology`]) and relative speed;
+//! * [`node`] — per-node execution: [`run_node`] runs a node's ranks on a
+//!   real `schedsim` kernel (with or without the HPC class);
 //! * [`sim`] — the event-driven engine: admitted gangs are placed through
-//!   [`cluster::place`] and executed on per-job `schedsim` kernels (HPC,
+//!   [`place_on`] and executed on per-job `schedsim` kernels (HPC,
 //!   Linux-like CFS, or static-priority mode); node failures hit the
 //!   *queued* system, so re-placement competes with pending jobs. Every
 //!   run returns one [`BatchOutcome`], carrying the engine's running trace
@@ -26,6 +36,14 @@
 //!   [`resume_batch`] continues a batch or fleet image to a trace
 //!   byte-identical to the uninterrupted run.
 //!
+//! The node layer is the paper's future work (§VI): *"assigning the
+//! correct group of tasks to each node (gang scheduling) considering that
+//! the local scheduler (in our case HPCSched) is able to dynamically
+//! assign more or less hardware resource to each task."* A gang's nodes
+//! run independently and the job completes when the slowest node does,
+//! plus an allreduce latency per iteration — the standard
+//! bulk-synchronous approximation.
+//!
 //! Everything is a pure function of `(stream, config, fault)` — see the
 //! determinism argument in [`sim`].
 
@@ -38,7 +56,10 @@ pub mod discipline;
 pub mod fleet;
 pub mod index;
 pub mod job;
+pub mod node;
 pub mod pending;
+pub mod placement;
+pub mod shape;
 pub mod sim;
 pub mod stats;
 
@@ -51,8 +72,11 @@ pub use checkpoint::{
 pub use discipline::Discipline;
 pub use fleet::{scaled_config, FleetAccum, FleetConfig};
 pub use index::ReleaseIndex;
-pub use job::BatchJob;
+pub use job::{BatchJob, JobSpec};
+pub use node::{run_node, LocalSched, NodeRun};
 pub use pending::PendingQueue;
+pub use placement::{place_on, Placement, PlacementError, PlacementStrategy};
+pub use shape::{NodeShape, TopoPreset};
 pub use sim::{
     resume_batch, run_batch, run_batch_checkpointed, run_batch_until, run_fleet,
     run_fleet_until, text_fnv1a, BatchConfig, BatchEvent, BatchFault, BatchOutcome,
@@ -60,7 +84,3 @@ pub use sim::{
     ReservationRecord,
 };
 pub use stats::FleetStats;
-
-// The heterogeneous-fleet vocabulary types, re-exported so fleet callers
-// can build shapes without a direct `cluster` dependency.
-pub use cluster::{NodeShape, TopoPreset};

@@ -6,9 +6,10 @@
 //! [`run_node`], the one node-run entry point, is a *pure function* of
 //! `(loads, iterations, sched, seed, shape, traced)`: the kernel, MPI
 //! fabric, and barrier gang are constructed fresh inside the call, nothing
-//! escapes, and no global mutable state is read or written. That is what lets `batchsim` submit node runs
-//! to [`simcore::Pool`] from any thread — the result depends only on the
-//! arguments, never on which thread ran it or when.
+//! escapes, and no global mutable state is read or written. That is what
+//! lets the batch engine submit node runs to [`simcore::Pool`] from any
+//! thread — the result depends only on the arguments, never on which
+//! thread ran it or when.
 
 use crate::shape::NodeShape;
 use mpisim::{Mpi, MpiConfig};
@@ -198,11 +199,14 @@ pub fn run_node(
             },
         )?);
     }
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: the 10-simulated-hour deadline is three orders of magnitude above \
+                  any real node run; hitting it is a simulator bug, not a caller error, so it \
+                  stays a panic even on the try_ path."
+    )]
     let end = kernel
         .run_until_exited(&ids, SimDuration::from_secs(36_000))
-        // INVARIANT: the 10-simulated-hour deadline is three orders of
-        // magnitude above any real node run; hitting it is a simulator bug,
-        // not a caller error, so it stays a panic even on the try_ path.
         .expect("node run finishes");
     Ok(NodeRun {
         exec_secs: end.as_secs_f64(),
@@ -217,6 +221,7 @@ pub fn run_node(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::TopoPreset;
 
     fn run(loads: &[f64], iterations: u32, sched: LocalSched, seed: u64) -> NodeRun {
         run_node(loads, iterations, sched, seed, &NodeShape::default(), false).expect("valid node")
@@ -296,7 +301,7 @@ mod tests {
     fn wide_node_takes_more_ranks_than_the_reference() {
         // A 2-socket shape offers 8 slots; the same vector overflows the
         // reference node.
-        let shape = crate::shape::TopoPreset::TwoSocket.shape(1.0);
+        let shape = TopoPreset::TwoSocket.shape(1.0);
         let loads = [0.08; 8];
         let r = run_node(&loads, 3, LocalSched::Hpc, 1, &shape, false).unwrap();
         assert_eq!(r.final_prios.len(), 8);
@@ -321,7 +326,7 @@ mod tests {
 
     #[test]
     fn wide_smt_shape_runs_under_the_analytic_model() {
-        let shape = crate::shape::TopoPreset::WideSmt.shape(1.0);
+        let shape = TopoPreset::WideSmt.shape(1.0);
         let r = run_node(&[0.1, 0.1, 0.1, 0.1], 3, LocalSched::Hpc, 1, &shape, false).unwrap();
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 4);

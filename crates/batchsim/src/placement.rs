@@ -6,6 +6,9 @@
 //! one: it models what the *local* HPCSched can recover, so it deliberately
 //! co-locates a heavy rank with a light one on the same core — the
 //! combination the hardware-priority boost exploits best.
+//!
+//! [`place_on`] is the one entry point; a uniform fleet is a catalog of
+//! equal shapes.
 
 use crate::job::JobSpec;
 use crate::shape::NodeShape;
@@ -13,7 +16,8 @@ use power5::CpuId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Ranks per node (one per logical CPU of the paper's POWER5 node).
+/// Ranks per reference node (one per logical CPU of the paper's POWER5
+/// node): the granularity at which the batch layer sizes gangs.
 pub const NODE_SLOTS: usize = 4;
 
 /// Why a placement could not be computed. Cluster-level callers hit this
@@ -105,11 +109,12 @@ impl Placement {
         self.nodes[node].iter().map(|&r| job.rank_loads[r]).sum()
     }
 
-    /// Every rank appears exactly once (validity check).
-    pub fn is_valid(&self, job: &JobSpec) -> bool {
+    /// Every rank appears exactly once, and no node holds more ranks than
+    /// its shape in `shapes` has slots (validity check).
+    pub fn is_valid(&self, job: &JobSpec, shapes: &[NodeShape]) -> bool {
         let mut seen = vec![false; job.ranks()];
-        for node in &self.nodes {
-            if node.len() > NODE_SLOTS {
+        for (node, shape) in self.nodes.iter().zip(shapes) {
+            if node.len() > shape.slots() {
                 return false;
             }
             for &r in node {
@@ -145,13 +150,6 @@ pub fn core_time(a: Option<f64>, b: Option<f64>, hpc: bool) -> f64 {
     }
 }
 
-/// Estimated per-iteration completion of a node given its slot assignment
-/// (slots 0,1 = core 0; slots 2,3 = core 1).
-pub fn node_time(job: &JobSpec, slots: &[usize], hpc: bool) -> f64 {
-    let load = |i: usize| slots.get(i).map(|&r| job.rank_loads[r]);
-    core_time(load(0), load(1), hpc).max(core_time(load(2), load(3), hpc))
-}
-
 /// Equal-share analytic estimate for a core wider than 2-way: `n` busy
 /// contexts each get the k=3 decode-sharing throughput `3/(n+2)` (the
 /// Table-I curve at share `1/n`), so the core finishes with its heaviest
@@ -164,10 +162,11 @@ pub fn wide_core_time(loads: &[f64]) -> f64 {
     heaviest * (loads.len() as f64 + 2.0) / 3.0
 }
 
-/// [`node_time`] generalized over a [`NodeShape`]: cores come from the
-/// shape's scheduling-domain tree (pairwise decode calibration for ≤2-way
-/// cores, the equal-share analytic curve for wider SMT), and the result is
-/// divided by the node's relative speed.
+/// Estimated per-iteration completion of a node of `shape` given its slot
+/// assignment (slot `i` is CPU `i`): the slowest core's [`core_time`].
+/// Cores come from the shape's scheduling-domain tree (pairwise decode
+/// calibration for ≤2-way cores, the equal-share analytic curve for wider
+/// SMT), and the result is divided by the node's relative speed.
 pub fn node_time_on(job: &JobSpec, slots: &[usize], hpc: bool, shape: &NodeShape) -> f64 {
     let topo = &shape.topology;
     let load = |i: usize| slots.get(i).map(|&r| job.rank_loads[r]);
@@ -189,106 +188,11 @@ pub fn node_time_on(job: &JobSpec, slots: &[usize], hpc: bool, shape: &NodeShape
     worst / shape.speed
 }
 
-/// Compute a placement of `job` over `num_nodes` nodes, or say why it
-/// cannot be done.
-pub fn place(
-    job: &JobSpec,
-    num_nodes: usize,
-    strategy: PlacementStrategy,
-) -> Result<Placement, PlacementError> {
-    if strategy == PlacementStrategy::NumaAware {
-        // NUMA awareness needs the node shapes; on the uniform legacy path
-        // every node is the reference single-NUMA box.
-        return place_on(job, &vec![NodeShape::default(); num_nodes], strategy);
-    }
-    if num_nodes == 0 {
-        return Err(PlacementError::NoNodes);
-    }
-    if job.ranks() > num_nodes * NODE_SLOTS {
-        return Err(PlacementError::DoesNotFit {
-            ranks: job.ranks(),
-            slots: num_nodes * NODE_SLOTS,
-        });
-    }
-    let nodes = match strategy {
-        PlacementStrategy::RoundRobin => {
-            let mut nodes = vec![Vec::new(); num_nodes];
-            for r in 0..job.ranks() {
-                nodes[r % num_nodes].push(r);
-            }
-            nodes
-        }
-        PlacementStrategy::GreedyLpt => {
-            let mut order: Vec<usize> = (0..job.ranks()).collect();
-            order.sort_by(|&a, &b| {
-                job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
-            });
-            let mut nodes = vec![Vec::new(); num_nodes];
-            let mut loads = vec![0.0f64; num_nodes];
-            for r in order {
-                // Least-loaded node with a free slot; ties to lowest index.
-                // INVARIANT: the fit check above guarantees ranks ≤ total
-                // slots, so a free slot always exists at this point.
-                let n = (0..num_nodes)
-                    .filter(|&n| nodes[n].len() < NODE_SLOTS)
-                    .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)))
-                    .expect("job fits");
-                nodes[n].push(r);
-                loads[n] += job.rank_loads[r];
-            }
-            nodes
-        }
-        PlacementStrategy::SmtAware => {
-            let mut order: Vec<usize> = (0..job.ranks()).collect();
-            order.sort_by(|&a, &b| {
-                job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
-            });
-            let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
-            for r in order {
-                // Try the rank in every free slot of every node; keep the
-                // assignment with the smallest resulting node time
-                // (estimated under the local HPCSched), breaking ties
-                // toward the emptier node to keep slots available.
-                let mut best: Option<(f64, usize, usize)> = None; // (time, node, len)
-                for (n, slots) in nodes.iter().enumerate() {
-                    if slots.len() >= NODE_SLOTS {
-                        continue;
-                    }
-                    let mut candidate = slots.clone();
-                    candidate.push(r);
-                    // Within a node, order heavy/light alternately so core
-                    // pairs combine a heavy and a light rank.
-                    candidate.sort_by(|&a, &b| job.rank_loads[b].total_cmp(&job.rank_loads[a]));
-                    let paired = pair_heavy_light(&candidate);
-                    let t = node_time(job, &paired, true);
-                    let key = (t, slots.len());
-                    if best.map(|(bt, _, bl)| key < (bt, bl)).unwrap_or(true) {
-                        best = Some((t, n, slots.len()));
-                    }
-                }
-                // INVARIANT: the fit check above guarantees ranks ≤ total
-                // slots, so some node still had a free slot.
-                let (_, n, _) = best.expect("job fits");
-                nodes[n].push(r);
-            }
-            // Final intra-node ordering: heavy/light pairs per core.
-            for slots in &mut nodes {
-                slots.sort_by(|&a, &b| job.rank_loads[b].total_cmp(&job.rank_loads[a]));
-                *slots = pair_heavy_light(slots);
-            }
-            nodes
-        }
-        // INVARIANT: delegated to `place_on` at the top of the function.
-        PlacementStrategy::NumaAware => unreachable!("NumaAware delegates to place_on"),
-    };
-    Ok(Placement { strategy, nodes })
-}
-
-/// [`place`] generalized over a heterogeneous node catalog: each node
-/// offers `shapes[n].slots()` CPU slots, effective loads are scaled by the
-/// node's speed, and the SMT/NUMA-aware strategies estimate completion on
-/// each node's actual scheduling-domain tree. On a uniform catalog of
-/// default shapes every strategy reproduces [`place`] exactly.
+/// Compute a placement of `job` over the node catalog `shapes`, or say
+/// why it cannot be done. Each node offers `shapes[n].slots()` CPU slots,
+/// effective loads are scaled by the node's speed, and the SMT/NUMA-aware
+/// strategies estimate completion on each node's actual scheduling-domain
+/// tree.
 pub fn place_on(
     job: &JobSpec,
     shapes: &[NodeShape],
@@ -299,8 +203,9 @@ pub fn place_on(
     }
     let slots_of: Vec<usize> = shapes.iter().map(NodeShape::slots).collect();
     let total: usize = slots_of.iter().sum();
+    let does_not_fit = PlacementError::DoesNotFit { ranks: job.ranks(), slots: total };
     if job.ranks() > total {
-        return Err(PlacementError::DoesNotFit { ranks: job.ranks(), slots: total });
+        return Err(does_not_fit);
     }
     let num_nodes = shapes.len();
     let nodes = match strategy {
@@ -328,8 +233,8 @@ pub fn place_on(
             let mut loads = vec![0.0f64; num_nodes];
             for r in order {
                 // Least *effective* load (total / speed) with a free slot;
-                // ties to lowest index. Speed 1.0 divides out exactly, so
-                // the uniform catalog reproduces `place`.
+                // ties to lowest index. The fit check above guarantees a
+                // free slot, so the error is unreachable.
                 let n = (0..num_nodes)
                     .filter(|&n| nodes[n].len() < slots_of[n])
                     .min_by(|&a, &b| {
@@ -337,7 +242,7 @@ pub fn place_on(
                             .total_cmp(&(loads[b] / shapes[b].speed))
                             .then(a.cmp(&b))
                     })
-                    .expect("job fits");
+                    .ok_or(does_not_fit)?;
                 nodes[n].push(r);
                 loads[n] += job.rank_loads[r];
             }
@@ -351,6 +256,10 @@ pub fn place_on(
             });
             let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
             for r in order {
+                // Try the rank in every free slot of every node; keep the
+                // assignment with the smallest resulting node time
+                // (estimated under the local HPCSched), breaking ties
+                // toward the emptier node to keep slots available.
                 let mut best: Option<(f64, usize, usize)> = None; // (time, node, len)
                 for (n, slots) in nodes.iter().enumerate() {
                     if slots.len() >= slots_of[n] {
@@ -369,9 +278,9 @@ pub fn place_on(
                         best = Some((t, n, slots.len()));
                     }
                 }
-                // INVARIANT: the fit check above guarantees ranks ≤ total
-                // slots, so some node still had a free slot.
-                let (_, n, _) = best.expect("job fits");
+                // The fit check above guarantees ranks ≤ total slots, so
+                // some node still had a free slot: the error is unreachable.
+                let (_, n, _) = best.ok_or(does_not_fit)?;
                 nodes[n].push(r);
             }
             for (n, slots) in nodes.iter_mut().enumerate() {
@@ -444,6 +353,11 @@ mod tests {
         JobSpec::new("j", vec![0.4, 0.1, 0.4, 0.1, 0.1, 0.1, 0.1, 0.1], 10)
     }
 
+    /// A uniform catalog of `n` reference nodes.
+    fn reference(n: usize) -> Vec<NodeShape> {
+        vec![NodeShape::default(); n]
+    }
+
     #[test]
     fn all_strategies_produce_valid_placements() {
         let job = job4x2();
@@ -453,21 +367,8 @@ mod tests {
             PlacementStrategy::SmtAware,
             PlacementStrategy::NumaAware,
         ] {
-            let p = place(&job, 2, s).expect("fits");
-            assert!(p.is_valid(&job), "{s:?}: {p:?}");
-        }
-    }
-
-    #[test]
-    fn place_on_uniform_default_catalog_equals_place() {
-        let job = job4x2();
-        let shapes = vec![NodeShape::default(); 2];
-        for s in [
-            PlacementStrategy::RoundRobin,
-            PlacementStrategy::GreedyLpt,
-            PlacementStrategy::SmtAware,
-        ] {
-            assert_eq!(place_on(&job, &shapes, s).unwrap(), place(&job, 2, s).unwrap(), "{s:?}");
+            let p = place_on(&job, &reference(2), s).expect("fits");
+            assert!(p.is_valid(&job, &reference(2)), "{s:?}: {p:?}");
         }
     }
 
@@ -477,7 +378,7 @@ mod tests {
         let shapes =
             vec![NodeShape::default(), NodeShape::new(Topology::single_core_st(), 1.0)];
         let p = place_on(&job, &shapes, PlacementStrategy::RoundRobin).expect("fits");
-        assert!(p.is_valid(&job));
+        assert!(p.is_valid(&job, &shapes));
         assert_eq!(p.nodes[0], vec![0, 2, 3, 4], "single-slot node fills after one rank");
         assert_eq!(p.nodes[1], vec![1]);
     }
@@ -492,7 +393,7 @@ mod tests {
             NodeShape::new(TopoPreset::TwoSocket.topology(), 2.0),
         ];
         let p = place_on(&job, &shapes, PlacementStrategy::GreedyLpt).expect("fits");
-        assert!(p.is_valid(&job));
+        assert!(p.is_valid(&job, &shapes));
         assert!(
             p.nodes[1].len() == 2 * p.nodes[0].len(),
             "fast node carries twice the ranks: {:?}",
@@ -509,9 +410,10 @@ mod tests {
         let job = JobSpec::new("j", vec![0.1; 5], 10);
         let shapes = vec![TopoPreset::Numa.shape(1.0), TopoPreset::Openpower710.shape(0.5)];
         let smt = place_on(&job, &shapes, PlacementStrategy::SmtAware).expect("fits");
+        assert!(smt.is_valid(&job, &shapes), "5 ranks fit the 8-slot node: {:?}", smt.nodes);
         assert!(smt.nodes[1].is_empty(), "{:?}", smt.nodes);
         let numa = place_on(&job, &shapes, PlacementStrategy::NumaAware).expect("fits");
-        assert!(numa.is_valid(&job));
+        assert!(numa.is_valid(&job, &shapes));
         assert_eq!(numa.nodes[0].len(), 4, "{:?}", numa.nodes);
         assert_eq!(numa.nodes[1].len(), 1, "{:?}", numa.nodes);
     }
@@ -526,27 +428,9 @@ mod tests {
     }
 
     #[test]
-    fn node_time_on_matches_legacy_for_the_default_shape() {
-        let job = job4x2();
-        let shape = NodeShape::default();
-        for slots in [vec![0usize, 1, 2, 3], vec![0, 4], vec![2]] {
-            for hpc in [true, false] {
-                assert_eq!(
-                    node_time_on(&job, &slots, hpc, &shape),
-                    node_time(&job, &slots, hpc),
-                    "{slots:?} hpc={hpc}"
-                );
-            }
-        }
-        let fast = NodeShape::new(Topology::openpower_710(), 1.25);
-        let t = node_time_on(&job, &[0, 1, 2, 3], true, &fast);
-        assert!((t - node_time(&job, &[0, 1, 2, 3], true) / 1.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn round_robin_interleaves() {
         let job = job4x2();
-        let p = place(&job, 2, PlacementStrategy::RoundRobin).expect("fits");
+        let p = place_on(&job, &reference(2), PlacementStrategy::RoundRobin).expect("fits");
         assert_eq!(p.nodes[0], vec![0, 2, 4, 6]);
         assert_eq!(p.nodes[1], vec![1, 3, 5, 7]);
     }
@@ -554,7 +438,7 @@ mod tests {
     #[test]
     fn lpt_balances_total_load() {
         let job = job4x2();
-        let p = place(&job, 2, PlacementStrategy::GreedyLpt).expect("fits");
+        let p = place_on(&job, &reference(2), PlacementStrategy::GreedyLpt).expect("fits");
         let l0 = p.node_load(&job, 0);
         let l1 = p.node_load(&job, 1);
         assert!((l0 - l1).abs() < 0.11, "node loads {l0} vs {l1}");
@@ -563,7 +447,7 @@ mod tests {
     #[test]
     fn smt_aware_pairs_heavy_with_light() {
         let job = job4x2();
-        let p = place(&job, 2, PlacementStrategy::SmtAware).expect("fits");
+        let p = place_on(&job, &reference(2), PlacementStrategy::SmtAware).expect("fits");
         for slots in &p.nodes {
             // Slot 0 (heavy) and slot 1 (its core sibling) must differ in
             // load when the node holds both classes.
@@ -597,6 +481,11 @@ mod tests {
         assert!(imb < 0.5, "boosted {imb}");
         // Without HPCSched there is no boost option.
         assert!((core_time(Some(0.4), Some(0.1), false) - 0.5).abs() < 1e-12);
+        // A node's time is its slowest core's, divided by its speed: both
+        // 4:1 pairs boost to 0.4 / 0.92, and a 1.25× node takes 1/1.25 of it.
+        let fast = NodeShape::new(Topology::openpower_710(), 1.25);
+        let t = node_time_on(&job4x2(), &[0, 1, 2, 3], true, &fast);
+        assert!((t - 0.4 / 0.92 / 1.25).abs() < 1e-12, "{t}");
     }
 
     #[test]
@@ -608,12 +497,12 @@ mod tests {
             PlacementStrategy::SmtAware,
         ] {
             assert_eq!(
-                place(&job, 2, s),
+                place_on(&job, &reference(2), s),
                 Err(PlacementError::DoesNotFit { ranks: 9, slots: 8 }),
                 "{s:?}"
             );
         }
-        assert_eq!(place(&job, 0, PlacementStrategy::GreedyLpt), Err(PlacementError::NoNodes));
+        assert_eq!(place_on(&job, &[], PlacementStrategy::GreedyLpt), Err(PlacementError::NoNodes));
         let msg = PlacementError::DoesNotFit { ranks: 9, slots: 8 }.to_string();
         assert!(msg.contains("9 ranks on 8 slots"), "{msg}");
     }

@@ -78,9 +78,12 @@ impl TopoPreset {
     }
 
     /// The preset's scheduling-domain tree.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: every label above is registered in `Topology::preset`; the \
+                  round-trip is covered by `presets_resolve` below."
+    )]
     pub fn topology(self) -> Topology {
-        // INVARIANT: every label above is registered in `Topology::preset`;
-        // the round-trip is covered by `presets_resolve` below.
         Topology::preset(self.label()).expect("preset names are registered")
     }
 

@@ -27,7 +27,7 @@
 //!   arrivals at equal times, both in id order);
 //! * per-node kernel runs go through a [`simcore::Pool`]: each run is a
 //!   pure function of `(loads, iterations, sched, seed)` (see
-//!   [`cluster::node`]), per-node seeds are derived *serially* in node
+//!   [`crate::node`]), per-node seeds are derived *serially* in node
 //!   order before anything is submitted, and the pool returns results in
 //!   submission order — so every reduction folds in node order and the
 //!   outcome is byte-identical at any thread count.
@@ -55,9 +55,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
-use cluster::{
-    place_on, run_node, JobSpec, LocalSched, NodeShape, Placement, PlacementStrategy, TopoPreset,
-};
 use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
 use simcore::snapshot::fnv1a_fold;
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
@@ -69,8 +66,11 @@ use crate::checkpoint::{BatchCheckpoint, CheckpointPolicy, SourceImage};
 use crate::discipline::Discipline;
 use crate::fleet::{FleetAccum, FleetConfig};
 use crate::index::ReleaseIndex;
-use crate::job::BatchJob;
+use crate::job::{BatchJob, JobSpec};
+use crate::node::{run_node, LocalSched};
 use crate::pending::PendingQueue;
+use crate::placement::{place_on, Placement, PlacementStrategy, NODE_SLOTS};
+use crate::shape::{NodeShape, TopoPreset};
 
 /// The trace fingerprint is `simcore`'s FNV-1a; its constants are
 /// re-exported here for callers that fold trace lines themselves.
@@ -182,12 +182,11 @@ impl Default for BatchConfig {
 ///
 /// Gang sizing stays at the reference 4-slot granularity
 /// ([`crate::job::BatchJob::nodes_needed`]): every preset offers at least
-/// [`cluster::placement::NODE_SLOTS`] slots, so a reference-sized
-/// allocation always fits the catalog and wider nodes simply absorb more
-/// ranks (or leave slots idle). Shapes attach to *gang-local* node
-/// positions — the allocator hands each gang the catalog in canonical
-/// order — which keeps the service oracle pure in
-/// `(service key, iterations)`.
+/// [`NODE_SLOTS`] slots, so a reference-sized allocation always fits the
+/// catalog and wider nodes simply absorb more ranks (or leave slots idle).
+/// Shapes attach to *gang-local* node positions — the allocator hands each
+/// gang the catalog in canonical order — which keeps the service oracle
+/// pure in `(service key, iterations)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum FleetShape {
     /// Every node is the reference OpenPower 710: the legacy engine,
@@ -535,7 +534,7 @@ impl Oracle {
         if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
             return hit.clone();
         }
-        let nodes_needed = spec.ranks().div_ceil(cluster::placement::NODE_SLOTS);
+        let nodes_needed = spec.ranks().div_ceil(NODE_SLOTS);
         let catalog = self.shape.catalog(nodes_needed);
         #[expect(
             clippy::expect_used,
@@ -1645,7 +1644,7 @@ mod tests {
     fn random_jobs_run_end_to_end() {
         let job = JobSpec::random("rand", 12, 3, &mut SimRng::seed_from_u64(9));
         let r = run_alone(&job, &fleet(3, LocalSched::Hpc, SmtAware), None).result;
-        assert!(r.placement.is_valid(&job));
+        assert!(r.placement.is_valid(&job, &FleetShape::Uniform.catalog(3)));
         assert_eq!(r.node_secs.len(), 3);
         assert!(r.makespan > 0.0);
     }

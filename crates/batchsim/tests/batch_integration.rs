@@ -3,9 +3,8 @@
 
 use batchsim::{
     heavy_light_mix, run_batch, BatchConfig, BatchEvent, BatchFault, BatchJob, Discipline,
-    FleetStats,
+    FleetStats, JobSpec, LocalSched,
 };
-use cluster::{JobSpec, LocalSched};
 use faultsim::TaskAbortSpec;
 
 fn cfg(discipline: Discipline) -> BatchConfig {

@@ -13,8 +13,8 @@ use std::collections::BTreeSet;
 
 use batchsim::{
     heavy_light_mix, run_batch, text_fnv1a, BatchConfig, BatchEvent, BatchFault, Discipline,
+    LocalSched,
 };
-use cluster::LocalSched;
 use proptest::prelude::*;
 
 fn small_cfg(discipline: Discipline) -> BatchConfig {

@@ -10,9 +10,8 @@
 
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
-    BatchFault, CheckpointStore, Discipline,
+    BatchFault, CheckpointStore, Discipline, LocalSched,
 };
-use cluster::LocalSched;
 use proptest::prelude::*;
 
 proptest! {

@@ -6,8 +6,7 @@
 //! must match the serial run exactly — across random seeds, all three
 //! disciplines, thread counts 2–8, and with a node-failure plan active.
 
-use batchsim::{heavy_light_mix, run_batch, BatchConfig, BatchFault, Discipline};
-use cluster::LocalSched;
+use batchsim::{heavy_light_mix, run_batch, BatchConfig, BatchFault, Discipline, LocalSched};
 use proptest::prelude::*;
 
 proptest! {

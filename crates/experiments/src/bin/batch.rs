@@ -41,9 +41,8 @@ use std::time::Instant;
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_checkpointed, run_batch_until,
     BatchConfig, BatchFault, BatchOutcome, CheckpointPolicy, CheckpointStore, Discipline,
-    FleetShape, FleetStats,
+    FleetShape, FleetStats, LocalSched,
 };
-use cluster::LocalSched;
 use experiments::benchfile;
 use experiments::cli::{BinFlag, CliFlags};
 use faultsim::{CkptCorruptSpec, TaskAbortSpec};

@@ -11,8 +11,10 @@
 //! exactly that — matches or beats classic load-oblivious and
 //! load-balancing placements.
 
-use batchsim::{run_batch, BatchConfig, BatchJob, Discipline, FleetStats};
-use cluster::{JobSpec, LocalSched, PlacementStrategy};
+use batchsim::{
+    run_batch, BatchConfig, BatchJob, Discipline, FleetStats, JobSpec, LocalSched,
+    PlacementStrategy,
+};
 use experiments::cli::CliFlags;
 use simcore::SimRng;
 

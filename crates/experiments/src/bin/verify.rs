@@ -20,9 +20,8 @@ use std::fmt::Write as _;
 
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
-    BatchFault, BatchJob, Discipline, FleetShape, FnvWriter,
+    BatchFault, BatchJob, Discipline, FleetShape, FnvWriter, JobSpec, LocalSched,
 };
-use cluster::{JobSpec, LocalSched};
 use experiments::cli::CliFlags;
 use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
 use faultsim::{FaultError, FaultPlan};

@@ -657,25 +657,11 @@ impl Topology {
         ContextId(cpu.0 % self.core_span())
     }
 
-    /// The CPUs of a core, in context order.
-    pub fn cpus_of_core(&self, core: CoreId) -> Vec<CpuId> {
-        self.core_range(core).map(CpuId).collect()
-    }
-
     /// The CPU ids of a core's hardware contexts, as a contiguous range.
     pub fn core_range(&self, core: CoreId) -> Range<usize> {
         assert!(core.0 < self.num_cores(), "core out of range");
         let base = core.0 * self.core_span();
         base..base + self.core_span()
-    }
-
-    /// The first SMT sibling of a CPU, if its core has one.
-    pub fn sibling_of(&self, cpu: CpuId) -> Option<CpuId> {
-        if self.core_span() < 2 {
-            return None;
-        }
-        let core = self.core_of(cpu);
-        self.cpus_of_core(core).into_iter().find(|&c| c != cpu)
     }
 
     /// All CPUs sharing the given domain with `cpu` (including `cpu`).
@@ -890,19 +876,10 @@ mod tests {
     }
 
     #[test]
-    fn siblings() {
-        let t = Topology::openpower_710();
-        assert_eq!(t.sibling_of(CpuId(0)), Some(CpuId(1)));
-        assert_eq!(t.sibling_of(CpuId(1)), Some(CpuId(0)));
-        assert_eq!(t.sibling_of(CpuId(3)), Some(CpuId(2)));
-        assert_eq!(Topology::single_core_st().sibling_of(CpuId(0)), None);
-    }
-
-    #[test]
     fn core_cpu_lists() {
         let t = Topology::openpower_710();
-        assert_eq!(t.cpus_of_core(CoreId(0)), vec![CpuId(0), CpuId(1)]);
-        assert_eq!(t.cpus_of_core(CoreId(1)), vec![CpuId(2), CpuId(3)]);
+        assert_eq!(t.core_range(CoreId(0)), 0..2);
+        assert_eq!(t.core_range(CoreId(1)), 2..4);
     }
 
     #[test]
@@ -931,8 +908,7 @@ mod tests {
         let t = Topology::new(1, 1, 4);
         assert_eq!(t.num_cpus(), 4);
         assert_eq!(t.max_smt_width(), 4);
-        assert_eq!(t.cpus_of_core(CoreId(0)).len(), 4);
-        assert_eq!(t.sibling_of(CpuId(2)), Some(CpuId(0)));
+        assert_eq!(t.core_range(CoreId(0)), 0..4);
     }
 
     #[test]

@@ -204,14 +204,8 @@ impl LoadImbalanceDetector {
     }
 
     /// Whether the application is balanced under the tunables' spread
-    /// threshold, judged on global utilization.
-    pub fn is_balanced(&self, tun: &HpcTunables) -> bool {
-        self.spread(tun.negligible_util, |s| s.global_util) <= tun.balance_spread
-    }
-
-    /// Whether it is balanced judged on the last iteration only — the gate
-    /// the scheduler uses, so a behaviour change reopens balancing
-    /// immediately.
+    /// threshold, judged on the last iteration only — so a behaviour
+    /// change reopens balancing immediately.
     pub fn is_balanced_recent(&self, tun: &HpcTunables) -> bool {
         self.spread(tun.negligible_util, |s| s.last_util) <= tun.balance_spread
     }
@@ -282,7 +276,7 @@ mod tests {
         d.record_iteration(TaskId(1), ms(100), ms(100));
         let tun = HpcTunables::default();
         assert!((d.spread(tun.negligible_util, |s| s.global_util) - 75.0).abs() < 1e-9);
-        assert!(!d.is_balanced(&tun));
+        assert!(!d.is_balanced_recent(&tun));
 
         // Next iterations converge.
         d.record_iteration(TaskId(0), ms(95), ms(100));
@@ -294,9 +288,9 @@ mod tests {
     fn fewer_than_two_tasks_is_balanced() {
         let mut d = LoadImbalanceDetector::new();
         let tun = HpcTunables::default();
-        assert!(d.is_balanced(&tun), "empty");
+        assert!(d.is_balanced_recent(&tun), "empty");
         d.record_iteration(TaskId(0), ms(1), ms(100));
-        assert!(d.is_balanced(&tun), "single task cannot be imbalanced");
+        assert!(d.is_balanced_recent(&tun), "single task cannot be imbalanced");
     }
 
     #[test]
@@ -304,10 +298,10 @@ mod tests {
         let mut d = LoadImbalanceDetector::new();
         d.record_iteration(TaskId(0), ms(10), ms(100));
         d.record_iteration(TaskId(1), ms(100), ms(100));
-        assert!(!d.is_balanced(&HpcTunables::default()));
+        assert!(!d.is_balanced_recent(&HpcTunables::default()));
         d.forget(TaskId(0));
         assert_eq!(d.tracked(), 1);
-        assert!(d.is_balanced(&HpcTunables::default()));
+        assert!(d.is_balanced_recent(&HpcTunables::default()));
     }
 
     #[test]

@@ -36,8 +36,7 @@ pub enum HeuristicKind {
 pub trait Heuristic: Send {
     fn name(&self) -> &'static str;
 
-    /// The utilization metric (percent) this heuristic judges on; also used
-    /// by the detector's balance gate.
+    /// The utilization metric (percent) this heuristic judges on.
     fn metric(&self, stats: &TaskIterStats, tun: &HpcTunables) -> f64;
 
     /// Next priority for a task currently at `current` with the given
@@ -57,12 +56,6 @@ pub trait Heuristic: Send {
             current
         };
         next.clamp(tun.min_prio, tun.max_prio)
-    }
-
-    /// Whether the balance gate should judge on recent (last-iteration)
-    /// utilization rather than global utilization.
-    fn judges_recent(&self) -> bool {
-        false
     }
 }
 
@@ -91,10 +84,6 @@ impl Heuristic for AdaptiveHeuristic {
 
     fn metric(&self, stats: &TaskIterStats, tun: &HpcTunables) -> f64 {
         stats.blended(tun.g_weight, tun.l_weight)
-    }
-
-    fn judges_recent(&self) -> bool {
-        true
     }
 }
 
@@ -138,10 +127,6 @@ impl Heuristic for HybridHeuristic {
         let age = stats.iterations.min(self.warmup) as f64 / self.warmup as f64;
         let g = G_MAX * age;
         stats.blended(g, 1.0 - g)
-    }
-
-    fn judges_recent(&self) -> bool {
-        true
     }
 }
 
@@ -252,8 +237,6 @@ mod tests {
         assert_eq!(make_heuristic(HeuristicKind::Uniform).name(), "uniform");
         assert_eq!(make_heuristic(HeuristicKind::Adaptive).name(), "adaptive");
         assert_eq!(make_heuristic(HeuristicKind::Hybrid).name(), "hybrid");
-        assert!(make_heuristic(HeuristicKind::Adaptive).judges_recent());
-        assert!(!make_heuristic(HeuristicKind::Uniform).judges_recent());
     }
 
     fn stats_with_age(last: f64, prev: f64, age: u64) -> TaskIterStats {
