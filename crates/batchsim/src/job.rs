@@ -45,10 +45,6 @@ impl JobSpec {
         self.rank_loads.len()
     }
 
-    pub fn total_work(&self) -> f64 {
-        self.rank_loads.iter().sum::<f64>() * self.iterations as f64
-    }
-
     /// A synthetic job with lognormal-ish load spread — the irregular mesh
     /// partitions cluster schedulers actually face.
     pub fn random(name: impl Into<String>, ranks: usize, iterations: u32, rng: &mut SimRng) -> Self {
@@ -113,7 +109,6 @@ mod tests {
     fn construction_and_metrics() {
         let j = JobSpec::new("j", vec![1.0, 2.0, 4.0], 10);
         assert_eq!(j.ranks(), 3);
-        assert!((j.total_work() - 70.0).abs() < 1e-12);
         assert!((j.imbalance() - 4.0).abs() < 1e-12);
     }
 

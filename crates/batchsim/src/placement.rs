@@ -104,11 +104,6 @@ impl simcore::snapshot::Snapshot for Placement {
 }
 
 impl Placement {
-    /// Total load assigned to a node.
-    pub fn node_load(&self, job: &JobSpec, node: usize) -> f64 {
-        self.nodes[node].iter().map(|&r| job.rank_loads[r]).sum()
-    }
-
     /// Every rank appears exactly once, and no node holds more ranks than
     /// its shape in `shapes` has slots (validity check).
     pub fn is_valid(&self, job: &JobSpec, shapes: &[NodeShape]) -> bool {
@@ -439,8 +434,8 @@ mod tests {
     fn lpt_balances_total_load() {
         let job = job4x2();
         let p = place_on(&job, &reference(2), PlacementStrategy::GreedyLpt).expect("fits");
-        let l0 = p.node_load(&job, 0);
-        let l1 = p.node_load(&job, 1);
+        let [l0, l1]: [f64; 2] =
+            [0, 1].map(|n| p.nodes[n].iter().map(|&r| job.rank_loads[r]).sum());
         assert!((l0 - l1).abs() < 0.11, "node loads {l0} vs {l1}");
     }
 

@@ -211,21 +211,13 @@ impl Chip {
             .expect("cpu belongs to its core")
     }
 
-    /// Speed factors of every CPU, indexed by CPU id, computed afresh.
-    pub fn all_speeds(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.compute_speeds(&mut out);
-        out
-    }
-
-    /// Speed factors of every CPU, indexed by CPU id: [`Chip::all_speeds`]
-    /// memoised. Speeds are a pure function of the contexts' loads and
-    /// priorities and the idle mode, so they are recomputed only after
-    /// one of those actually changed; a write of the value already held
-    /// keeps the cached speeds, which are bit-for-bit what a fresh
-    /// computation returns. Allocates nothing after the first call, for
-    /// cores up to 2-way SMT (wider cores hand the model a fresh context
-    /// list).
+    /// Speed factors of every CPU, indexed by CPU id, memoised. Speeds
+    /// are a pure function of the contexts' loads and priorities and the
+    /// idle mode, so they are recomputed only after one of those actually
+    /// changed; a write of the value already held keeps the cached speeds,
+    /// which are bit-for-bit what a fresh computation returns. Allocates
+    /// nothing after the first call, for cores up to 2-way SMT (wider
+    /// cores hand the model a fresh context list).
     pub fn speeds(&mut self) -> &[f64] {
         if self.stale {
             let mut out = std::mem::take(&mut self.speeds);
@@ -393,16 +385,6 @@ mod tests {
         // Core 1 (cpus 2,3) is untouched.
         assert!((c.speed_of(CpuId(2)) - 0.8).abs() < 1e-12);
         assert!((c.speed_of(CpuId(3)) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_speeds_indexes_by_cpu() {
-        let mut c = chip();
-        c.set_load(CpuId(1), Some(TaskPerfTraits::default()));
-        let v = c.all_speeds();
-        assert_eq!(v.len(), 4);
-        assert_eq!(v[0], 0.0, "unloaded context reports no speed");
-        assert!((v[1] - 0.8).abs() < 1e-12, "busy thread vs spinning idle");
     }
 
     #[test]

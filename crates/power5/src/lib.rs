@@ -36,5 +36,5 @@ pub use decode::{decode_interval, decode_share, DecodeSplit};
 pub use perf::{AnalyticModel, CtxLoad, PerfModel, SmtPerfModel, SpeedFactors, TableModel, TaskPerfTraits};
 pub use priority::{HwPriority, PriorityError, PrivilegeLevel};
 pub use topology::{
-    ChipId, ContextId, CoreId, CpuId, DomainLevel, Level, LevelKind, Topology, TopologyError,
+    ChipId, ContextId, CoreId, CpuId, Level, LevelKind, Topology, TopologyError,
 };

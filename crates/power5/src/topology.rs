@@ -56,28 +56,6 @@ impl fmt::Display for CpuId {
     }
 }
 
-/// Levels of the classic three-level hierarchy, smallest first. Kept as
-/// the stable coarse-grained API over the underlying tree: `Core` is the
-/// innermost grouping level, `Chip` the socket (or NUMA node when the
-/// tree has no socket level), `System` the machine root.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize)]
-pub enum DomainLevel {
-    /// A single hardware context (one logical CPU).
-    Context,
-    /// The sibling contexts of one core.
-    Core,
-    /// All contexts of one chip.
-    Chip,
-    /// The whole machine.
-    System,
-}
-
-impl DomainLevel {
-    /// Domain levels from the innermost outwards, as the balancer walks them.
-    pub const ASCENDING: [DomainLevel; 4] =
-        [DomainLevel::Context, DomainLevel::Core, DomainLevel::Chip, DomainLevel::System];
-}
-
 /// What kind of unit a tree level groups the level below into.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum LevelKind {
@@ -663,21 +641,6 @@ impl Topology {
         let base = core.0 * self.core_span();
         base..base + self.core_span()
     }
-
-    /// All CPUs sharing the given domain with `cpu` (including `cpu`).
-    /// Every level is a contiguous range: O(domain size) to materialise,
-    /// O(1) to locate.
-    pub fn domain_cpus(&self, cpu: CpuId, level: DomainLevel) -> Vec<CpuId> {
-        assert!(cpu.0 < self.num_cpus(), "cpu {cpu} out of range");
-        let span = match level {
-            DomainLevel::Context => 1,
-            DomainLevel::Core => self.core_span(),
-            DomainLevel::Chip => self.chip_span(),
-            DomainLevel::System => self.num_cpus(),
-        };
-        let base = (cpu.0 / span) * span;
-        (base..base + span).map(CpuId).collect()
-    }
 }
 
 impl Default for Topology {
@@ -883,22 +846,13 @@ mod tests {
     }
 
     #[test]
-    fn domain_membership() {
-        let t = Topology::openpower_710();
-        assert_eq!(t.domain_cpus(CpuId(0), DomainLevel::Context), vec![CpuId(0)]);
-        assert_eq!(t.domain_cpus(CpuId(0), DomainLevel::Core), vec![CpuId(0), CpuId(1)]);
-        assert_eq!(t.domain_cpus(CpuId(0), DomainLevel::Chip).len(), 4);
-        assert_eq!(t.domain_cpus(CpuId(3), DomainLevel::System).len(), 4);
-    }
-
-    #[test]
     fn multi_chip_topology() {
         let t = Topology::new(2, 2, 2);
         assert_eq!(t.num_cpus(), 8);
         assert_eq!(t.chip_of(CpuId(3)), ChipId(0));
         assert_eq!(t.chip_of(CpuId(4)), ChipId(1));
-        assert_eq!(t.domain_cpus(CpuId(5), DomainLevel::Chip).len(), 4);
-        assert_eq!(t.domain_cpus(CpuId(5), DomainLevel::System).len(), 8);
+        assert_eq!(t.group_range(CpuId(5), 1), 4..8, "chip level");
+        assert_eq!(t.group_range(CpuId(5), 2), 0..8, "machine root");
     }
 
     #[test]

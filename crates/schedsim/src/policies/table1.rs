@@ -14,11 +14,11 @@ use super::heuristics::Heuristic;
 use super::mechanism::PrioMechanism;
 use super::SharedTunables;
 use crate::balancer::{
-    propose, Balancer, BalancerTelemetry, IterSample, PrioAssignment, SampleOutcome,
+    degrade_to_floor, propose, Balancer, BalancerTelemetry, IterSample, PrioAssignment,
+    SampleOutcome,
 };
 use crate::class::ClassCtx;
 use crate::task::TaskId;
-use power5::HwPriority;
 use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::SimDuration;
 
@@ -170,16 +170,7 @@ impl Balancer for Table1Balancer {
         if !self.dynamic_prio {
             return Vec::new();
         }
-        let current = ctx.task(task).hw_prio;
-        if current == HwPriority::MEDIUM {
-            return Vec::new();
-        }
-        if let Ok(effective) = self.mechanism.validate(HwPriority::MEDIUM) {
-            if effective != current {
-                return vec![PrioAssignment { task, prio: effective }];
-            }
-        }
-        Vec::new()
+        degrade_to_floor(ctx, task)
     }
 
     fn task_exited(&mut self, task: TaskId) {

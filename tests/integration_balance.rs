@@ -1,17 +1,38 @@
 //! Cross-crate integration: the full balancing pipeline
 //! (workload → MPI → kernel → HPC class → heuristics → chip) on
-//! paper-shaped applications, at reduced scale.
+//! paper-shaped applications, at reduced scale, plus the ablations behind
+//! the paper's design choices (idle loop, SMT model, priority range,
+//! intra-class policy).
 
-use power5::HwPriority;
-use schedsim::policies::HeuristicKind;
-use schedsim::{HpcSchedConfig, KernelBuilder};
-use simcore::SimDuration;
+use power5::{Chip, HwPriority, IdleMode, Topology};
+use schedsim::policies::{
+    HeuristicKind, Power5Mechanism, SharedTunables, Table1Balancer, UniformHeuristic,
+};
+use schedsim::{
+    BalancedClass, HpcPolicyKind, HpcSchedConfig, Kernel, KernelBuilder, KernelConfig,
+    PerfModelChoice, TaskId,
+};
+use simcore::{SimDuration, SimTime};
 use workloads::btmz::{self, BtMzConfig};
 use workloads::metbench::{self, MetBenchConfig};
 use workloads::SchedulerSetup;
 
 fn metbench_cfg() -> MetBenchConfig {
     MetBenchConfig { loads: vec![0.05, 0.2, 0.05, 0.2], iterations: 8, ..Default::default() }
+}
+
+/// Spawn MetBench on `kernel` and run it to completion: the workers and
+/// the time the last task (workers or master) exited.
+fn run_to_exit(
+    kernel: &mut Kernel,
+    cfg: &MetBenchConfig,
+    setup: &SchedulerSetup,
+) -> (Vec<TaskId>, SimTime) {
+    let (workers, master, _) = metbench::spawn_faulted(kernel, cfg, setup, None);
+    let mut all = workers.clone();
+    all.push(master);
+    let end = kernel.run_until_exited(&all, SimDuration::from_secs(600)).expect("finishes");
+    (workers, end)
 }
 
 fn run_metbench(mode: &str) -> (f64, Vec<f64>, Vec<u8>) {
@@ -31,10 +52,7 @@ fn run_metbench(mode: &str) -> (f64, Vec<f64>, Vec<u8>) {
         ),
         _ => unreachable!(),
     };
-    let (workers, master, _) = metbench::spawn_faulted(&mut kernel, &cfg, &setup, None);
-    let mut all = workers.clone();
-    all.push(master);
-    let end = kernel.run_until_exited(&all, SimDuration::from_secs(120)).expect("finishes");
+    let (workers, end) = run_to_exit(&mut kernel, &cfg, &setup);
     let utils = workers.iter().map(|&w| kernel.task(w).cpu_utilization(end) * 100.0).collect();
     let prios = workers.iter().map(|&w| kernel.task(w).hw_prio.value()).collect();
     (end.as_secs_f64(), utils, prios)
@@ -114,11 +132,7 @@ fn balanced_application_is_left_alone() {
     // Four equal loads: never imbalanced, no priority should ever change.
     let cfg = MetBenchConfig { loads: vec![0.1; 4], iterations: 6, ..Default::default() };
     let mut kernel = KernelBuilder::new().build();
-    let (workers, master, _) =
-        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
-    let mut all = workers.clone();
-    all.push(master);
-    kernel.run_until_exited(&all, SimDuration::from_secs(60)).expect("finishes");
+    let (workers, _) = run_to_exit(&mut kernel, &cfg, &SchedulerSetup::Hpc);
     for &w in &workers {
         assert_eq!(kernel.task(w).hw_prio, HwPriority::MEDIUM, "no churn on balanced app");
     }
@@ -132,14 +146,111 @@ fn null_mechanism_keeps_priorities_flat() {
     let mut kernel = KernelBuilder::new()
         .hpc_config(HpcSchedConfig { power5_mechanism: false, ..Default::default() })
         .build();
-    let (workers, master, _) =
-        metbench::spawn_faulted(&mut kernel, &cfg, &SchedulerSetup::Hpc, None);
-    let mut all = workers.clone();
-    all.push(master);
-    let end = kernel.run_until_exited(&all, SimDuration::from_secs(120)).expect("finishes");
+    let (workers, end) = run_to_exit(&mut kernel, &cfg, &SchedulerSetup::Hpc);
     for &w in &workers {
         assert_eq!(kernel.task(w).hw_prio, HwPriority::MEDIUM);
     }
     let (base, _, _) = run_metbench("baseline");
     assert!((end.as_secs_f64() - base).abs() < base * 0.03, "no hardware effect");
+}
+
+// ----------------------------------------------------------------------
+// Ablations of the paper's design choices, on a small MetBench (1:4
+// loads, 6 iterations).
+// ----------------------------------------------------------------------
+
+fn small_metbench() -> MetBenchConfig {
+    MetBenchConfig { loads: vec![0.02, 0.08, 0.02, 0.08], iterations: 6, ..Default::default() }
+}
+
+/// Execution time of the small MetBench, in seconds.
+fn small_metbench_secs(mut kernel: Kernel, setup: &SchedulerSetup) -> f64 {
+    run_to_exit(&mut kernel, &small_metbench(), setup).1.as_secs_f64()
+}
+
+/// Gain (percent) of the small MetBench under HPC on `hpc` over its
+/// baseline run on `base`.
+fn gain_pct(base: Kernel, hpc: Kernel) -> f64 {
+    let base = small_metbench_secs(base, &SchedulerSetup::Baseline);
+    let hpc = small_metbench_secs(hpc, &SchedulerSetup::Hpc);
+    100.0 * (base - hpc) / base
+}
+
+/// A kernel on an OpenPower 710 whose idle contexts run `mode`, with the
+/// paper's Table-I balancer (Uniform heuristic, RR) when `hpc` is set.
+fn idle_mode_kernel(mode: IdleMode, hpc: bool) -> Kernel {
+    let mut chip = Chip::new(Topology::openpower_710());
+    chip.set_idle_mode(mode);
+    let mut kernel = Kernel::new(chip, KernelConfig::default());
+    if hpc {
+        let balancer = Table1Balancer::new(
+            Box::new(UniformHeuristic),
+            Box::new(Power5Mechanism),
+            SharedTunables::default(),
+        );
+        kernel.install_class_after_rt(Box::new(BalancedClass::new(
+            HpcPolicyKind::Rr,
+            SimDuration::from_millis(100),
+            Box::new(balancer),
+        )));
+    }
+    kernel
+}
+
+/// Idle-loop model (paper §II). A spinning idle context competes for
+/// decode slots, so boosting its busy sibling pays. A snoozing one
+/// already leaves its sibling the whole core, so prioritisation buys
+/// nothing: the paper's effect depends on the era's spinning idle loop.
+#[test]
+fn prioritisation_pays_only_when_idle_contexts_spin() {
+    let gain = |mode| gain_pct(idle_mode_kernel(mode, false), idle_mode_kernel(mode, true));
+    let spin = gain(IdleMode::Spin);
+    let snooze = gain(IdleMode::Snooze);
+    assert!(spin > 0.0, "spinning idle loop: gain {spin:.1}%");
+    assert!(snooze <= 0.0, "snoozing idle loop: gain {snooze:.1}%");
+}
+
+/// SMT performance model: the analytic model with concavity k = 3
+/// rewards a priority boost more than the calibrated table model does,
+/// and both show a gain.
+#[test]
+fn analytic_model_gains_more_than_table_model() {
+    let gain = |model| {
+        let mk = || KernelBuilder::new().perf_model(model);
+        gain_pct(mk().without_hpc_class().build(), mk().build())
+    };
+    let table = gain(PerfModelChoice::Table);
+    let analytic = gain(PerfModelChoice::Analytic { k: 3.0 });
+    assert!(table > 0.0, "table model gain {table:.1}%");
+    assert!(analytic > table, "analytic k=3 gain {analytic:.1}% vs table {table:.1}%");
+}
+
+/// Maximum priority difference (paper §II): with `min_prio` at MEDIUM
+/// (4), a `max_prio` of 6 allows ±2 and beats the ±1 of `max_prio` 5.
+/// ±3 cannot be configured: it needs `max_prio` 7, which is not a
+/// regular priority, and `HpcTunables::validate` rejects it.
+#[test]
+fn priority_range_pm2_beats_pm1() {
+    let secs = |max_prio| {
+        let mut hpc = HpcSchedConfig::default();
+        hpc.tunables.set("max_prio", max_prio).expect("a regular priority");
+        small_metbench_secs(KernelBuilder::new().hpc_config(hpc).build(), &SchedulerSetup::Hpc)
+    };
+    let pm1 = secs("5");
+    let pm2 = secs("6");
+    assert!(pm2 < pm1, "±2 {pm2}s vs ±1 {pm1}s");
+}
+
+/// Intra-class policy (paper §IV-A): at one task per CPU, FIFO and RR
+/// show "essentially no difference"; here the two runs end at the same
+/// instant, bit for bit.
+#[test]
+fn fifo_and_rr_agree_at_one_task_per_cpu() {
+    let secs = |policy| {
+        let hpc = HpcSchedConfig { policy, ..Default::default() };
+        small_metbench_secs(KernelBuilder::new().hpc_config(hpc).build(), &SchedulerSetup::Hpc)
+    };
+    let rr = secs(HpcPolicyKind::Rr);
+    let fifo = secs(HpcPolicyKind::Fifo);
+    assert_eq!(fifo.to_bits(), rr.to_bits(), "FIFO {fifo}s vs RR {rr}s");
 }

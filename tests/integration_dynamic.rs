@@ -54,6 +54,7 @@ fn dynamic_heuristics_beat_baseline_despite_reversals() {
         let (secs, _) = run(mode);
         let imp = 100.0 * (base - secs) / base;
         assert!(imp > 4.0, "{mode} improvement {imp}% (paper: ~11%)");
+        assert!(imp < 20.0, "{mode} improvement {imp}% above the paper's range");
     }
 }
 
