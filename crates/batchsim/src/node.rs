@@ -4,12 +4,14 @@
 //! # Purity contract
 //!
 //! [`run_node`], the one node-run entry point, is a *pure function* of
-//! `(loads, iterations, sched, seed, shape, traced)`: the kernel, MPI
-//! fabric, and barrier gang are constructed fresh inside the call, nothing
-//! escapes, and no global mutable state is read or written. That is what
+//! `(loads, iterations, sched, shape, traced)`: the kernel, MPI fabric,
+//! and barrier gang are constructed fresh inside the call, nothing
+//! escapes, and no global mutable state is read or written. There is no
+//! per-node seed: a node kernel runs without OS noise, and the noise
+//! daemons are the only reader of a kernel's random stream. That is what
 //! lets the batch engine submit node runs to [`simcore::Pool`] from any
-//! thread — the result depends only on the arguments, never on which
-//! thread ran it or when.
+//! thread, and memoise them by content — the result depends only on the
+//! arguments, never on which thread ran it, when, or for which job.
 
 use crate::shape::NodeShape;
 use mpisim::{Mpi, MpiConfig};
@@ -148,12 +150,13 @@ const _: () = {
 /// not fit the node, and [`SchedError::UnknownPolicy`] for an unregistered
 /// [`LocalSched::Policy`] name.
 // Pool task closures call this; the result must be a pure function of
-// (loads, iterations, sched, seed, shape, traced).
+// (loads, iterations, sched, shape, traced). Turning noise on here would
+// make the kernel seed an input, and it would have to join both this
+// signature and the batch oracle's node memo key.
 pub fn run_node(
     loads: &[f64],
     iterations: u32,
     sched: LocalSched,
-    seed: u64,
     shape: &NodeShape,
     traced: bool,
 ) -> Result<NodeRun, SchedError> {
@@ -164,7 +167,7 @@ pub fn run_node(
             loads.len()
         )));
     }
-    let builder = KernelBuilder::new().topology(shape.topology.clone()).seed(seed);
+    let builder = KernelBuilder::new().topology(shape.topology.clone());
     let mut kernel: Kernel = match sched {
         LocalSched::Hpc => builder.try_build()?,
         LocalSched::Policy(p) => builder.policy(p).try_build()?,
@@ -223,13 +226,13 @@ mod tests {
     use super::*;
     use crate::shape::TopoPreset;
 
-    fn run(loads: &[f64], iterations: u32, sched: LocalSched, seed: u64) -> NodeRun {
-        run_node(loads, iterations, sched, seed, &NodeShape::default(), false).expect("valid node")
+    fn run(loads: &[f64], iterations: u32, sched: LocalSched) -> NodeRun {
+        run_node(loads, iterations, sched, &NodeShape::default(), false).expect("valid node")
     }
 
     #[test]
     fn balanced_node_runs_at_smt_speed() {
-        let r = run(&[0.08, 0.08, 0.08, 0.08], 5, LocalSched::Hpc, 1);
+        let r = run(&[0.08, 0.08, 0.08, 0.08], 5, LocalSched::Hpc);
         // 0.08 / 0.8 per iteration × 5.
         assert!((0.48..0.55).contains(&r.exec_secs), "exec {}", r.exec_secs);
         assert!(r.final_prios.iter().all(|&p| p == 4), "no boost needed");
@@ -238,15 +241,15 @@ mod tests {
     #[test]
     fn imbalanced_node_gets_boosted_under_hpc() {
         let imb = [0.32, 0.08, 0.32, 0.08];
-        let base = run(&imb, 5, LocalSched::Cfs, 1);
-        let hpc = run(&imb, 5, LocalSched::Hpc, 1);
+        let base = run(&imb, 5, LocalSched::Cfs);
+        let hpc = run(&imb, 5, LocalSched::Hpc);
         assert!(hpc.exec_secs < base.exec_secs * 0.95, "{} vs {}", hpc.exec_secs, base.exec_secs);
         assert_eq!(hpc.final_prios[0], 6, "heavy slot boosted: {:?}", hpc.final_prios);
     }
 
     #[test]
     fn partial_node_runs() {
-        let r = run(&[0.1, 0.1], 3, LocalSched::Hpc, 1);
+        let r = run(&[0.1, 0.1], 3, LocalSched::Hpc);
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 2);
     }
@@ -258,16 +261,16 @@ mod tests {
             prios,
             vec![HwPriority::HIGH, HwPriority::MEDIUM, HwPriority::HIGH, HwPriority::MEDIUM]
         );
-        let r = run(&[0.32, 0.08, 0.32, 0.08], 3, LocalSched::Static, 1);
+        let r = run(&[0.32, 0.08, 0.32, 0.08], 3, LocalSched::Static);
         assert_eq!(r.final_prios, vec![6, 4, 6, 4], "static prios never move");
     }
 
     #[test]
     fn oversized_slot_vector_is_a_typed_error() {
         let default = NodeShape::default();
-        let err = run_node(&[0.1; 5], 2, LocalSched::Hpc, 1, &default, false);
+        let err = run_node(&[0.1; 5], 2, LocalSched::Hpc, &default, false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(_))), "got {err:?}");
-        let err = run_node(&[], 2, LocalSched::Cfs, 1, &default, false);
+        let err = run_node(&[], 2, LocalSched::Cfs, &default, false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(_))), "got {err:?}");
     }
 
@@ -276,23 +279,23 @@ mod tests {
         assert_eq!(LocalSched::parse("worksteal"), Some(LocalSched::Policy("worksteal")));
         assert_eq!(LocalSched::parse("static"), Some(LocalSched::Static), "builtin name wins");
         assert_eq!(LocalSched::parse("nope"), None);
-        let r = run(&[0.32, 0.08], 3, LocalSched::Policy("ss"), 1);
+        let r = run(&[0.32, 0.08], 3, LocalSched::Policy("ss"));
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 2);
     }
 
     #[test]
     fn unknown_policy_name_is_a_typed_error() {
-        let err = run_node(&[0.1], 2, LocalSched::Policy("lottery"), 1, &NodeShape::default(), false);
+        let err = run_node(&[0.1], 2, LocalSched::Policy("lottery"), &NodeShape::default(), false);
         assert!(matches!(err, Err(SchedError::UnknownPolicy(_))), "got {err:?}");
     }
 
     #[test]
     fn default_shape_delegation_is_exact() {
         let loads = [0.32, 0.08, 0.16, 0.08];
-        let default = run(&loads, 4, LocalSched::Hpc, 7);
+        let default = run(&loads, 4, LocalSched::Hpc);
         let explicit = NodeShape::new(power5::Topology::openpower_710(), 1.0);
-        let on = run_node(&loads, 4, LocalSched::Hpc, 7, &explicit, false).unwrap();
+        let on = run_node(&loads, 4, LocalSched::Hpc, &explicit, false).unwrap();
         assert_eq!(default.exec_secs, on.exec_secs, "speed 1.0 must be the identity");
         assert_eq!(default.final_prios, on.final_prios);
     }
@@ -303,9 +306,9 @@ mod tests {
         // reference node.
         let shape = TopoPreset::TwoSocket.shape(1.0);
         let loads = [0.08; 8];
-        let r = run_node(&loads, 3, LocalSched::Hpc, 1, &shape, false).unwrap();
+        let r = run_node(&loads, 3, LocalSched::Hpc, &shape, false).unwrap();
         assert_eq!(r.final_prios.len(), 8);
-        let err = run_node(&loads, 3, LocalSched::Hpc, 1, &NodeShape::default(), false);
+        let err = run_node(&loads, 3, LocalSched::Hpc, &NodeShape::default(), false);
         assert!(matches!(err, Err(SchedError::InvalidTopology(ref m)) if m.contains("4 CPU slots")),
             "got {err:?}");
     }
@@ -313,9 +316,9 @@ mod tests {
     #[test]
     fn faster_node_finishes_sooner() {
         let loads = [0.2, 0.2, 0.2, 0.2];
-        let base = run(&loads, 4, LocalSched::Hpc, 1);
+        let base = run(&loads, 4, LocalSched::Hpc);
         let fast_shape = NodeShape::new(power5::Topology::openpower_710(), 2.0);
-        let fast = run_node(&loads, 4, LocalSched::Hpc, 1, &fast_shape, false).unwrap();
+        let fast = run_node(&loads, 4, LocalSched::Hpc, &fast_shape, false).unwrap();
         assert!(
             fast.exec_secs < base.exec_secs * 0.6,
             "2x node: {} vs {}",
@@ -327,17 +330,17 @@ mod tests {
     #[test]
     fn wide_smt_shape_runs_under_the_analytic_model() {
         let shape = TopoPreset::WideSmt.shape(1.0);
-        let r = run_node(&[0.1, 0.1, 0.1, 0.1], 3, LocalSched::Hpc, 1, &shape, false).unwrap();
+        let r = run_node(&[0.1, 0.1, 0.1, 0.1], 3, LocalSched::Hpc, &shape, false).unwrap();
         assert!(r.exec_secs > 0.0);
         assert_eq!(r.final_prios.len(), 4);
     }
 
     #[test]
     fn traced_run_matches_untraced_and_carries_records() {
-        let plain = run(&[0.1, 0.05], 3, LocalSched::Hpc, 9);
+        let plain = run(&[0.1, 0.05], 3, LocalSched::Hpc);
         assert!(plain.trace.is_none(), "untraced runs carry no trace");
         let traced =
-            run_node(&[0.1, 0.05], 3, LocalSched::Hpc, 9, &NodeShape::default(), true).unwrap();
+            run_node(&[0.1, 0.05], 3, LocalSched::Hpc, &NodeShape::default(), true).unwrap();
         assert_eq!(plain.exec_secs, traced.exec_secs, "observer must not perturb");
         assert_eq!(plain.final_prios, traced.final_prios);
         let trace = traced.trace.expect("traced run carries its trace");

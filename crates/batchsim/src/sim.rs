@@ -12,11 +12,12 @@
 //!   pending queue ([`crate::pending::PendingQueue`]) and the release
 //!   index ([`crate::index::ReleaseIndex`]) keep exactly the orders the
 //!   old linear structures exposed, in O(log n) per operation;
-//! * a job's *service time* is computed by seeded kernel runs whose seeds
-//!   mix only `(config seed, service key, local node index)` — never the
-//!   start time or the global node ids — so the oracle used for SJF
-//!   ordering and EASY shadow arithmetic returns exactly the duration the
-//!   job will take when it actually runs, whenever that is. The service
+//! * a job's *service time* is computed by node kernel runs that read only
+//!   the node's loads, the iterations, the local scheduler and the
+//!   gang-local node shape — never the start time, the global node ids or
+//!   a seed — so the oracle used for SJF ordering and EASY shadow
+//!   arithmetic returns exactly the duration the job will take when it
+//!   actually runs, whenever that is. The service
 //!   key is the job id, or the job's class when the stream assigns one
 //!   ([`BatchJob::service_key`]) — class catalogs are what make
 //!   million-job fleet streams affordable (one measurement per class);
@@ -26,13 +27,14 @@
 //! * simulated time advances only to event timestamps (completions before
 //!   arrivals at equal times, both in id order);
 //! * per-node kernel runs go through a [`simcore::Pool`]: each run is a
-//!   pure function of `(loads, iterations, sched, seed)` (see
-//!   [`crate::node`]), per-node seeds are derived *serially* in node
-//!   order before anything is submitted, and the pool returns results in
-//!   submission order — so every reduction folds in node order and the
-//!   outcome is byte-identical at any thread count.
+//!   pure function of `(loads, iterations, sched, shape)` (see
+//!   [`crate::node`]) with no per-node seed, so the oracle memoises node
+//!   runs by content and submits only the ones it has not seen; the pool
+//!   returns results in submission order and the oracle merges them in
+//!   node order — so every reduction folds in node order and the outcome
+//!   is byte-identical at any thread count.
 //!
-//! The seed and timestamp points make the EASY no-delay invariant *exact*
+//! The purity and timestamp points make the EASY no-delay invariant *exact*
 //! rather than estimate-based: the reservation (shadow time) computed when
 //! the queue head blocks is the time the head actually starts, unless an
 //! earlier completion improves it.
@@ -55,7 +57,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt::{self, Write as _};
 use std::time::Duration;
 
-use faultsim::{NodeFailSpec, SplitMix64, TaskAbortSpec};
+use faultsim::{NodeFailSpec, TaskAbortSpec};
 use simcore::snapshot::fnv1a_fold;
 use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
 use simverify::conformance::{check_with_metrics, CheckConfig, Report};
@@ -129,6 +131,8 @@ pub struct BatchConfig {
     pub placement: PlacementStrategy,
     /// Inter-node allreduce latency per gang iteration, seconds.
     pub internode_latency: f64,
+    /// Carried into checkpoint images and set by callers, but read by no
+    /// simulation step: node runs take no seed.
     pub seed: u64,
     /// Trace every per-job kernel and conformance-check it (C001–C005);
     /// reports land in [`BatchOutcome::conformance`].
@@ -220,12 +224,23 @@ impl FleetShape {
         }
     }
 
+    /// Which of this fleet shape's distinct node kinds gang-local node `i`
+    /// is. [`FleetShape::node_shape`] is a function of this index alone, so
+    /// two positions with equal kinds have equal shapes: the oracle keys
+    /// node runs on it.
+    pub fn node_kind(self, i: usize) -> usize {
+        match self {
+            FleetShape::Uniform | FleetShape::Preset(_) => 0,
+            FleetShape::Mixed => i % 3,
+        }
+    }
+
     /// Shape of gang-local node `i`.
     pub fn node_shape(self, i: usize) -> NodeShape {
         match self {
             FleetShape::Uniform => NodeShape::default(),
             FleetShape::Preset(p) => p.shape(1.0),
-            FleetShape::Mixed => match i % 3 {
+            FleetShape::Mixed => match self.node_kind(i) {
                 0 => TopoPreset::Numa.shape(1.0),
                 1 => TopoPreset::WideSmt.shape(1.25),
                 _ => TopoPreset::Openpower710.shape(0.5),
@@ -491,24 +506,40 @@ struct SegmentRun {
     failed: Option<&'static str>,
 }
 
+/// A node run's content key: the node's kind under the engine's fleet
+/// shape ([`FleetShape::node_kind`]), the iterations, and the bits of the
+/// node's slot loads in slot order. With the engine's scheduler and
+/// tracing fixed, [`run_node`] is a pure function of these.
+type NodeKey = (usize, u32, Vec<u64>);
+
+/// What one node run contributes to a segment: its execution seconds and,
+/// for a traced run, its conformance report.
+type NodeResult = (f64, Option<Report>);
+
 /// The service-time oracle: runs each distinct (service key, remaining
-/// iterations) segment once on real kernels and memoizes. Because seeds
-/// never involve time or global node ids, SJF ordering and EASY shadow
-/// arithmetic read the *exact* durations later admissions will take. Keys
-/// are [`BatchJob::service_key`]: the job id classically, the job class in
-/// fleet streams — which collapses a million-job stream to one
-/// measurement per (class, iterations).
+/// iterations) segment once on real kernels and memoizes. Because node
+/// runs never involve time or global node ids, SJF ordering and EASY
+/// shadow arithmetic read the *exact* durations later admissions will
+/// take. Keys are [`BatchJob::service_key`]: the job id classically, the
+/// job class in fleet streams — which collapses a million-job stream to
+/// one measurement per (class, iterations).
 ///
-/// Node runs within a segment are independent and go through the pool;
-/// seeds are forked serially in node order first, so the fork sequence —
-/// part of the determinism contract — never depends on thread scheduling.
+/// Under the segment cache sits a node memo keyed by content
+/// ([`NodeKey`]): jobs cut from one template share per-node loads, so a
+/// segment runs only the nodes no earlier segment (and no earlier node of
+/// its own) has run, and submits just those to the pool. Both caches live
+/// and die with the engine: they are never shared between engines and
+/// never written into checkpoint images. A segment targeted by the
+/// injected `taskabort` fault bypasses the node memo, so every one of its
+/// nodes runs (and retries) as if no memo existed; failed node outcomes
+/// are never memoised.
 struct Oracle {
     cache: BTreeMap<(u64, u32), SegmentRun>,
+    nodes: BTreeMap<NodeKey, NodeResult>,
     sched: LocalSched,
     placement: PlacementStrategy,
     shape: FleetShape,
     internode_latency: f64,
-    seed: u64,
     verify_jobs: bool,
     /// Supervisor policy for every node measurement: bounded deterministic
     /// retry on panic, optional wall-clock watchdog per attempt.
@@ -544,84 +575,96 @@ impl Oracle {
         )]
         let placement =
             place_on(spec, &catalog, self.placement).expect("sized allocation always fits");
-        // Fork per-node seeds serially, in node order, exactly as the
-        // serial loop did: empty slots draw nothing. Only then fan out.
-        let mut rng = SplitMix64::new(self.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let seeds: Vec<Option<u64>> = placement
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(local, slots)| {
-                if slots.is_empty() {
-                    None
-                } else {
-                    Some(rng.fork(local as u64 + 1).next_u64())
-                }
-            })
-            .collect();
         let sched = self.sched;
-        let fleet_shape = self.shape;
         let verify = self.verify_jobs;
         let iterations = spec.iterations;
         let abort = self.abort.filter(|a| a.job == key);
         let watchdog = self.policy.timeout.is_some();
-        let tasks: Vec<_> = placement
-            .nodes
-            .iter()
-            .zip(&seeds)
-            .enumerate()
-            .map(|(local, (slots, &seed))| {
-                let loads: Vec<f64> = slots.iter().map(|&r| spec.rank_loads[r]).collect();
-                let shape = fleet_shape.node_shape(local);
-                let abort_here = abort.filter(|a| a.node == local);
-                move |attempt: u32| {
-                    if let Some(a) = abort_here {
-                        if attempt < a.aborts {
-                            if a.hang && watchdog {
-                                // Wedge: the watchdog — not the unwind
-                                // path — must turn this attempt into a
-                                // typed timeout. Without a watchdog the
-                                // fault falls through to a plain panic so
-                                // an unguarded run can never deadlock.
-                                std::thread::sleep(Duration::from_secs(3600));
-                            }
-                            injected_abort(attempt);
-                        }
-                    }
-                    let Some(seed) = seed else {
-                        return (0.0, None);
-                    };
-                    #[expect(
-                        clippy::panic,
-                        reason = "INVARIANT: placement never hands a node more ranks than its \
-                                  shape has slots, and `sched` names a builtin regime or a \
-                                  registry policy by construction, so a node-run error is a \
-                                  simulator bug and panics here."
-                    )]
-                    let run = run_node(&loads, iterations, sched, seed, &shape, verify)
-                        .unwrap_or_else(|e| panic!("{e}"));
-                    let report = run.trace.map(|t| {
-                        check_with_metrics(&t.records, &t.metrics, &CheckConfig::default())
-                    });
-                    (run.exec_secs, report)
+        // Per node, in node order: a memoised result, or the index of the
+        // task that computes it. A repeat within the segment shares the
+        // task of its first occurrence.
+        let mut sources: Vec<Result<usize, NodeResult>> = Vec::with_capacity(placement.nodes.len());
+        let mut missed: BTreeMap<NodeKey, usize> = BTreeMap::new();
+        let mut tasks = Vec::new();
+        for (local, slots) in placement.nodes.iter().enumerate() {
+            let loads: Vec<f64> = slots.iter().map(|&r| spec.rank_loads[r]).collect();
+            let node_key = (
+                self.shape.node_kind(local),
+                iterations,
+                loads.iter().map(|l| l.to_bits()).collect(),
+            );
+            if abort.is_none() {
+                if let Some(hit) = self.nodes.get(&node_key) {
+                    sources.push(Err(hit.clone()));
+                    continue;
                 }
-            })
-            .collect();
-        // Submission order == node order, so the merge below folds node
-        // results exactly as the serial loop would. The supervisor absorbs
-        // transient aborts (retries are keyed on the attempt index, so a
-        // retried node computes the same pure value a clean run would) and
-        // converts persistent failures into typed per-node outcomes.
-        let mut node_secs = Vec::with_capacity(placement.nodes.len());
+                if let Some(&task) = missed.get(&node_key) {
+                    sources.push(Ok(task));
+                    continue;
+                }
+                missed.insert(node_key, tasks.len());
+            }
+            sources.push(Ok(tasks.len()));
+            let shape = self.shape.node_shape(local);
+            let abort_here = abort.filter(|a| a.node == local);
+            tasks.push(move |attempt: u32| -> NodeResult {
+                if let Some(a) = abort_here {
+                    if attempt < a.aborts {
+                        if a.hang && watchdog {
+                            // Wedge: the watchdog — not the unwind
+                            // path — must turn this attempt into a
+                            // typed timeout. Without a watchdog the
+                            // fault falls through to a plain panic so
+                            // an unguarded run can never deadlock.
+                            std::thread::sleep(Duration::from_secs(3600));
+                        }
+                        injected_abort(attempt);
+                    }
+                }
+                if loads.is_empty() {
+                    return (0.0, None);
+                }
+                #[expect(
+                    clippy::panic,
+                    reason = "INVARIANT: placement never hands a node more ranks than its \
+                              shape has slots, and `sched` names a builtin regime or a \
+                              registry policy by construction, so a node-run error is a \
+                              simulator bug and panics here."
+                )]
+                let run = run_node(&loads, iterations, sched, &shape, verify)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                let report = run.trace.map(|t| {
+                    check_with_metrics(&t.records, &t.metrics, &CheckConfig::default())
+                });
+                (run.exec_secs, report)
+            });
+        }
+        // The supervisor absorbs transient aborts (retries are keyed on the
+        // attempt index, so a retried node computes the same pure value a
+        // clean run would) and converts persistent failures into typed
+        // per-node outcomes. Only clean outcomes enter the memo, and a
+        // bypassing segment has no misses to record.
+        let outcomes =
+            if tasks.is_empty() { Vec::new() } else { self.pool.run_supervised(tasks, self.policy) };
+        for (node_key, task) in missed {
+            if let Ok(result) = &outcomes[task] {
+                self.nodes.insert(node_key, result.clone());
+            }
+        }
+        // Merge in node order, exactly as a serial loop over the nodes
+        // would.
+        let mut node_secs = Vec::with_capacity(sources.len());
         let mut reports = Vec::new();
         let mut failed: Option<&'static str> = None;
-        for outcome in self.pool.run_supervised(tasks, self.policy) {
+        for source in sources {
+            let outcome = match source {
+                Ok(task) => outcomes[task].clone(),
+                Err(hit) => Ok(hit),
+            };
             match outcome {
                 Ok((secs, report)) => {
                     node_secs.push(secs);
-                    if let Some(r) = report {
-                        reports.push(r);
-                    }
+                    reports.extend(report);
                 }
                 Err(TaskFailure::Quarantined { .. }) => {
                     node_secs.push(0.0);
@@ -938,11 +981,11 @@ impl Engine {
             Pool::with_counters(cfg.threads, PoolCounters::register(&pool_registry, "exec.pool"));
         let oracle = Oracle {
             cache: BTreeMap::new(),
+            nodes: BTreeMap::new(),
             sched: cfg.sched,
             placement: cfg.placement,
             shape: cfg.shape,
             internode_latency: cfg.internode_latency,
-            seed: cfg.seed,
             verify_jobs: cfg.verify_jobs,
             policy: SupervisePolicy {
                 max_attempts: cfg.retry_limit.saturating_add(1),

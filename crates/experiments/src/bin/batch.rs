@@ -63,6 +63,9 @@ struct BenchRow {
     /// Jobs completed per simulated second — the tracked figure. Identical
     /// at every thread count (the simulation is thread-count-invariant).
     throughput_per_sim_sec: f64,
+    /// Node kernels the engine ran (`exec.pool.tasks`): one per distinct
+    /// node content, the same at every thread count.
+    node_runs: u64,
 }
 
 /// The parallel-execution section of the baseline. Wall-clock fields are
@@ -601,6 +604,7 @@ fn main() {
             mean_wait_secs: stats.mean_wait,
             makespan_secs: stats.makespan,
             throughput_per_sim_sec: stats.throughput,
+            node_runs: out.pool_metrics.counter("exec.pool.tasks"),
         });
         if !out.failed_nodes.is_empty() {
             println!(

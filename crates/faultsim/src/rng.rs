@@ -37,11 +37,11 @@ impl SplitMix64 {
     /// sequence and adding one clause never perturbs the others.
     ///
     /// Forking *consumes* one draw from the parent, so the fork sequence is
-    /// part of the determinism contract: callers that fan work out (e.g.
-    /// `batchsim`'s per-node seed derivation) must fork all children
-    /// serially, in a fixed order, *before* handing work to any thread
-    /// pool — fork order, including which salts are skipped, decides every
-    /// child stream.
+    /// part of the determinism contract: callers that derive several
+    /// children (e.g. `batchsim`'s fleet generator, which forks its arrival
+    /// and class streams) must fork all children serially, in a fixed
+    /// order, *before* handing work to any thread pool — fork order,
+    /// including which salts are skipped, decides every child stream.
     pub fn fork(&mut self, salt: u64) -> SplitMix64 {
         let base = self.next_u64();
         let mut z = base ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);

@@ -189,28 +189,6 @@ impl Chip {
         }
     }
 
-    /// Current speed factors of the contexts of `core`, in context order.
-    ///
-    /// For single-thread cores the single context runs at ST speed whenever
-    /// loaded. On SMT cores an *unloaded* context is presented to the model
-    /// according to [`IdleMode`]; an unloaded context's own speed is always
-    /// reported as 0.
-    pub fn core_speeds(&self, core: CoreId) -> Vec<(CpuId, f64)> {
-        let mut out = Vec::new();
-        self.each_core_speed(core, |cpu, s| out.push((cpu, s)));
-        out
-    }
-
-    /// Speed factor of one CPU right now.
-    pub fn speed_of(&self, cpu: CpuId) -> f64 {
-        let core = self.topology.core_of(cpu);
-        self.core_speeds(core)
-            .into_iter()
-            .find(|(c, _)| *c == cpu)
-            .map(|(_, s)| s)
-            .expect("cpu belongs to its core")
-    }
-
     /// Speed factors of every CPU, indexed by CPU id, memoised. Speeds
     /// are a pure function of the contexts' loads and priorities and the
     /// idle mode, so they are recomputed only after one of those actually
@@ -238,6 +216,11 @@ impl Chip {
     }
 
     /// Feed `f` the speed of each context of `core`, in context order.
+    ///
+    /// For single-thread cores the single context runs at ST speed whenever
+    /// loaded. On SMT cores an *unloaded* context is presented to the model
+    /// according to [`IdleMode`]; an unloaded context's own speed is always
+    /// reported as 0.
     fn each_core_speed(&self, core: CoreId, mut f: impl FnMut(CpuId, f64)) {
         let present = |cpu: CpuId| -> CtxLoad {
             let st = self.contexts[cpu.0];
@@ -303,11 +286,12 @@ mod tests {
 
     #[test]
     fn boot_state_is_medium_idle() {
-        let c = chip();
+        let mut c = chip();
+        let speeds = c.speeds().to_vec();
         for cpu in c.topology().cpus() {
             assert_eq!(c.priority_of(cpu), HwPriority::MEDIUM);
             assert_eq!(c.context(cpu).load, None);
-            assert_eq!(c.speed_of(cpu), 0.0, "idle context has no speed");
+            assert_eq!(speeds[cpu.0], 0.0, "idle context has no speed");
         }
     }
 
@@ -334,14 +318,14 @@ mod tests {
         c.set_load(CpuId(0), Some(t));
         c.set_load(CpuId(1), Some(t));
         // Equal priorities.
-        let s0 = c.speed_of(CpuId(0));
-        let s1 = c.speed_of(CpuId(1));
+        let s0 = c.speeds()[0];
+        let s1 = c.speeds()[1];
         assert!((s0 - 0.8).abs() < 1e-12);
         assert!((s1 - 0.8).abs() < 1e-12);
         // Favour cpu0 by 2.
         c.set_priority(CpuId(0), p(6), PrivilegeLevel::Supervisor).unwrap();
-        assert!(c.speed_of(CpuId(0)) > 0.9);
-        assert!(c.speed_of(CpuId(1)) < 0.3);
+        assert!(c.speeds()[0] > 0.9);
+        assert!(c.speeds()[1] < 0.3);
     }
 
     #[test]
@@ -350,8 +334,8 @@ mod tests {
         // Medium priority, so the busy thread stays at equal-SMT speed.
         let mut c = chip();
         c.set_load(CpuId(2), Some(TaskPerfTraits::default()));
-        assert!((c.speed_of(CpuId(2)) - 0.8).abs() < 1e-12);
-        assert_eq!(c.speed_of(CpuId(3)), 0.0);
+        assert!((c.speeds()[2] - 0.8).abs() < 1e-12);
+        assert_eq!(c.speeds()[3], 0.0);
     }
 
     #[test]
@@ -361,7 +345,7 @@ mod tests {
         let mut c = chip();
         c.set_load(CpuId(2), Some(TaskPerfTraits::default()));
         c.set_priority(CpuId(2), p(6), PrivilegeLevel::Supervisor).unwrap();
-        assert!((c.speed_of(CpuId(2)) - 0.8 * 1.15).abs() < 1e-9);
+        assert!((c.speeds()[2] - 0.8 * 1.15).abs() < 1e-9);
     }
 
     #[test]
@@ -370,8 +354,8 @@ mod tests {
         c.set_idle_mode(IdleMode::Snooze);
         assert_eq!(c.idle_mode(), IdleMode::Snooze);
         c.set_load(CpuId(2), Some(TaskPerfTraits::default()));
-        assert!((c.speed_of(CpuId(2)) - 1.0).abs() < 1e-12);
-        assert_eq!(c.speed_of(CpuId(3)), 0.0);
+        assert!((c.speeds()[2] - 1.0).abs() < 1e-12);
+        assert_eq!(c.speeds()[3], 0.0);
     }
 
     #[test]
@@ -383,8 +367,8 @@ mod tests {
         }
         c.set_priority(CpuId(0), p(6), PrivilegeLevel::Supervisor).unwrap();
         // Core 1 (cpus 2,3) is untouched.
-        assert!((c.speed_of(CpuId(2)) - 0.8).abs() < 1e-12);
-        assert!((c.speed_of(CpuId(3)) - 0.8).abs() < 1e-12);
+        assert!((c.speeds()[2] - 0.8).abs() < 1e-12);
+        assert!((c.speeds()[3] - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -402,15 +386,15 @@ mod tests {
         c.set_load(CpuId(0), Some(t));
         c.set_load(CpuId(1), Some(t));
         c.set_priority_hypervisor(CpuId(1), HwPriority::OFF);
-        assert!((c.speed_of(CpuId(0)) - 1.0).abs() < 1e-12, "sibling owns the core");
-        assert_eq!(c.speed_of(CpuId(1)), 0.0);
+        assert!((c.speeds()[0] - 1.0).abs() < 1e-12, "sibling owns the core");
+        assert_eq!(c.speeds()[1], 0.0);
     }
 
     #[test]
     fn single_thread_topology_speeds() {
         let mut c = Chip::new(Topology::single_core_st());
         c.set_load(CpuId(0), Some(TaskPerfTraits::default()));
-        assert!((c.speed_of(CpuId(0)) - 1.0).abs() < 1e-12);
+        assert!((c.speeds()[0] - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -548,16 +532,16 @@ mod tests {
         for cpu in [CpuId(0), CpuId(1), CpuId(2)] {
             c.set_load(cpu, Some(TaskPerfTraits::default()));
         }
-        let speeds = c.core_speeds(CoreId(0));
+        let speeds = c.speeds();
         assert_eq!(speeds.len(), 4);
-        assert!(speeds[0].1 > 0.0 && speeds[1].1 > 0.0 && speeds[2].1 > 0.0);
-        assert_eq!(speeds[3].1, 0.0);
+        assert!(speeds[0] > 0.0 && speeds[1] > 0.0 && speeds[2] > 0.0);
+        assert_eq!(speeds[3], 0.0);
         // With snoozing (ceding) idle siblings a solo task on the wide
         // core still runs at ST speed; spinning idles would compete for
         // decode slots, exactly as on the 2-way core.
         let mut solo = Chip::new(Topology::new(1, 1, 4));
         solo.set_idle_mode(IdleMode::Snooze);
         solo.set_load(CpuId(1), Some(TaskPerfTraits::default()));
-        assert!((solo.speed_of(CpuId(1)) - 1.0).abs() < 1e-9);
+        assert!((solo.speeds()[1] - 1.0).abs() < 1e-9);
     }
 }
