@@ -101,9 +101,11 @@ pub trait Balancer: Send {
     /// Decide at most one queue migration for `cpu` (`idle` = it ran out
     /// of work). The default is the paper's domain-level pull balancer.
     ///
-    /// Contract: with every queue in `view.queued` empty and `idle`
-    /// false, return `None` and change no state: the kernel skips such
-    /// periodic balances (see [`crate::SchedClass::load_balance`]).
+    /// Contract: with `idle` false and no task in `view.queued` that
+    /// `allowed` lets run on a CPU other than the one it is queued on,
+    /// return `None` and change no state: the kernel skips such periodic
+    /// balances (see [`crate::SchedClass::load_balance`]). A plan that only
+    /// ever returns a migration `allowed(task, cpu)` accepts keeps it.
     fn plan_migrations(
         &mut self,
         view: &BalanceView<'_>,
@@ -191,11 +193,11 @@ pub struct BalancerTelemetry {
 }
 
 impl BalancerTelemetry {
-    pub fn register(registry: &telemetry::MetricsRegistry, policy: &str) -> Self {
+    pub fn register(r: &mut telemetry::Registrar<'_>, policy: &str) -> Self {
         BalancerTelemetry {
-            accepted: registry.counter(&format!("hpc.decisions.{policy}.accepted")),
-            rejected: registry.counter(&format!("hpc.decisions.{policy}.rejected")),
-            degraded: registry.counter("hpc.detector.degraded"),
+            accepted: r.counter(format_args!("hpc.decisions.{policy}.accepted")),
+            rejected: r.counter(format_args!("hpc.decisions.{policy}.rejected")),
+            degraded: r.counter("hpc.detector.degraded"),
         }
     }
 }

@@ -62,7 +62,8 @@ pub enum PerfModelChoice {
 /// class installed — the standard entry point for examples, tests and
 /// experiments.
 pub struct KernelBuilder {
-    topology: Topology,
+    /// `None` builds the OpenPower 710 default.
+    topology: Option<Topology>,
     kernel: KernelConfig,
     hpc: Option<HpcSchedConfig>,
     model: PerfModelChoice,
@@ -85,7 +86,7 @@ impl KernelBuilder {
     /// HPC class driven by the paper's Table-I policy (`hpc`).
     pub fn new() -> Self {
         KernelBuilder {
-            topology: Topology::openpower_710(),
+            topology: None,
             kernel: KernelConfig::default(),
             hpc: Some(HpcSchedConfig::default()),
             model: PerfModelChoice::Table,
@@ -96,7 +97,7 @@ impl KernelBuilder {
     }
 
     pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
+        self.topology = Some(t);
         self
     }
 
@@ -186,7 +187,8 @@ impl KernelBuilder {
     /// [`SchedError::InvalidTunables`] if the HPC tunables fail validation
     /// (e.g. `low_util > high_util`).
     pub fn try_build(self) -> Result<Kernel, SchedError> {
-        if self.topology.num_cpus() == 0 {
+        let topology = self.topology.unwrap_or_else(Topology::openpower_710);
+        if topology.num_cpus() == 0 {
             return Err(SchedError::InvalidTopology("topology has no CPUs".into()));
         }
         if let PerfModelChoice::Analytic { k } = self.model {
@@ -215,14 +217,12 @@ impl KernelBuilder {
             // The calibrated table is pairwise; a topology with cores
             // wider than 2-way SMT silently upgrades to the analytic
             // n-way model at the table's default concavity.
-            PerfModelChoice::Table if self.topology.max_smt_width() > 2 => {
-                Chip::with_model(self.topology.clone(), Box::new(AnalyticModel::default()))
+            PerfModelChoice::Table if topology.max_smt_width() > 2 => {
+                Chip::with_model(topology, Box::new(AnalyticModel::default()))
             }
-            PerfModelChoice::Table => {
-                Chip::with_model(self.topology.clone(), Box::new(TableModel::default()))
-            }
+            PerfModelChoice::Table => Chip::with_model(topology, Box::new(TableModel::default())),
             PerfModelChoice::Analytic { k } => {
-                Chip::with_model(self.topology.clone(), Box::new(AnalyticModel { k }))
+                Chip::with_model(topology, Box::new(AnalyticModel { k }))
             }
         };
         let mut kernel = Kernel::new(chip, self.kernel);

@@ -153,11 +153,14 @@ pub trait SchedClass: Send {
     /// Load balancing opportunity on `cpu` (`idle` = the CPU ran out of
     /// work). Return a migration of a *queued* task; the kernel applies it.
     ///
-    /// Contract: when no class has a task queued on any CPU, a periodic
-    /// call (`idle == false`) returns nothing and changes nothing, neither
-    /// the class nor the tasks. The kernel relies on it to replay quiet
-    /// tick rounds across balance ticks without calling it (DESIGN §5
-    /// note 7); debug builds assert that such a call returns nothing.
+    /// Contract: when no queued task, of any class, may run on a CPU other
+    /// than the one it is queued on (nothing is queued, or only pinned
+    /// tasks are), a periodic call (`idle == false`) returns nothing and
+    /// changes nothing, neither the class nor the tasks. The kernel relies
+    /// on it to replay quiet tick rounds across balance ticks without
+    /// calling it (DESIGN §5 note 7); debug builds assert that such a call
+    /// returns nothing. A balancer that only ever migrates a task the
+    /// task's affinity allows on the destination keeps it.
     fn load_balance(
         &mut self,
         _ctx: &mut ClassCtx<'_>,

@@ -80,13 +80,25 @@ impl RtRq {
 
 /// The real-time class.
 pub struct RtClass {
+    /// One runqueue per CPU, all made at the first RT enqueue: most
+    /// kernels never queue an RT task, and 100 FIFOs a CPU are not free to
+    /// build. Empty until then.
     rqs: Vec<RtRq>,
+    num_cpus: usize,
     rr_slice: SimDuration,
 }
 
 impl RtClass {
     pub fn new(rr_slice: SimDuration) -> Self {
-        RtClass { rqs: Vec::new(), rr_slice }
+        RtClass { rqs: Vec::new(), num_cpus: 0, rr_slice }
+    }
+
+    /// `cpu`'s runqueue, for a push: makes every CPU's on first use.
+    fn rq(&mut self, cpu: CpuId) -> &mut RtRq {
+        if self.rqs.is_empty() {
+            self.rqs = (0..self.num_cpus).map(|_| RtRq::new()).collect();
+        }
+        &mut self.rqs[cpu.0]
     }
 }
 
@@ -100,7 +112,8 @@ impl SchedClass for RtClass {
     }
 
     fn init_cpus(&mut self, num_cpus: usize) {
-        self.rqs = (0..num_cpus).map(|_| RtRq::new()).collect();
+        self.rqs.clear();
+        self.num_cpus = num_cpus;
     }
 
     fn enqueue(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId, _kind: EnqueueKind) {
@@ -109,17 +122,17 @@ impl SchedClass for RtClass {
             t.slice_left = self.rr_slice;
         }
         let prio = t.rt_priority;
-        self.rqs[cpu.0].push_back(prio, task);
+        self.rq(cpu).push_back(prio, task);
     }
 
     fn dequeue(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) {
         let prio = ctx.task(task).rt_priority;
-        let removed = self.rqs[cpu.0].remove(prio, task);
+        let removed = self.rqs.get_mut(cpu.0).is_some_and(|rq| rq.remove(prio, task));
         debug_assert!(removed, "dequeue of unqueued RT task");
     }
 
     fn pick_next(&mut self, _ctx: &mut ClassCtx<'_>, cpu: CpuId) -> Option<TaskId> {
-        self.rqs[cpu.0].pop_highest()
+        self.rqs.get_mut(cpu.0)?.pop_highest()
     }
 
     fn put_prev(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) {
@@ -128,17 +141,17 @@ impl SchedClass for RtClass {
         if t.policy == SchedPolicy::Rr && t.slice_left.is_zero() {
             // Slice expired: rotate to the tail with a fresh slice.
             t.slice_left = self.rr_slice;
-            self.rqs[cpu.0].push_back(prio, task);
+            self.rq(cpu).push_back(prio, task);
         } else {
             // Preempted by a higher class/priority: keep the head position.
-            self.rqs[cpu.0].push_front(prio, task);
+            self.rq(cpu).push_front(prio, task);
         }
     }
 
     fn on_yield(&mut self, ctx: &mut ClassCtx<'_>, cpu: CpuId, task: TaskId) {
         // POSIX: yield moves the task to the tail of its priority list.
         let prio = ctx.task(task).rt_priority;
-        self.rqs[cpu.0].push_back(prio, task);
+        self.rq(cpu).push_back(prio, task);
     }
 
     fn charge(&mut self, ctx: &mut ClassCtx<'_>, _cpu: CpuId, task: TaskId, delta: SimDuration) {
@@ -168,7 +181,7 @@ impl SchedClass for RtClass {
         cpu: CpuId,
         idle: bool,
     ) -> Option<Migration> {
-        if !idle || self.rqs[cpu.0].nr > 0 {
+        if !idle || self.nr_runnable(cpu) > 0 {
             return None;
         }
         // Idle pull: take one task from the busiest RT runqueue.
@@ -185,7 +198,7 @@ impl SchedClass for RtClass {
     }
 
     fn nr_runnable(&self, cpu: CpuId) -> usize {
-        self.rqs[cpu.0].nr
+        self.rqs.get(cpu.0).map_or(0, |rq| rq.nr)
     }
 }
 
@@ -221,6 +234,22 @@ mod tests {
         let mut c = RtClass::new(SimDuration::from_millis(100));
         c.init_cpus(4);
         c
+    }
+
+    #[test]
+    fn queues_are_built_at_the_first_enqueue() {
+        let topo = Topology::openpower_710();
+        let mut tasks = mk_tasks(1, SchedPolicy::Fifo);
+        let mut c = rt();
+        let mut cx = ctx(&mut tasks, &topo);
+        assert_eq!(c.nr_runnable(CpuId(3)), 0);
+        assert_eq!(c.pick_next(&mut cx, CpuId(0)), None);
+        assert!(c.load_balance(&mut cx, CpuId(0), true).is_none());
+        assert!(c.rqs.is_empty(), "asking builds nothing");
+        c.enqueue(&mut cx, CpuId(2), TaskId(0), EnqueueKind::New);
+        assert_eq!(c.rqs.len(), 4);
+        assert_eq!(c.nr_runnable(CpuId(2)), 1);
+        assert_eq!(c.pick_next(&mut cx, CpuId(2)), Some(TaskId(0)));
     }
 
     #[test]

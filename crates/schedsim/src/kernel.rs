@@ -104,20 +104,20 @@ struct KernelCounters {
 
 impl KernelCounters {
     fn register(registry: &MetricsRegistry, ncpus: usize) -> KernelCounters {
-        KernelCounters {
-            context_switches: registry.counter("kernel.context_switches"),
-            ticks: registry.counter("kernel.ticks"),
-            task_hw_prio_transitions: registry.counter("kernel.hw_prio_transitions"),
-            iterations: registry.counter("kernel.iterations"),
-            task_exits: registry.counter("kernel.task_exits"),
-            fault_steal_bursts: registry.counter("kernel.faults.steal_bursts"),
-            fault_slowdowns: registry.counter("kernel.faults.slowdowns"),
-            dispatch_latency_ns: registry.histogram("kernel.dispatch_latency_ns"),
-            runq_depth: registry.histogram("kernel.runq_depth"),
+        registry.register(|r| KernelCounters {
+            context_switches: r.counter("kernel.context_switches"),
+            ticks: r.counter("kernel.ticks"),
+            task_hw_prio_transitions: r.counter("kernel.hw_prio_transitions"),
+            iterations: r.counter("kernel.iterations"),
+            task_exits: r.counter("kernel.task_exits"),
+            fault_steal_bursts: r.counter("kernel.faults.steal_bursts"),
+            fault_slowdowns: r.counter("kernel.faults.slowdowns"),
+            dispatch_latency_ns: r.histogram("kernel.dispatch_latency_ns"),
+            runq_depth: r.histogram("kernel.runq_depth"),
             cpu_hw_prio_transitions: (0..ncpus)
-                .map(|c| registry.counter(&format!("cpu{c}.hw_prio_transitions")))
+                .map(|c| r.counter(format_args!("cpu{c}.hw_prio_transitions")))
                 .collect(),
-        }
+        })
     }
 }
 
@@ -356,7 +356,9 @@ impl Kernel {
         let Some(cpu) = self.least_loaded_cpu(&task) else {
             return Err(SchedError::UnschedulableAffinity { task: task.name.clone() });
         };
-        self.emit(id, TraceEvent::Spawn { name: self.tasks_name(&task) });
+        if !self.observers.is_empty() {
+            self.emit(id, TraceEvent::Spawn { name: task.name.clone() });
+        }
         task.cpu = Some(cpu);
         self.tasks.push(task);
 
@@ -368,12 +370,12 @@ impl Kernel {
         Ok(id)
     }
 
-    fn tasks_name(&self, t: &Task) -> String {
-        t.name.clone()
-    }
-
     /// `None` when the task's affinity mask excludes every CPU.
     fn least_loaded_cpu(&self, task: &Task) -> Option<CpuId> {
+        // A task pinned to one CPU has nothing to compare.
+        if let Some(&[only]) = task.affinity.as_deref() {
+            return (only.0 < self.cpus.len()).then_some(only);
+        }
         // Count *live tasks homed on each CPU* (running, queued or
         // sleeping): fork-time balancing must spread tasks that block
         // immediately after starting (every MPI rank does).
@@ -551,15 +553,14 @@ impl Kernel {
     /// Replay whole quiet tick rounds strictly before `limit` without the
     /// event queue (DESIGN §5 note 7). A round at `at` is quiet when every
     /// CPU's tick is pending at `at`, no completion timer, signal or fault
-    /// fires at or before `at`, no CPU balances on this tick while a task
-    /// is queued, and every running task's class reports
-    /// [`SchedClass::tick_quiet`]. Such a
-    /// round only syncs accounting, counts the ticks and re-derives the
-    /// completion times, so that is all a replayed round does, with the
-    /// same float operations in the same order as the event-by-event path.
-    /// Runs of uniform rounds are synced in one batch
-    /// ([`Kernel::sync_uniform`]). The queue is then left as those events
-    /// would have left it.
+    /// fires at or before `at`, no CPU balances on this tick while a queued
+    /// task may run on a CPU other than its own, and every running task's
+    /// class reports [`SchedClass::tick_quiet`]. Such a round only syncs
+    /// accounting, counts the ticks and re-derives the completion times,
+    /// so that is all a replayed round does, with the same float
+    /// operations in the same order as the event-by-event path. Runs of
+    /// uniform rounds are synced in one batch ([`Kernel::sync_uniform`]).
+    /// The queue is then left as those events would have left it.
     // Out of line: the run loops call it about once per tick round, and
     // inlined it would crowd their per-event path.
     #[inline(never)]
@@ -586,11 +587,12 @@ impl Kernel {
             }
         }
         let interval = u64::from(self.config.balance_interval_ticks);
-        // With nothing queued anywhere a periodic balance moves nothing and
-        // changes nothing (the `SchedClass::load_balance` contract), and a
-        // quiet round queues nothing, so only queued work stops a stretch
-        // short of the next tick that balances.
-        let max_rounds = if interval == 0 || self.nothing_queued() {
+        // While no queued task may run anywhere but where it is queued, a
+        // periodic balance moves nothing and changes nothing (the
+        // `SchedClass::load_balance` contract), and a quiet round queues
+        // nothing, so only movable queued work stops a stretch short of
+        // the next tick that balances.
+        let max_rounds = if interval == 0 || self.nothing_movable() {
             u64::MAX
         } else {
             self.cpus.iter().map(|cs| interval - 1 - cs.ticks % interval).min().unwrap_or(0)
@@ -622,10 +624,14 @@ impl Kernel {
         }
     }
 
-    /// Whether no class has a task queued on any CPU.
-    fn nothing_queued(&self) -> bool {
-        let ncpus = self.cpus.len();
-        self.classes.iter().all(|c| (0..ncpus).all(|cpu| c.nr_runnable(CpuId(cpu)) == 0))
+    /// Whether no queued task may run on a CPU other than the one it is
+    /// queued on: true with nothing queued, and with only pinned tasks
+    /// queued, such as the noise daemons.
+    fn nothing_movable(&self) -> bool {
+        self.tasks.iter().all(|t| {
+            t.state != TaskState::Runnable
+                || t.affinity.as_deref().is_some_and(|set| set.iter().all(|&c| Some(c) == t.cpu))
+        })
     }
 
     /// Whether the round at `at` is uniform: every running CPU accrues
@@ -1277,14 +1283,15 @@ impl Kernel {
     /// migrated *to* this CPU.
     fn balance(&mut self, cpu: CpuId, idle: bool) -> bool {
         let mut pulled = false;
-        // The fast-forward skips periodic balances with nothing queued on
-        // the strength of the `load_balance` contract; hold every class to it.
-        let no_op = cfg!(debug_assertions) && !idle && self.nothing_queued();
+        // The fast-forward skips periodic balances with nothing movable
+        // queued on the strength of the `load_balance` contract; hold every
+        // class to it.
+        let no_op = cfg!(debug_assertions) && !idle && self.nothing_movable();
         for class in 0..self.classes.len() {
             let mig = self.with_ctx(class, |c, ctx| c.load_balance(ctx, cpu, idle));
             debug_assert!(
                 !no_op || mig.is_none(),
-                "class {class} planned {mig:?} on {cpu:?} with nothing queued"
+                "class {class} planned {mig:?} on {cpu:?} with nothing movable queued"
             );
             if let Some(Migration { task, from, to }) = mig {
                 if self.tasks[task.0].state != TaskState::Runnable {

@@ -91,11 +91,12 @@ impl Balancer for Table1Balancer {
     /// `hpc.detector.balanced` / `.imbalanced` / `.degraded` (verdicts per
     /// completed iteration).
     fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.telemetry = Some(Table1Telemetry {
-            decisions: BalancerTelemetry::register(registry, self.heuristic.name()),
-            balanced: registry.counter("hpc.detector.balanced"),
-            imbalanced: registry.counter("hpc.detector.imbalanced"),
-        });
+        let heuristic = self.heuristic.name();
+        self.telemetry = Some(registry.register(|r| Table1Telemetry {
+            decisions: BalancerTelemetry::register(r, heuristic),
+            balanced: r.counter("hpc.detector.balanced"),
+            imbalanced: r.counter("hpc.detector.imbalanced"),
+        }));
     }
 
     fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {

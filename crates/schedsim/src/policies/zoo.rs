@@ -132,7 +132,7 @@ impl<R: StepRule> Balancer for StepBalancer<R> {
     }
 
     fn attach_telemetry(&mut self, registry: &telemetry::MetricsRegistry) {
-        self.telemetry = Some(BalancerTelemetry::register(registry, self.name));
+        self.telemetry = Some(registry.register(|r| BalancerTelemetry::register(r, self.name)));
     }
 
     fn on_sample(&mut self, _ctx: &ClassCtx<'_>, sample: IterSample) -> SampleOutcome {

@@ -11,9 +11,9 @@
 //! once [`SchedClass::tick_quiet`] holds, `task_tick` stays `false` and
 //! changes nothing under any further charges;
 //! [`SchedClass::charge_rounds`]`(n, d)` equals `n` calls of `charge(d)`;
-//! and with nothing queued, a periodic [`SchedClass::load_balance`]
-//! returns nothing and changes nothing, so a stretch may run across
-//! balance ticks.
+//! and with nothing queued, or only tasks pinned to the CPU they are
+//! queued on, a periodic [`SchedClass::load_balance`] returns nothing and
+//! changes nothing, so a stretch may run across balance ticks.
 
 #![allow(clippy::disallowed_types, reason = "test recorders share a Mutex-guarded buffer")]
 
@@ -663,6 +663,31 @@ fn stretches_run_across_balance_ticks_with_nothing_queued() {
 }
 
 #[test]
+fn stretches_run_across_balance_ticks_with_only_pinned_tasks_queued() {
+    // An HPC rank on every CPU, and under three of them CFS tasks pinned
+    // there, queued until their rank is done: queued work that no balance
+    // can move, so stretches run across the balance ticks as if nothing
+    // were queued, and stop only where a rank computes, sleeps or exits.
+    let mut s = quiet_scenario(vec![
+        spec(Pol::Hpc, &[0], vec![compute(0.3)]),
+        spec(Pol::Hpc, &[1], naps(0.07, 9_500, 4)),
+        spec(Pol::Hpc, &[2], vec![compute(0.25)]),
+        spec(Pol::Hpc, &[3], vec![compute(0.2)]),
+        spec(Pol::Normal, &[0], vec![compute(0.01)]),
+        spec(Pol::Normal, &[2], vec![compute(0.02)]),
+        spec(Pol::Normal, &[2], vec![compute(0.01)]),
+        spec(Pol::Normal, &[3], naps(0.005, 2_000, 2)),
+    ]);
+    s.balance = 3;
+    let traced = assert_same_for_every_observer(&s);
+    let ticks = tick_count(&traced);
+    assert!(ticks > 4 * 250, "the run spans the long computations");
+    // While a balance tick ended every stretch with a task queued, this
+    // run popped 610 events.
+    assert!(traced.pops < 200, "{} queue pops for {ticks} ticks", traced.pops);
+}
+
+#[test]
 fn oversubscribed_cfs_migrates_across_short_balance_intervals() {
     // Seven CFS tasks of uneven length on four CPUs, no HPC class: while
     // two share a CPU nothing there is quiet, and once the queues drain
@@ -962,6 +987,81 @@ impl Balancing {
     }
 }
 
+/// Set up every builtin class and the HPC class under every registry
+/// policy with a task running on each CPU in `running`, the history
+/// `samples` and `charges` leave, and one task queued on each CPU of
+/// `pinned`, allowed on that CPU alone; then check that a periodic
+/// `load_balance` on every CPU returns nothing and changes neither the
+/// class nor any task.
+fn periodic_balance_is_a_no_op(
+    running: &[bool],
+    round_robin: bool,
+    samples: &[(usize, u64, u64)],
+    charges: &[(usize, u64)],
+    pinned: &[usize],
+) {
+    let topology = Topology::openpower_710();
+    let ncpus = topology.num_cpus();
+    for which in 0..3 + registry().len() {
+        let (mut balancing, policy) = Balancing::new(which, round_robin);
+        balancing.class().init_cpus(ncpus);
+        // Tasks 0..4 may run, one on each CPU; 4 and 5 only sleep; the
+        // rest are the pinned ones.
+        let mut tasks: Vec<Task> = (0..6 + pinned.len())
+            .map(|i| {
+                let program = Box::new(ScriptedProgram::compute_once(1.0));
+                Task::new(TaskId(i), format!("t{i}"), policy, program, SimTime::ZERO)
+            })
+            .collect();
+        let on_cpu: Vec<Option<TaskId>> =
+            (0..ncpus).map(|c| running[c].then_some(TaskId(c))).collect();
+        let mut ctx = ClassCtx {
+            now: SimTime::ZERO,
+            tasks: &mut tasks,
+            topology: &topology,
+            running: &on_cpu,
+        };
+        let class = balancing.class();
+        for &(task, run_us, wall_us) in samples {
+            let run = SimDuration::from_micros(run_us);
+            let wall = SimDuration::from_micros(wall_us).max(run);
+            class.task_woken(&mut ctx, TaskId(task), run, wall);
+        }
+        for cpu in (0..ncpus).filter(|&c| running[c]) {
+            let (cpu, task) = (CpuId(cpu), TaskId(cpu));
+            class.enqueue(&mut ctx, cpu, task, EnqueueKind::New);
+            prop_assert_eq!(class.pick_next(&mut ctx, cpu), Some(task));
+            ctx.task_mut(task).state = TaskState::Running;
+            ctx.task_mut(task).cpu = Some(cpu);
+        }
+        for (i, &cpu) in pinned.iter().enumerate() {
+            let (cpu, task) = (CpuId(cpu), TaskId(6 + i));
+            ctx.task_mut(task).affinity = Some(vec![cpu]);
+            ctx.task_mut(task).cpu = Some(cpu);
+            class.enqueue(&mut ctx, cpu, task, EnqueueKind::New);
+        }
+        ctx.now = SimTime::ZERO + ms(1);
+        for &(cpu, ns) in charges.iter().filter(|&&(cpu, _)| running[cpu]) {
+            let delta = SimDuration::from_nanos(ns);
+            balancing.class().charge(&mut ctx, CpuId(cpu), TaskId(cpu), delta);
+        }
+        let view = |tasks: &[Task]| -> Vec<_> {
+            let fields = |t: &Task| (t.vruntime, t.slice_left, t.hw_prio, t.cpu, t.state);
+            tasks.iter().map(fields).collect()
+        };
+        let before = (balancing.state(ncpus), view(ctx.tasks));
+        for cpu in 0..ncpus {
+            let queued = pinned.iter().filter(|&&c| c == cpu).count() as u64;
+            prop_assert_eq!(before.0[cpu], queued, "queued on CPU {}", cpu);
+        }
+        for cpu in (0..ncpus).map(CpuId) {
+            let migration = balancing.class().load_balance(&mut ctx, cpu, false);
+            prop_assert!(migration.is_none(), "class {} moved {:?}", which, migration);
+            prop_assert_eq!(&(balancing.state(ncpus), view(ctx.tasks)), &before);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -976,55 +1076,19 @@ proptest! {
         samples in proptest::collection::vec((0usize..6, 0u64..50_000, 1u64..50_000), 0..12),
         charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
     ) {
-        let topology = Topology::openpower_710();
-        let ncpus = topology.num_cpus();
-        for which in 0..3 + registry().len() {
-            let (mut balancing, policy) = Balancing::new(which, round_robin);
-            balancing.class().init_cpus(ncpus);
-            // Tasks 0..4 may run, one on each CPU; 4 and 5 only sleep.
-            let mut tasks: Vec<Task> = (0..6)
-                .map(|i| {
-                    let program = Box::new(ScriptedProgram::compute_once(1.0));
-                    Task::new(TaskId(i), format!("t{i}"), policy, program, SimTime::ZERO)
-                })
-                .collect();
-            let on_cpu: Vec<Option<TaskId>> =
-                (0..ncpus).map(|c| running[c].then_some(TaskId(c))).collect();
-            let mut ctx = ClassCtx {
-                now: SimTime::ZERO,
-                tasks: &mut tasks,
-                topology: &topology,
-                running: &on_cpu,
-            };
-            let class = balancing.class();
-            for &(task, run_us, wall_us) in &samples {
-                let run = SimDuration::from_micros(run_us);
-                let wall = SimDuration::from_micros(wall_us).max(run);
-                class.task_woken(&mut ctx, TaskId(task), run, wall);
-            }
-            for cpu in (0..ncpus).filter(|&c| running[c]) {
-                let (cpu, task) = (CpuId(cpu), TaskId(cpu));
-                class.enqueue(&mut ctx, cpu, task, EnqueueKind::New);
-                prop_assert_eq!(class.pick_next(&mut ctx, cpu), Some(task));
-                ctx.task_mut(task).state = TaskState::Running;
-                ctx.task_mut(task).cpu = Some(cpu);
-            }
-            ctx.now = SimTime::ZERO + ms(1);
-            for &(cpu, ns) in charges.iter().filter(|&&(cpu, _)| running[cpu]) {
-                let delta = SimDuration::from_nanos(ns);
-                balancing.class().charge(&mut ctx, CpuId(cpu), TaskId(cpu), delta);
-            }
-            let view = |tasks: &[Task]| -> Vec<_> {
-                let fields = |t: &Task| (t.vruntime, t.slice_left, t.hw_prio, t.cpu, t.state);
-                tasks.iter().map(fields).collect()
-            };
-            let before = (balancing.state(ncpus), view(ctx.tasks));
-            prop_assert!(before.0[..ncpus].iter().all(|&q| q == 0), "nothing queued");
-            for cpu in (0..ncpus).map(CpuId) {
-                let migration = balancing.class().load_balance(&mut ctx, cpu, false);
-                prop_assert!(migration.is_none(), "class {} moved {:?}", which, migration);
-                prop_assert_eq!(&(balancing.state(ncpus), view(ctx.tasks)), &before);
-            }
-        }
+        periodic_balance_is_a_no_op(&running, round_robin, &samples, &charges, &[]);
+    }
+
+    /// The same with tasks queued that may run only on the CPU they are
+    /// queued on, like the noise daemons: no balance can move one.
+    #[test]
+    fn periodic_balance_with_only_pinned_tasks_queued_is_a_no_op(
+        running in proptest::collection::vec(any::<bool>(), 4),
+        round_robin in any::<bool>(),
+        samples in proptest::collection::vec((0usize..6, 0u64..50_000, 1u64..50_000), 0..12),
+        charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
+        pinned in proptest::collection::vec(0usize..4, 1..6),
+    ) {
+        periodic_balance_is_a_no_op(&running, round_robin, &samples, &charges, &pinned);
     }
 }

@@ -88,11 +88,11 @@ impl EventQueueCounters {
     /// Registers the three queue counters under `prefix` (e.g.
     /// `sim.events`) in `registry`.
     pub fn register(registry: &telemetry::MetricsRegistry, prefix: &str) -> Self {
-        EventQueueCounters {
-            scheduled: registry.counter(&format!("{prefix}.scheduled")),
-            cancelled: registry.counter(&format!("{prefix}.cancelled")),
-            processed: registry.counter(&format!("{prefix}.processed")),
-        }
+        registry.register(|r| EventQueueCounters {
+            scheduled: r.counter(format_args!("{prefix}.scheduled")),
+            cancelled: r.counter(format_args!("{prefix}.cancelled")),
+            processed: r.counter(format_args!("{prefix}.processed")),
+        })
     }
 }
 

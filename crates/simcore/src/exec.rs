@@ -56,14 +56,14 @@ pub struct PoolCounters {
 impl PoolCounters {
     /// Register the pool counters under `prefix` (e.g. `exec.pool`).
     pub fn register(registry: &MetricsRegistry, prefix: &str) -> PoolCounters {
-        PoolCounters {
-            batches: registry.counter(&format!("{prefix}.batches")),
-            tasks: registry.counter(&format!("{prefix}.tasks")),
-            busy_ns: registry.counter(&format!("{prefix}.busy_ns")),
-            retries: registry.counter(&format!("{prefix}.retries")),
-            quarantined: registry.counter(&format!("{prefix}.quarantined")),
-            timeouts: registry.counter(&format!("{prefix}.timeouts")),
-        }
+        registry.register(|r| PoolCounters {
+            batches: r.counter(format_args!("{prefix}.batches")),
+            tasks: r.counter(format_args!("{prefix}.tasks")),
+            busy_ns: r.counter(format_args!("{prefix}.busy_ns")),
+            retries: r.counter(format_args!("{prefix}.retries")),
+            quarantined: r.counter(format_args!("{prefix}.quarantined")),
+            timeouts: r.counter(format_args!("{prefix}.timeouts")),
+        })
     }
 }
 

@@ -1,12 +1,13 @@
 //! Lock-cheap metrics for the scheduler kernel and its harnesses.
 //!
 //! A [`MetricsRegistry`] hands out typed handles — [`Counter`], [`Gauge`],
-//! [`HistogramHandle`] — that are plain `Arc`s over atomics: recording a
-//! sample is one or two relaxed atomic ops (five for a histogram), cheap
-//! enough for most instrumented paths (hardware-priority writes, MPI
-//! messages, batch queue events). Registration is idempotent by name, so
-//! instrumented components can request the same metric without
-//! coordinating.
+//! [`HistogramHandle`] — over shared atomic cells: recording a sample is
+//! one or two relaxed atomic ops (five for a histogram), cheap enough for
+//! most instrumented paths (hardware-priority writes, MPI messages, batch
+//! queue events). Registration is idempotent by name, so instrumented
+//! components can request the same metric without coordinating, and it
+//! allocates nothing per metric: a name may be given as
+//! [`format_args!`] and is written straight into the registry.
 //!
 //! The kernel's hottest paths record into plain memory instead: it tallies
 //! ticks and context switches as `u64`s and the per-pick histograms
@@ -25,7 +26,8 @@
 
 pub mod export;
 
-use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
+use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
 
@@ -34,12 +36,10 @@ use std::sync::{Arc, MutexGuard};
 // named once, here.
 #[expect(clippy::disallowed_types, reason = "monotone metric cells; never read by a decision")]
 type AtomicU64 = std::sync::atomic::AtomicU64;
-#[expect(clippy::disallowed_types, reason = "last-write-wins gauge cell; never read by a decision")]
-type AtomicI64 = std::sync::atomic::AtomicI64;
 #[expect(
     clippy::disallowed_types,
-    reason = "taken only at registration and snapshot time; snapshots render through a \
-              BTreeMap, so their order is the names', not the threads'"
+    reason = "taken only at registration and snapshot time; a snapshot sorts by name, so its \
+              order is the names', not the threads'"
 )]
 type Mutex<T> = std::sync::Mutex<T>;
 
@@ -48,10 +48,41 @@ type Mutex<T> = std::sync::Mutex<T>;
 /// overflow territory shared with the largest magnitudes.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
+/// Counter and gauge cells, shared by the handles a registry gave out.
+type Slab = Arc<[AtomicU64]>;
+
+/// Cells in a registry's first slab; each later slab has twice the cells
+/// of the one before, so `n` registrations allocate `O(log n)` slabs.
+const FIRST_SLAB_CELLS: usize = 32;
+
+fn slab(cells: usize) -> Slab {
+    (0..cells).map(|_| AtomicU64::new(0)).collect()
+}
+
+/// One atomic cell of a slab.
+#[derive(Clone)]
+struct Cell {
+    slab: Slab,
+    index: usize,
+}
+
+impl Cell {
+    fn atomic(&self) -> &AtomicU64 {
+        &self.slab[self.index]
+    }
+}
+
+/// A detached cell, in a slab of its own.
+impl Default for Cell {
+    fn default() -> Cell {
+        Cell { slab: slab(1), index: 0 }
+    }
+}
+
 /// Monotonically increasing event count.
 #[derive(Clone, Default)]
 pub struct Counter {
-    value: Arc<AtomicU64>,
+    cell: Cell,
 }
 
 impl Counter {
@@ -60,31 +91,34 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        self.cell.atomic().fetch_add(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.cell.atomic().load(Ordering::Relaxed)
     }
 }
 
 /// Last-write-wins signed level (queue depths, priority values).
+///
+/// The cell holds the level's two's-complement bits, so a wrapping add of
+/// the bits is a wrapping add of the level.
 #[derive(Clone, Default)]
 pub struct Gauge {
-    value: Arc<AtomicI64>,
+    cell: Cell,
 }
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
+        self.cell.atomic().store(v as u64, Ordering::Relaxed);
     }
 
     pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.cell.atomic().fetch_add(delta as u64, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
+        self.cell.atomic().load(Ordering::Relaxed) as i64
     }
 }
 
@@ -350,10 +384,24 @@ impl MetricsSnapshot {
     }
 }
 
+/// FNV-1a of a metric name: the registry's lookup key.
+fn name_hash(name: &str) -> u64 {
+    name.bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// What a registered name refers to: a counter's or gauge's cell, by slab
+/// and place in it, or a histogram.
 enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
+    Counter(Place),
+    Gauge(Place),
     Histogram(HistogramHandle),
+}
+
+#[derive(Clone, Copy)]
+struct Place {
+    slab: usize,
+    index: usize,
 }
 
 /// Registry of named metrics.
@@ -362,9 +410,137 @@ enum Metric {
 /// time; the handles it returns touch nothing but their own atomics, so
 /// hot-path recording never contends on the registry. Cloning shares the
 /// underlying store.
+///
+/// Registering a metric allocates nothing of its own: its name is written
+/// into one shared string, a counter or gauge takes the next cell of a
+/// shared slab, and an index sorted by a hash of the name finds a name
+/// again by binary search over integers. Those four grow geometrically;
+/// only a histogram, 69 cells wide, is allocated on its own. A component
+/// that registers several metrics does so under one lock
+/// ([`MetricsRegistry::register`]). Snapshots sort by name when taken.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
-    metrics: Arc<Mutex<BTreeMap<String, Metric>>>,
+    store: Arc<Mutex<Store>>,
+}
+
+struct Store {
+    /// Every registered name, back to back.
+    names: String,
+    /// Each metric's name, as a range of `names`, and what it refers to,
+    /// in registration order.
+    entries: Vec<(Range<usize>, Metric)>,
+    /// `(name_hash(name), index into entries)` of every metric, sorted.
+    by_hash: Vec<(u64, usize)>,
+    /// The counter and gauge cells; each slab has twice the cells of the
+    /// one before, and new cells come from the last.
+    slabs: Vec<Slab>,
+    /// Cells taken from the last slab.
+    taken: usize,
+}
+
+impl Default for Store {
+    /// Room for a kernel's metrics, so that building one grows nothing.
+    fn default() -> Store {
+        Store {
+            names: String::with_capacity(1024),
+            entries: Vec::with_capacity(32),
+            by_hash: Vec::with_capacity(32),
+            slabs: Vec::new(),
+            taken: 0,
+        }
+    }
+}
+
+impl Store {
+    /// The metric called `name`, made by `make` if no metric has that name
+    /// yet.
+    fn register(&mut self, name: &dyn fmt::Display, make: fn(&mut Store) -> Metric) -> &Metric {
+        let start = self.names.len();
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.names, "{name}");
+        let new = &self.names[start..];
+        let hash = name_hash(new);
+        let at = self.by_hash.partition_point(|&(h, _)| h < hash);
+        let same = self.by_hash[at..].iter().take_while(|&&(h, _)| h == hash);
+        let found = same.map(|&(_, i)| i).find(|&i| self.name(i) == new);
+        let entry = match found {
+            Some(i) => {
+                self.names.truncate(start);
+                i
+            }
+            None => {
+                let metric = make(self);
+                let i = self.entries.len();
+                self.by_hash.insert(at, (hash, i));
+                self.entries.push((start..self.names.len(), metric));
+                i
+            }
+        };
+        &self.entries[entry].1
+    }
+
+    fn name(&self, entry: usize) -> &str {
+        &self.names[self.entries[entry].0.clone()]
+    }
+
+    /// The next free cell, from a new slab when the last one is full.
+    fn place(&mut self) -> Place {
+        match self.slabs.last() {
+            Some(last) if self.taken < last.len() => {}
+            last => {
+                let cells = last.map_or(FIRST_SLAB_CELLS, |s| 2 * s.len());
+                self.slabs.push(slab(cells));
+                self.taken = 0;
+            }
+        }
+        self.taken += 1;
+        Place { slab: self.slabs.len() - 1, index: self.taken - 1 }
+    }
+
+    fn cell(&self, at: Place) -> Cell {
+        Cell { slab: self.slabs[at.slab].clone(), index: at.index }
+    }
+
+    fn value(&self, metric: &Metric) -> MetricValue {
+        let load = |at: &Place| self.slabs[at.slab][at.index].load(Ordering::Relaxed);
+        match metric {
+            Metric::Counter(at) => MetricValue::Counter(load(at)),
+            Metric::Gauge(at) => MetricValue::Gauge(load(at) as i64),
+            Metric::Histogram(h) => MetricValue::Histogram(h.stats()),
+        }
+    }
+}
+
+/// Registers metrics while holding the registry's lock; see
+/// [`MetricsRegistry::register`]. Each method registers (or retrieves)
+/// one metric and panics if its name is already registered as a
+/// different kind. A name may be any [`fmt::Display`]; [`format_args!`]
+/// builds one without allocating.
+pub struct Registrar<'a> {
+    store: MutexGuard<'a, Store>,
+}
+
+impl Registrar<'_> {
+    pub fn counter(&mut self, name: impl fmt::Display) -> Counter {
+        match *self.store.register(&name, |s| Metric::Counter(s.place())) {
+            Metric::Counter(at) => Counter { cell: self.store.cell(at) },
+            _ => panic!("metric `{name}` already registered with a different kind"),
+        }
+    }
+
+    pub fn gauge(&mut self, name: impl fmt::Display) -> Gauge {
+        match *self.store.register(&name, |s| Metric::Gauge(s.place())) {
+            Metric::Gauge(at) => Gauge { cell: self.store.cell(at) },
+            _ => panic!("metric `{name}` already registered with a different kind"),
+        }
+    }
+
+    pub fn histogram(&mut self, name: impl fmt::Display) -> HistogramHandle {
+        match self.store.register(&name, |_| Metric::Histogram(HistogramHandle::default())) {
+            Metric::Histogram(h) => h.clone(),
+            _ => panic!("metric `{name}` already registered with a different kind"),
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -372,49 +548,36 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Metric>> {
-        // A panic while holding the lock cannot corrupt the BTreeMap in a
-        // way we care about (values are handles); recover instead of
-        // cascading the poison.
-        self.metrics.lock().unwrap_or_else(|p| p.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Store> {
+        // The store is consistent whenever a panic can unwind through a
+        // registration (the name is matched and the arena truncated
+        // first); recover instead of cascading the poison.
+        self.store.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Run `f` with a [`Registrar`] that registers metrics under one
+    /// acquisition of the registry's lock, for a component that registers
+    /// several at once. `f` must not use this registry otherwise: the lock
+    /// is held until it returns.
+    pub fn register<R>(&self, f: impl FnOnce(&mut Registrar<'_>) -> R) -> R {
+        f(&mut Registrar { store: self.lock() })
     }
 
     /// Registers (or retrieves) the counter called `name`.
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.lock();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::default()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
+    pub fn counter(&self, name: impl fmt::Display) -> Counter {
+        self.register(|r| r.counter(name))
     }
 
     /// Registers (or retrieves) the gauge called `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.lock();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::default()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
+    pub fn gauge(&self, name: impl fmt::Display) -> Gauge {
+        self.register(|r| r.gauge(name))
     }
 
     /// Registers (or retrieves) the histogram called `name`.
-    pub fn histogram(&self, name: &str) -> HistogramHandle {
-        let mut m = self.lock();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(HistogramHandle::default()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
+    pub fn histogram(&self, name: impl fmt::Display) -> HistogramHandle {
+        self.register(|r| r.histogram(name))
     }
 
     /// Restore registry state from a previously captured snapshot — the
@@ -425,32 +588,29 @@ impl MetricsRegistry {
     /// Panics if a name is already registered under a different kind, the
     /// same contract as registration itself.
     pub fn restore(&self, snap: &MetricsSnapshot) {
-        for (name, value) in &snap.metrics {
-            match value {
-                MetricValue::Counter(v) => {
-                    let c = self.counter(name);
-                    c.value.store(*v, Ordering::Relaxed);
+        self.register(|r| {
+            for (name, value) in &snap.metrics {
+                match value {
+                    MetricValue::Counter(v) => {
+                        r.counter(name).cell.atomic().store(*v, Ordering::Relaxed);
+                    }
+                    MetricValue::Gauge(v) => r.gauge(name).set(*v),
+                    MetricValue::Histogram(h) => r.histogram(name).restore(h),
                 }
-                MetricValue::Gauge(v) => self.gauge(name).set(*v),
-                MetricValue::Histogram(h) => self.histogram(name).restore(h),
             }
-        }
+        });
     }
 
-    /// Deterministic snapshot: metrics sorted by name (the BTreeMap order).
+    /// Deterministic snapshot: metrics sorted by name.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let m = self.lock();
+        let s = self.lock();
+        // Names are unique, so the order is total.
+        let mut by_name: Vec<usize> = (0..s.entries.len()).collect();
+        by_name.sort_unstable_by(|&a, &b| s.name(a).cmp(s.name(b)));
         MetricsSnapshot {
-            metrics: m
-                .iter()
-                .map(|(name, metric)| {
-                    let value = match metric {
-                        Metric::Counter(c) => MetricValue::Counter(c.get()),
-                        Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Metric::Histogram(h) => MetricValue::Histogram(h.stats()),
-                    };
-                    (name.clone(), value)
-                })
+            metrics: by_name
+                .into_iter()
+                .map(|i| (s.name(i).to_owned(), s.value(&s.entries[i].1)))
                 .collect(),
         }
     }

@@ -14,6 +14,7 @@
 use schedsim::{Kernel, KernelBuilder, NoiseConfig};
 use simcore::SimDuration;
 use workloads::metbench::{spawn_faulted, MetBenchConfig};
+use workloads::siesta::SiestaConfig;
 use workloads::SchedulerSetup;
 
 /// A smoke-size MetBench cell (3 iterations of the paper's 4:1 split)
@@ -42,4 +43,32 @@ fn heap_pops_of_a_smoke_metbench_cell_are_pinned() {
     // balance tick, queued work or not, this run popped 535 events off
     // the heap.
     assert_eq!(k.queue_pops(), 39);
+}
+
+/// A smoke-size SIESTA cell (2 of the 25 iterations) under the Adaptive
+/// heuristic at seed 2008, on a node with light OS noise, as SIESTA is
+/// evaluated: a CFS noise daemon pinned to each CPU wakes now and then
+/// and waits behind the HPC rank there.
+fn smoke_siesta_adaptive() -> Kernel {
+    let mut k = KernelBuilder::new()
+        .noise(NoiseConfig::light())
+        .seed(2008)
+        .policy("hpc-adaptive")
+        .build();
+    let cfg = SiestaConfig { iterations: 2, ..SiestaConfig::default() };
+    let (ranks, _mpi) = workloads::siesta::spawn_faulted(&mut k, &cfg, &SchedulerSetup::Hpc, None);
+    k.run_until_exited(&ranks, SimDuration::from_secs(3_600)).expect("the cell finishes");
+    k
+}
+
+#[test]
+fn heap_pops_of_a_noisy_smoke_siesta_cell_are_pinned() {
+    let k = smoke_siesta_adaptive();
+    let metrics = k.metrics_registry().snapshot();
+    assert_eq!(metrics.counter("sim.events.processed"), 27_395);
+    assert_eq!(metrics.counter("kernel.ticks"), 25_676);
+    // The cost. While a balance tick ended every quiet stretch with a
+    // daemon queued, though no balance can move a pinned daemon, this run
+    // popped 2,059 events.
+    assert_eq!(k.queue_pops(), 1_719);
 }
