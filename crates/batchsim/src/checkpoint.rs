@@ -38,9 +38,11 @@ use crate::sim::{
 /// alone could not tell the builtin `static` regime from the zoo's
 /// `static` policy), and to 6 when the caller's list and the generator
 /// position became one job-source image and the reservation tally moved
-/// from the run summary into the metrics snapshot; decode rejects other
-/// versions rather than misinterpreting old images.
-pub const BATCH_CHECKPOINT_VERSION: u32 = 6;
+/// from the run summary into the metrics snapshot, and to 7 when
+/// `BatchConfig::threads` left the image (node runs are serial, so the
+/// field is read by nothing); decode rejects other versions rather than
+/// misinterpreting old images.
+pub const BATCH_CHECKPOINT_VERSION: u32 = 7;
 
 /// When a checkpointing run captures images (checked at the engine loop
 /// boundary; both cadences may be set, either firing captures).
@@ -199,21 +201,50 @@ impl BatchCheckpoint {
         w.finish()
     }
 
-    /// Decode a checkpoint, verifying frame, version, and checksum, and
-    /// rejecting trailing garbage.
+    /// Decode a checkpoint, verifying frame, version, and checksum,
+    /// rejecting trailing garbage, and checking the cross-field facts the
+    /// resumed engine indexes on (`check_consistent`).
     pub fn decode(bytes: &[u8]) -> Result<BatchCheckpoint, SnapshotError> {
         let mut r = SnapshotReader::new(bytes)?;
         let ckpt = BatchCheckpoint::restore(&mut r)?;
         r.finish()?;
+        ckpt.check_consistent()?;
         Ok(ckpt)
     }
 
-    /// Override the worker-thread count for the resumed run. Thread count
-    /// is outside the determinism contract, so resuming at a different
-    /// width must still reproduce the trace byte-for-byte — this is the
-    /// hook the invariance tests use.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads;
+    /// A checksum proves the bytes are the ones written, not that they
+    /// describe a state the engine can reach. Every image a run captures
+    /// satisfies these facts, and resuming indexes the fleet and the
+    /// tracker map on them: the fleet images are `num_nodes` long, the
+    /// running segments hold distinct in-range nodes that are marked busy,
+    /// every running or queued job has a tracker, and an armed node
+    /// failure names a node of the fleet.
+    fn check_consistent(&self) -> Result<(), SnapshotError> {
+        let n = self.cfg.num_nodes;
+        if self.fleet_up.len() != n || self.fleet_busy.len() != n {
+            return Err(SnapshotError::Malformed("fleet image length differs from num_nodes"));
+        }
+        let mut held = vec![false; n];
+        for (id, nodes, _, _) in &self.running {
+            for &node in nodes {
+                if node >= n || !self.fleet_busy[node] {
+                    return Err(SnapshotError::Malformed("running segment off the busy fleet"));
+                }
+                if std::mem::replace(&mut held[node], true) {
+                    return Err(SnapshotError::Malformed("node held by two running segments"));
+                }
+            }
+            if !self.trackers.contains_key(id) {
+                return Err(SnapshotError::Malformed("running job without a tracker"));
+            }
+        }
+        if !self.queue.iter().all(|id| self.trackers.contains_key(id)) {
+            return Err(SnapshotError::Malformed("queued job without a tracker"));
+        }
+        if self.fault_armed.is_some_and(|f| f.node >= n) {
+            return Err(SnapshotError::Malformed("armed node failure outside the fleet"));
+        }
+        Ok(())
     }
 
     /// Simulated instant the image was captured at.
@@ -293,7 +324,6 @@ impl Snapshot for BatchConfig {
         w.put_f64(self.internode_latency);
         w.put_u64(self.seed);
         w.put_bool(self.verify_jobs);
-        w.put_len(self.threads);
         w.put_u32(self.retry_limit);
         w.put(&self.watchdog_secs);
         // `TaskAbortSpec` is a faultsim type (orphan rule), so its fields
@@ -321,7 +351,7 @@ impl Snapshot for BatchConfig {
             internode_latency: r.get_f64()?,
             seed: r.get_u64()?,
             verify_jobs: r.get_bool()?,
-            threads: r.get_len()?,
+            threads: 1,
             retry_limit: r.get_u32()?,
             watchdog_secs: r.get()?,
             abort: if r.get_bool()? {
@@ -745,7 +775,7 @@ mod tests {
     use crate::sim::{resume_batch, run_batch, run_batch_checkpointed, run_batch_until};
 
     fn cfg() -> BatchConfig {
-        BatchConfig { discipline: Discipline::Easy, threads: 2, ..BatchConfig::default() }
+        BatchConfig { discipline: Discipline::Easy, ..BatchConfig::default() }
     }
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -793,16 +823,59 @@ mod tests {
             assert!(BatchCheckpoint::decode(&flipped).is_err(), "bit {bit} flipped");
             flipped[bit / 8] ^= 1 << (bit % 8);
         }
-        let mut payload = bytes[PAYLOAD_OFFSET..].to_vec();
-        payload[..4].copy_from_slice(&4u32.to_le_bytes());
-        let mut w = SnapshotWriter::new();
-        for b in payload {
-            w.put_u8(b);
+        for old in [4u32, 6] {
+            let mut payload = bytes[PAYLOAD_OFFSET..].to_vec();
+            payload[..4].copy_from_slice(&old.to_le_bytes());
+            let mut w = SnapshotWriter::new();
+            for b in payload {
+                w.put_u8(b);
+            }
+            assert!(
+                matches!(
+                    BatchCheckpoint::decode(&w.finish()),
+                    Err(SnapshotError::Malformed("unsupported batch checkpoint version"))
+                ),
+                "version {old}"
+            );
         }
-        assert!(matches!(
-            BatchCheckpoint::decode(&w.finish()),
-            Err(SnapshotError::Malformed("unsupported batch checkpoint version"))
-        ));
+    }
+
+    /// A checksummed image whose fields contradict each other is a typed
+    /// decode error, never a panic in the resumed engine.
+    #[test]
+    fn decode_rejects_checksummed_but_inconsistent_images() {
+        let stream = heavy_light_mix(7, 24);
+        let fault =
+            BatchFault { node: 1, after_completions: 30, max_retries: 1, restart_secs: 1.0 };
+        let ckpt = (1..200)
+            .filter_map(|cut| run_batch_until(&stream, &cfg(), Some(&fault), cut))
+            .find(|c| !c.running.is_empty() && !c.queue.is_empty() && c.fault_armed.is_some())
+            .expect("a cut with running and queued jobs and an armed fault");
+        assert!(BatchCheckpoint::decode(&ckpt.encode()).is_ok(), "the unedited image is valid");
+        let (id, node) = (ckpt.running[0].0, ckpt.running[0].1[0]);
+        let queued = ckpt.queue[0];
+        type Edit<'a> = &'a dyn Fn(&mut BatchCheckpoint);
+        let edits: [(&str, Edit); 11] = [
+            ("segment on node 99", &|c| c.running[0].1 = vec![99]),
+            ("segment repeats a node", &|c| c.running[0].1 = vec![node; 2]),
+            ("segment on a free node", &|c| c.fleet_busy[node] = false),
+            ("short busy image", &|c| c.fleet_busy.truncate(1)),
+            ("short up image", &|c| c.fleet_up.truncate(1)),
+            ("num_nodes grown", &|c| c.cfg.num_nodes += 1),
+            ("running job untracked", &|c| c.trackers.retain(|&k, _| k != id)),
+            ("queued job untracked", &|c| c.trackers.retain(|&k, _| k != queued)),
+            ("fault on node 99", &|c| c.fault_armed.iter_mut().for_each(|f| f.node = 99)),
+            ("no ranks", &|c| c.trackers.values_mut().for_each(|t| t.remaining.rank_loads.clear())),
+            ("load 0", &|c| c.trackers.values_mut().for_each(|t| t.job.spec.rank_loads[0] = 0.0)),
+        ];
+        for (what, edit) in &edits {
+            let mut bad = ckpt.clone();
+            edit(&mut bad);
+            assert!(
+                matches!(BatchCheckpoint::decode(&bad.encode()), Err(SnapshotError::Malformed(_))),
+                "{what}: decoded without complaint"
+            );
+        }
     }
 
     #[test]
@@ -839,16 +912,6 @@ mod tests {
         let resumed = resume_batch(&ckpt);
         assert_eq!(resumed.render_trace(), full.render_trace());
         assert_eq!(resumed.metrics, full.metrics);
-    }
-
-    #[test]
-    fn resume_at_a_different_thread_count_is_byte_identical() {
-        let stream = heavy_light_mix(3, 20);
-        let cfg = cfg();
-        let full = run_batch(&stream, &cfg, None);
-        let mut ckpt = run_batch_until(&stream, &cfg, None, 15).expect("cut exists");
-        ckpt.set_threads(4);
-        assert_eq!(resume_batch(&ckpt).render_trace(), full.render_trace());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * EASY shadow times come from the engine's
 //!   [`crate::index::ReleaseIndex`] in O(log n) per decision.
 //!
-//! A fleet run is a pure function of its [`FleetConfig`] at any
-//! `threads` count, and [`crate::run_batch`] over the materialised
-//! stream is the same simulation (`tests/prop_streaming.rs`).
+//! A fleet run is a pure function of its [`FleetConfig`], and
+//! [`crate::run_batch`] over the materialised stream is the same
+//! simulation (`tests/prop_streaming.rs`).
 //!
 //! Statistics here accumulate into scalars, never into per-job growable
 //! containers; `tests/alloc_growth.rs` fails when a run's peak heap grows
@@ -160,8 +160,7 @@ mod tests {
 
     #[test]
     fn scaled_config_runs_a_small_fleet() {
-        let mut cfg = scaled_config(200, 64, 2008);
-        cfg.batch.threads = 1;
+        let cfg = scaled_config(200, 64, 2008);
         let out = run_fleet(&cfg);
         assert_eq!(out.accum.jobs, 200);
         assert!(out.trace_events > 0);

@@ -26,9 +26,15 @@ impl simcore::snapshot::Snapshot for JobSpec {
     fn restore(
         r: &mut simcore::snapshot::SnapshotReader<'_>,
     ) -> Result<Self, simcore::snapshot::SnapshotError> {
-        // Bypass `new`'s panicking validation: a decoded spec is either a
-        // faithful image of a validated one, or the checksum already failed.
-        Ok(JobSpec { name: r.get_str()?, rank_loads: r.get()?, iterations: r.get_u32()? })
+        // `new`'s validation as a typed error: a checksum proves the bytes
+        // are the ones written, not that they came from a valid spec, and
+        // the engine places and runs a spec without checking it again.
+        let spec = JobSpec { name: r.get_str()?, rank_loads: r.get()?, iterations: r.get_u32()? };
+        if spec.rank_loads.is_empty() || !spec.rank_loads.iter().all(|&l| l > 0.0) {
+            let why = "job spec without positive loads";
+            return Err(simcore::snapshot::SnapshotError::Malformed(why));
+        }
+        Ok(spec)
     }
 }
 

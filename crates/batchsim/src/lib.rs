@@ -20,7 +20,9 @@
 //! * [`shape`] — node catalogs: each node's scheduling-domain tree
 //!   ([`power5::Topology`]) and relative speed;
 //! * [`node`] — per-node execution: [`run_node`] runs a node's ranks on a
-//!   real `schedsim` kernel (with or without the HPC class);
+//!   real `schedsim` kernel (with or without the HPC class); the engine
+//!   runs each node serially under a retry/quarantine/watchdog supervisor
+//!   (the private `exec` module);
 //! * [`sim`] — the event-driven engine: admitted gangs are placed through
 //!   [`place_on`] and executed on per-job `schedsim` kernels (HPC,
 //!   Linux-like CFS, or static-priority mode); node failures hit the
@@ -53,6 +55,7 @@
 pub mod arrivals;
 pub mod checkpoint;
 pub mod discipline;
+mod exec;
 pub mod fleet;
 pub mod index;
 pub mod job;

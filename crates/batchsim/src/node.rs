@@ -9,9 +9,10 @@
 //! escapes, and no global mutable state is read or written. There is no
 //! per-node seed: a node kernel runs without OS noise, and the noise
 //! daemons are the only reader of a kernel's random stream. That is what
-//! lets the batch engine submit node runs to [`simcore::Pool`] from any
-//! thread, and memoise them by content — the result depends only on the
-//! arguments, never on which thread ran it, when, or for which job.
+//! lets the batch engine memoise node runs by content, and retry a node
+//! run whose attempt panicked — the result depends only on the arguments,
+//! never on which thread ran it (a watchdog attempt runs on a thread of
+//! its own), when, or for which job.
 
 use crate::shape::NodeShape;
 use mpisim::{Mpi, MpiConfig};
@@ -128,13 +129,6 @@ pub struct NodeTrace {
     pub metrics: MetricsSnapshot,
 }
 
-// Compile-time guard for the purity contract's `Send` half: node-run
-// results must cross pool-thread boundaries.
-const _: () = {
-    const fn assert_send<T: Send>() {}
-    assert_send::<NodeRun>();
-};
-
 /// Run `loads` (one per CPU slot, in slot order) for `iterations`
 /// barrier-synchronized iterations on a fresh node of `shape` under
 /// `sched`. The kernel runs the shape's scheduling-domain tree (slot
@@ -149,7 +143,7 @@ const _: () = {
 /// [`SchedError::InvalidTopology`] for a slot vector that is empty or does
 /// not fit the node, and [`SchedError::UnknownPolicy`] for an unregistered
 /// [`LocalSched::Policy`] name.
-// Pool task closures call this; the result must be a pure function of
+// Supervised node tasks call this; the result must be a pure function of
 // (loads, iterations, sched, shape, traced). Turning noise on here would
 // make the kernel seed an input, and it would have to join both this
 // signature and the batch oracle's node memo key.

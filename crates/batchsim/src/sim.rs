@@ -3,8 +3,7 @@
 //!
 //! # Determinism argument
 //!
-//! The whole simulation is a pure function of `(stream, config, fault)`,
-//! including [`BatchConfig::threads`]:
+//! The whole simulation is a pure function of `(stream, config, fault)`:
 //!
 //! * arrivals are a sorted input, ties broken by submission id;
 //! * every queue decision iterates jobs in a total order (discipline
@@ -26,13 +25,12 @@
 //!   integer comparisons, with no float slack;
 //! * simulated time advances only to event timestamps (completions before
 //!   arrivals at equal times, both in id order);
-//! * per-node kernel runs go through a [`simcore::Pool`]: each run is a
-//!   pure function of `(loads, iterations, sched, shape)` (see
-//!   [`crate::node`]) with no per-node seed, so the oracle memoises node
-//!   runs by content and submits only the ones it has not seen; the pool
-//!   returns results in submission order and the oracle merges them in
-//!   node order — so every reduction folds in node order and the outcome
-//!   is byte-identical at any thread count.
+//! * each per-node kernel run is one serial supervisor call
+//!   (`exec::supervise`), made in node order: each run is a pure function of
+//!   `(loads, iterations, sched, shape)` (see [`crate::node`]) with no
+//!   per-node seed, so the oracle memoises node runs by content and runs
+//!   only the ones it has not seen, and every reduction folds in node
+//!   order.
 //!
 //! The purity and timestamp points make the EASY no-delay invariant *exact*
 //! rather than estimate-based: the reservation (shadow time) computed when
@@ -59,13 +57,14 @@ use std::time::Duration;
 
 use faultsim::{NodeFailSpec, TaskAbortSpec};
 use simcore::snapshot::fnv1a_fold;
-use simcore::{Pool, PoolCounters, SimDuration, SimTime, SupervisePolicy, TaskFailure};
+use simcore::{SimDuration, SimTime};
 use simverify::conformance::{check_with_metrics, CheckConfig, Report};
 use telemetry::{MetricsRegistry, MetricsSnapshot};
 
 use crate::arrivals::FleetJobs;
 use crate::checkpoint::{BatchCheckpoint, CheckpointPolicy, SourceImage};
 use crate::discipline::Discipline;
+use crate::exec::{supervise, SuperviseCounters, SupervisePolicy, Supervised, TaskFailure};
 use crate::fleet::{FleetAccum, FleetConfig};
 use crate::index::ReleaseIndex;
 use crate::job::{BatchJob, JobSpec};
@@ -137,8 +136,9 @@ pub struct BatchConfig {
     /// Trace every per-job kernel and conformance-check it (C001–C005);
     /// reports land in [`BatchOutcome::conformance`].
     pub verify_jobs: bool,
-    /// Worker threads for per-node kernel runs (1 = serial). Any value
-    /// produces byte-identical output; >1 only changes wall-clock time.
+    /// Set by callers (the perfbench `batch` workload), but read by
+    /// nothing: node runs go serially through one supervisor, and
+    /// checkpoint images leave this field out.
     pub threads: usize,
     /// Supervisor retry budget: a per-node kernel measurement that panics
     /// is retried up to this many times before the job is quarantined into
@@ -465,10 +465,10 @@ pub struct BatchOutcome {
     /// Last event timestamp.
     pub makespan: f64,
     pub metrics: MetricsSnapshot,
-    /// Executor-pool telemetry (batches, tasks, worker busy nanoseconds).
-    /// Busy time is *host* wall-clock: never fold this snapshot into
-    /// determinism or byte-identity comparisons — everything else in the
-    /// outcome is thread-count-invariant, this is not.
+    /// Supervised node-run telemetry under `exec.pool` (node runs, busy
+    /// nanoseconds, retries, quarantines, timeouts). Busy time is *host*
+    /// wall-clock: never fold this snapshot into determinism or
+    /// byte-identity comparisons.
     pub pool_metrics: MetricsSnapshot,
     /// Per-job kernel conformance reports (one per node segment), present
     /// when [`BatchConfig::verify_jobs`] is set.
@@ -527,12 +527,13 @@ type NodeResult = (f64, Option<Report>);
 /// Under the segment cache sits a node memo keyed by content
 /// ([`NodeKey`]): jobs cut from one template share per-node loads, so a
 /// segment runs only the nodes no earlier segment (and no earlier node of
-/// its own) has run, and submits just those to the pool. Both caches live
+/// its own) has run, and runs just those. Both caches live
 /// and die with the engine: they are never shared between engines and
 /// never written into checkpoint images. A segment targeted by the
 /// injected `taskabort` fault bypasses the node memo, so every one of its
 /// nodes runs (and retries) as if no memo existed; failed node outcomes
-/// are never memoised.
+/// are never memoised, but a repeat inside one segment shares its first
+/// occurrence's outcome, failed or not.
 struct Oracle {
     cache: BTreeMap<(u64, u32), SegmentRun>,
     nodes: BTreeMap<NodeKey, NodeResult>,
@@ -545,9 +546,9 @@ struct Oracle {
     /// retry on panic, optional wall-clock watchdog per attempt.
     policy: SupervisePolicy,
     /// Injected transient abort (faultsim `taskabort:`), keyed on (service
-    /// key, local node, attempt) so outcomes are thread-count-invariant.
+    /// key, local node, attempt) so outcomes are deterministic.
     abort: Option<TaskAbortSpec>,
-    pool: Pool,
+    counters: SuperviseCounters,
 }
 
 /// A `taskabort` fault firing on its attempt.
@@ -575,91 +576,39 @@ impl Oracle {
         )]
         let placement =
             place_on(spec, &catalog, self.placement).expect("sized allocation always fits");
-        let sched = self.sched;
-        let verify = self.verify_jobs;
-        let iterations = spec.iterations;
         let abort = self.abort.filter(|a| a.job == key);
-        let watchdog = self.policy.timeout.is_some();
-        // Per node, in node order: a memoised result, or the index of the
-        // task that computes it. A repeat within the segment shares the
-        // task of its first occurrence.
-        let mut sources: Vec<Result<usize, NodeResult>> = Vec::with_capacity(placement.nodes.len());
-        let mut missed: BTreeMap<NodeKey, usize> = BTreeMap::new();
-        let mut tasks = Vec::new();
-        for (local, slots) in placement.nodes.iter().enumerate() {
-            let loads: Vec<f64> = slots.iter().map(|&r| spec.rank_loads[r]).collect();
-            let node_key = (
-                self.shape.node_kind(local),
-                iterations,
-                loads.iter().map(|l| l.to_bits()).collect(),
-            );
-            if abort.is_none() {
-                if let Some(hit) = self.nodes.get(&node_key) {
-                    sources.push(Err(hit.clone()));
-                    continue;
-                }
-                if let Some(&task) = missed.get(&node_key) {
-                    sources.push(Ok(task));
-                    continue;
-                }
-                missed.insert(node_key, tasks.len());
-            }
-            sources.push(Ok(tasks.len()));
-            let shape = self.shape.node_shape(local);
-            let abort_here = abort.filter(|a| a.node == local);
-            tasks.push(move |attempt: u32| -> NodeResult {
-                if let Some(a) = abort_here {
-                    if attempt < a.aborts {
-                        if a.hang && watchdog {
-                            // Wedge: the watchdog — not the unwind
-                            // path — must turn this attempt into a
-                            // typed timeout. Without a watchdog the
-                            // fault falls through to a plain panic so
-                            // an unguarded run can never deadlock.
-                            std::thread::sleep(Duration::from_secs(3600));
-                        }
-                        injected_abort(attempt);
-                    }
-                }
-                if loads.is_empty() {
-                    return (0.0, None);
-                }
-                #[expect(
-                    clippy::panic,
-                    reason = "INVARIANT: placement never hands a node more ranks than its \
-                              shape has slots, and `sched` names a builtin regime or a \
-                              registry policy by construction, so a node-run error is a \
-                              simulator bug and panics here."
-                )]
-                let run = run_node(&loads, iterations, sched, &shape, verify)
-                    .unwrap_or_else(|e| panic!("{e}"));
-                let report = run.trace.map(|t| {
-                    check_with_metrics(&t.records, &t.metrics, &CheckConfig::default())
-                });
-                (run.exec_secs, report)
-            });
-        }
-        // The supervisor absorbs transient aborts (retries are keyed on the
-        // attempt index, so a retried node computes the same pure value a
-        // clean run would) and converts persistent failures into typed
-        // per-node outcomes. Only clean outcomes enter the memo, and a
-        // bypassing segment has no misses to record.
-        let outcomes =
-            if tasks.is_empty() { Vec::new() } else { self.pool.run_supervised(tasks, self.policy) };
-        for (node_key, task) in missed {
-            if let Ok(result) = &outcomes[task] {
-                self.nodes.insert(node_key, result.clone());
-            }
-        }
-        // Merge in node order, exactly as a serial loop over the nodes
-        // would.
-        let mut node_secs = Vec::with_capacity(sources.len());
+        let mut node_secs = Vec::with_capacity(placement.nodes.len());
         let mut reports = Vec::new();
         let mut failed: Option<&'static str> = None;
-        for source in sources {
-            let outcome = match source {
-                Ok(task) => outcomes[task].clone(),
-                Err(hit) => Ok(hit),
+        // Failed node outcomes of this segment by content: never memoised,
+        // but a repeat inside the segment shares its first occurrence's.
+        let mut failures: BTreeMap<NodeKey, TaskFailure> = BTreeMap::new();
+        for (local, slots) in placement.nodes.iter().enumerate() {
+            let loads: Vec<f64> = slots.iter().map(|&r| spec.rank_loads[r]).collect();
+            let outcome = if abort.is_some() {
+                self.run_node_supervised(loads, local, spec.iterations, abort)
+            } else {
+                let node_key = (
+                    self.shape.node_kind(local),
+                    spec.iterations,
+                    loads.iter().map(|l| l.to_bits()).collect(),
+                );
+                if let Some(hit) = self.nodes.get(&node_key) {
+                    Ok(hit.clone())
+                } else if let Some(&failure) = failures.get(&node_key) {
+                    Err(failure)
+                } else {
+                    let outcome = self.run_node_supervised(loads, local, spec.iterations, None);
+                    match &outcome {
+                        Ok(result) => {
+                            self.nodes.insert(node_key, result.clone());
+                        }
+                        Err(failure) => {
+                            failures.insert(node_key, *failure);
+                        }
+                    }
+                    outcome
+                }
             };
             match outcome {
                 Ok((secs, report)) => {
@@ -681,6 +630,55 @@ impl Oracle {
         let run = SegmentRun { placement, node_secs, service, reports, failed };
         self.cache.insert((key, spec.iterations), run.clone());
         run
+    }
+
+    /// One supervised run of gang-local node `local` on `loads`. The
+    /// supervisor absorbs transient aborts (retries are keyed on the
+    /// attempt index, so a retried node computes the same pure value a
+    /// clean run would) and converts persistent failures into typed
+    /// outcomes.
+    fn run_node_supervised(
+        &self,
+        loads: Vec<f64>,
+        local: usize,
+        iterations: u32,
+        abort: Option<TaskAbortSpec>,
+    ) -> Supervised<NodeResult> {
+        let (sched, verify) = (self.sched, self.verify_jobs);
+        let shape = self.shape.node_shape(local);
+        let abort_here = abort.filter(|a| a.node == local);
+        let watchdog = self.policy.timeout.is_some();
+        let task = move |attempt: u32| -> NodeResult {
+            if let Some(a) = abort_here {
+                if attempt < a.aborts {
+                    if a.hang && watchdog {
+                        // Wedge: the watchdog — not the unwind path — must
+                        // turn this attempt into a typed timeout. Without a
+                        // watchdog the fault falls through to a plain panic
+                        // so an unguarded run can never deadlock.
+                        std::thread::sleep(Duration::from_secs(3600));
+                    }
+                    injected_abort(attempt);
+                }
+            }
+            if loads.is_empty() {
+                return (0.0, None);
+            }
+            #[expect(
+                clippy::panic,
+                reason = "INVARIANT: placement never hands a node more ranks than its \
+                          shape has slots, and `sched` names a builtin regime or a \
+                          registry policy by construction, so a node-run error is a \
+                          simulator bug and panics here."
+            )]
+            let run = run_node(&loads, iterations, sched, &shape, verify)
+                .unwrap_or_else(|e| panic!("{e}"));
+            let report = run
+                .trace
+                .map(|t| check_with_metrics(&t.records, &t.metrics, &CheckConfig::default()));
+            (run.exec_secs, report)
+        };
+        supervise(task, self.policy, &self.counters)
     }
 
     fn service(&mut self, key: u64, spec: &JobSpec) -> f64 {
@@ -964,8 +962,8 @@ impl EngineState {
 struct Engine {
     cfg: BatchConfig,
     registry: MetricsRegistry,
-    /// Pool telemetry includes host wall-clock busy time, so it lives on
-    /// its own registry, snapshotted into the (non-deterministic)
+    /// Supervisor telemetry includes host wall-clock busy time, so it lives
+    /// on its own registry, snapshotted into the (non-deterministic)
     /// `pool_metrics` field rather than the byte-compared `metrics`.
     pool_registry: MetricsRegistry,
     ctr: Counters,
@@ -977,8 +975,6 @@ impl Engine {
         let registry = MetricsRegistry::new();
         let ctr = Counters::new(&registry);
         let pool_registry = MetricsRegistry::new();
-        let pool =
-            Pool::with_counters(cfg.threads, PoolCounters::register(&pool_registry, "exec.pool"));
         let oracle = Oracle {
             cache: BTreeMap::new(),
             nodes: BTreeMap::new(),
@@ -992,7 +988,7 @@ impl Engine {
                 timeout: cfg.watchdog_secs.map(Duration::from_secs_f64),
             },
             abort: cfg.abort,
-            pool,
+            counters: SuperviseCounters::register(&pool_registry),
         };
         Engine { cfg: *cfg, registry, pool_registry, ctr, oracle }
     }
@@ -1027,8 +1023,8 @@ impl Engine {
     }
 
     /// Rebuild a run from a checkpoint's plain data. Metrics restore from
-    /// the imaged snapshot (pool counters are host wall-clock and start
-    /// fresh); the generator replays to its imaged position; in-flight
+    /// the imaged snapshot (supervisor counters are host wall-clock and
+    /// start fresh); the generator replays to its imaged position; in-flight
     /// segments re-attach their kernel measurements (the oracle is pure,
     /// so this recomputes exactly the `SegmentRun` the interrupted run
     /// held); admission sequences re-derive in imaged order; and the
@@ -1231,8 +1227,6 @@ impl Engine {
 
 /// Run a batch stream to completion. Never panics on the fault path: jobs
 /// that cannot be (re)placed degrade with partial accounting instead.
-// Per-job node kernels fan out from here; the outcome must be a pure
-// function of (stream, cfg, fault) regardless of cfg.threads.
 pub fn run_batch(
     stream: &[BatchJob],
     cfg: &BatchConfig,
@@ -1304,8 +1298,6 @@ pub fn resume_batch(ckpt: &BatchCheckpoint) -> BatchOutcome {
 /// Run a fleet-scale streaming batch to completion: lazy arrivals, hashed
 /// trace, O(1)-memory statistics. The outcome's recording (`jobs`,
 /// `events`, `reservations`) stays empty. See [`crate::fleet`].
-// The outcome must be a pure function of (stream cfg, batch cfg) at any
-// thread count.
 pub fn run_fleet(cfg: &FleetConfig) -> BatchOutcome {
     let mut eng = Engine::new(&cfg.batch);
     let mut st = eng.start(JobSource::generate(FleetJobs::new(&cfg.stream), 0), None, false);

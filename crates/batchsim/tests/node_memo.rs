@@ -12,7 +12,7 @@ use std::collections::BTreeSet;
 
 use batchsim::{
     heavy_light_mix, run_batch, run_node, BatchConfig, BatchEvent, BatchJob, BatchOutcome,
-    Discipline, FleetShape, JobSpec,
+    Discipline, FleetShape, JobSpec, LocalSched,
 };
 use faultsim::TaskAbortSpec;
 
@@ -96,14 +96,9 @@ fn memoised_node_secs_equal_direct_runs_on_a_mixed_fleet() {
     assert_node_secs_match_direct_runs(&jobs, &cfg);
 }
 
-fn pool_tasks(out: &BatchOutcome) -> u64 {
-    out.pool_metrics.counter("exec.pool.tasks")
-}
-
 /// Node runs the seed-2008 200-job study makes per discipline. Each
 /// engine runs only the distinct node contents it meets (about 160 of the
-/// 290 nodes its jobs occupy), and the count does not depend on the
-/// thread count.
+/// 290 nodes its jobs occupy).
 #[test]
 fn the_200_job_study_runs_each_distinct_node_once() {
     let jobs = heavy_light_mix(2008, 200);
@@ -112,20 +107,12 @@ fn the_200_job_study_runs_each_distinct_node_once() {
         (Discipline::Sjf, 160),
         (Discipline::Easy, 160),
     ] {
-        for threads in [1, 4] {
-            let cfg = BatchConfig {
-                discipline,
-                threads,
-                ..Default::default()
-            };
-            let out = run_batch(&jobs, &cfg, None);
-            assert_eq!(
-                pool_tasks(&out),
-                expected,
-                "{} at {threads} thread(s)",
-                discipline.label()
-            );
-        }
+        let cfg = BatchConfig {
+            discipline,
+            ..Default::default()
+        };
+        let out = run_batch(&jobs, &cfg, None);
+        assert_eq!(supervisor_counts(&out)[0], expected, "{}", discipline.label());
     }
 }
 
@@ -184,20 +171,18 @@ fn an_absorbed_abort_on_memoised_contents_still_retries() {
         abort.aborts <= cfg.retry_limit,
         "fault sized to be absorbable"
     );
-    for threads in [1, 4] {
-        let out = run_batch(&jobs, &BatchConfig { threads, ..cfg }, None);
-        assert_eq!(
-            out.pool_metrics.counter("exec.pool.retries"),
-            u64::from(abort.aborts),
-            "job {victim}: every abort is a retry at {threads} thread(s)"
-        );
-        assert_eq!(
-            out.render_trace(),
-            clean.render_trace(),
-            "absorbed byte-identically"
-        );
-        assert_eq!(out.metrics, clean.metrics);
-    }
+    let out = run_batch(&jobs, &cfg, None);
+    assert_eq!(
+        out.pool_metrics.counter("exec.pool.retries"),
+        u64::from(abort.aborts),
+        "job {victim}: every abort is a retry"
+    );
+    assert_eq!(
+        out.render_trace(),
+        clean.render_trace(),
+        "absorbed byte-identically"
+    );
+    assert_eq!(out.metrics, clean.metrics);
 }
 
 #[test]
@@ -233,4 +218,62 @@ fn an_exhausted_abort_on_memoised_contents_still_quarantines() {
         .filter(|j| j.id != victim)
         .all(|j| !j.outcome.degraded));
     assert_eq!(out.pool_metrics.counter("exec.pool.quarantined"), 1);
+}
+
+/// Failures on segments whose two nodes share content (a "twin" job),
+/// pinned at the figures the batch-submitting executor produced before
+/// node runs became serial. An exhausted `taskabort` bypasses the memo:
+/// both nodes run, only the targeted one quarantines, and neither outcome
+/// enters the memo, so a later twin runs its node again.
+#[test]
+fn an_exhausted_abort_on_twin_nodes_matches_the_pinned_run() {
+    let mut jobs = heavy_light_mix(2008, 12);
+    let last = jobs.last().map_or(0.0, |j| j.arrival);
+    jobs.push(BatchJob::new(12, twin(), last + 1.0));
+    jobs.push(BatchJob::new(13, twin(), last + 2.0));
+    let abort = TaskAbortSpec {
+        job: 12,
+        node: 0,
+        aborts: 9,
+        hang: false,
+    };
+    let cfg = BatchConfig {
+        abort: Some(abort),
+        ..Default::default()
+    };
+    let out = run_batch(&jobs, &cfg, None);
+    assert_eq!(supervisor_counts(&out), [14, 2, 1], "node 1 and job 13 run too");
+    // The hash pins the trace, including job 12's `task-quarantined` line.
+    assert_eq!(out.trace_hash, 0x2f44_1925_37b9_5e91);
+    assert!(out.jobs.iter().all(|j| j.outcome.degraded == (j.id == 12)));
+}
+
+/// A node run that fails outside any `taskabort` (here an unregistered
+/// policy name) goes through the memo: the twin's second node shares its
+/// first node's failure instead of running again, and the failure is not
+/// memoised, so the second twin job runs once more.
+#[test]
+fn a_failed_node_run_is_shared_within_its_segment_only() {
+    let jobs = vec![BatchJob::new(0, twin(), 0.0), BatchJob::new(1, twin(), 1.0)];
+    let cfg = BatchConfig {
+        sched: LocalSched::Policy("no-such-policy"),
+        ..Default::default()
+    };
+    let out = run_batch(&jobs, &cfg, None);
+    assert_eq!(supervisor_counts(&out), [2, 4, 2], "one run per segment");
+    assert_eq!(out.trace_hash, 0xe42f_7f5e_91d3_ffc5);
+    assert!(out.jobs.iter().all(|j| j.outcome.degraded));
+}
+
+/// Eight equal ranks: two nodes with the same content.
+fn twin() -> JobSpec {
+    JobSpec::new("twin", vec![0.05; 8], 3)
+}
+
+/// `exec.pool.{tasks, retries, quarantined}`; every test here expects no
+/// watchdog timeouts.
+fn supervisor_counts(out: &BatchOutcome) -> [u64; 3] {
+    let m = &out.pool_metrics;
+    assert_eq!(m.counter("exec.pool.timeouts"), 0);
+    ["tasks", "retries", "quarantined"].map(|c| m.counter(&format!("exec.pool.{c}")))
 }

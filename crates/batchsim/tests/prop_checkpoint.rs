@@ -1,10 +1,10 @@
 //! Crash/resume byte-identity property.
 //!
 //! Checkpoint a run at a random event index — across random seeds, all
-//! three disciplines, every local scheduler, optional node-failure plans,
-//! and differing resume thread counts — push the image through the wire
-//! format, resume it, and require the continued trace, metrics, and every
-//! per-job record to match the uninterrupted run exactly. Plus the
+//! three disciplines, every local scheduler, and optional node-failure
+//! plans — push the image through the wire format, resume it, and require
+//! the continued trace, metrics, and every per-job record to match the
+//! uninterrupted run exactly. Plus the
 //! durability half: a corrupted latest image must fall back to the
 //! previous generation and still resume byte-identically.
 
@@ -24,7 +24,6 @@ proptest! {
         disc in 0usize..3,
         sched in 0usize..3,
         cut in 1usize..40,
-        threads in 1usize..=8,
         with_fault in any::<bool>(),
         fail_node in 0usize..4,
         fail_after in 0u32..4,
@@ -39,7 +38,6 @@ proptest! {
         let cfg = BatchConfig {
             discipline: Discipline::ALL[disc],
             sched: [LocalSched::Hpc, LocalSched::Cfs, LocalSched::Static][sched],
-            threads: 1,
             ..Default::default()
         };
         let full = run_batch(&jobs, &cfg, fault.as_ref());
@@ -54,14 +52,13 @@ proptest! {
         let decoded = BatchCheckpoint::decode(&bytes);
         prop_assert!(decoded.is_ok(), "decode failed: {:?}", decoded.err());
         // INVARIANT: checked ok on the line above.
-        let mut ckpt = decoded.expect("checked ok");
+        let ckpt = decoded.expect("checked ok");
         prop_assert_eq!(ckpt.encode(), bytes, "decode → encode is the identity");
-        ckpt.set_threads(threads);
         let resumed = resume_batch(&ckpt);
 
         prop_assert_eq!(
             full.render_trace(), resumed.render_trace(),
-            "trace diverged: cut={} resume threads={}", cut, threads
+            "trace diverged: cut={}", cut
         );
         prop_assert_eq!(&full.metrics, &resumed.metrics, "metrics diverged");
         prop_assert_eq!(full.makespan, resumed.makespan);

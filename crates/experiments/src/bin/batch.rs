@@ -4,9 +4,8 @@
 //!
 //! The default run drives a 200-job heavy/light mix under all three
 //! disciplines, proves determinism (byte-identical event traces across two
-//! serial runs *and* against a parallel run), requires EASY to strictly
-//! beat FCFS on mean wait, and writes the throughput baseline to
-//! `BENCH_batch.json`.
+//! runs), requires EASY to strictly beat FCFS on mean wait, and writes the
+//! throughput baseline to `BENCH_batch.json`.
 //!
 //! Flags:
 //! * `--jobs N` / `--seed N` — stream length and seed (default 200 / 2008);
@@ -16,8 +15,6 @@
 //!   `nodefail:` kills a fleet node, `taskabort:` panics node kernels for
 //!   the supervisor's retry/quarantine path to absorb, `ckptcorrupt:`
 //!   tears a checkpoint save so recovery exercises the fallback;
-//! * `--threads N` — per-node kernel runs on N pool workers (default 1;
-//!   the study always cross-checks serial vs. parallel byte-identity);
 //! * `--watchdog-ms N` — per-attempt wall-clock watchdog on node kernels;
 //! * `--checkpoint <dir>` — run one EASY stream with periodic checkpoints
 //!   rotated into `<dir>` (cadence `--ckpt-events N` / `--ckpt-jobs N`);
@@ -36,7 +33,6 @@
 //! * `--telemetry` / `--verify` — standard parity with the other binaries.
 
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_checkpointed, run_batch_until,
@@ -47,10 +43,6 @@ use experiments::benchfile;
 use experiments::cli::{BinFlag, CliFlags};
 use faultsim::{CkptCorruptSpec, TaskAbortSpec};
 
-/// Thread count the study benchmarks against serial when the user did not
-/// ask for a specific one.
-const BENCH_THREADS: usize = 4;
-
 /// One per-discipline row of the `BENCH_batch.json` baseline.
 #[derive(serde::Serialize)]
 struct BenchRow {
@@ -60,30 +52,11 @@ struct BenchRow {
     completed: usize,
     mean_wait_secs: f64,
     makespan_secs: f64,
-    /// Jobs completed per simulated second — the tracked figure. Identical
-    /// at every thread count (the simulation is thread-count-invariant).
+    /// Jobs completed per simulated second — the tracked figure.
     throughput_per_sim_sec: f64,
     /// Node kernels the engine ran (`exec.pool.tasks`): one per distinct
-    /// node content, the same at every thread count.
+    /// node content.
     node_runs: u64,
-}
-
-/// The parallel-execution section of the baseline. Wall-clock fields are
-/// host measurements and excluded from the CI baseline diff.
-#[derive(serde::Serialize)]
-struct ParallelBench {
-    threads: usize,
-    /// Serial and parallel traces/metrics matched byte-for-byte.
-    byte_identical: bool,
-    /// Jobs per simulated second across the whole study — the same at 1
-    /// and `threads` workers by construction; recorded once as the shared
-    /// deterministic figure.
-    jobs_per_sim_sec: f64,
-    host_cpus: usize,
-    wall_secs_serial: f64,
-    wall_secs_parallel: f64,
-    /// wall_secs_serial / wall_secs_parallel.
-    speedup: f64,
 }
 
 /// One per-policy row: the 30-job FCFS stream under each registered
@@ -113,17 +86,8 @@ struct TopologyRow {
     trace_hash: String,
 }
 
-#[derive(serde::Serialize)]
-struct Bench {
-    disciplines: Vec<BenchRow>,
-    policies: Vec<PolicyRow>,
-    topologies: Vec<TopologyRow>,
-    parallel: ParallelBench,
-}
-
 /// The per-topology section of the baseline: one short EASY stream per
-/// fleet shape. Each run is also re-run at 4 threads and must match
-/// byte-for-byte (the heterogeneous engine keeps the determinism contract).
+/// fleet shape.
 fn topology_rows(seed: u64, failed: &mut bool) -> Vec<TopologyRow> {
     let jobs = heavy_light_mix(seed, 30);
     let shapes = [
@@ -135,11 +99,6 @@ fn topology_rows(seed: u64, failed: &mut bool) -> Vec<TopologyRow> {
     for shape in shapes {
         let cfg = BatchConfig { discipline: Discipline::Easy, shape, ..Default::default() };
         let out = run_batch(&jobs, &cfg, None);
-        let par = run_batch(&jobs, &BatchConfig { threads: 4, ..cfg }, None);
-        if out.render_trace() != par.render_trace() {
-            println!("topology/{}: PARALLEL DIVERGENCE", shape.label());
-            *failed = true;
-        }
         let stats = FleetStats::from_outcome(&out);
         println!("{}", stats.render_row(&format!("topology/{}", shape.label())));
         if stats.completed != jobs.len() {
@@ -233,27 +192,19 @@ impl Supervision {
 }
 
 /// The full study: every discipline over one stream, determinism proved by
-/// a serial double-run plus a parallel run that must match byte-for-byte.
-/// Returns the per-discipline outcomes and the serial/parallel wall times.
+/// a double-run that must match byte-for-byte.
 fn study(
     jobs: &[batchsim::BatchJob],
     fault: Option<&BatchFault>,
     verify: bool,
     sched: LocalSched,
-    threads: usize,
     sup: Supervision,
     failed: &mut bool,
-) -> (Vec<(Discipline, BatchOutcome)>, f64, f64) {
+) -> Vec<(Discipline, BatchOutcome)> {
     let mut outs = Vec::new();
-    let serial_started = Instant::now();
     for discipline in Discipline::ALL {
-        let cfg = sup.apply(BatchConfig {
-            discipline,
-            sched,
-            verify_jobs: verify,
-            threads: 1,
-            ..Default::default()
-        });
+        let cfg =
+            sup.apply(BatchConfig { discipline, sched, verify_jobs: verify, ..Default::default() });
         let a = run_batch(jobs, &cfg, fault);
         let b = run_batch(jobs, &cfg, fault);
         if a.render_trace() != b.render_trace() {
@@ -262,49 +213,11 @@ fn study(
         }
         outs.push((discipline, a));
     }
-    // The double-run above is two full serial passes.
-    let wall_serial = serial_started.elapsed().as_secs_f64() / 2.0;
-
-    let parallel_started = Instant::now();
-    for (discipline, serial) in &outs {
-        let cfg = sup.apply(BatchConfig {
-            discipline: *discipline,
-            sched,
-            verify_jobs: verify,
-            threads,
-            ..Default::default()
-        });
-        let par = run_batch(jobs, &cfg, fault);
-        if par.render_trace() != serial.render_trace() {
-            println!(
-                "{}: PARALLEL DIVERGENCE (trace at {} threads differs from serial)",
-                discipline.label(),
-                threads
-            );
-            *failed = true;
-        }
-        if par.metrics != serial.metrics {
-            println!(
-                "{}: PARALLEL DIVERGENCE (metrics at {} threads differ from serial)",
-                discipline.label(),
-                threads
-            );
-            *failed = true;
-        }
-        if par.makespan != serial.makespan {
-            println!("{}: PARALLEL DIVERGENCE (makespan differs)", discipline.label());
-            *failed = true;
-        }
-    }
-    let wall_parallel = parallel_started.elapsed().as_secs_f64();
-    (outs, wall_serial, wall_parallel)
+    outs
 }
 
 fn smoke(flags: &CliFlags, seed: u64, sup: Supervision) -> bool {
-    println!(
-        "== smoke: 3 disciplines x 3 local schedulers, per-job conformance, {} thread(s) ==",
-        flags.threads
-    );
+    println!("== smoke: 3 disciplines x 3 local schedulers, per-job conformance ==");
     let jobs = heavy_light_mix(seed, 30);
     let fault = flags.faults.as_ref().and_then(|p| p.node_failure.as_ref()).map(BatchFault::from_spec);
     let mut failed = false;
@@ -320,7 +233,6 @@ fn smoke(flags: &CliFlags, seed: u64, sup: Supervision) -> bool {
                 discipline,
                 sched,
                 verify_jobs: true,
-                threads: flags.threads,
                 ..Default::default()
             });
             let out = run_batch(&jobs, &cfg, fault.as_ref());
@@ -335,8 +247,8 @@ fn smoke(flags: &CliFlags, seed: u64, sup: Supervision) -> bool {
                     if clean { "clean" } else { "VIOLATIONS" }
                 ))
             );
-            // Thread-count-invariant fingerprint: CI diffs these lines
-            // between the serial and --threads 4 smoke runs.
+            // Deterministic fingerprint: CI diffs these lines between the
+            // clean and the taskabort-absorbed smoke runs.
             println!(
                 "trace-hash {}/{} {:016x}",
                 discipline.label(),
@@ -372,21 +284,15 @@ fn ckpt_smoke(
     // the full study.
     let sched = flags.policy.map_or(LocalSched::Hpc, LocalSched::Policy);
     println!(
-        "== ckpt-smoke: crash/resume byte-identity, 3 disciplines, {} nodes, {} thread(s), store {} ==",
+        "== ckpt-smoke: crash/resume byte-identity, 3 disciplines, {} nodes, store {} ==",
         sched.label(),
-        flags.threads,
         dir.display()
     );
     let jobs = heavy_light_mix(seed, 30);
     let fault = flags.faults.as_ref().and_then(|p| p.node_failure.as_ref()).map(BatchFault::from_spec);
     let mut failed = false;
     for discipline in Discipline::ALL {
-        let cfg = sup.apply(BatchConfig {
-            discipline,
-            sched,
-            threads: flags.threads,
-            ..Default::default()
-        });
+        let cfg = sup.apply(BatchConfig { discipline, sched, ..Default::default() });
         let full = run_batch(&jobs, &cfg, fault.as_ref());
         let subdir = dir.join(discipline.label());
         let mut store = CheckpointStore::new(&subdir);
@@ -456,11 +362,7 @@ fn checkpointed_run(flags: &CliFlags, seed: u64, njobs: usize, sup: Supervision,
     let corrupt = flags.faults.as_ref().and_then(|p| p.ckpt_corrupt);
     let jobs = heavy_light_mix(seed, njobs);
     let fault = flags.faults.as_ref().and_then(|p| p.node_failure.as_ref()).map(BatchFault::from_spec);
-    let cfg = sup.apply(BatchConfig {
-        discipline: Discipline::Easy,
-        threads: flags.threads,
-        ..Default::default()
-    });
+    let cfg = sup.apply(BatchConfig { discipline: Discipline::Easy, ..Default::default() });
     let mut store = CheckpointStore::new(dir);
     if let Some(c) = corrupt {
         store = store.corrupt_nth_save(c.nth);
@@ -574,7 +476,6 @@ fn main() {
 
     let jobs = heavy_light_mix(seed, njobs);
     let fault = flags.faults.as_ref().and_then(|p| p.node_failure.as_ref()).map(BatchFault::from_spec);
-    let bench_threads = if flags.threads > 1 { flags.threads } else { BENCH_THREADS };
     let mut failed = false;
 
     // `--policy` swaps every node-local kernel onto the named balancer;
@@ -584,18 +485,14 @@ fn main() {
         "== batch: {njobs}-job heavy/light mix, seed {seed}, 4-node fleet, {} nodes ==",
         sched.label()
     );
-    let (outs, wall_serial, wall_parallel) =
-        study(&jobs, fault.as_ref(), flags.verify, sched, bench_threads, sup, &mut failed);
+    let outs = study(&jobs, fault.as_ref(), flags.verify, sched, sup, &mut failed);
 
     let mut rows = Vec::new();
     let mut wait_of = std::collections::BTreeMap::new();
-    let (mut total_completed, mut total_sim_secs) = (0usize, 0.0f64);
     for (discipline, out) in &outs {
         let stats = FleetStats::from_outcome(out);
         println!("{}", stats.render_row(discipline.label()));
         wait_of.insert(discipline.label(), stats.mean_wait);
-        total_completed += stats.completed;
-        total_sim_secs += stats.makespan;
         rows.push(BenchRow {
             discipline: discipline.label(),
             seed,
@@ -615,17 +512,8 @@ fn main() {
         }
     }
     if !failed {
-        println!(
-            "\ndeterminism: every discipline byte-identical across serial reruns \
-             and at {bench_threads} threads"
-        );
+        println!("\ndeterminism: every discipline byte-identical across reruns");
     }
-    let speedup = if wall_parallel > 0.0 { wall_serial / wall_parallel } else { 1.0 };
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "parallel: {bench_threads} threads on {host_cpus} host cpu(s): \
-         serial {wall_serial:.2}s, parallel {wall_parallel:.2}s ({speedup:.2}x)"
-    );
 
     // The headline backfill claim, asserted on every run.
     let (fcfs, easy) = (wait_of["fcfs"], wait_of["easy"]);
@@ -642,7 +530,7 @@ fn main() {
         for (discipline, out) in &outs {
             println!("--- telemetry: batch / {} ---", discipline.label());
             println!("{}", telemetry::export::snapshot_summary(&out.metrics));
-            println!("--- pool telemetry: batch / {} ---", discipline.label());
+            println!("--- node-run telemetry: batch / {} ---", discipline.label());
             println!("{}", telemetry::export::snapshot_summary(&out.pool_metrics));
         }
     }
@@ -672,32 +560,12 @@ fn main() {
         let policies = policy_rows(seed, &mut failed);
         println!("\n== topologies: 30-job EASY stream per fleet shape ==");
         let topologies = topology_rows(seed, &mut failed);
-        let bench = Bench {
-            disciplines: rows,
-            policies,
-            topologies,
-            parallel: ParallelBench {
-                threads: bench_threads,
-                byte_identical: !failed,
-                jobs_per_sim_sec: if total_sim_secs > 0.0 {
-                    total_completed as f64 / total_sim_secs
-                } else {
-                    0.0
-                },
-                host_cpus,
-                wall_secs_serial: wall_serial,
-                wall_secs_parallel: wall_parallel,
-                speedup,
-            },
-        };
         // Upsert section by section so the `fleet` binary's rows in the
         // same file survive a baseline regeneration (and vice versa).
-        let write = benchfile::upsert_section("BENCH_batch.json", "disciplines", &bench.disciplines)
-            .and_then(|()| benchfile::upsert_section("BENCH_batch.json", "policies", &bench.policies))
-            .and_then(|()| {
-                benchfile::upsert_section("BENCH_batch.json", "topologies", &bench.topologies)
-            })
-            .and_then(|()| benchfile::upsert_section("BENCH_batch.json", "parallel", &bench.parallel));
+        let file = "BENCH_batch.json";
+        let write = benchfile::upsert_section(file, "disciplines", &rows)
+            .and_then(|()| benchfile::upsert_section(file, "policies", &policies))
+            .and_then(|()| benchfile::upsert_section(file, "topologies", &topologies));
         match write {
             Ok(()) => println!("throughput baseline written to BENCH_batch.json"),
             Err(e) => println!("warning: could not write BENCH_batch.json: {e}"),

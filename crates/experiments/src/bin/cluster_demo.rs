@@ -18,22 +18,18 @@ use batchsim::{
 use experiments::cli::CliFlags;
 use simcore::SimRng;
 
-/// One FCFS batch of the demo jobs on a `nodes`-node fleet; per-node
-/// kernel runs fan out over `threads` pool workers (output is identical
-/// at any count).
+/// One FCFS batch of the demo jobs on a `nodes`-node fleet.
 fn run_fcfs(
     jobs: &[BatchJob],
     nodes: usize,
     strategy: PlacementStrategy,
     sched: LocalSched,
-    threads: usize,
 ) -> batchsim::BatchOutcome {
     let cfg = BatchConfig {
         num_nodes: nodes,
         discipline: Discipline::Fcfs,
         sched,
         placement: strategy,
-        threads,
         ..Default::default()
     };
     run_batch(jobs, &cfg, None)
@@ -76,8 +72,8 @@ fn main() {
         );
         let stream = [BatchJob::new(0, job.clone(), 0.01)];
         for s in strategies {
-            let cfs = run_fcfs(&stream, nodes, s, LocalSched::Cfs, flags.threads);
-            let hpc = run_fcfs(&stream, nodes, s, balanced, flags.threads);
+            let cfs = run_fcfs(&stream, nodes, s, LocalSched::Cfs);
+            let hpc = run_fcfs(&stream, nodes, s, balanced);
             let (cfs, hpc) =
                 (cfs.jobs[0].outcome.result.makespan, hpc.jobs[0].outcome.result.makespan);
             println!(
@@ -96,7 +92,7 @@ fn main() {
     // batch layer's wait/turnaround accounting on a toy stream.
     let stream =
         vec![BatchJob::new(0, bimodal, 0.01), BatchJob::new(1, irregular, 0.02)];
-    let out = run_fcfs(&stream, 4, PlacementStrategy::SmtAware, balanced, flags.threads);
+    let out = run_fcfs(&stream, 4, PlacementStrategy::SmtAware, balanced);
     let stats = FleetStats::from_outcome(&out);
     println!("== both jobs, one FCFS queue (4 nodes, SmtAware, HPCSched) ==");
     println!("{}", stats.render_row("fcfs"));

@@ -11,18 +11,17 @@
 //! Flags:
 //! * default — one quick 10k-job fleet over 1000 nodes, serial, with the
 //!   stats row and a resume self-check;
-//! * `--smoke` — the CI scale gate: a 100k-job stream run serially and at
-//!   8 worker threads, requiring byte-identical trace fingerprints;
+//! * `--smoke` — the CI scale gate: a 100k-job stream run twice,
+//!   requiring byte-identical trace fingerprints;
 //! * `--scale` — the full trajectory: 10k/100k/1M jobs, each measured in
 //!   a fresh child process (so `VmHWM` is that run's own high-water mark,
-//!   not an earlier row's) at 1 and 8 threads, hashes cross-checked, rows
-//!   upserted into `BENCH_batch.json`;
+//!   not an earlier row's), one row per scale upserted into
+//!   `BENCH_batch.json`;
 //! * `--scale-row` — internal: run one row in this process and print it
 //!   as a single JSON line (spawned by `--scale`);
-//! * `--check-bench` — validate the committed `fleet` section: rows at
-//!   every scale, positive throughput and RSS figures, thread-count pairs
-//!   with identical hashes;
-//! * `--jobs N` / `--nodes N` / `--seed N` / `--threads N` — overrides.
+//! * `--check-bench` — validate the committed `fleet` section: exactly one
+//!   row per scale, with positive throughput and RSS figures;
+//! * `--jobs N` / `--nodes N` / `--seed N` — overrides.
 
 use std::time::Instant;
 
@@ -33,20 +32,15 @@ use experiments::cli::{BinFlag, CliFlags};
 /// The scale trajectory `--scale` measures and `--check-bench` requires.
 const SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
 
-/// Thread counts every scale is cross-checked at.
-const THREAD_PAIR: [usize; 2] = [1, 8];
-
-/// One row of the `fleet` section of `BENCH_batch.json`. Deterministic
-/// fields (`completed` … `trace_hash`) are identical at every thread
-/// count; `wall_secs`, `jobs_per_wall_sec` and `peak_rss_bytes` are host
-/// measurements and excluded from CI baseline diffs.
+/// One row of the `fleet` section of `BENCH_batch.json`. `wall_secs`,
+/// `jobs_per_wall_sec` and `peak_rss_bytes` are host measurements; every
+/// other field is deterministic.
 #[derive(Clone, serde::Serialize, serde::Deserialize)]
 struct FleetBenchRow {
     jobs: u64,
     nodes: u64,
     discipline: String,
     seed: u64,
-    threads: u64,
     completed: u64,
     degraded: u64,
     makespan_sim_secs: f64,
@@ -80,9 +74,8 @@ fn peak_rss_bytes() -> u64 {
     0
 }
 
-fn run_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> (FleetBenchRow, BatchOutcome) {
-    let mut cfg = scaled_config(jobs, nodes, seed);
-    cfg.batch.threads = threads;
+fn run_row(jobs: u64, nodes: usize, seed: u64) -> (FleetBenchRow, BatchOutcome) {
+    let cfg = scaled_config(jobs, nodes, seed);
     let t0 = Instant::now();
     let out = run_fleet(&cfg);
     let wall = t0.elapsed().as_secs_f64();
@@ -91,7 +84,6 @@ fn run_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> (FleetBenchRow
         nodes: nodes as u64,
         discipline: cfg.batch.discipline.label().to_string(),
         seed,
-        threads: threads as u64,
         completed: out.accum.completed,
         degraded: out.accum.degraded,
         makespan_sim_secs: out.makespan,
@@ -110,11 +102,10 @@ fn run_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> (FleetBenchRow
 
 fn render_row(r: &FleetBenchRow) {
     println!(
-        "fleet {:>9} jobs x {:>4} nodes t{} | done {:>9} degr {:>3} | {:>10.1} jobs/sim-s \
+        "fleet {:>9} jobs x {:>4} nodes | done {:>9} degr {:>3} | {:>10.1} jobs/sim-s \
          {:>9.0} jobs/wall-s | rss {:>7.1} MiB | hash {}",
         r.jobs,
         r.nodes,
-        r.threads,
         r.completed,
         r.degraded,
         r.jobs_per_sim_sec,
@@ -126,7 +117,7 @@ fn render_row(r: &FleetBenchRow) {
 
 /// Spawn this binary again for one `--scale-row`, so the child's `VmHWM`
 /// measures exactly that run.
-fn spawn_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> Result<FleetBenchRow, String> {
+fn spawn_row(jobs: u64, nodes: usize, seed: u64) -> Result<FleetBenchRow, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
     let out = std::process::Command::new(exe)
         .args([
@@ -137,14 +128,12 @@ fn spawn_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> Result<Fleet
             &nodes.to_string(),
             "--seed",
             &seed.to_string(),
-            "--threads",
-            &threads.to_string(),
         ])
         .output()
         .map_err(|e| format!("spawn --scale-row: {e}"))?;
     if !out.status.success() {
         return Err(format!(
-            "--scale-row jobs={jobs} threads={threads} exited {}: {}",
+            "--scale-row jobs={jobs} exited {}: {}",
             out.status,
             String::from_utf8_lossy(&out.stderr)
         ));
@@ -163,37 +152,26 @@ fn spawn_row(jobs: u64, nodes: usize, seed: u64, threads: usize) -> Result<Fleet
 fn check_bench() -> Result<(), String> {
     let rows: Vec<FleetBenchRow> = benchfile::read_section("BENCH_batch.json", "fleet")
         .ok_or("BENCH_batch.json has no fleet section")?;
-    for &jobs in &SCALES {
-        let at: Vec<&FleetBenchRow> = rows.iter().filter(|r| r.jobs == jobs).collect();
-        if at.is_empty() {
-            return Err(format!("no fleet row at {jobs} jobs"));
+    let scales: Vec<u64> = rows.iter().map(|r| r.jobs).collect();
+    if scales != SCALES {
+        return Err(format!("fleet rows at {scales:?} jobs; want one row per scale {SCALES:?}"));
+    }
+    for r in &rows {
+        let jobs = r.jobs;
+        if r.jobs_per_sim_sec <= 0.0 {
+            return Err(format!("{jobs} jobs: jobs_per_sim_sec not positive"));
         }
-        for r in &at {
-            if r.jobs_per_sim_sec <= 0.0 {
-                return Err(format!("{jobs} jobs t{}: jobs_per_sim_sec not positive", r.threads));
-            }
-            if r.peak_rss_bytes == 0 {
-                return Err(format!("{jobs} jobs t{}: peak_rss_bytes missing", r.threads));
-            }
-            if r.nodes < 1000 {
-                return Err(format!("{jobs} jobs t{}: fewer than 1000 nodes", r.threads));
-            }
-            if r.trace_hash.len() != 16 || !r.trace_hash.bytes().all(|b| b.is_ascii_hexdigit()) {
-                return Err(format!("{jobs} jobs t{}: malformed trace_hash", r.threads));
-            }
+        if r.peak_rss_bytes == 0 {
+            return Err(format!("{jobs} jobs: peak_rss_bytes missing"));
         }
-        if at.iter().any(|r| r.trace_hash != at[0].trace_hash) {
-            return Err(format!("{jobs} jobs: trace_hash differs across thread counts"));
+        if r.nodes < 1000 {
+            return Err(format!("{jobs} jobs: fewer than 1000 nodes"));
         }
-        if at.iter().any(|r| r.completed != at[0].completed) {
-            return Err(format!("{jobs} jobs: completed differs across thread counts"));
+        if r.trace_hash.len() != 16 || !r.trace_hash.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return Err(format!("{jobs} jobs: malformed trace_hash"));
         }
     }
-    println!(
-        "check-bench: {} fleet rows, scales {:?}, thread-pair hashes identical",
-        rows.len(),
-        SCALES
-    );
+    println!("check-bench: {} fleet rows, scales {:?}", rows.len(), SCALES);
     Ok(())
 }
 
@@ -242,7 +220,7 @@ fn main() {
 
     if flags.switch("--scale-row") {
         let jobs = jobs.unwrap_or(10_000);
-        let (row, _) = run_row(jobs, nodes, seed, flags.threads);
+        let (row, _) = run_row(jobs, nodes, seed);
         println!("{}", serde_json::to_string(&row).expect("row serializes"));
         return;
     }
@@ -258,18 +236,18 @@ fn main() {
 
     if flags.switch("--smoke") {
         let jobs = jobs.unwrap_or(100_000);
-        println!("== fleet smoke: {jobs} jobs x {nodes} nodes, serial vs 8 threads ==");
+        println!("== fleet smoke: {jobs} jobs x {nodes} nodes, run twice ==");
         let mut hashes = Vec::new();
-        for threads in THREAD_PAIR {
-            let (row, _) = run_row(jobs, nodes, seed, threads);
+        for _ in 0..2 {
+            let (row, _) = run_row(jobs, nodes, seed);
             render_row(&row);
-            hashes.push(row.trace_hash.clone());
+            hashes.push(row.trace_hash);
         }
         if hashes[0] != hashes[1] {
-            eprintln!("fleet: smoke FAILED: serial {} != parallel {}", hashes[0], hashes[1]);
+            eprintln!("fleet: smoke FAILED: rerun {} != first run {}", hashes[1], hashes[0]);
             std::process::exit(1);
         }
-        println!("serial and 8-thread fingerprints identical: {}", hashes[0]);
+        println!("both runs' fingerprints identical: {}", hashes[0]);
         println!("\nfleet: OK");
         return;
     }
@@ -277,33 +255,18 @@ fn main() {
     if flags.switch("--scale") {
         println!("== fleet scale trajectory: {SCALES:?} jobs x {nodes} nodes ==");
         let mut rows = Vec::new();
-        let mut failed = false;
         for jobs in SCALES {
-            let mut pair = Vec::new();
-            for threads in THREAD_PAIR {
-                match spawn_row(jobs, nodes, seed, threads) {
-                    Ok(row) => {
-                        render_row(&row);
-                        pair.push(row);
-                    }
-                    Err(e) => {
-                        eprintln!("fleet: {e}");
-                        failed = true;
-                    }
+            match spawn_row(jobs, nodes, seed) {
+                Ok(row) => {
+                    render_row(&row);
+                    rows.push(row);
+                }
+                Err(e) => {
+                    eprintln!("fleet: {e}");
+                    eprintln!("fleet: FAILED");
+                    std::process::exit(1);
                 }
             }
-            if pair.len() == 2 && pair[0].trace_hash != pair[1].trace_hash {
-                eprintln!(
-                    "fleet: {jobs} jobs: serial {} != parallel {}",
-                    pair[0].trace_hash, pair[1].trace_hash
-                );
-                failed = true;
-            }
-            rows.extend(pair);
-        }
-        if failed {
-            eprintln!("fleet: FAILED");
-            std::process::exit(1);
         }
         match benchfile::upsert_section("BENCH_batch.json", "fleet", &rows) {
             Ok(()) => println!("fleet trajectory written to BENCH_batch.json"),
@@ -314,7 +277,7 @@ fn main() {
     }
 
     // Default: one quick fleet plus the checkpoint/resume self-check.
-    let (row, out) = run_row(jobs.unwrap_or(10_000), nodes, seed, flags.threads);
+    let (row, out) = run_row(jobs.unwrap_or(10_000), nodes, seed);
     render_row(&row);
     println!("{}", FleetStats::from_outcome(&out).render_row("fleet/easy"));
     println!(

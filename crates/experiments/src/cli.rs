@@ -8,9 +8,6 @@
 //!   any invariant violation;
 //! * `--faults <spec>` — inject a [`faultsim::FaultPlan`] (see the spec
 //!   grammar in `faultsim::plan`); a malformed spec is a usage error;
-//! * `--threads <n>` — worker threads for per-node kernel runs (default 1
-//!   = serial). Output is byte-identical at any value; only wall-clock
-//!   time changes;
 //! * `--policy <name>` — run a named balancing policy from
 //!   [`schedsim::policies::registry`] instead of the paper's standard mode
 //!   set (`--policy help` lists the zoo). Unknown names are usage errors;
@@ -50,17 +47,15 @@ impl BinFlag {
 }
 
 /// The standard flags, as the usage message lists them.
-const STANDARD_USAGE: &str = "--telemetry, --verify, --faults <spec>, --threads <n>, \
-                              --policy <name>, --topology <spec>";
+const STANDARD_USAGE: &str =
+    "--telemetry, --verify, --faults <spec>, --policy <name>, --topology <spec>";
 
 /// The standard experiment flags, parsed once at startup.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CliFlags {
     pub telemetry: bool,
     pub verify: bool,
     pub faults: Option<faultsim::FaultPlan>,
-    /// Worker threads for per-node kernel runs; 1 means serial.
-    pub threads: usize,
     /// Balancing policy selected with `--policy`, canonicalized against
     /// [`schedsim::policies::registry`]; `None` runs the standard modes.
     pub policy: Option<&'static str>,
@@ -71,20 +66,6 @@ pub struct CliFlags {
     /// The binary's own flags that were given, in order, each with its
     /// value (`None` for a switch).
     own: Vec<(&'static str, Option<String>)>,
-}
-
-impl Default for CliFlags {
-    fn default() -> Self {
-        CliFlags {
-            telemetry: false,
-            verify: false,
-            faults: None,
-            threads: 1,
-            policy: None,
-            topology: None,
-            own: Vec::new(),
-        }
-    }
 }
 
 impl CliFlags {
@@ -129,16 +110,6 @@ impl CliFlags {
                         it.next().ok_or_else(|| "--faults requires a spec argument".to_string())?;
                     flags.faults =
                         Some(faultsim::FaultPlan::parse(spec).map_err(|e| e.to_string())?);
-                }
-                "--threads" => {
-                    let n = it
-                        .next()
-                        .ok_or_else(|| "--threads requires a count argument".to_string())?;
-                    flags.threads = n
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("--threads: expected a count >= 1, got {n:?}"))?;
                 }
                 "--policy" => {
                     let name = it
@@ -190,7 +161,7 @@ impl CliFlags {
 
     /// The integer value of the binary's own flag `name`; `None` when
     /// absent. A non-integer value is a usage error (exit 2), as a
-    /// malformed `--threads` is, rather than a silent default.
+    /// malformed `--faults` spec is, rather than a silent default.
     pub fn int<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.try_int(name).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -314,6 +285,18 @@ mod tests {
     }
 
     #[test]
+    fn bad_threads_is_a_usage_error() {
+        // Node runs are serial: the old worker-count flag is gone, so every
+        // spelling of it is an unknown argument.
+        for args in [&["--threads"][..], &["--threads", "0"], &["--threads", "many"]] {
+            assert!(CliFlags::parse(&strs(args)).is_err(), "{args:?}");
+        }
+        let err = CliFlags::parse(&strs(&["--threads", "4"])).unwrap_err();
+        assert!(err.contains("unknown argument \"--threads\""), "{err}");
+        assert!(!err.contains("--threads <"), "usage no longer lists it: {err}");
+    }
+
+    #[test]
     fn declared_flags_parse_beside_the_standard_ones() {
         let own = [BinFlag::Value("--seed"), BinFlag::Switch("--smoke")];
         let f = CliFlags::parse_with(&strs(&["--seed", "7", "--smoke", "--verify"]), &own).unwrap();
@@ -374,12 +357,6 @@ mod tests {
         assert!(err.contains("openpower-710"), "error lists presets: {err}");
     }
 
-    #[test]
-    fn parses_threads_and_defaults_to_serial() {
-        assert_eq!(CliFlags::parse(&strs(&[])).unwrap().threads, 1);
-        assert_eq!(CliFlags::parse(&strs(&["--threads", "4"])).unwrap().threads, 4);
-    }
-
     /// Flags declared the way `fleet` declares its own.
     const FLEET: [BinFlag; 4] = [
         BinFlag::Value("--seed"),
@@ -419,12 +396,5 @@ mod tests {
         let f = CliFlags::parse_with(&strs(&["--smoke", "--checkpoint", "ckpts"]), &own).unwrap();
         assert!(f.switch("--smoke"));
         assert_eq!(f.value("--checkpoint"), Some("ckpts"));
-    }
-
-    #[test]
-    fn bad_threads_is_a_usage_error() {
-        assert!(CliFlags::parse(&strs(&["--threads"])).is_err());
-        assert!(CliFlags::parse(&strs(&["--threads", "0"])).is_err());
-        assert!(CliFlags::parse(&strs(&["--threads", "many"])).is_err());
     }
 }

@@ -12,12 +12,8 @@
 //! * [`SimRng`] — a seeded RNG with the distribution helpers the workload and
 //!   OS-noise models need,
 //!
-//! plus [`exec`] — a deterministic
-//! scoped-thread work pool that runs independent simulation pieces (one
-//! node-level kernel per task) in parallel while keeping every reduction
-//! order-stable and byte-identical to serial execution — and [`snapshot`] —
-//! versioned, checksummed, byte-stable state encoding for crash-consistent
-//! checkpoint/restore.
+//! plus [`snapshot`] — versioned, checksummed, byte-stable state encoding
+//! for crash-consistent checkpoint/restore.
 //!
 //! # Determinism
 //!
@@ -29,13 +25,11 @@
 #![forbid(unsafe_code)]
 
 pub mod event;
-pub mod exec;
 pub mod rng;
 pub mod snapshot;
 pub mod time;
 
 pub use event::{EventQueue, EventQueueCounters, ScheduledEvent};
-pub use exec::{Pool, PoolCounters, SupervisePolicy, Supervised, TaskFailure};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
