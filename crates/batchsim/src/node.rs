@@ -18,7 +18,7 @@ use crate::shape::NodeShape;
 use mpisim::{Mpi, MpiConfig};
 use power5::{CpuId, HwPriority};
 use schedsim::{
-    Kernel, KernelBuilder, SchedError, SchedPolicy, SharedSink, SpawnOptions, TaskId, TraceRecord,
+    Kernel, KernelBuilder, NewTask, SchedError, SchedPolicy, SharedSink, SpawnOptions, TraceRecord,
 };
 use simcore::SimDuration;
 use telemetry::MetricsSnapshot;
@@ -180,22 +180,26 @@ pub fn run_node(
         _ => None,
     };
     let mpi = Mpi::new(loads.len(), MpiConfig::default());
-    let mut ids: Vec<TaskId> = Vec::with_capacity(loads.len());
-    for (slot, &load) in loads.iter().enumerate() {
-        // A faster node finishes the same work sooner: scale the per-slot
-        // compute down by the relative speed (identity at speed 1.0).
-        let load = load / shape.speed;
-        ids.push(kernel.try_spawn(
-            format!("slot{slot}"),
+    // The whole gang is queued before any rank runs: one settle, not one
+    // per rank.
+    let ranks = loads
+        .iter()
+        .enumerate()
+        .map(|(slot, &load)| NewTask {
+            name: format!("slot{slot}"),
             policy,
-            Box::new(BarrierGang::new(mpi.clone(), slot, load, iterations)),
-            SpawnOptions {
+            // A faster node finishes the same work sooner: scale the
+            // per-slot compute down by the relative speed (identity at
+            // speed 1.0).
+            program: Box::new(BarrierGang::new(mpi.clone(), slot, load / shape.speed, iterations)),
+            opts: SpawnOptions {
                 affinity: Some(vec![CpuId(slot)]),
                 hw_prio: prios.as_ref().map(|p| p[slot]),
                 ..Default::default()
             },
-        )?);
-    }
+        })
+        .collect();
+    let ids = kernel.try_spawn_all(ranks)?;
     #[expect(
         clippy::expect_used,
         reason = "INVARIANT: the 10-simulated-hour deadline is three orders of magnitude above \
@@ -358,6 +362,98 @@ mod tests {
             let mut r = SnapshotReader::new(&bytes).expect("frame");
             assert_eq!(LocalSched::restore(&mut r), Ok(sched), "{sched:?}");
             r.finish().expect("no trailing bytes");
+        }
+    }
+
+    /// `run_node` as it was before the gang spawned under one settle: one
+    /// `try_spawn`, and so one settle, per rank. Traced.
+    fn run_node_per_rank(
+        loads: &[f64],
+        iterations: u32,
+        sched: LocalSched,
+        shape: &NodeShape,
+    ) -> NodeRun {
+        let builder = KernelBuilder::new().topology(shape.topology.clone());
+        let mut kernel = match sched {
+            LocalSched::Hpc => builder.try_build(),
+            LocalSched::Policy(p) => builder.policy(p).try_build(),
+            LocalSched::Cfs | LocalSched::Static => builder.without_hpc_class().try_build(),
+        }
+        .unwrap();
+        let sink = SharedSink::new();
+        kernel.observe(Box::new(sink.clone()));
+        let policy = match sched {
+            LocalSched::Hpc | LocalSched::Policy(_) => SchedPolicy::Hpc,
+            LocalSched::Cfs | LocalSched::Static => SchedPolicy::Normal,
+        };
+        let prios = (sched == LocalSched::Static).then(|| static_prios(loads));
+        let mpi = Mpi::new(loads.len(), MpiConfig::default());
+        let ids: Vec<_> = loads
+            .iter()
+            .enumerate()
+            .map(|(slot, &load)| {
+                let gang = BarrierGang::new(mpi.clone(), slot, load / shape.speed, iterations);
+                kernel
+                    .try_spawn(
+                        format!("slot{slot}"),
+                        policy,
+                        Box::new(gang),
+                        SpawnOptions {
+                            affinity: Some(vec![CpuId(slot)]),
+                            hw_prio: prios.as_ref().map(|p| p[slot]),
+                            ..Default::default()
+                        },
+                    )
+                    .unwrap()
+            })
+            .collect();
+        let end = kernel.run_until_exited(&ids, SimDuration::from_secs(36_000)).unwrap();
+        NodeRun {
+            exec_secs: end.as_secs_f64(),
+            final_prios: ids.iter().map(|&t| kernel.task(t).hw_prio.value()).collect(),
+            trace: Some(NodeTrace {
+                records: sink.snapshot(),
+                metrics: kernel.metrics_registry().snapshot(),
+            }),
+        }
+    }
+
+    /// Spawning a node's ranks under one settle computes what one settle
+    /// per rank did, for every regime and registry policy on every preset:
+    /// the same exec-time bits, final priorities and context switches, and
+    /// the same trace records up to their order at spawn time.
+    #[test]
+    fn one_settle_gang_spawn_matches_per_rank_spawns() {
+        let scheds = LocalSched::ALL
+            .into_iter()
+            .chain(schedsim::policies::registry().iter().map(|spec| LocalSched::Policy(spec.name)));
+        let sorted = |trace: &NodeTrace| {
+            let mut records: Vec<String> =
+                trace.records.iter().map(|r| format!("{r:?}")).collect();
+            records.sort();
+            records
+        };
+        for sched in scheds {
+            for preset in TopoPreset::ALL {
+                let shape = preset.shape(1.25);
+                let slots = shape.slots();
+                let skewed: Vec<f64> =
+                    (0..slots).map(|i| if i % 3 == 0 { 0.3 } else { 0.07 }).collect();
+                for loads in [skewed.clone(), vec![0.1; slots], skewed[..slots - 1].to_vec()] {
+                    let gang = run_node(&loads, 3, sched, &shape, true).unwrap();
+                    let each = run_node_per_rank(&loads, 3, sched, &shape);
+                    let what = format!("{sched:?} on {} with {loads:?}", preset.label());
+                    assert_eq!(gang.exec_secs.to_bits(), each.exec_secs.to_bits(), "{what}");
+                    assert_eq!(gang.final_prios, each.final_prios, "{what}");
+                    let (gang, each) = (gang.trace.unwrap(), each.trace.unwrap());
+                    assert_eq!(
+                        gang.metrics.counter("kernel.context_switches"),
+                        each.metrics.counter("kernel.context_switches"),
+                        "{what}"
+                    );
+                    assert_eq!(sorted(&gang), sorted(&each), "{what}");
+                }
+            }
         }
     }
 }

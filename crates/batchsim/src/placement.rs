@@ -173,8 +173,16 @@ pub fn node_time_on(job: &JobSpec, slots: &[usize], hpc: bool, shape: &NodeShape
             1 => core_time(load(base), None, hpc),
             2 => core_time(load(base), load(base + 1), hpc),
             _ => {
-                let busy: Vec<f64> = (0..width).filter_map(|i| load(base + i)).collect();
-                wide_core_time(&busy)
+                // `wide_core_time` over the busy contexts, without
+                // collecting them.
+                let (busy, heaviest) = (0..width)
+                    .filter_map(|i| load(base + i))
+                    .fold((0usize, 0.0_f64), |(n, max), l| (n + 1, max.max(l)));
+                if busy == 0 {
+                    0.0
+                } else {
+                    heaviest * (busy as f64 + 2.0) / 3.0
+                }
             }
         };
         worst = worst.max(t);
@@ -249,7 +257,16 @@ pub fn place_on(
             order.sort_by(|&a, &b| {
                 job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
             });
-            let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
+            // Ranks are placed heaviest first, so every node's ranks stay
+            // sorted heaviest first (ties by rank) as they are pushed.
+            let mut nodes: Vec<Vec<usize>> =
+                slots_of.iter().map(|&slots| Vec::with_capacity(slots)).collect();
+            // Every candidate reuses these two: a node's ranks plus the
+            // candidate rank, which is still heaviest first, and the same
+            // ranks in slot order.
+            let widest = slots_of.iter().copied().max().unwrap_or(0);
+            let mut sorted: Vec<usize> = Vec::with_capacity(widest);
+            let mut paired: Vec<usize> = Vec::with_capacity(widest);
             for r in order {
                 // Try the rank in every free slot of every node; keep the
                 // assignment with the smallest resulting node time
@@ -260,10 +277,10 @@ pub fn place_on(
                     if slots.len() >= slots_of[n] {
                         continue;
                     }
-                    let mut candidate = slots.clone();
-                    candidate.push(r);
-                    candidate.sort_by(|&a, &b| job.rank_loads[b].total_cmp(&job.rank_loads[a]));
-                    let paired = slot_order(&candidate, &shapes[n]);
+                    sorted.clear();
+                    sorted.extend_from_slice(slots);
+                    sorted.push(r);
+                    slot_order(&sorted, &shapes[n], &mut paired);
                     let mut t = node_time_on(job, &paired, true, &shapes[n]);
                     if numa {
                         t *= numa_spread_penalty(paired.len(), &shapes[n]);
@@ -279,8 +296,8 @@ pub fn place_on(
                 nodes[n].push(r);
             }
             for (n, slots) in nodes.iter_mut().enumerate() {
-                slots.sort_by(|&a, &b| job.rank_loads[b].total_cmp(&job.rank_loads[a]));
-                *slots = slot_order(slots, &shapes[n]);
+                slot_order(slots, &shapes[n], &mut paired);
+                slots.copy_from_slice(&paired);
             }
             nodes
         }
@@ -288,15 +305,16 @@ pub fn place_on(
     Ok(Placement { strategy, nodes })
 }
 
-/// Intra-node slot ordering for ranks sorted heaviest-first: heavy/light
-/// pairing on 2-way cores (where decode arbitration rewards the mix);
-/// heaviest-first otherwise (the equal-share wide-core model and 1-way
-/// cores are order-insensitive).
-fn slot_order(sorted: &[usize], shape: &NodeShape) -> Vec<usize> {
+/// Intra-node slot ordering for ranks sorted heaviest-first, written to
+/// `out`: heavy/light pairing on 2-way cores (where decode arbitration
+/// rewards the mix); heaviest-first otherwise (the equal-share wide-core
+/// model and 1-way cores are order-insensitive).
+fn slot_order(sorted: &[usize], shape: &NodeShape, out: &mut Vec<usize>) {
+    out.clear();
     if shape.topology.max_smt_width() == 2 {
-        pair_heavy_light(sorted)
+        pair_heavy_light(sorted, out);
     } else {
-        sorted.to_vec()
+        out.extend_from_slice(sorted);
     }
 }
 
@@ -319,11 +337,10 @@ fn numa_spread_penalty(occupied: usize, shape: &NodeShape) -> f64 {
     worst as f64 / local as f64
 }
 
-/// Given ranks sorted heaviest-first, order them into CPU slots so each
-/// core gets (heaviest remaining, lightest remaining):
+/// Given ranks sorted heaviest-first, append them to `out` in CPU-slot
+/// order so each core gets (heaviest remaining, lightest remaining):
 /// `[h0, l0, h1, l1]` — core 0 gets h0+l0, core 1 gets h1+l1.
-fn pair_heavy_light(sorted: &[usize]) -> Vec<usize> {
-    let mut out = Vec::with_capacity(sorted.len());
+fn pair_heavy_light(sorted: &[usize], out: &mut Vec<usize>) {
     let mut lo = 0usize;
     let mut hi = sorted.len();
     while lo < hi {
@@ -334,14 +351,15 @@ fn pair_heavy_light(sorted: &[usize]) -> Vec<usize> {
             out.push(sorted[hi]);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::shape::TopoPreset;
+    use crate::sim::FleetShape;
     use power5::Topology;
+    use proptest::prelude::*;
 
     fn job4x2() -> JobSpec {
         // Two heavy, six light ranks over two nodes.
@@ -504,8 +522,208 @@ mod tests {
 
     #[test]
     fn pair_heavy_light_orders() {
-        assert_eq!(pair_heavy_light(&[10, 20, 30, 40]), vec![10, 40, 20, 30]);
-        assert_eq!(pair_heavy_light(&[1, 2, 3]), vec![1, 3, 2]);
-        assert_eq!(pair_heavy_light(&[7]), vec![7]);
+        let paired = |sorted: &[usize]| {
+            let mut out = Vec::new();
+            pair_heavy_light(sorted, &mut out);
+            out
+        };
+        assert_eq!(paired(&[10, 20, 30, 40]), vec![10, 40, 20, 30]);
+        assert_eq!(paired(&[1, 2, 3]), vec![1, 3, 2]);
+        assert_eq!(paired(&[7]), vec![7]);
+    }
+
+    /// `place_on` as it was before its search reused scratch buffers (a
+    /// fresh `Vec` per rank × node candidate), kept as the reference the
+    /// property test below holds the current one to.
+    mod reference {
+        use super::super::{core_time, numa_spread_penalty, wide_core_time};
+        use super::super::{Placement, PlacementError, PlacementStrategy};
+        use crate::job::JobSpec;
+        use crate::shape::NodeShape;
+
+        fn node_time_on(job: &JobSpec, slots: &[usize], hpc: bool, shape: &NodeShape) -> f64 {
+            let topo = &shape.topology;
+            let load = |i: usize| slots.get(i).map(|&r| job.rank_loads[r]);
+            let width = topo.max_smt_width().max(1);
+            let mut worst = 0.0_f64;
+            let mut base = 0;
+            while base < topo.num_cpus() {
+                let t = match width {
+                    1 => core_time(load(base), None, hpc),
+                    2 => core_time(load(base), load(base + 1), hpc),
+                    _ => {
+                        let busy: Vec<f64> = (0..width).filter_map(|i| load(base + i)).collect();
+                        wide_core_time(&busy)
+                    }
+                };
+                worst = worst.max(t);
+                base += width;
+            }
+            worst / shape.speed
+        }
+
+        pub(super) fn place_on(
+            job: &JobSpec,
+            shapes: &[NodeShape],
+            strategy: PlacementStrategy,
+        ) -> Result<Placement, PlacementError> {
+            if shapes.is_empty() {
+                return Err(PlacementError::NoNodes);
+            }
+            let slots_of: Vec<usize> = shapes.iter().map(NodeShape::slots).collect();
+            let total: usize = slots_of.iter().sum();
+            let does_not_fit = PlacementError::DoesNotFit { ranks: job.ranks(), slots: total };
+            if job.ranks() > total {
+                return Err(does_not_fit);
+            }
+            let num_nodes = shapes.len();
+            let nodes = match strategy {
+                PlacementStrategy::RoundRobin => {
+                    let mut nodes = vec![Vec::new(); num_nodes];
+                    for r in 0..job.ranks() {
+                        // Rank r goes to node r mod n, skipping nodes already full
+                        // (narrow nodes in a heterogeneous catalog fill early).
+                        // INVARIANT: the fit check above guarantees a free slot
+                        // exists, so the cyclic scan terminates.
+                        let mut n = r % num_nodes;
+                        while nodes[n].len() >= slots_of[n] {
+                            n = (n + 1) % num_nodes;
+                        }
+                        nodes[n].push(r);
+                    }
+                    nodes
+                }
+                PlacementStrategy::GreedyLpt => {
+                    let mut order: Vec<usize> = (0..job.ranks()).collect();
+                    order.sort_by(|&a, &b| {
+                        job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
+                    });
+                    let mut nodes = vec![Vec::new(); num_nodes];
+                    let mut loads = vec![0.0f64; num_nodes];
+                    for r in order {
+                        // Least *effective* load (total / speed) with a free slot;
+                        // ties to lowest index. The fit check above guarantees a
+                        // free slot, so the error is unreachable.
+                        let n = (0..num_nodes)
+                            .filter(|&n| nodes[n].len() < slots_of[n])
+                            .min_by(|&a, &b| {
+                                (loads[a] / shapes[a].speed)
+                                    .total_cmp(&(loads[b] / shapes[b].speed))
+                                    .then(a.cmp(&b))
+                            })
+                            .ok_or(does_not_fit)?;
+                        nodes[n].push(r);
+                        loads[n] += job.rank_loads[r];
+                    }
+                    nodes
+                }
+                PlacementStrategy::SmtAware | PlacementStrategy::NumaAware => {
+                    let numa = strategy == PlacementStrategy::NumaAware;
+                    let mut order: Vec<usize> = (0..job.ranks()).collect();
+                    order.sort_by(|&a, &b| {
+                        job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
+                    });
+                    let mut nodes: Vec<Vec<usize>> = vec![Vec::new(); num_nodes];
+                    for r in order {
+                        // Try the rank in every free slot of every node; keep the
+                        // assignment with the smallest resulting node time
+                        // (estimated under the local HPCSched), breaking ties
+                        // toward the emptier node to keep slots available.
+                        let mut best: Option<(f64, usize, usize)> = None; // (time, node, len)
+                        for (n, slots) in nodes.iter().enumerate() {
+                            if slots.len() >= slots_of[n] {
+                                continue;
+                            }
+                            let mut candidate = slots.clone();
+                            candidate.push(r);
+                            candidate.sort_by(|&a, &b| {
+                                job.rank_loads[b].total_cmp(&job.rank_loads[a])
+                            });
+                            let paired = slot_order(&candidate, &shapes[n]);
+                            let mut t = node_time_on(job, &paired, true, &shapes[n]);
+                            if numa {
+                                t *= numa_spread_penalty(paired.len(), &shapes[n]);
+                            }
+                            let key = (t, slots.len());
+                            if best.map(|(bt, _, bl)| key < (bt, bl)).unwrap_or(true) {
+                                best = Some((t, n, slots.len()));
+                            }
+                        }
+                        // The fit check above guarantees ranks ≤ total slots, so
+                        // some node still had a free slot: the error is unreachable.
+                        let (_, n, _) = best.ok_or(does_not_fit)?;
+                        nodes[n].push(r);
+                    }
+                    for (n, slots) in nodes.iter_mut().enumerate() {
+                        slots.sort_by(|&a, &b| job.rank_loads[b].total_cmp(&job.rank_loads[a]));
+                        *slots = slot_order(slots, &shapes[n]);
+                    }
+                    nodes
+                }
+            };
+            Ok(Placement { strategy, nodes })
+        }
+
+        fn slot_order(sorted: &[usize], shape: &NodeShape) -> Vec<usize> {
+            if shape.topology.max_smt_width() == 2 {
+                pair_heavy_light(sorted)
+            } else {
+                sorted.to_vec()
+            }
+        }
+
+        fn pair_heavy_light(sorted: &[usize]) -> Vec<usize> {
+            let mut out = Vec::with_capacity(sorted.len());
+            let mut lo = 0usize;
+            let mut hi = sorted.len();
+            while lo < hi {
+                out.push(sorted[lo]);
+                lo += 1;
+                if lo < hi {
+                    hi -= 1;
+                    out.push(sorted[hi]);
+                }
+            }
+            out
+        }
+    }
+
+    fn arb_load() -> impl Strategy<Value = f64> {
+        // A few fixed values make tied loads common.
+        prop_oneof![Just(0.1), Just(0.4), Just(0.25), 0.01f64..1.0]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 200, ..ProptestConfig::default() })]
+
+        /// The scratch-buffer search places every job exactly as the
+        /// reference does, for every strategy on uniform, preset and
+        /// mixed catalogs, with room for one extra node.
+        #[test]
+        fn place_on_equals_the_reference(
+            loads in proptest::collection::vec(arb_load(), 1..=40),
+            extra in 0usize..2,
+        ) {
+            let job = JobSpec::new("p", loads, 3);
+            let nodes = job.ranks().div_ceil(NODE_SLOTS) + extra;
+            let shapes = [FleetShape::Uniform, FleetShape::Mixed]
+                .into_iter()
+                .chain(TopoPreset::ALL.into_iter().map(FleetShape::Preset));
+            for shape in shapes {
+                let catalog = shape.catalog(nodes);
+                for strategy in [
+                    PlacementStrategy::RoundRobin,
+                    PlacementStrategy::GreedyLpt,
+                    PlacementStrategy::SmtAware,
+                    PlacementStrategy::NumaAware,
+                ] {
+                    prop_assert_eq!(
+                        place_on(&job, &catalog, strategy),
+                        reference::place_on(&job, &catalog, strategy),
+                        "{:?} on {}", strategy, shape.label()
+                    );
+                }
+            }
+        }
     }
 }

@@ -52,7 +52,8 @@
 //! stream are therefore the same simulation with the same `trace_hash`.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 use faultsim::{NodeFailSpec, TaskAbortSpec};
@@ -318,6 +319,92 @@ impl fmt::Display for BatchEvent {
     }
 }
 
+impl BatchEvent {
+    /// Append this event's trace line, newline included, to `out`: the
+    /// bytes `writeln!(out, "{self}")` would write, without the `fmt`
+    /// machinery. These bytes are the trace the engine hashes and
+    /// [`BatchOutcome::render_trace`] renders; the [`fmt::Display`] impl
+    /// stays as the reference they are property-tested against.
+    pub fn encode_line(&self, out: &mut Vec<u8>) {
+        let ns = event_time(self).as_nanos();
+        put_decimal(out, ns / 1_000_000_000);
+        out.push(b'.');
+        put_nanos(out, ns % 1_000_000_000);
+        match self {
+            BatchEvent::Submit { job, ranks, nodes, .. } => {
+                out.extend_from_slice(b" submit job=");
+                put_decimal(out, *job);
+                out.extend_from_slice(b" ranks=");
+                put_decimal(out, *ranks as u64);
+                out.extend_from_slice(b" nodes=");
+                put_decimal(out, *nodes as u64);
+            }
+            BatchEvent::Start { job, nodes, backfilled, .. } => {
+                out.extend_from_slice(b" start job=");
+                put_decimal(out, *job);
+                out.extend_from_slice(b" nodes=[");
+                for (i, &node) in nodes.iter().enumerate() {
+                    if i > 0 {
+                        out.extend_from_slice(b", ");
+                    }
+                    put_decimal(out, node as u64);
+                }
+                out.extend_from_slice(if *backfilled {
+                    b"] backfilled=true"
+                } else {
+                    b"] backfilled=false"
+                });
+            }
+            BatchEvent::Finish { job, .. } => {
+                out.extend_from_slice(b" finish job=");
+                put_decimal(out, *job);
+            }
+            BatchEvent::NodeFail { node, .. } => {
+                out.extend_from_slice(b" nodefail node=");
+                put_decimal(out, *node as u64);
+            }
+            BatchEvent::Requeue { job, remaining_iters, .. } => {
+                out.extend_from_slice(b" requeue job=");
+                put_decimal(out, *job);
+                out.extend_from_slice(b" remaining=");
+                put_decimal(out, u64::from(*remaining_iters));
+            }
+            BatchEvent::Degraded { job, reason, .. } => {
+                out.extend_from_slice(b" degraded job=");
+                put_decimal(out, *job);
+                out.extend_from_slice(b" reason=");
+                out.extend_from_slice(reason.as_bytes());
+            }
+        }
+        out.push(b'\n');
+    }
+}
+
+/// `v` in decimal, as `{v}` formats it.
+fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// `v < 10⁹` as nine zero-padded digits, as `{v:09}` formats it.
+fn put_nanos(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [b'0'; 9];
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
+    }
+    out.extend_from_slice(&digits);
+}
+
 fn event_time(e: &BatchEvent) -> SimTime {
     match e {
         BatchEvent::Submit { t, .. }
@@ -478,12 +565,17 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Render the event trace to text — the byte-identity artifact for
     /// determinism checks.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: `encode_line` writes ASCII digits and punctuation plus `&str` \
+                  degrade reasons, so the bytes are UTF-8 by construction."
+    )]
     pub fn render_trace(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         for e in &self.events {
-            let _ = writeln!(out, "{e}");
+            e.encode_line(&mut out);
         }
-        out
+        String::from_utf8(out).expect("trace lines are UTF-8")
     }
 
     pub fn conformance_clean(&self) -> bool {
@@ -529,7 +621,10 @@ type NodeResult = (f64, Option<Report>);
 /// segment runs only the nodes no earlier segment (and no earlier node of
 /// its own) has run, and runs just those. Both caches live
 /// and die with the engine: they are never shared between engines and
-/// never written into checkpoint images. A segment targeted by the
+/// never written into checkpoint images. So does the node catalog
+/// ([`FleetShape::catalog`]), built once and grown to the widest gang
+/// the engine has placed, which segments and node runs index into
+/// instead of rebuilding each node's shape. A segment targeted by the
 /// injected `taskabort` fault bypasses the node memo, so every one of its
 /// nodes runs (and retries) as if no memo existed; failed node outcomes
 /// are never memoised, but a repeat inside one segment shares its first
@@ -537,6 +632,9 @@ type NodeResult = (f64, Option<Report>);
 struct Oracle {
     cache: BTreeMap<(u64, u32), SegmentRun>,
     nodes: BTreeMap<NodeKey, NodeResult>,
+    /// Gang-local node shapes `0..len`; shared with the node runs, whose
+    /// supervised task must own what it reads.
+    catalog: Arc<Vec<NodeShape>>,
     sched: LocalSched,
     placement: PlacementStrategy,
     shape: FleetShape,
@@ -567,15 +665,17 @@ impl Oracle {
             return hit.clone();
         }
         let nodes_needed = spec.ranks().div_ceil(NODE_SLOTS);
-        let catalog = self.shape.catalog(nodes_needed);
+        if self.catalog.len() < nodes_needed {
+            self.catalog = Arc::new(self.shape.catalog(nodes_needed));
+        }
         #[expect(
             clippy::expect_used,
             reason = "INVARIANT: nodes_needed = ceil(ranks / NODE_SLOTS) always yields enough \
                       slots for every rank — every fleet shape offers at least NODE_SLOTS \
                       slots per node — so placement cannot fail here."
         )]
-        let placement =
-            place_on(spec, &catalog, self.placement).expect("sized allocation always fits");
+        let placement = place_on(spec, &self.catalog[..nodes_needed], self.placement)
+            .expect("sized allocation always fits");
         let abort = self.abort.filter(|a| a.job == key);
         let mut node_secs = Vec::with_capacity(placement.nodes.len());
         let mut reports = Vec::new();
@@ -645,7 +745,7 @@ impl Oracle {
         abort: Option<TaskAbortSpec>,
     ) -> Supervised<NodeResult> {
         let (sched, verify) = (self.sched, self.verify_jobs);
-        let shape = self.shape.node_shape(local);
+        let catalog = Arc::clone(&self.catalog);
         let abort_here = abort.filter(|a| a.node == local);
         let watchdog = self.policy.timeout.is_some();
         let task = move |attempt: u32| -> NodeResult {
@@ -671,7 +771,7 @@ impl Oracle {
                           registry policy by construction, so a node-run error is a \
                           simulator bug and panics here."
             )]
-            let run = run_node(&loads, iterations, sched, &shape, verify)
+            let run = run_node(&loads, iterations, sched, &catalog[local], verify)
                 .unwrap_or_else(|e| panic!("{e}"));
             let report = run
                 .trace
@@ -913,15 +1013,18 @@ pub(crate) struct EngineState {
     pub(crate) completions: u32,
     pub(crate) fault_armed: Option<BatchFault>,
     pub(crate) now: SimTime,
+    /// The trace line being hashed; kept so that emitting allocates
+    /// nothing. Never imaged.
+    line: Vec<u8>,
 }
 
 impl EngineState {
     /// Append one event to the trace.
     fn emit(&mut self, e: BatchEvent) {
+        self.line.clear();
+        e.encode_line(&mut self.line);
         let s = &mut self.summary;
-        let mut h = FnvWriter::resume(s.trace_hash);
-        let _ = writeln!(h, "{e}");
-        s.trace_hash = h.finish();
+        s.trace_hash = fnv1a_fold(s.trace_hash, &self.line);
         s.trace_len += 1;
         s.trace_max_t = s.trace_max_t.max(event_time(&e));
         if let Some(rec) = &mut self.recording {
@@ -978,6 +1081,7 @@ impl Engine {
         let oracle = Oracle {
             cache: BTreeMap::new(),
             nodes: BTreeMap::new(),
+            catalog: Arc::default(),
             sched: cfg.sched,
             placement: cfg.placement,
             shape: cfg.shape,
@@ -1014,6 +1118,7 @@ impl Engine {
             completions: 0,
             fault_armed: fault.filter(|f| f.node < self.cfg.num_nodes).copied(),
             now: SimTime::ZERO,
+            line: Vec::new(),
         };
         // A fault at zero completions hits an idle fleet before any
         // admission. This fires exactly once at start, so a checkpoint
@@ -1075,6 +1180,7 @@ impl Engine {
             completions: ckpt.completions,
             fault_armed: ckpt.fault_armed,
             now: ckpt.now,
+            line: Vec::new(),
         };
         (eng, st)
     }
@@ -1700,5 +1806,69 @@ mod tests {
         let faulted = run_batch(&stream, &cfg, Some(&f));
         assert!(faulted.failed_nodes.is_empty());
         assert_eq!(faulted.render_trace(), run_batch(&stream, &cfg, None).render_trace());
+    }
+
+    /// Timestamps the encoder must render like `{}.{:09}`: zero, either
+    /// side of whole seconds, and the far end of the clock.
+    fn arb_time() -> impl proptest::strategy::Strategy<Value = SimTime> {
+        use proptest::prelude::*;
+        let near_second = (0u64..1_000_000, prop_oneof![Just(0u64), Just(1), Just(999_999_999)])
+            .prop_map(|(s, ns)| s * 1_000_000_000 + ns);
+        prop_oneof![Just(0u64), Just(u64::MAX), near_second, any::<u64>()]
+            .prop_map(|ns| SimTime::ZERO + SimDuration::from_nanos(ns))
+    }
+
+    fn arb_id() -> impl proptest::strategy::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()]
+    }
+
+    fn arb_event() -> impl proptest::strategy::Strategy<Value = BatchEvent> {
+        use proptest::prelude::*;
+        // Every reason `degrade` is ever given.
+        let reason = prop_oneof![
+            Just("unplaceable"),
+            Just("retries-exhausted"),
+            Just("task-quarantined"),
+            Just("task-timeout"),
+        ];
+        let size = || prop_oneof![Just(0usize), Just(usize::MAX), any::<usize>()];
+        prop_oneof![
+            (arb_time(), arb_id(), size(), size())
+                .prop_map(|(t, job, ranks, nodes)| BatchEvent::Submit { t, job, ranks, nodes }),
+            (arb_time(), arb_id(), proptest::collection::vec(size(), 0..40), any::<bool>())
+                .prop_map(|(t, job, nodes, backfilled)| BatchEvent::Start {
+                    t,
+                    job,
+                    nodes,
+                    backfilled
+                }),
+            (arb_time(), arb_id()).prop_map(|(t, job)| BatchEvent::Finish { t, job }),
+            (arb_time(), size()).prop_map(|(t, node)| BatchEvent::NodeFail { t, node }),
+            (arb_time(), arb_id(), any::<u32>()).prop_map(|(t, job, remaining_iters)| {
+                BatchEvent::Requeue { t, job, remaining_iters }
+            }),
+            (arb_time(), arb_id(), reason)
+                .prop_map(|(t, job, reason)| BatchEvent::Degraded { t, job, reason }),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 2_000,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// The byte encoder writes exactly what `Display` does, line by
+        /// line, so the trace hash and the rendered trace are unchanged.
+        #[test]
+        fn encoder_matches_display(e in arb_event()) {
+            let mut out = b"prefix\n".to_vec();
+            e.encode_line(&mut out);
+            proptest::prop_assert_eq!(
+                String::from_utf8(out).unwrap(),
+                format!("prefix\n{e}\n")
+            );
+        }
     }
 }

@@ -1,4 +1,5 @@
-//! Allocation gate for the fixed cost of a node run.
+//! Allocation gates for the fixed costs of a batch study: a node run, a
+//! placement, and a whole 200-job run.
 //!
 //! A batch study runs hundreds of short node kernels, each built, run for
 //! a few dozen events and dropped, so what a kernel allocates to exist is
@@ -8,7 +9,10 @@
 //! (names in one shared string, counter cells in shared slabs), the RT
 //! class builds its priority FIFOs only at the first RT enqueue, and the
 //! builder moves the node's topology into the chip instead of cloning it
-//! next to a default one.
+//! next to a default one, and a barrier generation reuses a completed
+//! one's vectors. Around the node runs, the batch engine builds its node
+//! catalog once, the SMT-aware placement search reuses two vectors for
+//! every candidate, and each trace line is encoded into one reused buffer.
 //!
 //! A counting global allocator counts allocations per thread, so tests
 //! that run in parallel do not disturb each other. Each count is taken
@@ -17,7 +21,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use batchsim::{run_node, LocalSched, NodeShape};
+use batchsim::{
+    heavy_light_mix, place_on, run_batch, run_node, BatchConfig, Discipline, FleetShape,
+    LocalSched, NodeShape, PlacementStrategy,
+};
 use schedsim::KernelBuilder;
 use telemetry::MetricsRegistry;
 
@@ -72,10 +79,11 @@ fn a_short_node_run_allocates_a_bounded_few_times() {
     let node = || run_node(&[0.02, 0.03], 2, LocalSched::Hpc, &shape, false).expect("valid node");
     node();
     let n = allocations(node);
-    // 57 as written; 125 when every metric name, counter and RT priority
-    // FIFO was an allocation of its own and a default topology was built
-    // and dropped.
-    assert!(n <= 75, "run_node made {n} allocations");
+    // 56 as written: 58 when every barrier generation allocated its own
+    // arrival and pending vectors and map entry, 125 when every metric
+    // name, counter and RT priority FIFO was an allocation of its own and
+    // a default topology was built and dropped.
+    assert!(n <= 56, "run_node made {n} allocations");
 }
 
 #[test]
@@ -116,4 +124,48 @@ fn registering_twice_the_counters_allocates_a_constant_more() {
         two <= one + 6,
         "1,000 counters: {one} allocations, 2,000: {two}"
     );
+}
+
+/// Allocations to place every job of the 200-job study on the uniform
+/// catalog, as the batch oracle places a segment.
+#[test]
+fn placing_the_batch_study_allocates_per_job_not_per_candidate() {
+    let jobs = heavy_light_mix(2008, 200);
+    let widest = jobs.iter().map(|j| j.nodes_needed()).max().unwrap();
+    let catalog = FleetShape::Uniform.catalog(widest);
+    let place_all = || {
+        for job in &jobs {
+            let nodes = &catalog[..job.nodes_needed()];
+            let placed = place_on(&job.spec, nodes, PlacementStrategy::SmtAware);
+            drop(placed.expect("a sized catalog fits"));
+        }
+    };
+    place_all();
+    let n = allocations(place_all);
+    // 1,290 as written; 6,296 when the SMT-aware search allocated a
+    // sorted and a paired copy of a node's ranks for every rank × node
+    // candidate.
+    assert!(n <= 1_400, "placing 200 jobs made {n} allocations");
+}
+
+/// Allocations of one 200-job `run_batch` per discipline: node kernels,
+/// placement, the trace and the recording together.
+#[test]
+fn a_batch_study_run_allocates_a_bounded_few_times() {
+    let jobs = heavy_light_mix(2008, 200);
+    let run = |discipline: Discipline| {
+        let cfg = BatchConfig { discipline, ..BatchConfig::default() };
+        allocations(|| run_batch(&jobs, &cfg, None))
+    };
+    run(Discipline::Fcfs);
+    // 14,678, 15,332 and 15,143 as written; 21,999, 22,653 and 22,464 when
+    // every segment rebuilt its node catalog, every placement candidate
+    // and trace line allocated, and every barrier generation allocated
+    // its own vectors.
+    let bounds =
+        [(Discipline::Fcfs, 15_000), (Discipline::Sjf, 15_700), (Discipline::Easy, 15_500)];
+    for (discipline, bound) in bounds {
+        let n = run(discipline);
+        assert!(n <= bound, "{discipline:?}: run_batch made {n} allocations");
+    }
 }

@@ -24,7 +24,9 @@
 //! * `--ckpt-smoke` — crash/resume self-test: checkpoint every discipline
 //!   at several cuts, reload through the store (honoring `ckptcorrupt:`),
 //!   and require the resumed traces to be byte-identical (`--policy`
-//!   runs it on that zoo policy instead of HPCSched);
+//!   runs it on that zoo policy instead of HPCSched). The store goes to
+//!   `--checkpoint <dir>` if given, else to a temporary directory that is
+//!   removed when the smoke ends, whether it passed or failed;
 //! * `--fleet-shape <spec>` — run the fleet on non-reference hardware:
 //!   `uniform` (default; the reference OpenPower 710 node), a topology
 //!   preset (`2-socket`, `numa`, `wide-smt`), or `mixed` (a heterogeneous
@@ -446,11 +448,22 @@ fn main() {
 
     if flags.switch("--ckpt-smoke") {
         let corrupt = flags.faults.as_ref().and_then(|p| p.ckpt_corrupt);
+        let scratch = flags.value("--checkpoint").is_none();
         let dir = flags.value("--checkpoint").map_or_else(
             || std::env::temp_dir().join(format!("batch-ckpt-{}", std::process::id())),
             PathBuf::from,
         );
-        if ckpt_smoke(&flags, seed, sup, corrupt, &dir) {
+        let failed = ckpt_smoke(&flags, seed, sup, corrupt, &dir);
+        // Stores the caller did not ask to keep go, pass or fail.
+        if scratch {
+            match std::fs::remove_dir_all(&dir) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    eprintln!("batch ckpt-smoke: cannot remove {}: {e}", dir.display());
+                }
+                _ => {}
+            }
+        }
+        if failed {
             eprintln!("batch ckpt-smoke: FAILED");
             std::process::exit(1);
         }

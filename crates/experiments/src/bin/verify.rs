@@ -10,6 +10,9 @@
 //! run without faultsim wired in; a heavily faulted run must still be
 //! deterministic; and a batch node failure must be absorbed or degrade
 //! gracefully. The measured fault baseline lands in `BENCH_faults.json`.
+//!
+//! Every section runs fixed cells, so `--faults`, `--policy` and
+//! `--topology` are usage errors (exit 2), as unknown arguments are.
 
 use std::fmt::Write as _;
 
@@ -90,9 +93,12 @@ fn check_trace_baseline(path: &std::path::Path, got: &[String]) -> Result<(), St
 
 fn main() {
     const SEED: u64 = 2008;
-    // The harness takes no flag that changes it; parsing still rejects
-    // unknown arguments with a usage error.
-    CliFlags::from_env();
+    // The harness takes no flag that changes it: unknown arguments and
+    // the run-shaping standard flags are usage errors.
+    if let Err(e) = CliFlags::from_env().reject_run_flags("verify") {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 
     let wl = small_metbench();
     let mut failed = false;

@@ -177,6 +177,24 @@ impl CliFlags {
         raw.parse().map(Some).map_err(|_| format!("{name} wants an integer, got `{raw}`"))
     }
 
+    /// Refuse `--faults`, `--policy` and `--topology` for a binary whose
+    /// runs are fixed and would otherwise ignore them: the error names the
+    /// first one given, so a caller never mistakes the default run for the
+    /// one asked for. The binary reports it as a usage error (exit 2).
+    pub fn reject_run_flags(&self, bin: &str) -> Result<(), String> {
+        let given = [
+            ("--faults", self.faults.is_some()),
+            ("--policy", self.policy.is_some()),
+            ("--topology", self.topology.is_some()),
+        ];
+        match given.into_iter().find(|&(_, given)| given) {
+            Some((flag, _)) => {
+                Err(format!("{bin}: {flag} is not supported; the {bin} runs are fixed"))
+            }
+            None => Ok(()),
+        }
+    }
+
     /// The experiment modes this invocation asks for: `modes` (the bin's
     /// standard cells) as-is without `--policy`, or the baseline plus the
     /// selected policy with it — so every bin gets the policy axis without
@@ -294,6 +312,22 @@ mod tests {
         let err = CliFlags::parse(&strs(&["--threads", "4"])).unwrap_err();
         assert!(err.contains("unknown argument \"--threads\""), "{err}");
         assert!(!err.contains("--threads <"), "usage no longer lists it: {err}");
+    }
+
+    #[test]
+    fn a_fixed_binary_rejects_the_run_flags() {
+        let ok = CliFlags::parse(&strs(&["--telemetry", "--verify"])).unwrap();
+        assert_eq!(ok.reject_run_flags("verify"), Ok(()));
+        for (args, flag) in [
+            (&["--policy", "gss"][..], "--policy"),
+            (&["--topology", "numa"], "--topology"),
+            (&["--faults", "seed=7; slow:rank=1,at=100ms,factor=0.5"], "--faults"),
+            (&["--verify", "--topology", "numa", "--policy", "gss"], "--policy"),
+        ] {
+            let flags = CliFlags::parse(&strs(args)).unwrap();
+            let err = flags.reject_run_flags("verify").unwrap_err();
+            assert!(err.contains(flag) && err.contains("not supported"), "{args:?}: {err}");
+        }
     }
 
     #[test]

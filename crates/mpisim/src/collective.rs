@@ -17,7 +17,6 @@ use crate::config::MpiConfig;
 use crate::world::Rank;
 use schedsim::{KernelApi, WaitToken};
 use simcore::SimTime;
-use std::collections::BTreeMap;
 
 /// The collective operations the substrate models.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,6 +41,9 @@ impl CollectiveOp {
 }
 
 struct GenState {
+    /// The generation this state tracks; `None` once it has completed,
+    /// when the state waits to be reused by a later generation.
+    gen: Option<u64>,
     op: CollectiveOp,
     arrivals: Vec<Option<SimTime>>,
     /// Ranks whose completion is deferred until a condition resolves.
@@ -54,12 +56,15 @@ pub struct Collectives {
     size: usize,
     /// Next generation index per rank.
     next_gen: Vec<u64>,
-    states: BTreeMap<u64, GenState>,
+    /// The open generations, and the completed ones whose vectors a new
+    /// generation reuses: as many states as generations were ever open at
+    /// once, which is a handful, so lookups scan.
+    states: Vec<GenState>,
 }
 
 impl Collectives {
     pub fn new(size: usize) -> Self {
-        Collectives { size, next_gen: vec![0; size], states: BTreeMap::new() }
+        Collectives { size, next_gen: vec![0; size], states: Vec::new() }
     }
 
     /// Rank `rank` arrives at its next collective, which must be `op`.
@@ -76,12 +81,11 @@ impl Collectives {
         let gen = self.next_gen[rank];
         self.next_gen[rank] += 1;
         let size = self.size;
-        let state = self.states.entry(gen).or_insert_with(|| GenState {
-            op,
-            arrivals: vec![None; size],
-            pending: Vec::new(),
-            arrived_count: 0,
-        });
+        let slot = match self.states.iter().position(|s| s.gen == Some(gen)) {
+            Some(open) => open,
+            None => self.open(gen, op),
+        };
+        let state = &mut self.states[slot];
         assert_eq!(
             state.op, op,
             "collective mismatch at generation {gen}: rank {rank} issued {op:?}, others {:?}",
@@ -131,7 +135,7 @@ impl Collectives {
                 debug_assert!(state.op.waits_for_all(r) || matches!(op, CollectiveOp::Bcast { .. }));
                 api.signal_at(release.max(now), tok);
             }
-            self.states.remove(&gen);
+            state.gen = None;
         } else if let CollectiveOp::Bcast { root } = op {
             if rank == root {
                 // Root just arrived: release all waiting receivers.
@@ -144,17 +148,39 @@ impl Collectives {
         token
     }
 
+    /// Start tracking generation `gen` in the state of a completed one, or
+    /// in a new state when every state is open; returns its index.
+    fn open(&mut self, gen: u64, op: CollectiveOp) -> usize {
+        let slot = self.states.iter().position(|s| s.gen.is_none()).unwrap_or_else(|| {
+            self.states.push(GenState {
+                gen: None,
+                op,
+                arrivals: Vec::new(),
+                pending: Vec::new(),
+                arrived_count: 0,
+            });
+            self.states.len() - 1
+        });
+        let state = &mut self.states[slot];
+        state.gen = Some(gen);
+        state.op = op;
+        state.arrivals.clear();
+        state.arrivals.resize(self.size, None);
+        state.arrived_count = 0;
+        slot
+    }
+
     /// Abort support: signal every deferred rank at `now` and drop all
     /// in-progress generations. Ranks wake, observe the abort flag upstream
     /// and exit; no collective can complete normally after this.
     pub(crate) fn release_all(&mut self, api: &mut KernelApi<'_>) {
         let now = api.now();
-        for state in self.states.values_mut() {
+        for state in &mut self.states {
             for (_, tok) in state.pending.drain(..) {
                 api.signal_at(now, tok);
             }
+            state.gen = None;
         }
-        self.states.clear();
     }
 }
 
@@ -204,6 +230,27 @@ mod tests {
         let t1b = c.arrive(&mut m.api(), 1, CollectiveOp::Barrier, 0, &cfg());
         assert!(signal_time(&m, t0b).is_some());
         assert!(signal_time(&m, t1b).is_some());
+    }
+
+    #[test]
+    fn completed_generations_are_reused() {
+        let mut c = Collectives::new(2);
+        let mut m = MockApi::new();
+        for _ in 0..50 {
+            let _ = c.arrive(&mut m.api(), 0, CollectiveOp::Barrier, 0, &cfg());
+            let _ = c.arrive(&mut m.api(), 1, CollectiveOp::Barrier, 0, &cfg());
+        }
+        assert_eq!(c.states.len(), 1, "one generation open at a time needs one state");
+        // A non-root leaves a reduce early and opens the next generation
+        // while the first is still open: two states, then reused.
+        for _ in 0..10 {
+            let _ = c.arrive(&mut m.api(), 1, CollectiveOp::Reduce { root: 0 }, 8, &cfg());
+            let _ = c.arrive(&mut m.api(), 1, CollectiveOp::Barrier, 0, &cfg());
+            let _ = c.arrive(&mut m.api(), 0, CollectiveOp::Reduce { root: 0 }, 8, &cfg());
+            let _ = c.arrive(&mut m.api(), 0, CollectiveOp::Barrier, 0, &cfg());
+        }
+        assert_eq!(c.states.len(), 2);
+        assert!(c.states.iter().all(|s| s.gen.is_none()), "every generation completed");
     }
 
     #[test]

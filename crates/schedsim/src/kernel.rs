@@ -74,6 +74,15 @@ pub struct SpawnOptions {
     pub hw_prio: Option<HwPriority>,
 }
 
+/// One task for [`Kernel::try_spawn_all`]: the arguments of
+/// [`Kernel::spawn`] as one value.
+pub struct NewTask {
+    pub name: String,
+    pub policy: SchedPolicy,
+    pub program: Box<dyn Program>,
+    pub opts: SpawnOptions,
+}
+
 /// Hot-path metric handles, registered once at kernel construction so
 /// recording is a relaxed atomic op with no registry lookup. The per-event
 /// counts, ticks and context switches, and the two per-pick histograms are
@@ -319,7 +328,8 @@ impl Kernel {
 
     /// Fallible [`Kernel::spawn`]: rejects a policy no installed class
     /// handles and an affinity mask that excludes every CPU, without
-    /// touching kernel state.
+    /// touching kernel state. It is [`Kernel::try_spawn_all`] with one
+    /// task.
     pub fn try_spawn(
         &mut self,
         name: impl Into<String>,
@@ -327,21 +337,52 @@ impl Kernel {
         program: Box<dyn Program>,
         opts: SpawnOptions,
     ) -> Result<TaskId, SchedError> {
-        let spawned = self.spawn_task(name.into(), policy, program, opts);
-        self.publish_counters();
-        spawned
+        let task = NewTask { name: name.into(), policy, program, opts };
+        // One task in, one id out.
+        Ok(self.try_spawn_all(vec![task])?[0])
     }
 
-    fn spawn_task(
-        &mut self,
-        name: String,
-        policy: SchedPolicy,
-        program: Box<dyn Program>,
-        opts: SpawnOptions,
-    ) -> Result<TaskId, SchedError> {
+    /// Spawn a gang: validate every task, create them all and make them
+    /// runnable in order, then settle once. Each task is placed as
+    /// [`Kernel::spawn`] places it, counting the gang's earlier tasks, and
+    /// nothing runs until the last is queued: every task's `Spawn` and
+    /// `Runnable` records come before the first `Running` one. Returns the
+    /// ids in `tasks` order.
+    ///
+    /// # Errors
+    /// The first task's error, if any task names a policy no installed
+    /// class handles or has an affinity mask that excludes every CPU; the
+    /// kernel is then left untouched.
+    pub fn try_spawn_all(&mut self, tasks: Vec<NewTask>) -> Result<Vec<TaskId>, SchedError> {
         // Validate everything before mutating: a rejected spawn must leave
         // no trace records, queue entries, or task slots behind.
-        let class = self.try_class_of_policy(policy)?;
+        for task in &tasks {
+            self.try_class_of_policy(task.policy)?;
+            let ncpus = self.cpus.len();
+            let placeable = match &task.opts.affinity {
+                None => ncpus > 0,
+                Some(mask) => mask.iter().any(|cpu| cpu.0 < ncpus),
+            };
+            if !placeable {
+                return Err(SchedError::UnschedulableAffinity { task: task.name.clone() });
+            }
+        }
+        let ids = tasks.into_iter().map(|task| self.enqueue_new(task)).collect();
+        self.settle();
+        self.publish_counters();
+        Ok(ids)
+    }
+
+    /// Create one validated task and queue it on its CPU, without
+    /// settling.
+    #[expect(
+        clippy::expect_used,
+        reason = "INVARIANT: try_spawn_all checked that the affinity mask allows a CPU of this \
+                  kernel, which is exactly when least_loaded_cpu finds one."
+    )]
+    fn enqueue_new(&mut self, new: NewTask) -> TaskId {
+        let NewTask { name, policy, program, opts } = new;
+        let class = self.class_of_policy(policy);
         let id = TaskId(self.tasks.len());
         let mut task = Task::new(id, name, policy, program, self.now);
         task.nice = opts.nice;
@@ -353,9 +394,7 @@ impl Kernel {
         if let Some(hp) = opts.hw_prio {
             task.hw_prio = hp;
         }
-        let Some(cpu) = self.least_loaded_cpu(&task) else {
-            return Err(SchedError::UnschedulableAffinity { task: task.name.clone() });
-        };
+        let cpu = self.least_loaded_cpu(&task).expect("validated affinity allows a CPU");
         if !self.observers.is_empty() {
             self.emit(id, TraceEvent::Spawn { name: task.name.clone() });
         }
@@ -366,8 +405,7 @@ impl Kernel {
         self.tasks[id.0].last_state_change = self.now;
         self.emit(id, TraceEvent::State { state: TaskState::Runnable, cpu: Some(cpu) });
         self.check_preempt(cpu, id);
-        self.settle();
-        Ok(id)
+        id
     }
 
     /// `None` when the task's affinity mask excludes every CPU.
@@ -1326,7 +1364,7 @@ impl Kernel {
     #[expect(
         clippy::panic,
         reason = "INVARIANT: only reached for policies of already-spawned tasks, which \
-                  try_spawn validated against the installed classes."
+                  try_spawn_all validated against the installed classes."
     )]
     fn class_of_policy(&self, policy: SchedPolicy) -> usize {
         self.try_class_of_policy(policy).unwrap_or_else(|e| panic!("{e}"))

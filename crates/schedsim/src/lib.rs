@@ -62,7 +62,7 @@ pub use classes::{BalancedClass, HpcPolicyKind};
 pub use config::{CfsTunables, KernelConfig, NoiseConfig};
 pub use error::SchedError;
 pub use fault::FaultEvent;
-pub use kernel::{Kernel, SpawnOptions};
+pub use kernel::{Kernel, NewTask, SpawnOptions};
 pub use policy::SchedPolicy;
 pub use program::{Action, KernelApi, Program, WaitToken, Work};
 pub use task::{Task, TaskId, TaskState};

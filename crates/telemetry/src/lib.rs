@@ -384,10 +384,59 @@ impl MetricsSnapshot {
     }
 }
 
-/// FNV-1a of a metric name: the registry's lookup key.
+/// A hash of a metric name, the registry's lookup key, taken eight bytes
+/// at a time. Only lookups read it: snapshots sort by name.
 fn name_hash(name: &str) -> u64 {
-    name.bytes()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut words = name.as_bytes().chunks_exact(8);
+    let mut h = name.len() as u64;
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(word));
+    }
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(tail))
+}
+
+/// A metric name: a string, or [`format_args!`] that writes one. A plain
+/// string is copied into the registry as it is; only a name with
+/// arguments goes through [`fmt`].
+pub trait MetricName: fmt::Display {
+    /// Append the name to `out`.
+    fn write_name(&self, out: &mut String);
+}
+
+impl MetricName for str {
+    fn write_name(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl MetricName for String {
+    fn write_name(&self, out: &mut String) {
+        out.push_str(self);
+    }
+}
+
+impl MetricName for fmt::Arguments<'_> {
+    fn write_name(&self, out: &mut String) {
+        match self.as_str() {
+            Some(plain) => out.push_str(plain),
+            // Writing into a `String` cannot fail.
+            None => {
+                let _ = out.write_fmt(*self);
+            }
+        }
+    }
+}
+
+impl<T: MetricName + ?Sized> MetricName for &T {
+    fn write_name(&self, out: &mut String) {
+        (**self).write_name(out);
+    }
 }
 
 /// What a registered name refers to: a counter's or gauge's cell, by slab
@@ -454,10 +503,9 @@ impl Default for Store {
 impl Store {
     /// The metric called `name`, made by `make` if no metric has that name
     /// yet.
-    fn register(&mut self, name: &dyn fmt::Display, make: fn(&mut Store) -> Metric) -> &Metric {
+    fn register(&mut self, name: &dyn MetricName, make: fn(&mut Store) -> Metric) -> &Metric {
         let start = self.names.len();
-        // Writing into a `String` cannot fail.
-        let _ = write!(self.names, "{name}");
+        name.write_name(&mut self.names);
         let new = &self.names[start..];
         let hash = name_hash(new);
         let at = self.by_hash.partition_point(|&(h, _)| h < hash);
@@ -514,28 +562,28 @@ impl Store {
 /// Registers metrics while holding the registry's lock; see
 /// [`MetricsRegistry::register`]. Each method registers (or retrieves)
 /// one metric and panics if its name is already registered as a
-/// different kind. A name may be any [`fmt::Display`]; [`format_args!`]
-/// builds one without allocating.
+/// different kind. A name is a [`MetricName`]: a string, or
+/// [`format_args!`], which builds one without allocating.
 pub struct Registrar<'a> {
     store: MutexGuard<'a, Store>,
 }
 
 impl Registrar<'_> {
-    pub fn counter(&mut self, name: impl fmt::Display) -> Counter {
+    pub fn counter(&mut self, name: impl MetricName) -> Counter {
         match *self.store.register(&name, |s| Metric::Counter(s.place())) {
             Metric::Counter(at) => Counter { cell: self.store.cell(at) },
             _ => panic!("metric `{name}` already registered with a different kind"),
         }
     }
 
-    pub fn gauge(&mut self, name: impl fmt::Display) -> Gauge {
+    pub fn gauge(&mut self, name: impl MetricName) -> Gauge {
         match *self.store.register(&name, |s| Metric::Gauge(s.place())) {
             Metric::Gauge(at) => Gauge { cell: self.store.cell(at) },
             _ => panic!("metric `{name}` already registered with a different kind"),
         }
     }
 
-    pub fn histogram(&mut self, name: impl fmt::Display) -> HistogramHandle {
+    pub fn histogram(&mut self, name: impl MetricName) -> HistogramHandle {
         match self.store.register(&name, |_| Metric::Histogram(HistogramHandle::default())) {
             Metric::Histogram(h) => h.clone(),
             _ => panic!("metric `{name}` already registered with a different kind"),
@@ -566,17 +614,17 @@ impl MetricsRegistry {
     /// Registers (or retrieves) the counter called `name`.
     ///
     /// Panics if `name` is already registered as a different metric kind.
-    pub fn counter(&self, name: impl fmt::Display) -> Counter {
+    pub fn counter(&self, name: impl MetricName) -> Counter {
         self.register(|r| r.counter(name))
     }
 
     /// Registers (or retrieves) the gauge called `name`.
-    pub fn gauge(&self, name: impl fmt::Display) -> Gauge {
+    pub fn gauge(&self, name: impl MetricName) -> Gauge {
         self.register(|r| r.gauge(name))
     }
 
     /// Registers (or retrieves) the histogram called `name`.
-    pub fn histogram(&self, name: impl fmt::Display) -> HistogramHandle {
+    pub fn histogram(&self, name: impl MetricName) -> HistogramHandle {
         self.register(|r| r.histogram(name))
     }
 
