@@ -149,12 +149,13 @@ pub fn core_time(a: Option<f64>, b: Option<f64>, hpc: bool) -> f64 {
 /// contexts each get the k=3 decode-sharing throughput `3/(n+2)` (the
 /// Table-I curve at share `1/n`), so the core finishes with its heaviest
 /// load at that speed. Idle contexts snooze (no decode pressure).
-pub fn wide_core_time(loads: &[f64]) -> f64 {
-    if loads.is_empty() {
+pub fn wide_core_time(loads: impl IntoIterator<Item = f64>) -> f64 {
+    let (busy, heaviest) =
+        loads.into_iter().fold((0usize, 0.0_f64), |(n, max), l| (n + 1, max.max(l)));
+    if busy == 0 {
         return 0.0;
     }
-    let heaviest = loads.iter().cloned().fold(0.0_f64, f64::max);
-    heaviest * (loads.len() as f64 + 2.0) / 3.0
+    heaviest * (busy as f64 + 2.0) / 3.0
 }
 
 /// Estimated per-iteration completion of a node of `shape` given its slot
@@ -172,18 +173,7 @@ pub fn node_time_on(job: &JobSpec, slots: &[usize], hpc: bool, shape: &NodeShape
         let t = match width {
             1 => core_time(load(base), None, hpc),
             2 => core_time(load(base), load(base + 1), hpc),
-            _ => {
-                // `wide_core_time` over the busy contexts, without
-                // collecting them.
-                let (busy, heaviest) = (0..width)
-                    .filter_map(|i| load(base + i))
-                    .fold((0usize, 0.0_f64), |(n, max), l| (n + 1, max.max(l)));
-                if busy == 0 {
-                    0.0
-                } else {
-                    heaviest * (busy as f64 + 2.0) / 3.0
-                }
-            }
+            _ => wide_core_time((0..width).filter_map(|i| load(base + i))),
         };
         worst = worst.max(t);
         base += width;
@@ -433,11 +423,11 @@ mod tests {
 
     #[test]
     fn wide_core_equal_share_model() {
-        assert_eq!(wide_core_time(&[]), 0.0);
+        assert_eq!(wide_core_time([]), 0.0);
         // Solo context on a snoozing wide core runs at full speed.
-        assert!((wide_core_time(&[0.3]) - 0.3).abs() < 1e-12);
+        assert!((wide_core_time([0.3]) - 0.3).abs() < 1e-12);
         // 4 busy contexts at 3/(4+2) = 0.5 each: heaviest 0.4 takes 0.8.
-        assert!((wide_core_time(&[0.4, 0.1, 0.1, 0.1]) - 0.8).abs() < 1e-12);
+        assert!((wide_core_time([0.4, 0.1, 0.1, 0.1]) - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -553,7 +543,7 @@ mod tests {
                     2 => core_time(load(base), load(base + 1), hpc),
                     _ => {
                         let busy: Vec<f64> = (0..width).filter_map(|i| load(base + i)).collect();
-                        wide_core_time(&busy)
+                        wide_core_time(busy.iter().copied())
                     }
                 };
                 worst = worst.max(t);

@@ -325,63 +325,63 @@ impl BatchEvent {
     /// machinery. These bytes are the trace the engine hashes and
     /// [`BatchOutcome::render_trace`] renders; the [`fmt::Display`] impl
     /// stays as the reference they are property-tested against.
-    pub fn encode_line(&self, out: &mut Vec<u8>) {
+    pub fn encode_line(&self, out: &mut String) {
         let ns = event_time(self).as_nanos();
         put_decimal(out, ns / 1_000_000_000);
-        out.push(b'.');
+        out.push('.');
         put_nanos(out, ns % 1_000_000_000);
         match self {
             BatchEvent::Submit { job, ranks, nodes, .. } => {
-                out.extend_from_slice(b" submit job=");
+                out.push_str(" submit job=");
                 put_decimal(out, *job);
-                out.extend_from_slice(b" ranks=");
+                out.push_str(" ranks=");
                 put_decimal(out, *ranks as u64);
-                out.extend_from_slice(b" nodes=");
+                out.push_str(" nodes=");
                 put_decimal(out, *nodes as u64);
             }
             BatchEvent::Start { job, nodes, backfilled, .. } => {
-                out.extend_from_slice(b" start job=");
+                out.push_str(" start job=");
                 put_decimal(out, *job);
-                out.extend_from_slice(b" nodes=[");
+                out.push_str(" nodes=[");
                 for (i, &node) in nodes.iter().enumerate() {
                     if i > 0 {
-                        out.extend_from_slice(b", ");
+                        out.push_str(", ");
                     }
                     put_decimal(out, node as u64);
                 }
-                out.extend_from_slice(if *backfilled {
-                    b"] backfilled=true"
+                out.push_str(if *backfilled {
+                    "] backfilled=true"
                 } else {
-                    b"] backfilled=false"
+                    "] backfilled=false"
                 });
             }
             BatchEvent::Finish { job, .. } => {
-                out.extend_from_slice(b" finish job=");
+                out.push_str(" finish job=");
                 put_decimal(out, *job);
             }
             BatchEvent::NodeFail { node, .. } => {
-                out.extend_from_slice(b" nodefail node=");
+                out.push_str(" nodefail node=");
                 put_decimal(out, *node as u64);
             }
             BatchEvent::Requeue { job, remaining_iters, .. } => {
-                out.extend_from_slice(b" requeue job=");
+                out.push_str(" requeue job=");
                 put_decimal(out, *job);
-                out.extend_from_slice(b" remaining=");
+                out.push_str(" remaining=");
                 put_decimal(out, u64::from(*remaining_iters));
             }
             BatchEvent::Degraded { job, reason, .. } => {
-                out.extend_from_slice(b" degraded job=");
+                out.push_str(" degraded job=");
                 put_decimal(out, *job);
-                out.extend_from_slice(b" reason=");
-                out.extend_from_slice(reason.as_bytes());
+                out.push_str(" reason=");
+                out.push_str(reason);
             }
         }
-        out.push(b'\n');
+        out.push('\n');
     }
 }
 
 /// `v` in decimal, as `{v}` formats it.
-fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
+fn put_decimal(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
     loop {
@@ -392,17 +392,17 @@ fn put_decimal(out: &mut Vec<u8>, mut v: u64) {
             break;
         }
     }
-    out.extend_from_slice(&digits[at..]);
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 /// `v < 10⁹` as nine zero-padded digits, as `{v:09}` formats it.
-fn put_nanos(out: &mut Vec<u8>, mut v: u64) {
+fn put_nanos(out: &mut String, mut v: u64) {
     let mut digits = [b'0'; 9];
     for d in digits.iter_mut().rev() {
         *d = b'0' + (v % 10) as u8;
         v /= 10;
     }
-    out.extend_from_slice(&digits);
+    out.extend(digits.iter().map(|&d| char::from(d)));
 }
 
 fn event_time(e: &BatchEvent) -> SimTime {
@@ -565,17 +565,12 @@ pub struct BatchOutcome {
 impl BatchOutcome {
     /// Render the event trace to text — the byte-identity artifact for
     /// determinism checks.
-    #[expect(
-        clippy::expect_used,
-        reason = "INVARIANT: `encode_line` writes ASCII digits and punctuation plus `&str` \
-                  degrade reasons, so the bytes are UTF-8 by construction."
-    )]
     pub fn render_trace(&self) -> String {
-        let mut out = Vec::new();
+        let mut out = String::new();
         for e in &self.events {
             e.encode_line(&mut out);
         }
-        String::from_utf8(out).expect("trace lines are UTF-8")
+        out
     }
 
     pub fn conformance_clean(&self) -> bool {
@@ -1015,7 +1010,7 @@ pub(crate) struct EngineState {
     pub(crate) now: SimTime,
     /// The trace line being hashed; kept so that emitting allocates
     /// nothing. Never imaged.
-    line: Vec<u8>,
+    line: String,
 }
 
 impl EngineState {
@@ -1024,7 +1019,7 @@ impl EngineState {
         self.line.clear();
         e.encode_line(&mut self.line);
         let s = &mut self.summary;
-        s.trace_hash = fnv1a_fold(s.trace_hash, &self.line);
+        s.trace_hash = fnv1a_fold(s.trace_hash, self.line.as_bytes());
         s.trace_len += 1;
         s.trace_max_t = s.trace_max_t.max(event_time(&e));
         if let Some(rec) = &mut self.recording {
@@ -1118,7 +1113,7 @@ impl Engine {
             completions: 0,
             fault_armed: fault.filter(|f| f.node < self.cfg.num_nodes).copied(),
             now: SimTime::ZERO,
-            line: Vec::new(),
+            line: String::new(),
         };
         // A fault at zero completions hits an idle fleet before any
         // admission. This fires exactly once at start, so a checkpoint
@@ -1180,7 +1175,7 @@ impl Engine {
             completions: ckpt.completions,
             fault_armed: ckpt.fault_armed,
             now: ckpt.now,
-            line: Vec::new(),
+            line: String::new(),
         };
         (eng, st)
     }
@@ -1863,12 +1858,9 @@ mod tests {
         /// line, so the trace hash and the rendered trace are unchanged.
         #[test]
         fn encoder_matches_display(e in arb_event()) {
-            let mut out = b"prefix\n".to_vec();
+            let mut out = String::from("prefix\n");
             e.encode_line(&mut out);
-            proptest::prop_assert_eq!(
-                String::from_utf8(out).unwrap(),
-                format!("prefix\n{e}\n")
-            );
+            proptest::prop_assert_eq!(out, format!("prefix\n{e}\n"));
         }
     }
 }

@@ -338,8 +338,11 @@ impl Kernel {
         opts: SpawnOptions,
     ) -> Result<TaskId, SchedError> {
         let task = NewTask { name: name.into(), policy, program, opts };
-        // One task in, one id out.
-        Ok(self.try_spawn_all(vec![task])?[0])
+        self.validate_new(&task)?;
+        let id = self.enqueue_new(task);
+        self.settle();
+        self.publish_counters();
+        Ok(id)
     }
 
     /// Spawn a gang: validate every task, create them all and make them
@@ -357,15 +360,7 @@ impl Kernel {
         // Validate everything before mutating: a rejected spawn must leave
         // no trace records, queue entries, or task slots behind.
         for task in &tasks {
-            self.try_class_of_policy(task.policy)?;
-            let ncpus = self.cpus.len();
-            let placeable = match &task.opts.affinity {
-                None => ncpus > 0,
-                Some(mask) => mask.iter().any(|cpu| cpu.0 < ncpus),
-            };
-            if !placeable {
-                return Err(SchedError::UnschedulableAffinity { task: task.name.clone() });
-            }
+            self.validate_new(task)?;
         }
         let ids = tasks.into_iter().map(|task| self.enqueue_new(task)).collect();
         self.settle();
@@ -373,12 +368,22 @@ impl Kernel {
         Ok(ids)
     }
 
+    /// Reject a task no installed class handles, or whose affinity mask
+    /// allows none of this kernel's CPUs.
+    fn validate_new(&self, task: &NewTask) -> Result<(), SchedError> {
+        self.try_class_of_policy(task.policy)?;
+        if self.allowed_cpus(task.opts.affinity.as_deref()).next().is_none() {
+            return Err(SchedError::UnschedulableAffinity { task: task.name.clone() });
+        }
+        Ok(())
+    }
+
     /// Create one validated task and queue it on its CPU, without
     /// settling.
     #[expect(
         clippy::expect_used,
-        reason = "INVARIANT: try_spawn_all checked that the affinity mask allows a CPU of this \
-                  kernel, which is exactly when least_loaded_cpu finds one."
+        reason = "INVARIANT: validate_new checked that allowed_cpus yields a CPU for this \
+                  affinity mask, and least_loaded_cpu picks among exactly those CPUs."
     )]
     fn enqueue_new(&mut self, new: NewTask) -> TaskId {
         let NewTask { name, policy, program, opts } = new;
@@ -394,7 +399,9 @@ impl Kernel {
         if let Some(hp) = opts.hw_prio {
             task.hw_prio = hp;
         }
-        let cpu = self.least_loaded_cpu(&task).expect("validated affinity allows a CPU");
+        let cpu = self
+            .least_loaded_cpu(task.affinity.as_deref())
+            .expect("validated affinity allows a CPU");
         if !self.observers.is_empty() {
             self.emit(id, TraceEvent::Spawn { name: task.name.clone() });
         }
@@ -408,11 +415,21 @@ impl Kernel {
         id
     }
 
-    /// `None` when the task's affinity mask excludes every CPU.
-    fn least_loaded_cpu(&self, task: &Task) -> Option<CpuId> {
+    /// The CPUs of this kernel that `affinity` allows (all of them for
+    /// `None`), in id order: the one rule for where a new task may go.
+    fn allowed_cpus<'a>(
+        &'a self,
+        affinity: Option<&'a [CpuId]>,
+    ) -> impl Iterator<Item = CpuId> + 'a {
+        self.chip.topology().cpus().filter(move |cpu| affinity.is_none_or(|m| m.contains(cpu)))
+    }
+
+    /// The least loaded of [`Kernel::allowed_cpus`]; `None` when the
+    /// affinity mask excludes every CPU.
+    fn least_loaded_cpu(&self, affinity: Option<&[CpuId]>) -> Option<CpuId> {
         // A task pinned to one CPU has nothing to compare.
-        if let Some(&[only]) = task.affinity.as_deref() {
-            return (only.0 < self.cpus.len()).then_some(only);
+        if let Some([_]) = affinity {
+            return self.allowed_cpus(affinity).next();
         }
         // Count *live tasks homed on each CPU* (running, queued or
         // sleeping): fork-time balancing must spread tasks that block
@@ -426,10 +443,7 @@ impl Kernel {
             }
         }
         let mut best: Option<(usize, CpuId)> = None;
-        for cpu in self.chip.topology().cpus() {
-            if !task.allowed_on(cpu) {
-                continue;
-            }
+        for cpu in self.allowed_cpus(affinity) {
             match best {
                 Some((b, _)) if homed[cpu.0] >= b => {}
                 _ => best = Some((homed[cpu.0], cpu)),
