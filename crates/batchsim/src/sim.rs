@@ -963,20 +963,20 @@ struct Counters {
 
 impl Counters {
     fn new(reg: &MetricsRegistry) -> Counters {
-        Counters {
-            submitted: reg.counter("batch.jobs.submitted"),
-            completed: reg.counter("batch.jobs.completed"),
-            degraded: reg.counter("batch.jobs.degraded"),
-            backfilled: reg.counter("batch.jobs.backfilled"),
-            requeues: reg.counter("batch.jobs.requeues"),
-            nodes_failed: reg.counter("batch.nodes.failed"),
-            wait_us: reg.histogram("batch.wait_us"),
-            turnaround_us: reg.histogram("batch.turnaround_us"),
-            slowdown_milli: reg.histogram("batch.slowdown_milli"),
-            node_secs_ms: reg.histogram("batch.node_secs_ms"),
-            queue_peak: reg.gauge("batch.queue_depth_peak"),
-            reservations: reg.counter("batch.reservations"),
-        }
+        reg.register(|r| Counters {
+            submitted: r.counter("batch.jobs.submitted"),
+            completed: r.counter("batch.jobs.completed"),
+            degraded: r.counter("batch.jobs.degraded"),
+            backfilled: r.counter("batch.jobs.backfilled"),
+            requeues: r.counter("batch.jobs.requeues"),
+            nodes_failed: r.counter("batch.nodes.failed"),
+            wait_us: r.histogram("batch.wait_us"),
+            turnaround_us: r.histogram("batch.turnaround_us"),
+            slowdown_milli: r.histogram("batch.slowdown_milli"),
+            node_secs_ms: r.histogram("batch.node_secs_ms"),
+            queue_peak: r.gauge("batch.queue_depth_peak"),
+            reservations: r.counter("batch.reservations"),
+        })
     }
 }
 

@@ -22,6 +22,10 @@
 //! * `--check-bench` — validate the committed `fleet` section: exactly one
 //!   row per scale, with positive throughput and RSS figures;
 //! * `--jobs N` / `--nodes N` / `--seed N` — overrides.
+//!
+//! A fleet runs EASY over uniform nodes without faults, so `--faults`,
+//! `--policy` and `--topology`, which would change nothing, are usage
+//! errors (exit 2).
 
 use std::time::Instant;
 
@@ -213,6 +217,10 @@ const FLAGS: [BinFlag; 7] = [
 
 fn main() {
     let flags = CliFlags::from_env_with(&FLAGS);
+    if let Err(e) = flags.reject_run_flags("fleet") {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     flags.note_no_kernel();
     let seed = flags.int("--seed").unwrap_or(2008);
     let nodes = flags.int("--nodes").unwrap_or(1000);
@@ -295,4 +303,28 @@ fn main() {
         std::process::exit(1);
     }
     println!("\nfleet: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> CliFlags {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        CliFlags::parse_with(&args, &FLAGS).expect("known flags")
+    }
+
+    #[test]
+    fn the_run_flags_a_fleet_ignores_are_rejected() {
+        let plain = parse(&["--seed", "7", "--jobs", "500", "--telemetry"]);
+        assert_eq!(plain.reject_run_flags("fleet"), Ok(()));
+        for (args, flag) in [
+            (&["--policy", "gss", "--jobs", "500"][..], "--policy"),
+            (&["--topology", "numa"], "--topology"),
+            (&["--faults", "seed=7; slow:rank=1,at=100ms,factor=0.5"], "--faults"),
+        ] {
+            let err = parse(args).reject_run_flags("fleet").unwrap_err();
+            assert!(err.starts_with("fleet: ") && err.contains(flag), "{args:?}: {err}");
+        }
+    }
 }

@@ -101,11 +101,14 @@ pub trait Balancer: Send {
     /// Decide at most one queue migration for `cpu` (`idle` = it ran out
     /// of work). The default is the paper's domain-level pull balancer.
     ///
-    /// Contract: with `idle` false and no task in `view.queued` that
-    /// `allowed` lets run on a CPU other than the one it is queued on,
-    /// return `None` and change no state: the kernel skips such periodic
-    /// balances (see [`crate::SchedClass::load_balance`]). A plan that only
-    /// ever returns a migration `allowed(task, cpu)` accepts keeps it.
+    /// Contract: with no task in `view.queued` that `allowed` lets run on
+    /// a CPU other than the one it is queued on, return `None` and change
+    /// no state, `idle` or not: the kernel skips such calls (see
+    /// [`crate::SchedClass::load_balance`]). A plan that only ever returns
+    /// a migration `allowed(task, cpu)` accepts keeps it. Every registry
+    /// policy does: each plans with [`plan_pull`] or work stealing, which
+    /// write nothing and only return a task queued on another CPU that
+    /// `allowed` lets run on `cpu`.
     fn plan_migrations(
         &mut self,
         view: &BalanceView<'_>,
@@ -181,24 +184,44 @@ impl<B: Balancer + ?Sized> Balancer for Box<B> {
 }
 
 /// Decision counters shared by the zoo policies and Table I (which
-/// registers them under its heuristic's name):
+/// registers them under its heuristic's name), as one block:
 /// `hpc.decisions.<policy>.accepted` / `.rejected` count priority proposals
 /// the mechanism applied vs refused, and `hpc.detector.degraded` counts
 /// unusable samples that hit the do-no-harm floor (the counter the fault
 /// report reads as `degraded_samples`).
 pub struct BalancerTelemetry {
-    pub accepted: telemetry::Counter,
-    pub rejected: telemetry::Counter,
-    pub degraded: telemetry::Counter,
+    /// Indexed by [`Decision`].
+    counters: telemetry::Counters,
+}
+
+/// The counters of a [`BalancerTelemetry`] block, in registration order.
+#[derive(Clone, Copy)]
+enum Decision {
+    Accepted,
+    Rejected,
+    Degraded,
 }
 
 impl BalancerTelemetry {
     pub fn register(r: &mut telemetry::Registrar<'_>, policy: &str) -> Self {
-        BalancerTelemetry {
-            accepted: r.counter(format_args!("hpc.decisions.{policy}.accepted")),
-            rejected: r.counter(format_args!("hpc.decisions.{policy}.rejected")),
-            degraded: r.counter("hpc.detector.degraded"),
-        }
+        let names: [&dyn telemetry::MetricName; 3] = [
+            &("hpc.decisions.", policy, ".accepted"),
+            &("hpc.decisions.", policy, ".rejected"),
+            &"hpc.detector.degraded",
+        ];
+        BalancerTelemetry { counters: r.counters(names) }
+    }
+
+    pub fn count_accepted(&self) {
+        self.counters.inc(Decision::Accepted as usize);
+    }
+
+    pub fn count_rejected(&self) {
+        self.counters.inc(Decision::Rejected as usize);
+    }
+
+    pub fn count_degraded(&self) {
+        self.counters.inc(Decision::Degraded as usize);
     }
 }
 
@@ -220,13 +243,13 @@ pub(crate) fn propose(
     match mechanism.validate(next) {
         Ok(effective) if effective != current => {
             if let Some(t) = telemetry {
-                t.accepted.inc();
+                t.count_accepted();
             }
             vec![PrioAssignment { task, prio: effective }]
         }
         _ => {
             if let Some(t) = telemetry {
-                t.rejected.inc();
+                t.count_rejected();
             }
             Vec::new()
         }

@@ -155,12 +155,21 @@ pub trait SchedClass: Send {
     ///
     /// Contract: when no queued task, of any class, may run on a CPU other
     /// than the one it is queued on (nothing is queued, or only pinned
-    /// tasks are), a periodic call (`idle == false`) returns nothing and
-    /// changes nothing, neither the class nor the tasks. The kernel relies
-    /// on it to replay quiet tick rounds across balance ticks without
-    /// calling it (DESIGN §5 note 7); debug builds assert that such a call
-    /// returns nothing. A balancer that only ever migrates a task the
-    /// task's affinity allows on the destination keeps it.
+    /// tasks are), a call returns nothing and changes nothing, neither the
+    /// class nor the tasks, periodic (`idle == false`) or idle alike. The
+    /// kernel relies on it twice: it replays quiet tick rounds across
+    /// balance ticks without calling it (DESIGN §5 note 7), and a CPU that
+    /// runs dry makes no idle call then. Debug builds assert that every
+    /// periodic call the step loop makes then returns nothing; the idle
+    /// half is checked per class and registry policy by
+    /// `idle_balance_with_nothing_movable_queued_is_a_no_op`. A balancer
+    /// that only ever migrates a task the task's affinity allows on the
+    /// destination keeps it.
+    ///
+    /// Every class here keeps it: the RT, CFS and idle classes only read
+    /// their queues, and the HPC class ([`crate::classes::BalancedClass`])
+    /// refills a per-CPU count vector it rewrites in full before each use,
+    /// then asks its [`crate::Balancer`], whose own contract is the same.
     fn load_balance(
         &mut self,
         _ctx: &mut ClassCtx<'_>,

@@ -14,7 +14,7 @@ use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{KernelEvent, Observer, TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
 use simcore::{EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
-use telemetry::{Counter, HistogramHandle, LocalHistogram, MetricsRegistry};
+use telemetry::{Counters, Histograms, LocalHistogram, MetricsRegistry, Registrar};
 
 /// Kernel events.
 #[derive(Clone, Copy, Debug)]
@@ -83,50 +83,80 @@ pub struct NewTask {
     pub opts: SpawnOptions,
 }
 
-/// Hot-path metric handles, registered once at kernel construction so
-/// recording is a relaxed atomic op with no registry lookup. The per-event
-/// counts, ticks and context switches, and the two per-pick histograms are
-/// tallied in a plain [`HotTally`] instead and added here when a public
-/// method returns.
+/// Hot-path metric handles, registered once at kernel construction as
+/// three blocks, so recording is a relaxed atomic op with no registry
+/// lookup. The per-event counts, ticks and context switches, and the two
+/// per-pick histograms are tallied in a plain [`HotTally`] instead and
+/// added here when a public method returns.
 struct KernelCounters {
-    context_switches: Counter,
-    ticks: Counter,
+    /// The counters of [`KernelCounters::NAMES`], indexed by [`Count`].
+    counters: Counters,
+    /// Per-CPU hardware priority register transitions, indexed by CPU.
+    cpu_hw_prio_transitions: Counters,
+    /// The histograms of [`KernelCounters::HISTOGRAM_NAMES`], indexed by
+    /// [`Hist`].
+    histograms: Histograms,
+}
+
+/// The kernel's counters, in [`KernelCounters::NAMES`] order.
+#[derive(Clone, Copy)]
+enum Count {
+    ContextSwitches,
+    Ticks,
     /// Task-level hardware-priority changes; reconciles 1:1 with
     /// [`TraceEvent::HwPrio`] records.
-    task_hw_prio_transitions: Counter,
+    TaskHwPrioTransitions,
     /// Iteration completions; reconciles 1:1 with
     /// [`TraceEvent::IterationEnd`] records.
-    iterations: Counter,
+    Iterations,
     /// Task exits; reconciles 1:1 with [`TraceEvent::Exit`] records.
-    task_exits: Counter,
+    TaskExits,
     /// Injected CPU steal bursts delivered (fault class 1).
-    fault_steal_bursts: Counter,
+    FaultStealBursts,
     /// Injected per-task speed-multiplier changes delivered (fault class 2).
-    fault_slowdowns: Counter,
-    /// Simulated wakeup→dispatch latency, nanoseconds.
-    dispatch_latency_ns: HistogramHandle,
-    /// Runnable tasks across classes on the picking CPU, sampled per pick.
-    runq_depth: HistogramHandle,
-    /// Per-CPU hardware priority register transitions.
-    cpu_hw_prio_transitions: Vec<Counter>,
+    FaultSlowdowns,
+}
+
+/// The kernel's histograms, in [`KernelCounters::HISTOGRAM_NAMES`] order.
+#[derive(Clone, Copy)]
+enum Hist {
+    /// The simulated wakeup→dispatch latency.
+    DispatchLatencyNs,
+    /// The runnable tasks across classes on the picking CPU, per pick.
+    RunqDepth,
 }
 
 impl KernelCounters {
-    fn register(registry: &MetricsRegistry, ncpus: usize) -> KernelCounters {
-        registry.register(|r| KernelCounters {
-            context_switches: r.counter("kernel.context_switches"),
-            ticks: r.counter("kernel.ticks"),
-            task_hw_prio_transitions: r.counter("kernel.hw_prio_transitions"),
-            iterations: r.counter("kernel.iterations"),
-            task_exits: r.counter("kernel.task_exits"),
-            fault_steal_bursts: r.counter("kernel.faults.steal_bursts"),
-            fault_slowdowns: r.counter("kernel.faults.slowdowns"),
-            dispatch_latency_ns: r.histogram("kernel.dispatch_latency_ns"),
-            runq_depth: r.histogram("kernel.runq_depth"),
-            cpu_hw_prio_transitions: (0..ncpus)
-                .map(|c| r.counter(format_args!("cpu{c}.hw_prio_transitions")))
-                .collect(),
-        })
+    const NAMES: [&'static str; 7] = [
+        "kernel.context_switches",
+        "kernel.ticks",
+        "kernel.hw_prio_transitions",
+        "kernel.iterations",
+        "kernel.task_exits",
+        "kernel.faults.steal_bursts",
+        "kernel.faults.slowdowns",
+    ];
+    const HISTOGRAM_NAMES: [&'static str; 2] = ["kernel.dispatch_latency_ns", "kernel.runq_depth"];
+
+    fn register(r: &mut Registrar<'_>, ncpus: usize) -> KernelCounters {
+        KernelCounters {
+            counters: r.counters(KernelCounters::NAMES),
+            cpu_hw_prio_transitions: r
+                .counters((0..ncpus).map(|c| ("cpu", c, ".hw_prio_transitions"))),
+            histograms: r.histograms(KernelCounters::HISTOGRAM_NAMES),
+        }
+    }
+
+    fn add(&self, count: Count, n: u64) {
+        self.counters.add(count as usize, n);
+    }
+
+    fn inc(&self, count: Count) {
+        self.counters.inc(count as usize);
+    }
+
+    fn absorb(&self, hist: Hist, local: &mut LocalHistogram) {
+        self.histograms.absorb(hist as usize, local);
     }
 }
 
@@ -141,8 +171,8 @@ struct HotTally {
     picks: PickTally,
 }
 
-/// [`KernelCounters::runq_depth`] and
-/// [`KernelCounters::dispatch_latency_ns`], tallied in plain memory.
+/// The kernel's histograms ([`KernelCounters::histograms`]), tallied in
+/// plain memory.
 #[derive(Default)]
 struct PickTally {
     runq_depth: LocalHistogram,
@@ -202,11 +232,13 @@ impl Kernel {
             c.init_cpus(ncpus);
         }
         let registry = MetricsRegistry::new();
-        let counters = KernelCounters::register(&registry, ncpus);
+        let (counters, event_counters) = registry.register(|r| {
+            (KernelCounters::register(r, ncpus), EventQueueCounters::register(r, "sim.events"))
+        });
         let lanes = (0..ncpus).map(|cpu| KEvent::Tick(CpuId(cpu)));
         let lanes = lanes.chain((0..ncpus).map(|cpu| KEvent::WorkDone(CpuId(cpu))));
         let mut events = EventQueue::with_lanes(lanes.collect());
-        events.attach_counters(EventQueueCounters::register(&registry, "sim.events"));
+        events.attach_counters(event_counters);
         for cpu in 0..ncpus {
             events.arm(cpu, SimTime::ZERO + config.tick);
         }
@@ -525,7 +557,7 @@ impl Kernel {
                 if cpu.0 >= self.cpus.len() || duration.is_zero() {
                     return;
                 }
-                self.counters.fault_steal_bursts.inc();
+                self.counters.inc(Count::FaultStealBursts);
                 // The thief holds the context: no work accrues before the
                 // burst ends (sync_cpu and rearm_workdone both respect
                 // `steal_until`), like a context-switch stall of fault
@@ -540,7 +572,7 @@ impl Kernel {
                 if task.0 >= self.tasks.len() || !factor.is_finite() || factor < 0.0 {
                     return;
                 }
-                self.counters.fault_slowdowns.inc();
+                self.counters.inc(Count::FaultSlowdowns);
                 self.tasks[task.0].fault_slow = factor;
             }
         }
@@ -708,6 +740,18 @@ impl Kernel {
     fn uniform_rounds(&mut self, at: SimTime, max: u64, stop: SimTime) -> u64 {
         let tick = self.config.tick;
         let mut n = max.min(stop.saturating_since(at).as_nanos().div_ceil(tick.as_nanos()));
+        // No round runs at or after an armed completion time `t`, so at
+        // most `(t - at) / tick + 1` rounds run; the cap allows one more
+        // for the rounding of re-derived completion times. It spares each
+        // descent below a stretch of millions of rounds (with nothing
+        // movable `max` is unbounded, and `stop` is the run's deadline). A
+        // cap that is too low only splits the stretch into two batches,
+        // and batches are exact.
+        for cpu in 0..self.cpus.len() {
+            if let Some(done) = self.events.lane_time(self.workdone_lane(cpu)) {
+                n = n.min(done.saturating_since(at).as_nanos() / tick.as_nanos() + 2);
+            }
+        }
         for cpu in 0..self.cpus.len() {
             if self.events.lane_time(self.workdone_lane(cpu)).is_none() {
                 continue;
@@ -778,10 +822,12 @@ impl Kernel {
     fn publish_counters(&mut self) {
         self.events.publish();
         let t = &mut self.tally;
-        self.counters.ticks.add(std::mem::take(&mut t.ticks));
-        self.counters.context_switches.add(std::mem::take(&mut t.context_switches));
-        self.counters.runq_depth.absorb(&mut t.picks.runq_depth);
-        self.counters.dispatch_latency_ns.absorb(&mut t.picks.dispatch_latency_ns);
+        let c = &self.counters;
+        c.add(Count::Ticks, std::mem::take(&mut t.ticks));
+        c.add(Count::ContextSwitches, std::mem::take(&mut t.context_switches));
+        let picks = &mut t.picks;
+        c.absorb(Hist::RunqDepth, &mut picks.runq_depth);
+        c.absorb(Hist::DispatchLatencyNs, &mut picks.dispatch_latency_ns);
     }
 
     // ------------------------------------------------------------------
@@ -1193,7 +1239,7 @@ impl Kernel {
             let runnable: usize = self.classes.iter().map(|c| c.nr_runnable(cpu)).sum();
             let picks = &mut self.tally.picks;
             if picks.runq_depth.record(runnable as u64) {
-                absorb_full(&self.counters.runq_depth, &mut picks.runq_depth);
+                absorb_full(&self.counters, Hist::RunqDepth, &mut picks.runq_depth);
             }
             let mut next = None;
             for class in 0..self.classes.len() {
@@ -1203,8 +1249,10 @@ impl Kernel {
                 }
             }
             let Some(tid) = next else {
-                // Nothing runnable: try an idle pull, then give up.
-                if self.balance(cpu, true) {
+                // Nothing runnable: try an idle pull, then give up. With
+                // nothing movable queued no class can pull (the
+                // `SchedClass::load_balance` contract), so there is no call.
+                if !self.nothing_movable() && self.balance(cpu, true) {
                     continue;
                 }
                 self.running[cpu.0] = None;
@@ -1243,7 +1291,11 @@ impl Kernel {
         if let Some(lat) = wakeup_latency {
             let picks = &mut self.tally.picks;
             if picks.dispatch_latency_ns.record(lat.as_nanos()) {
-                absorb_full(&self.counters.dispatch_latency_ns, &mut picks.dispatch_latency_ns);
+                absorb_full(
+                    &self.counters,
+                    Hist::DispatchLatencyNs,
+                    &mut picks.dispatch_latency_ns,
+                );
             }
         }
         self.running[cpu.0] = Some(tid);
@@ -1276,7 +1328,7 @@ impl Kernel {
                         self.chip
                             .set_priority(CpuId(cpu), hw_prio, PrivilegeLevel::Supervisor)
                             .expect("scheduler priorities stay in supervisor range");
-                        self.counters.cpu_hw_prio_transitions[cpu].inc();
+                        self.counters.cpu_hw_prio_transitions.inc(cpu);
                     }
                 }
                 None => {
@@ -1336,9 +1388,10 @@ impl Kernel {
     fn balance(&mut self, cpu: CpuId, idle: bool) -> bool {
         let mut pulled = false;
         // The fast-forward skips periodic balances with nothing movable
-        // queued on the strength of the `load_balance` contract; hold every
-        // class to it.
-        let no_op = cfg!(debug_assertions) && !idle && self.nothing_movable();
+        // queued on the strength of the `load_balance` contract, as
+        // `reschedule` skips idle pulls; hold every class to it wherever
+        // the step loop still makes such a call.
+        let no_op = cfg!(debug_assertions) && self.nothing_movable();
         for class in 0..self.classes.len() {
             let mig = self.with_ctx(class, |c, ctx| c.load_balance(ctx, cpu, idle));
             debug_assert!(
@@ -1404,9 +1457,9 @@ impl Kernel {
         // they reconcile 1:1 with the records observers receive, by
         // construction — and keep counting with no observer attached.
         match &event {
-            TraceEvent::HwPrio { .. } => self.counters.task_hw_prio_transitions.inc(),
-            TraceEvent::IterationEnd { .. } => self.counters.iterations.inc(),
-            TraceEvent::Exit => self.counters.task_exits.inc(),
+            TraceEvent::HwPrio { .. } => self.counters.inc(Count::TaskHwPrioTransitions),
+            TraceEvent::IterationEnd { .. } => self.counters.inc(Count::Iterations),
+            TraceEvent::Exit => self.counters.inc(Count::TaskExits),
             _ => {}
         }
         if self.observers.is_empty() {
@@ -1428,8 +1481,8 @@ impl Kernel {
 /// that takes 2³² samples in one bucket between two public calls.
 #[cold]
 #[inline(never)]
-fn absorb_full(handle: &HistogramHandle, local: &mut LocalHistogram) {
-    handle.absorb(local);
+fn absorb_full(counters: &KernelCounters, hist: Hist, local: &mut LocalHistogram) {
+    counters.absorb(hist, local);
 }
 
 /// When a task with `remaining` work, running on a CPU in state `cs`,

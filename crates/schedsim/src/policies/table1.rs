@@ -27,9 +27,15 @@ use simcore::SimDuration;
 struct Table1Telemetry {
     /// The zoo's decision counters, under the heuristic's name.
     decisions: BalancerTelemetry,
-    /// Detector verdicts per completed iteration.
-    balanced: telemetry::Counter,
-    imbalanced: telemetry::Counter,
+    /// Detector verdicts per completed iteration, indexed by [`Verdict`].
+    verdicts: telemetry::Counters,
+}
+
+/// The counters of [`Table1Telemetry::verdicts`], in registration order.
+#[derive(Clone, Copy)]
+enum Verdict {
+    Balanced,
+    Imbalanced,
 }
 
 /// The paper's detector + heuristic + mechanism pipeline.
@@ -94,8 +100,7 @@ impl Balancer for Table1Balancer {
         let heuristic = self.heuristic.name();
         self.telemetry = Some(registry.register(|r| Table1Telemetry {
             decisions: BalancerTelemetry::register(r, heuristic),
-            balanced: r.counter("hpc.detector.balanced"),
-            imbalanced: r.counter("hpc.detector.imbalanced"),
+            verdicts: r.counters(["hpc.detector.balanced", "hpc.detector.imbalanced"]),
         }));
     }
 
@@ -145,11 +150,8 @@ impl Balancer for Table1Balancer {
         }
         self.was_balanced = balanced;
         if let Some(t) = &self.telemetry {
-            if balanced {
-                t.balanced.inc();
-            } else {
-                t.imbalanced.inc();
-            }
+            let verdict = if balanced { Verdict::Balanced } else { Verdict::Imbalanced };
+            t.verdicts.inc(verdict as usize);
         }
         if balanced {
             return Vec::new();
@@ -166,7 +168,7 @@ impl Balancer for Table1Balancer {
     /// of letting a decision made on stale data stand.
     fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
         if let Some(t) = &self.telemetry {
-            t.decisions.degraded.inc();
+            t.decisions.count_degraded();
         }
         if !self.dynamic_prio {
             return Vec::new();

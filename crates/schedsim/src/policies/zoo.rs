@@ -171,7 +171,7 @@ impl<R: StepRule> Balancer for StepBalancer<R> {
     /// drop the task to the uniform floor (unless priorities are pinned).
     fn on_fault(&mut self, ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment> {
         if let Some(t) = &self.telemetry {
-            t.degraded.inc();
+            t.count_degraded();
         }
         if !self.dynamic_prio {
             return Vec::new();

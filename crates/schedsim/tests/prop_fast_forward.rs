@@ -12,8 +12,9 @@
 //! changes nothing under any further charges;
 //! [`SchedClass::charge_rounds`]`(n, d)` equals `n` calls of `charge(d)`;
 //! and with nothing queued, or only tasks pinned to the CPU they are
-//! queued on, a periodic [`SchedClass::load_balance`] returns nothing and
-//! changes nothing, so a stretch may run across balance ticks.
+//! queued on, a [`SchedClass::load_balance`], periodic or idle, returns
+//! nothing and changes nothing, so a stretch may run across balance ticks
+//! and a CPU that runs dry may skip its idle pull.
 
 #![allow(clippy::disallowed_types, reason = "test recorders share a Mutex-guarded buffer")]
 
@@ -644,6 +645,38 @@ fn naps(work: f64, sleep_us: u64, times: usize) -> Vec<Cycle> {
     vec![Cycle { work, sleep_us, on_tick: false }; times]
 }
 
+/// A scenario shaped like a batch node run: one HPC rank pinned to each
+/// CPU, each computing `works[i]` and then sleeping, `iterations` times,
+/// under the default kernel and HPC configuration and the 36,000 s
+/// deadline of a node run. Nothing is ever movable, so every quiet stretch
+/// starts unbounded, out to the deadline, and only the cap at the earliest
+/// armed completion bounds it.
+fn node_run(works: &[f64], sleeps_us: &[u64], iterations: usize) -> Scenario {
+    let ranks = works.iter().zip(sleeps_us).enumerate();
+    let rank = |(cpu, (&work, &sleep))| spec(Pol::Hpc, &[cpu], naps(work, sleep, iterations));
+    let tasks = ranks.map(rank);
+    Scenario {
+        balance: KernelConfig::default().balance_interval_ticks,
+        hpc: Some(HpcSchedConfig::default().policy),
+        deadline_ms: 36_000_000,
+        ..quiet_scenario(tasks.collect())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The fast path equals the step loop on node-run-shaped scenarios.
+    #[test]
+    fn node_run_shaped_stretches_match_a_step_loop(
+        works in proptest::collection::vec(1e-4f64..0.05, 4),
+        sleeps_us in proptest::collection::vec(1u64..20_000, 4),
+        iterations in 1usize..5,
+    ) {
+        assert_same_for_every_observer(&node_run(&works, &sleeps_us, iterations));
+    }
+}
+
 #[test]
 fn stretches_run_across_balance_ticks_with_nothing_queued() {
     // One task per CPU, nothing ever queued, a balance every third tick:
@@ -924,8 +957,8 @@ proptest! {
     }
 }
 
-/// A builtin class under the periodic-balance contract: CFS, idle, RT, or
-/// the HPC class driven by one registry policy.
+/// A builtin class under the balance contract: CFS, idle, RT, or the HPC
+/// class driven by one registry policy.
 enum Balancing {
     Fair(FairClass),
     Idle(IdleClass),
@@ -990,15 +1023,16 @@ impl Balancing {
 /// Set up every builtin class and the HPC class under every registry
 /// policy with a task running on each CPU in `running`, the history
 /// `samples` and `charges` leave, and one task queued on each CPU of
-/// `pinned`, allowed on that CPU alone; then check that a periodic
-/// `load_balance` on every CPU returns nothing and changes neither the
-/// class nor any task.
-fn periodic_balance_is_a_no_op(
+/// `pinned`, allowed on that CPU alone; then check that a `load_balance`
+/// on every CPU, periodic or (with `idle`) idle, returns nothing and
+/// changes neither the class nor any task.
+fn balance_is_a_no_op(
     running: &[bool],
     round_robin: bool,
     samples: &[(usize, u64, u64)],
     charges: &[(usize, u64)],
     pinned: &[usize],
+    idle: bool,
 ) {
     let topology = Topology::openpower_710();
     let ncpus = topology.num_cpus();
@@ -1055,7 +1089,7 @@ fn periodic_balance_is_a_no_op(
             prop_assert_eq!(before.0[cpu], queued, "queued on CPU {}", cpu);
         }
         for cpu in (0..ncpus).map(CpuId) {
-            let migration = balancing.class().load_balance(&mut ctx, cpu, false);
+            let migration = balancing.class().load_balance(&mut ctx, cpu, idle);
             prop_assert!(migration.is_none(), "class {} moved {:?}", which, migration);
             prop_assert_eq!(&(balancing.state(ncpus), view(ctx.tasks)), &before);
         }
@@ -1076,7 +1110,7 @@ proptest! {
         samples in proptest::collection::vec((0usize..6, 0u64..50_000, 1u64..50_000), 0..12),
         charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
     ) {
-        periodic_balance_is_a_no_op(&running, round_robin, &samples, &charges, &[]);
+        balance_is_a_no_op(&running, round_robin, &samples, &charges, &[], false);
     }
 
     /// The same with tasks queued that may run only on the CPU they are
@@ -1089,6 +1123,53 @@ proptest! {
         charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
         pinned in proptest::collection::vec(0usize..4, 1..6),
     ) {
-        periodic_balance_is_a_no_op(&running, round_robin, &samples, &charges, &pinned);
+        balance_is_a_no_op(&running, round_robin, &samples, &charges, &pinned, false);
+    }
+
+    /// An idle `load_balance` keeps the same contract, with nothing
+    /// queued or only pinned tasks: a CPU that runs dry then has nothing
+    /// to pull, and the kernel skips the call.
+    #[test]
+    fn idle_balance_with_nothing_movable_queued_is_a_no_op(
+        running in proptest::collection::vec(any::<bool>(), 4),
+        round_robin in any::<bool>(),
+        samples in proptest::collection::vec((0usize..6, 0u64..50_000, 1u64..50_000), 0..12),
+        charges in proptest::collection::vec((0usize..4, 0u64..5_000_000), 0..8),
+        pinned in proptest::collection::vec(0usize..4, 0..6),
+    ) {
+        balance_is_a_no_op(&running, round_robin, &samples, &charges, &pinned, true);
+    }
+}
+
+/// The no-op checks above are not vacuous: every class but the idle class
+/// pulls on an idle call when the same kind of queue holds movable tasks.
+#[test]
+fn an_idle_balance_pulls_movable_tasks() {
+    let topology = Topology::openpower_710();
+    for which in 0..3 + registry().len() {
+        let (mut balancing, policy) = Balancing::new(which, false);
+        let class = balancing.class();
+        class.init_cpus(topology.num_cpus());
+        let mut tasks: Vec<Task> = (0..3)
+            .map(|i| {
+                let program = Box::new(ScriptedProgram::compute_once(1.0));
+                let mut task =
+                    Task::new(TaskId(i), format!("t{i}"), policy, program, SimTime::ZERO);
+                task.cpu = Some(CpuId(0));
+                task
+            })
+            .collect();
+        let running = [None; 4];
+        let mut ctx = ClassCtx {
+            now: SimTime::ZERO,
+            tasks: &mut tasks,
+            topology: &topology,
+            running: &running,
+        };
+        for i in 0..3 {
+            class.enqueue(&mut ctx, CpuId(0), TaskId(i), EnqueueKind::New);
+        }
+        let migration = class.load_balance(&mut ctx, CpuId(3), true);
+        assert_eq!(migration.is_some(), which != 1, "class {which} planned {migration:?}");
     }
 }

@@ -75,24 +75,34 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Telemetry handles for one event queue. Operations count into plain
-/// tallies; [`EventQueue::publish`] adds them to these counters.
+/// Telemetry handles for one event queue: `<prefix>.scheduled`,
+/// `.cancelled` and `.processed`, as one block. Operations count into
+/// plain tallies; [`EventQueue::publish`] adds them to these counters.
 #[derive(Clone)]
 pub struct EventQueueCounters {
-    pub scheduled: telemetry::Counter,
-    pub cancelled: telemetry::Counter,
-    pub processed: telemetry::Counter,
+    /// Indexed by [`QueueCount`].
+    counters: telemetry::Counters,
+}
+
+/// The counters of an [`EventQueueCounters`] block, in registration order.
+#[derive(Clone, Copy)]
+enum QueueCount {
+    Scheduled,
+    Cancelled,
+    Processed,
 }
 
 impl EventQueueCounters {
     /// Registers the three queue counters under `prefix` (e.g.
-    /// `sim.events`) in `registry`.
-    pub fn register(registry: &telemetry::MetricsRegistry, prefix: &str) -> Self {
-        registry.register(|r| EventQueueCounters {
-            scheduled: r.counter(format_args!("{prefix}.scheduled")),
-            cancelled: r.counter(format_args!("{prefix}.cancelled")),
-            processed: r.counter(format_args!("{prefix}.processed")),
-        })
+    /// `sim.events`), as part of a component's registration.
+    pub fn register(r: &mut telemetry::Registrar<'_>, prefix: &str) -> Self {
+        EventQueueCounters {
+            counters: r.counters([
+                (prefix, ".scheduled"),
+                (prefix, ".cancelled"),
+                (prefix, ".processed"),
+            ]),
+        }
     }
 }
 
@@ -165,9 +175,9 @@ impl<E> EventQueue<E> {
     pub fn publish(&mut self) {
         let t = std::mem::take(&mut self.tally);
         if let Some(c) = &self.counters {
-            c.scheduled.add(t.scheduled);
-            c.cancelled.add(t.cancelled);
-            c.processed.add(t.processed);
+            c.counters.add(QueueCount::Scheduled as usize, t.scheduled);
+            c.counters.add(QueueCount::Cancelled as usize, t.cancelled);
+            c.counters.add(QueueCount::Processed as usize, t.processed);
         }
     }
 
@@ -458,7 +468,7 @@ mod tests {
         // and re-inserts it with the next `seq`.
         let registry = telemetry::MetricsRegistry::new();
         let mut a = laned(20);
-        a.attach_counters(EventQueueCounters::register(&registry, "a"));
+        a.attach_counters(registry.register(|r| EventQueueCounters::register(r, "a")));
         let mut b: Vec<(SimTime, u64, u64)> = Vec::new();
         let mut cancels = 0;
         for seq in 0..220u64 {
@@ -501,8 +511,8 @@ mod tests {
             // for every periodic lane but the last.
             let mut a = laned(2 * n);
             let mut b = laned(2 * n);
-            a.attach_counters(EventQueueCounters::register(&registry, "a"));
-            b.attach_counters(EventQueueCounters::register(&registry, "b"));
+            a.attach_counters(registry.register(|r| EventQueueCounters::register(r, "a")));
+            b.attach_counters(registry.register(|r| EventQueueCounters::register(r, "b")));
             // A far heap event, then the lanes.
             for q in [&mut a, &mut b] {
                 q.schedule(t(500), 99);
@@ -567,7 +577,7 @@ mod tests {
     fn disarming_an_idle_lane_touches_nothing() {
         let registry = telemetry::MetricsRegistry::new();
         let mut q = laned(2);
-        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
         q.arm(0, t(5));
         q.arm(1, t(10));
         assert!(q.disarm(1));
@@ -587,7 +597,7 @@ mod tests {
         let registry = telemetry::MetricsRegistry::new();
         let mut q = laned(1);
         q.schedule(t(1), 0u64);
-        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
         q.schedule(t(2), 1);
         q.arm(0, t(3));
         q.arm(0, t(4));

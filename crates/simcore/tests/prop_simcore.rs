@@ -86,7 +86,7 @@ impl Default for Harness {
     fn default() -> Self {
         let registry = telemetry::MetricsRegistry::new();
         let mut q = EventQueue::with_lanes((0..LANES as u64).map(|i| LANE_PAYLOAD + i).collect());
-        q.attach_counters(EventQueueCounters::register(&registry, "q"));
+        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
         Harness { q, m: Model::default(), registry, now: SimTime::ZERO }
     }
 }

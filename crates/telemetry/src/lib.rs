@@ -1,20 +1,22 @@
 //! Lock-cheap metrics for the scheduler kernel and its harnesses.
 //!
-//! A [`MetricsRegistry`] hands out typed handles — [`Counter`], [`Gauge`],
-//! [`HistogramHandle`] — over shared atomic cells: recording a sample is
-//! one or two relaxed atomic ops (five for a histogram), cheap enough for
-//! most instrumented paths (hardware-priority writes, MPI messages, batch
-//! queue events). Registration is idempotent by name, so instrumented
-//! components can request the same metric without coordinating, and it
-//! allocates nothing per metric: a name may be given as
-//! [`format_args!`] and is written straight into the registry.
+//! A [`MetricsRegistry`] hands out typed handles — [`Counters`] and
+//! [`Histograms`] for a block of names, and [`Counter`], [`Gauge`] and
+//! [`HistogramHandle`] for one — over shared atomic cells: recording a
+//! sample is one or two relaxed atomic ops (five for a histogram), cheap
+//! enough for most instrumented paths (hardware-priority writes, MPI
+//! messages, batch queue events). Registration is idempotent by name, so
+//! instrumented components can request the same metric without
+//! coordinating, and it allocates nothing per metric: a name, a string or
+//! a tuple of parts ([`MetricName`]), is written straight into the
+//! registry, and a block of metrics shares one reference to its cells.
 //!
 //! The kernel's hottest paths record into plain memory instead: it tallies
 //! ticks and context switches as `u64`s and the per-pick histograms
 //! (`kernel.runq_depth`, `kernel.dispatch_latency_ns`) in
 //! [`LocalHistogram`]s, and adds them to the registry
-//! ([`Counter::add`], [`HistogramHandle::absorb`]) before each public
-//! kernel call returns, so a snapshot taken between calls is exact.
+//! ([`Counters::add`], [`Histograms::absorb`]) before each public kernel
+//! call returns, so a snapshot taken between calls is exact.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot`]) are deterministic: metrics are
 //! reported sorted by name, so two runs with the same seed produce
@@ -26,7 +28,6 @@
 
 pub mod export;
 
-use std::fmt::{self, Write as _};
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
@@ -48,54 +49,126 @@ type Mutex<T> = std::sync::Mutex<T>;
 /// overflow territory shared with the largest magnitudes.
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// Counter and gauge cells, shared by the handles a registry gave out.
+/// A histogram's cells: its buckets, then its count, sum, min and max.
+const HISTOGRAM_CELLS: usize = HISTOGRAM_BUCKETS + 4;
+const COUNT: usize = HISTOGRAM_BUCKETS;
+const SUM: usize = COUNT + 1;
+const MIN: usize = SUM + 1;
+const MAX: usize = MIN + 1;
+
+/// Metric cells, shared by the handles a registry gave out.
 type Slab = Arc<[AtomicU64]>;
 
-/// Cells in a registry's first slab; each later slab has twice the cells
-/// of the one before, so `n` registrations allocate `O(log n)` slabs.
-const FIRST_SLAB_CELLS: usize = 32;
+/// Cells in a registry's first slab: room for a node kernel's counters and
+/// its two histograms. Each later slab has at least twice the cells of the
+/// one before, so `n` registrations allocate `O(log n)` slabs.
+const FIRST_SLAB_CELLS: usize = 256;
 
 fn slab(cells: usize) -> Slab {
     (0..cells).map(|_| AtomicU64::new(0)).collect()
 }
 
-/// One atomic cell of a slab.
+/// A metric's kind, which fixes how many cells it takes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Counter,
+    Gauge,
+    Histogram,
+}
+
+impl Kind {
+    fn width(self) -> usize {
+        match self {
+            Kind::Counter | Kind::Gauge => 1,
+            Kind::Histogram => HISTOGRAM_CELLS,
+        }
+    }
+}
+
+/// The cells of a block of metrics of one kind, behind one reference to
+/// the slab they are in. Metric `i` of the block is the block's `i`th name.
 #[derive(Clone)]
-struct Cell {
-    slab: Slab,
-    index: usize,
+enum Cells {
+    /// The `len` metrics lie one after another in one slab from `first`:
+    /// a block of names registered for the first time together, or a
+    /// single name.
+    Run { slab: Slab, first: usize, len: usize },
+    /// Where each metric starts: a block that names a metric registered
+    /// before, in another block.
+    Each(Box<[(Slab, usize)]>),
 }
 
-impl Cell {
-    fn atomic(&self) -> &AtomicU64 {
-        &self.slab[self.index]
+impl Cells {
+    /// One metric of `kind` in a slab of its own, in no registry.
+    fn detached(kind: Kind) -> Cells {
+        let slab = slab(kind.width());
+        if kind == Kind::Histogram {
+            slab[MIN].store(u64::MAX, Ordering::Relaxed);
+        }
+        Cells::Run { slab, first: 0, len: 1 }
+    }
+
+    /// The `width` cells of metric `i`. Panics if the block has no metric
+    /// `i`: the cells after a block's last metric are another block's.
+    fn metric(&self, i: usize, width: usize) -> &[AtomicU64] {
+        let (slab, first) = match self {
+            Cells::Run { slab, first, len } => {
+                assert!(i < *len, "metric {i} of a block of {len}");
+                (slab, first + i * width)
+            }
+            Cells::Each(each) => (&each[i].0, each[i].1),
+        };
+        &slab[first..first + width]
     }
 }
 
-/// A detached cell, in a slab of its own.
-impl Default for Cell {
-    fn default() -> Cell {
-        Cell { slab: slab(1), index: 0 }
+/// Counters registered together ([`Registrar::counters`]); counter `i` is
+/// the block's `i`th name. They share one slab reference, so a component
+/// pays for one however many counters it registers.
+#[derive(Clone)]
+pub struct Counters {
+    cells: Cells,
+}
+
+impl Counters {
+    pub fn inc(&self, i: usize) {
+        self.add(i, 1);
+    }
+
+    pub fn add(&self, i: usize, n: u64) {
+        self.cell(i).fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub fn get(&self, i: usize) -> u64 {
+        self.cell(i).load(Ordering::Relaxed)
+    }
+
+    fn cell(&self, i: usize) -> &AtomicU64 {
+        &self.cells.metric(i, 1)[0]
     }
 }
 
-/// Monotonically increasing event count.
-#[derive(Clone, Default)]
-pub struct Counter {
-    cell: Cell,
+/// Monotonically increasing event count: a block of one counter.
+#[derive(Clone)]
+pub struct Counter(Counters);
+
+impl Default for Counter {
+    fn default() -> Counter {
+        Counter(Counters { cells: Cells::detached(Kind::Counter) })
+    }
 }
 
 impl Counter {
     pub fn inc(&self) {
-        self.add(1);
+        self.0.inc(0);
     }
 
     pub fn add(&self, n: u64) {
-        self.cell.atomic().fetch_add(n, Ordering::Relaxed);
+        self.0.add(0, n);
     }
 
     pub fn get(&self) -> u64 {
-        self.cell.atomic().load(Ordering::Relaxed)
+        self.0.get(0)
     }
 }
 
@@ -103,43 +176,32 @@ impl Counter {
 ///
 /// The cell holds the level's two's-complement bits, so a wrapping add of
 /// the bits is a wrapping add of the level.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Gauge {
-    cell: Cell,
+    cells: Cells,
+}
+
+impl Default for Gauge {
+    fn default() -> Gauge {
+        Gauge { cells: Cells::detached(Kind::Gauge) }
+    }
 }
 
 impl Gauge {
     pub fn set(&self, v: i64) {
-        self.cell.atomic().store(v as u64, Ordering::Relaxed);
+        self.cell().store(v as u64, Ordering::Relaxed);
     }
 
     pub fn add(&self, delta: i64) {
-        self.cell.atomic().fetch_add(delta as u64, Ordering::Relaxed);
+        self.cell().fetch_add(delta as u64, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> i64 {
-        self.cell.atomic().load(Ordering::Relaxed) as i64
+        self.cell().load(Ordering::Relaxed) as i64
     }
-}
 
-/// Log2-bucketed distribution of `u64` samples with exact count/sum/min/max.
-pub struct HistogramCore {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl Default for HistogramCore {
-    fn default() -> HistogramCore {
-        HistogramCore {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
+    fn cell(&self) -> &AtomicU64 {
+        &self.cells.metric(0, 1)[0]
     }
 }
 
@@ -176,93 +238,134 @@ fn bucket_index_of_upper_bound(ub: u64) -> usize {
     }
 }
 
-#[derive(Clone, Default)]
-pub struct HistogramHandle {
-    core: Arc<HistogramCore>,
+/// Log2-bucketed distributions of `u64` samples with exact
+/// count/sum/min/max, registered together ([`Registrar::histograms`]);
+/// histogram `i` is the block's `i`th name.
+#[derive(Clone)]
+pub struct Histograms {
+    cells: Cells,
+}
+
+impl Histograms {
+    fn cells(&self, i: usize) -> &[AtomicU64] {
+        self.cells.metric(i, HISTOGRAM_CELLS)
+    }
+
+    fn record(&self, i: usize, v: u64) {
+        let c = self.cells(i);
+        c[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        c[COUNT].fetch_add(1, Ordering::Relaxed);
+        c[SUM].fetch_add(v, Ordering::Relaxed);
+        c[MIN].fetch_min(v, Ordering::Relaxed);
+        c[MAX].fetch_max(v, Ordering::Relaxed);
+    }
+
+    /// Add every sample `local` tallied to histogram `i`, as if each had
+    /// been recorded there one by one, and empty it. An empty
+    /// `local` leaves the histogram as it was.
+    pub fn absorb(&self, i: usize, local: &mut LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        let c = self.cells(i);
+        let mut occupied = local.occupied;
+        while occupied != 0 {
+            let b = occupied.trailing_zeros() as usize;
+            occupied &= occupied - 1;
+            c[b].fetch_add(u64::from(std::mem::take(&mut local.buckets[b])), Ordering::Relaxed);
+        }
+        c[COUNT].fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
+        c[SUM].fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
+        c[MIN].fetch_min(std::mem::replace(&mut local.min, u64::MAX), Ordering::Relaxed);
+        c[MAX].fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
+        local.occupied = 0;
+    }
+
+    /// [`HistogramHandle::restore`] for histogram `i`.
+    fn restore(&self, i: usize, stats: &HistogramStats) {
+        let c = self.cells(i);
+        for b in &c[..HISTOGRAM_BUCKETS] {
+            b.store(0, Ordering::Relaxed);
+        }
+        for &(ub, n) in &stats.buckets {
+            c[bucket_index_of_upper_bound(ub)].store(n, Ordering::Relaxed);
+        }
+        c[COUNT].store(stats.count, Ordering::Relaxed);
+        c[SUM].store(stats.sum, Ordering::Relaxed);
+        // `stats` reports min as 0 when empty; internally an empty
+        // histogram keeps min at u64::MAX so the next sample wins.
+        let min = if stats.count == 0 { u64::MAX } else { stats.min };
+        c[MIN].store(min, Ordering::Relaxed);
+        c[MAX].store(stats.max, Ordering::Relaxed);
+    }
+
+    pub fn stats(&self, i: usize) -> HistogramStats {
+        histogram_stats(self.cells(i))
+    }
+}
+
+/// The stats of the histogram whose cells are `c`.
+fn histogram_stats(c: &[AtomicU64]) -> HistogramStats {
+    let count = c[COUNT].load(Ordering::Relaxed);
+    let buckets: Vec<(u64, u64)> = c[..HISTOGRAM_BUCKETS]
+        .iter()
+        .enumerate()
+        .filter_map(|(i, b)| {
+            let n = b.load(Ordering::Relaxed);
+            (n > 0).then(|| (bucket_upper_bound(i), n))
+        })
+        .collect();
+    HistogramStats {
+        count,
+        sum: c[SUM].load(Ordering::Relaxed),
+        min: if count == 0 { 0 } else { c[MIN].load(Ordering::Relaxed) },
+        max: c[MAX].load(Ordering::Relaxed),
+        buckets,
+    }
+}
+
+/// One histogram: a block of one.
+#[derive(Clone)]
+pub struct HistogramHandle(Histograms);
+
+impl Default for HistogramHandle {
+    fn default() -> HistogramHandle {
+        HistogramHandle(Histograms { cells: Cells::detached(Kind::Histogram) })
+    }
 }
 
 impl HistogramHandle {
     pub fn record(&self, v: u64) {
-        let c = &self.core;
-        c.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        c.count.fetch_add(1, Ordering::Relaxed);
-        c.sum.fetch_add(v, Ordering::Relaxed);
-        c.min.fetch_min(v, Ordering::Relaxed);
-        c.max.fetch_max(v, Ordering::Relaxed);
+        self.0.record(0, v);
     }
 
     pub fn count(&self) -> u64 {
-        self.core.count.load(Ordering::Relaxed)
+        self.0.cells(0)[COUNT].load(Ordering::Relaxed)
     }
 
-    /// Add every sample `local` tallied, as if each had been
-    /// [`record`](HistogramHandle::record)ed here, and empty it. An empty
-    /// `local` leaves the histogram as it was.
+    /// [`Histograms::absorb`] into this histogram.
     pub fn absorb(&self, local: &mut LocalHistogram) {
-        if local.count == 0 {
-            return;
-        }
-        let c = &self.core;
-        let mut occupied = local.occupied;
-        while occupied != 0 {
-            let i = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            c.buckets[i].fetch_add(u64::from(std::mem::take(&mut local.buckets[i])), Ordering::Relaxed);
-        }
-        c.count.fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
-        c.sum.fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
-        c.min.fetch_min(std::mem::replace(&mut local.min, u64::MAX), Ordering::Relaxed);
-        c.max.fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
-        local.occupied = 0;
+        self.0.absorb(0, local);
     }
 
-    /// Overwrite this histogram from a previously captured [`HistogramStats`]
-    /// — the checkpoint-restore path. Buckets absent from `stats` are
-    /// cleared; an empty `stats` resets the histogram to its default state.
+    /// Overwrite this histogram from a previously captured
+    /// [`HistogramStats`] — the checkpoint-restore path. Buckets absent
+    /// from `stats` are cleared; an empty `stats` resets the histogram to
+    /// its default state.
     pub fn restore(&self, stats: &HistogramStats) {
-        let c = &self.core;
-        for b in &c.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        for &(ub, n) in &stats.buckets {
-            c.buckets[bucket_index_of_upper_bound(ub)].store(n, Ordering::Relaxed);
-        }
-        c.count.store(stats.count, Ordering::Relaxed);
-        c.sum.store(stats.sum, Ordering::Relaxed);
-        // `stats` reports min as 0 when empty; internally an empty
-        // histogram keeps min at u64::MAX so the next sample wins.
-        let min = if stats.count == 0 { u64::MAX } else { stats.min };
-        c.min.store(min, Ordering::Relaxed);
-        c.max.store(stats.max, Ordering::Relaxed);
+        self.0.restore(0, stats);
     }
 
     pub fn stats(&self) -> HistogramStats {
-        let c = &self.core;
-        let count = c.count.load(Ordering::Relaxed);
-        let buckets: Vec<(u64, u64)> = c
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| (bucket_upper_bound(i), n))
-            })
-            .collect();
-        HistogramStats {
-            count,
-            sum: c.sum.load(Ordering::Relaxed),
-            min: if count == 0 { 0 } else { c.min.load(Ordering::Relaxed) },
-            max: c.max.load(Ordering::Relaxed),
-            buckets,
-        }
+        self.0.stats(0)
     }
 }
 
 /// A histogram's samples tallied in plain memory by one owner, for a hot
 /// path that records far more often than anyone reads: recording is a
-/// few plain adds, and [`HistogramHandle::absorb`] later publishes the
-/// tally with the same buckets, count, wrapping sum, min and max that
-/// recording each sample through the handle would have left.
+/// few plain adds, and [`Histograms::absorb`] later publishes the tally
+/// with the same buckets, count, wrapping sum, min and max that recording
+/// each sample through the registry would have left.
 #[derive(Clone, Debug)]
 pub struct LocalHistogram {
     /// `u32` halves the tally, which its owner may carry by value;
@@ -385,26 +488,32 @@ impl MetricsSnapshot {
 }
 
 /// A hash of a metric name, the registry's lookup key, taken eight bytes
-/// at a time. Only lookups read it: snapshots sort by name.
+/// at a time; the last word overlaps the one before it when the length is
+/// not a multiple of eight. Only lookups read it: snapshots sort by name.
 fn name_hash(name: &str) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     let mix = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
-    let mut words = name.as_bytes().chunks_exact(8);
-    let mut h = name.len() as u64;
-    for chunk in &mut words {
+    let bytes = name.as_bytes();
+    let word = |at: usize| {
         let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        h = mix(h, u64::from_le_bytes(word));
+        word.copy_from_slice(&bytes[at..at + 8]);
+        u64::from_le_bytes(word)
+    };
+    let mut h = bytes.len() as u64;
+    if bytes.len() < 8 {
+        return mix(h, bytes.iter().fold(0, |w, &b| w << 8 | u64::from(b)));
     }
-    let mut tail = [0u8; 8];
-    tail[..words.remainder().len()].copy_from_slice(words.remainder());
-    mix(h, u64::from_le_bytes(tail))
+    for at in (0..bytes.len() - 8).step_by(8) {
+        h = mix(h, word(at));
+    }
+    mix(h, word(bytes.len() - 8))
 }
 
-/// A metric name: a string, or [`format_args!`] that writes one. A plain
-/// string is copied into the registry as it is; only a name with
-/// arguments goes through [`fmt`].
-pub trait MetricName: fmt::Display {
+/// A metric name: a string, a number, or a tuple of these written one
+/// after another, such as `("cpu", 3, ".hw_prio_transitions")` for
+/// `cpu3.hw_prio_transitions`. Each is written straight into the
+/// registry, without a trip through `fmt`.
+pub trait MetricName {
     /// Append the name to `out`.
     fn write_name(&self, out: &mut String);
 }
@@ -421,15 +530,34 @@ impl MetricName for String {
     }
 }
 
-impl MetricName for fmt::Arguments<'_> {
+/// In decimal.
+impl MetricName for usize {
     fn write_name(&self, out: &mut String) {
-        match self.as_str() {
-            Some(plain) => out.push_str(plain),
-            // Writing into a `String` cannot fail.
-            None => {
-                let _ = out.write_fmt(*self);
+        let mut digits = [0u8; 20];
+        let (mut n, mut len) = (*self, 0);
+        loop {
+            digits[len] = b'0' + (n % 10) as u8;
+            (n, len) = (n / 10, len + 1);
+            if n == 0 {
+                break;
             }
         }
+        out.extend(digits[..len].iter().rev().map(|&d| char::from(d)));
+    }
+}
+
+impl<A: MetricName, B: MetricName> MetricName for (A, B) {
+    fn write_name(&self, out: &mut String) {
+        self.0.write_name(out);
+        self.1.write_name(out);
+    }
+}
+
+impl<A: MetricName, B: MetricName, C: MetricName> MetricName for (A, B, C) {
+    fn write_name(&self, out: &mut String) {
+        self.0.write_name(out);
+        self.1.write_name(out);
+        self.2.write_name(out);
     }
 }
 
@@ -439,18 +567,20 @@ impl<T: MetricName + ?Sized> MetricName for &T {
     }
 }
 
-/// What a registered name refers to: a counter's or gauge's cell, by slab
-/// and place in it, or a histogram.
-enum Metric {
-    Counter(Place),
-    Gauge(Place),
-    Histogram(HistogramHandle),
-}
-
-#[derive(Clone, Copy)]
+/// Where a metric's cells start: a slab, and a cell in it.
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct Place {
     slab: usize,
     index: usize,
+}
+
+/// One registered metric.
+struct Entry {
+    /// The metric's name, as a range of [`Store::names`].
+    name: Range<usize>,
+    hash: u64,
+    kind: Kind,
+    at: Place,
 }
 
 /// Registry of named metrics.
@@ -460,28 +590,35 @@ struct Place {
 /// hot-path recording never contends on the registry. Cloning shares the
 /// underlying store.
 ///
-/// Registering a metric allocates nothing of its own: its name is written
-/// into one shared string, a counter or gauge takes the next cell of a
-/// shared slab, and an index sorted by a hash of the name finds a name
-/// again by binary search over integers. Those four grow geometrically;
-/// only a histogram, 69 cells wide, is allocated on its own. A component
-/// that registers several metrics does so under one lock
-/// ([`MetricsRegistry::register`]). Snapshots sort by name when taken.
+/// A component registers its metrics of a kind as one block
+/// ([`Registrar::counters`], [`Registrar::histograms`]) under one lock
+/// ([`MetricsRegistry::register`]); a single counter, gauge or histogram
+/// is the block of one name. Registering allocates nothing of its own: the
+/// names are written into one shared string, the metrics take the next
+/// cells of a shared slab (a histogram takes 69), and a hash table over
+/// the names finds a name again. Those grow geometrically. Metrics
+/// registered together for the first time lie one after another in one
+/// slab, so their block holds one slab reference. Snapshots sort by name
+/// when taken.
 #[derive(Clone, Default)]
 pub struct MetricsRegistry {
     store: Arc<Mutex<Store>>,
 }
 
+/// An empty slot of [`Store::slots`].
+const EMPTY: usize = usize::MAX;
+
 struct Store {
     /// Every registered name, back to back.
     names: String,
-    /// Each metric's name, as a range of `names`, and what it refers to,
-    /// in registration order.
-    entries: Vec<(Range<usize>, Metric)>,
-    /// `(name_hash(name), index into entries)` of every metric, sorted.
-    by_hash: Vec<(u64, usize)>,
-    /// The counter and gauge cells; each slab has twice the cells of the
-    /// one before, and new cells come from the last.
+    /// Every metric, in registration order.
+    entries: Vec<Entry>,
+    /// Open addressing over `entries`: a name's probe starts at the top
+    /// bits of its hash and goes on slot by slot. Each slot holds an index
+    /// into `entries`, or [`EMPTY`]. A power of two long, and at most half
+    /// full.
+    slots: Vec<usize>,
+    /// The metric cells; new cells come from the last slab.
     slabs: Vec<Slab>,
     /// Cells taken from the last slab.
     taken: usize,
@@ -493,7 +630,7 @@ impl Default for Store {
         Store {
             names: String::with_capacity(1024),
             entries: Vec::with_capacity(32),
-            by_hash: Vec::with_capacity(32),
+            slots: vec![EMPTY; 64],
             slabs: Vec::new(),
             taken: 0,
         }
@@ -501,92 +638,170 @@ impl Default for Store {
 }
 
 impl Store {
-    /// The metric called `name`, made by `make` if no metric has that name
-    /// yet.
-    fn register(&mut self, name: &dyn MetricName, make: fn(&mut Store) -> Metric) -> &Metric {
+    /// Where the metric called `name` starts, made as a new metric of
+    /// `kind` if no metric has that name yet. A new metric's cells come
+    /// from the last slab if it has `room` cells left (the rest of the
+    /// caller's block), else from a new slab.
+    ///
+    /// Panics if `name` is registered as another kind, leaving the store
+    /// as it was.
+    fn resolve(&mut self, name: &dyn MetricName, kind: Kind, room: usize) -> Place {
         let start = self.names.len();
         name.write_name(&mut self.names);
-        let new = &self.names[start..];
-        let hash = name_hash(new);
-        let at = self.by_hash.partition_point(|&(h, _)| h < hash);
-        let same = self.by_hash[at..].iter().take_while(|&&(h, _)| h == hash);
-        let found = same.map(|&(_, i)| i).find(|&i| self.name(i) == new);
-        let entry = match found {
-            Some(i) => {
+        let hash = name_hash(&self.names[start..]);
+        match self.find(&self.names[start..], hash) {
+            Ok(i) if self.entries[i].kind == kind => {
                 self.names.truncate(start);
-                i
+                self.entries[i].at
             }
-            None => {
-                let metric = make(self);
-                let i = self.entries.len();
-                self.by_hash.insert(at, (hash, i));
-                self.entries.push((start..self.names.len(), metric));
-                i
+            Ok(_) => {
+                let name = self.names.split_off(start);
+                panic!("metric `{name}` already registered with a different kind")
             }
-        };
-        &self.entries[entry].1
+            Err(slot) => {
+                let at = self.take(kind, room);
+                self.slots[slot] = self.entries.len();
+                self.entries.push(Entry { name: start..self.names.len(), hash, kind, at });
+                if 2 * self.entries.len() > self.slots.len() {
+                    self.grow();
+                }
+                at
+            }
+        }
+    }
+
+    /// The entry called `name`, whose hash is `hash`; or, if there is
+    /// none, the empty slot where its probe ends.
+    fn find(&self, name: &str, hash: u64) -> Result<usize, usize> {
+        let mut slot = self.home(hash);
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Err(slot),
+                i if self.entries[i].hash == hash && self.name(i) == name => return Ok(i),
+                _ => slot = (slot + 1) & (self.slots.len() - 1),
+            }
+        }
+    }
+
+    /// The slot where the probe for `hash` starts.
+    fn home(&self, hash: u64) -> usize {
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Double the table.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; 2 * self.slots.len()];
+        for i in 0..self.entries.len() {
+            let mut slot = self.home(self.entries[i].hash);
+            while self.slots[slot] != EMPTY {
+                slot = (slot + 1) & (self.slots.len() - 1);
+            }
+            self.slots[slot] = i;
+        }
     }
 
     fn name(&self, entry: usize) -> &str {
-        &self.names[self.entries[entry].0.clone()]
+        &self.names[self.entries[entry].name.clone()]
     }
 
-    /// The next free cell, from a new slab when the last one is full.
-    fn place(&mut self) -> Place {
+    /// The cells of a new metric of `kind`: the next ones of the last
+    /// slab if it has `room` left, else the first of a new slab.
+    fn take(&mut self, kind: Kind, room: usize) -> Place {
+        let room = room.max(kind.width());
         match self.slabs.last() {
-            Some(last) if self.taken < last.len() => {}
+            Some(last) if last.len() - self.taken >= room => {}
             last => {
-                let cells = last.map_or(FIRST_SLAB_CELLS, |s| 2 * s.len());
+                let cells = last.map_or(FIRST_SLAB_CELLS, |s| 2 * s.len()).max(room);
                 self.slabs.push(slab(cells));
                 self.taken = 0;
             }
         }
-        self.taken += 1;
-        Place { slab: self.slabs.len() - 1, index: self.taken - 1 }
+        let at = Place { slab: self.slabs.len() - 1, index: self.taken };
+        self.taken += kind.width();
+        if kind == Kind::Histogram {
+            self.cells(at, HISTOGRAM_CELLS)[MIN].store(u64::MAX, Ordering::Relaxed);
+        }
+        at
     }
 
-    fn cell(&self, at: Place) -> Cell {
-        Cell { slab: self.slabs[at.slab].clone(), index: at.index }
+    fn cells(&self, at: Place, width: usize) -> &[AtomicU64] {
+        &self.slabs[at.slab][at.index..at.index + width]
     }
 
-    fn value(&self, metric: &Metric) -> MetricValue {
-        let load = |at: &Place| self.slabs[at.slab][at.index].load(Ordering::Relaxed);
-        match metric {
-            Metric::Counter(at) => MetricValue::Counter(load(at)),
-            Metric::Gauge(at) => MetricValue::Gauge(load(at) as i64),
-            Metric::Histogram(h) => MetricValue::Histogram(h.stats()),
+    fn value(&self, entry: &Entry) -> MetricValue {
+        let cells = self.cells(entry.at, entry.kind.width());
+        match entry.kind {
+            Kind::Counter => MetricValue::Counter(cells[0].load(Ordering::Relaxed)),
+            Kind::Gauge => MetricValue::Gauge(cells[0].load(Ordering::Relaxed) as i64),
+            Kind::Histogram => MetricValue::Histogram(histogram_stats(cells)),
         }
     }
 }
 
 /// Registers metrics while holding the registry's lock; see
-/// [`MetricsRegistry::register`]. Each method registers (or retrieves)
-/// one metric and panics if its name is already registered as a
-/// different kind. A name is a [`MetricName`]: a string, or
-/// [`format_args!`], which builds one without allocating.
+/// [`MetricsRegistry::register`]. Each method registers (or retrieves) a
+/// block of metrics of one kind, and panics if a name is already
+/// registered as a different kind. A name is a [`MetricName`]: a string,
+/// a number, or a tuple of these, written without allocating.
 pub struct Registrar<'a> {
     store: MutexGuard<'a, Store>,
 }
 
 impl Registrar<'_> {
+    /// The counters called `names`, in order, behind one slab reference.
+    pub fn counters<N: MetricName>(&mut self, names: impl IntoIterator<Item = N>) -> Counters {
+        Counters { cells: self.block(Kind::Counter, names) }
+    }
+
+    /// The histograms called `names`, in order, behind one slab reference.
+    pub fn histograms<N: MetricName>(&mut self, names: impl IntoIterator<Item = N>) -> Histograms {
+        Histograms { cells: self.block(Kind::Histogram, names) }
+    }
+
     pub fn counter(&mut self, name: impl MetricName) -> Counter {
-        match *self.store.register(&name, |s| Metric::Counter(s.place())) {
-            Metric::Counter(at) => Counter { cell: self.store.cell(at) },
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
+        Counter(self.counters([name]))
     }
 
     pub fn gauge(&mut self, name: impl MetricName) -> Gauge {
-        match *self.store.register(&name, |s| Metric::Gauge(s.place())) {
-            Metric::Gauge(at) => Gauge { cell: self.store.cell(at) },
-            _ => panic!("metric `{name}` already registered with a different kind"),
-        }
+        Gauge { cells: self.block(Kind::Gauge, [name]) }
     }
 
     pub fn histogram(&mut self, name: impl MetricName) -> HistogramHandle {
-        match self.store.register(&name, |_| Metric::Histogram(HistogramHandle::default())) {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric `{name}` already registered with a different kind"),
+        HistogramHandle(self.histograms([name]))
+    }
+
+    /// The one registration path: the metrics of `kind` called `names`.
+    /// The names not registered before take cells of one slab, in order,
+    /// as far as the iterator's size hint foresees them.
+    fn block<N: MetricName>(&mut self, kind: Kind, names: impl IntoIterator<Item = N>) -> Cells {
+        let width = kind.width();
+        let mut names = names.into_iter();
+        let mut first: Option<Place> = None;
+        // Empty while the metrics lie one after another from `first`.
+        let mut each: Vec<Place> = Vec::new();
+        let mut i = 0;
+        while let Some(name) = names.next() {
+            let room = (names.size_hint().0 + 1) * width;
+            let at = self.store.resolve(&name, kind, room);
+            let run = |j: usize| first.map(|f| Place { index: f.index + j * width, ..f });
+            match run(i) {
+                None => first = Some(at),
+                Some(next) if each.is_empty() && at == next => {}
+                Some(_) => {
+                    if each.is_empty() {
+                        each.extend((0..i).filter_map(run));
+                    }
+                    each.push(at);
+                }
+            }
+            i += 1;
+        }
+        let slabs = &self.store.slabs;
+        match first {
+            Some(f) if each.is_empty() => {
+                Cells::Run { slab: slabs[f.slab].clone(), first: f.index, len: i }
+            }
+            _ => Cells::Each(each.iter().map(|at| (slabs[at.slab].clone(), at.index)).collect()),
         }
     }
 }
@@ -640,7 +855,7 @@ impl MetricsRegistry {
             for (name, value) in &snap.metrics {
                 match value {
                     MetricValue::Counter(v) => {
-                        r.counter(name).cell.atomic().store(*v, Ordering::Relaxed);
+                        r.counter(name).0.cell(0).store(*v, Ordering::Relaxed);
                     }
                     MetricValue::Gauge(v) => r.gauge(name).set(*v),
                     MetricValue::Histogram(h) => r.histogram(name).restore(h),
@@ -658,7 +873,7 @@ impl MetricsRegistry {
         MetricsSnapshot {
             metrics: by_name
                 .into_iter()
-                .map(|i| (s.name(i).to_owned(), s.value(&s.entries[i].1)))
+                .map(|i| (s.name(i).to_owned(), s.value(&s.entries[i])))
                 .collect(),
         }
     }
@@ -732,6 +947,18 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("x");
         registry.gauge("x");
+    }
+
+    #[test]
+    #[should_panic(expected = "metric 2 of a block of 2")]
+    fn a_block_index_past_its_end_is_rejected() {
+        let registry = MetricsRegistry::new();
+        let block = registry.register(|r| r.counters(["a", "b"]));
+        // The next cell of the slab is `c`'s; the block must not reach it.
+        let c = registry.counter("c");
+        block.inc(1);
+        block.inc(2);
+        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -1,23 +1,25 @@
 //! Reference-model test of the metrics registry.
 //!
-//! The registry keeps its names in one shared string, its counter and
-//! gauge cells in shared slabs and its lookup index sorted by a hash of
-//! the name. A model that keeps every metric in a `BTreeMap` keyed by name
-//! must agree with it: random names (sharing prefixes, repeated, in random
-//! order) registered as random kinds, one at a time or several under one
-//! lock, with a sample recorded through each handle. The snapshot must be
-//! the model's, name-sorted; a name registered again must hand out the
-//! same cell as the first time; a name registered again as another kind
-//! must panic and leave the registry as it was; and restoring a snapshot
-//! into a fresh registry must give the same snapshot back.
+//! The registry keeps its names in one shared string, its metric cells in
+//! shared slabs and a hash table over the names. A model that keeps every
+//! metric in a `BTreeMap` keyed by name must agree with it: random names
+//! (sharing prefixes, repeated, in random order) registered as random
+//! kinds, one at a time or several under one lock, one name a call or as
+//! blocks of counters and of histograms that mix fresh names, names
+//! registered before and names repeated within the block, with a sample
+//! recorded through each handle. The snapshot must be the model's,
+//! name-sorted; a name registered again, alone or in a block, must hand
+//! out the same cell as the first time; a name registered again as
+//! another kind must panic and leave the registry as it was; and restoring
+//! a snapshot into a fresh registry must give the same snapshot back.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use telemetry::{
-    bucket_upper_bound, Counter, Gauge, HistogramHandle, HistogramStats, MetricValue,
-    MetricsRegistry, MetricsSnapshot, Registrar,
+    bucket_upper_bound, Counter, Counters, Gauge, HistogramHandle, HistogramStats, Histograms,
+    LocalHistogram, MetricValue, MetricsRegistry, MetricsSnapshot, Registrar,
 };
 
 const PREFIXES: [&str; 7] = [
@@ -47,11 +49,60 @@ enum Kind {
 
 const KINDS: [Kind; 3] = [Kind::Counter, Kind::Gauge, Kind::Histogram];
 
-/// A handle the registry gave out.
+/// A handle the registry gave out: for one metric, or metric `i` of a
+/// block.
 enum Handle {
     Counter(Counter),
     Gauge(Gauge),
     Histogram(HistogramHandle),
+    InCounters(Counters, usize),
+    InHistograms(Histograms, usize),
+}
+
+impl Handle {
+    /// Record `v` through the handle, as the model does in `m`.
+    fn record(&self, v: u64, m: &mut Model) {
+        match (self, m) {
+            (Handle::Counter(c), Model::Counter(m)) => {
+                c.add(v);
+                *m += v;
+            }
+            (Handle::InCounters(c, i), Model::Counter(m)) => {
+                c.add(*i, v);
+                *m += v;
+            }
+            (Handle::Gauge(g), Model::Gauge(m)) => {
+                let delta = v as i64 - (1 << 39);
+                g.add(delta);
+                *m += delta;
+            }
+            (Handle::Histogram(h), Model::Histogram(m)) => {
+                h.record(v);
+                m.push(v);
+            }
+            (Handle::InHistograms(h, i), Model::Histogram(m)) => {
+                let mut local = LocalHistogram::default();
+                assert!(!local.record(v));
+                h.absorb(*i, &mut local);
+                m.push(v);
+            }
+            _ => unreachable!("the model and the registry disagree on a kind"),
+        }
+    }
+
+    /// Whether the handle reads the model's value `m`.
+    fn reads(&self, m: &Model) -> bool {
+        match (self, m) {
+            (Handle::Counter(c), Model::Counter(m)) => c.get() == *m,
+            (Handle::InCounters(c, i), Model::Counter(m)) => c.get(*i) == *m,
+            (Handle::Gauge(g), Model::Gauge(m)) => g.get() == *m,
+            (Handle::Histogram(h), Model::Histogram(m)) => h.stats() == histogram_stats(m),
+            (Handle::InHistograms(h, i), Model::Histogram(m)) => {
+                h.stats(*i) == histogram_stats(m)
+            }
+            _ => false,
+        }
+    }
 }
 
 /// What the model expects of one metric.
@@ -72,12 +123,47 @@ impl Model {
     }
 }
 
-fn register(r: &mut Registrar<'_>, name: &str, kind: Kind) -> Handle {
-    match kind {
-        Kind::Counter => Handle::Counter(r.counter(name)),
-        Kind::Gauge => Handle::Gauge(r.gauge(name)),
-        Kind::Histogram => Handle::Histogram(r.histogram(format_args!("{name}"))),
+/// A name as its prefix and suffix.
+type Name = (&'static str, &'static str);
+
+fn name_of(&(prefix, suffix): &Name) -> String {
+    format!("{prefix}{suffix}")
+}
+
+/// Register `names` in order, under one lock: one name a call, or, with
+/// `blocks`, each run of counters or of histograms as one block (a gauge
+/// has no block). Names go in as a `&str` one at a time and as a tuple of
+/// parts in blocks.
+fn register(r: &mut Registrar<'_>, names: &[(Name, Kind)], blocks: bool) -> Vec<Handle> {
+    if !blocks {
+        return names
+            .iter()
+            .map(|(name, kind)| {
+                let name = name_of(name);
+                match kind {
+                    Kind::Counter => Handle::Counter(r.counter(name.as_str())),
+                    Kind::Gauge => Handle::Gauge(r.gauge(name.as_str())),
+                    Kind::Histogram => Handle::Histogram(r.histogram(name.as_str())),
+                }
+            })
+            .collect();
     }
+    let mut handles = Vec::new();
+    for run in names.chunk_by(|a, b| a.1 == b.1) {
+        let parts = run.iter().map(|(name, _)| *name);
+        match run[0].1 {
+            Kind::Counter => {
+                let block = r.counters(parts);
+                handles.extend((0..run.len()).map(|i| Handle::InCounters(block.clone(), i)));
+            }
+            Kind::Histogram => {
+                let block = r.histograms(parts);
+                handles.extend((0..run.len()).map(|i| Handle::InHistograms(block.clone(), i)));
+            }
+            Kind::Gauge => handles.extend(parts.map(|name| Handle::Gauge(r.gauge(name)))),
+        }
+    }
+    handles
 }
 
 /// The histogram the model's samples make, computed without the registry.
@@ -125,7 +211,7 @@ proptest! {
                 0usize..SUFFIXES.len(),
                 0usize..3,
                 0u64..1 << 40,
-                any::<bool>(),
+                (any::<bool>(), any::<bool>()),
             ),
             0..80,
         ),
@@ -135,17 +221,23 @@ proptest! {
 }
 
 /// One registration: a name's prefix and suffix, a kind, a sample to record
-/// through the handle, and whether the next one shares its lock.
-type Op = (usize, usize, usize, u64, bool);
+/// through the handle, and whether the next one shares its lock and
+/// whether the group of registrations under one lock goes in as blocks
+/// (its first registration's say counts).
+type Op = (usize, usize, usize, u64, (bool, bool));
 
 fn check(ops: &[Op]) {
     let registry = MetricsRegistry::new();
     let mut model: BTreeMap<String, Model> = BTreeMap::new();
     let mut first: BTreeMap<String, Handle> = BTreeMap::new();
-    for group in ops.chunk_by(|a, _| a.4) {
+    for group in ops.chunk_by(|a, _| a.4 .0) {
+        let blocks = group[0].4 .1;
+        let parts: Vec<(Name, Kind)> =
+            group.iter().map(|&(p, s, k, ..)| ((PREFIXES[p], SUFFIXES[s]), KINDS[k])).collect();
         let names: Vec<(String, Kind, u64)> = group
             .iter()
-            .map(|&(p, s, k, v, _)| (format!("{}{}", PREFIXES[p], SUFFIXES[s]), KINDS[k], v))
+            .zip(&parts)
+            .map(|(op, (name, kind))| (name_of(name), *kind, op.3))
             .collect();
         // Registering a name as another kind must panic: the model
         // knows which registration of the group does.
@@ -157,14 +249,7 @@ fn check(ops: &[Op]) {
             .iter()
             .position(|(name, kind, _)| *kinds.entry(name).or_insert(*kind) != *kind);
         let upto = clash.map_or(names.len(), |i| i + 1);
-        let handles = quietly(|| {
-            registry.register(|r| {
-                names[..upto]
-                    .iter()
-                    .map(|(name, kind, _)| register(r, name, *kind))
-                    .collect::<Vec<_>>()
-            })
-        });
+        let handles = quietly(|| registry.register(|r| register(r, &parts[..upto], blocks)));
         let handles = match (handles, clash) {
             (Ok(handles), None) => handles,
             (Err(_), Some(i)) => {
@@ -181,40 +266,27 @@ fn check(ops: &[Op]) {
             }
             (Err(_), None) => panic!("registration panicked with no kind clash"),
         };
+        let mut latest = Vec::new();
         for ((name, kind, v), handle) in names.iter().zip(handles) {
             let entry = model.entry(name.clone()).or_insert(match kind {
                 Kind::Counter => Model::Counter(0),
                 Kind::Gauge => Model::Gauge(0),
                 Kind::Histogram => Model::Histogram(Vec::new()),
             });
-            match (&handle, entry) {
-                (Handle::Counter(c), Model::Counter(m)) => {
-                    c.add(*v);
-                    *m += v;
-                }
-                (Handle::Gauge(g), Model::Gauge(m)) => {
-                    let delta = *v as i64 - (1 << 39);
-                    g.add(delta);
-                    *m += delta;
-                }
-                (Handle::Histogram(h), Model::Histogram(m)) => {
-                    h.record(*v);
-                    m.push(*v);
-                }
-                _ => unreachable!("the model and the registry disagree on {name}'s kind"),
-            }
+            handle.record(*v, entry);
+            latest.push((name, handle));
+        }
+        // Every handle of the group reads the model's value once all have
+        // recorded: a name repeated in a block, or registered before,
+        // shares its one cell.
+        for (name, handle) in latest {
+            assert!(handle.reads(&model[name]), "{name}'s handle in this group lost track");
             first.entry(name.clone()).or_insert(handle);
         }
         // Every handle handed out first still reads the model's value:
         // registering again returned the same cell.
         for (name, handle) in &first {
-            let same = match (handle, &model[name]) {
-                (Handle::Counter(c), Model::Counter(m)) => c.get() == *m,
-                (Handle::Gauge(g), Model::Gauge(m)) => g.get() == *m,
-                (Handle::Histogram(h), Model::Histogram(m)) => h.stats() == histogram_stats(m),
-                _ => false,
-            };
-            assert!(same, "{name}'s first handle lost track");
+            assert!(handle.reads(&model[name]), "{name}'s first handle lost track");
         }
     }
     let snapshot = registry.snapshot();
