@@ -11,6 +11,7 @@
 //! latest image, exercised by faultsim's `ckptcorrupt:` class) falls back
 //! to the previous good checkpoint instead of wedging recovery.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -67,7 +68,7 @@ pub struct BatchCheckpoint {
     pub(crate) fleet_busy: Vec<bool>,
     pub(crate) source: SourceImage,
     pub(crate) queue: VecDeque<u64>,
-    pub(crate) trackers: BTreeMap<u64, Tracker>,
+    pub(crate) trackers: BTreeMap<u64, Tracker<'static>>,
     /// In-flight segments as `(id, nodes, start, end)`; the kernel
     /// measurement re-derives from the pure oracle on resume.
     pub(crate) running: Vec<(u64, Vec<usize>, SimTime, SimTime)>,
@@ -598,10 +599,12 @@ impl Snapshot for ClusterOutcome {
     }
 }
 
-impl Snapshot for Tracker {
+/// A tracker's image holds its segment's whole spec, the job's with the
+/// remaining iterations; decode rejects one that is not.
+impl Snapshot for Tracker<'static> {
     fn snapshot(&self, w: &mut SnapshotWriter) {
         self.job.snapshot(w);
-        self.remaining.snapshot(w);
+        self.job.spec.snapshot_with_iterations(self.remaining_iters, w);
         w.put(&self.first_start);
         w.put_f64(self.node_secs_held);
         w.put_f64(self.run_secs);
@@ -612,9 +615,14 @@ impl Snapshot for Tracker {
         w.put(&self.failure);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let job: BatchJob = r.get()?;
+        let remaining: JobSpec = r.get()?;
+        if !job.spec.same_gang(&remaining) {
+            return Err(SnapshotError::Malformed("remaining segment is not the job's spec"));
+        }
         Ok(Tracker {
-            job: r.get()?,
-            remaining: r.get()?,
+            job: Cow::Owned(job),
+            remaining_iters: remaining.iterations,
             first_start: r.get()?,
             node_secs_held: r.get_f64()?,
             run_secs: r.get_f64()?,
@@ -865,8 +873,12 @@ mod tests {
             ("running job untracked", &|c| c.trackers.retain(|&k, _| k != id)),
             ("queued job untracked", &|c| c.trackers.retain(|&k, _| k != queued)),
             ("fault on node 99", &|c| c.fault_armed.iter_mut().for_each(|f| f.node = 99)),
-            ("no ranks", &|c| c.trackers.values_mut().for_each(|t| t.remaining.rank_loads.clear())),
-            ("load 0", &|c| c.trackers.values_mut().for_each(|t| t.job.spec.rank_loads[0] = 0.0)),
+            ("no ranks", &|c| {
+                c.trackers.values_mut().for_each(|t| t.job.to_mut().spec.rank_loads.clear())
+            }),
+            ("load 0", &|c| {
+                c.trackers.values_mut().for_each(|t| t.job.to_mut().spec.rank_loads[0] = 0.0)
+            }),
         ];
         for (what, edit) in &edits {
             let mut bad = ckpt.clone();

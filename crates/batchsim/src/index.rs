@@ -67,10 +67,9 @@ impl ReleaseIndex {
         self.by_end.first().map(|&(end, _)| end)
     }
 
-    /// Remove and return the seqs of every segment with `end <= now`, in
-    /// `(end, seq)` order.
-    pub fn pop_released(&mut self, now: SimTime) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// Remove the segments with `end <= now` and append their seqs to
+    /// `out`, in `(end, seq)` order; the caller reuses one buffer.
+    pub fn pop_released(&mut self, now: SimTime, out: &mut Vec<u64>) {
         while let Some(&(end, seq)) = self.by_end.first() {
             if end > now {
                 break;
@@ -79,7 +78,6 @@ impl ReleaseIndex {
             self.entries.remove(&seq);
             out.push(seq);
         }
-        out
     }
 
     /// The EASY shadow computation: starting from `avail` free nodes,
@@ -107,6 +105,13 @@ mod tests {
         SimTime::ZERO + simcore::SimDuration::from_nanos(secs * 1_000_000_000)
     }
 
+    /// The seqs [`ReleaseIndex::pop_released`] pops at `now`.
+    fn popped(ix: &mut ReleaseIndex, now: SimTime) -> Vec<u64> {
+        let mut out = Vec::new();
+        ix.pop_released(now, &mut out);
+        out
+    }
+
     #[test]
     fn next_release_and_pop_follow_end_then_seq_order() {
         let mut ix = ReleaseIndex::new();
@@ -114,10 +119,10 @@ mod tests {
         ix.insert(0, t(10), 2);
         ix.insert(1, t(10), 3);
         assert_eq!(ix.next_release(), Some(t(10)));
-        assert_eq!(ix.pop_released(t(10)), vec![0, 1]);
+        assert_eq!(popped(&mut ix, t(10)), vec![0, 1]);
         assert_eq!(ix.len(), 1);
-        assert_eq!(ix.pop_released(t(29)), Vec::<u64>::new());
-        assert_eq!(ix.pop_released(t(30)), vec![2]);
+        assert_eq!(popped(&mut ix, t(29)), Vec::<u64>::new());
+        assert_eq!(popped(&mut ix, t(30)), vec![2]);
         assert!(ix.is_empty());
     }
 
@@ -158,6 +163,6 @@ mod tests {
         ix.insert(1, t(5), 1);
         assert!(ix.remove(0));
         assert!(!ix.remove(0));
-        assert_eq!(ix.pop_released(t(5)), vec![1]);
+        assert_eq!(popped(&mut ix, t(5)), vec![1]);
     }
 }

@@ -19,9 +19,7 @@ pub struct JobSpec {
 
 impl simcore::snapshot::Snapshot for JobSpec {
     fn snapshot(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        w.put_str(&self.name);
-        w.put(&self.rank_loads);
-        w.put_u32(self.iterations);
+        self.snapshot_with_iterations(self.iterations, w);
     }
     fn restore(
         r: &mut simcore::snapshot::SnapshotReader<'_>,
@@ -49,6 +47,28 @@ impl JobSpec {
 
     pub fn ranks(&self) -> usize {
         self.rank_loads.len()
+    }
+
+    /// The image of this spec with its iterations replaced by
+    /// `iterations`: the bytes the snapshot of such a copy would write,
+    /// without the copy.
+    pub(crate) fn snapshot_with_iterations(
+        &self,
+        iterations: u32,
+        w: &mut simcore::snapshot::SnapshotWriter,
+    ) {
+        w.put_str(&self.name);
+        w.put(&self.rank_loads);
+        w.put_u32(iterations);
+    }
+
+    /// Whether `other` is this spec up to its iterations, loads compared
+    /// bit for bit.
+    pub(crate) fn same_gang(&self, other: &JobSpec) -> bool {
+        let same_bits = |(a, b): (&f64, &f64)| a.to_bits() == b.to_bits();
+        self.name == other.name
+            && self.rank_loads.len() == other.rank_loads.len()
+            && self.rank_loads.iter().zip(&other.rank_loads).all(same_bits)
     }
 
     /// A synthetic job with lognormal-ish load spread — the irregular mesh

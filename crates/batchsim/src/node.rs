@@ -14,6 +14,8 @@
 //! never on which thread ran it (a watchdog attempt runs on a thread of
 //! its own), when, or for which job.
 
+use std::sync::Arc;
+
 use crate::shape::NodeShape;
 use mpisim::{Mpi, MpiConfig};
 use power5::{CpuId, HwPriority};
@@ -161,7 +163,7 @@ pub fn run_node(
             loads.len()
         )));
     }
-    let builder = KernelBuilder::new().topology(shape.topology.clone());
+    let builder = KernelBuilder::new().topology(Arc::clone(&shape.topology));
     let mut kernel: Kernel = match sched {
         LocalSched::Hpc => builder.try_build()?,
         LocalSched::Policy(p) => builder.policy(p).try_build()?,

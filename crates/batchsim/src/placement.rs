@@ -191,10 +191,33 @@ pub fn place_on(
     shapes: &[NodeShape],
     strategy: PlacementStrategy,
 ) -> Result<Placement, PlacementError> {
+    place_with(job, shapes, strategy, &mut PlaceScratch::default())
+}
+
+/// The working vectors of a placement search, kept by a caller that
+/// places many jobs so that only the [`Placement`] itself is allocated.
+#[derive(Default)]
+pub(crate) struct PlaceScratch {
+    slots_of: Vec<usize>,
+    order: Vec<usize>,
+    loads: Vec<f64>,
+    sorted: Vec<usize>,
+    paired: Vec<usize>,
+}
+
+/// [`place_on`] with the search's working vectors in `scratch`.
+pub(crate) fn place_with(
+    job: &JobSpec,
+    shapes: &[NodeShape],
+    strategy: PlacementStrategy,
+    scratch: &mut PlaceScratch,
+) -> Result<Placement, PlacementError> {
     if shapes.is_empty() {
         return Err(PlacementError::NoNodes);
     }
-    let slots_of: Vec<usize> = shapes.iter().map(NodeShape::slots).collect();
+    let PlaceScratch { slots_of, order, loads, sorted, paired } = scratch;
+    slots_of.clear();
+    slots_of.extend(shapes.iter().map(NodeShape::slots));
     let total: usize = slots_of.iter().sum();
     let does_not_fit = PlacementError::DoesNotFit { ranks: job.ranks(), slots: total };
     if job.ranks() > total {
@@ -218,13 +241,11 @@ pub fn place_on(
             nodes
         }
         PlacementStrategy::GreedyLpt => {
-            let mut order: Vec<usize> = (0..job.ranks()).collect();
-            order.sort_by(|&a, &b| {
-                job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
-            });
+            heaviest_first(job, order);
             let mut nodes = vec![Vec::new(); num_nodes];
-            let mut loads = vec![0.0f64; num_nodes];
-            for r in order {
+            loads.clear();
+            loads.resize(num_nodes, 0.0);
+            for &r in order.iter() {
                 // Least *effective* load (total / speed) with a free slot;
                 // ties to lowest index. The fit check above guarantees a
                 // free slot, so the error is unreachable.
@@ -243,21 +264,15 @@ pub fn place_on(
         }
         PlacementStrategy::SmtAware | PlacementStrategy::NumaAware => {
             let numa = strategy == PlacementStrategy::NumaAware;
-            let mut order: Vec<usize> = (0..job.ranks()).collect();
-            order.sort_by(|&a, &b| {
-                job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
-            });
+            heaviest_first(job, order);
             // Ranks are placed heaviest first, so every node's ranks stay
             // sorted heaviest first (ties by rank) as they are pushed.
             let mut nodes: Vec<Vec<usize>> =
                 slots_of.iter().map(|&slots| Vec::with_capacity(slots)).collect();
-            // Every candidate reuses these two: a node's ranks plus the
-            // candidate rank, which is still heaviest first, and the same
-            // ranks in slot order.
-            let widest = slots_of.iter().copied().max().unwrap_or(0);
-            let mut sorted: Vec<usize> = Vec::with_capacity(widest);
-            let mut paired: Vec<usize> = Vec::with_capacity(widest);
-            for r in order {
+            // Every candidate reuses `sorted` and `paired`: a node's ranks
+            // plus the candidate rank, which is still heaviest first, and
+            // the same ranks in slot order.
+            for &r in order.iter() {
                 // Try the rank in every free slot of every node; keep the
                 // assignment with the smallest resulting node time
                 // (estimated under the local HPCSched), breaking ties
@@ -270,8 +285,8 @@ pub fn place_on(
                     sorted.clear();
                     sorted.extend_from_slice(slots);
                     sorted.push(r);
-                    slot_order(&sorted, &shapes[n], &mut paired);
-                    let mut t = node_time_on(job, &paired, true, &shapes[n]);
+                    slot_order(sorted, &shapes[n], paired);
+                    let mut t = node_time_on(job, paired, true, &shapes[n]);
                     if numa {
                         t *= numa_spread_penalty(paired.len(), &shapes[n]);
                     }
@@ -286,13 +301,24 @@ pub fn place_on(
                 nodes[n].push(r);
             }
             for (n, slots) in nodes.iter_mut().enumerate() {
-                slot_order(slots, &shapes[n], &mut paired);
-                slots.copy_from_slice(&paired);
+                slot_order(slots, &shapes[n], paired);
+                slots.copy_from_slice(paired);
             }
             nodes
         }
     };
     Ok(Placement { strategy, nodes })
+}
+
+/// Fill `order` with `job`'s ranks, heaviest first, ties by rank. The
+/// order is total, so the unstable sort, which never allocates, gives the
+/// stable sort's result.
+fn heaviest_first(job: &JobSpec, order: &mut Vec<usize>) {
+    order.clear();
+    order.extend(0..job.ranks());
+    order.sort_unstable_by(|&a, &b| {
+        job.rank_loads[b].total_cmp(&job.rank_loads[a]).then(a.cmp(&b))
+    });
 }
 
 /// Intra-node slot ordering for ranks sorted heaviest-first, written to

@@ -7,27 +7,31 @@
 //! (reference OpenPower 710, a 2-socket box, a 2-NUMA-node box, and a
 //! wide-SMT single core).
 
+use std::sync::Arc;
+
 use power5::Topology;
 use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// The hardware shape of one cluster node: its scheduling-domain tree plus
 /// a relative speed factor (1.0 = the paper's reference OpenPower 710;
 /// loads are divided by the speed before they reach the node kernel).
+/// The tree is shared: cloning a shape, and building a node kernel on it
+/// ([`crate::run_node`]), copies no part of it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NodeShape {
-    pub topology: Topology,
+    pub topology: Arc<Topology>,
     pub speed: f64,
 }
 
 impl Default for NodeShape {
     fn default() -> Self {
-        NodeShape { topology: Topology::openpower_710(), speed: 1.0 }
+        NodeShape::new(Topology::openpower_710(), 1.0)
     }
 }
 
 impl NodeShape {
-    pub fn new(topology: Topology, speed: f64) -> Self {
-        NodeShape { topology, speed }
+    pub fn new(topology: impl Into<Arc<Topology>>, speed: f64) -> Self {
+        NodeShape { topology: topology.into(), speed }
     }
 
     /// CPU slots this node offers (one rank per logical CPU).
@@ -38,11 +42,11 @@ impl NodeShape {
 
 impl Snapshot for NodeShape {
     fn snapshot(&self, w: &mut SnapshotWriter) {
-        w.put(&self.topology);
+        w.put(&*self.topology);
         w.put_f64(self.speed);
     }
     fn restore(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(NodeShape { topology: r.get()?, speed: r.get_f64()? })
+        Ok(NodeShape::new(r.get::<Topology>()?, r.get_f64()?))
     }
 }
 
@@ -120,7 +124,7 @@ mod tests {
     #[test]
     fn default_shape_is_the_reference_node() {
         let s = NodeShape::default();
-        assert_eq!(s.topology, Topology::openpower_710());
+        assert_eq!(*s.topology, Topology::openpower_710());
         assert_eq!(s.speed, 1.0);
         assert_eq!(s.slots(), 4);
     }

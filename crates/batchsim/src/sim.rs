@@ -51,7 +51,8 @@
 //! generator. A fleet run and a [`run_batch`] over the materialised
 //! stream are therefore the same simulation with the same `trace_hash`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -71,7 +72,7 @@ use crate::index::ReleaseIndex;
 use crate::job::{BatchJob, JobSpec};
 use crate::node::{run_node, LocalSched};
 use crate::pending::PendingQueue;
-use crate::placement::{place_on, Placement, PlacementStrategy, NODE_SLOTS};
+use crate::placement::{place_with, PlaceScratch, Placement, PlacementStrategy, NODE_SLOTS};
 use crate::shape::{NodeShape, TopoPreset};
 
 /// The trace fingerprint is `simcore`'s FNV-1a; its constants are
@@ -579,8 +580,8 @@ impl BatchOutcome {
 }
 
 /// One per-(service key, iterations) kernel measurement, cached by the
-/// oracle.
-#[derive(Clone, Debug)]
+/// oracle, which lends it out and never copies it.
+#[derive(Debug)]
 struct SegmentRun {
     placement: Placement,
     node_secs: Vec<f64>,
@@ -593,11 +594,47 @@ struct SegmentRun {
     failed: Option<&'static str>,
 }
 
+/// The most CPU slots a node of any [`TopoPreset`] has, and so the most
+/// ranks placement gives one node of any fleet shape.
+const MAX_NODE_SLOTS: usize = 8;
+
 /// A node run's content key: the node's kind under the engine's fleet
 /// shape ([`FleetShape::node_kind`]), the iterations, and the bits of the
-/// node's slot loads in slot order. With the engine's scheduler and
-/// tracing fixed, [`run_node`] is a pure function of these.
-type NodeKey = (usize, u32, Vec<u64>);
+/// node's slot loads in slot order, inline. With the engine's scheduler
+/// and tracing fixed, [`run_node`] is a pure function of these, and the
+/// key is all a node run reads: a memo hit costs no heap vector, and a
+/// node that runs takes its loads from the key.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct NodeKey {
+    kind: usize,
+    iterations: u32,
+    /// Slots in use: `bits[..len]` are the loads, the rest zero.
+    len: usize,
+    bits: [u64; MAX_NODE_SLOTS],
+}
+
+impl NodeKey {
+    /// The key of gang-local node `local` running `spec`'s ranks `slots`.
+    fn new(
+        shape: FleetShape,
+        local: usize,
+        spec: &JobSpec,
+        slots: &[usize],
+        iterations: u32,
+    ) -> Self {
+        debug_assert!(slots.len() <= MAX_NODE_SLOTS, "a node of {} slots", slots.len());
+        let mut bits = [0; MAX_NODE_SLOTS];
+        for (b, &r) in bits.iter_mut().zip(slots) {
+            *b = spec.rank_loads[r].to_bits();
+        }
+        NodeKey { kind: shape.node_kind(local), iterations, len: slots.len(), bits }
+    }
+
+    /// The node's slot loads, in slot order.
+    fn loads(&self) -> ([f64; MAX_NODE_SLOTS], usize) {
+        (self.bits.map(f64::from_bits), self.len)
+    }
+}
 
 /// What one node run contributes to a segment: its execution seconds and,
 /// for a traced run, its conformance report.
@@ -612,14 +649,18 @@ type NodeResult = (f64, Option<Report>);
 /// one measurement per (class, iterations).
 ///
 /// Under the segment cache sits a node memo keyed by content
-/// ([`NodeKey`]): jobs cut from one template share per-node loads, so a
-/// segment runs only the nodes no earlier segment (and no earlier node of
-/// its own) has run, and runs just those. Both caches live
-/// and die with the engine: they are never shared between engines and
-/// never written into checkpoint images. So does the node catalog
+/// ([`NodeKey`], a fixed-size array key): jobs cut from one template
+/// share per-node loads, so a segment runs only the nodes no earlier
+/// segment (and no earlier node of its own) has run, and runs just those.
+/// Both caches live and die with the engine: they are never shared
+/// between engines and never written into checkpoint images. The
+/// segment cache lends its runs out ([`Oracle::measure`] returns a
+/// reference); the one copy of a run's placement and node times is the
+/// one a job record keeps. So does the node catalog
 /// ([`FleetShape::catalog`]), built once and grown to the widest gang
 /// the engine has placed, which segments and node runs index into
-/// instead of rebuilding each node's shape. A segment targeted by the
+/// instead of rebuilding each node's shape, and so do the placement
+/// search's working vectors. A segment targeted by the
 /// injected `taskabort` fault bypasses the node memo, so every one of its
 /// nodes runs (and retries) as if no memo existed; failed node outcomes
 /// are never memoised, but a repeat inside one segment shares its first
@@ -630,6 +671,8 @@ struct Oracle {
     /// Gang-local node shapes `0..len`; shared with the node runs, whose
     /// supervised task must own what it reads.
     catalog: Arc<Vec<NodeShape>>,
+    /// The placement search's working vectors, kept across segments.
+    scratch: PlaceScratch,
     sched: LocalSched,
     placement: PlacementStrategy,
     shape: FleetShape,
@@ -655,10 +698,19 @@ fn injected_abort(attempt: u32) -> ! {
 }
 
 impl Oracle {
-    fn measure(&mut self, key: u64, spec: &JobSpec) -> SegmentRun {
-        if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
-            return hit.clone();
+    /// The segment of `spec`'s ranks for `iterations` under service key
+    /// `key`: measured on first use, then lent from the cache.
+    fn measure(&mut self, key: u64, spec: &JobSpec, iterations: u32) -> &SegmentRun {
+        let at = (key, iterations);
+        if !self.cache.contains_key(&at) {
+            let run = self.run_segment(key, spec, iterations);
+            return self.cache.entry(at).or_insert(run);
         }
+        &self.cache[&at]
+    }
+
+    /// Place and run one segment, each node through the memo.
+    fn run_segment(&mut self, key: u64, spec: &JobSpec, iterations: u32) -> SegmentRun {
         let nodes_needed = spec.ranks().div_ceil(NODE_SLOTS);
         if self.catalog.len() < nodes_needed {
             self.catalog = Arc::new(self.shape.catalog(nodes_needed));
@@ -669,8 +721,9 @@ impl Oracle {
                       slots for every rank — every fleet shape offers at least NODE_SLOTS \
                       slots per node — so placement cannot fail here."
         )]
-        let placement = place_on(spec, &self.catalog[..nodes_needed], self.placement)
-            .expect("sized allocation always fits");
+        let placement =
+            place_with(spec, &self.catalog[..nodes_needed], self.placement, &mut self.scratch)
+                .expect("sized allocation always fits");
         let abort = self.abort.filter(|a| a.job == key);
         let mut node_secs = Vec::with_capacity(placement.nodes.len());
         let mut reports = Vec::new();
@@ -679,21 +732,16 @@ impl Oracle {
         // but a repeat inside the segment shares its first occurrence's.
         let mut failures: BTreeMap<NodeKey, TaskFailure> = BTreeMap::new();
         for (local, slots) in placement.nodes.iter().enumerate() {
-            let loads: Vec<f64> = slots.iter().map(|&r| spec.rank_loads[r]).collect();
+            let node_key = NodeKey::new(self.shape, local, spec, slots, iterations);
             let outcome = if abort.is_some() {
-                self.run_node_supervised(loads, local, spec.iterations, abort)
+                self.run_node_supervised(node_key, local, abort)
             } else {
-                let node_key = (
-                    self.shape.node_kind(local),
-                    spec.iterations,
-                    loads.iter().map(|l| l.to_bits()).collect(),
-                );
                 if let Some(hit) = self.nodes.get(&node_key) {
                     Ok(hit.clone())
                 } else if let Some(&failure) = failures.get(&node_key) {
                     Err(failure)
                 } else {
-                    let outcome = self.run_node_supervised(loads, local, spec.iterations, None);
+                    let outcome = self.run_node_supervised(node_key, local, None);
                     match &outcome {
                         Ok(result) => {
                             self.nodes.insert(node_key, result.clone());
@@ -721,22 +769,19 @@ impl Oracle {
             }
         }
         let slowest = node_secs.iter().cloned().fold(0.0, f64::max);
-        let service = slowest + self.internode_latency * spec.iterations as f64;
-        let run = SegmentRun { placement, node_secs, service, reports, failed };
-        self.cache.insert((key, spec.iterations), run.clone());
-        run
+        let service = slowest + self.internode_latency * iterations as f64;
+        SegmentRun { placement, node_secs, service, reports, failed }
     }
 
-    /// One supervised run of gang-local node `local` on `loads`. The
-    /// supervisor absorbs transient aborts (retries are keyed on the
-    /// attempt index, so a retried node computes the same pure value a
-    /// clean run would) and converts persistent failures into typed
-    /// outcomes.
+    /// One supervised run of gang-local node `local` on the loads and
+    /// iterations of `node`. The supervisor absorbs transient aborts
+    /// (retries are keyed on the attempt index, so a retried node computes
+    /// the same pure value a clean run would) and converts persistent
+    /// failures into typed outcomes.
     fn run_node_supervised(
         &self,
-        loads: Vec<f64>,
+        node: NodeKey,
         local: usize,
-        iterations: u32,
         abort: Option<TaskAbortSpec>,
     ) -> Supervised<NodeResult> {
         let (sched, verify) = (self.sched, self.verify_jobs);
@@ -756,7 +801,8 @@ impl Oracle {
                     injected_abort(attempt);
                 }
             }
-            if loads.is_empty() {
+            let (loads, len) = node.loads();
+            if len == 0 {
                 return (0.0, None);
             }
             #[expect(
@@ -766,7 +812,7 @@ impl Oracle {
                           registry policy by construction, so a node-run error is a \
                           simulator bug and panics here."
             )]
-            let run = run_node(&loads, iterations, sched, &catalog[local], verify)
+            let run = run_node(&loads[..len], node.iterations, sched, &catalog[local], verify)
                 .unwrap_or_else(|e| panic!("{e}"));
             let report = run
                 .trace
@@ -776,22 +822,23 @@ impl Oracle {
         supervise(task, self.policy, &self.counters)
     }
 
-    fn service(&mut self, key: u64, spec: &JobSpec) -> f64 {
-        if let Some(hit) = self.cache.get(&(key, spec.iterations)) {
-            return hit.service;
-        }
-        self.measure(key, spec).service
+    fn service(&mut self, key: u64, spec: &JobSpec, iterations: u32) -> f64 {
+        self.measure(key, spec, iterations).service
     }
 }
 
 /// Queue-side state of one submitted job. `pub(crate)` (with its fields)
-/// because the checkpoint wire format images this struct directly.
+/// because the checkpoint wire format images this struct directly. The
+/// job is borrowed from where the run reads it (the caller's stream or
+/// the image it resumes) and owned only when a generator made it or a
+/// checkpoint images it.
 #[derive(Clone, Debug)]
-pub(crate) struct Tracker {
-    pub(crate) job: BatchJob,
-    /// The spec of the next (or currently running) segment; iterations
-    /// shrink when a node failure forces a requeue.
-    pub(crate) remaining: JobSpec,
+pub(crate) struct Tracker<'s> {
+    pub(crate) job: Cow<'s, BatchJob>,
+    /// Iterations of the next (or currently running) segment, whose spec
+    /// is the job's with these iterations: the job's own until a node
+    /// failure forces a requeue with fewer.
+    pub(crate) remaining_iters: u32,
     pub(crate) first_start: Option<SimTime>,
     pub(crate) node_secs_held: f64,
     pub(crate) run_secs: f64,
@@ -803,15 +850,53 @@ pub(crate) struct Tracker {
     pub(crate) failure: Option<(usize, u32)>,
 }
 
-/// One admitted segment occupying nodes. Checkpoints store only
-/// `(id, nodes, start, end)`: the attached [`SegmentRun`] re-derives from
-/// the pure, memoized oracle on resume.
+impl Tracker<'_> {
+    /// A tracker for `job`, just submitted.
+    fn submitted(job: Cow<'_, BatchJob>) -> Tracker<'_> {
+        Tracker {
+            remaining_iters: job.spec.iterations,
+            job,
+            first_start: None,
+            node_secs_held: 0.0,
+            run_secs: 0.0,
+            iters_done: 0,
+            requeues: 0,
+            backfilled: false,
+            restart_due: 0.0,
+            failure: None,
+        }
+    }
+
+    /// This tracker's state with `job` in place of its job.
+    pub(crate) fn with_job<'t>(&self, job: Cow<'t, BatchJob>) -> Tracker<'t> {
+        Tracker {
+            job,
+            remaining_iters: self.remaining_iters,
+            first_start: self.first_start,
+            node_secs_held: self.node_secs_held,
+            run_secs: self.run_secs,
+            iters_done: self.iters_done,
+            requeues: self.requeues,
+            backfilled: self.backfilled,
+            restart_due: self.restart_due,
+            failure: self.failure,
+        }
+    }
+
+    /// The segment's oracle measurement.
+    fn segment<'o>(&self, oracle: &'o mut Oracle) -> &'o SegmentRun {
+        oracle.measure(self.job.service_key(), &self.job.spec, self.remaining_iters)
+    }
+}
+
+/// One admitted segment occupying nodes. Checkpoints store all of it; its
+/// kernel measurement stays in the pure, memoized oracle, which lends it
+/// again when the segment completes.
 struct Running {
     id: u64,
     nodes: Vec<usize>,
     start: SimTime,
     end: SimTime,
-    run: SegmentRun,
 }
 
 /// The node fleet. `up`/`busy` are the checkpoint image; the free set and
@@ -850,9 +935,10 @@ impl Fleet {
     }
 
     /// The first `need` free node ids, in node-id order — the same ids a
-    /// full scan used to return.
-    fn first_free(&self, need: usize) -> Vec<usize> {
-        self.free.iter().copied().take(need).collect()
+    /// full scan used to return — written over `out`.
+    fn first_free(&self, need: usize, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend(self.free.iter().copied().take(need));
     }
 
     fn occupy(&mut self, n: usize) {
@@ -876,25 +962,26 @@ impl Fleet {
     }
 }
 
-/// Where jobs come from: a caller's list in arrival order, or a lazy
-/// generator plus one job of lookahead. The generator yields in
-/// nondecreasing arrival order, so one job of lookahead is enough to
-/// answer "when is the next arrival".
-pub(crate) enum JobSource {
-    Materialized(VecDeque<BatchJob>),
+/// Where jobs come from: jobs borrowed from a caller's list (or from the
+/// image a run resumes) in arrival order, or a lazy generator plus one job
+/// of lookahead. The generator yields in nondecreasing arrival order, so
+/// one job of lookahead is enough to answer "when is the next arrival".
+pub(crate) enum JobSource<'s> {
+    /// The jobs in arrival order; `jobs[next..]` are not yet submitted.
+    Listed { jobs: Vec<&'s BatchJob>, next: usize },
     Stream { gen: FleetJobs, next: Option<BatchJob>, popped: u64 },
 }
 
-impl JobSource {
+impl<'s> JobSource<'s> {
     /// A caller's list, sorted by arrival (ties by id).
-    fn sorted(stream: &[BatchJob]) -> JobSource {
-        let mut v = stream.to_vec();
-        v.sort_by_key(|j| (arrival_time(j), j.id));
-        JobSource::Materialized(v.into())
+    fn sorted(stream: &'s [BatchJob]) -> JobSource<'s> {
+        let mut jobs: Vec<&BatchJob> = stream.iter().collect();
+        jobs.sort_by_key(|j| (arrival_time(j), j.id));
+        JobSource::Listed { jobs, next: 0 }
     }
 
     /// A generator that has already handed `popped` jobs to the engine.
-    fn generate(mut gen: FleetJobs, popped: u64) -> JobSource {
+    fn generate(mut gen: FleetJobs, popped: u64) -> JobSource<'s> {
         let next = gen.next();
         JobSource::Stream { gen, next, popped }
     }
@@ -903,18 +990,20 @@ impl JobSource {
     /// config plus its position.
     fn image(&self) -> SourceImage {
         match self {
-            JobSource::Materialized(q) => SourceImage::Pending(q.clone()),
+            JobSource::Listed { jobs, next } => {
+                SourceImage::Pending(jobs[*next..].iter().map(|&j| j.clone()).collect())
+            }
             JobSource::Stream { gen, popped, .. } => {
                 SourceImage::Generator { stream: *gen.config(), popped: *popped }
             }
         }
     }
 
-    /// Rebuild from a checkpoint image; a generator replays to its imaged
-    /// position.
-    fn from_image(image: &SourceImage) -> JobSource {
+    /// Rebuild from a checkpoint image, borrowing its jobs; a generator
+    /// replays to its imaged position.
+    fn from_image(image: &'s SourceImage) -> JobSource<'s> {
         match image {
-            SourceImage::Pending(q) => JobSource::Materialized(q.clone()),
+            SourceImage::Pending(q) => JobSource::Listed { jobs: q.iter().collect(), next: 0 },
             SourceImage::Generator { stream, popped } => {
                 JobSource::generate(FleetJobs::replay(stream, *popped), *popped)
             }
@@ -923,21 +1012,25 @@ impl JobSource {
 
     fn peek_arrival(&self) -> Option<SimTime> {
         match self {
-            JobSource::Materialized(q) => q.front().map(arrival_time),
+            JobSource::Listed { jobs, next } => jobs.get(*next).map(|&j| arrival_time(j)),
             JobSource::Stream { next, .. } => next.as_ref().map(arrival_time),
         }
     }
 
-    fn pop(&mut self) -> Option<BatchJob> {
+    fn pop(&mut self) -> Option<Cow<'s, BatchJob>> {
         match self {
-            JobSource::Materialized(q) => q.pop_front(),
+            JobSource::Listed { jobs, next } => {
+                let out = jobs.get(*next).copied();
+                *next += usize::from(out.is_some());
+                out.map(Cow::Borrowed)
+            }
             JobSource::Stream { gen, next, popped } => {
                 let out = next.take();
                 if out.is_some() {
                     *popped += 1;
                     *next = gen.next();
                 }
-                out
+                out.map(Cow::Owned)
             }
         }
     }
@@ -988,10 +1081,10 @@ fn arrival_time(job: &BatchJob) -> SimTime {
 /// The complete mutable state of one batch run between loop iterations —
 /// exactly what a checkpoint captures. Every field is either plain data
 /// or re-derivable from plain data plus the pure oracle.
-pub(crate) struct EngineState {
-    pub(crate) source: JobSource,
+pub(crate) struct EngineState<'s> {
+    pub(crate) source: JobSource<'s>,
     pub(crate) fleet: Fleet,
-    pub(crate) trackers: BTreeMap<u64, Tracker>,
+    pub(crate) trackers: BTreeMap<u64, Tracker<'s>>,
     pub(crate) pending: PendingQueue,
     /// Admission sequence → running segment; iteration order is admission
     /// order, which the release index's tie-break mirrors.
@@ -1011,9 +1104,24 @@ pub(crate) struct EngineState {
     /// The trace line being hashed; kept so that emitting allocates
     /// nothing. Never imaged.
     line: String,
+    /// Buffers the loop refills every pass; never imaged.
+    scratch: Scratch,
 }
 
-impl EngineState {
+/// The loop's per-pass lists, owned by the run so that a pass allocates
+/// only what it keeps: the admission sequences a clock advance released,
+/// their segments in id order, EASY's backfill candidates and the ones it
+/// admits, and an admitted job's nodes.
+#[derive(Default)]
+struct Scratch {
+    released: Vec<u64>,
+    finished: Vec<Running>,
+    candidates: Vec<u64>,
+    admitted: Vec<u64>,
+    alloc: Vec<usize>,
+}
+
+impl EngineState<'_> {
     /// Append one event to the trace.
     fn emit(&mut self, e: BatchEvent) {
         self.line.clear();
@@ -1077,6 +1185,7 @@ impl Engine {
             cache: BTreeMap::new(),
             nodes: BTreeMap::new(),
             catalog: Arc::default(),
+            scratch: PlaceScratch::default(),
             sched: cfg.sched,
             placement: cfg.placement,
             shape: cfg.shape,
@@ -1093,12 +1202,12 @@ impl Engine {
     }
 
     /// A fresh run over `source`; `record` keeps the O(jobs) [`Recording`].
-    fn start(
+    fn start<'s>(
         &mut self,
-        source: JobSource,
+        source: JobSource<'s>,
         fault: Option<&BatchFault>,
         record: bool,
-    ) -> EngineState {
+    ) -> EngineState<'s> {
         let mut st = EngineState {
             source,
             fleet: Fleet::new(self.cfg.num_nodes),
@@ -1114,6 +1223,7 @@ impl Engine {
             fault_armed: fault.filter(|f| f.node < self.cfg.num_nodes).copied(),
             now: SimTime::ZERO,
             line: String::new(),
+            scratch: Scratch::default(),
         };
         // A fault at zero completions hits an idle fleet before any
         // admission. This fires exactly once at start, so a checkpoint
@@ -1122,18 +1232,19 @@ impl Engine {
         st
     }
 
-    /// Rebuild a run from a checkpoint's plain data. Metrics restore from
-    /// the imaged snapshot (supervisor counters are host wall-clock and
-    /// start fresh); the generator replays to its imaged position; in-flight
-    /// segments re-attach their kernel measurements (the oracle is pure,
-    /// so this recomputes exactly the `SegmentRun` the interrupted run
-    /// held); admission sequences re-derive in imaged order; and the
-    /// pending queue rebuilds in its imaged order — sequence-ranked for
-    /// FCFS/EASY, service-ranked for SJF.
-    fn restore(ckpt: &BatchCheckpoint) -> (Engine, EngineState) {
+    /// Rebuild a run from a checkpoint's plain data, borrowing its jobs.
+    /// Metrics restore from the imaged snapshot (supervisor counters are
+    /// host wall-clock and start fresh); the generator replays to its
+    /// imaged position; in-flight segments are measured again (the oracle
+    /// is pure, so this recomputes exactly the `SegmentRun` the
+    /// interrupted run measured); admission sequences re-derive in imaged
+    /// order; and the pending queue rebuilds in its imaged order —
+    /// sequence-ranked for FCFS/EASY, service-ranked for SJF.
+    fn restore(ckpt: &BatchCheckpoint) -> (Engine, EngineState<'_>) {
         let mut eng = Engine::new(&ckpt.cfg);
         eng.registry.restore(&ckpt.metrics);
-        let trackers = ckpt.trackers.clone();
+        let trackers: BTreeMap<u64, Tracker<'_>> =
+            ckpt.trackers.iter().map(|(&id, t)| (id, t.with_job(Cow::Borrowed(&*t.job)))).collect();
         let mut running: BTreeMap<u64, Running> = BTreeMap::new();
         let mut release = ReleaseIndex::new();
         let mut next_seq = 0u64;
@@ -1141,14 +1252,11 @@ impl Engine {
         // checkpoint; they are skipped rather than unwrapped.
         for (id, nodes, start, end) in &ckpt.running {
             if let Some(tr) = trackers.get(id) {
-                let run = eng.oracle.measure(tr.job.service_key(), &tr.remaining);
+                tr.segment(&mut eng.oracle);
                 let seq = next_seq;
                 next_seq += 1;
                 release.insert(seq, *end, nodes.len());
-                running.insert(
-                    seq,
-                    Running { id: *id, nodes: nodes.clone(), start: *start, end: *end, run },
-                );
+                running.insert(seq, Running { id: *id, nodes: nodes.clone(), start: *start, end: *end });
             }
         }
         let mut pending = PendingQueue::new();
@@ -1176,6 +1284,7 @@ impl Engine {
             fault_armed: ckpt.fault_armed,
             now: ckpt.now,
             line: String::new(),
+            scratch: Scratch::default(),
         };
         (eng, st)
     }
@@ -1188,8 +1297,8 @@ impl Engine {
     /// identical state, so their continuations are byte-identical.
     fn run(
         &mut self,
-        st: &mut EngineState,
-        mut stop: impl FnMut(&Engine, &EngineState) -> bool,
+        st: &mut EngineState<'_>,
+        mut stop: impl FnMut(&Engine, &EngineState<'_>) -> bool,
     ) -> bool {
         loop {
             if stop(self, st) {
@@ -1208,15 +1317,19 @@ impl Engine {
             // Completions first (freeing nodes for same-instant arrivals),
             // in id order for determinism. Timestamps are exact
             // nanoseconds, so "same instant" is integer equality.
-            let released = st.release.pop_released(st.now);
-            let mut finished: Vec<Running> =
-                released.iter().filter_map(|seq| st.running.remove(seq)).collect();
-            finished.sort_by_key(|r| r.id);
-            for seg in finished {
+            let mut released = std::mem::take(&mut st.scratch.released);
+            let mut finished = std::mem::take(&mut st.scratch.finished);
+            st.release.pop_released(st.now, &mut released);
+            finished.extend(released.drain(..).filter_map(|seq| st.running.remove(&seq)));
+            // Ids are unique, so the unstable sort is the stable one.
+            finished.sort_unstable_by_key(|r| r.id);
+            for seg in finished.drain(..) {
                 complete(seg, oracle, ctr, st);
                 st.completions += 1;
                 maybe_fire_fault(cfg, oracle, ctr, st);
             }
+            st.scratch.released = released;
+            st.scratch.finished = finished;
 
             while st.source.peek_arrival().is_some_and(|t| t <= st.now) {
                 #[expect(
@@ -1233,22 +1346,7 @@ impl Engine {
                 });
                 let id = job.id;
                 let need = job.nodes_needed();
-                let remaining = job.spec.clone();
-                st.trackers.insert(
-                    id,
-                    Tracker {
-                        job,
-                        remaining,
-                        first_start: None,
-                        node_secs_held: 0.0,
-                        run_secs: 0.0,
-                        iters_done: 0,
-                        requeues: 0,
-                        backfilled: false,
-                        restart_due: 0.0,
-                        failure: None,
-                    },
-                );
+                st.trackers.insert(id, Tracker::submitted(job));
                 if cfg.discipline == Discipline::Sjf {
                     let rank = queued_service(oracle, &st.trackers, id).to_bits();
                     st.pending.push_ranked(id, rank, need);
@@ -1263,8 +1361,8 @@ impl Engine {
         }
     }
 
-    /// Image the run into a checkpoint (plain data only).
-    fn capture(&self, st: &EngineState) -> BatchCheckpoint {
+    /// Image the run into a checkpoint (plain data only, every job owned).
+    fn capture(&self, st: &EngineState<'_>) -> BatchCheckpoint {
         BatchCheckpoint {
             cfg: self.cfg,
             fault_armed: st.fault_armed,
@@ -1274,7 +1372,11 @@ impl Engine {
             fleet_busy: st.fleet.busy.clone(),
             source: st.source.image(),
             queue: st.pending.iter().collect(),
-            trackers: st.trackers.clone(),
+            trackers: st
+                .trackers
+                .iter()
+                .map(|(&id, t)| (id, t.with_job(Cow::Owned(BatchJob::clone(&t.job)))))
+                .collect(),
             running: st
                 .running
                 .values()
@@ -1289,7 +1391,7 @@ impl Engine {
 
     /// Close a run into its [`BatchOutcome`], whose events, reservations
     /// and job records are empty unless the run recorded.
-    fn finish(mut self, st: EngineState) -> BatchOutcome {
+    fn finish(mut self, st: EngineState<'_>) -> BatchOutcome {
         // Conformance reports re-derive from the pure oracle: for jobs
         // measured before a checkpoint this is a fresh (memoized) kernel
         // run, for everything else a cache hit — identical reports either
@@ -1297,8 +1399,8 @@ impl Engine {
         let mut conformance: Vec<(u64, Report)> = Vec::new();
         if self.cfg.verify_jobs {
             for (key, spec) in &st.conformance_src {
-                for rep in self.oracle.measure(*key, spec).reports {
-                    conformance.push((*key, rep));
+                for rep in &self.oracle.measure(*key, spec, spec.iterations).reports {
+                    conformance.push((*key, rep.clone()));
                 }
             }
         }
@@ -1416,7 +1518,7 @@ pub fn run_fleet_until(cfg: &FleetConfig, stop_after_events: usize) -> Option<Ba
     stopped.then(|| eng.capture(&st))
 }
 
-fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState) {
+fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState<'_>) {
     let now = st.now;
     for &n in &seg.nodes {
         st.fleet.release(n);
@@ -1431,8 +1533,8 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     let ran = now.saturating_since(seg.start).as_secs_f64();
     tr.node_secs_held += ran * seg.nodes.len() as f64;
     tr.run_secs += ran;
-    tr.iters_done += tr.remaining.iterations;
-    let full_service = oracle.service(tr.job.service_key(), &tr.job.spec);
+    tr.iters_done += tr.remaining_iters;
+    let full_service = oracle.service(tr.job.service_key(), &tr.job.spec, tr.job.spec.iterations);
     let first_start = tr.first_start.unwrap_or(seg.start);
     let wait = first_start.saturating_since(arrival_time(&tr.job)).as_secs_f64();
     let turnaround = now.saturating_since(arrival_time(&tr.job)).as_secs_f64();
@@ -1444,6 +1546,10 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     if tr.backfilled {
         ctr.backfilled.inc();
     }
+    // The record keeps its own copy of the segment's placement and node
+    // times; the oracle keeps the measurement.
+    let run = tr.segment(oracle);
+    let (placement, node_secs) = (run.placement.clone(), run.node_secs.clone());
     st.retire(JobRecord {
         id: seg.id,
         name: tr.job.spec.name.clone(),
@@ -1458,11 +1564,7 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
         requeues: tr.requeues,
         node_secs_held: tr.node_secs_held,
         outcome: ClusterOutcome {
-            result: ClusterResult {
-                placement: seg.run.placement,
-                node_secs: seg.run.node_secs,
-                makespan: tr.run_secs,
-            },
+            result: ClusterResult { placement, node_secs, makespan: tr.run_secs },
             failure: tr.failure.map(|(node, at)| NodeFailureRecord {
                 node,
                 at_iteration: at,
@@ -1474,7 +1576,12 @@ fn complete(seg: Running, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineSt
     });
 }
 
-fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState) {
+fn maybe_fire_fault(
+    cfg: &BatchConfig,
+    oracle: &mut Oracle,
+    ctr: &Counters,
+    st: &mut EngineState<'_>,
+) {
     let fires = st.fault_armed.is_some_and(|f| st.completions >= f.after_completions);
     if !fires {
         return;
@@ -1516,7 +1623,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     let elapsed = now.saturating_since(seg.start).as_secs_f64();
     tr.node_secs_held += elapsed * seg.nodes.len() as f64;
     tr.run_secs += elapsed;
-    let iters = tr.remaining.iterations;
+    let iters = tr.remaining_iters;
     let span = seg.end.saturating_since(seg.start).as_secs_f64();
     let frac = if span > 0.0 { elapsed / span } else { 0.0 };
     let iters_done = ((frac * iters as f64) as u32).min(iters.saturating_sub(1));
@@ -1530,11 +1637,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
         degrade(seg.id, "retries-exhausted", ctr, st);
         return;
     }
-    tr.remaining = JobSpec::new(
-        tr.job.spec.name.clone(),
-        tr.job.spec.rank_loads.clone(),
-        remaining_iters,
-    );
+    tr.remaining_iters = remaining_iters;
     tr.restart_due = f.restart_secs;
     let need = tr.job.nodes_needed();
     if cfg.discipline == Discipline::Sjf {
@@ -1548,7 +1651,7 @@ fn maybe_fire_fault(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: 
     st.emit(BatchEvent::Requeue { t: now, job: seg.id, remaining_iters });
 }
 
-fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) {
+fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState<'_>) {
     let Some(tr) = st.trackers.remove(&id) else {
         // INVARIANT: callers only degrade ids they hold in the map.
         return;
@@ -1589,7 +1692,7 @@ fn degrade(id: u64, reason: &'static str, ctr: &Counters, st: &mut EngineState) 
     });
 }
 
-fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState) {
+fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut EngineState<'_>) {
     // Jobs wider than the surviving fleet can never start: degrade them
     // instead of deadlocking the queue. The width index answers this as a
     // range query, in queue order.
@@ -1609,8 +1712,7 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
             break;
         }
         st.pending.remove(head);
-        let alloc = st.fleet.first_free(need);
-        admit(head, &alloc, false, cfg, oracle, ctr, st);
+        admit(head, false, cfg, oracle, ctr, st);
     }
 
     if cfg.discipline != Discipline::Easy || st.pending.is_empty() {
@@ -1633,9 +1735,12 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
     let mut spare = avail - head_need;
 
     let window = cfg.backfill_window.unwrap_or(usize::MAX);
-    let candidates: Vec<u64> = st.pending.iter().skip(1).take(window).collect();
-    let mut admitted: Vec<u64> = Vec::new();
-    for id in candidates {
+    let mut candidates = std::mem::take(&mut st.scratch.candidates);
+    let mut admitted = std::mem::take(&mut st.scratch.admitted);
+    candidates.clear();
+    candidates.extend(st.pending.iter().skip(1).take(window));
+    admitted.clear();
+    for &id in &candidates {
         let Some(tr) = st.trackers.get(&id) else { continue };
         let need = tr.job.nodes_needed();
         if need > free {
@@ -1655,40 +1760,39 @@ fn schedule(cfg: &BatchConfig, oracle: &mut Oracle, ctr: &Counters, st: &mut Eng
         free -= need;
         admitted.push(id);
     }
-    for id in admitted {
+    for &id in &admitted {
         st.pending.remove(id);
-        let need = st.trackers.get(&id).map_or(0, |t| t.job.nodes_needed());
-        let alloc = st.fleet.first_free(need);
-        admit(id, &alloc, true, cfg, oracle, ctr, st);
+        admit(id, true, cfg, oracle, ctr, st);
     }
+    st.scratch.candidates = candidates;
+    st.scratch.admitted = admitted;
 }
 
 /// Effective service of a queued job: measured segment time plus any
 /// restart overhead owed from a requeue.
-fn queued_service(oracle: &mut Oracle, trackers: &BTreeMap<u64, Tracker>, id: u64) -> f64 {
-    trackers
-        .get(&id)
-        .map_or(0.0, |t| oracle.service(t.job.service_key(), &t.remaining) + t.restart_due)
+fn queued_service(oracle: &mut Oracle, trackers: &BTreeMap<u64, Tracker<'_>>, id: u64) -> f64 {
+    trackers.get(&id).map_or(0.0, |t| t.segment(oracle).service + t.restart_due)
 }
 
+/// Start queued job `id` on the first free nodes it needs.
 fn admit(
     id: u64,
-    alloc: &[usize],
     backfilled: bool,
     cfg: &BatchConfig,
     oracle: &mut Oracle,
     ctr: &Counters,
-    st: &mut EngineState,
+    st: &mut EngineState<'_>,
 ) {
-    let run = {
+    let (service, failed) = {
         let Some(tr) = st.trackers.get(&id) else {
             // INVARIANT: admit is only called with queued ids, which
             // always have trackers.
             return;
         };
-        oracle.measure(tr.job.service_key(), &tr.remaining)
+        let run = tr.segment(oracle);
+        (run.service, run.failed)
     };
-    if let Some(reason) = run.failed {
+    if let Some(reason) = failed {
         // The supervisor gave up on this job's kernel measurement
         // (quarantined panic loop or watchdog timeout): there is no
         // service time to schedule with, so the job degrades with the
@@ -1704,9 +1808,10 @@ fn admit(
         // Record the *source* of the conformance check, not the reports:
         // the oracle is pure and memoized, so reports re-derive at outcome
         // build — which keeps checkpoints free of report payloads.
-        st.conformance_src.push((tr.job.service_key(), tr.remaining.clone()));
+        let spec = JobSpec { iterations: tr.remaining_iters, ..tr.job.spec.clone() };
+        st.conformance_src.push((tr.job.service_key(), spec));
     }
-    let service = run.service + tr.restart_due;
+    let service = service + tr.restart_due;
     tr.restart_due = 0.0;
     if tr.first_start.is_none() {
         tr.first_start = Some(now);
@@ -1714,15 +1819,19 @@ fn admit(
     if backfilled {
         tr.backfilled = true;
     }
-    for &n in alloc {
+    let need = tr.job.nodes_needed();
+    let mut alloc = std::mem::take(&mut st.scratch.alloc);
+    st.fleet.first_free(need, &mut alloc);
+    for &n in &alloc {
         st.fleet.occupy(n);
     }
-    st.emit(BatchEvent::Start { t: now, job: id, nodes: alloc.to_vec(), backfilled });
+    st.emit(BatchEvent::Start { t: now, job: id, nodes: alloc.clone(), backfilled });
     let end = now + SimDuration::from_secs_f64(service);
     let seq = st.next_seq;
     st.next_seq += 1;
     st.release.insert(seq, end, alloc.len());
-    st.running.insert(seq, Running { id, nodes: alloc.to_vec(), start: now, end, run });
+    st.running.insert(seq, Running { id, nodes: alloc.clone(), start: now, end });
+    st.scratch.alloc = alloc;
 }
 
 #[cfg(test)]

@@ -97,7 +97,9 @@ proptest! {
                 }
                 Op::Remove { seq } => prop_assert_eq!(ix.remove(seq), model.remove(seq)),
                 Op::Pop { now } => {
-                    prop_assert_eq!(ix.pop_released(t(now)), model.pop_released(t(now)));
+                    let mut popped = Vec::new();
+                    ix.pop_released(t(now), &mut popped);
+                    prop_assert_eq!(popped, model.pop_released(t(now)));
                 }
                 Op::Shadow { avail, need } => {
                     prop_assert_eq!(ix.shadow(avail, need), model.shadow(avail, need));

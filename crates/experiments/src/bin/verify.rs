@@ -14,11 +14,13 @@
 //! Every section runs fixed cells, so `--faults`, `--policy` and
 //! `--topology` are usage errors (exit 2), as unknown arguments are.
 
-use std::fmt::Write as _;
-
 use batchsim::{
     heavy_light_mix, resume_batch, run_batch, run_batch_until, BatchCheckpoint, BatchConfig,
-    BatchFault, BatchJob, Discipline, FleetShape, FnvWriter, JobSpec,
+    BatchFault, BatchJob, Discipline, FleetShape, JobSpec,
+};
+use experiments::baseline::{
+    check_trace_baseline, repo_root, small_metbench, trace_fingerprint, trace_hash_lines, MODES,
+    SEED, STEAL_SPEC,
 };
 use experiments::cli::CliFlags;
 use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
@@ -36,17 +38,9 @@ struct BenchRow {
     summary: faultsim::FaultSummary,
 }
 
-fn small_metbench() -> WorkloadKind {
-    WorkloadKind::MetBench(MetBenchConfig {
-        loads: vec![0.05, 0.2, 0.05, 0.2],
-        iterations: 6,
-        ..Default::default()
-    })
-}
-
 /// One seeded spec per fault class (DESIGN.md §9).
 const FAULT_MATRIX: [(&str, &str); 5] = [
-    ("steal", "seed=7; steal:cpu=0,period=40ms,duration=5ms,count=6,jitter"),
+    ("steal", STEAL_SPEC),
     ("slow", "seed=7; slow:rank=1,at=100ms,factor=0.5"),
     // MetBench only point-to-point-sends during init (a handful of
     // messages), so use prob=1 to make the spike count deterministic.
@@ -55,44 +49,7 @@ const FAULT_MATRIX: [(&str, &str); 5] = [
     ("crash-failstop", "seed=7; crash:rank=1,iter=3,policy=failstop"),
 ];
 
-/// FNV-1a 64-bit fingerprint over the Debug rendering of a trace — the
-/// regression gate asserted against `TRACE_baseline.txt`, which pins the
-/// HPCSched traces captured before the Balancer-trait refactor.
-fn trace_fingerprint(records: &[schedsim::TraceRecord]) -> u64 {
-    let mut hash = FnvWriter::new();
-    for rec in records {
-        let _ = writeln!(hash, "{rec:?}");
-    }
-    hash.finish()
-}
-
-/// Repository root for the trace baseline: the working directory when run
-/// from a checkout, the workspace root otherwise.
-fn repo_root() -> std::path::PathBuf {
-    if std::path::Path::new("crates").is_dir() {
-        std::path::PathBuf::from(".")
-    } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-    }
-}
-
-/// The trace-hash gate: the non-comment lines of the baseline file at
-/// `path` must equal `got`, in order. A file that cannot be read is a
-/// failure, never a skipped gate.
-fn check_trace_baseline(path: &std::path::Path, got: &[String]) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(path)
-        .map_err(|e| format!("TRACE_baseline.txt not read from {}: {e}", path.display()))?;
-    let want: Vec<&str> =
-        baseline.lines().filter(|l| !l.is_empty() && !l.starts_with('#')).collect();
-    if want == got {
-        Ok(())
-    } else {
-        Err(format!("TRACE HASH MISMATCH vs TRACE_baseline.txt\n  want: {want:?}\n  got:  {got:?}"))
-    }
-}
-
 fn main() {
-    const SEED: u64 = 2008;
     // The harness takes no flag that changes it: unknown arguments and
     // the run-shaping standard flags are usage errors.
     if let Err(e) = CliFlags::from_env().reject_run_flags("verify") {
@@ -104,13 +61,7 @@ fn main() {
     let mut failed = false;
 
     println!("== conformance: MetBench (4 ranks, 6 iterations, seed {SEED}) ==");
-    let all_modes = [
-        ExperimentMode::Baseline,
-        ExperimentMode::Static,
-        ExperimentMode::Uniform,
-        ExperimentMode::Adaptive,
-        ExperimentMode::Hybrid,
-    ];
+    let all_modes = MODES;
     for mode in all_modes {
         let r = run(&wl, mode, SEED);
         println!("{:<10} {}", mode.label(), r.conformance.render().trim_end());
@@ -118,39 +69,7 @@ fn main() {
     }
 
     println!("\n== trace hashes: HPCSched traces vs pre-refactor baseline ==");
-    let mut hash_lines = Vec::new();
-    for mode in all_modes {
-        let r = run(&wl, mode, SEED);
-        hash_lines.push(format!(
-            "trace-hash metbench/{} {:016x}",
-            mode.label(),
-            trace_fingerprint(&r.records)
-        ));
-    }
-    {
-        let plan = FaultPlan::parse(FAULT_MATRIX[0].1).expect("matrix specs are valid");
-        let r =
-            try_run(&wl, ExperimentMode::Uniform, SEED, Some(&plan), None).expect("valid cell");
-        hash_lines.push(format!(
-            "trace-hash metbench-steal/Uniform {:016x}",
-            trace_fingerprint(&r.records)
-        ));
-    }
-    // The 200-job batch study under every discipline: the byte-identity
-    // gate that pins the engine refactors (reservation index, pending
-    // queue) to the pre-refactor traces.
-    {
-        let stream = heavy_light_mix(SEED, 200);
-        for discipline in Discipline::ALL {
-            let cfg = BatchConfig { discipline, ..Default::default() };
-            let out = run_batch(&stream, &cfg, None);
-            hash_lines.push(format!(
-                "trace-hash batch/{} {:016x}",
-                discipline.label(),
-                out.trace_hash
-            ));
-        }
-    }
+    let hash_lines = trace_hash_lines();
     for line in &hash_lines {
         println!("{line}");
     }

@@ -3,6 +3,7 @@
 //! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
 //! measured-vs-paper record.
 
+pub mod baseline;
 pub mod benchfile;
 pub mod cli;
 pub mod paper;

@@ -17,7 +17,8 @@ use crate::fault::{MpiFaultConfig, MpiFaultState, MpiFaultStats, RankFailurePoli
 use schedsim::{KernelApi, WaitToken};
 use simcore::SimTime;
 use std::collections::VecDeque;
-use std::sync::{Arc, MutexGuard};
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 /// An MPI process index within the world.
 pub type Rank = usize;
@@ -207,34 +208,23 @@ impl MpiWorld {
 
 /// Cloneable handle to a shared [`MpiWorld`]: what each rank's program
 /// holds. All methods take the caller's [`KernelApi`] so blocking waits and
-/// timed completions integrate with the kernel.
+/// timed completions integrate with the kernel. A single-threaded handle:
+/// one kernel thread drives every rank (DESIGN.md §9).
 #[derive(Clone)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "all mutex-guarded MPI state funnels through the world() helper; one \
-              kernel thread drives every rank (DESIGN.md §9)"
-)]
 pub struct Mpi {
-    inner: Arc<std::sync::Mutex<MpiWorld>>,
+    inner: Rc<RefCell<MpiWorld>>,
 }
 
 impl Mpi {
     /// Create a world of `size` ranks.
-    #[expect(clippy::disallowed_types, reason = "creates the world() mutex; see `Mpi`")]
     pub fn new(size: usize, cfg: MpiConfig) -> Self {
-        Mpi { inner: Arc::new(std::sync::Mutex::new(MpiWorld::new(size, cfg))) }
+        Mpi { inner: Rc::new(RefCell::new(MpiWorld::new(size, cfg))) }
     }
 
-    /// Lock the shared world. Every access funnels through here.
-    #[expect(
-        clippy::expect_used,
-        reason = "INVARIANT: simulation runs are single-threaded per kernel, and no code path \
-                  below panics while holding this lock on a fault-injection path — so a \
-                  poisoned mutex can only mean a bug inside this crate, and propagating the \
-                  panic (not masking it) is the correct response."
-    )]
-    fn world(&self) -> MutexGuard<'_, MpiWorld> {
-        self.inner.lock().expect("mpi world poisoned")
+    /// Borrow the shared world. Every access funnels through here, and
+    /// none holds it across another.
+    fn world(&self) -> RefMut<'_, MpiWorld> {
+        self.inner.borrow_mut()
     }
 
     /// Install a fault configuration (normally compiled from a `faultsim`

@@ -10,6 +10,7 @@
 use crate::perf::{CtxLoad, PerfModel, TableModel, TaskPerfTraits};
 use crate::priority::{issue_or_nop, HwPriority, PriorityError, PrivilegeLevel};
 use crate::topology::{ContextId, CoreId, CpuId, Topology};
+use std::sync::Arc;
 
 /// The software-visible state of one hardware context.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -59,7 +60,9 @@ pub enum IdleMode {
 /// name reflects the paper's single-chip machine, but multi-chip topologies
 /// are supported for the cluster-direction experiments).
 pub struct Chip {
-    topology: Topology,
+    /// Shared with whoever built the chip: a fleet of nodes of one shape
+    /// builds every chip on one tree.
+    topology: Arc<Topology>,
     contexts: Vec<ContextState>,
     model: Box<dyn PerfModel + Send + Sync>,
     prio_writes: u64,
@@ -75,7 +78,8 @@ impl Chip {
     /// Build a chip with the default performance model for its shape: the
     /// calibrated pairwise table for cores up to 2-way SMT, the analytic
     /// n-way model for wider cores (the table is only defined pairwise).
-    pub fn new(topology: Topology) -> Self {
+    pub fn new(topology: impl Into<Arc<Topology>>) -> Self {
+        let topology = topology.into();
         if topology.max_smt_width() > 2 {
             Chip::with_model(topology, Box::new(crate::perf::AnalyticModel::default()))
         } else {
@@ -84,7 +88,12 @@ impl Chip {
     }
 
     /// Build a chip with a custom performance model (used by ablations).
-    pub fn with_model(topology: Topology, model: Box<dyn PerfModel + Send + Sync>) -> Self {
+    /// The topology is a tree of its own or one shared with other chips.
+    pub fn with_model(
+        topology: impl Into<Arc<Topology>>,
+        model: Box<dyn PerfModel + Send + Sync>,
+    ) -> Self {
+        let topology = topology.into();
         let n = topology.num_cpus();
         Chip {
             topology,

@@ -72,7 +72,7 @@ pub fn degrade_to_floor(ctx: &ClassCtx<'_>, task: TaskId) -> Vec<PrioAssignment>
 }
 
 /// A balancing policy: iteration samples in, priority assignments out.
-pub trait Balancer: Send {
+pub trait Balancer {
     /// Registry name of the policy (also its trace/report label).
     fn name(&self) -> &'static str;
 

@@ -15,6 +15,7 @@ use crate::kernel::Kernel;
 use crate::policies::{self, HeuristicKind, HpcTunables, PolicyCtx, SharedTunables};
 use power5::{AnalyticModel, Chip, TableModel, Topology};
 use simcore::SimDuration;
+use std::sync::Arc;
 
 /// Configuration of the HPC scheduling class.
 #[derive(Clone, Debug)]
@@ -63,7 +64,7 @@ pub enum PerfModelChoice {
 /// experiments.
 pub struct KernelBuilder {
     /// `None` builds the OpenPower 710 default.
-    topology: Option<Topology>,
+    topology: Option<Arc<Topology>>,
     kernel: KernelConfig,
     hpc: Option<HpcSchedConfig>,
     model: PerfModelChoice,
@@ -96,8 +97,11 @@ impl KernelBuilder {
         }
     }
 
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
+    /// The machine's scheduling-domain tree: a tree of its own, or one
+    /// shared (`Arc<Topology>`) with other kernels, which the chip then
+    /// reads without a copy.
+    pub fn topology(mut self, t: impl Into<Arc<Topology>>) -> Self {
+        self.topology = Some(t.into());
         self
     }
 
@@ -122,15 +126,10 @@ impl KernelBuilder {
         self
     }
 
-    #[expect(
-        clippy::expect_used,
-        reason = "INVARIANT: the builder is single-threaded; the only way this lock is \
-                  poisoned is a panic already unwinding this thread."
-    )]
     pub fn hpc_config(mut self, cfg: HpcSchedConfig) -> Self {
         // The shared handle is the single source of tunable truth; fold the
         // config's values into it so pre-build holders observe them.
-        *self.tunables.lock().expect("tunables poisoned") = cfg.tunables;
+        *self.tunables.borrow_mut() = cfg.tunables;
         self.hpc = Some(cfg);
         self
     }
@@ -187,7 +186,7 @@ impl KernelBuilder {
     /// [`SchedError::InvalidTunables`] if the HPC tunables fail validation
     /// (e.g. `low_util > high_util`).
     pub fn try_build(self) -> Result<Kernel, SchedError> {
-        let topology = self.topology.unwrap_or_else(Topology::openpower_710);
+        let topology = self.topology.unwrap_or_else(|| Arc::new(Topology::openpower_710()));
         if topology.num_cpus() == 0 {
             return Err(SchedError::InvalidTopology("topology has no CPUs".into()));
         }
@@ -202,14 +201,8 @@ impl KernelBuilder {
             return Err(SchedError::UnknownPolicy(name));
         }
         if self.hpc.is_some() {
-            #[expect(
-                clippy::expect_used,
-                reason = "INVARIANT: single-threaded build; the only way this lock is poisoned \
-                          is a panic already unwinding this thread."
-            )]
             self.tunables
-                .lock()
-                .expect("tunables poisoned")
+                .borrow()
                 .validate()
                 .map_err(|e| SchedError::InvalidTunables(e.to_string()))?;
         }
@@ -227,7 +220,7 @@ impl KernelBuilder {
         };
         let mut kernel = Kernel::new(chip, self.kernel);
         if let Some(cfg) = self.hpc {
-            let registry = kernel.metrics_registry().clone();
+            let registry = kernel.component_registry().clone();
             let balancer = match self.custom {
                 Some(b) => b,
                 None => {
@@ -284,6 +277,28 @@ mod tests {
     }
 
     #[test]
+    fn a_kernel_never_read_registers_only_its_balancers_metrics() {
+        let mut k = KernelBuilder::new().build();
+        let t = k.spawn(
+            "rank0",
+            SchedPolicy::Hpc,
+            Box::new(ScriptedProgram::compute_once(0.01)),
+            SpawnOptions::default(),
+        );
+        assert!(k.run_until_exited(&[t], SimDuration::from_secs(1)).is_some());
+        let names: Vec<String> =
+            k.component_registry().snapshot().metrics.into_iter().map(|(name, _)| name).collect();
+        assert!(!names.is_empty(), "the balancer registers its counters at the build");
+        assert!(names.iter().all(|n| n.starts_with("hpc.")), "kernel metrics registered: {names:?}");
+        // The first read registers the kernel's metrics with all it counted.
+        let read = k.metrics_registry().snapshot();
+        assert_eq!(read.counter("kernel.task_exits"), 1);
+        assert!(read.counter("kernel.context_switches") > 0);
+        assert!(read.counter("sim.events.processed") > 0);
+        assert!(read.histogram("kernel.runq_depth").is_some_and(|h| h.count > 0));
+    }
+
+    #[test]
     #[should_panic(expected = "no class handles")]
     fn baseline_kernel_rejects_hpc_policy() {
         let mut k = KernelBuilder::new().without_hpc_class().build();
@@ -300,12 +315,12 @@ mod tests {
         let b = KernelBuilder::new();
         let handle = b.tunables();
         // Pre-build adjustment is used by the build...
-        handle.lock().unwrap().set("high_util", "90").unwrap();
+        handle.borrow_mut().set("high_util", "90").unwrap();
         let _k = b.try_build().expect("valid");
         // ...and the same handle keeps steering afterwards.
-        assert_eq!(handle.lock().unwrap().get("high_util").unwrap(), "90");
-        handle.lock().unwrap().set("high_util", "95").unwrap();
-        assert_eq!(handle.lock().unwrap().get("high_util").unwrap(), "95");
+        assert_eq!(handle.borrow().get("high_util").unwrap(), "90");
+        handle.borrow_mut().set("high_util", "95").unwrap();
+        assert_eq!(handle.borrow().get("high_util").unwrap(), "95");
     }
 
     #[test]
@@ -313,7 +328,7 @@ mod tests {
         let mut cfg = HpcSchedConfig::default();
         cfg.tunables.high_util = 91.0;
         let b = KernelBuilder::new().hpc_config(cfg);
-        assert_eq!(b.tunables().lock().unwrap().high_util, 91.0);
+        assert_eq!(b.tunables().borrow().high_util, 91.0);
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl<'a> ClassCtx<'a> {
 /// replays quiet tick rounds: it charges each CPU for all the rounds at
 /// once, in CPU order, instead of every CPU once per round (DESIGN §5
 /// note 7).
-pub trait SchedClass: Send {
+pub trait SchedClass {
     fn name(&self) -> &'static str;
 
     /// Which policies this class services.

@@ -14,6 +14,7 @@ use crate::task::{Task, TaskId, TaskState};
 use crate::trace::{KernelEvent, Observer, TraceEvent, TraceRecord};
 use power5::{Chip, CpuId, HwPriority, PrivilegeLevel, TaskPerfTraits, Topology};
 use simcore::{EventQueue, EventQueueCounters, SimDuration, SimRng, SimTime};
+use std::cell::{Cell, OnceCell};
 use telemetry::{Counters, Histograms, LocalHistogram, MetricsRegistry, Registrar};
 
 /// Kernel events.
@@ -42,6 +43,9 @@ struct CpuState {
     steal_until: SimTime,
     need_resched: bool,
     ticks: u64,
+    /// Hardware priority register writes on this CPU since the counters
+    /// were last published (`cpu{N}.hw_prio_transitions`).
+    hw_prio_transitions: Cell<u64>,
     /// The steps of the running task's next batched descent that
     /// [`Kernel::uniform_rounds`] already took, and the work they left;
     /// [`Kernel::sync_uniform`] takes it and goes on from there.
@@ -57,6 +61,7 @@ impl CpuState {
             steal_until: SimTime::ZERO,
             need_resched: false,
             ticks: 0,
+            hw_prio_transitions: Cell::new(0),
             descended: None,
         }
     }
@@ -83,11 +88,13 @@ pub struct NewTask {
     pub opts: SpawnOptions,
 }
 
-/// Hot-path metric handles, registered once at kernel construction as
-/// three blocks, so recording is a relaxed atomic op with no registry
-/// lookup. The per-event counts, ticks and context switches, and the two
-/// per-pick histograms are tallied in a plain [`HotTally`] instead and
-/// added here when a public method returns.
+/// The kernel's own metric blocks in its registry: its counters, its
+/// per-CPU counters, its histograms and its event queue's counters. They
+/// are registered when [`Kernel::metrics_registry`] is first called, not
+/// before: the kernel counts everything in a plain [`HotTally`] (and the
+/// per-CPU counts in [`CpuState`]), and adds the tallies here when that
+/// first call registers the blocks and, from then on, when a public
+/// method returns.
 struct KernelCounters {
     /// The counters of [`KernelCounters::NAMES`], indexed by [`Count`].
     counters: Counters,
@@ -96,6 +103,8 @@ struct KernelCounters {
     /// The histograms of [`KernelCounters::HISTOGRAM_NAMES`], indexed by
     /// [`Hist`].
     histograms: Histograms,
+    /// `sim.events.scheduled`, `.cancelled` and `.processed`.
+    events: EventQueueCounters,
 }
 
 /// The kernel's counters, in [`KernelCounters::NAMES`] order.
@@ -144,31 +153,29 @@ impl KernelCounters {
             cpu_hw_prio_transitions: r
                 .counters((0..ncpus).map(|c| ("cpu", c, ".hw_prio_transitions"))),
             histograms: r.histograms(KernelCounters::HISTOGRAM_NAMES),
+            events: EventQueueCounters::register(r, "sim.events"),
         }
-    }
-
-    fn add(&self, count: Count, n: u64) {
-        self.counters.add(count as usize, n);
-    }
-
-    fn inc(&self, count: Count) {
-        self.counters.inc(count as usize);
-    }
-
-    fn absorb(&self, hist: Hist, local: &mut LocalHistogram) {
-        self.histograms.absorb(hist as usize, local);
     }
 }
 
-/// Counts and samples of the kernel's most frequent events since the
-/// counters were last published (see [`Kernel::publish_counters`]).
+/// Every count and sample of the kernel's own metrics since they were
+/// last published (see [`Kernel::publish_counters`]), in plain cells: a
+/// count is a plain add, and publishing, which the first read of the
+/// registry does through a shared reference, takes the tallies.
 #[derive(Default)]
 struct HotTally {
-    ticks: u64,
-    context_switches: u64,
+    /// Indexed by [`Count`].
+    counts: [Cell<u64>; KernelCounters::NAMES.len()],
     /// The per-pick histograms, inline: in set-up-only timings a box
     /// allocated per kernel cost more than moving the larger kernel.
     picks: PickTally,
+}
+
+impl HotTally {
+    fn add(&self, count: Count, n: u64) {
+        let c = &self.counts[count as usize];
+        c.set(c.get() + n);
+    }
 }
 
 /// The kernel's histograms ([`KernelCounters::histograms`]), tallied in
@@ -206,8 +213,10 @@ pub struct Kernel {
     deferred: Vec<(SimTime, WaitToken)>,
     observers: Vec<Box<dyn Observer>>,
     rng: SimRng,
+    /// Holds the balancer's counters from the build on, and the kernel's
+    /// own ([`KernelCounters`]) once someone reads it.
     registry: MetricsRegistry,
-    counters: KernelCounters,
+    counters: OnceCell<KernelCounters>,
     tally: HotTally,
     /// A running task's class declined [`SchedClass::tick_quiet`] and no
     /// task has been dispatched or migrated since, so no round can be
@@ -223,22 +232,17 @@ impl Kernel {
     /// [`Kernel::install_class_after_rt`] *before* spawning tasks.
     pub fn new(chip: Chip, config: KernelConfig) -> Self {
         let ncpus = chip.topology().num_cpus();
-        let mut classes: Vec<Box<dyn SchedClass>> = vec![
-            Box::new(RtClass::new(config.rt_rr_slice)),
-            Box::new(FairClass::new(config.cfs)),
-            Box::new(IdleClass::new()),
-        ];
+        // Room for a fourth class, which the builder installs after RT.
+        let mut classes: Vec<Box<dyn SchedClass>> = Vec::with_capacity(4);
+        classes.push(Box::new(RtClass::new(config.rt_rr_slice)));
+        classes.push(Box::new(FairClass::new(config.cfs)));
+        classes.push(Box::new(IdleClass::new()));
         for c in &mut classes {
             c.init_cpus(ncpus);
         }
-        let registry = MetricsRegistry::new();
-        let (counters, event_counters) = registry.register(|r| {
-            (KernelCounters::register(r, ncpus), EventQueueCounters::register(r, "sim.events"))
-        });
         let lanes = (0..ncpus).map(|cpu| KEvent::Tick(CpuId(cpu)));
         let lanes = lanes.chain((0..ncpus).map(|cpu| KEvent::WorkDone(CpuId(cpu))));
         let mut events = EventQueue::with_lanes(lanes.collect());
-        events.attach_counters(event_counters);
         for cpu in 0..ncpus {
             events.arm(cpu, SimTime::ZERO + config.tick);
         }
@@ -259,8 +263,8 @@ impl Kernel {
             deferred: Vec::new(),
             observers: Vec::new(),
             rng,
-            registry,
-            counters,
+            registry: MetricsRegistry::new(),
+            counters: OnceCell::new(),
             tally: HotTally::default(),
             quiet_blocked: false,
             transition_guard: 0,
@@ -295,10 +299,29 @@ impl Kernel {
 
     /// The kernel's metric registry: counters, gauges and histograms for
     /// every instrumented hot path. Handles are cheap to clone; snapshots
-    /// are deterministic (name-sorted). Every public method that moves a
-    /// counter publishes it before returning, so a snapshot taken between
-    /// calls is exact.
+    /// are deterministic (name-sorted).
+    ///
+    /// The kernel registers its own metrics here on the first call, and
+    /// publishes what it counted until then; from then on every public
+    /// method that moves a counter publishes it before returning. So a
+    /// snapshot taken between calls is exact, and is the same whenever the
+    /// first call came; a kernel that is never asked registers none of its
+    /// own metrics, only those of components that registered themselves
+    /// (the HPC class's balancer).
     pub fn metrics_registry(&self) -> &MetricsRegistry {
+        if self.counters.get().is_none() {
+            let ncpus = self.cpus.len();
+            self.counters.get_or_init(|| {
+                self.registry.register(|r| KernelCounters::register(r, ncpus))
+            });
+            self.publish_counters();
+        }
+        &self.registry
+    }
+
+    /// The registry without registering the kernel's own metrics: where
+    /// the builder attaches the balancer's telemetry.
+    pub(crate) fn component_registry(&self) -> &MetricsRegistry {
         &self.registry
     }
 
@@ -557,7 +580,7 @@ impl Kernel {
                 if cpu.0 >= self.cpus.len() || duration.is_zero() {
                     return;
                 }
-                self.counters.inc(Count::FaultStealBursts);
+                self.tally.add(Count::FaultStealBursts, 1);
                 // The thief holds the context: no work accrues before the
                 // burst ends (sync_cpu and rearm_workdone both respect
                 // `steal_until`), like a context-switch stall of fault
@@ -572,7 +595,7 @@ impl Kernel {
                 if task.0 >= self.tasks.len() || !factor.is_finite() || factor < 0.0 {
                     return;
                 }
-                self.counters.inc(Count::FaultSlowdowns);
+                self.tally.add(Count::FaultSlowdowns, 1);
                 self.tasks[task.0].fault_slow = factor;
             }
         }
@@ -795,7 +818,7 @@ impl Kernel {
     /// task and speed are unchanged.
     fn tick_rounds(&mut self, at: SimTime, n: u64) {
         let ncpus = self.cpus.len();
-        self.tally.ticks += n * ncpus as u64;
+        self.tally.add(Count::Ticks, n * ncpus as u64);
         for cs in &mut self.cpus {
             cs.ticks += n;
         }
@@ -815,19 +838,31 @@ impl Kernel {
         });
     }
 
-    /// Add the hot tallies (kernel and event queue) to their registry
-    /// counters. Every public method that can move them calls this before
-    /// returning, so registry readers, who only ever look between calls,
-    /// see exact values.
-    fn publish_counters(&mut self) {
-        self.events.publish();
-        let t = &mut self.tally;
-        let c = &self.counters;
-        c.add(Count::Ticks, std::mem::take(&mut t.ticks));
-        c.add(Count::ContextSwitches, std::mem::take(&mut t.context_switches));
-        let picks = &mut t.picks;
-        c.absorb(Hist::RunqDepth, &mut picks.runq_depth);
-        c.absorb(Hist::DispatchLatencyNs, &mut picks.dispatch_latency_ns);
+    /// Add the tallies (kernel, per-CPU and event queue) to their
+    /// registry metrics, once those are registered; until then the
+    /// tallies keep counting. Every public method that can move them calls
+    /// this before returning, so registry readers, who only ever look
+    /// between calls, see exact values.
+    fn publish_counters(&self) {
+        let Some(c) = self.counters.get() else {
+            return;
+        };
+        self.events.publish(&c.events);
+        for (i, tally) in self.tally.counts.iter().enumerate() {
+            let n = tally.take();
+            if n > 0 {
+                c.counters.add(i, n);
+            }
+        }
+        for (cpu, state) in self.cpus.iter().enumerate() {
+            let n = state.hw_prio_transitions.take();
+            if n > 0 {
+                c.cpu_hw_prio_transitions.add(cpu, n);
+            }
+        }
+        let picks = &self.tally.picks;
+        c.histograms.absorb(Hist::RunqDepth as usize, &picks.runq_depth);
+        c.histograms.absorb(Hist::DispatchLatencyNs as usize, &picks.dispatch_latency_ns);
     }
 
     // ------------------------------------------------------------------
@@ -896,7 +931,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     fn handle_tick(&mut self, cpu: CpuId) {
-        self.tally.ticks += 1;
+        self.tally.add(Count::Ticks, 1);
         self.cpus[cpu.0].ticks += 1;
         self.events.arm(cpu.0, self.now + self.config.tick);
 
@@ -1237,9 +1272,8 @@ impl Kernel {
 
         loop {
             let runnable: usize = self.classes.iter().map(|c| c.nr_runnable(cpu)).sum();
-            let picks = &mut self.tally.picks;
-            if picks.runq_depth.record(runnable as u64) {
-                absorb_full(&self.counters, Hist::RunqDepth, &mut picks.runq_depth);
+            if self.tally.picks.runq_depth.record(runnable as u64) {
+                self.publish_full_tally();
             }
             let mut next = None;
             for class in 0..self.classes.len() {
@@ -1289,18 +1323,13 @@ impl Kernel {
             }
         }
         if let Some(lat) = wakeup_latency {
-            let picks = &mut self.tally.picks;
-            if picks.dispatch_latency_ns.record(lat.as_nanos()) {
-                absorb_full(
-                    &self.counters,
-                    Hist::DispatchLatencyNs,
-                    &mut picks.dispatch_latency_ns,
-                );
+            if self.tally.picks.dispatch_latency_ns.record(lat.as_nanos()) {
+                self.publish_full_tally();
             }
         }
         self.running[cpu.0] = Some(tid);
         if prev != Some(tid) {
-            self.tally.context_switches += 1;
+            self.tally.add(Count::ContextSwitches, 1);
             self.tasks[tid.0].nr_switches += 1;
             if !self.config.ctx_switch_cost.is_zero() {
                 self.cpus[cpu.0].switch_until = self.now + self.config.ctx_switch_cost;
@@ -1328,7 +1357,8 @@ impl Kernel {
                         self.chip
                             .set_priority(CpuId(cpu), hw_prio, PrivilegeLevel::Supervisor)
                             .expect("scheduler priorities stay in supervisor range");
-                        self.counters.cpu_hw_prio_transitions.inc(cpu);
+                        let writes = &self.cpus[cpu].hw_prio_transitions;
+                        writes.set(writes.get() + 1);
                     }
                 }
                 None => {
@@ -1457,9 +1487,9 @@ impl Kernel {
         // they reconcile 1:1 with the records observers receive, by
         // construction — and keep counting with no observer attached.
         match &event {
-            TraceEvent::HwPrio { .. } => self.counters.inc(Count::TaskHwPrioTransitions),
-            TraceEvent::IterationEnd { .. } => self.counters.inc(Count::Iterations),
-            TraceEvent::Exit => self.counters.inc(Count::TaskExits),
+            TraceEvent::HwPrio { .. } => self.tally.add(Count::TaskHwPrioTransitions, 1),
+            TraceEvent::IterationEnd { .. } => self.tally.add(Count::Iterations, 1),
+            TraceEvent::Exit => self.tally.add(Count::TaskExits, 1),
             _ => {}
         }
         if self.observers.is_empty() {
@@ -1475,14 +1505,17 @@ impl Kernel {
     pub fn current_on(&self, cpu: CpuId) -> Option<TaskId> {
         self.running[cpu.0]
     }
-}
 
-/// Publish a pick histogram whose bucket filled up. Out of line and cold:
-/// that takes 2³² samples in one bucket between two public calls.
-#[cold]
-#[inline(never)]
-fn absorb_full(counters: &KernelCounters, hist: Hist, local: &mut LocalHistogram) {
-    counters.absorb(hist, local);
+    /// Publish the tallies because a pick histogram's bucket filled up,
+    /// registering the kernel's metrics if no one has read them yet: a
+    /// full bucket cannot count on. Out of line and cold: that takes 2³²
+    /// samples in one bucket between two public calls.
+    #[cold]
+    #[inline(never)]
+    fn publish_full_tally(&self) {
+        self.metrics_registry();
+        self.publish_counters();
+    }
 }
 
 /// When a task with `remaining` work, running on a CPU in state `cs`,
@@ -2062,21 +2095,17 @@ mod tests {
     }
 
     #[test]
-    #[expect(
-        clippy::disallowed_types,
-        reason = "the test observer shares its buffer with the assertion"
-    )]
     fn shared_sink_records_the_kernel_trace() {
         // A bare observer collects the stream as the kernel sends it; a
         // `SharedSink` attached beside it must hold exactly the same records.
-        struct Collect(std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>);
+        struct Collect(std::rc::Rc<std::cell::RefCell<Vec<TraceRecord>>>);
         impl Observer for Collect {
             fn on_event(&mut self, event: &KernelEvent) {
                 let KernelEvent::Trace(rec) = event;
-                self.0.lock().unwrap().push(rec.clone());
+                self.0.borrow_mut().push(rec.clone());
             }
         }
-        let sent = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sent = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink = crate::SharedSink::new();
         let mut k = kernel_1cpu();
         k.observe(Box::new(Collect(sent.clone())));
@@ -2093,7 +2122,7 @@ mod tests {
             .collect();
         k.run_until_exited(&ids, SimDuration::from_secs(5)).unwrap();
         let records = sink.snapshot();
-        assert_eq!(records, *sent.lock().unwrap());
+        assert_eq!(records, *sent.borrow());
         let exits = records.iter().filter(|r| r.event == TraceEvent::Exit).count() as u64;
         assert_eq!(exits, 2);
         assert_eq!(exits, k.metrics_registry().snapshot().counter("kernel.task_exits"));

@@ -49,13 +49,9 @@ pub use tunables::{HpcTunables, TunableError};
 use crate::balancer::Balancer;
 use zoo::{StepBalancer, StepRule};
 
-/// Shared, runtime-adjustable tunables handle (the simulated sysfs mount).
-#[expect(
-    clippy::disallowed_types,
-    reason = "the simulated sysfs mount: one handle per kernel, locked only on the \
-              kernel's own thread, never crossing node runs"
-)]
-pub type SharedTunables = std::sync::Arc<std::sync::Mutex<HpcTunables>>;
+/// Shared, runtime-adjustable tunables handle (the simulated sysfs mount):
+/// one per kernel, read and written on the kernel's own thread.
+pub type SharedTunables = std::rc::Rc<std::cell::RefCell<HpcTunables>>;
 
 /// Everything a policy constructor may draw on. One context serves every
 /// policy so the registry signature stays uniform.

@@ -122,12 +122,7 @@ impl Balancer for Table1Balancer {
         if !self.dynamic_prio {
             return Vec::new();
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "INVARIANT: single-threaded simulation; the only way this lock is \
-                      poisoned is a panic already unwinding this thread."
-        )]
-        let tun = *self.tunables.lock().expect("tunables poisoned");
+        let tun = *self.tunables.borrow();
         // The Load Imbalance Detector gates the heuristic: once the
         // application is balanced, stop touching priorities (paper §IV-B:
         // "At the end of the second iteration, the Load Imbalance Detector

@@ -116,13 +116,8 @@ impl<R: StepRule> StepBalancer<R> {
     }
 
     /// Current tunables snapshot.
-    #[expect(
-        clippy::expect_used,
-        reason = "INVARIANT: single-threaded simulation; the only way this lock is poisoned is \
-                  a panic already unwinding this thread."
-    )]
     fn tun(&self) -> HpcTunables {
-        *self.tunables.lock().expect("tunables poisoned")
+        *self.tunables.borrow()
     }
 }
 

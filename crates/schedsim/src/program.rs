@@ -36,8 +36,8 @@ pub enum Action {
     Exit,
 }
 
-/// User code for a simulated task.
-pub trait Program: Send {
+/// User code for a simulated task, run on its kernel's thread.
+pub trait Program {
     /// Produce the next action. `api` allows non-blocking kernel calls
     /// (tokens, timers, policy changes) during the transition.
     fn next_action(&mut self, api: &mut KernelApi<'_>) -> Action;
@@ -220,7 +220,7 @@ pub struct FnProgram<F>(pub F);
 
 impl<F> Program for FnProgram<F>
 where
-    F: FnMut(&mut KernelApi<'_>) -> Action + Send,
+    F: FnMut(&mut KernelApi<'_>) -> Action,
 {
     fn next_action(&mut self, api: &mut KernelApi<'_>) -> Action {
         (self.0)(api)

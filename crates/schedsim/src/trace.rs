@@ -10,6 +10,9 @@
 //! [`SharedSink`] stay with the caller, so the kernel never has to give a
 //! sink back.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use crate::task::{TaskId, TaskState};
 use power5::{CpuId, HwPriority};
 use simcore::SimTime;
@@ -45,21 +48,17 @@ pub enum KernelEvent {
     Trace(TraceRecord),
 }
 
-/// Receives the kernel's observation stream.
-pub trait Observer: Send {
+/// Receives the kernel's observation stream, on the kernel's own thread.
+pub trait Observer {
     fn on_event(&mut self, event: &KernelEvent);
 }
 
 /// A sink writing into a shared buffer, so callers keep access to the
-/// records while the kernel owns the sink.
+/// records while the kernel owns the sink. A single-threaded handle: the
+/// kernel that writes it and the caller that reads it share one thread.
 #[derive(Clone, Default)]
-#[expect(
-    clippy::disallowed_types,
-    reason = "an append-only record buffer with exactly one writer per kernel; record \
-              order is the kernel's own event order"
-)]
 pub struct SharedSink {
-    records: std::sync::Arc<std::sync::Mutex<Vec<TraceRecord>>>,
+    records: Rc<RefCell<Vec<TraceRecord>>>,
 }
 
 impl SharedSink {
@@ -68,18 +67,14 @@ impl SharedSink {
     }
 
     /// Snapshot the records collected so far.
-    ///
-    /// Poison-proof: a panic on another thread mid-`push` cannot leave the
-    /// Vec in a broken state, so recover the inner buffer instead of
-    /// cascading the poison into every later reader.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        self.records.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        self.records.borrow().clone()
     }
 }
 
 impl Observer for SharedSink {
     fn on_event(&mut self, event: &KernelEvent) {
         let KernelEvent::Trace(rec) = event;
-        self.records.lock().unwrap_or_else(|p| p.into_inner()).push(rec.clone());
+        self.records.borrow_mut().push(rec.clone());
     }
 }

@@ -16,16 +16,15 @@
 //! nothing and changes nothing, so a stretch may run across balance ticks
 //! and a CPU that runs dry may skip its idle pull.
 
-#![allow(clippy::disallowed_types, reason = "test recorders share a Mutex-guarded buffer")]
-
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use power5::{CpuId, Topology};
 use proptest::prelude::*;
 use schedsim::class::EnqueueKind;
 use schedsim::classes::{FairClass, IdleClass, RtClass};
 use schedsim::policies::{
-    registry, HeuristicKind, HpcTunables, PolicyCtx, Power5Mechanism, Table1Balancer,
+    registry, HeuristicKind, PolicyCtx, Power5Mechanism, SharedTunables, Table1Balancer,
     UniformHeuristic,
 };
 use schedsim::program::{FnProgram, ScriptedProgram};
@@ -105,13 +104,11 @@ struct Scenario {
 }
 
 /// Records the observer stream.
-struct Recorder(Arc<Mutex<Vec<KernelEvent>>>);
+struct Recorder(Rc<RefCell<Vec<KernelEvent>>>);
 
 impl Observer for Recorder {
     fn on_event(&mut self, event: &KernelEvent) {
-        // INVARIANT: the lock is only held for this push and for the final
-        // read, neither of which panics, so it is never poisoned.
-        self.0.lock().expect("recorder lock").push(event.clone());
+        self.0.borrow_mut().push(event.clone());
     }
 }
 
@@ -122,7 +119,7 @@ fn ms(v: u64) -> SimDuration {
 fn program(
     cycles: Vec<Cycle>,
     tick: SimDuration,
-) -> FnProgram<impl FnMut(&mut KernelApi<'_>) -> Action + Send> {
+) -> FnProgram<impl FnMut(&mut KernelApi<'_>) -> Action> {
     let mut next = 0;
     let mut computing = true;
     FnProgram(move |api: &mut KernelApi<'_>| {
@@ -147,7 +144,7 @@ fn program(
 }
 
 /// Build the scenario's kernel with its tasks spawned and faults injected.
-fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
+fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Rc<RefCell<Vec<KernelEvent>>>) {
     let topology = match s.topology {
         0 => Topology::openpower_710(),
         1 => Topology::single_core_st(),
@@ -177,7 +174,7 @@ fn setup(s: &Scenario) -> (Kernel, Vec<TaskId>, Arc<Mutex<Vec<KernelEvent>>>) {
             .build(),
         None => builder.without_hpc_class().build(),
     };
-    let stream = Arc::new(Mutex::new(Vec::new()));
+    let stream = Rc::new(RefCell::new(Vec::new()));
     match s.observe {
         Observe::Nobody => {}
         Observe::Trace => k.observe(Box::new(Recorder(stream.clone()))),
@@ -247,7 +244,7 @@ struct TaskView {
     iterations: u64,
 }
 
-fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &Mutex<Vec<KernelEvent>>) -> Outcome {
+fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &RefCell<Vec<KernelEvent>>) -> Outcome {
     let tasks = k
         .tasks()
         .iter()
@@ -265,9 +262,7 @@ fn outcome(k: &Kernel, ended: Option<SimTime>, stream: &Mutex<Vec<KernelEvent>>)
         })
         .collect();
     let metrics = k.metrics_registry().snapshot().metrics;
-    // INVARIANT: the recorder never panics while holding the lock, so the
-    // lock is never poisoned.
-    let stream = std::mem::take(&mut *stream.lock().expect("recorder lock"));
+    let stream = stream.take();
     Outcome { now: k.now(), ended, tasks, metrics, stream, pops: k.queue_pops() }
 }
 
@@ -798,7 +793,7 @@ fn class(kind: ClassKind) -> (Box<dyn SchedClass>, SchedPolicy) {
         let balancer = Table1Balancer::new(
             Box::new(UniformHeuristic),
             Box::new(Power5Mechanism),
-            Arc::new(Mutex::new(HpcTunables::default())),
+            SharedTunables::default(),
         );
         Box::new(BalancedClass::new(policy, ms(8), Box::new(balancer))) as Box<dyn SchedClass>
     };
@@ -978,7 +973,7 @@ impl Balancing {
             ),
             _ => {
                 let ctx = PolicyCtx {
-                    tunables: Arc::new(Mutex::new(HpcTunables::default())),
+                    tunables: SharedTunables::default(),
                     heuristic: HeuristicKind::Uniform,
                     power5_mechanism: true,
                     policy_only: false,

@@ -26,6 +26,7 @@
 //!    events scheduled into it; nothing about fired events is retained.
 
 use crate::time::{SimDuration, SimTime};
+use std::cell::Cell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -120,17 +121,22 @@ pub struct EventQueue<E> {
     last_popped: SimTime,
     /// Operations since the last [`EventQueue::publish`].
     tally: Tally,
-    counters: Option<EventQueueCounters>,
     /// Events taken by [`EventQueue::pop`] (see [`EventQueue::pops`]).
     pops: u64,
 }
 
-/// Per-operation counts not yet added to the attached counters.
+/// Per-operation counts not yet published, in plain cells so that an
+/// owner can publish them through a shared reference.
 #[derive(Default)]
 struct Tally {
-    scheduled: u64,
-    cancelled: u64,
-    processed: u64,
+    scheduled: Cell<u64>,
+    cancelled: Cell<u64>,
+    processed: Cell<u64>,
+}
+
+/// Add `n` to the count in `cell`.
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get() + n);
 }
 
 impl<E> Default for EventQueue<E> {
@@ -156,28 +162,27 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             last_popped: SimTime::ZERO,
             tally: Tally::default(),
-            counters: None,
             pops: 0,
         }
     }
 
-    /// Attach telemetry counters; subsequent schedule/arm/pop operations
-    /// are counted. Counts start from this call (not retroactive).
-    pub fn attach_counters(&mut self, counters: EventQueueCounters) {
-        self.publish();
-        self.counters = Some(counters);
-    }
-
-    /// Add the operations counted since the last publish to the attached
-    /// counters. Operations bump plain tallies, not the shared atomic
-    /// counters, so a reader sees them only after this call; an owner that
-    /// exposes the counters publishes before handing control back.
-    pub fn publish(&mut self) {
-        let t = std::mem::take(&mut self.tally);
-        if let Some(c) = &self.counters {
-            c.counters.add(QueueCount::Scheduled as usize, t.scheduled);
-            c.counters.add(QueueCount::Cancelled as usize, t.cancelled);
-            c.counters.add(QueueCount::Processed as usize, t.processed);
+    /// Add the operations counted since the last publish to `counters`.
+    /// Operations bump plain tallies, not the shared atomic counters, so
+    /// a reader sees them only after this call; an owner that exposes the
+    /// counters publishes before handing control back. An owner that
+    /// registers the counters only once someone reads them publishes
+    /// everything counted until then with its first call.
+    pub fn publish(&self, counters: &EventQueueCounters) {
+        let t = &self.tally;
+        for (count, tally) in [
+            (QueueCount::Scheduled, &t.scheduled),
+            (QueueCount::Cancelled, &t.cancelled),
+            (QueueCount::Processed, &t.processed),
+        ] {
+            let n = tally.take();
+            if n > 0 {
+                counters.counters.add(count as usize, n);
+            }
         }
     }
 
@@ -201,7 +206,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.tally.scheduled += 1;
+        bump(&self.tally.scheduled, 1);
         seq
     }
 
@@ -229,7 +234,7 @@ impl<E> EventQueue<E> {
         if *key == IDLE {
             self.armed += 1;
         } else {
-            self.tally.cancelled += 1;
+            bump(&self.tally.cancelled, 1);
         }
         *key = Key { time, seq };
     }
@@ -243,7 +248,7 @@ impl<E> EventQueue<E> {
         }
         *key = IDLE;
         self.armed -= 1;
-        self.tally.cancelled += 1;
+        bump(&self.tally.cancelled, 1);
         true
     }
 
@@ -308,9 +313,9 @@ impl<E> EventQueue<E> {
             }
         }
         self.next_seq += pops * per_pop;
-        self.tally.processed += pops;
-        self.tally.scheduled += pops * per_pop;
-        self.tally.cancelled += pops * armed;
+        bump(&self.tally.processed, pops);
+        bump(&self.tally.scheduled, pops * per_pop);
+        bump(&self.tally.cancelled, pops * armed);
     }
 
     /// The armed lane that fires first, with its key.
@@ -373,7 +378,7 @@ impl<E: Clone> EventQueue<E> {
             }
         };
         self.last_popped = time;
-        self.tally.processed += 1;
+        bump(&self.tally.processed, 1);
         self.pops += 1;
         Some(ScheduledEvent { time, payload })
     }
@@ -468,7 +473,7 @@ mod tests {
         // and re-inserts it with the next `seq`.
         let registry = telemetry::MetricsRegistry::new();
         let mut a = laned(20);
-        a.attach_counters(registry.register(|r| EventQueueCounters::register(r, "a")));
+        let ca = registry.register(|r| EventQueueCounters::register(r, "a"));
         let mut b: Vec<(SimTime, u64, u64)> = Vec::new();
         let mut cancels = 0;
         for seq in 0..220u64 {
@@ -485,7 +490,7 @@ mod tests {
         assert_eq!((a.peek_heap_time(), a.next_seq), (None, 220), "one seq per arm, no heap");
         let want: Vec<_> = b.iter().map(|&(time, _, payload)| (time, payload)).collect();
         assert_eq!(drain(&mut a), want);
-        a.publish();
+        a.publish(&ca);
         assert_eq!(counts(&registry, "a"), [220, cancels, 20]);
     }
 
@@ -511,8 +516,8 @@ mod tests {
             // for every periodic lane but the last.
             let mut a = laned(2 * n);
             let mut b = laned(2 * n);
-            a.attach_counters(registry.register(|r| EventQueueCounters::register(r, "a")));
-            b.attach_counters(registry.register(|r| EventQueueCounters::register(r, "b")));
+            let ca = registry.register(|r| EventQueueCounters::register(r, "a"));
+            let cb = registry.register(|r| EventQueueCounters::register(r, "b"));
             // A far heap event, then the lanes.
             for q in [&mut a, &mut b] {
                 q.schedule(t(500), 99);
@@ -545,8 +550,8 @@ mod tests {
             assert_eq!(a.lanes, b.lanes, "n {n}, rounds {rounds}");
             assert_eq!((a.next_seq, a.last_popped), (b.next_seq, b.last_popped));
             assert_eq!(a.lane_time(all - 1), None, "an idle lane stays idle");
-            a.publish();
-            b.publish();
+            a.publish(&ca);
+            b.publish(&cb);
             assert_eq!(counts(&registry, "a"), counts(&registry, "b"));
             // Replayed pops are processed events but are never popped.
             assert_eq!((a.pops(), b.pops()), (0, rounds * n), "pops");
@@ -577,7 +582,7 @@ mod tests {
     fn disarming_an_idle_lane_touches_nothing() {
         let registry = telemetry::MetricsRegistry::new();
         let mut q = laned(2);
-        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
+        let cq = registry.register(|r| EventQueueCounters::register(r, "q"));
         q.arm(0, t(5));
         q.arm(1, t(10));
         assert!(q.disarm(1));
@@ -587,7 +592,7 @@ mod tests {
             assert!(!q.disarm(lane), "lane {lane} is idle");
         }
         assert_eq!((q.next_seq, q.lanes.clone(), q.armed), before, "nothing consumed or moved");
-        q.publish();
+        q.publish(&cq);
         assert_eq!(counts(&registry, "q"), [2, 1, 1]);
         assert!(q.is_empty());
     }
@@ -597,19 +602,20 @@ mod tests {
         let registry = telemetry::MetricsRegistry::new();
         let mut q = laned(1);
         q.schedule(t(1), 0u64);
-        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
+        let cq = registry.register(|r| EventQueueCounters::register(r, "q"));
         q.schedule(t(2), 1);
         q.arm(0, t(3));
         q.arm(0, t(4));
         q.disarm(0);
         q.pop();
         assert_eq!(counts(&registry, "q"), [0, 0, 0], "not yet published");
-        q.publish();
-        // The pre-attach schedule is not counted; a re-arm and a disarm
-        // each count a cancel.
-        assert_eq!(counts(&registry, "q"), [3, 2, 1]);
-        q.publish();
-        assert_eq!(counts(&registry, "q"), [3, 2, 1], "publishing twice adds nothing");
+        q.publish(&cq);
+        // Counts run from the queue's construction, not from the
+        // counters' registration; a re-arm and a disarm each count a
+        // cancel.
+        assert_eq!(counts(&registry, "q"), [4, 2, 1]);
+        q.publish(&cq);
+        assert_eq!(counts(&registry, "q"), [4, 2, 1], "publishing twice adds nothing");
     }
 
     #[test]

@@ -79,15 +79,16 @@ struct Harness {
     q: EventQueue<u64>,
     m: Model,
     registry: telemetry::MetricsRegistry,
+    counters: EventQueueCounters,
     now: SimTime,
 }
 
 impl Default for Harness {
     fn default() -> Self {
         let registry = telemetry::MetricsRegistry::new();
-        let mut q = EventQueue::with_lanes((0..LANES as u64).map(|i| LANE_PAYLOAD + i).collect());
-        q.attach_counters(registry.register(|r| EventQueueCounters::register(r, "q")));
-        Harness { q, m: Model::default(), registry, now: SimTime::ZERO }
+        let q = EventQueue::with_lanes((0..LANES as u64).map(|i| LANE_PAYLOAD + i).collect());
+        let counters = registry.register(|r| EventQueueCounters::register(r, "q"));
+        Harness { q, m: Model::default(), registry, counters, now: SimTime::ZERO }
     }
 }
 
@@ -188,7 +189,7 @@ impl Harness {
         assert_eq!(self.q.len(), self.m.pending.len(), "len after op {op}");
         assert_eq!(self.q.is_empty(), self.m.pending.is_empty());
         assert_eq!(self.q.pops(), self.m.pops, "pops after op {op}");
-        self.q.publish();
+        self.q.publish(&self.counters);
         let snap = self.registry.snapshot();
         let counts =
             ["scheduled", "cancelled", "processed"].map(|c| snap.counter(&format!("q.{c}")));

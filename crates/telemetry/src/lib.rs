@@ -11,10 +11,11 @@
 //! a tuple of parts ([`MetricName`]), is written straight into the
 //! registry, and a block of metrics shares one reference to its cells.
 //!
-//! The kernel's hottest paths record into plain memory instead: it tallies
-//! ticks and context switches as `u64`s and the per-pick histograms
+//! The kernel records all of its own metrics into plain memory instead:
+//! it tallies its counts in `Cell<u64>`s and the per-pick histograms
 //! (`kernel.runq_depth`, `kernel.dispatch_latency_ns`) in
-//! [`LocalHistogram`]s, and adds them to the registry
+//! [`LocalHistogram`]s, registers its blocks when its registry is first
+//! read, and from then on adds the tallies to the registry
 //! ([`Counters::add`], [`Histograms::absorb`]) before each public kernel
 //! call returns, so a snapshot taken between calls is exact.
 //!
@@ -28,6 +29,7 @@
 
 pub mod export;
 
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, MutexGuard};
@@ -263,22 +265,21 @@ impl Histograms {
     /// Add every sample `local` tallied to histogram `i`, as if each had
     /// been recorded there one by one, and empty it. An empty
     /// `local` leaves the histogram as it was.
-    pub fn absorb(&self, i: usize, local: &mut LocalHistogram) {
-        if local.count == 0 {
+    pub fn absorb(&self, i: usize, local: &LocalHistogram) {
+        if local.count.get() == 0 {
             return;
         }
         let c = self.cells(i);
-        let mut occupied = local.occupied;
+        let mut occupied = local.occupied.take();
         while occupied != 0 {
             let b = occupied.trailing_zeros() as usize;
             occupied &= occupied - 1;
-            c[b].fetch_add(u64::from(std::mem::take(&mut local.buckets[b])), Ordering::Relaxed);
+            c[b].fetch_add(u64::from(local.buckets[b].take()), Ordering::Relaxed);
         }
-        c[COUNT].fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
-        c[SUM].fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
-        c[MIN].fetch_min(std::mem::replace(&mut local.min, u64::MAX), Ordering::Relaxed);
-        c[MAX].fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
-        local.occupied = 0;
+        c[COUNT].fetch_add(local.count.take(), Ordering::Relaxed);
+        c[SUM].fetch_add(local.sum.take(), Ordering::Relaxed);
+        c[MIN].fetch_min(local.min.replace(u64::MAX), Ordering::Relaxed);
+        c[MAX].fetch_max(local.max.take(), Ordering::Relaxed);
     }
 
     /// [`HistogramHandle::restore`] for histogram `i`.
@@ -344,7 +345,7 @@ impl HistogramHandle {
     }
 
     /// [`Histograms::absorb`] into this histogram.
-    pub fn absorb(&self, local: &mut LocalHistogram) {
+    pub fn absorb(&self, local: &LocalHistogram) {
         self.0.absorb(0, local);
     }
 
@@ -365,30 +366,32 @@ impl HistogramHandle {
 /// path that records far more often than anyone reads: recording is a
 /// few plain adds, and [`Histograms::absorb`] later publishes the tally
 /// with the same buckets, count, wrapping sum, min and max that recording
-/// each sample through the registry would have left.
+/// each sample through the registry would have left. The cells are plain
+/// [`Cell`]s, not atomics, so an owner may record and publish through a
+/// shared reference on its one thread.
 #[derive(Clone, Debug)]
 pub struct LocalHistogram {
     /// `u32` halves the tally, which its owner may carry by value;
     /// [`LocalHistogram::record`] says when a bucket is full.
-    buckets: [u32; HISTOGRAM_BUCKETS],
+    buckets: [Cell<u32>; HISTOGRAM_BUCKETS],
     /// Bit `i` is set when bucket `i` is not zero, so that absorbing a
     /// few samples touches a few buckets, not all of them.
-    occupied: u128,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+    occupied: Cell<u128>,
+    count: Cell<u64>,
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
 }
 
 impl Default for LocalHistogram {
     fn default() -> LocalHistogram {
         LocalHistogram {
-            buckets: [0; HISTOGRAM_BUCKETS],
-            occupied: 0,
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
+            buckets: [const { Cell::new(0) }; HISTOGRAM_BUCKETS],
+            occupied: Cell::new(0),
+            count: Cell::new(0),
+            sum: Cell::new(0),
+            min: Cell::new(u64::MAX),
+            max: Cell::new(0),
         }
     }
 }
@@ -397,15 +400,16 @@ impl LocalHistogram {
     /// Tally `v`. Returns `true` when a bucket is full: absorb the tally
     /// before recording into it again.
     #[must_use = "a full tally must be absorbed before the next sample"]
-    pub fn record(&mut self, v: u64) -> bool {
+    pub fn record(&self, v: u64) -> bool {
         let b = bucket_of(v);
-        self.buckets[b] += 1;
-        self.occupied |= 1 << b;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-        self.buckets[b] == u32::MAX
+        let bucket = &self.buckets[b];
+        bucket.set(bucket.get() + 1);
+        self.occupied.set(self.occupied.get() | 1 << b);
+        self.count.set(self.count.get() + 1);
+        self.sum.set(self.sum.get().wrapping_add(v));
+        self.min.set(self.min.get().min(v));
+        self.max.set(self.max.get().max(v));
+        bucket.get() == u32::MAX
     }
 }
 
@@ -1044,7 +1048,7 @@ mod tests {
         let samples = [0u64, u64::MAX, 1, 7, u64::MAX - 3, 1024, 0, 5];
         let direct = HistogramHandle::default();
         let absorbed = HistogramHandle::default();
-        let mut local = LocalHistogram::default();
+        let local = LocalHistogram::default();
         // Both start from samples recorded the ordinary way, so min and max
         // must merge, not overwrite.
         for h in [&direct, &absorbed] {
@@ -1055,33 +1059,33 @@ mod tests {
             direct.record(v);
             assert!(!local.record(v));
         }
-        absorbed.absorb(&mut local);
+        absorbed.absorb(&local);
         let stats = direct.stats();
         // Two samples of u64::MAX wrap the sum.
         assert!(stats.sum < u64::MAX / 2, "sum {} did not wrap", stats.sum);
         assert_eq!(absorbed.stats(), stats);
         // The tally is emptied, and an empty absorb is a no-op.
-        absorbed.absorb(&mut local);
+        absorbed.absorb(&local);
         assert_eq!(absorbed.stats(), stats);
         // A refilled tally starts from nothing.
         for v in [2u64, 2, 1 << 40] {
             direct.record(v);
             assert!(!local.record(v));
         }
-        absorbed.absorb(&mut local);
+        absorbed.absorb(&local);
         assert_eq!(absorbed.stats(), direct.stats());
         // A bucket one sample short of full reports it, and absorbing then
         // carries its whole count.
-        local.buckets[bucket_of(6)] = u32::MAX - 1;
-        local.occupied |= 1 << bucket_of(6);
-        local.count = u64::from(u32::MAX - 1);
+        local.buckets[bucket_of(6)].set(u32::MAX - 1);
+        local.occupied.set(local.occupied.get() | 1 << bucket_of(6));
+        local.count.set(u64::from(u32::MAX - 1));
         assert!(local.record(6));
-        absorbed.absorb(&mut local);
+        absorbed.absorb(&local);
         let bucket = |h: &HistogramHandle| h.stats().buckets.iter().find(|b| b.0 == 7).map(|b| b.1);
         assert_eq!(bucket(&absorbed), Some(u64::from(u32::MAX) + bucket(&direct).unwrap_or(0)));
         assert_eq!(absorbed.stats().count, direct.stats().count + u64::from(u32::MAX));
         let fresh = HistogramHandle::default();
-        fresh.absorb(&mut LocalHistogram::default());
+        fresh.absorb(&LocalHistogram::default());
         assert_eq!(fresh.stats(), HistogramHandle::default().stats());
         fresh.record(9);
         assert_eq!(fresh.stats().min, 9);

@@ -81,9 +81,9 @@ impl Handle {
                 m.push(v);
             }
             (Handle::InHistograms(h, i), Model::Histogram(m)) => {
-                let mut local = LocalHistogram::default();
+                let local = LocalHistogram::default();
                 assert!(!local.record(v));
-                h.absorb(*i, &mut local);
+                h.absorb(*i, &local);
                 m.push(v);
             }
             _ => unreachable!("the model and the registry disagree on a kind"),

@@ -11,7 +11,8 @@
 //!
 //! Run with: `cargo run --release --example custom_heuristic`
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use mpisim::{Mpi, MpiConfig};
 use power5::{Chip, CpuId, HwPriority, Topology};
@@ -60,7 +61,7 @@ fn main() {
     // the full plug-in path: chip → kernel → balancer → class.
     let chip = Chip::new(Topology::openpower_710());
     let mut kernel = Kernel::new(chip, KernelConfig::default());
-    let tunables = Arc::new(Mutex::new(HpcTunables::default()));
+    let tunables = Rc::new(RefCell::new(HpcTunables::default()));
     let balancer = Table1Balancer::new(
         Box::new(OneShotHeuristic),
         Box::new(Power5Mechanism),

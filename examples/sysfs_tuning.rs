@@ -17,7 +17,7 @@ use workloads::SchedulerSetup;
 fn run_with(tune: impl FnOnce(&mut HpcTunables)) -> (f64, Vec<u8>) {
     let builder = KernelBuilder::new();
     let handle = builder.tunables();
-    tune(&mut handle.lock().unwrap());
+    tune(&mut handle.borrow_mut());
     let mut kernel = builder.build();
 
     let cfg = MetBenchConfig {

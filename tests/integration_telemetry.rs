@@ -155,3 +155,68 @@ fn hot_counters_are_published_by_every_public_method() {
     kernel.run_for(SimDuration::from_millis(40));
     assert_eq!(hot(&kernel), GOLDEN_RUN_FOR, "after run_for");
 }
+
+/// The kernel registers its own metrics only when they are first read,
+/// publishing what it counted until then. However late that first read
+/// comes, after any public call, the snapshot is the one a kernel read
+/// from its build on gives at the same point, and so is every later one.
+#[test]
+fn a_first_read_after_any_public_call_gives_the_same_snapshot() {
+    type Call = fn(&mut Kernel, &[TaskId]);
+    let calls: [(&str, Call); 4] = [
+        ("inject_fault", |k, ids| {
+            k.inject_fault(
+                SimTime::ZERO + SimDuration::from_millis(15),
+                FaultEvent::StealBurst { cpu: CpuId(0), duration: SimDuration::from_millis(3) },
+            );
+            k.inject_fault(
+                SimTime::ZERO + SimDuration::from_millis(25),
+                FaultEvent::SlowTask { task: ids[1], factor: 0.5 },
+            );
+        }),
+        ("step", |k, _| {
+            for _ in 0..40 {
+                k.step();
+            }
+        }),
+        ("run_for", |k, _| k.run_for(SimDuration::from_millis(30))),
+        ("run_until_exited", |k, ids| {
+            k.run_until_exited(ids, SimDuration::from_secs(600)).expect("finishes");
+        }),
+    ];
+    // Cut 0 reads right after the spawn; cut `c` after the `c`th call.
+    for cut in 0..=calls.len() {
+        let kernel = |read_at_build: bool| {
+            let mut k = KernelBuilder::new().seed(7).try_build().expect("valid");
+            if read_at_build {
+                k.metrics_registry();
+            }
+            let cfg = MetBenchConfig {
+                loads: vec![0.01, 0.03, 0.01, 0.03],
+                iterations: 4,
+                ..Default::default()
+            };
+            let (mut ids, master, _) =
+                metbench::spawn_faulted(&mut k, &cfg, &SchedulerSetup::Hpc, None);
+            ids.push(master);
+            (k, ids)
+        };
+        let (mut early, ids) = kernel(true);
+        let (mut late, _) = kernel(false);
+        for (i, (name, call)) in calls.iter().enumerate() {
+            if i == cut {
+                let read = late.metrics_registry().snapshot();
+                assert_eq!(read, early.metrics_registry().snapshot(), "first read before {name}");
+            }
+            call(&mut early, &ids);
+            call(&mut late, &ids);
+            if i >= cut {
+                let (a, b) = (early.metrics_registry().snapshot(), late.metrics_registry().snapshot());
+                assert_eq!(b, a, "after {name}, first read at cut {cut}");
+            }
+        }
+        let last = late.metrics_registry().snapshot();
+        assert_eq!(last, early.metrics_registry().snapshot(), "at the end, cut {cut}");
+        assert!(last.counter("kernel.iterations") > 0 && last.counter("kernel.faults.slowdowns") == 1);
+    }
+}
