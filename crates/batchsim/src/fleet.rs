@@ -25,8 +25,6 @@
 //! containers; `tests/alloc_growth.rs` fails when a run's peak heap grows
 //! with its job count.
 
-use serde::Serialize;
-
 use crate::arrivals::FleetStreamConfig;
 use crate::discipline::Discipline;
 use crate::sim::{BatchConfig, JobRecord};
@@ -75,7 +73,7 @@ pub fn scaled_config(jobs: u64, nodes: usize, seed: u64) -> FleetConfig {
 /// and maxima only. The engine folds records in completion order; a
 /// recording run's outcome refolds its records in id order, whose float
 /// sums BENCH_batch.json pins.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FleetAccum {
     pub jobs: u64,
     pub completed: u64,

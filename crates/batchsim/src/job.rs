@@ -1,7 +1,6 @@
 //! Jobs: a gang-scheduled [`JobSpec`] and the [`BatchJob`] that carries
 //! it through the queue.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimRng;
 
 use crate::placement::NODE_SLOTS;
@@ -9,7 +8,7 @@ use crate::placement::NODE_SLOTS;
 /// An SPMD job: one load estimate per rank (work units per iteration, the
 /// same normalization as the `workloads` crate) and an iteration count.
 /// Ranks synchronize with a global barrier each iteration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct JobSpec {
     pub name: String,
     /// Per-rank compute work per iteration.

@@ -13,7 +13,6 @@
 use crate::job::JobSpec;
 use crate::shape::NodeShape;
 use power5::CpuId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ranks per reference node (one per logical CPU of the paper's POWER5
@@ -23,7 +22,7 @@ pub const NODE_SLOTS: usize = 4;
 /// Why a placement could not be computed. Cluster-level callers hit this
 /// at runtime (a job queued against a shrunken, partially-failed cluster),
 /// so it is an error value, not a panic.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlacementError {
     /// No nodes to place on (zero configured, or every node failed).
     NoNodes,
@@ -45,7 +44,7 @@ impl fmt::Display for PlacementError {
 impl std::error::Error for PlacementError {}
 
 /// How to spread a job's ranks over the nodes.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlacementStrategy {
     /// Rank i on node i mod n — what `mpirun` does by default.
     RoundRobin,
@@ -63,7 +62,7 @@ pub enum PlacementStrategy {
 }
 
 /// A computed placement: `nodes[n]` lists rank indices in CPU-slot order.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Placement {
     pub strategy: PlacementStrategy,
     pub nodes: Vec<Vec<usize>>,

@@ -6,13 +6,11 @@
 //! accumulator. A recording run folds in id order, which reproduces
 //! bit-for-bit the sums the old per-job-vector implementation computed.
 
-use serde::Serialize;
-
 use crate::sim::BatchOutcome;
 
 /// Aggregated queue metrics over one batch run. Wait/turnaround/slowdown
 /// means cover *completed* jobs; utilization and throughput are fleet-wide.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct FleetStats {
     pub jobs: usize,
     pub completed: usize,

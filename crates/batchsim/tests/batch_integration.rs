@@ -79,6 +79,29 @@ fn easy_backfills_and_lowers_mean_wait_vs_fcfs() {
 }
 
 #[test]
+fn easy_backfills_a_candidate_that_ends_exactly_at_the_shadow() {
+    // Two nodes, everything arriving at t=0. A takes one node; the wide
+    // head H needs both, so its shadow is A's end. C has A's spec, so its
+    // service is A's to the nanosecond: it ends exactly at the shadow,
+    // and with no spare node it backfills only because ending *at* the
+    // shadow cannot delay the head.
+    let narrow = JobSpec::new("narrow", vec![0.05; 4], 2);
+    let jobs = vec![
+        BatchJob::new(0, narrow.clone(), 0.0),
+        BatchJob::new(1, JobSpec::new("wide", vec![0.05; 8], 2), 0.0),
+        BatchJob::new(2, narrow, 0.0),
+    ];
+    let two = BatchConfig { num_nodes: 2, discipline: Discipline::Easy, ..Default::default() };
+    let out = run_batch(&jobs, &two, None);
+    let (a, h, c) = (&out.jobs[0], &out.jobs[1], &out.jobs[2]);
+    assert_eq!(c.first_start, Some(0.0), "C starts beside A");
+    assert!(c.backfilled, "C jumped the head");
+    assert_eq!(c.end, a.end, "same spec, same service");
+    assert_eq!(h.first_start, Some(a.end), "the head still starts at its shadow");
+    assert_eq!(start_order(&out), vec![0, 2, 1]);
+}
+
+#[test]
 fn node_failure_mid_queue_degrades_cleanly() {
     let jobs = heavy_light_mix(11, 20);
     let fault = BatchFault { node: 1, after_completions: 3, max_retries: 2, restart_secs: 0.2 };

@@ -43,10 +43,10 @@ use batchsim::{
 };
 use experiments::benchfile;
 use experiments::cli::{BinFlag, CliFlags};
+use experiments::json::Json;
 use faultsim::{CkptCorruptSpec, TaskAbortSpec};
 
 /// One per-discipline row of the `BENCH_batch.json` baseline.
-#[derive(serde::Serialize)]
 struct BenchRow {
     discipline: &'static str,
     seed: u64,
@@ -61,10 +61,24 @@ struct BenchRow {
     node_runs: u64,
 }
 
+impl BenchRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("discipline", self.discipline.into()),
+            ("seed", self.seed.into()),
+            ("jobs", self.jobs.into()),
+            ("completed", self.completed.into()),
+            ("mean_wait_secs", self.mean_wait_secs.into()),
+            ("makespan_secs", self.makespan_secs.into()),
+            ("throughput_per_sim_sec", self.throughput_per_sim_sec.into()),
+            ("node_runs", self.node_runs.into()),
+        ])
+    }
+}
+
 /// One per-policy row: the 30-job FCFS stream under each registered
 /// balancing policy, so the baseline tracks the whole zoo, not just the
 /// paper's policy.
-#[derive(serde::Serialize)]
 struct PolicyRow {
     policy: &'static str,
     completed: usize,
@@ -73,10 +87,21 @@ struct PolicyRow {
     throughput_per_sim_sec: f64,
 }
 
+impl PolicyRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("policy", self.policy.into()),
+            ("completed", self.completed.into()),
+            ("mean_wait_secs", self.mean_wait_secs.into()),
+            ("makespan_secs", self.makespan_secs.into()),
+            ("throughput_per_sim_sec", self.throughput_per_sim_sec.into()),
+        ])
+    }
+}
+
 /// One per-topology row: the 30-job EASY stream on each fleet hardware
 /// shape (reference uniform, 2-socket, heterogeneous mix), so the baseline
 /// tracks the heterogeneous engine alongside the disciplines and policies.
-#[derive(serde::Serialize)]
 struct TopologyRow {
     fleet_shape: &'static str,
     completed: usize,
@@ -86,6 +111,19 @@ struct TopologyRow {
     /// FNV-1a fingerprint of the rendered event trace — deterministic, so
     /// CI diffs it like the scalar columns.
     trace_hash: String,
+}
+
+impl TopologyRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("fleet_shape", self.fleet_shape.into()),
+            ("completed", self.completed.into()),
+            ("mean_wait_secs", self.mean_wait_secs.into()),
+            ("makespan_secs", self.makespan_secs.into()),
+            ("throughput_per_sim_sec", self.throughput_per_sim_sec.into()),
+            ("trace_hash", self.trace_hash.as_str().into()),
+        ])
+    }
 }
 
 /// The per-topology section of the baseline: one short EASY stream per
@@ -573,15 +611,19 @@ fn main() {
         let policies = policy_rows(seed, &mut failed);
         println!("\n== topologies: 30-job EASY stream per fleet shape ==");
         let topologies = topology_rows(seed, &mut failed);
-        // Upsert section by section so the `fleet` binary's rows in the
-        // same file survive a baseline regeneration (and vice versa).
-        let file = "BENCH_batch.json";
-        let write = benchfile::upsert_section(file, "disciplines", &rows)
-            .and_then(|()| benchfile::upsert_section(file, "policies", &policies))
-            .and_then(|()| benchfile::upsert_section(file, "topologies", &topologies));
-        match write {
+        // Upsert only this binary's sections so the `fleet` binary's rows
+        // in the same file survive a baseline regeneration (and vice versa).
+        let sections = vec![
+            ("disciplines", Json::Arr(rows.iter().map(BenchRow::to_json).collect())),
+            ("policies", Json::Arr(policies.iter().map(PolicyRow::to_json).collect())),
+            ("topologies", Json::Arr(topologies.iter().map(TopologyRow::to_json).collect())),
+        ];
+        match benchfile::upsert("BENCH_batch.json", sections) {
             Ok(()) => println!("throughput baseline written to BENCH_batch.json"),
-            Err(e) => println!("warning: could not write BENCH_batch.json: {e}"),
+            Err(e) => {
+                println!("could not write the baseline: {e}");
+                failed = true;
+            }
         }
     }
 

@@ -13,10 +13,10 @@
 //!   stats row and a resume self-check;
 //! * `--smoke` — the CI scale gate: a 100k-job stream run twice,
 //!   requiring byte-identical trace fingerprints;
-//! * `--scale` — the full trajectory: 10k/100k/1M jobs, each measured in
-//!   a fresh child process (so `VmHWM` is that run's own high-water mark,
-//!   not an earlier row's), one row per scale upserted into
-//!   `BENCH_batch.json`;
+//! * `--scale` — the full trajectory: 10k/100k/1M jobs, each run three
+//!   times in a fresh child process (so `VmHWM` is that run's own
+//!   high-water mark, not an earlier row's); the run with the median wall
+//!   time becomes the scale's row, upserted into `BENCH_batch.json`;
 //! * `--scale-row` — internal: run one row in this process and print it
 //!   as a single JSON line (spawned by `--scale`);
 //! * `--check-bench` — validate the committed `fleet` section: exactly one
@@ -32,14 +32,18 @@ use std::time::Instant;
 use batchsim::{resume_batch, run_fleet, run_fleet_until, scaled_config, BatchOutcome, FleetStats};
 use experiments::benchfile;
 use experiments::cli::{BinFlag, CliFlags};
+use experiments::json::Json;
 
 /// The scale trajectory `--scale` measures and `--check-bench` requires.
 const SCALES: [u64; 3] = [10_000, 100_000, 1_000_000];
 
+/// Child runs `--scale` makes per row; the row is the run with the
+/// median wall time.
+const RUNS_PER_ROW: usize = 3;
+
 /// One row of the `fleet` section of `BENCH_batch.json`. `wall_secs`,
 /// `jobs_per_wall_sec` and `peak_rss_bytes` are host measurements; every
 /// other field is deterministic.
-#[derive(Clone, serde::Serialize, serde::Deserialize)]
 struct FleetBenchRow {
     jobs: u64,
     nodes: u64,
@@ -56,6 +60,49 @@ struct FleetBenchRow {
     peak_rss_bytes: u64,
     /// FNV-1a fingerprint of the rendered event trace, 16 hex digits.
     trace_hash: String,
+}
+
+impl FleetBenchRow {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("jobs", self.jobs.into()),
+            ("nodes", self.nodes.into()),
+            ("discipline", self.discipline.as_str().into()),
+            ("seed", self.seed.into()),
+            ("completed", self.completed.into()),
+            ("degraded", self.degraded.into()),
+            ("makespan_sim_secs", self.makespan_sim_secs.into()),
+            ("jobs_per_sim_sec", self.jobs_per_sim_sec.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("jobs_per_wall_sec", self.jobs_per_wall_sec.into()),
+            ("peak_rss_bytes", self.peak_rss_bytes.into()),
+            ("trace_hash", self.trace_hash.as_str().into()),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<FleetBenchRow, String> {
+        fn num<T: std::str::FromStr>(v: &Json, key: &str) -> Result<T, String> {
+            v.get(key).and_then(Json::num).ok_or_else(|| format!("row has no number `{key}`"))
+        }
+        let text = |key: &str| {
+            let s = v.get(key).and_then(Json::as_str);
+            s.map(str::to_string).ok_or_else(|| format!("row has no string `{key}`"))
+        };
+        Ok(FleetBenchRow {
+            jobs: num(v, "jobs")?,
+            nodes: num(v, "nodes")?,
+            discipline: text("discipline")?,
+            seed: num(v, "seed")?,
+            completed: num(v, "completed")?,
+            degraded: num(v, "degraded")?,
+            makespan_sim_secs: num(v, "makespan_sim_secs")?,
+            jobs_per_sim_sec: num(v, "jobs_per_sim_sec")?,
+            wall_secs: num(v, "wall_secs")?,
+            jobs_per_wall_sec: num(v, "jobs_per_wall_sec")?,
+            peak_rss_bytes: num(v, "peak_rss_bytes")?,
+            trace_hash: text("trace_hash")?,
+        })
+    }
 }
 
 /// This process's peak resident set (`VmHWM` from `/proc/self/status`),
@@ -147,15 +194,41 @@ fn spawn_row(jobs: u64, nodes: usize, seed: u64) -> Result<FleetBenchRow, String
         .lines()
         .find(|l| l.starts_with('{'))
         .ok_or_else(|| format!("--scale-row jobs={jobs}: no JSON row on stdout"))?;
-    serde_json::from_str::<FleetBenchRow>(line)
+    Json::parse(line.as_bytes())
+        .map_err(|e| e.to_string())
+        .and_then(|v| FleetBenchRow::from_json(&v))
         .map_err(|e| format!("--scale-row jobs={jobs}: bad row: {e}"))
+}
+
+/// One `--scale` row: [`RUNS_PER_ROW`] child runs, which must agree on
+/// the trace fingerprint; the row is the run with the median wall time,
+/// with that run's own throughput and peak RSS.
+fn median_row(jobs: u64, nodes: usize, seed: u64) -> Result<FleetBenchRow, String> {
+    let mut runs = (0..RUNS_PER_ROW)
+        .map(|_| spawn_row(jobs, nodes, seed))
+        .collect::<Result<Vec<_>, _>>()?;
+    if let Some(r) = runs.iter().find(|r| r.trace_hash != runs[0].trace_hash) {
+        return Err(format!(
+            "--scale-row jobs={jobs}: reruns disagree, trace hash {} vs {}",
+            r.trace_hash, runs[0].trace_hash
+        ));
+    }
+    runs.sort_by(|a, b| a.wall_secs.total_cmp(&b.wall_secs));
+    Ok(runs.swap_remove(RUNS_PER_ROW / 2))
 }
 
 /// Schema/consistency check over the committed `fleet` rows — the CI
 /// guard that the baseline actually records the trajectory.
 fn check_bench() -> Result<(), String> {
-    let rows: Vec<FleetBenchRow> = benchfile::read_section("BENCH_batch.json", "fleet")
+    let section = benchfile::read_section("BENCH_batch.json", "fleet")
+        .map_err(|e| e.to_string())?
         .ok_or("BENCH_batch.json has no fleet section")?;
+    let rows = section
+        .as_arr()
+        .ok_or("the fleet section is not an array")?
+        .iter()
+        .map(FleetBenchRow::from_json)
+        .collect::<Result<Vec<_>, _>>()?;
     let scales: Vec<u64> = rows.iter().map(|r| r.jobs).collect();
     if scales != SCALES {
         return Err(format!("fleet rows at {scales:?} jobs; want one row per scale {SCALES:?}"));
@@ -229,7 +302,7 @@ fn main() {
     if flags.switch("--scale-row") {
         let jobs = jobs.unwrap_or(10_000);
         let (row, _) = run_row(jobs, nodes, seed);
-        println!("{}", serde_json::to_string(&row).expect("row serializes"));
+        println!("{}", row.to_json().to_compact());
         return;
     }
 
@@ -264,7 +337,7 @@ fn main() {
         println!("== fleet scale trajectory: {SCALES:?} jobs x {nodes} nodes ==");
         let mut rows = Vec::new();
         for jobs in SCALES {
-            match spawn_row(jobs, nodes, seed) {
+            match median_row(jobs, nodes, seed) {
                 Ok(row) => {
                     render_row(&row);
                     rows.push(row);
@@ -276,10 +349,13 @@ fn main() {
                 }
             }
         }
-        match benchfile::upsert_section("BENCH_batch.json", "fleet", &rows) {
-            Ok(()) => println!("fleet trajectory written to BENCH_batch.json"),
-            Err(e) => println!("warning: could not write BENCH_batch.json: {e}"),
+        let section = Json::Arr(rows.iter().map(FleetBenchRow::to_json).collect());
+        if let Err(e) = benchfile::upsert("BENCH_batch.json", vec![("fleet", section)]) {
+            eprintln!("fleet: could not write the baseline: {e}");
+            eprintln!("fleet: FAILED");
+            std::process::exit(1);
         }
+        println!("fleet trajectory written to BENCH_batch.json");
         println!("\nfleet: OK");
         return;
     }

@@ -23,19 +23,53 @@ use experiments::baseline::{
     SEED, STEAL_SPEC,
 };
 use experiments::cli::CliFlags;
+use experiments::json::Json;
 use experiments::runner::{run, try_run, ExperimentMode, WorkloadKind};
-use faultsim::{FaultError, FaultPlan};
+use faultsim::{FaultError, FaultPlan, FaultSummary};
 use workloads::metbench::MetBenchConfig;
 
 /// One row of the `BENCH_faults.json` baseline.
-#[derive(serde::Serialize)]
 struct BenchRow {
     class: &'static str,
     spec: &'static str,
     mode: &'static str,
     seed: u64,
     exec_secs: f64,
-    summary: faultsim::FaultSummary,
+    summary: FaultSummary,
+}
+
+impl BenchRow {
+    fn to_json(&self) -> Json {
+        let s = &self.summary;
+        let summary = Json::obj([
+            ("steal_bursts_injected", s.steal_bursts_injected.into()),
+            ("slowdowns_injected", s.slowdowns_injected.into()),
+            ("mpi_delays_injected", s.mpi_delays_injected.into()),
+            ("restarts_absorbed", s.restarts_absorbed.into()),
+            ("degraded_samples", s.degraded_samples.into()),
+            ("aborted", s.aborted.as_ref().map_or(Json::Null, fault_error_json)),
+        ]);
+        Json::obj([
+            ("class", self.class.into()),
+            ("spec", self.spec.into()),
+            ("mode", self.mode.into()),
+            ("seed", self.seed.into()),
+            ("exec_secs", self.exec_secs.into()),
+            ("summary", summary),
+        ])
+    }
+}
+
+/// A terminal fault as `{"Variant": {fields}}`.
+fn fault_error_json(e: &FaultError) -> Json {
+    let (variant, fields) = match *e {
+        FaultError::RankFailStop { rank, iteration } => (
+            "RankFailStop",
+            Json::obj([("rank", rank.into()), ("iteration", iteration.into())]),
+        ),
+        FaultError::Deadline { secs } => ("Deadline", Json::obj([("secs", secs.into())])),
+    };
+    Json::obj([(variant, fields)])
 }
 
 /// One seeded spec per fault class (DESIGN.md §9).
@@ -390,8 +424,8 @@ fn main() {
         }
     }
 
-    let bench_json = serde_json::to_string_pretty(&bench).expect("bench serializes");
-    match std::fs::write("BENCH_faults.json", &bench_json) {
+    let bench_json = Json::Arr(bench.iter().map(BenchRow::to_json).collect()).to_pretty();
+    match std::fs::write("BENCH_faults.json", bench_json) {
         Ok(()) => println!("\nfault baseline written to BENCH_faults.json"),
         Err(e) => println!("\nwarning: could not write BENCH_faults.json: {e}"),
     }

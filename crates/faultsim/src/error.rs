@@ -7,7 +7,7 @@
 use std::fmt;
 
 /// Why a fault-injected run terminated without completing normally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultError {
     /// A rank hit a `FailStop` crash directive and the job aborted cleanly
     /// after `iteration` completed iterations on that rank.

@@ -6,7 +6,7 @@ use crate::error::FaultError;
 use std::fmt;
 
 /// Injected / absorbed / aborted counts per fault class for one run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultSummary {
     /// Class 1: CPU steal bursts delivered to the kernel.
     pub steal_bursts_injected: u64,

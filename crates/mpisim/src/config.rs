@@ -1,13 +1,12 @@
 //! MPI cost model configuration.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Latency/bandwidth model for the simulated interconnect.
 ///
 /// The paper's machine runs all four ranks on one node, so messages move
 /// through shared memory: microsecond-scale latency, ~GB/s bandwidth.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MpiConfig {
     /// Per-message base latency.
     pub latency: SimDuration,

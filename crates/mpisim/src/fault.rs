@@ -78,7 +78,7 @@ impl MpiFaultState {
 }
 
 /// Snapshot of per-world fault accounting, for reports and baselines.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MpiFaultStats {
     /// Messages that suffered an injected delay spike.
     pub delays_injected: u64,

@@ -16,10 +16,9 @@
 //!   assume them.
 
 use crate::priority::HwPriority;
-use serde::{Deserialize, Serialize};
 
 /// The fraction of decode cycles each context receives.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DecodeSplit {
     /// Share of context A, in `[0, 1]`.
     pub a: f64,

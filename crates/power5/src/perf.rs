@@ -25,11 +25,10 @@
 
 use crate::decode::decode_share;
 use crate::priority::HwPriority;
-use serde::{Deserialize, Serialize};
 
 /// Instantaneous speed factors for the two contexts of one core.
 /// `1.0` = the speed of the same task alone on the core in ST mode.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeedFactors {
     pub a: f64,
     pub b: f64,
@@ -48,7 +47,7 @@ impl SpeedFactors {
 /// sensitivity). The companion characterization study (Boneti et al.,
 /// ISCA 2008 — reference \[4\] of the paper) measures per-application curves;
 /// these two knobs are how the workloads crate encodes each benchmark's.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TaskPerfTraits {
     /// How strongly the task speeds up when *favoured* (relative factor
     /// above 1), in `[0, 1]`. 1 = fully decode-bound.
@@ -129,7 +128,7 @@ pub trait PerfModel {
 }
 
 /// The default, calibration-table-driven model. See module docs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TableModel {
     /// Speed of each thread when both run at equal priority, relative to ST.
     pub smt_equal: f64,
@@ -286,7 +285,7 @@ impl TableModel {
 /// Analytic alternative: throughput as a concave function of decode share,
 /// `T(s) = (1+k)·s / (1 + k·s)`, normalized so `T(1) = 1`. Larger `k` means
 /// stronger diminishing returns. Used for calibration ablations.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct AnalyticModel {
     /// Concavity parameter `k ≥ 0`.
     pub k: f64,

@@ -17,18 +17,17 @@
 //! | 6        | High         | Supervisor  | `or 3,3,3`    |
 //! | 7        | Very high    | Hypervisor  | `or 7,7,7`    |
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A POWER5 hardware thread priority (0–7).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct HwPriority(u8);
 
 /// The privilege level of the code issuing a priority change.
 ///
 /// On the real machine the OS runs at supervisor level and user code at user
 /// level; the hypervisor owns the extremes (thread off / single-thread mode).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum PrivilegeLevel {
     User,
     Supervisor,

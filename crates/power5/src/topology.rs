@@ -23,25 +23,24 @@
 //! the same entry point, and [`Topology::render_spec`] is the canonical
 //! inverse of [`Topology::parse`].
 
-use serde::Value;
 use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use std::fmt;
 use std::ops::Range;
 
 /// Index of a chip in the machine.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ChipId(pub usize);
 
 /// Global index of a core (across all chips).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct CoreId(pub usize);
 
 /// Index of a context *within its core* (0 or 1 on POWER5).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ContextId(pub usize);
 
 /// A logical CPU: what the OS schedules on. One per hardware context.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CpuId(pub usize);
 
 impl fmt::Debug for CpuId {
@@ -650,93 +649,6 @@ impl Default for Topology {
 }
 
 // ----------------------------------------------------------------------
-// Serde: the canonical spec string, plus costs/distances when they differ
-// from the defaults of the parsed shape.
-// ----------------------------------------------------------------------
-
-impl serde::Serialize for Topology {
-    fn to_value(&self) -> Value {
-        let parsed = Topology::parse_spec(&self.render_spec()).expect("render_spec round-trips");
-        if parsed == *self {
-            return Value::Str(self.render_spec());
-        }
-        Value::Map(vec![
-            ("spec".into(), Value::Str(self.render_spec())),
-            (
-                "costs".into(),
-                Value::Seq(self.levels.iter().map(|l| Value::UInt(u64::from(l.cost))).collect()),
-            ),
-            (
-                "distances".into(),
-                Value::Seq(
-                    self.numa_distances
-                        .iter()
-                        .map(|row| {
-                            Value::Seq(row.iter().map(|&d| Value::UInt(u64::from(d))).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl serde::Deserialize for Topology {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let bad = |e: TopologyError| serde::Error::custom(e.to_string());
-        if let Some(spec) = v.as_str() {
-            return Topology::parse(spec).map_err(bad);
-        }
-        let map = v.as_map().ok_or_else(|| serde::Error::expected("topology spec", v))?;
-        let field = |name: &str| map.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        // Legacy triple form: {chips, cores_per_chip, threads_per_core}.
-        if let (Some(chips), Some(cpc), Some(tpc)) =
-            (field("chips"), field("cores_per_chip"), field("threads_per_core"))
-        {
-            let dim = |v: &Value| {
-                v.as_u64()
-                    .map(|n| n as usize)
-                    .ok_or_else(|| serde::Error::expected("integer dimension", v))
-            };
-            return Topology::try_new(dim(chips)?, dim(cpc)?, dim(tpc)?).map_err(bad);
-        }
-        let spec = field("spec")
-            .and_then(|v| v.as_str())
-            .ok_or_else(|| serde::Error::custom("topology map needs a `spec` string"))?;
-        let mut t = Topology::parse(spec).map_err(bad)?;
-        if let Some(costs) = field("costs").and_then(|v| v.as_seq()) {
-            let costs: Vec<u32> = costs
-                .iter()
-                .map(|c| {
-                    c.as_u64()
-                        .map(|n| n as u32)
-                        .ok_or_else(|| serde::Error::expected("integer cost", c))
-                })
-                .collect::<Result<_, _>>()?;
-            t = t.with_level_costs(&costs).map_err(bad)?;
-        }
-        if let Some(rows) = field("distances").and_then(|v| v.as_seq()) {
-            let m: Vec<Vec<u32>> = rows
-                .iter()
-                .map(|row| {
-                    row.as_seq()
-                        .ok_or_else(|| serde::Error::expected("distance row", row))?
-                        .iter()
-                        .map(|d| {
-                            d.as_u64()
-                                .map(|n| n as u32)
-                                .ok_or_else(|| serde::Error::expected("integer distance", d))
-                        })
-                        .collect()
-                })
-                .collect::<Result<_, _>>()?;
-            t = t.with_numa_distances(m).map_err(bad)?;
-        }
-        Ok(t)
-    }
-}
-
-// ----------------------------------------------------------------------
 // Snapshot: full-fidelity image of the tree, so checkpoints restore
 // custom costs and distance matrices exactly.
 // ----------------------------------------------------------------------
@@ -1004,28 +916,6 @@ mod tests {
         let mut r = SnapshotReader::new(&bytes).unwrap();
         let got = r.get::<Topology>();
         assert!(matches!(got, Err(SnapshotError::Malformed(m)) if m.contains("NUMA")), "{got:?}");
-    }
-
-    #[test]
-    fn serde_round_trips() {
-        use serde::{Deserialize, Serialize};
-        let t = Topology::parse("2s2c2t").unwrap();
-        let v = t.to_value();
-        assert_eq!(Topology::from_value(&v).unwrap(), t);
-        // Custom distances force the long form.
-        let t = Topology::parse("2n2c2t")
-            .unwrap()
-            .with_numa_distances(vec![vec![10, 33], vec![33, 10]])
-            .unwrap();
-        let back = Topology::from_value(&t.to_value()).unwrap();
-        assert_eq!(back, t);
-        // Legacy triple maps still load.
-        let legacy = Value::Map(vec![
-            ("chips".into(), Value::UInt(1)),
-            ("cores_per_chip".into(), Value::UInt(2)),
-            ("threads_per_core".into(), Value::UInt(2)),
-        ]);
-        assert_eq!(Topology::from_value(&legacy).unwrap(), Topology::openpower_710());
     }
 
     #[test]

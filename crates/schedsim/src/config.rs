@@ -1,10 +1,9 @@
 //! Kernel configuration and tunables.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// CFS tunables (the `sched_*_ns` sysctls of Linux 2.6.2x).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct CfsTunables {
     /// Target scheduling period: every runnable task should run once per
     /// this span (paper §III: "no one waits … more than … 20ms").
@@ -31,7 +30,7 @@ impl Default for CfsTunables {
 /// OS-noise model: per-CPU background daemons with Poisson arrivals
 /// (paper §I cites the OS as a major extrinsic source of imbalance;
 /// §V-D relies on noise competing with SIESTA under CFS).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct NoiseConfig {
     /// Daemons per CPU.
     pub daemons_per_cpu: usize,
@@ -77,7 +76,7 @@ impl NoiseConfig {
 }
 
 /// Top-level kernel configuration.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct KernelConfig {
     /// Scheduler tick period (1 ms = CONFIG_HZ 1000).
     pub tick: SimDuration,

@@ -18,10 +18,9 @@
 use super::detector::TaskIterStats;
 use super::tunables::HpcTunables;
 use power5::HwPriority;
-use serde::{Deserialize, Serialize};
 
 /// Which heuristic to run (the paper selects this at kernel compile time).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HeuristicKind {
     Uniform,
     Adaptive,

@@ -6,11 +6,10 @@
 //! scheduler the way an administrator would.
 
 use power5::HwPriority;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Tunable parameters of the Load Imbalance Detector and heuristics.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct HpcTunables {
     /// Utilization (percent) below which a task is "low utilization".
     pub low_util: f64,

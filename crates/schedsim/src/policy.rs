@@ -1,11 +1,9 @@
 //! Scheduling policies, mirroring the Linux uapi constants the paper uses.
 
-use serde::{Deserialize, Serialize};
-
 /// A task's scheduling policy. Policies map onto scheduling classes:
 /// `Fifo`/`Rr` → real-time class, `Hpc` → the paper's HPC class (when
 /// installed), `Normal`/`Batch` → CFS, `Idle` → idle class.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SchedPolicy {
     /// `SCHED_FIFO`: real-time, runs until it yields or blocks.
     Fifo,

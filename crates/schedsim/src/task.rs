@@ -8,7 +8,7 @@ use std::fmt;
 
 /// Index of a task in the kernel's task table. Task 0..n are created in
 /// spawn order; ids are never reused.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TaskId(pub usize);
 
 impl fmt::Debug for TaskId {
@@ -35,7 +35,7 @@ impl fmt::Display for TaskId {
 }
 
 /// Scheduler-visible task state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TaskState {
     /// On a runqueue, waiting for a CPU.
     Runnable,

@@ -4,20 +4,28 @@
 //! All three formats are hand-rolled so this crate stays dependency-free
 //! and can sit underneath every other crate in the workspace:
 //!
-//! - [`snapshot_to_json`] — machine-readable, one object per metric;
+//! - [`snapshot_to_json`] — machine-readable, one object per metric,
+//!   through the string and float rules [`json_escape`] and [`json_f64`];
 //! - [`timeseries_to_csv`] — `time_ns` plus one column per series;
 //! - [`snapshot_summary`] — aligned human-readable text for `--telemetry`.
 
 use crate::{MetricValue, MetricsSnapshot, TimeSeries};
 use std::fmt::Write as _;
 
-fn json_escape(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string. A quote, a backslash, a newline,
+/// a carriage return and a tab take their short escapes, every other
+/// control character `\u00XX`; everything else is written as is. The
+/// workspace's one escaping rule: `experiments::json` writes its strings
+/// through here too.
+pub fn json_escape(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -27,7 +35,10 @@ fn json_escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn json_f64(v: f64, out: &mut String) {
+/// Appends `v` as a JSON number that always reads as a float: Rust's
+/// shortest round-trip form, with `.0` added to an integral value.
+/// JSON has no NaN or infinity, so a non-finite `v` is written `null`.
+pub fn json_f64(v: f64, out: &mut String) {
     if v.is_finite() {
         let s = format!("{v}");
         out.push_str(&s);

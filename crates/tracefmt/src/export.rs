@@ -1,4 +1,4 @@
-//! Serialization of timelines and statistics (CSV and JSON) so experiment
+//! Serialization of timelines and statistics as CSV so experiment
 //! output can be post-processed outside the simulator.
 
 use crate::stats::AppStats;
@@ -42,16 +42,6 @@ pub fn stats_to_csv(stats: &AppStats) -> String {
     out
 }
 
-/// JSON export of a whole timeline.
-pub fn timeline_to_json(tl: &Timeline) -> serde_json::Result<String> {
-    serde_json::to_string_pretty(tl)
-}
-
-/// JSON export of statistics.
-pub fn stats_to_json(stats: &AppStats) -> serde_json::Result<String> {
-    serde_json::to_string_pretty(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,15 +82,5 @@ mod tests {
         let csv = stats_to_csv(&stats);
         assert!(csv.contains("comp_percent"));
         assert!(csv.contains("100.0000"), "fully computing: {csv}");
-    }
-
-    #[test]
-    fn json_exports_parse_back() {
-        let json = timeline_to_json(&tl()).unwrap();
-        let back: Timeline = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.tasks.len(), 1);
-        let stats = AppStats::for_tasks(&tl(), &[TaskId(0)]);
-        let json = stats_to_json(&stats).unwrap();
-        assert!(json.contains("comp_percent"));
     }
 }

@@ -9,7 +9,7 @@
 //!   hardware-priority change markers;
 //! * [`stats`] — the paper's table metrics: per-process `%Comp`, final
 //!   hardware priority, application execution time;
-//! * [`export`] — CSV/JSON serialization of intervals and statistics;
+//! * [`export`] — CSV serialization of intervals and statistics;
 //! * [`prv`] — export in the actual Paraver trace format (`.prv`/`.pcf`),
 //!   so runs can be inspected in the paper's own visualization tool.
 

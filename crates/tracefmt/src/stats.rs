@@ -3,11 +3,10 @@
 use crate::timeline::{TaskTimeline, Timeline, TraceState};
 use power5::HwPriority;
 use schedsim::TaskId;
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
 /// One row of a paper-style table.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskStats {
     pub task: TaskId,
     pub name: String,
@@ -25,7 +24,7 @@ pub struct TaskStats {
 }
 
 /// Application-level summary.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AppStats {
     pub tasks: Vec<TaskStats>,
     /// Total execution time: last exit (or trace end).

@@ -2,12 +2,11 @@
 
 use power5::HwPriority;
 use schedsim::{TaskId, TaskState, TraceEvent, TraceRecord};
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// The display states of the paper's figures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum TraceState {
     /// Executing on a CPU (the figures' dark gray).
     Compute,
@@ -18,7 +17,7 @@ pub enum TraceState {
 }
 
 /// A maximal span of one state.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Interval {
     pub start: SimTime,
     pub end: SimTime,
@@ -32,7 +31,7 @@ impl Interval {
 }
 
 /// One task's rendered history.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TaskTimeline {
     pub task: TaskId,
     pub name: String,
@@ -58,7 +57,7 @@ impl TaskTimeline {
 }
 
 /// All tasks' timelines.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Timeline {
     pub tasks: Vec<TaskTimeline>,
     pub end: SimTime,
